@@ -244,16 +244,17 @@ def _bench_explore(options: BenchOptions, report: BenchReport, log: Log):
 
     The screen benchmark scores :data:`SCREEN_SPACE` analytically (min
     over the usual interleaved rounds).  The end-to-end benchmark runs
-    one budgeted explorer pass over :data:`E2E_SPACE` and one exhaustive
-    sweep of the same grid through the batch fast path -- a single pass
+    one budgeted explorer pass over :data:`E2E_SPACE` and the explorer's
+    exact-stage plan (:func:`~repro.explore.exact.simulate_specs`) over
+    every candidate of the same grid -- a single pass
     each, because the exhaustive side costs seconds by design and its
     duration is what the speedup divides by.
     """
     from ..explore import explore as explore_run
+    from ..explore.exact import simulate_specs
     from ..explore.model import build_anchors
     from ..explore.screen import screen_space
     from ..explore.space import expand_space, parse_space
-    from ..harness.engine import run_source_sweep
 
     n = options.explore_trace_length
     sources = [f"branchy:seed=3:n={n}", f"pointer:seed=5:n={n}"]
@@ -287,7 +288,7 @@ def _bench_explore(options: BenchOptions, report: BenchReport, log: Log):
     grid = expand_space(parse_space(E2E_SPACE, default_config=config))
     specs = [grid.machine_spec(i) for i in range(grid.n)]
     start = time.perf_counter()
-    run_source_sweep(specs, sources, config=config, workers=1, cache=None)
+    simulate_specs(specs, sources, config=config, workers=1, cache=None)
     exhaustive = time.perf_counter() - start
 
     explored = min(explore_times)

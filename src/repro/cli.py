@@ -559,13 +559,13 @@ def _progress_callback(progress_format: str, stream=None):
 
     def emit_human(event) -> None:
         cell = (
-            f"loop {event.loop:>2} "
+            f"{event.source} "
             + (f"{event.machine}/" if event.machine else "limits/")
             + event.config
         )
         line = (
             f"[{event.completed:>3}/{event.total}] {event.table_id} "
-            f"{cell:<28} {event.seconds:7.3f}s"
+            f"{cell:<40} {event.seconds:7.3f}s"
             + ("  (cached)" if event.result_hit else "")
         )
         if interactive:
@@ -701,7 +701,7 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
         lines.append(f"  slowest cells (of {len(cells)}):")
         for cell in cells[:top]:
             lines.append(
-                f"    {cell['name']:<34} {cell['seconds']:>8.3f}s  "
+                f"    {cell['name']:<44} {cell['seconds']:>8.3f}s  "
                 f"pid {cell['pid']}"
             )
     return "\n".join(lines)

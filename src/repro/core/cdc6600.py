@@ -55,7 +55,7 @@ class CDC6600Machine(Simulator):
         # hook_installed is re-read per call so a hook attached after
         # construction always gets the event-emitting loop.
         if fastpath.enabled() and not hook_installed(self):
-            return fastpath.simulate_cdc6600_fast(self, trace, config)
+            return fastpath.python_backend.simulate_cdc6600_fast(self, trace, config)
         return self._simulate(trace, config, self.on_event)
 
     def _simulate(

@@ -33,10 +33,10 @@ backend, enforced by the differential suites
 the oracle's ``fastpath-dual`` check on every ``repro verify`` replay,
 and the golden tables (which run with the fast path both on and off).
 
-The module-level ``simulate_*_fast`` functions are re-exported for the
-machines' dispatch gates; importing them directly elsewhere is
-deprecated -- go through :func:`simulate_sweep` or the backend registry
-instead (see ``docs/performance.md``).
+The per-family ``simulate_*_fast`` loops live in
+:mod:`~repro.core.fastpath.python_backend`, where the machines' dispatch
+gates reach them; everything else goes through :func:`simulate_sweep` or
+the backend registry (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -77,16 +77,8 @@ from .ir import (
     _unit_tables,
     compile_trace,
 )
-from .python_backend import (
-    PythonBackend,
-    simulate_cdc6600_fast,
-    simulate_inorder_fast,
-    simulate_ooo_fast,
-    simulate_ruu_fast,
-    simulate_scoreboard_fast,
-    simulate_spec_fast,
-    simulate_tomasulo_fast,
-)
+from . import python_backend
+from .python_backend import PythonBackend
 from .batch import BatchBackend
 
 __all__ = [
@@ -106,14 +98,7 @@ __all__ = [
     "reset_stats",
     "resolve_backend",
     "set_enabled",
-    "simulate_cdc6600_fast",
-    "simulate_inorder_fast",
-    "simulate_ooo_fast",
-    "simulate_ruu_fast",
-    "simulate_scoreboard_fast",
-    "simulate_spec_fast",
     "simulate_sweep",
-    "simulate_tomasulo_fast",
     "stats",
 ]
 

@@ -25,10 +25,12 @@ Bit-identity is a hard invariant, enforced three ways:
   fast path against ``reference_simulate`` as an exact dual on every
   ``repro verify`` replay, including the nightly 1000-seed shards.
 
-The module-level ``simulate_*_fast`` functions remain the machines\'
-dispatch targets; :class:`PythonBackend` wraps them behind the backend
-interface (:mod:`repro.core.fastpath.backends`) so sweep-shaped callers
-can select per-spec replay explicitly (``backend="python"``).
+The module-level ``simulate_*_fast`` functions are the machines\'
+dispatch targets (``fastpath.python_backend.simulate_*_fast``; the
+package does not re-export them); :class:`PythonBackend` wraps them
+behind the backend interface (:mod:`repro.core.fastpath.backends`) so
+sweep-shaped callers can select per-spec replay explicitly
+(``backend="python"``).
 
 Telemetry: when :func:`repro.obs.telemetry.collecting` is on (the
 default), every loop additionally fills a closed-form

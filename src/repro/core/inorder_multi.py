@@ -55,7 +55,7 @@ class InOrderMultiIssueMachine(Simulator):
         # forces the event-emitting reference loop; the compiled fast
         # path (bit-identical, event-free) runs otherwise.
         if fastpath.enabled() and not hook_installed(self):
-            return fastpath.simulate_inorder_fast(self, trace, config)
+            return fastpath.python_backend.simulate_inorder_fast(self, trace, config)
         return self._simulate(trace, config, self.on_event)
 
     def reference_simulate(

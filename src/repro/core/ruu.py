@@ -166,7 +166,7 @@ class RUUMachine(Simulator):
             and fastpath.enabled()
             and not hook_installed(self)
         ):
-            return fastpath.simulate_ruu_fast(self, trace, config)
+            return fastpath.python_backend.simulate_ruu_fast(self, trace, config)
         return self._simulate(trace, config, self.on_event)
 
     def reference_simulate(

@@ -170,7 +170,7 @@ class ScoreboardMachine(Simulator):
         # bit-identical (tests/test_fastpath_diff.py, the oracle's
         # fastpath-dual check) but emits no events.
         if fastpath.enabled() and not hook_installed(self):
-            return fastpath.simulate_scoreboard_fast(self, trace, config)
+            return fastpath.python_backend.simulate_scoreboard_fast(self, trace, config)
         return self._simulate(trace, config, self.on_event)
 
     def simulate_recorded(

@@ -321,7 +321,7 @@ class SpecMachine(Simulator):
         # re-read per call so a hook attached after construction always
         # gets the event-emitting loop.
         if fastpath.enabled() and not hook_installed(self):
-            return fastpath.simulate_spec_fast(self, trace, config)
+            return fastpath.python_backend.simulate_spec_fast(self, trace, config)
         return self._simulate(trace, config, self.on_event)
 
     def reference_simulate(

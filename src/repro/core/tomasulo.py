@@ -78,7 +78,7 @@ class TomasuloMachine(Simulator):
         # hook_installed is re-read per call so a hook attached after
         # construction always gets the event-emitting reference loop.
         if fastpath.enabled() and not hook_installed(self):
-            return fastpath.simulate_tomasulo_fast(self, trace, config)
+            return fastpath.python_backend.simulate_tomasulo_fast(self, trace, config)
         return self._simulate(trace, config, self.on_event)
 
     def reference_simulate(

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import fastpath
-from ..harness.engine import _fastpath_deltas
+from ..harness.engine import PlanRun, _fastpath_deltas
 from ..harness.progress import ProgressCallback
 from ..obs import (
     MetricsRegistry,
@@ -327,7 +327,7 @@ def explore(
     simulated, sweep = simulate_specs(
         [specs[index] for index in simulate_idx], normalised,
         config=config, workers=workers, cache=cache, backend=backend,
-        label="explore", progress=progress,
+        progress=progress,
     )
     simulate_ended = time.monotonic()
 
@@ -411,8 +411,8 @@ def explore(
         audit_errors=audit_errors,
         recall=recall,
         true_frontier_size=true_frontier_size,
-        simulate_seconds=sweep.wall_seconds,
-        result_hits=sweep.result_hits,
+        simulate_seconds=sweep.stats.wall_seconds,
+        result_hits=sweep.stats.result_hits,
         manifest=manifest,
     )
 
@@ -420,7 +420,7 @@ def explore(
 def _explore_manifest(
     space: DesignSpace,
     result: ScreenResult,
-    sweep,
+    sweep: PlanRun,
     errors: ErrorStats,
     audit_errors: ErrorStats,
     recall: Optional[float],
@@ -479,13 +479,13 @@ def _explore_manifest(
         config={
             "space": space.to_key(),
             "model_version": MODEL_VERSION,
-            "workers": sweep.workers,
+            "workers": sweep.stats.workers,
             "cache_enabled": cache is not None,
         },
         timings={
             "wall_seconds": simulate_ended - run_started,
             "screen_seconds": result.seconds,
-            "simulate_seconds": sweep.wall_seconds,
+            "simulate_seconds": sweep.stats.wall_seconds,
         },
         metrics=registry.snapshot(),
         spans=tracer.to_payload(),

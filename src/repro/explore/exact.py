@@ -2,12 +2,13 @@
 
 The screen is a closed-form approximation; this stage replays the few
 candidates that matter -- predicted frontier, verification band, audit
-sample -- through the real simulators
-(:func:`repro.harness.engine.run_source_sweep`, which sweeps every spec
-over each source trace with the batch fast-path backend) and reports how
-good the approximation was: per-candidate relative error, audit-sample
-mean/max error, and frontier recall against an exhaustively simulated
-grid when one is available.
+sample -- through the real simulators and reports how good the
+approximation was: per-candidate relative error, audit-sample mean/max
+error, and frontier recall against an exhaustively simulated grid when
+one is available.  The simulation itself is an ordinary experiment plan
+run by :func:`repro.harness.engine.run_plan`: one sweep group per source
+trace, one result-cache entry per (source, machine, config), shared with
+the paper tables.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..harness.engine import SourceSweepRun, run_source_sweep
+from ..harness.engine import PlanRun, run_plan
+from ..harness.plans import Cell, ExperimentPlan
 from ..harness.progress import ProgressCallback
 from ..trace import DiskCache
 from .screen import pareto_frontier
 
 __all__ = ["ErrorStats", "frontier_recall", "simulate_specs"]
+
+_RATE = ("rate",)
 
 
 def simulate_specs(
@@ -33,27 +37,38 @@ def simulate_specs(
     workers: Optional[int] = None,
     cache: Optional[DiskCache] = None,
     backend: str = "auto",
-    label: str = "explore",
     progress: Optional[ProgressCallback] = None,
-) -> "tuple[Dict[str, float], SourceSweepRun]":
+) -> "tuple[Dict[str, float], PlanRun]":
     """Simulate every spec over every source; harmonic-mean rates.
 
-    Returns ``(spec -> aggregate issue rate, the sweep run)``.  The
-    aggregation matches :func:`repro.explore.model.estimate_rates`, so
-    predicted and simulated numbers are directly comparable.
+    The plan has one row per machine spec and one rate cell per (spec,
+    source), ordered source-major, so the engine's plan-order harmonic
+    mean folds each spec's per-source rates in source order -- the
+    aggregation of :func:`repro.explore.model.estimate_rates`, so
+    predicted and simulated numbers are directly comparable.  *sources*
+    must be normalised spec strings.  Returns ``(spec -> aggregate issue
+    rate, the plan run)``.
     """
-    run = run_source_sweep(
-        list(specs), list(sources),
-        config=config, workers=workers, cache=cache, backend=backend,
-        label=label, progress=progress,
+    rows = tuple(dict.fromkeys(specs))
+    plan = ExperimentPlan(
+        table_id="explore",
+        title="exact simulation of screened candidates",
+        columns=_RATE,
+        rows=rows,
+        cells=tuple(
+            Cell(
+                source=source, machine=spec, config=config, row=spec,
+                columns=_RATE,
+            )
+            for source in sources
+            for spec in rows
+        ),
     )
-    inverse: Dict[str, float] = {spec: 0.0 for spec in specs}
-    for outcome in run.outcomes:
-        inverse[outcome.machine] += 1.0 / outcome.rate
-    rates = {
-        spec: len(sources) / total for spec, total in inverse.items()
-    }
-    return rates, run
+    run = run_plan(
+        plan, workers=workers, cache=cache, backend=backend,
+        progress=progress,
+    )
+    return {row: values["rate"] for row, values in run.table.rows}, run
 
 
 @dataclass(frozen=True)

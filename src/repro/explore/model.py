@@ -212,9 +212,13 @@ def build_anchors(
     With a :class:`~repro.trace.DiskCache`, anchors are content-addressed
     on (source, config, model version); a warm hit skips trace
     generation, compilation and both limit computations entirely.
-    ``file:`` sources are never cached.
+    ``file:`` sources are never cached.  The trace resolves through the
+    engine (:func:`repro.harness.engine.resolve_trace`), so the exact
+    stage that follows replays the very trace object -- and its
+    compiled IR -- the anchors were computed from.
     """
-    from ..trace.sources import format_trace_spec, parse_trace_spec, trace_source
+    from ..harness.engine import resolve_trace
+    from ..trace.sources import format_trace_spec, parse_trace_spec
 
     if config is None:
         config = config_by_name("M11BR5")
@@ -230,7 +234,7 @@ def build_anchors(
                 pass  # corrupt payload: recompute and overwrite
 
     if trace is None:
-        trace = trace_source(normalised)
+        trace, _ = resolve_trace(normalised, cache)
     ir = cached_ir_stats(normalised, cache, trace=trace)
     pure = compute_limits(trace, config)
     serial = compute_limits(trace, config, serial=True)

@@ -1,9 +1,13 @@
 """Parallel experiment engine: evaluate plans over a process pool.
 
-The engine takes an :class:`~repro.harness.plans.ExperimentPlan`,
-evaluates every cell -- in-process for ``workers=1``, over a
-``ProcessPoolExecutor`` otherwise -- and merges the per-cell values back
-into a :class:`~repro.harness.tables.ResultTable`.
+The engine takes an :class:`~repro.harness.plans.ExperimentPlan`, groups
+its cells by the trace they replay -- the canonical trace-source spec
+each :class:`~repro.harness.plans.Cell` names (``kernel:5:n=200``,
+``branchy:seed=7:n=2000``) -- evaluates every group, in-process for
+``workers=1`` and over a ``ProcessPoolExecutor`` otherwise, and merges
+the per-cell values back into a :class:`~repro.harness.tables.ResultTable`.
+Simulator cells sharing a trace form one sweep group; a limits cell is a
+group of one.  Every group goes through :func:`evaluate_group`.
 
 Determinism: cell values depend only on the cell (trace content and
 machine timing are fully deterministic), and the merge harmonic-means
@@ -15,15 +19,16 @@ up each cell result (and each trace) by content hash before computing,
 and store whatever they had to compute.  A corrupted or missing entry is
 indistinguishable from a cold cache -- it only costs time (and is
 counted: corruption rebuilds surface in the metrics and the footer).
+``file:`` sources never touch the DiskCache: the file can change.
 
 Observability: every evaluation aggregates structured metrics
 (:mod:`repro.obs.metrics`) -- per-cell wall time, queue wait, cache
 hit/miss/corruption counts, per-worker utilization -- and, with
-``observe=True``, records a span trace (plan -> cell -> simulate/limits)
-and writes a durable run manifest next to the cache entries
-(:mod:`repro.obs.manifest`).  Workers ship their measurements back inside
-each :class:`CellOutcome` (plain picklable data); the parent merges, so
-no cross-process state is ever shared.
+``observe=True``, records a span trace (plan -> sweep/cell ->
+resolve/replay) and writes a durable run manifest next to the cache
+entries (:mod:`repro.obs.manifest`).  Workers ship their measurements
+back inside each :class:`CellOutcome` (plain picklable data); the parent
+merges, so no cross-process state is ever shared.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from datetime import datetime, timezone
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import config_by_name, fastpath
 from ..core.registry import build_simulator
@@ -58,8 +63,6 @@ from .tables import ResultTable
 #: the timing models or the record schema.  v2: cell records carry the
 #: result's ``detail`` mapping (fast-path ``tlm.*`` telemetry included).
 RESULT_SCHEMA_VERSION = 2
-
-_LIMIT_COLUMNS = ("pseudo-dataflow", "resource", "actual")
 
 #: DiskCache counter key -> metric name published per cell.
 _CACHE_METRIC_NAMES = {
@@ -86,6 +89,26 @@ def _fastpath_deltas(
         if delta:
             deltas[f"fastpath.{key}"] = float(delta)
     return deltas
+
+
+def _cache_deltas(
+    cache: Optional[DiskCache], before: Optional[Mapping[str, int]]
+) -> Dict[str, float]:
+    """Non-zero DiskCache counter deltas since *before* as ``cache.*``."""
+    if cache is None or before is None:
+        return {}
+    after = cache.counters()
+    deltas: Dict[str, float] = {}
+    for key, name in _CACHE_METRIC_NAMES.items():
+        delta = after.get(key, 0) - before.get(key, 0)
+        if delta:
+            deltas[name] = float(delta)
+    return deltas
+
+
+def _add_into(total: Dict[str, float], more: Mapping[str, float]) -> None:
+    for name, value in more.items():
+        total[name] = total.get(name, 0.0) + value
 
 
 def _telemetry_metrics(record: Mapping[str, Any]) -> Dict[str, float]:
@@ -117,62 +140,35 @@ def default_workers() -> int:
 # Cache keys
 # ----------------------------------------------------------------------
 
-def trace_key(loop: int, n: int) -> Dict[str, Any]:
-    """Identity of a verified dynamic trace (scheduled, no unrolling)."""
-    return {
-        "kind": "trace",
-        "loop": loop,
-        "n": n,
-        "schedule": True,
-        "unroll": 1,
-        "explicit_addressing": False,
-    }
+def trace_key(source: str) -> Dict[str, Any]:
+    """Identity of a resolved trace: its canonical trace-source spec."""
+    return {"kind": "trace", "source": source}
 
 
 def cell_key(cell: Cell) -> Dict[str, Any]:
-    """Identity of one cell result (table/row/column independent)."""
-    key = trace_key(cell.loop, cell.n)
-    key.update({
+    """Identity of one cell result (table/row/column independent).
+
+    A table cell and an explorer cell naming the same (source, machine,
+    config) share one entry.
+    """
+    return {
         "kind": "cell",
+        "source": cell.source,
         "machine": cell.machine,
         "config": cell.config,
         "serial": cell.serial,
         "schema": RESULT_SCHEMA_VERSION,
-    })
-    return key
+    }
 
 
 # ----------------------------------------------------------------------
-# Cell evaluation (runs in workers; everything here must be picklable)
+# Trace resolution: one in-process memo, then the DiskCache, then capture
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellOutcome:
-    """What evaluating one cell produced (plus bookkeeping).
-
-    ``started``/``ended`` and the span endpoints are ``time.monotonic()``
-    readings; with the default ``fork`` start method that clock is
-    system-wide, so the parent can nest worker spans directly under its
-    own run trace.
-    """
-
-    index: int
-    values: Mapping[str, float]
-    seconds: float
-    result_hit: bool
-    trace_source: str  # "memo" | "disk" | "built" | "cached-result"
-    pid: int = 0
-    queue_wait: float = 0.0
-    started: float = 0.0
-    ended: float = 0.0
-    spans: Tuple[Tuple[str, float, float], ...] = ()
-    metrics: Mapping[str, float] = field(default_factory=dict)
-
-
-#: Per-process trace memo: (loop, n) -> verified Trace.  With the default
-#: ``fork`` start method child workers inherit a snapshot and then extend
-#: their own copy.
-_TRACE_MEMO: Dict[Tuple[int, int], Trace] = {}
+#: Per-process trace memo: canonical trace-source spec -> Trace.  With the
+#: default ``fork`` start method child workers inherit a snapshot and then
+#: extend their own copy.
+_TRACE_MEMO: Dict[str, Trace] = {}
 
 #: Per-process DiskCache handle, set by the pool initializer.
 _WORKER_CACHE: Optional[DiskCache] = None
@@ -188,58 +184,68 @@ def clear_process_memo() -> None:
     _TRACE_MEMO.clear()
 
 
-def _resolve_trace(
-    loop: int, n: int, cache: Optional[DiskCache]
+def _cacheable(source: str, cache: Optional[DiskCache]) -> Optional[DiskCache]:
+    """*cache*, or None for ``file:`` sources (the file can change)."""
+    return None if source.startswith("file:") else cache
+
+
+def resolve_trace(
+    source: str, cache: Optional[DiskCache] = None
 ) -> Tuple[Trace, str]:
-    memo_key = (loop, n)
-    trace = _TRACE_MEMO.get(memo_key)
+    """The trace of a canonical source spec, and where it came from.
+
+    Looks in the process memo, then the DiskCache, and only then captures
+    through the source registry (kernels verify against their NumPy
+    reference there).  Returns ``(trace, "memo" | "disk" | "built")``.
+    """
+    trace = _TRACE_MEMO.get(source)
     if trace is not None:
         return trace, "memo"
+    cache = _cacheable(source, cache)
     if cache is not None:
-        trace = cache.load_trace(trace_key(loop, n))
+        trace = cache.load_trace(trace_key(source))
         if trace is not None:
-            _TRACE_MEMO[memo_key] = trace
+            _TRACE_MEMO[source] = trace
             return trace, "disk"
-    # The registry resolves kernel:<loop>:n=<n> to build_kernel(...)
-    # .trace(), which verifies against the NumPy reference and memoises
-    # in the process-wide trace cache as well.
-    trace = trace_source(f"kernel:{loop}:n={n}")
-    _TRACE_MEMO[memo_key] = trace
+    trace = trace_source(source)
+    _TRACE_MEMO[source] = trace
     if cache is not None:
-        cache.store_trace(trace_key(loop, n), trace)
+        cache.store_trace(trace_key(source), trace)
     return trace, "built"
 
 
-def _compute_record(
-    cell: Cell,
-    cache: Optional[DiskCache],
-    spans: List[Tuple[str, float, float]],
-) -> Tuple[Dict[str, Any], str]:
-    mark = time.monotonic()
-    trace, source = _resolve_trace(cell.loop, cell.n, cache)
-    spans.append((f"trace:resolve:{cell.loop}", mark, time.monotonic()))
-    config = config_by_name(cell.config)
-    if cell.is_limits:
-        mark = time.monotonic()
-        report = compute_limits(trace, config, serial=cell.serial)
-        spans.append(("limits", mark, time.monotonic()))
-        return {
-            "limits": {
-                "pseudo-dataflow": report.pseudo_dataflow_rate,
-                "resource": report.resource_rate,
-                "actual": report.actual_rate,
-            }
-        }, source
-    mark = time.monotonic()
-    result = build_simulator(cell.machine).simulate(trace, config)
-    spans.append((f"simulate:{cell.machine}", mark, time.monotonic()))
-    return {
-        "trace": result.trace_name,
-        "simulator": result.simulator,
-        "instructions": result.instructions,
-        "cycles": result.cycles,
-        "detail": dict(result.detail or {}),
-    }, source
+# ----------------------------------------------------------------------
+# Group evaluation (runs in workers; everything here must be picklable)
+# ----------------------------------------------------------------------
+
+#: A span timed in a worker: ``(name, start, end, parent, attrs)`` where
+#: *parent* indexes an earlier span of the same tuple, or is -1 for the
+#: plan root.
+SpanRecord = Tuple[str, float, float, int, Mapping[str, Any]]
+
+
+@dataclass(frozen=True)
+class CellOutcome:
+    """What evaluating one cell produced (plus bookkeeping).
+
+    ``started``/``ended`` and the span endpoints are ``time.monotonic()``
+    readings; with the default ``fork`` start method that clock is
+    system-wide, so the parent can nest worker spans directly under its
+    own run trace.  A group's spans, and its shared metric deltas, ride
+    on the outcome of its first computed cell.
+    """
+
+    index: int
+    values: Mapping[str, float]
+    seconds: float
+    result_hit: bool
+    trace_source: str  # "memo" | "disk" | "built" | "cached-result"
+    pid: int = 0
+    queue_wait: float = 0.0
+    started: float = 0.0
+    ended: float = 0.0
+    spans: Tuple[SpanRecord, ...] = ()
+    metrics: Mapping[str, float] = field(default_factory=dict)
 
 
 def _values_from_record(cell: Cell, record: Mapping[str, Any]) -> Dict[str, float]:
@@ -256,222 +262,156 @@ def _values_from_record(cell: Cell, record: Mapping[str, Any]) -> Dict[str, floa
     return {cell.columns[0]: rate}
 
 
-def evaluate_cell(
-    index: int,
-    cell: Cell,
-    cache: Optional[DiskCache],
-    *,
-    enqueued: Optional[float] = None,
-) -> CellOutcome:
-    """Evaluate one cell, consulting and feeding the cache if given.
-
-    *enqueued* is the parent's ``time.monotonic()`` reading when the cell
-    was handed to the pool; the difference to the worker's start is the
-    cell's queue wait.
-    """
-    started = time.monotonic()
-    start = time.perf_counter()
-    queue_wait = max(0.0, started - enqueued) if enqueued is not None else 0.0
-    counters_before = cache.counters() if cache is not None else None
-    fastpath_before = fastpath.stats()
-    spans: List[Tuple[str, float, float]] = []
-
-    def finish(
-        values: Mapping[str, float],
-        result_hit: bool,
-        trace_source: str,
-        telemetry: Optional[Mapping[str, float]] = None,
-    ) -> CellOutcome:
-        ended = time.monotonic()
-        metrics: Dict[str, float] = {}
-        if counters_before is not None:
-            after = cache.counters()
-            for key, name in _CACHE_METRIC_NAMES.items():
-                delta = after.get(key, 0) - counters_before.get(key, 0)
-                if delta:
-                    metrics[name] = float(delta)
-        metrics.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
-        if telemetry:
-            metrics.update(telemetry)
-        return CellOutcome(
-            index=index,
-            values=values,
-            seconds=time.perf_counter() - start,
-            result_hit=result_hit,
-            trace_source=trace_source,
-            pid=os.getpid(),
-            queue_wait=queue_wait,
-            started=started,
-            ended=ended,
-            spans=tuple(spans),
-            metrics=metrics,
-        )
-
-    record = cache.load_result(cell_key(cell)) if cache is not None else None
-    if record is not None:
-        try:
-            values = _values_from_record(cell, record)
-            return finish(
-                values, True, "cached-result", _telemetry_metrics(record)
+def _compute_records(
+    trace: Trace, cells: Sequence[Cell], backend: str
+) -> Tuple[str, List[Dict[str, Any]]]:
+    """``(work span name, one record per cell)`` for cells sharing *trace*."""
+    if cells[0].is_limits:
+        records = []
+        for cell in cells:
+            report = compute_limits(
+                trace, config_by_name(cell.config), serial=cell.serial
             )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            # A record that does not decode cleanly is treated exactly
-            # like a miss: recompute and overwrite it.
-            record = None
-    record, source = _compute_record(cell, cache, spans)
-    if cache is not None:
-        cache.store_result(cell_key(cell), record)
-    return finish(
-        _values_from_record(cell, record), False, source,
-        _telemetry_metrics(record),
-    )
-
-
-def evaluate_sweep(
-    group: List[Tuple[int, Cell]],
-    cache: Optional[DiskCache],
-    *,
-    backend: str = "auto",
-    enqueued: Optional[float] = None,
-) -> List[CellOutcome]:
-    """Evaluate same-trace simulator cells as one fast-path sweep.
-
-    Every cell in *group* must share ``(loop, n)`` and be a simulator
-    cell (not limits).  Cached results are honoured per cell exactly as
-    in :func:`evaluate_cell`; the remaining misses share one trace
-    resolution and one :func:`repro.core.fastpath.simulate_sweep` call
-    through *backend* -- gating is per sweep member, so a hooked or
-    fast-path-disabled member still runs its reference loop and the
-    merged table stays bit-identical to per-cell evaluation.
-
-    The group's metric deltas (fast-path counters, cache counters) ride
-    on the first miss outcome; the sweep wall time is split evenly
-    across the misses so run totals still add up.
-    """
-    started = time.monotonic()
-    start = time.perf_counter()
-    queue_wait = max(0.0, started - enqueued) if enqueued is not None else 0.0
-    outcomes: List[CellOutcome] = []
-    pending: List[Tuple[int, Cell]] = []
-    load_metrics: Dict[str, float] = {}
-    for index, cell in group:
-        lookup_before = cache.counters() if cache is not None else None
-        record = (
-            cache.load_result(cell_key(cell)) if cache is not None else None
-        )
-        lookup_delta: Dict[str, float] = {}
-        if lookup_before is not None:
-            lookup_after = cache.counters()
-            for key, name in _CACHE_METRIC_NAMES.items():
-                delta = lookup_after.get(key, 0) - lookup_before.get(key, 0)
-                if delta:
-                    lookup_delta[name] = float(delta)
-        if record is not None:
-            try:
-                values = _values_from_record(cell, record)
-                hit_telemetry = _telemetry_metrics(record)
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                values = None
-            if values is not None:
-                now = time.monotonic()
-                outcomes.append(CellOutcome(
-                    index=index,
-                    values=values,
-                    seconds=time.perf_counter() - start,
-                    result_hit=True,
-                    trace_source="cached-result",
-                    pid=os.getpid(),
-                    queue_wait=queue_wait if not outcomes else 0.0,
-                    started=started,
-                    ended=now,
-                    metrics={**lookup_delta, **hit_telemetry},
-                ))
-                start = time.perf_counter()
-                started = now
-                continue
-        # A missed (or corrupt) lookup's counters ride with the sweep
-        # metrics below.
-        for name, delta in lookup_delta.items():
-            load_metrics[name] = load_metrics.get(name, 0.0) + delta
-        pending.append((index, cell))
-    if not pending:
-        return outcomes
-    if outcomes:
-        queue_wait = 0.0
-
-    counters_before = cache.counters() if cache is not None else None
-    fastpath_before = fastpath.stats()
-    spans: List[Tuple[str, float, float]] = []
-    first = pending[0][1]
-    mark = time.monotonic()
-    trace, source = _resolve_trace(first.loop, first.n, cache)
-    spans.append((f"trace:resolve:{first.loop}", mark, time.monotonic()))
+            records.append({
+                "limits": {
+                    "pseudo-dataflow": report.pseudo_dataflow_rate,
+                    "resource": report.resource_rate,
+                    "actual": report.actual_rate,
+                }
+            })
+        return "limits", records
     items = [
         (build_simulator(cell.machine), config_by_name(cell.config))
-        for _, cell in pending
+        for cell in cells
     ]
-    mark = time.monotonic()
     results = fastpath.simulate_sweep(trace, items, backend=backend)
-    spans.append(
-        (f"sweep:{first.loop}x{len(pending)}", mark, time.monotonic())
-    )
-
-    metrics: Dict[str, float] = dict(load_metrics)
-    if counters_before is not None:
-        after = cache.counters()
-        for key, name in _CACHE_METRIC_NAMES.items():
-            delta = after.get(key, 0) - counters_before.get(key, 0)
-            if delta:
-                metrics[name] = metrics.get(name, 0.0) + float(delta)
-    metrics.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
-
-    ended = time.monotonic()
-    share = (time.perf_counter() - start) / len(pending)
-    records: List[Dict[str, Any]] = []
-    for (index, cell), result in zip(pending, results):
-        record = {
+    return "replay", [
+        {
             "trace": result.trace_name,
             "simulator": result.simulator,
             "instructions": result.instructions,
             "cycles": result.cycles,
             "detail": dict(result.detail or {}),
         }
-        records.append(record)
+        for result in results
+    ]
+
+
+def evaluate_group(
+    group: Sequence[Tuple[int, Cell]],
+    cache: Optional[DiskCache],
+    *,
+    backend: str = "auto",
+    enqueued: Optional[float] = None,
+) -> List[CellOutcome]:
+    """Evaluate ``(index, cell)`` pairs that share one trace.
+
+    Every cell is first looked up in *cache*; a hit becomes an outcome
+    with its own lookup interval.  The misses share one trace resolution
+    and one :func:`repro.core.fastpath.simulate_sweep` call through
+    *backend* (or one limits computation each) -- gating is per sweep
+    member, so a hooked or fast-path-disabled member still runs its
+    reference loop and the table stays bit-identical to per-cell
+    evaluation.  The computed part is recorded as one
+    ``sweep:<source>`` span with ``resolve`` and ``replay``/``limits``
+    children; its wall time is split evenly across the computed cells.
+
+    *enqueued* is the parent's ``time.monotonic()`` reading when the
+    group was handed to the pool; the difference to the worker's start
+    is the group's queue wait, charged to its first outcome.
+    """
+    source = group[0][1].source
+    cache = _cacheable(source, cache)
+    pid = os.getpid()
+    queue_wait = (
+        max(0.0, time.monotonic() - enqueued) if enqueued is not None else 0.0
+    )
+    outcomes: List[CellOutcome] = []
+    pending: List[Tuple[int, Cell]] = []
+    lookup_metrics: Dict[str, float] = {}
+    for index, cell in group:
+        started = time.monotonic()
+        before = cache.counters() if cache is not None else None
+        record = cache.load_result(cell_key(cell)) if cache is not None else None
+        values = None
+        if record is not None:
+            try:
+                values = _values_from_record(cell, record)
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                # A record that does not decode cleanly is treated
+                # exactly like a miss: recompute and overwrite it.
+                values = None
+        deltas = _cache_deltas(cache, before)
+        if values is None:
+            # A missed lookup's counters ride with the sweep metrics.
+            _add_into(lookup_metrics, deltas)
+            pending.append((index, cell))
+            continue
+        ended = time.monotonic()
+        outcomes.append(CellOutcome(
+            index=index,
+            values=values,
+            seconds=ended - started,
+            result_hit=True,
+            trace_source="cached-result",
+            pid=pid,
+            queue_wait=0.0 if outcomes else queue_wait,
+            started=started,
+            ended=ended,
+            metrics={**deltas, **_telemetry_metrics(record)},
+        ))
+    if not pending:
+        return outcomes
+
+    started = time.monotonic()
+    before = cache.counters() if cache is not None else None
+    fastpath_before = fastpath.stats()
+    trace, trace_from = resolve_trace(source, cache)
+    resolved = time.monotonic()
+    work, records = _compute_records(
+        trace, [cell for _, cell in pending], backend
+    )
+    computed = time.monotonic()
+    metrics = dict(lookup_metrics)
+    for (index, cell), record in zip(pending, records):
         if cache is not None:
             cache.store_result(cell_key(cell), record)
-        # The whole sweep's telemetry rides with the shared metrics (on
-        # the first miss outcome), like the fast-path counter deltas.
-        for name, value in _telemetry_metrics(record).items():
-            metrics[name] = metrics.get(name, 0.0) + value
+        _add_into(metrics, _telemetry_metrics(record))
+    _add_into(metrics, _cache_deltas(cache, before))
+    metrics.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
+    ended = time.monotonic()
+
+    spans: Tuple[SpanRecord, ...] = (
+        (f"sweep:{source}", started, ended, -1,
+         {"cells": len(pending), "trace_source": trace_from}),
+        ("resolve", started, resolved, 0, {}),
+        (work, resolved, computed, 0, {}),
+    )
+    share = (ended - started) / len(pending)
+    first = not outcomes
     for position, ((index, cell), record) in enumerate(zip(pending, records)):
+        lead = position == 0
         outcomes.append(CellOutcome(
             index=index,
             values=_values_from_record(cell, record),
             seconds=share,
             result_hit=False,
-            trace_source=source if position == 0 else "memo",
-            pid=os.getpid(),
-            queue_wait=queue_wait if position == 0 else 0.0,
+            trace_source=trace_from if lead else "memo",
+            pid=pid,
+            queue_wait=queue_wait if lead and first else 0.0,
             started=started,
             ended=ended,
-            spans=tuple(spans) if position == 0 else (),
-            metrics=metrics if position == 0 else {},
+            spans=spans if lead else (),
+            metrics=metrics if lead else {},
         ))
     return outcomes
 
 
 def _evaluate_in_pool(
-    payload: Tuple[int, Cell, Optional[float]]
-) -> CellOutcome:
-    index, cell, enqueued = payload
-    return evaluate_cell(index, cell, _WORKER_CACHE, enqueued=enqueued)
-
-
-def _evaluate_sweep_in_pool(
-    payload: Tuple[List[Tuple[int, Cell]], str, Optional[float]]
+    payload: Tuple[List[Tuple[int, Cell]], str, float]
 ) -> List[CellOutcome]:
     group, backend, enqueued = payload
-    return evaluate_sweep(
+    return evaluate_group(
         group, _WORKER_CACHE, backend=backend, enqueued=enqueued
     )
 
@@ -586,8 +526,14 @@ def merge_outcomes(
     )
 
 
+def _busy_seconds(outcomes: List[CellOutcome]) -> Dict[int, float]:
+    busy: Dict[int, float] = {}
+    for outcome in outcomes:
+        busy[outcome.pid] = busy.get(outcome.pid, 0.0) + outcome.seconds
+    return busy
+
+
 def _aggregate_metrics(
-    plan: ExperimentPlan,
     outcomes: List[CellOutcome],
     wall_seconds: float,
     workers: int,
@@ -603,7 +549,6 @@ def _aggregate_metrics(
     registry.set_gauge("engine.workers", workers)
     registry.set_gauge("engine.wall_seconds", wall_seconds)
     registry.set_gauge("engine.cache_enabled", 1.0 if cache_enabled else 0.0)
-    busy_by_pid: Dict[int, float] = {}
     for outcome in outcomes:
         for name, value in outcome.metrics.items():
             registry.inc(name, value)
@@ -611,25 +556,11 @@ def _aggregate_metrics(
         registry.inc("engine.queue.wait_seconds_total", outcome.queue_wait)
         registry.observe("engine.cell.seconds", outcome.seconds)
         registry.observe("engine.queue.wait_seconds", outcome.queue_wait)
-        busy_by_pid[outcome.pid] = (
-            busy_by_pid.get(outcome.pid, 0.0) + outcome.seconds
-        )
-    for pid, busy in sorted(busy_by_pid.items()):
+    for pid, busy in sorted(_busy_seconds(outcomes).items()):
         utilization = busy / wall_seconds if wall_seconds > 0 else 0.0
         registry.set_gauge(f"worker.{pid}.busy_seconds", busy)
         registry.set_gauge(f"worker.{pid}.utilization", utilization)
     return registry
-
-
-def _worker_utilization(
-    outcomes: List[CellOutcome], wall_seconds: float
-) -> Dict[int, float]:
-    busy: Dict[int, float] = {}
-    for outcome in outcomes:
-        busy[outcome.pid] = busy.get(outcome.pid, 0.0) + outcome.seconds
-    if wall_seconds <= 0:
-        return {pid: 0.0 for pid in busy}
-    return {pid: seconds / wall_seconds for pid, seconds in busy.items()}
 
 
 def _build_manifest(
@@ -640,33 +571,38 @@ def _build_manifest(
     run_started: float,
     run_ended: float,
 ) -> RunManifest:
-    """Assemble the span trace and the durable run manifest."""
+    """Assemble the span trace and the durable run manifest.
+
+    The tree is plan -> (one ``cell:`` span per cached hit, one
+    ``sweep:<source>`` span per computed group) -> resolve/replay.
+    """
     tracer = Tracer()
     root = tracer.adopt(
         f"plan:{plan.table_id}", run_started, run_ended,
         pid=os.getpid(), cells=len(plan.cells), workers=stats.workers,
     )
     for outcome in sorted(outcomes, key=lambda o: o.index):
-        cell = plan.cells[outcome.index]
-        cell_span = tracer.adopt(
-            f"cell:{cell.loop}/{cell.machine}/{cell.config}",
-            outcome.started,
-            outcome.ended,
-            parent_id=root.span_id,
-            pid=outcome.pid,
-            loop=cell.loop,
-            machine=cell.machine,
-            config=cell.config,
-            row=cell.row,
-            result_hit=outcome.result_hit,
-            trace_source=outcome.trace_source,
-            queue_wait=round(outcome.queue_wait, 6),
-        )
-        for name, span_start, span_end in outcome.spans:
+        if outcome.result_hit:
+            cell = plan.cells[outcome.index]
             tracer.adopt(
-                name, span_start, span_end,
-                parent_id=cell_span.span_id, pid=outcome.pid,
+                f"cell:{cell.source}/{cell.machine}/{cell.config}",
+                outcome.started,
+                outcome.ended,
+                parent_id=root.span_id,
+                pid=outcome.pid,
+                row=cell.row,
+                queue_wait=round(outcome.queue_wait, 6),
             )
+        adopted = []
+        for name, start, end, parent, attrs in outcome.spans:
+            adopted.append(tracer.adopt(
+                name, start, end,
+                parent_id=(
+                    adopted[parent].span_id if parent >= 0 else root.span_id
+                ),
+                pid=outcome.pid,
+                **attrs,
+            ))
     return RunManifest(
         run_id=new_run_id(plan.table_id),
         table_id=plan.table_id,
@@ -691,28 +627,24 @@ def _build_manifest(
     )
 
 
-def _sweep_groups(
-    plan: ExperimentPlan,
-) -> List[Tuple[bool, List[Tuple[int, Cell]]]]:
-    """Partition plan cells into sweep groups.
+def _sweep_groups(plan: ExperimentPlan) -> List[List[Tuple[int, Cell]]]:
+    """Partition plan cells into groups of ``(index, cell)`` pairs.
 
-    Simulator cells sharing ``(loop, n)`` -- the same dynamic trace --
-    form one sweep group; limits cells stay singletons (they have no
-    machine to sweep).  Returns ``(is_sweep, [(index, cell), ...])``
-    pairs in first-appearance order; the deterministic merge sorts by
-    cell index, so grouping never changes the table.
+    Simulator cells naming the same trace source form one sweep group;
+    limits cells stay groups of one (they have no machine to sweep).
+    Groups come in first-appearance order; the deterministic merge sorts
+    by cell index, so grouping never changes the table.
     """
-    groups: List[Tuple[bool, List[Tuple[int, Cell]]]] = []
-    by_trace: Dict[Tuple[int, int], List[Tuple[int, Cell]]] = {}
+    groups: List[List[Tuple[int, Cell]]] = []
+    by_source: Dict[str, List[Tuple[int, Cell]]] = {}
     for index, cell in enumerate(plan.cells):
         if cell.is_limits:
-            groups.append((False, [(index, cell)]))
+            groups.append([(index, cell)])
             continue
-        key = (cell.loop, cell.n)
-        bucket = by_trace.get(key)
+        bucket = by_source.get(cell.source)
         if bucket is None:
-            by_trace[key] = bucket = []
-            groups.append((True, bucket))
+            by_source[cell.source] = bucket = []
+            groups.append(bucket)
         bucket.append((index, cell))
     return groups
 
@@ -748,15 +680,14 @@ def run_plan(
     run_started = time.monotonic()
     start = time.perf_counter()
     groups = _sweep_groups(plan)
-    payloads = [
-        (is_sweep, group, time.monotonic()) for is_sweep, group in groups
-    ]
 
     total = len(plan.cells)
     completed = 0
+    outcomes: List[CellOutcome] = []
 
-    def emit(batch: List[CellOutcome]) -> None:
+    def collect(batch: List[CellOutcome]) -> None:
         nonlocal completed
+        outcomes.extend(batch)
         if progress is None:
             completed += len(batch)
             return
@@ -768,7 +699,7 @@ def run_plan(
                 completed=completed,
                 total=total,
                 index=outcome.index,
-                loop=cell.loop,
+                source=cell.source,
                 machine="" if cell.is_limits else cell.machine,
                 config=cell.config,
                 row=cell.row,
@@ -777,53 +708,34 @@ def run_plan(
                 pid=outcome.pid,
             ))
 
-    if workers == 1 or len(payloads) <= 1:
-        outcomes = []
-        for is_sweep, group, enqueued in payloads:
-            if is_sweep:
-                batch = evaluate_sweep(
-                    group, cache, backend=backend, enqueued=enqueued
-                )
-            else:
-                index, cell = group[0]
-                batch = [
-                    evaluate_cell(index, cell, cache, enqueued=enqueued)
-                ]
-            outcomes.extend(batch)
-            emit(batch)
+    if workers == 1 or len(groups) <= 1:
+        for group in groups:
+            collect(evaluate_group(
+                group, cache, backend=backend, enqueued=time.monotonic()
+            ))
     else:
         cache_dir = str(cache.root) if cache is not None else None
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, len(groups)),
             initializer=_pool_init,
             initargs=(cache_dir,),
         ) as pool:
             # One future per group, collected as they complete, so the
             # progress stream ticks while the pool is still busy.
-            futures = {}
-            for is_sweep, group, enqueued in payloads:
-                if is_sweep:
-                    future = pool.submit(
-                        _evaluate_sweep_in_pool, (group, backend, enqueued)
-                    )
-                else:
-                    future = pool.submit(
-                        _evaluate_in_pool,
-                        (group[0][0], group[0][1], enqueued),
-                    )
-                futures[future] = is_sweep
-            outcomes = []
+            futures = [
+                pool.submit(
+                    _evaluate_in_pool, (group, backend, time.monotonic())
+                )
+                for group in groups
+            ]
             for future in as_completed(futures):
-                result = future.result()
-                batch = result if futures[future] else [result]
-                outcomes.extend(batch)
-                emit(batch)
+                collect(future.result())
 
     table = merge_outcomes(plan, outcomes)
     run_ended = time.monotonic()
     wall_seconds = time.perf_counter() - start
     registry = _aggregate_metrics(
-        plan, outcomes, wall_seconds, workers, cache is not None
+        outcomes, wall_seconds, workers, cache is not None
     )
     stats = EngineStats(
         table_id=plan.table_id,
@@ -841,7 +753,10 @@ def run_plan(
             + registry.value("cache.trace.corruptions")
         ),
         queue_wait_seconds=sum(o.queue_wait for o in outcomes),
-        worker_utilization=_worker_utilization(outcomes, wall_seconds),
+        worker_utilization={
+            pid: busy / wall_seconds if wall_seconds > 0 else 0.0
+            for pid, busy in _busy_seconds(outcomes).items()
+        },
         metrics=registry.snapshot(),
     )
 
@@ -853,239 +768,3 @@ def run_plan(
         root = cache.root if cache is not None else default_cache_dir()
         write_manifest(manifest, root)
     return PlanRun(table=table, stats=stats, manifest=manifest)
-
-
-# ----------------------------------------------------------------------
-# Source sweeps: exact (machine spec x trace source) evaluation
-# ----------------------------------------------------------------------
-
-def source_cell_key(machine: str, source: str, config: str) -> Dict[str, Any]:
-    """Identity of one exact (machine, trace source, config) result.
-
-    The *source* must be a normalised trace-source spec
-    (:func:`repro.trace.sources.format_trace_spec`), so equivalent
-    spellings share an entry.
-    """
-    return {
-        "kind": "source-cell",
-        "machine": machine,
-        "source": source,
-        "config": config,
-        "schema": RESULT_SCHEMA_VERSION,
-    }
-
-
-@dataclass(frozen=True)
-class SourceOutcome:
-    """One exact simulation result from a source sweep (picklable)."""
-
-    source: str
-    machine: str
-    config: str
-    instructions: int
-    cycles: int
-    seconds: float
-    result_hit: bool
-    pid: int = 0
-
-    @property
-    def rate(self) -> float:
-        """Sustained issue rate, instructions per cycle."""
-        return self.instructions / self.cycles
-
-
-#: Per-process memo of resolved source traces (spec text -> Trace).
-_SOURCE_MEMO: Dict[str, Trace] = {}
-
-
-def _evaluate_source_group(
-    specs: Tuple[str, ...],
-    source: str,
-    config_name: str,
-    cache: Optional[DiskCache],
-    backend: str,
-) -> List[SourceOutcome]:
-    """Simulate every machine spec against one source as a sweep.
-
-    Per-spec cache lookups mirror :func:`evaluate_sweep`: hits skip the
-    replay, misses share one trace resolution and one
-    :func:`repro.core.fastpath.simulate_sweep` call.  ``file:`` sources
-    are never cached (the path's content can change).
-    """
-    start = time.perf_counter()
-    cacheable = cache is not None and not source.startswith("file:")
-    outcomes: List[SourceOutcome] = []
-    pending: List[str] = []
-    for spec in specs:
-        record = (
-            cache.load_result(source_cell_key(spec, source, config_name))
-            if cacheable
-            else None
-        )
-        if record is not None:
-            try:
-                outcomes.append(SourceOutcome(
-                    source=source,
-                    machine=spec,
-                    config=config_name,
-                    instructions=int(record["instructions"]),
-                    cycles=int(record["cycles"]),
-                    seconds=time.perf_counter() - start,
-                    result_hit=True,
-                    pid=os.getpid(),
-                ))
-                start = time.perf_counter()
-                continue
-            except (KeyError, TypeError, ValueError):
-                pass  # corrupt record: recompute and overwrite
-        pending.append(spec)
-    if not pending:
-        return outcomes
-
-    trace = _SOURCE_MEMO.get(source)
-    if trace is None:
-        trace = trace_source(source)
-        _SOURCE_MEMO[source] = trace
-    config = config_by_name(config_name)
-    items = [(build_simulator(spec), config) for spec in pending]
-    results = fastpath.simulate_sweep(trace, items, backend=backend)
-    share = (time.perf_counter() - start) / len(pending)
-    for spec, result in zip(pending, results):
-        if cacheable:
-            cache.store_result(
-                source_cell_key(spec, source, config_name),
-                {
-                    "trace": result.trace_name,
-                    "simulator": result.simulator,
-                    "instructions": result.instructions,
-                    "cycles": result.cycles,
-                    "detail": dict(result.detail or {}),
-                },
-            )
-        outcomes.append(SourceOutcome(
-            source=source,
-            machine=spec,
-            config=config_name,
-            instructions=result.instructions,
-            cycles=result.cycles,
-            seconds=share,
-            result_hit=False,
-            pid=os.getpid(),
-        ))
-    return outcomes
-
-
-def _source_group_in_pool(
-    payload: Tuple[Tuple[str, ...], str, str, str]
-) -> List[SourceOutcome]:
-    specs, source, config_name, backend = payload
-    return _evaluate_source_group(
-        specs, source, config_name, _WORKER_CACHE, backend
-    )
-
-
-@dataclass(frozen=True)
-class SourceSweepRun:
-    """A finished source sweep, in deterministic (source, spec) order."""
-
-    outcomes: Tuple[SourceOutcome, ...]
-    wall_seconds: float
-    workers: int
-    result_hits: int
-
-    def rate(self, source: str, machine: str) -> float:
-        """The issue rate of one (source, machine) pair."""
-        for outcome in self.outcomes:
-            if outcome.source == source and outcome.machine == machine:
-                return outcome.rate
-        raise KeyError((source, machine))
-
-
-def run_source_sweep(
-    specs: List[str],
-    sources: List[str],
-    *,
-    config: str = "M11BR5",
-    workers: Optional[int] = None,
-    cache: Optional[DiskCache] = None,
-    backend: str = "auto",
-    label: str = "source-sweep",
-    progress: Optional[ProgressCallback] = None,
-) -> SourceSweepRun:
-    """Simulate every machine spec against every trace source, exactly.
-
-    The explorer's verification stage: one sweep group per source (all
-    specs replay the same resolved trace through the fast-path sweep
-    entry point), fanned out over a process pool for multiple sources.
-    Results come back in deterministic (source, spec) input order
-    regardless of completion order.  *sources* must be normalised spec
-    strings; *progress* receives one event per completed (source, spec)
-    cell with the source in the ``row`` field.
-    """
-    workers = default_workers() if workers is None else max(1, int(workers))
-    start = time.perf_counter()
-    spec_tuple = tuple(specs)
-    payloads = [
-        (spec_tuple, source, config, backend) for source in sources
-    ]
-
-    total = len(spec_tuple) * len(sources)
-    completed = 0
-
-    def emit(batch: List[SourceOutcome]) -> None:
-        nonlocal completed
-        if progress is None:
-            completed += len(batch)
-            return
-        for outcome in batch:
-            completed += 1
-            progress(ProgressEvent(
-                table_id=label,
-                completed=completed,
-                total=total,
-                index=completed - 1,
-                loop=0,
-                machine=outcome.machine,
-                config=outcome.config,
-                row=outcome.source,
-                seconds=outcome.seconds,
-                result_hit=outcome.result_hit,
-                pid=outcome.pid,
-            ))
-
-    by_source: Dict[str, List[SourceOutcome]] = {}
-    if workers == 1 or len(payloads) <= 1:
-        for payload in payloads:
-            batch = _evaluate_source_group(
-                payload[0], payload[1], payload[2], cache, payload[3]
-            )
-            by_source[payload[1]] = batch
-            emit(batch)
-    else:
-        cache_dir = str(cache.root) if cache is not None else None
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(payloads)),
-            initializer=_pool_init,
-            initargs=(cache_dir,),
-        ) as pool:
-            futures = {
-                pool.submit(_source_group_in_pool, payload): payload[1]
-                for payload in payloads
-            }
-            for future in as_completed(futures):
-                batch = future.result()
-                by_source[futures[future]] = batch
-                emit(batch)
-
-    order = {spec: i for i, spec in enumerate(spec_tuple)}
-    outcomes: List[SourceOutcome] = []
-    for source in sources:
-        outcomes.extend(
-            sorted(by_source[source], key=lambda o: order[o.machine])
-        )
-    return SourceSweepRun(
-        outcomes=tuple(outcomes),
-        wall_seconds=time.perf_counter() - start,
-        workers=workers,
-        result_hits=sum(1 for o in outcomes if o.result_hit),
-    )

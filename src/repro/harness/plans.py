@@ -48,8 +48,9 @@ class Cell:
     """One independent unit of experiment work.
 
     Attributes:
-        loop: Livermore loop number.
-        n: resolved problem size (never None -- keys must be stable).
+        source: canonical trace-source spec of the trace the cell
+            replays (``kernel:5:n=200``, ``branchy:seed=7:n=2000``); it
+            names the sweep group, the trace key and the result key.
         machine: simulator registry spec, or :data:`LIMITS_MACHINE`.
         config: machine configuration name (``"M11BR5"`` ...).
         row: row label the cell's value(s) contribute to.
@@ -64,8 +65,7 @@ class Cell:
             stored record.
     """
 
-    loop: int
-    n: int
+    source: str
     machine: str
     config: str
     row: str
@@ -102,10 +102,13 @@ class ExperimentPlan:
     speedup_columns: Tuple[str, ...] = ()
 
 
-def _size(loop: int, sizes: Sizes) -> int:
+def _source(loop: int, sizes: Sizes) -> str:
+    """The kernel trace-source spec of *loop* at its resolved size."""
     if sizes is not None and loop in sizes:
-        return sizes[loop]
-    return default_size(loop)
+        n = sizes[loop]
+    else:
+        n = default_size(loop)
+    return f"kernel:{loop}:n={n}"
 
 
 # ----------------------------------------------------------------------
@@ -122,8 +125,7 @@ def plan_table1(sizes: Sizes = None) -> ExperimentPlan:
             for config in CONFIG_NAMES:
                 for loop in loops:
                     cells.append(Cell(
-                        loop=loop,
-                        n=_size(loop, sizes),
+                        source=_source(loop, sizes),
                         machine=spec,
                         config=config,
                         row=row,
@@ -152,8 +154,7 @@ def plan_table2(sizes: Sizes = None) -> ExperimentPlan:
                 rows.append(row)
                 for loop in loops:
                     cells.append(Cell(
-                        loop=loop,
-                        n=_size(loop, sizes),
+                        source=_source(loop, sizes),
                         machine=LIMITS_MACHINE,
                         config=config,
                         row=row,
@@ -191,8 +192,7 @@ def _plan_multi_issue(
                 spec = f"{spec_head}:{n_stations}:{_BUS_TOKENS[bus_label]}"
                 for loop in loops:
                     cells.append(Cell(
-                        loop=loop,
-                        n=_size(loop, sizes),
+                        source=_source(loop, sizes),
                         machine=spec,
                         config=config,
                         row=row,
@@ -268,8 +268,7 @@ def _plan_ruu(
                     spec = f"ruu:{u}:{size}:{_BUS_TOKENS[bus_label]}"
                     for loop in loops:
                         cells.append(Cell(
-                            loop=loop,
-                            n=_size(loop, sizes),
+                            source=_source(loop, sizes),
                             machine=spec,
                             config=config,
                             row=row,
@@ -337,8 +336,7 @@ def _plan_spec_study(
         for column, machine, metric in _SPEC_STUDY_COLUMNS:
             for loop in loops:
                 cells.append(Cell(
-                    loop=loop,
-                    n=_size(loop, sizes),
+                    source=_source(loop, sizes),
                     machine=machine,
                     config=config,
                     row=config,

@@ -32,7 +32,7 @@ class ProgressEvent:
         completed: cells finished so far (this one included).
         total: cells in the plan.
         index: the cell's position in plan order.
-        loop: Livermore loop number of the cell's trace.
+        source: trace-source spec of the cell's trace.
         machine: registry spec of the machine (``""`` for limits cells).
         config: machine-configuration name (``"M11BR5"`` etc.).
         row: the table row this cell feeds.
@@ -45,7 +45,7 @@ class ProgressEvent:
     completed: int
     total: int
     index: int
-    loop: int
+    source: str
     machine: str
     config: str
     row: str

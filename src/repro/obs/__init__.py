@@ -8,8 +8,8 @@ wall time, cache traffic and simulator cycles go:
   counters, gauges and fixed-bucket histograms.  The experiment engine
   aggregates per-cell wall time, queue wait, cache hit/miss/corruption
   counts and per-worker utilization through it.
-* :mod:`repro.obs.tracing` -- span traces (plan -> cell ->
-  simulate/limits) with parent ids and monotonic timestamps, exportable
+* :mod:`repro.obs.tracing` -- span traces (plan -> sweep/cell ->
+  resolve/replay) with parent ids and monotonic timestamps, exportable
   as JSON or Chrome ``trace_event`` format (``repro trace-export``).
 * :mod:`repro.obs.events` -- typed issue/stall/complete/flush events
   emitted by every timing simulator through an optional ``on_event``
@@ -49,7 +49,13 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .tracing import Span, Tracer, spans_to_chrome, spans_to_perfetto
+from .tracing import (
+    Span,
+    Tracer,
+    nesting_errors,
+    spans_to_chrome,
+    spans_to_perfetto,
+)
 
 __all__ = [
     "Counter",
@@ -73,6 +79,7 @@ __all__ = [
     "load_manifest",
     "manifest_dir",
     "new_run_id",
+    "nesting_errors",
     "spans_to_chrome",
     "spans_to_perfetto",
     "strip_telemetry",

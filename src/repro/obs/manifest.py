@@ -129,7 +129,11 @@ class RunManifest:
         }
 
     def cell_timings(self) -> List[Dict[str, Any]]:
-        """Per-cell spans (name, seconds, pid), slowest first."""
+        """Work-unit spans (name, seconds, pid), slowest first.
+
+        A work unit is a cached cell (``cell:`` span) or a computed
+        sweep group (``sweep:`` span); neither ever contains another.
+        """
         cells = [
             {
                 "name": span["name"],
@@ -139,7 +143,7 @@ class RunManifest:
             }
             for span in self.spans
             if span.get("end") is not None
-            and span["name"].startswith("cell:")
+            and span["name"].startswith(("cell:", "sweep:"))
         ]
         cells.sort(key=lambda c: c["seconds"], reverse=True)
         return cells

@@ -1,11 +1,12 @@
 """Span tracing for experiment runs.
 
-A run trace is a tree of spans -- *plan* at the root, one *cell* span per
-experiment cell, *simulate*/*limits*/*trace:resolve* spans underneath --
-with parent ids and monotonic timestamps.  Worker processes cannot share
-the parent's tracer, so they record their spans as plain ``(name, start,
-end)`` tuples (monotonic clocks are system-wide on Linux, hence directly
-comparable across fork) and the parent adopts them with
+A run trace is a tree of spans -- *plan* at the root, one *sweep* span
+per computed trace group and one *cell* span per cached cell under it,
+*resolve*/*replay*/*limits* spans under each sweep -- with parent ids and
+monotonic timestamps; :func:`nesting_errors` checks that it nests.
+Worker processes cannot share the parent's tracer, so they record their
+spans as plain tuples (monotonic clocks are system-wide on Linux, hence
+directly comparable across fork) and the parent adopts them with
 :meth:`Tracer.adopt`.
 
 Two export formats:
@@ -27,7 +28,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
-__all__ = ["Span", "Tracer", "spans_to_chrome", "spans_to_perfetto"]
+__all__ = [
+    "Span",
+    "Tracer",
+    "nesting_errors",
+    "spans_to_chrome",
+    "spans_to_perfetto",
+]
 
 
 @dataclass
@@ -35,7 +42,7 @@ class Span:
     """One timed operation in a run trace.
 
     Attributes:
-        name: operation label (``plan:table1``, ``cell:5/cray/M11BR5``...).
+        name: operation label (``plan:table1``, ``sweep:kernel:5:n=200``...).
         span_id: unique id within the trace.
         parent_id: id of the enclosing span, or None at the root.
         start: monotonic start time (seconds).
@@ -149,6 +156,47 @@ class Tracer:
     def to_payload(self) -> List[Dict[str, Any]]:
         """JSON-safe export of every span (open spans get end=None)."""
         return [span.to_dict() for span in self.spans]
+
+
+#: Slack for float rounding when comparing span endpoints (seconds).
+_NESTING_SLACK = 1e-9
+
+
+def nesting_errors(spans: Sequence[Mapping[str, Any]]) -> List[str]:
+    """Spans that leave their parent, or whose children overfill it.
+
+    Every child must lie inside its parent's interval, and the children
+    a parent has *in one process* must sum to no more than the parent's
+    duration -- one process runs its spans one after another, while pool
+    workers run side by side under the same plan span.  An empty list
+    means the trace nests cleanly.
+    """
+    records = {record.span_id: record for record in map(Span.from_dict, spans)}
+    child_seconds: Dict[tuple, float] = {}
+    errors: List[str] = []
+    for span in records.values():
+        parent = records.get(span.parent_id)
+        if parent is None or span.end is None:
+            continue
+        if (
+            span.start < parent.start - _NESTING_SLACK
+            or parent.end is None
+            or span.end > parent.end + _NESTING_SLACK
+        ):
+            errors.append(
+                f"span {span.span_id} ({span.name}) leaves its parent "
+                f"{parent.span_id} ({parent.name})"
+            )
+        key = (parent.span_id, span.pid)
+        child_seconds[key] = child_seconds.get(key, 0.0) + span.duration
+    for (parent_id, pid), seconds in child_seconds.items():
+        parent = records[parent_id]
+        if seconds > parent.duration + _NESTING_SLACK:
+            errors.append(
+                f"span {parent_id} ({parent.name}): children in pid {pid} "
+                f"sum to {seconds:.6f}s, more than its {parent.duration:.6f}s"
+            )
+    return errors
 
 
 def spans_to_chrome(

@@ -115,8 +115,7 @@ def _plan_and_outcomes():
         for loop in (1, 2, 3):
             cells.append(
                 Cell(
-                    loop=loop,
-                    n=8,
+                    source=f"kernel:{loop}:n=8",
                     machine="cray",
                     config="M11BR5",
                     row=row,
@@ -182,8 +181,7 @@ class TestMergeOutcomes:
             rows=("only",),
             cells=(
                 Cell(
-                    loop=5,
-                    n=8,
+                    source="kernel:5:n=8",
                     machine="cray",
                     config="M11BR5",
                     row="only",

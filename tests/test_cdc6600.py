@@ -164,7 +164,7 @@ class TestFastReferenceIdentity:
         for trace in self.HAND_TRACES:
             for config in CONFIGS:
                 record = []
-                fast = fastpath.simulate_cdc6600_fast(
+                fast = fastpath.python_backend.simulate_cdc6600_fast(
                     machine, trace, config, record
                 )
                 reference = machine.reference_simulate(trace, config)

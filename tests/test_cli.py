@@ -107,7 +107,7 @@ class TestParser:
         )
         code, out = run_cli(capsys, "tables", "section33")
         assert code == 0
-        assert "0.50" in out
+        assert "0.50" in out and "paper 0.72" in out
 
     def test_tables_forwards_workers_and_cache_flags(self, capsys, monkeypatch):
         import repro.api as api
@@ -135,6 +135,51 @@ class TestParser:
         )
         assert code == 0
         assert seen == {"table_id": "table3", "workers": 2, "cache": False}
+
+    @staticmethod
+    def fake_tables(monkeypatch):
+        import repro.api as api
+        from repro.harness.engine import EngineStats
+        from repro.harness.tables import ResultTable
+
+        calls = []
+
+        def fake(table_id, *, compare=False, **kw):
+            calls.append((table_id, compare))
+            table = ResultTable(
+                table_id=table_id,
+                title="fake table",
+                columns=("M11BR5",),
+                rows=(("scalar/CRAY-like", {"M11BR5": 0.25}),),
+            )
+            return api.TableRun(
+                table=table,
+                stats=EngineStats(table_id=table_id, cells=1, workers=1),
+                reference=api.PAPER_TABLES.get(table_id) if compare else None,
+            )
+
+        monkeypatch.setattr(api, "run_table", fake)
+        return calls
+
+    def test_tables_rejects_unknown_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["tables", "table99"])
+
+    def test_tables_compare_prints_paper_numbers(self, capsys, monkeypatch):
+        calls = self.fake_tables(monkeypatch)
+        code, out = run_cli(capsys, "tables", "table1", "--compare")
+        assert code == 0
+        assert "fake table" in out and "0.25" in out
+        assert "Paper Table 1" in out
+        assert "relative deviation" in out
+        assert calls == [("table1", True)]
+
+    def test_tables_all_runs_every_table(self, capsys, monkeypatch):
+        import repro.api as api
+
+        calls = self.fake_tables(monkeypatch)
+        assert run_cli(capsys, "tables", "all")[0] == 0
+        assert [table for table, _ in calls] == list(api.list_tables())
 
 
 class TestVectorFlag:

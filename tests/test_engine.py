@@ -18,7 +18,7 @@ import repro.api as api
 from repro.harness.engine import (
     cell_key,
     clear_process_memo,
-    evaluate_cell,
+    evaluate_group,
     trace_key,
 )
 from repro.harness.plans import build_plan
@@ -36,7 +36,8 @@ class TestPlans:
         plan = build_plan("table1", small_sizes)
         assert len(plan.cells) == 4 * 4 * 14
         assert plan.rows[0] == "scalar/Simple"
-        assert all(cell.n == small_sizes[cell.loop] for cell in plan.cells)
+        sources = {f"kernel:{loop}:n={n}" for loop, n in small_sizes.items()}
+        assert all(cell.source in sources for cell in plan.cells)
 
     def test_table2_uses_limit_cells(self, small_sizes):
         plan = build_plan("table2", small_sizes)
@@ -52,7 +53,10 @@ class TestPlans:
         cray = next(c for c in t1.cells if c.machine == "cray")
         inorder = next(c for c in t3.cells if c.machine == "inorder:1:nbus")
         assert cell_key(cray) != cell_key(inorder)
-        assert trace_key(cray.loop, cray.n) == trace_key(cray.loop, cray.n)
+        assert trace_key(cray.source) == {
+            "kind": "trace", "source": cray.source,
+        }
+        assert cell_key(cray)["source"] == cray.source
 
 
 class TestDeterminism:
@@ -136,9 +140,9 @@ class TestDiskCacheRoundTrip:
     def test_cache_stores_loadable_traces(self, small_sizes):
         plan = build_plan("table1", small_sizes)
         store = DiskCache()
-        evaluate_cell(0, plan.cells[0], store)
         cell = plan.cells[0]
-        trace = store.load_trace(trace_key(cell.loop, cell.n))
+        evaluate_group([(0, cell)], store)
+        trace = store.load_trace(trace_key(cell.source))
         assert trace is not None
         assert len(trace) > 0
 
@@ -255,25 +259,21 @@ class TestSweepGrouping:
 
         plan = build_plan("table1", small_sizes)
         groups = _sweep_groups(plan)
-        swept = [group for is_sweep, group in groups if is_sweep]
-        singles = [group for is_sweep, group in groups if not is_sweep]
         # table1 has no limit cells: everything sweeps, one group per
-        # (loop, n) trace, together covering every cell exactly once.
-        assert not singles
-        assert len(swept) == 14
-        indices = sorted(index for group in swept for index, _ in group)
+        # trace source, together covering every cell exactly once.
+        assert len(groups) == 14
+        indices = sorted(index for group in groups for index, _ in group)
         assert indices == list(range(len(plan.cells)))
-        for group in swept:
-            keys = {(cell.loop, cell.n) for _, cell in group}
-            assert len(keys) == 1
+        for group in groups:
+            assert len({cell.source for _, cell in group}) == 1
 
     def test_limit_cells_stay_singletons(self, small_sizes):
         from repro.harness.engine import _sweep_groups
 
         plan = build_plan("table2", small_sizes)
-        for is_sweep, group in _sweep_groups(plan):
-            assert not is_sweep
+        for group in _sweep_groups(plan):
             assert len(group) == 1
+            assert group[0][1].is_limits
 
     @pytest.mark.parametrize("backend", ["python", "batch"])
     def test_backends_produce_identical_tables(self, small_sizes, backend):

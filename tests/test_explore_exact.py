@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro.api as api
+import repro.harness.engine as engine
+from repro.core import fastpath
 from repro.explore import explore
 from repro.explore.exact import ErrorStats, frontier_recall, simulate_specs
-from repro.harness.engine import run_source_sweep
+from repro.harness.plans import build_plan
 from repro.trace import DiskCache
 
 SOURCES = ["branchy:seed=3:n=200", "pointer:seed=5:n=200"]
@@ -27,47 +30,96 @@ RECALL_SOURCES = [
 ]
 
 
-class TestRunSourceSweep:
+def cache_entries(cache: DiskCache) -> int:
+    return sum(1 for path in cache.root.rglob("*.jsonl"))
+
+
+class TestSimulateSpecsPlan:
+    """The exact stage is an ordinary plan run by the engine."""
+
     def test_workers_do_not_change_results(self):
-        serial = run_source_sweep(SPECS, SOURCES, workers=1)
-        parallel = run_source_sweep(SPECS, SOURCES, workers=2)
-        key = lambda o: (o.source, o.machine, o.instructions, o.cycles)
-        assert [key(o) for o in serial.outcomes] == [
-            key(o) for o in parallel.outcomes
-        ]
-        assert parallel.workers == 2
+        serial, _ = simulate_specs(SPECS, SOURCES, workers=1)
+        parallel, run = simulate_specs(SPECS, SOURCES, workers=2)
+        # Bit-identical, not approximately equal.
+        assert parallel == serial
+        assert run.stats.workers == 2
 
     def test_result_cache_hits_on_rerun(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
-        cold = run_source_sweep(SPECS, SOURCES, workers=1, cache=cache)
-        warm = run_source_sweep(SPECS, SOURCES, workers=1, cache=cache)
-        assert cold.result_hits == 0
-        assert warm.result_hits == len(SPECS) * len(SOURCES)
-        key = lambda o: (o.source, o.machine, o.cycles)
-        assert [key(o) for o in cold.outcomes] == [
-            key(o) for o in warm.outcomes
-        ]
+        cold_rates, cold = simulate_specs(SPECS, SOURCES, workers=1, cache=cache)
+        warm_rates, warm = simulate_specs(SPECS, SOURCES, workers=1, cache=cache)
+        assert cold.stats.result_hits == 0
+        assert warm.stats.result_hits == len(SPECS) * len(SOURCES)
+        assert warm_rates == cold_rates
 
-    def test_rate_lookup(self):
-        run = run_source_sweep(SPECS, SOURCES, workers=1)
-        outcome = run.outcomes[0]
-        assert run.rate(outcome.source, outcome.machine) == pytest.approx(
-            outcome.rate
+    def test_file_sources_never_cached(self, tmp_path):
+        path = tmp_path / "branchy.jsonl"
+        api.capture_source(SOURCES[0], str(path))
+        cache = DiskCache(tmp_path / "cache")
+        file_rates, run = simulate_specs(
+            SPECS, [f"file:{path}"], workers=1, cache=cache
         )
+        again, rerun = simulate_specs(
+            SPECS, [f"file:{path}"], workers=1, cache=cache
+        )
+        assert cache_entries(cache) == 0
+        assert run.stats.result_hits == rerun.stats.result_hits == 0
+        direct, _ = simulate_specs(SPECS, SOURCES[:1], workers=1)
+        assert file_rates == again == direct
+
+    def test_explore_captures_and_compiles_each_source_once(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        engine.clear_process_memo()
+        captured = []
+        original = engine.trace_source
+
+        def counting(spec):
+            captured.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(engine, "trace_source", counting)
+        sources = ["branchy:seed=11:n=150", "pointer:seed=12:n=150"]
+        before = fastpath.stats()["compiles"]
+        run = api.explore(
+            "family=ruu;width=1,2,4;window=4,16;bus=nbus;fu=1,2", sources,
+            workers=1, audit=2,
+        )
+        assert run.simulated_count > 0
+        assert sorted(captured) == sorted(sources)
+        assert fastpath.stats()["compiles"] - before == len(sources)
+
+    def test_table_and_explore_cells_share_entries(
+        self, small_sizes, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        overrides = dict(ruu_sizes=(10,), units=(1,))
+        api.run_table("table7", sizes=small_sizes, workers=1, **overrides)
+        cache = DiskCache()
+        entries = cache_entries(cache)
+        cell = build_plan("table7", small_sizes, **overrides).cells[0]
+        rates, run = simulate_specs(
+            [cell.machine], [cell.source], config=cell.config, workers=1,
+            cache=cache,
+        )
+        assert run.stats.result_hits == 1
+        assert cache_entries(cache) == entries
 
 
 class TestSimulateSpecs:
     def test_harmonic_aggregation(self):
         rates, run = simulate_specs(SPECS, SOURCES, workers=1)
+        assert run.table.table_id == "explore"
+        assert [row for row, _ in run.table.rows] == SPECS
+        per_source = [
+            simulate_specs(SPECS, [source], workers=1)[0] for source in SOURCES
+        ]
         for spec in SPECS:
-            inverse = sum(
-                1.0 / run.rate(source, spec) for source in run_sources(run)
-            )
+            inverse = 0.0
+            for single in per_source:
+                inverse += 1.0 / single[spec]
             assert rates[spec] == pytest.approx(len(SOURCES) / inverse)
-
-
-def run_sources(run):
-    return sorted({outcome.source for outcome in run.outcomes})
 
 
 class TestErrorStats:

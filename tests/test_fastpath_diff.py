@@ -70,17 +70,17 @@ def _fastpath_on():
 
 def _fast_fn(simulator):
     if isinstance(simulator, ScoreboardMachine):
-        return fastpath.simulate_scoreboard_fast
+        return fastpath.python_backend.simulate_scoreboard_fast
     if isinstance(simulator, InOrderMultiIssueMachine):
-        return fastpath.simulate_inorder_fast
+        return fastpath.python_backend.simulate_inorder_fast
     if isinstance(simulator, OutOfOrderMultiIssueMachine):
-        return fastpath.simulate_ooo_fast
+        return fastpath.python_backend.simulate_ooo_fast
     if isinstance(simulator, RUUMachine):
-        return fastpath.simulate_ruu_fast
+        return fastpath.python_backend.simulate_ruu_fast
     if isinstance(simulator, TomasuloMachine):
-        return fastpath.simulate_tomasulo_fast
+        return fastpath.python_backend.simulate_tomasulo_fast
     assert isinstance(simulator, CDC6600Machine)
-    return fastpath.simulate_cdc6600_fast
+    return fastpath.python_backend.simulate_cdc6600_fast
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +270,7 @@ def _assert_spec_matches_reference(simulator, trace, config, context):
     )
 
     schedule = []
-    recorded = fastpath.simulate_spec_fast(simulator, trace, config, schedule)
+    recorded = fastpath.python_backend.simulate_spec_fast(simulator, trace, config, schedule)
     assert recorded.cycles == fast.cycles, context
     collector = EventCollector()
     simulator.simulate_observed(trace, config, collector)

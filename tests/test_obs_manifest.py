@@ -130,10 +130,14 @@ class TestObservedRunEndToEnd:
         # Durable: the facade finds it again.
         assert api.find_run(manifest.run_id).run_id == manifest.run_id
         assert api.list_runs(limit=1)[0].run_id == manifest.run_id
-        # Spans cover the plan and every cell.
+        # Spans cover the plan and every cell: a cold run computes every
+        # cell inside one sweep span per trace.
         names = [span["name"] for span in manifest.spans]
         assert names[0] == "plan:table1"
-        assert sum(n.startswith("cell:") for n in names) == run.stats.cells
+        sweeps = [s for s in manifest.spans if s["name"].startswith("sweep:")]
+        assert len(sweeps) == 14
+        assert sum(s["attrs"]["cells"] for s in sweeps) == run.stats.cells
+        assert not any(n.startswith("cell:") for n in names)
 
     def test_observe_off_writes_nothing(self, small_sizes):
         run = api.run_table("table1", sizes=small_sizes, workers=1)
