@@ -10,6 +10,10 @@ traces come from fixed seeds, tables run at the pinned ``SMALL_SIZES``):
   expose ``reference_simulate``; cycle counts are asserted identical
   before any timing, so a fast-path divergence fails the benchmark
   rather than producing a fast wrong number.
+* ``sweep.<label>.{batch,perspec,speedup}`` -- one batch-backend sweep
+  per trace against one per-spec replay per member: ``ooo:4`` under the
+  four configs on the fuzzed traces, and Table 7's 192-member RUU grid
+  on its kernel traces.
 * ``table.<id>.wall`` -- wall seconds to build and run one paper table
   in-process (``workers=1``, no cache): the end-to-end single-core cost
   a contributor pays per golden-table check.
@@ -38,6 +42,7 @@ from ..harness.engine import run_plan
 from ..harness.plans import build_plan
 from ..kernels import SMALL_SIZES
 from ..trace import DiskCache
+from ..trace.sources import trace_source
 from ..verify.fuzz import FuzzSpec, fuzz_trace
 from .env import environment_metadata
 from .report import BenchReport
@@ -163,71 +168,95 @@ def _bench_machines(options: BenchOptions, report: BenchReport, log: Log):
             )
 
 
-#: The sweep benchmark's machine: the paper's four-unit out-of-order
-#: multi-issue organisation (the Table 5 family), replayed through all
-#: four machine-variant configs as one sweep.
+#: The out-of-order sweep benchmark's machine: the paper's four-unit
+#: organisation (the Table 5 family), replayed through all four
+#: machine-variant configs as one sweep over the fuzzed traces.
 SWEEP_SPEC = "ooo:4"
 
+#: The RUU sweep benchmark replays this table's plan: every distinct
+#: (RUU spec, config) member -- 192 of them, four issue widths x six RUU
+#: sizes x two bus organisations x four configs -- as one sweep per
+#: kernel trace at ``SMALL_SIZES``, the shape whose never-full replays
+#: the batch backend reuses.
+RUU_SWEEP_TABLE = "table7"
 
-def _bench_sweep(options: BenchOptions, report: BenchReport, log: Log):
-    """``sweep.<spec>.{batch,perspec,speedup}``: one trace, many configs.
 
-    Replays every fuzzed trace through :data:`SWEEP_SPEC` under all four
-    standard configs -- once through the batch structure-of-arrays
-    backend (one pass per trace) and once through the per-spec python
-    backend (four passes per trace) -- and reports both throughputs plus
-    their ratio.  Cycle counts are asserted identical between the two
-    backends before any timing.
-    """
+def _sweeps(options: BenchOptions):
+    """``(label, items, traces)`` for each sweep benchmark."""
     from ..core.config import STANDARD_CONFIGS
 
     spec_shape = FuzzSpec(length=options.trace_length)
-    traces = [fuzz_trace(seed, spec_shape) for seed in range(options.seeds)]
-    items = [
-        (build_simulator(SWEEP_SPEC), config) for config in STANDARD_CONFIGS
-    ]
-    total = sum(len(trace) for trace in traces) * len(items)
+    fuzzed = [fuzz_trace(seed, spec_shape) for seed in range(options.seeds)]
+    yield (
+        SWEEP_SPEC,
+        [(build_simulator(SWEEP_SPEC), config) for config in STANDARD_CONFIGS],
+        fuzzed,
+    )
+    plan = build_plan(RUU_SWEEP_TABLE, dict(SMALL_SIZES))
+    members = dict.fromkeys((cell.machine, cell.config) for cell in plan.cells)
+    yield (
+        RUU_SWEEP_TABLE,
+        [
+            (build_simulator(machine), config_by_name(config))
+            for machine, config in members
+        ],
+        [trace_source(source)
+         for source in dict.fromkeys(cell.source for cell in plan.cells)],
+    )
 
-    def sweep_pass(backend: str) -> List[List[int]]:
-        cycles: List[List[int]] = []
-        for trace in traces:
-            results = fastpath.simulate_sweep(trace, items, backend=backend)
-            cycles.append([result.cycles for result in results])
-        return cycles
 
-    # Correctness gate plus warm-up: the batch backend must agree with
-    # the per-spec loops on every (trace, config) cell, and both passes
-    # populate the compile and sweep-plan caches so timing measures
-    # replay, not lowering.
-    batch_cycles = sweep_pass("batch")
-    perspec_cycles = sweep_pass("python")
-    if batch_cycles != perspec_cycles:
-        raise ValueError(
-            f"batch backend diverged from per-spec loops on {SWEEP_SPEC} "
-            "-- refusing to benchmark a wrong answer"
-        )
+def _bench_sweep(options: BenchOptions, report: BenchReport, log: Log):
+    """``sweep.<label>.{batch,perspec,speedup}``: one trace, many specs.
 
-    batch_times: List[float] = []
-    perspec_times: List[float] = []
-    for _ in range(options.rounds):
-        start = time.perf_counter()
-        sweep_pass("batch")
-        batch_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        sweep_pass("python")
-        perspec_times.append(time.perf_counter() - start)
+    Replays every trace of each :func:`_sweeps` entry through its sweep
+    members -- once through the batch backend (one sweep call per trace)
+    and once through the per-spec python backend (one replay per member)
+    -- and reports both throughputs plus their ratio.  Cycle counts are
+    asserted identical between the two backends before any timing.
+    """
+    for label, items, traces in _sweeps(options):
+        total = sum(len(trace) for trace in traces) * len(items)
 
-    batch = total / min(batch_times)
-    perspec = total / min(perspec_times)
-    report.add(f"sweep.{SWEEP_SPEC}.batch", batch, "instr/s")
-    report.add(f"sweep.{SWEEP_SPEC}.perspec", perspec, "instr/s")
-    report.add(f"sweep.{SWEEP_SPEC}.speedup", batch / perspec, "x")
-    if log:
-        log(
-            f"  sweep.{SWEEP_SPEC:<16} batch {batch:>12,.0f} instr/s  "
-            f"perspec {perspec:>12,.0f} instr/s  "
-            f"speedup {batch / perspec:.2f}x"
-        )
+        def sweep_pass(backend: str) -> List[List[int]]:
+            cycles: List[List[int]] = []
+            for trace in traces:
+                results = fastpath.simulate_sweep(
+                    trace, items, backend=backend
+                )
+                cycles.append([result.cycles for result in results])
+            return cycles
+
+        # Correctness gate plus warm-up: the batch backend must agree
+        # with the per-spec loops on every (trace, member) cell, and both
+        # passes populate the compile and sweep-plan caches so timing
+        # measures replay, not lowering.
+        if sweep_pass("batch") != sweep_pass("python"):
+            raise ValueError(
+                f"batch backend diverged from per-spec loops on {label} "
+                "-- refusing to benchmark a wrong answer"
+            )
+
+        batch_times: List[float] = []
+        perspec_times: List[float] = []
+        for _ in range(options.rounds):
+            start = time.perf_counter()
+            sweep_pass("batch")
+            batch_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            sweep_pass("python")
+            perspec_times.append(time.perf_counter() - start)
+
+        batch = total / min(batch_times)
+        perspec = total / min(perspec_times)
+        report.add(f"sweep.{label}.batch", batch, "instr/s")
+        report.add(f"sweep.{label}.perspec", perspec, "instr/s")
+        report.add(f"sweep.{label}.speedup", batch / perspec, "x")
+        if log:
+            log(
+                f"  sweep.{label:<16} batch {batch:>12,.0f} instr/s  "
+                f"perspec {perspec:>12,.0f} instr/s  "
+                f"speedup {batch / perspec:.2f}x"
+            )
 
 
 #: Screen-throughput space: large enough (130,816 candidates) that the

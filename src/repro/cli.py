@@ -666,7 +666,7 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
     backend_parts = []
     for backend, keys in (
         ("python", ("fast_runs",)),
-        ("batch", ("fast_runs", "sweeps", "fallback_runs")),
+        ("batch", ("fast_runs", "sweeps", "fallback_runs", "reused_runs")),
     ):
         counts = {
             key: manifest.counter(f"fastpath.{backend}.{key}") for key in keys
@@ -768,10 +768,12 @@ def run_sweep_cmd(args) -> int:
     fastpath = run.manifest.get("fastpath", {})
     swept = fastpath.get("batch.sweeps", 0)
     fallback = fastpath.get("batch.fallback_runs", 0)
+    reused = fastpath.get("batch.reused_runs", 0)
     if swept or fallback:
         print(
             f"  [{fastpath.get('fast_runs', 0)} fast replays via "
             f"{swept} batched sweeps"
+            + (f"; {reused} reused" if reused else "")
             + (f"; {fallback} per-spec fallbacks" if fallback else "")
             + f"; {run.manifest['wall_seconds']:.3f}s]"
         )

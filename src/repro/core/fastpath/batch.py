@@ -18,11 +18,14 @@ WAR policy for the windowed machines).  Flags that only parameterise
 the per-spec recurrence (latency tables, branch latency, bus wiring,
 result-bus modelling, chaining) stay per-spec inside a group, so e.g.
 ``cray``/``serialmemory``/``nonsegmented`` batch together and a
-four-config table row is always one group.  The RUU, Tomasulo and
-speculative machines keep their per-spec loops (per-cycle wakeup state
-and predictor replay do not share across configs profitably); sweep
-items for them are served by the ``python`` backend loops inside the
-same sweep call -- counted as ``fallback_runs`` -- sharing the single
+four-config table row is always one group.  RUU members share the
+trace's rename plan and run the one RUU loop per distinct replay: a
+replay whose RUU never filled serves every smaller RUU its peak still
+fits (counted as ``reused_runs``).  The Tomasulo and speculative
+machines keep their per-spec loops (per-cycle wakeup state and
+predictor replay do not share across configs profitably); sweep items
+for them are served by the ``python`` backend loops inside the same
+sweep call -- counted as ``fallback_runs`` -- sharing the single
 compiled trace.
 
 For the out-of-order machine the shared analysis is the big win: the
@@ -71,7 +74,7 @@ from .ir import (
     compile_trace,
     window_stats,
 )
-from .python_backend import _UNIT_NAMES, _closed_busy
+from .python_backend import _UNIT_NAMES, _closed_busy, ruu_replay
 
 __all__ = ["BatchBackend"]
 
@@ -80,7 +83,9 @@ _MAX_BUFFER_CYCLES = 100_000
 
 #: Families the batch kernels cover; the rest fall back to the
 #: ``python`` backend's per-spec loops (still inside the one sweep).
-_BATCHED_FAMILIES = frozenset({"scoreboard", "cdc6600", "inorder", "ooo"})
+_BATCHED_FAMILIES = frozenset(
+    {"scoreboard", "cdc6600", "inorder", "ooo", "ruu"}
+)
 
 
 def _scalar_only(machine):
@@ -1286,6 +1291,61 @@ def _sweep_ooo(compiled, units, enforce_war, group) -> List[SimulationResult]:
 
 
 # ----------------------------------------------------------------------
+# RUU dependency resolution (Section 5.3): shared rename plan, reuse
+# ----------------------------------------------------------------------
+
+def _sweep_ruu(compiled, group) -> List[SimulationResult]:
+    """Every RUU variant over one trace.
+
+    All members share the trace's cached rename plan
+    (:func:`~repro.core.fastpath.python_backend.ruu_plan`) and run the
+    one RUU loop (:func:`~repro.core.fastpath.python_backend.ruu_replay`).
+    Members that differ only in RUU size are replayed largest first: a
+    run whose peak occupancy stayed below the next smaller size never
+    found the RUU full, so that size replays it cycle for cycle and takes
+    a copy of its result instead of a replay.  Members that agree on
+    every timing parameter (``ruu:1:R`` over N-Bus and 1-Bus, whose three
+    paths are all one wide) share one replay the same way.  Members
+    served from another's replay count as ``reused_runs``.
+    """
+    classes: Dict[Tuple, List[int]] = {}
+    for k, item in enumerate(group):
+        machine, config = item.simulator, item.config
+        table = config.latencies
+        key = (
+            tuple(table.latency(unit) for unit in UNITS),
+            config.branch_latency,
+            machine.issue_units,
+            machine.path_width,
+            machine.bypass,
+            machine.ordered_memory,
+            machine.fu_copies,
+        )
+        classes.setdefault(key, []).append(k)
+
+    results: List[SimulationResult] = [None] * len(group)  # type: ignore
+    for members in classes.values():
+        members.sort(key=lambda k: -group[k].simulator.ruu_size)
+        tracking = any(group[k].record is not None for k in members)
+        run = None
+        run_size = 0
+        for k in members:
+            item = group[k]
+            size = item.simulator.ruu_size
+            if run is not None and (run.peak < size or size == run_size):
+                count_run("batch", "reused_runs")
+            else:
+                run = ruu_replay(compiled, item.simulator, item.config,
+                                 tracking)
+                run_size = size
+            if item.record is not None:
+                item.record.extend(run.schedule)
+            results[k] = _result(compiled, item.simulator, item.config,
+                                 run.cycles, dict(run.detail))
+    return results
+
+
+# ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
 
@@ -1293,7 +1353,7 @@ class BatchBackend(Backend):
     """Sweep-shaped replay: group by structure key, share the analysis."""
 
     name = "batch"
-    counter_names = ("fast_runs", "sweeps", "fallback_runs")
+    counter_names = ("fast_runs", "sweeps", "fallback_runs", "reused_runs")
 
     def simulate(self, simulator, trace, config, record=None):
         """A single replay has no sweep to amortise over; serve it with
@@ -1343,6 +1403,8 @@ class BatchBackend(Backend):
                     batch = _sweep_cdc6600(compiled, group)
                 elif family == "inorder":
                     batch = _sweep_inorder(compiled, key[1], group)
+                elif family == "ruu":
+                    batch = _sweep_ruu(compiled, group)
                 else:
                     batch = _sweep_ooo(compiled, key[1], key[2], group)
             for i, result in zip(indices, batch):

@@ -46,8 +46,9 @@ telemetry check).
 
 from __future__ import annotations
 
+import weakref
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ...obs.telemetry import SimTelemetry
 from ...obs.telemetry import collecting as telemetry_collecting
@@ -925,234 +926,290 @@ def simulate_tomasulo_fast(
 # RUU dependency resolution (Section 5.3)
 # ----------------------------------------------------------------------
 
-def simulate_ruu_fast(
-    machine,
-    trace: Trace,
-    config: MachineConfig,
-    record: Optional[Schedule] = None,
-) -> SimulationResult:
-    """Fast twin of :meth:`RUUMachine.reference_simulate`.
+#: Branch-wait code of a non-branch op in :func:`ruu_plan`'s table.
+_NOT_BRANCH = -2
 
-    RUU entries live in flat per-seq arrays with packed integer operand
-    tags; the commit / dispatch / issue phase order inside a cycle is the
-    reference's, and the outer loop jumps over idle cycles (crediting
-    occupancy and stall statistics for the skipped span in closed form,
-    so the ``detail`` dict stays bit-identical).  The next interesting
-    cycle is the minimum of: the head entry's result return (commit),
-    the wakeup heap's root (dispatch), branch resolution, and a known
-    branch-operand availability (issue).
+#: Result cycle of an RUU entry not dispatched yet: later than any cycle,
+#: so the in-order commit test is one comparison.
+_UNDISPATCHED = 1 << 62
 
-    Speculative runs (``predictor_factory``) keep the reference loop --
-    prediction state and accuracy stats are not modelled here; the
-    machine's dispatch gate never routes them this way.
+#: The most recent RUU rename plan as ``(weakref to compiled, plan)``.
+#: One entry suffices -- sweeps, and per-spec runs over one trace, come
+#: back to back -- and keeps memory at one plan (~170 bytes per
+#: instruction) instead of one per live trace.
+_RUU_PLAN: List[Optional[Tuple["weakref.ref", tuple]]] = [None]
+
+
+class RUURun(NamedTuple):
+    """One RUU replay: what :func:`ruu_replay` hands its callers.
+
+    ``peak`` is the most RUU entries ever live at once.  A run whose peak
+    stays below its RUU size never found the RUU full, so every RUU size
+    above the peak replays it cycle for cycle (the size is only ever
+    compared against the live count); the batch sweep reuses such runs.
     """
-    compiled = compile_trace(trace)
-    if compiled.has_vector:
-        from ..base import scalar_only_error
 
-        raise scalar_only_error(machine.name)
-    count_run("python", "fast_runs")
+    cycles: int
+    detail: Dict[str, float]
+    peak: int
+    schedule: Optional[Schedule]
+
+
+def ruu_plan(compiled) -> tuple:
+    """The configuration-independent half of an RUU replay, once per trace.
+
+    Register instances make every operand tag a function of program
+    order alone: a source names the latest earlier non-branch write of
+    its register, whatever the RUU size, issue width, bus organisation or
+    latencies.  The plan resolves those tags once into dense seq indices:
+
+    ``units``
+        functional-unit index per seq;
+    ``producers``
+        per non-branch seq, the distinct earlier seqs whose results it
+        reads (initial register contents are ready at cycle 0 and drop
+        out);
+    ``consumers``
+        per seq, the distinct later non-branch seqs that read its result,
+        ascending -- the static form of the reference's ``waiting_on``
+        lists: when a producer dispatches, exactly its consumers already
+        issued (seq below the issue front) are still waiting on it;
+    ``branch_wait``
+        per seq, :data:`_NOT_BRANCH` for a non-branch op, otherwise the
+        seq producing the A0 instance a conditional branch tests, or -1
+        when the branch waits on nothing (unconditional, or A0 never
+        written) -- the branch cut at which issue stops;
+    ``ring``
+        the non-branch seqs in program order: the RUU entries, so the
+        live entries are always ``ring[head:tail]``.
+    """
+    hit = _RUU_PLAN[0]
+    if hit is not None and hit[0]() is compiled:
+        return hit[1]
+
+    n = compiled.n
+    writer = [-1] * N_REGISTERS  # register -> seq of its latest write
+    units = [0] * n
+    producers: List[Tuple[int, ...]] = [()] * n
+    consumers: List[List[int]] = [[] for _ in range(n)]
+    branch_wait = [_NOT_BRANCH] * n
+    ring: List[int] = []
+    for seq, (unit, dest, srcs, is_branch, _t, _v, _vl, _b, is_cond) in (
+        enumerate(compiled.ops)
+    ):
+        units[seq] = unit
+        if is_branch:
+            branch_wait[seq] = writer[_A0] if is_cond else -1
+            continue
+        ring.append(seq)
+        reads = []
+        for src in srcs:
+            producer = writer[src]
+            if producer >= 0 and producer not in reads:
+                reads.append(producer)
+                consumers[producer].append(seq)
+        producers[seq] = tuple(reads)
+        if dest >= 0:
+            writer[dest] = seq
+
+    plan = (
+        tuple(units),
+        tuple(producers),
+        tuple(tuple(c) for c in consumers),
+        tuple(branch_wait),
+        tuple(ring),
+    )
+
+    _RUU_PLAN[0] = (weakref.ref(compiled), plan)
+    return plan
+
+
+def ruu_replay(
+    compiled, machine, config: MachineConfig, tracking: bool = False
+) -> RUURun:
+    """The RUU fast loop: one replay of *compiled* on *machine*/*config*.
+
+    Both backends run RUU machines through this one loop -- the
+    ``python`` backend once per spec, the ``batch`` backend once per
+    distinct replay of a sweep.  It walks the reference's commit /
+    dispatch / issue phase order over the shared :func:`ruu_plan`, so
+    renaming costs tuple reads instead of tag dictionaries, and jumps
+    over idle cycles (crediting occupancy and stall statistics for the
+    skipped span in closed form, so ``detail`` stays bit-identical).  The
+    next interesting cycle is the minimum of: the head entry's result
+    return (commit), the wakeup heap's root (dispatch), branch
+    resolution, and a known branch-operand availability (issue).
+
+    The wakeup heap holds ``ready * stride + seq`` integers, so it
+    orders by (ready cycle, seq) exactly like the reference's tuples.
+    Occupancy and issue-width counts share one flat histogram indexed
+    ``live * (issue_units + 1) + issued``; the occupancy mean, the
+    telemetry histograms and the run's peak are all read off it.  Busy
+    spans accumulate as ``commit - issue`` in two signed updates.
+    """
+    units, producers, consumers, branch_wait, ring = ruu_plan(compiled)
     table = config.latencies
     latencies = [table.latency(unit) for unit in UNITS]
     branch_latency = config.branch_latency
     width = machine.path_width
     issue_units = machine.issue_units
     ruu_size = machine.ruu_size
-    bypass = machine.bypass
+    delay = 0 if machine.bypass else 1
     ordered_memory = machine.ordered_memory
     fu_copies = machine.fu_copies
 
-    ops = compiled.ops
     n_entries = compiled.n
-    n_regs = N_REGISTERS
     n_units = len(UNITS)
+    stride = n_entries or 1
 
-    latest_instance = [0] * n_regs
-    tag_avail: Dict[int, int] = {}
-    waiting_on: Dict[int, List[int]] = {}
-
-    ent_unit = [0] * n_entries
-    ent_latency = [0] * n_entries
-    ent_dest = [-1] * n_entries
-    ent_pending = [0] * n_entries
-    ent_ready = [0] * n_entries
-    ent_result = [_UNKNOWN] * n_entries
-    ent_mem = [False] * n_entries
-
-    ring: List[int] = []  # program-ordered live entries (seqs)
-    head = 0
-    live = 0
-    ready_heap: List[Tuple[int, int]] = []
+    avail = [_UNKNOWN] * n_entries  # cycle a result is usable by readers
+    result = [_UNDISPATCHED] * n_entries  # cycle a result is back in the RUU
+    pending = [0] * n_entries
+    ready = [0] * n_entries
+    heap: List[int] = []  # entries whose operands are not ready yet
+    eligible: List[int] = []  # ready entries, oldest first, blocked so far
     ret_used: Dict[int, int] = {}  # FU->RUU return-path uses per cycle
     fu_cycle = [_UNKNOWN] * n_units
     fu_used = [0] * n_units
-
     if ordered_memory:
-        memory_seqs = [
-            seq for seq, op in enumerate(ops) if op[0] == _MEMORY
-        ]
+        memory_seqs = [seq for seq in ring if units[seq] == _MEMORY]
         memory_index = 0
 
-    occupancy_sum = 0
+    busy = [0] * n_units
+    h_stride = issue_units + 1
+    hist = [0] * ((min(ruu_size, len(ring)) + 1) * h_stride)
     full_stall_cycles = 0
     branch_stall_cycles = 0
 
-    pos = 0
-    issue_resume = 0
+    pos = 0  # next seq to issue
+    head = 0  # ring index of the oldest uncommitted entry
+    tail = 0  # ring index one past the youngest issued entry
+    issue_resume = 0  # also the latest branch resolution so far
     cycle = 0
     last_commit = 0
-    tracking = record is not None
     if tracking:
         issue_at = [0] * n_entries
         complete_at = [0] * n_entries
-    telemetry = telemetry_collecting()
-    if telemetry:
-        # Occupancy and issue-width counts share one flat histogram
-        # indexed `live * stride + issued` -- a single list update per
-        # simulated cycle, decomposed after the loop (both axes are
-        # small: occupancy is bounded by the RUU size, per-cycle issues
-        # by the issue width).  Busy spans accumulate as
-        # `commit - issue` split into two signed updates, saving the
-        # per-seq issue-cycle array.
-        t_busy = [0] * n_units
-        t_stride = issue_units + 1
-        t_hist = [0] * ((ruu_size + 1) * t_stride)
 
     while True:
         if cycle > _MAX_CYCLES:  # pragma: no cover - bug trap
             raise RuntimeError("RUU simulation failed to make progress")
 
         # ---- commit: retire in order from the head -------------------
-        commits = 0
-        while live > 0 and commits < width:
-            seq = ring[head]
-            result = ent_result[seq]
-            if result == _UNKNOWN or result > cycle:
-                break
-            head += 1
-            live -= 1
-            commits += 1
-            if cycle > last_commit:
-                last_commit = cycle
-            if tracking:
-                complete_at[seq] = cycle
-            if telemetry:
+        if head < tail:
+            stop = head + width
+            if stop > tail:
+                stop = tail
+            while head < stop:
+                seq = ring[head]
+                if result[seq] > cycle:
+                    break
+                head += 1
                 # RUU entry occupied from issue to commit -- the
-                # ISSUE..COMPLETE window of the reference events (the
-                # issue cycle was subtracted at issue).
-                t_busy[ent_unit[seq]] += cycle
-        if head > 4096 and head * 2 > len(ring):
-            del ring[:head]
-            head = 0
+                # ISSUE..COMPLETE window of the reference events.
+                busy[units[seq]] += cycle
+                if tracking:
+                    complete_at[seq] = cycle
+                last_commit = cycle
 
         # ---- dispatch: oldest ready entries, up to the path width ----
-        eligible: List[Tuple[int, int]] = []
-        while ready_heap and ready_heap[0][0] <= cycle:
-            eligible.append(heappop(ready_heap))
-        if len(eligible) > 1:
-            eligible.sort(key=lambda item: item[1])  # oldest first
-        dispatches = 0
-        for ready_cycle, seq in eligible:
-            unit = ent_unit[seq]
-            blocked = dispatches >= width
-            if not blocked and fu_cycle[unit] == cycle:
-                blocked = fu_used[unit] >= fu_copies
-            if not blocked and ordered_memory and ent_mem[seq]:
-                blocked = seq != memory_seqs[memory_index]
-            if blocked:
-                heappush(ready_heap, (cycle + 1, seq))
-                continue
-            dispatches += 1
-            if fu_cycle[unit] == cycle:
-                fu_used[unit] += 1
-            else:
-                fu_cycle[unit] = cycle
-                fu_used[unit] = 1
-            if ordered_memory and ent_mem[seq]:
-                memory_index += 1
-            back = cycle + ent_latency[seq]
-            while ret_used.get(back, 0) >= width:
-                back += 1
-            ret_used[back] = ret_used.get(back, 0) + 1
-            ent_result[seq] = back
-            dest_tag = ent_dest[seq]
-            if dest_tag >= 0:
-                avail = back if bypass else back + 1
-                tag_avail[dest_tag] = avail
-                for dep in waiting_on.pop(dest_tag, ()):
-                    pending = ent_pending[dep] - 1
-                    ent_pending[dep] = pending
-                    if avail > ent_ready[dep]:
-                        ent_ready[dep] = avail
-                    if pending == 0:
-                        heappush(ready_heap, (ent_ready[dep], dep))
+        limit = (cycle + 1) * stride
+        if heap and heap[0] < limit:
+            while heap and heap[0] < limit:
+                eligible.append(heappop(heap) % stride)
+            if len(eligible) > 1:
+                eligible.sort()  # oldest first
+        if eligible:
+            dispatches = 0
+            waiting = []
+            for seq in eligible:
+                if dispatches == width:
+                    waiting.extend(eligible[dispatches + len(waiting):])
+                    break
+                unit = units[seq]
+                if (
+                    (fu_cycle[unit] == cycle and fu_used[unit] >= fu_copies)
+                    or (
+                        ordered_memory
+                        and unit == _MEMORY
+                        and seq != memory_seqs[memory_index]
+                    )
+                ):
+                    waiting.append(seq)
+                    continue
+                dispatches += 1
+                if fu_cycle[unit] == cycle:
+                    fu_used[unit] += 1
+                else:
+                    fu_cycle[unit] = cycle
+                    fu_used[unit] = 1
+                if ordered_memory and unit == _MEMORY:
+                    memory_index += 1
+                back = cycle + latencies[unit]
+                used = ret_used.get(back, 0)
+                while used >= width:
+                    back += 1
+                    used = ret_used.get(back, 0)
+                ret_used[back] = used + 1
+                result[seq] = back
+                usable = back + delay
+                avail[seq] = usable
+                for dep in consumers[seq]:
+                    if dep >= pos:
+                        break  # not issued yet: reads avail at issue
+                    left = pending[dep] - 1
+                    pending[dep] = left
+                    if usable > ready[dep]:
+                        ready[dep] = usable
+                    if not left:
+                        heappush(heap, ready[dep] * stride + dep)
+            eligible = waiting
 
         # ---- issue: up to N instructions, in program order -----------
-        issued = 0
-        while (
-            pos < n_entries
-            and issued < issue_units
-            and cycle >= issue_resume
-            and live < ruu_size
-        ):
-            op = ops[pos]
-            if op[3]:  # branch
-                if op[8]:
-                    a0_tag = latest_instance[_A0] * n_regs + _A0
-                    a0_ready = (
-                        0 if a0_tag < n_regs
-                        else tag_avail.get(a0_tag, _UNKNOWN)
-                    )
-                else:
-                    a0_ready = 0
-                if a0_ready == _UNKNOWN or a0_ready > cycle:
-                    break  # branch waits at the issue stage
-                issue_resume = cycle + branch_latency
-                if issue_resume > last_commit:
-                    # Branches never commit; their resolution still
-                    # bounds the machine's finish time.
-                    last_commit = issue_resume
+        start = pos
+        if cycle >= issue_resume:
+            # Issue width and free RUU entries bound this cycle's issues
+            # (a branch also needs a free entry, and ends the cycle).
+            room = ruu_size - tail + head
+            stop = pos + (issue_units if issue_units < room else room)
+            if stop > n_entries:
+                stop = n_entries
+            while pos < stop:
+                wait = branch_wait[pos]
+                if wait != _NOT_BRANCH:
+                    if wait >= 0:
+                        operand = avail[wait]
+                        if operand == _UNKNOWN or operand > cycle:
+                            break  # branch waits at the issue stage
+                    issue_resume = cycle + branch_latency
+                    if tracking:
+                        issue_at[pos] = cycle
+                        complete_at[pos] = issue_resume
+                    pos += 1
+                    break  # nothing issues behind an unresolved branch
+
+                waits = 0
+                at = cycle
+                for producer in producers[pos]:
+                    operand = avail[producer]
+                    if operand == _UNKNOWN:
+                        waits += 1
+                    elif operand > at:
+                        at = operand
+                busy[units[pos]] -= cycle
                 if tracking:
                     issue_at[pos] = cycle
-                    complete_at[pos] = issue_resume
+                if waits:
+                    pending[pos] = waits
+                    ready[pos] = at
+                else:
+                    heappush(heap, at * stride + pos)
+                tail += 1
                 pos += 1
-                issued += 1
-                break  # nothing issues behind an unresolved branch
 
-            unit, dest, srcs = op[0], op[1], op[2]
-            pending = 0
-            ready = cycle
-            for src in srcs:
-                tag = latest_instance[src] * n_regs + src
-                avail = 0 if tag < n_regs else tag_avail.get(tag, _UNKNOWN)
-                if avail == _UNKNOWN:
-                    pending += 1
-                    waiting_on.setdefault(tag, []).append(pos)
-                elif avail > ready:
-                    ready = avail
-            if dest >= 0:
-                instance = latest_instance[dest] + 1
-                latest_instance[dest] = instance
-                ent_dest[pos] = instance * n_regs + dest
-            ent_unit[pos] = unit
-            ent_latency[pos] = latencies[unit]
-            ent_pending[pos] = pending
-            ent_ready[pos] = ready
-            ent_mem[pos] = unit == _MEMORY
-            ring.append(pos)
-            live += 1
-            if tracking:
-                issue_at[pos] = cycle
-            if telemetry:
-                t_busy[unit] -= cycle
-            if pending == 0:
-                heappush(ready_heap, (ready, pos))
-            pos += 1
-            issued += 1
-
-        occupancy_sum += live
-        if telemetry:
-            t_hist[live * t_stride + issued] += 1
+        issued = pos - start
+        live = tail - head
+        hist[live * h_stride + issued] += 1
         if pos < n_entries and issued == 0:
             if cycle < issue_resume:
                 branch_stall_cycles += 1
@@ -1164,30 +1221,29 @@ def simulate_ruu_fast(
             break
 
         # ---- advance: next cycle anything can happen ------------------
+        if eligible:
+            cycle += 1  # ready entries blocked this cycle retry the next
+            continue
         nxt = -1
         if live > 0:
-            result = ent_result[ring[head]]
-            if result != _UNKNOWN:
-                nxt = result if result > cycle else cycle + 1
-        if ready_heap:
-            c = ready_heap[0][0]
+            back = result[ring[head]]
+            if back != _UNDISPATCHED:
+                nxt = back if back > cycle else cycle + 1
+        if heap:
+            c = heap[0] // stride
             if c <= cycle:
                 c = cycle + 1
             if nxt < 0 or c < nxt:
                 nxt = c
         if pos < n_entries and live < ruu_size:
             cand = issue_resume if issue_resume > cycle + 1 else cycle + 1
-            op = ops[pos]
-            if op[3] and op[8]:
-                a0_tag = latest_instance[_A0] * n_regs + _A0
-                a0_ready = (
-                    0 if a0_tag < n_regs
-                    else tag_avail.get(a0_tag, _UNKNOWN)
-                )
-                if a0_ready == _UNKNOWN:
+            wait = branch_wait[pos]
+            if wait >= 0:
+                operand = avail[wait]
+                if operand == _UNKNOWN:
                     cand = -1  # A0 producer must dispatch first
-                elif a0_ready > cand:
-                    cand = a0_ready
+                elif operand > cand:
+                    cand = operand
             if cand >= 0 and (nxt < 0 or cand < nxt):
                 nxt = cand
         if nxt < 0:  # pragma: no cover - deadlock trap advances
@@ -1197,9 +1253,7 @@ def simulate_ruu_fast(
         # the reference's cycle-by-cycle walk would have.
         idle = nxt - cycle - 1
         if idle > 0:
-            occupancy_sum += live * idle
-            if telemetry:
-                t_hist[live * t_stride] += idle
+            hist[live * h_stride] += idle
             if pos < n_entries:
                 blocked = issue_resume - cycle - 1
                 if blocked > idle:
@@ -1211,44 +1265,73 @@ def simulate_ruu_fast(
                     full_stall_cycles += idle - blocked
         cycle = nxt
 
-    if tracking:
-        record.extend(zip(issue_at, complete_at))
+    occupancy_sum = 0
+    peak = 0
+    t_width: Dict[int, int] = {}
+    t_occupancy: Dict[int, int] = {}
+    for index, count in enumerate(hist):
+        if count:
+            level, issued = divmod(index, h_stride)
+            occupancy_sum += level * count
+            peak = level
+            t_occupancy[level] = t_occupancy.get(level, 0) + count
+            if issued:
+                t_width[issued] = t_width.get(issued, 0) + count
+    # Branches never commit; their resolution still bounds the machine's
+    # finish time (a trace ending in a branch ends when it resolves).
+    cycles = max(last_commit, issue_resume, 1)
     detail = {
         "ruu_occupancy_mean": occupancy_sum / max(cycle, 1),
         "ruu_full_stall_cycles": float(full_stall_cycles),
         "branch_stall_cycles": float(branch_stall_cycles),
     }
-    if telemetry:
-        t_width: Dict[int, int] = {}
-        t_occupancy: Dict[int, int] = {}
-        for index, count in enumerate(t_hist):
-            if count:
-                level, issued = divmod(index, t_stride)
-                t_occupancy[level] = t_occupancy.get(level, 0) + count
-                if issued:
-                    t_width[issued] = t_width.get(issued, 0) + count
+    if telemetry_collecting():
         detail.update(SimTelemetry(
             instructions=n_entries,
-            cycles=max(last_commit, 1),
+            cycles=cycles,
             stall_cycles={
                 "BRANCH": branch_stall_cycles,
                 "RUU_FULL": full_stall_cycles,
             },
             fu_busy_cycles={
-                _UNIT_NAMES[u]: t_busy[u]
-                for u in range(n_units)
-                if t_busy[u]
+                _UNIT_NAMES[u]: busy[u] for u in range(n_units) if busy[u]
             },
             issue_width=t_width,
             occupancy=t_occupancy,
         ).to_detail())
+    schedule = list(zip(issue_at, complete_at)) if tracking else None
+    return RUURun(cycles, detail, peak, schedule)
+
+
+def simulate_ruu_fast(
+    machine,
+    trace: Trace,
+    config: MachineConfig,
+    record: Optional[Schedule] = None,
+) -> SimulationResult:
+    """Fast twin of :meth:`RUUMachine.reference_simulate`: one
+    :func:`ruu_replay` over the trace's cached :func:`ruu_plan`.
+
+    Speculative runs (``predictor_factory``) keep the reference loop --
+    prediction state and accuracy stats are not modelled here; the
+    machine's dispatch gate never routes them this way.
+    """
+    compiled = compile_trace(trace)
+    if compiled.has_vector:
+        from ..base import scalar_only_error
+
+        raise scalar_only_error(machine.name)
+    count_run("python", "fast_runs")
+    run = ruu_replay(compiled, machine, config, record is not None)
+    if record is not None:
+        record.extend(run.schedule)
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,
         config=config,
-        instructions=n_entries,
-        cycles=max(last_commit, 1),
-        detail=detail,
+        instructions=compiled.n,
+        cycles=run.cycles,
+        detail=run.detail,
     )
 
 

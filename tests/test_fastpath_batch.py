@@ -247,6 +247,137 @@ def test_spec_sweep_members_counted_as_batch_fallbacks():
 
 
 # ----------------------------------------------------------------------
+# RUU grid through the batch backend: one loop, reused never-full runs
+# ----------------------------------------------------------------------
+#
+# The batch backend replays RUU members through the same loop as the
+# python backend, largest RUU first per timing class, and copies a run
+# to every smaller RUU its peak occupancy still fits.  The contract is
+# unchanged: cycles, detail (telemetry included) and schedules equal the
+# per-spec loop's, and the non-telemetry detail equals the reference's.
+
+from repro.core.buses import BusKind
+from repro.core.ruu import RUUMachine
+from repro.isa import A0
+
+
+def _ruu_grid():
+    """A Table 7-shaped grid plus the knobs the spec grammar cannot
+    reach (no bypass, ordered memory), with duplicate and tiny sizes."""
+    machines = [
+        RUUMachine(units, size, bus)
+        for units in (1, 2, 4)
+        for size in (100, 50, 10, 4, 1)
+        for bus in (BusKind.N_BUS, BusKind.ONE_BUS)
+    ]
+    machines += [
+        RUUMachine(2, size, bypass=False) for size in (50, 8)
+    ] + [
+        RUUMachine(2, size, ordered_memory=True) for size in (50, 8)
+    ] + [
+        RUUMachine(4, size, fu_copies=2) for size in (100, 30)
+    ] + [RUUMachine(4, 50), RUUMachine(4, 50)]
+    return machines
+
+
+def _ruu_traces():
+    kernels = [trace_source(f"kernel:{loop}:n=16") for loop in (1, 5, 7, 11)]
+    return kernels + list(TRACES[:12])
+
+
+def test_ruu_grid_batch_matches_perspec_and_reference():
+    machines = _ruu_grid()
+    for index, trace in enumerate(_ruu_traces()):
+        config = CONFIGS[index % len(CONFIGS)]
+        batch_records = [[] for _ in machines]
+        perspec_records = [[] for _ in machines]
+        batch = fastpath.simulate_sweep(
+            trace,
+            [
+                fastpath.SweepItem(machine, config, record)
+                for machine, record in zip(machines, batch_records)
+            ],
+            backend="batch",
+        )
+        perspec = fastpath.simulate_sweep(
+            trace,
+            [
+                fastpath.SweepItem(machine, config, record)
+                for machine, record in zip(machines, perspec_records)
+            ],
+            backend="python",
+        )
+        for machine, b, p, br, pr in zip(
+            machines, batch, perspec, batch_records, perspec_records
+        ):
+            context = (machine.name, trace.name, config.name)
+            ref = machine.reference_simulate(trace, config)
+            assert b.simulator == p.simulator == machine.name, context
+            assert b.cycles == p.cycles == ref.cycles, context
+            assert dict(b.detail) == dict(p.detail), context
+            assert strip_telemetry(b.detail) == dict(ref.detail), context
+            assert br == pr and len(br) == len(trace), context
+
+
+def test_ruu_never_full_runs_are_reused_and_full_ones_are_not():
+    """Around the peak occupancy P of an unbounded replay: sizes above P
+    reuse it, size P (the RUU fills there) replays afresh, and every
+    answer still equals a per-spec replay."""
+    trace = trace_source("kernel:5:n=16")
+    compiled = fastpath.compile_trace(trace)
+    peak = fastpath.python_backend.ruu_replay(
+        compiled, RUUMachine(2, 10_000), M11BR5
+    ).peak
+    assert peak > 2
+    sizes = (10_000, peak + 1, peak, peak - 1)
+    machines = [RUUMachine(2, size) for size in sizes]
+    fastpath.reset_stats()
+    batch = fastpath.simulate_sweep(
+        trace, [(machine, M11BR5) for machine in machines], backend="batch"
+    )
+    stats = fastpath.stats()
+    assert stats["batch.fast_runs"] == len(machines)
+    assert stats["batch.fallback_runs"] == 0
+    assert stats["batch.reused_runs"] == 1  # only peak + 1
+    for machine, result in zip(machines, batch):
+        alone = machine.simulate(trace, M11BR5)
+        assert (result.cycles, result.detail) == (alone.cycles, alone.detail)
+
+
+def test_ruu_plan_resolves_register_instances():
+    """The rename plan names producers by seq: a source reads the latest
+    earlier non-branch write of its register, initial contents drop out,
+    and conditional branches wait on A0's latest writer."""
+    trace = TRACES[0]
+    compiled = fastpath.compile_trace(trace)
+    units, producers, consumers, branch_wait, ring = (
+        fastpath.python_backend.ruu_plan(compiled)
+    )
+    writer = {}
+    for seq, entry in enumerate(trace.entries):
+        instr = entry.instruction
+        assert units[seq] == compiled.ops[seq][0]
+        if instr.is_branch:
+            assert seq not in ring
+            if instr.is_conditional_branch:
+                assert branch_wait[seq] == writer.get(A0, -1)
+            else:
+                assert branch_wait[seq] == -1
+            continue
+        expected = []
+        for reg in instr.source_registers:
+            producer = writer.get(reg, -1)
+            if producer >= 0 and producer not in expected:
+                expected.append(producer)
+        assert producers[seq] == tuple(expected)
+        for producer in expected:
+            assert seq in consumers[producer]
+        if instr.dest is not None:
+            writer[instr.dest] = seq
+    assert list(ring) == sorted(ring)
+
+
+# ----------------------------------------------------------------------
 # Registry-sourced workload families through the batch backend
 # ----------------------------------------------------------------------
 
