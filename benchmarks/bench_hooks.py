@@ -1,4 +1,4 @@
-"""Overhead gates for the simulator observability layers.
+"""Overhead gates for the event hooks and the compiled fast paths.
 
 Two budgets, one methodology (interleaved rounds, compared on the
 *minimum* round time -- the least noisy location estimator on a shared
@@ -10,29 +10,18 @@ machine; interleaving cancels slow drift):
   ``on_event=None``) is measured against the seed implementation
   preserved verbatim as ``reference_simulate()``, over the full table-1
   scoreboard workload (all 14 Livermore loops).
-* **telemetry** -- the aggregate :mod:`repro.obs.telemetry` counters the
-  compiled fast loops fill must not eat into the speedup the fast path
-  exists to deliver.  The workload is all six machine families
-  (scoreboard, CDC 6600, Tomasulo, in-order and out-of-order multiple
-  issue, RUU) over the full table-1 trace set; each round times the
-  fast path with collection on, with collection off, and the reference
-  loop, interleaved, and per-family minimums are summed.
-
-  The *enforced* statistic is telemetry's added time as a fraction of
-  the reference-loop time for the same workload -- the "zero-slowdown"
-  claim, quantified: turning collection on must consume under 5% of
-  the cost the fast path saves, and the fast path must stay >=3x
-  faster than the reference loop *with telemetry on*.  The raw
-  on-vs-off ratio is also printed (informational): per-instruction
-  attribution in pure CPython costs a visible slice of loops that run
-  at a few hundred nanoseconds per instruction (~6-15% depending on
-  family; see docs/performance.md), which is why the budget is anchored
-  to the baseline the user would otherwise pay, not to the fast loop's
-  own floor::
+* **fast-path floor** -- the compiled fast loops, which always fill the
+  aggregate :mod:`repro.obs.telemetry` counters, must stay well ahead of
+  the reference loops they replace.  The workload is all six machine
+  families (scoreboard, CDC 6600, Tomasulo, in-order and out-of-order
+  multiple issue, RUU) over the full table-1 trace set; each round
+  times the fast path and the reference loop, interleaved, and
+  per-family minimums are summed.  The enforced statistic is the
+  aggregate fast-vs-reference speedup; the per-family ratios are
+  printed alongside::
 
     PYTHONPATH=src python benchmarks/bench_hooks.py \\
-        --max-overhead 0.02 --max-telemetry-overhead 0.05 \\
-        --min-fast-speedup 3
+        --max-overhead 0.02 --min-fast-speedup 3
 
 CI runs exactly that.  Cycle counts are also asserted bit-identical
 across every variant, so the gates double as correctness checks.
@@ -47,10 +36,9 @@ import time
 from repro.core import build_simulator, config_by_name, fastpath
 from repro.core.scoreboard import cray_like_machine
 from repro.kernels import ALL_LOOPS, build_kernel
-from repro.obs.telemetry import set_collection
 
 #: One representative machine per family with a compiled fast loop.
-TELEMETRY_SPECS = (
+FAST_SPECS = (
     "cray",
     "cdc6600",
     "tomasulo",
@@ -105,57 +93,44 @@ def measure(rounds: int, config_name: str):
     return min(hooked_times), min(reference_times)
 
 
-def measure_telemetry(rounds: int, config_name: str):
-    """(fast with telemetry, fast without, reference) aggregate times.
+def measure_fast(rounds: int, config_name: str):
+    """Per-family ``(spec, fast, reference)`` minimum times.
 
-    All three run the table-1 workload across :data:`TELEMETRY_SPECS`;
-    the first two go through the compiled fast paths with the telemetry
-    collection switch flipped, the third through the preserved
-    reference loops.  Rounds are interleaved per family and the
-    per-family minimums are summed (each family's best round need not
-    be the same round).  Cycle counts are asserted identical across all
-    three variants for every (machine, trace) pair.
+    Both run the table-1 workload for each of :data:`FAST_SPECS`: the
+    first through the compiled fast path (telemetry included), the
+    second through the preserved reference loop.  Rounds are interleaved
+    per family and each family keeps its own minimums (its best round
+    need not be the same round).  Cycle counts are asserted identical
+    between the two for every (machine, trace) pair.
     """
-    machines = [build_simulator(spec) for spec in TELEMETRY_SPECS]
+    machines = [build_simulator(spec) for spec in FAST_SPECS]
     traces, config = build_workload(config_name)
     if not fastpath.enabled():
-        raise SystemExit("fast path disabled; telemetry gate needs it")
+        raise SystemExit("fast path disabled; the fast-path floor needs it")
+
+    for machine in machines:
+        for trace in traces:
+            fast = machine.simulate(trace, config)
+            reference = machine.reference_simulate(trace, config)
+            if fast.cycles != reference.cycles:
+                raise SystemExit(
+                    f"cycle mismatch on {trace.name} "
+                    f"({machine.name}): simulate={fast.cycles} "
+                    f"reference={reference.cycles}"
+                )
 
     n = len(machines)
-    on_best = [float("inf")] * n
-    off_best = [float("inf")] * n
+    fast_best = [float("inf")] * n
     reference_best = [float("inf")] * n
-    previous = set_collection(True)
-    try:
-        for machine in machines:
-            for trace in traces:
-                fast = machine.simulate(trace, config)
-                reference = machine.reference_simulate(trace, config)
-                if fast.cycles != reference.cycles:
-                    raise SystemExit(
-                        f"cycle mismatch on {trace.name} "
-                        f"({machine.name}): simulate={fast.cycles} "
-                        f"reference={reference.cycles}"
-                    )
-
-        for _ in range(rounds):
-            for index, machine in enumerate(machines):
-                set_collection(True)
-                on = time_pass(machine.simulate, traces, config)
-                set_collection(False)
-                off = time_pass(machine.simulate, traces, config)
-                reference = time_pass(
-                    machine.reference_simulate, traces, config
-                )
-                if on < on_best[index]:
-                    on_best[index] = on
-                if off < off_best[index]:
-                    off_best[index] = off
-                if reference < reference_best[index]:
-                    reference_best[index] = reference
-    finally:
-        set_collection(previous)
-    return sum(on_best), sum(off_best), sum(reference_best)
+    for _ in range(rounds):
+        for index, machine in enumerate(machines):
+            fast = time_pass(machine.simulate, traces, config)
+            reference = time_pass(machine.reference_simulate, traces, config)
+            if fast < fast_best[index]:
+                fast_best[index] = fast
+            if reference < reference_best[index]:
+                reference_best[index] = reference
+    return list(zip(FAST_SPECS, fast_best, reference_best))
 
 
 def main(argv=None) -> int:
@@ -172,17 +147,10 @@ def main(argv=None) -> int:
         help="fail if (hooked-reference)/reference exceeds this fraction",
     )
     parser.add_argument(
-        "--max-telemetry-overhead", type=float, default=None,
-        help=(
-            "fail if telemetry's added fast-path time exceeds this "
-            "fraction of the reference-loop time for the same workload"
-        ),
-    )
-    parser.add_argument(
         "--min-fast-speedup", type=float, default=None,
         help=(
-            "fail if fast-path speedup over the reference loop, with "
-            "telemetry on, drops below this factor"
+            "fail if the aggregate fast-path speedup over the reference "
+            "loops drops below this factor"
         ),
     )
     args = parser.parse_args(argv)
@@ -203,34 +171,28 @@ def main(argv=None) -> int:
             f"{args.max_overhead:.2%}"
         )
 
-    telemetry_on, telemetry_off, fast_reference = measure_telemetry(
-        args.rounds, args.config
-    )
-    telemetry_ratio = (telemetry_on - telemetry_off) / telemetry_off
-    telemetry_cost = (telemetry_on - telemetry_off) / fast_reference
-    speedup = fast_reference / telemetry_on
+    families = measure_fast(args.rounds, args.config)
     print(
-        f"compiled fast paths, six machine families, same trace set "
-        f"(sum of per-family minimums):"
+        "compiled fast paths (telemetry included) vs reference loops, "
+        "same trace set:"
     )
-    print(f"  reference loops          {fast_reference * 1e3:8.2f} ms")
-    print(f"  fast, telemetry off      {telemetry_off * 1e3:8.2f} ms")
-    print(f"  fast, telemetry on       {telemetry_on * 1e3:8.2f} ms")
-    print(f"  on vs off                {telemetry_ratio:+8.2%}")
-    print(f"  cost vs reference        {telemetry_cost:+8.2%} (enforced)")
-    print(f"  speedup vs reference     {speedup:8.2f}x (telemetry on)")
-    if (
-        args.max_telemetry_overhead is not None
-        and telemetry_cost > args.max_telemetry_overhead
-    ):
-        failures.append(
-            f"telemetry cost {telemetry_cost:.2%} of the reference-loop "
-            f"time exceeds budget {args.max_telemetry_overhead:.2%}"
+    print(f"  {'family':<10} {'fast (ms)':>10} {'ref (ms)':>10} {'ratio':>8}")
+    for spec, fast, reference_time in families:
+        print(
+            f"  {spec:<10} {fast * 1e3:10.2f} {reference_time * 1e3:10.2f} "
+            f"{reference_time / fast:7.2f}x"
         )
+    fast_total = sum(fast for _, fast, _ in families)
+    reference_total = sum(ref for _, _, ref in families)
+    speedup = reference_total / fast_total
+    print(
+        f"  {'all':<10} {fast_total * 1e3:10.2f} "
+        f"{reference_total * 1e3:10.2f} {speedup:7.2f}x (enforced)"
+    )
     if args.min_fast_speedup is not None and speedup < args.min_fast_speedup:
         failures.append(
-            f"fast-path speedup {speedup:.2f}x with telemetry on is below "
-            f"the {args.min_fast_speedup:.1f}x floor"
+            f"fast-path speedup {speedup:.2f}x is below the "
+            f"{args.min_fast_speedup:.1f}x floor"
         )
 
     for failure in failures:
@@ -242,9 +204,6 @@ def main(argv=None) -> int:
         for flag, text in (
             (args.max_overhead, f"hooks {args.max_overhead:.2%}"
              if args.max_overhead is not None else ""),
-            (args.max_telemetry_overhead,
-             f"telemetry {args.max_telemetry_overhead:.2%}"
-             if args.max_telemetry_overhead is not None else ""),
             (args.min_fast_speedup, f"speedup {args.min_fast_speedup:.1f}x"
              if args.min_fast_speedup is not None else ""),
         )

@@ -782,8 +782,8 @@ def run_sweep(
 
     The sweep-shaped entry point: each trace is lowered once and
     replayed through *every* spec in one pass of the selected fast-path
-    backend (``"auto"`` resolves to the batch structure-of-arrays
-    backend; ``"python"`` forces per-spec compiled loops).  Machines
+    backend (``"auto"`` resolves to the batch sweep backend;
+    ``"python"`` forces per-spec compiled loops).  Machines
     without a compiled loop -- and every machine when the fast path is
     disabled -- run their reference loops; results are bit-identical
     across backends either way.

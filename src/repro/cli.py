@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "fast-path backend for sweep-shaped cell groups (auto = "
-            "batch structure-of-arrays; results are identical either way)"
+            "batch sweep kernels; results are identical either way)"
         ),
     )
     tables.add_argument(

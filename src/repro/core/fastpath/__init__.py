@@ -15,9 +15,10 @@ The package splits the fast path into three layers:
 * the backends themselves -- ``python``
   (:mod:`~repro.core.fastpath.python_backend`): the per-spec compiled
   loops machines dispatch to; ``batch``
-  (:mod:`~repro.core.fastpath.batch`): structure-of-arrays sweep
-  evaluation that replays one compiled trace through many
-  (machine, config) pairs in a single pass.
+  (:mod:`~repro.core.fastpath.batch`): sweep evaluation that replays
+  one compiled trace through many (machine, config) pairs in a single
+  call, with shared-analysis kernels for the out-of-order and RUU
+  families and the per-spec loops for the rest.
 
 :func:`simulate_sweep` is the sweep entry point: it applies the gating
 per item (ineligible members run their machine's own ``simulate``,

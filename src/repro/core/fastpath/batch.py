@@ -1,4 +1,4 @@
-"""The ``batch`` backend: structure-of-arrays sweep evaluation.
+"""The ``batch`` backend: sweep evaluation that shares work across specs.
 
 The paper's experiments are sweep-shaped: the same trace replayed
 across many machine configurations (the four memory/branch variants of
@@ -6,27 +6,30 @@ a table, the oracle's machine set, an issue-width sweep).  The
 per-spec loops pay the full replay cost per configuration even though
 :func:`~repro.core.fastpath.ir.compile_trace` already shares the
 decode.  This backend evaluates one :class:`CompiledTrace` through a
-whole sweep in a single pass: per-spec machine state lives in parallel
-integer arrays (one slot per sweep member), and everything that does
-not depend on the configuration -- operand/flag unpacking, the
-in-order window and out-of-order buffer decomposition, the per-buffer
-hazard analysis -- is computed once and shared across the sweep.
+whole sweep in a single call and keeps a kernel only for the families
+where config-independent work is worth sharing:
 
-Grouping: sweep items are bucketed by *structure key* -- the attributes
-that shape the shared decomposition (machine family; issue width and
-WAR policy for the windowed machines).  Flags that only parameterise
-the per-spec recurrence (latency tables, branch latency, bus wiring,
-result-bus modelling, chaining) stay per-spec inside a group, so e.g.
-``cray``/``serialmemory``/``nonsegmented`` batch together and a
-four-config table row is always one group.  RUU members share the
-trace's rename plan and run the one RUU loop per distinct replay: a
-replay whose RUU never filled serves every smaller RUU its peak still
-fits (counted as ``reused_runs``).  The Tomasulo and speculative
-machines keep their per-spec loops (per-cycle wakeup state and
-predictor replay do not share across configs profitably); sweep items
-for them are served by the ``python`` backend loops inside the same
-sweep call -- counted as ``fallback_runs`` -- sharing the single
-compiled trace.
+* ``ooo``: each fetch buffer's hazard analysis is computed once and
+  replayed per member (below);
+* ``ruu``: members share the trace's rename plan and run the one RUU
+  loop per distinct replay -- a replay whose RUU never filled serves
+  every smaller RUU its peak still fits (counted as ``reused_runs``).
+
+Every other family -- scoreboard, cdc6600, in-order, Tomasulo and the
+speculative machine -- is served by the ``python`` backend's per-spec
+loops inside the same sweep call, sharing the single compiled trace
+and counted as ``fallback_runs``.  A family is batched only if its
+kernel beats per-spec replay on its own table's sweep shape: the
+single-issue and in-order recurrences have no shared analysis to
+amortise, and structure-of-arrays kernels for them measured slower
+than the per-spec loops (``docs/performance.md``).
+
+Grouping: batched members are bucketed by *structure key* -- the
+attributes that shape the shared analysis (the RUU family as a whole;
+issue width and WAR policy for the out-of-order machine).  Flags that
+only parameterise the per-spec recurrence (latency tables, branch
+latency, bus wiring) stay per-member inside a group, so a four-config
+table row is always one group.
 
 For the out-of-order machine the shared analysis is the big win: the
 reference (and the per-spec fast loop) re-derives control and data
@@ -45,17 +48,16 @@ dispatch overhead dominates any arithmetic saved.  Bit-identity with
 ``reference_simulate`` is the contract here exactly as for the
 ``python`` backend; the differential sweep in
 ``tests/test_fastpath_batch.py`` and the oracle's ``fastpath-dual``
-check enforce it.
+check enforce it.  Like the per-spec loops, both kernels always fill
+the ``tlm.*`` telemetry record.
 """
 
 from __future__ import annotations
 
 import weakref
-from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
 from ...obs.telemetry import SimTelemetry
-from ...obs.telemetry import collecting as telemetry_collecting
 from ...trace import Trace
 from ..buses import BusKind
 from ..result import SimulationResult
@@ -70,11 +72,10 @@ from .ir import (
     N_REGISTERS,
     UNITS,
     _UNKNOWN,
-    _unit_tables,
     compile_trace,
     window_stats,
 )
-from .python_backend import _UNIT_NAMES, _closed_busy, ruu_replay
+from .python_backend import _closed_busy, ruu_replay
 
 __all__ = ["BatchBackend"]
 
@@ -83,9 +84,7 @@ _MAX_BUFFER_CYCLES = 100_000
 
 #: Families the batch kernels cover; the rest fall back to the
 #: ``python`` backend's per-spec loops (still inside the one sweep).
-_BATCHED_FAMILIES = frozenset(
-    {"scoreboard", "cdc6600", "inorder", "ooo", "ruu"}
-)
+_BATCHED_FAMILIES = frozenset({"ooo", "ruu"})
 
 
 def _scalar_only(machine):
@@ -94,574 +93,15 @@ def _scalar_only(machine):
     raise scalar_only_error(machine.name)
 
 
-def _result(compiled, machine, config, cycles, detail=None) -> SimulationResult:
+def _result(compiled, machine, config, cycles, detail) -> SimulationResult:
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,
         config=config,
         instructions=compiled.n,
         cycles=cycles,
-        detail=detail if detail is not None else {},
+        detail=detail,
     )
-
-
-# ----------------------------------------------------------------------
-# Scoreboard family: single issue, issue-blocking (Section 3.2)
-# ----------------------------------------------------------------------
-
-def _sweep_scoreboard(compiled, group) -> List[SimulationResult]:
-    """All scoreboard variants over one trace: ops outer, specs inner.
-
-    The per-spec body is the ``python`` backend's scoreboard recurrence
-    verbatim (same max chains, same bus probe, same tie-breaks); only
-    the operand unpacking is hoisted out of the sweep.
-    """
-    K = len(group)
-    p_lat: List[List[int]] = []
-    p_pipe: List[List[bool]] = []
-    p_brlat: List[int] = []
-    p_bus: List[bool] = []
-    p_chain: List[bool] = []
-    for item in group:
-        machine, config = item.simulator, item.config
-        latencies, pipelined = _unit_tables(
-            config, machine.fu_pipelined, machine.memory_interleaved
-        )
-        p_lat.append(latencies)
-        p_pipe.append(pipelined)
-        p_brlat.append(config.branch_latency)
-        p_bus.append(machine.model_result_bus)
-        p_chain.append(machine.vector_chaining)
-
-    n_units = len(UNITS)
-    reg_ready = [[0] * N_REGISTERS for _ in range(K)]
-    write_done = [[0] * N_REGISTERS for _ in range(K)]
-    fu_free = [[0] * n_units for _ in range(K)]
-    bus_reserved: List[set] = [set() for _ in range(K)]
-    bus_heap: List[List[int]] = [[] for _ in range(K)]
-    next_issue = [0] * K
-    last_event = [0] * K
-    records = [item.record for item in group]
-
-    telemetry = telemetry_collecting()
-
-    # Two copies of the recurrence, as in the ``python`` backend's
-    # scoreboard loop: the plain copy is the replay verbatim, the
-    # telemetry copy tags each issue-probe improvement with an integer
-    # reason code and attributes whole issue gaps in closed form
-    # (branch shadows pre-credited at the branch, refunded when a later
-    # relabelled gap absorbs them).
-    if not telemetry:
-        for unit, dest, srcs, is_branch, _taken, is_vector, vl, uses_bus, \
-                _c in compiled.ops:
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-
-                earliest = next_issue[k]
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > earliest:
-                        earliest = ready
-                if dest >= 0:
-                    ready = write_done[k][dest]
-                    if ready > earliest:
-                        earliest = ready
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-                if p_bus[k] and uses_bus:
-                    reserved = bus_reserved[k]
-                    heap = bus_heap[k]
-                    front = next_issue[k]
-                    while heap and heap[0] <= front:
-                        reserved.discard(heappop(heap))
-                    while earliest + latency in reserved:
-                        earliest += 1
-
-                issue = earliest
-
-                complete = issue + latency + vl
-                if p_bus[k] and uses_bus:
-                    bus_reserved[k].add(complete)
-                    heappush(bus_heap[k], complete)
-
-                if is_vector:
-                    fu_free[k][unit] = (
-                        issue + vl if p_pipe[k][unit] else complete
-                    )
-                else:
-                    fu_free[k][unit] = (
-                        issue + 1 if p_pipe[k][unit] else complete
-                    )
-
-                if dest >= 0:
-                    if is_vector and p_chain[k]:
-                        regs[dest] = issue + latency
-                    else:
-                        regs[dest] = complete
-                    write_done[k][dest] = complete
-
-                if is_branch:
-                    next_issue[k] = issue + p_brlat[k]
-                    complete = next_issue[k]
-                else:
-                    next_issue[k] = issue + 1
-
-                if complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((issue, complete))
-    else:
-        # reason codes: 0 NONE, 1 RAW, 2 WAW, 3 UNIT, 4 BUS, 5 BRANCH
-        t_acc = [[0] * 6 for _ in range(K)]
-        t_prev = [-1] * K
-        reason = 0
-        for unit, dest, srcs, is_branch, _taken, is_vector, vl, uses_bus, \
-                _c in compiled.ops:
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-
-                front = next_issue[k]
-                earliest = front
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > earliest:
-                        earliest = ready
-                        reason = 1
-                if dest >= 0:
-                    ready = write_done[k][dest]
-                    if ready > earliest:
-                        earliest = ready
-                        reason = 2
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-                    reason = 3
-                if p_bus[k] and uses_bus:
-                    reserved = bus_reserved[k]
-                    heap = bus_heap[k]
-                    while heap and heap[0] <= front:
-                        reserved.discard(heappop(heap))
-                    while earliest + latency in reserved:
-                        earliest += 1
-                        reason = 4
-
-                issue = earliest
-
-                # A positive gap implies a strict improvement set
-                # `reason` this iteration, so no per-op reseeding.
-                if issue > front:
-                    acc = t_acc[k]
-                    gap = issue - t_prev[k] - 1
-                    acc[reason] += gap
-                    shadow = gap - issue + front
-                    if shadow:
-                        acc[5] -= shadow
-                t_prev[k] = issue
-
-                complete = issue + latency + vl
-                if p_bus[k] and uses_bus:
-                    bus_reserved[k].add(complete)
-                    heappush(bus_heap[k], complete)
-
-                if is_vector:
-                    fu_free[k][unit] = (
-                        issue + vl if p_pipe[k][unit] else complete
-                    )
-                else:
-                    fu_free[k][unit] = (
-                        issue + 1 if p_pipe[k][unit] else complete
-                    )
-
-                if dest >= 0:
-                    if is_vector and p_chain[k]:
-                        regs[dest] = issue + latency
-                    else:
-                        regs[dest] = complete
-                    write_done[k][dest] = complete
-
-                if is_branch:
-                    next_issue[k] = issue + p_brlat[k]
-                    complete = next_issue[k]
-                    t_acc[k][5] += p_brlat[k] - 1
-                else:
-                    next_issue[k] = issue + 1
-
-                if complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((issue, complete))
-        if compiled.n and compiled.ops[-1][3]:
-            # The final branch's shadow has no successor to pay it.
-            for k in range(K):
-                t_acc[k][5] -= p_brlat[k] - 1
-
-    details: List[Dict[str, float]] = [{}] * K
-    if telemetry:
-        details = [
-            SimTelemetry(
-                instructions=compiled.n,
-                cycles=last_event[k],
-                stall_cycles={
-                    "RAW": t_acc[k][1],
-                    "WAW": t_acc[k][2],
-                    "UNIT": t_acc[k][3],
-                    "BUS": t_acc[k][4],
-                    "BRANCH": t_acc[k][5],
-                },
-                fu_busy_cycles=_closed_busy(compiled, p_lat[k], p_brlat[k]),
-                issue_width={1: compiled.n},
-            ).to_detail()
-            for k in range(K)
-        ]
-
-    return [
-        _result(compiled, item.simulator, item.config, last_event[k],
-                details[k])
-        for k, item in enumerate(group)
-    ]
-
-
-# ----------------------------------------------------------------------
-# CDC 6600-style scoreboard: RAW waits at the units (Section 3.3)
-# ----------------------------------------------------------------------
-
-def _sweep_cdc6600(compiled, group) -> List[SimulationResult]:
-    K = len(group)
-    p_lat: List[List[int]] = []
-    p_brlat: List[int] = []
-    p_holds: List[bool] = []
-    for item in group:
-        table = item.config.latencies
-        p_lat.append([table.latency(unit) for unit in UNITS])
-        p_brlat.append(item.config.branch_latency)
-        p_holds.append(item.simulator.fu_holds_until_complete)
-
-    from .ir import _MEMORY
-
-    n_units = len(UNITS)
-    reg_ready = [[0] * N_REGISTERS for _ in range(K)]
-    fu_free = [[0] * n_units for _ in range(K)]
-    next_issue = [0] * K
-    last_event = [0] * K
-    records = [item.record for item in group]
-
-    telemetry = telemetry_collecting()
-
-    # Two copies of the recurrence (see the scoreboard sweep).  Busy
-    # spans are mostly closed-form: a non-branch op occupies its unit
-    # for ``latency`` cycles plus however long RAW delivery delays
-    # execution start (``start - issue``), and a branch for the branch
-    # latency exactly -- so the telemetry copy only accumulates the
-    # start-delay excess and adds the closed form at the end.
-    if not telemetry:
-        for unit, dest, srcs, is_branch, _t, _v, _vl, _bus, _c in (
-            compiled.ops
-        ):
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-
-                earliest = next_issue[k]
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-                if dest >= 0:
-                    waw = regs[dest]
-                    if waw > earliest:
-                        earliest = waw
-                if is_branch:
-                    for src in srcs:
-                        ready = regs[src]
-                        if ready > earliest:
-                            earliest = ready
-
-                issue = earliest
-
-                start = issue
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > start:
-                        start = ready
-                complete = start + latency
-
-                if is_branch:
-                    next_issue[k] = issue + p_brlat[k]
-                    complete = next_issue[k]
-                    fu_free[k][unit] = issue + 1
-                else:
-                    next_issue[k] = issue + 1
-                    if unit == _MEMORY:
-                        fu_free[k][unit] = start + 1
-                    else:
-                        fu_free[k][unit] = (
-                            complete if p_holds[k] else start + 1
-                        )
-                    if dest >= 0:
-                        regs[dest] = complete
-
-                if complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((issue, complete))
-    else:
-        t_extra = [[0] * n_units for _ in range(K)]
-        for unit, dest, srcs, is_branch, _t, _v, _vl, _bus, _c in (
-            compiled.ops
-        ):
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-
-                earliest = next_issue[k]
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-                if dest >= 0:
-                    waw = regs[dest]
-                    if waw > earliest:
-                        earliest = waw
-                if is_branch:
-                    for src in srcs:
-                        ready = regs[src]
-                        if ready > earliest:
-                            earliest = ready
-
-                issue = earliest
-
-                start = issue
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > start:
-                        start = ready
-                complete = start + latency
-                if start > issue:
-                    # RAW delivery held the unit past its closed-form
-                    # span.  (Branches never take this path: their
-                    # issue already waited on every source.)
-                    t_extra[k][unit] += start - issue
-
-                if is_branch:
-                    next_issue[k] = issue + p_brlat[k]
-                    complete = next_issue[k]
-                    fu_free[k][unit] = issue + 1
-                else:
-                    next_issue[k] = issue + 1
-                    if unit == _MEMORY:
-                        fu_free[k][unit] = start + 1
-                    else:
-                        fu_free[k][unit] = (
-                            complete if p_holds[k] else start + 1
-                        )
-                    if dest >= 0:
-                        regs[dest] = complete
-
-                if complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((issue, complete))
-
-    details: List[Dict[str, float]] = [{}] * K
-    if telemetry:
-        details = []
-        for k in range(K):
-            busy = _closed_busy(compiled, p_lat[k], p_brlat[k])
-            for u in range(n_units):
-                if t_extra[k][u]:
-                    name = _UNIT_NAMES[u]
-                    busy[name] = busy.get(name, 0) + t_extra[k][u]
-            details.append(
-                SimTelemetry(
-                    instructions=compiled.n,
-                    cycles=max(last_event[k], 1),
-                    stall_cycles={},
-                    fu_busy_cycles=busy,
-                    issue_width={1: compiled.n},
-                ).to_detail()
-            )
-
-    return [
-        _result(compiled, item.simulator, item.config, max(last_event[k], 1),
-                details[k])
-        for k, item in enumerate(group)
-    ]
-
-
-# ----------------------------------------------------------------------
-# In-order multiple issue (Section 5.1): shared window decomposition
-# ----------------------------------------------------------------------
-
-def _sweep_inorder(compiled, units, group) -> List[SimulationResult]:
-    """One window walk, every spec: the window boundaries (up to
-    *units* slots, cut at the first taken branch) depend only on the
-    compiled taken flags, so the decomposition and operand unpacking
-    are shared; the per-slot recurrence runs per spec."""
-    K = len(group)
-    p_lat: List[List[int]] = []
-    p_brlat: List[int] = []
-    p_nbus: List[int] = []
-    p_xbar: List[bool] = []
-    for item in group:
-        latencies, _ = _unit_tables(item.config, True, True)
-        p_lat.append(latencies)
-        p_brlat.append(item.config.branch_latency)
-        kind = item.simulator.bus_kind
-        p_nbus.append(1 if kind is BusKind.ONE_BUS else units)
-        p_xbar.append(kind is BusKind.X_BAR)
-
-    n_units = len(UNITS)
-    reg_ready = [[0] * N_REGISTERS for _ in range(K)]
-    fu_free = [[0] * n_units for _ in range(K)]
-    buses: List[List[set]] = [
-        [set() for _ in range(p_nbus[k])] for k in range(K)
-    ]
-    bus_heap: List[List[Tuple[int, int]]] = [[] for _ in range(K)]
-    cycles = [0] * K
-    last_event = [0] * K
-    records = [item.record for item in group]
-
-    telemetry = telemetry_collecting()
-    # Buffer shape (occupancy, flushes) is config-independent and comes
-    # from the shared per-trace cache.  Issue-width run lengths depend
-    # on latencies, so they stay per spec; runs never exceed the buffer
-    # width, so the histograms live in flat lists.
-    t_run = [0] * K
-    t_run_cycle = [-1] * K
-    t_width: List[List[int]] = [[0] * (units + 1) for _ in range(K)]
-
-    ops = compiled.ops
-    n_entries = compiled.n
-    pos = 0
-    while pos < n_entries:
-        end = pos + units
-        if end > n_entries:
-            end = n_entries
-        index = pos
-        cut = False
-        is_branch = False
-        while index < end:
-            unit, dest, srcs, is_branch, taken, _v, _vl, _bus, _c = ops[index]
-            slot = index - pos
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-                cycle = cycles[k]
-
-                earliest = cycle
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > earliest:
-                        earliest = ready
-                if dest >= 0:
-                    ready = regs[dest]
-                    if ready > earliest:
-                        earliest = ready
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-
-                if dest >= 0:
-                    heap = bus_heap[k]
-                    buses_k = buses[k]
-                    while heap and heap[0][0] <= cycle:
-                        done, bus_index = heappop(heap)
-                        buses_k[bus_index].discard(done)
-                    target = earliest + latency
-                    if p_xbar[k]:
-                        while True:
-                            chosen = -1
-                            for bus_index, reserved in enumerate(buses_k):
-                                if target not in reserved:
-                                    chosen = bus_index
-                                    break
-                            if chosen >= 0:
-                                break
-                            earliest += 1
-                            target += 1
-                    else:
-                        chosen = slot % p_nbus[k]
-                        reserved = buses_k[chosen]
-                        while target in reserved:
-                            earliest += 1
-                            target += 1
-                    buses_k[chosen].add(target)
-                    heappush(heap, (target, chosen))
-
-                cycle = earliest
-                if telemetry:
-                    # Issue cycles are globally nondecreasing, so equal
-                    # neighbours form one multi-issue cycle: run-length
-                    # encode them into the width histogram.
-                    if cycle == t_run_cycle[k]:
-                        t_run[k] += 1
-                    else:
-                        run = t_run[k]
-                        if run:
-                            t_width[k][run] += 1
-                        t_run[k] = 1
-                        t_run_cycle[k] = cycle
-                complete = cycle + latency
-                fu_free[k][unit] = cycle + 1
-                if dest >= 0:
-                    regs[dest] = complete
-                if not is_branch and complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((
-                        cycle,
-                        cycle + p_brlat[k] if is_branch else complete,
-                    ))
-
-                if is_branch:
-                    resolve = cycle + p_brlat[k]
-                    if resolve > last_event[k]:
-                        last_event[k] = resolve
-                    cycle = resolve
-                cycles[k] = cycle
-            index += 1
-            if is_branch and taken:
-                cut = True
-                break
-
-        pos = index
-        if not cut and not is_branch:
-            # Full buffer issued, straight-line tail: the refill is
-            # overlapped, examinable the cycle after the last issue.
-            for k in range(K):
-                cycles[k] += 1
-
-    details: List[Dict[str, float]] = [{}] * K
-    if telemetry:
-        t_occ, t_flushes, t_flush_cycles = window_stats(compiled, units)
-        details = []
-        for k in range(K):
-            run = t_run[k]
-            if run:
-                t_width[k][run] += 1
-            details.append(
-                SimTelemetry(
-                    instructions=compiled.n,
-                    cycles=max(last_event[k], 1),
-                    stall_cycles={},
-                    fu_busy_cycles=_closed_busy(
-                        compiled, p_lat[k], p_brlat[k]
-                    ),
-                    issue_width={
-                        w: c for w, c in enumerate(t_width[k]) if c
-                    },
-                    occupancy=t_occ,
-                    flushes=t_flushes,
-                    flush_cycles=t_flush_cycles,
-                ).to_detail()
-            )
-
-    return [
-        _result(compiled, item.simulator, item.config, max(last_event[k], 1),
-                details[k])
-        for k, item in enumerate(group)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -847,20 +287,12 @@ def _sweep_ooo(compiled, units, enforce_war, group) -> List[SimulationResult]:
 
     buffers = _ooo_plan(compiled, units, enforce_war)
 
-    telemetry = telemetry_collecting()
     # Buffer occupancy and taken-branch flushes depend only on the
     # taken flags (shared per-trace cache); single-slot buffers always
     # issue alone, so their width-1 contribution is one count, not one
     # dict update per buffer per spec.
-    t_occ: Dict[int, int] = {}
-    t_flushes = 0
-    t_flush_cycles = 0
-    t_singles = 0
-    if telemetry:
-        t_occ, t_flushes, t_flush_cycles = window_stats(compiled, units)
-        for _pos, tag, _payload, _fm in buffers:
-            if tag == _SINGLE:
-                t_singles += 1
+    t_occ, t_flushes, t_flush_cycles = window_stats(compiled, units)
+    t_singles = sum(1 for _pos, tag, _p, _fm in buffers if tag == _SINGLE)
     t_details: List[Dict[str, float]] = [{}] * K
 
     # ------------------------------------------------------------------
@@ -990,33 +422,31 @@ def _sweep_ooo(compiled, units, enforce_war, group) -> List[SimulationResult]:
                         last_event = complete
                     if c > maxc:
                         maxc = c
-                    if telemetry:
-                        t_cs_append(c)
+                    t_cs_append(c)
                     if track:
                         issue_k[pos + slot] = c
                         complete_k[pos + slot] = complete
-                if telemetry:
-                    # Slots may share an issue cycle only within this
-                    # buffer (the next one starts past ``maxc``), so the
-                    # per-buffer multiset gives the per-cycle widths;
-                    # pairwise counting over <= `units` entries beats a
-                    # per-slot dict by a wide margin.
-                    m = len(t_cs)
-                    if m == 1:
-                        t_width[1] += 1
-                    else:
-                        counted = 0
-                        for i in range(m):
-                            if counted >> i & 1:
-                                continue
-                            ci = t_cs[i]
-                            run = 1
-                            for j in range(i + 1, m):
-                                if t_cs[j] == ci:
-                                    run += 1
-                                    counted |= 1 << j
-                            t_width[run] += 1
-                    t_cs.clear()
+                # Slots may share an issue cycle only within this
+                # buffer (the next one starts past ``maxc``), so the
+                # per-buffer multiset gives the per-cycle widths;
+                # pairwise counting over <= `units` entries beats a
+                # per-slot dict by a wide margin.
+                m = len(t_cs)
+                if m == 1:
+                    t_width[1] += 1
+                else:
+                    counted = 0
+                    for i in range(m):
+                        if counted >> i & 1:
+                            continue
+                        ci = t_cs[i]
+                        run = 1
+                        for j in range(i + 1, m):
+                            if t_cs[j] == ci:
+                                run += 1
+                                counted |= 1 << j
+                        t_width[run] += 1
+                t_cs.clear()
                 cycle = maxc + 1
                 continue
 
@@ -1117,14 +547,13 @@ def _sweep_ooo(compiled, units, enforce_war, group) -> List[SimulationResult]:
                             complete_k[pos + slot] = complete
                         if not unissued:
                             break
-                    if telemetry:
-                        # Scan passes visit strictly increasing cycles,
-                        # so the issues of one pass are one cycle's
-                        # issue width (issued bits = before ^ unissued,
-                        # since unissued only ever loses bits).
-                        issued = (before ^ unissued).bit_count()
-                        if issued:
-                            t_width[issued] += 1
+                    # Scan passes visit strictly increasing cycles,
+                    # so the issues of one pass are one cycle's
+                    # issue width (issued bits = before ^ unissued,
+                    # since unissued only ever loses bits).
+                    issued = (before ^ unissued).bit_count()
+                    if issued:
+                        t_width[issued] += 1
                     if unissued:
                         if progressed:
                             cycle += 1
@@ -1251,10 +680,9 @@ def _sweep_ooo(compiled, units, enforce_war, group) -> List[SimulationResult]:
                             complete_k[pos + slot] = complete
                     if not unissued:
                         break
-                if telemetry:
-                    issued = (before ^ unissued).bit_count()
-                    if issued:
-                        t_width[issued] += 1
+                issued = (before ^ unissued).bit_count()
+                if issued:
+                    t_width[issued] += 1
                 if unissued:
                     if progressed:
                         cycle += 1
@@ -1266,18 +694,17 @@ def _sweep_ooo(compiled, units, enforce_war, group) -> List[SimulationResult]:
             cycle = cycle + 1 if cycle + 1 > barrier else barrier
 
         last_events[k] = last_event
-        if telemetry:
-            t_width[1] += t_singles
-            t_details[k] = SimTelemetry(
-                instructions=compiled.n,
-                cycles=max(last_event, 1),
-                stall_cycles={},
-                fu_busy_cycles=_closed_busy(compiled, latencies, brlat),
-                issue_width={w: c for w, c in enumerate(t_width) if c},
-                occupancy=t_occ,
-                flushes=t_flushes,
-                flush_cycles=t_flush_cycles,
-            ).to_detail()
+        t_width[1] += t_singles
+        t_details[k] = SimTelemetry(
+            instructions=compiled.n,
+            cycles=max(last_event, 1),
+            stall_cycles={},
+            fu_busy_cycles=_closed_busy(compiled, latencies, brlat),
+            issue_width={w: c for w, c in enumerate(t_width) if c},
+            occupancy=t_occ,
+            flushes=t_flushes,
+            flush_cycles=t_flush_cycles,
+        ).to_detail()
 
     results = []
     for k, item in enumerate(group):
@@ -1375,8 +802,6 @@ class BatchBackend(Backend):
             family = family_of(item.simulator)
             if family not in _BATCHED_FAMILIES:
                 key: Tuple = ("fallback",)
-            elif family == "inorder":
-                key = ("inorder", item.simulator.issue_units)
             elif family == "ooo":
                 key = (
                     "ooo",
@@ -1397,13 +822,7 @@ class BatchBackend(Backend):
                 batch = python.simulate_sweep(trace, group)
             else:
                 count_run("batch", "fast_runs", len(group))
-                if family == "scoreboard":
-                    batch = _sweep_scoreboard(compiled, group)
-                elif family == "cdc6600":
-                    batch = _sweep_cdc6600(compiled, group)
-                elif family == "inorder":
-                    batch = _sweep_inorder(compiled, key[1], group)
-                elif family == "ruu":
+                if family == "ruu":
                     batch = _sweep_ruu(compiled, group)
                 else:
                     batch = _sweep_ooo(compiled, key[1], key[2], group)

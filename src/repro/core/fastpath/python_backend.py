@@ -32,8 +32,7 @@ behind the backend interface (:mod:`repro.core.fastpath.backends`) so
 sweep-shaped callers can select per-spec replay explicitly
 (``backend="python"``).
 
-Telemetry: when :func:`repro.obs.telemetry.collecting` is on (the
-default), every loop additionally fills a closed-form
+Telemetry: every loop also fills a closed-form
 :class:`~repro.obs.telemetry.SimTelemetry` record -- stall cycles by
 reason, per-unit busy cycles, issue-width and occupancy histograms,
 flush counts -- attached to ``SimulationResult.detail`` as ``tlm.*``
@@ -41,7 +40,9 @@ entries.  The record is O(instructions) integer bookkeeping on the
 loops' existing state (no event objects, timing untouched) and is
 differentially tested against the event-derived record from the
 reference loops (``tests/test_obs_telemetry.py``, the oracle's
-telemetry check).
+telemetry check).  There is no switch and no telemetry-off copy of any
+loop, so every result record -- fresh or served from a cache -- carries
+the same ``tlm.*`` fields.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ...obs.telemetry import SimTelemetry
-from ...obs.telemetry import collecting as telemetry_collecting
 from ...trace import Trace
 from ..buses import BusKind
 from ..config import MachineConfig
@@ -143,169 +143,106 @@ def simulate_scoreboard_fast(
     next_issue = 0
     last_event = 0
     tracking = record is not None
-    telemetry = telemetry_collecting()
 
-    # Two copies of the same recurrence: the plain loop (telemetry off)
-    # stays byte-identical to the pre-telemetry implementation, and the
-    # telemetry variant fuses stall attribution into the existing
-    # comparisons (one integer store per strict improvement) instead of
-    # re-deriving the chain -- the differential suite pins the two to
-    # identical issue/complete times.
-    if not telemetry:
-        for unit, dest, srcs, is_branch, _tk, is_vector, vl, uses_bus, _c in (
-            compiled.ops
-        ):
-            latency = latencies[unit]
+    # Stall attribution is fused into the recurrence: the binding
+    # constraint is labelled by the very comparisons that compute it
+    # (RAW -> WAW -> UNIT -> BUS, each relabelling only on a strict
+    # improvement -- exactly the reference tracking chain's attribution
+    # order), and all remaining attribution work is confined to
+    # instructions that actually stalled (``issue > next_issue``).  The
+    # branch shadow (the ``branch_latency - 1`` slots behind every
+    # branch) is credited to BRANCH when the branch issues; when the
+    # next instruction stalls past the shadow the reference charges the
+    # *whole* gap to the binding constraint, so the pre-credit is taken
+    # back on that path (and after the loop for a trace ending in a
+    # branch, whose shadow no instruction ever pays).
+    t_acc = [0, 0, 0, 0, 0, 0]  # NONE, RAW, WAW, UNIT, BUS, BRANCH
+    t_prev = -1
+    t_shadow_credit = branch_latency - 1
+    reason = 0
+    for unit, dest, srcs, is_branch, _tk, is_vector, vl, uses_bus, _c in (
+        compiled.ops
+    ):
+        latency = latencies[unit]
 
-            earliest = next_issue
-            for src in srcs:
-                ready = reg_ready[src]
-                if ready > earliest:
-                    earliest = ready
-            if dest >= 0:
-                ready = write_done[dest]
-                if ready > earliest:
-                    earliest = ready
-            ready = fu_free[unit]
+        earliest = next_issue
+        for src in srcs:
+            ready = reg_ready[src]
             if ready > earliest:
                 earliest = ready
-            if model_bus and uses_bus:
-                while bus_heap and bus_heap[0] <= next_issue:
-                    bus_reserved.discard(heappop(bus_heap))
-                while earliest + latency in bus_reserved:
-                    earliest += 1
-
-            issue = earliest
-
-            complete = issue + latency + vl
-            if model_bus and uses_bus:
-                bus_reserved.add(complete)
-                heappush(bus_heap, complete)
-
-            if is_vector:
-                fu_free[unit] = issue + vl if pipelined[unit] else complete
-            else:
-                fu_free[unit] = issue + 1 if pipelined[unit] else complete
-
-            if dest >= 0:
-                if is_vector and chaining:
-                    reg_ready[dest] = issue + latency
-                else:
-                    reg_ready[dest] = complete
-                write_done[dest] = complete
-
-            if is_branch:
-                next_issue = issue + branch_latency
-                complete = next_issue
-            else:
-                next_issue = issue + 1
-
-            if complete > last_event:
-                last_event = complete
-            if tracking:
-                record.append((issue, complete))
-    else:
-        # Same recurrence with the binding constraint labelled by the
-        # very comparisons that compute it: RAW -> WAW -> UNIT -> BUS,
-        # each relabelling only on a strict improvement -- exactly the
-        # reference tracking chain's attribution order.  All remaining
-        # attribution work is confined to instructions that actually
-        # stalled (``issue > next_issue``).  The branch shadow (the
-        # ``branch_latency - 1`` slots behind every branch) is credited
-        # to BRANCH when the branch issues; when the next instruction
-        # stalls past the shadow the reference charges the *whole* gap
-        # to the binding constraint, so the pre-credit is taken back on
-        # that path (and after the loop for a trace ending in a branch,
-        # whose shadow no instruction ever pays).
-        t_acc = [0, 0, 0, 0, 0, 0]  # NONE, RAW, WAW, UNIT, BUS, BRANCH
-        t_prev = -1
-        t_shadow_credit = branch_latency - 1
-        reason = 0
-        for unit, dest, srcs, is_branch, _tk, is_vector, vl, uses_bus, _c in (
-            compiled.ops
-        ):
-            latency = latencies[unit]
-
-            earliest = next_issue
-            for src in srcs:
-                ready = reg_ready[src]
-                if ready > earliest:
-                    earliest = ready
-                    reason = 1
-            if dest >= 0:
-                ready = write_done[dest]
-                if ready > earliest:
-                    earliest = ready
-                    reason = 2
-            ready = fu_free[unit]
+                reason = 1
+        if dest >= 0:
+            ready = write_done[dest]
             if ready > earliest:
                 earliest = ready
-                reason = 3
-            if model_bus and uses_bus:
-                while bus_heap and bus_heap[0] <= next_issue:
-                    bus_reserved.discard(heappop(bus_heap))
-                while earliest + latency in bus_reserved:
-                    earliest += 1
-                    reason = 4
+                reason = 2
+        ready = fu_free[unit]
+        if ready > earliest:
+            earliest = ready
+            reason = 3
+        if model_bus and uses_bus:
+            while bus_heap and bus_heap[0] <= next_issue:
+                bus_reserved.discard(heappop(bus_heap))
+            while earliest + latency in bus_reserved:
+                earliest += 1
+                reason = 4
 
-            issue = earliest
-            if issue > next_issue:
-                # A strict improvement set `reason` this iteration; the
-                # gap runs from the previous issue slot and is charged
-                # whole, shadow cycles included.
-                gap = issue - t_prev - 1
-                t_acc[reason] += gap
-                shadow = gap - issue + next_issue
-                if shadow:
-                    t_acc[5] -= shadow
-            t_prev = issue
+        issue = earliest
+        if issue > next_issue:
+            # A strict improvement set `reason` this iteration; the
+            # gap runs from the previous issue slot and is charged
+            # whole, shadow cycles included.
+            gap = issue - t_prev - 1
+            t_acc[reason] += gap
+            shadow = gap - issue + next_issue
+            if shadow:
+                t_acc[5] -= shadow
+        t_prev = issue
 
-            complete = issue + latency + vl
-            if model_bus and uses_bus:
-                bus_reserved.add(complete)
-                heappush(bus_heap, complete)
+        complete = issue + latency + vl
+        if model_bus and uses_bus:
+            bus_reserved.add(complete)
+            heappush(bus_heap, complete)
 
-            if is_vector:
-                fu_free[unit] = issue + vl if pipelined[unit] else complete
+        if is_vector:
+            fu_free[unit] = issue + vl if pipelined[unit] else complete
+        else:
+            fu_free[unit] = issue + 1 if pipelined[unit] else complete
+
+        if dest >= 0:
+            if is_vector and chaining:
+                reg_ready[dest] = issue + latency
             else:
-                fu_free[unit] = issue + 1 if pipelined[unit] else complete
+                reg_ready[dest] = complete
+            write_done[dest] = complete
 
-            if dest >= 0:
-                if is_vector and chaining:
-                    reg_ready[dest] = issue + latency
-                else:
-                    reg_ready[dest] = complete
-                write_done[dest] = complete
+        if is_branch:
+            next_issue = issue + branch_latency
+            complete = next_issue
+            t_acc[5] += t_shadow_credit
+        else:
+            next_issue = issue + 1
 
-            if is_branch:
-                next_issue = issue + branch_latency
-                complete = next_issue
-                t_acc[5] += t_shadow_credit
-            else:
-                next_issue = issue + 1
+        if complete > last_event:
+            last_event = complete
+        if tracking:
+            record.append((issue, complete))
+    if compiled.n and compiled.ops[-1][3]:
+        t_acc[5] -= t_shadow_credit
 
-            if complete > last_event:
-                last_event = complete
-            if tracking:
-                record.append((issue, complete))
-        if compiled.n and compiled.ops[-1][3]:
-            t_acc[5] -= t_shadow_credit
-
-    detail: Dict[str, float] = {}
-    if telemetry:
-        detail = SimTelemetry(
-            instructions=compiled.n,
-            cycles=last_event,
-            stall_cycles={
-                "RAW": t_acc[1],
-                "WAW": t_acc[2],
-                "UNIT": t_acc[3],
-                "BUS": t_acc[4],
-                "BRANCH": t_acc[5],
-            },
-            fu_busy_cycles=_closed_busy(compiled, latencies, branch_latency),
-            issue_width={1: compiled.n},
-        ).to_detail()
+    detail = SimTelemetry(
+        instructions=compiled.n,
+        cycles=last_event,
+        stall_cycles={
+            "RAW": t_acc[1],
+            "WAW": t_acc[2],
+            "UNIT": t_acc[3],
+            "BUS": t_acc[4],
+            "BRANCH": t_acc[5],
+        },
+        fu_busy_cycles=_closed_busy(compiled, latencies, branch_latency),
+        issue_width={1: compiled.n},
+    ).to_detail()
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,
@@ -363,16 +300,14 @@ def simulate_inorder_fast(
     last_event = 0
     is_branch = False
     tracking = record is not None
-    telemetry = telemetry_collecting()
-    if telemetry:
-        # Buffer occupancy and flush totals are a pure function of the
-        # compiled taken flags and the issue width, pulled from the
-        # shared per-trace cache instead of recounted per replay; only
-        # the issue-width histogram needs the loop, and runs never
-        # exceed the buffer width, so it lives in a flat list.
-        t_width = [0] * (units + 1)
-        t_run = 0
-        t_run_cycle = -1
+    # Buffer occupancy and flush totals are a pure function of the
+    # compiled taken flags and the issue width, pulled from the
+    # shared per-trace cache instead of recounted per replay; only
+    # the issue-width histogram needs the loop, and runs never
+    # exceed the buffer width, so it lives in a flat list.
+    t_width = [0] * (units + 1)
+    t_run = 0
+    t_run_cycle = -1
 
     while pos < n_entries:
         end = pos + units
@@ -434,18 +369,17 @@ def simulate_inorder_fast(
                     cycle,
                     cycle + branch_latency if is_branch else complete,
                 ))
-            if telemetry:
-                # Issue cycles are globally nondecreasing (the cycle
-                # floor never goes back, and every buffer transition
-                # strictly advances it), so the per-cycle issue width is
-                # a single run-length count over them.
-                if cycle == t_run_cycle:
-                    t_run += 1
-                else:
-                    if t_run:
-                        t_width[t_run] += 1
-                    t_run_cycle = cycle
-                    t_run = 1
+            # Issue cycles are globally nondecreasing (the cycle
+            # floor never goes back, and every buffer transition
+            # strictly advances it), so the per-cycle issue width is
+            # a single run-length count over them.
+            if cycle == t_run_cycle:
+                t_run += 1
+            else:
+                if t_run:
+                    t_width[t_run] += 1
+                t_run_cycle = cycle
+                t_run = 1
             index += 1
 
             if is_branch:
@@ -463,20 +397,18 @@ def simulate_inorder_fast(
             # overlapped, examinable the cycle after the last issue.
             cycle += 1
 
-    detail: Dict[str, float] = {}
-    if telemetry:
-        if t_run:
-            t_width[t_run] += 1
-        occupancy, flushes, flush_cycles = window_stats(compiled, units)
-        detail = SimTelemetry(
-            instructions=n_entries,
-            cycles=max(last_event, 1),
-            fu_busy_cycles=_closed_busy(compiled, latencies, branch_latency),
-            issue_width={w: c for w, c in enumerate(t_width) if c},
-            occupancy=occupancy,
-            flushes=flushes,
-            flush_cycles=flush_cycles,
-        ).to_detail()
+    if t_run:
+        t_width[t_run] += 1
+    occupancy, flushes, flush_cycles = window_stats(compiled, units)
+    detail = SimTelemetry(
+        instructions=n_entries,
+        cycles=max(last_event, 1),
+        fu_busy_cycles=_closed_busy(compiled, latencies, branch_latency),
+        issue_width={w: c for w, c in enumerate(t_width) if c},
+        occupancy=occupancy,
+        flushes=flushes,
+        flush_cycles=flush_cycles,
+    ).to_detail()
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,
@@ -519,129 +451,78 @@ def simulate_cdc6600_fast(
     next_issue = 0
     last_event = 0
     tracking = record is not None
-    telemetry = telemetry_collecting()
 
-    # Two copies of the same recurrence (see the scoreboard loop).  Busy
-    # spans are mostly closed-form even here: a non-branch op occupies
-    # its unit for ``latency`` cycles plus however long RAW delivery
-    # delays execution start (``start - issue``), and a branch for the
-    # branch latency exactly -- so the telemetry copy only accumulates
-    # the start-delay excess and adds the closed form at the end.
-    if not telemetry:
-        for unit, dest, srcs, is_branch, _t, _v, _vl, _bus, _c in (
-            compiled.ops
-        ):
-            latency = latencies[unit]
+    # Busy spans are mostly closed-form: a non-branch op occupies its
+    # unit for ``latency`` cycles plus however long RAW delivery delays
+    # execution start (``start - issue``), and a branch for the branch
+    # latency exactly -- so the loop only accumulates the start-delay
+    # excess and adds the closed form at the end.
+    t_extra = [0] * len(UNITS)
+    for unit, dest, srcs, is_branch, _t, _v, _vl, _bus, _c in (
+        compiled.ops
+    ):
+        latency = latencies[unit]
 
-            # Issue conditions: in-order slot, unit free, no WAW; a
-            # branch additionally reads its sources before resolving.
-            earliest = next_issue
-            ready = fu_free[unit]
-            if ready > earliest:
-                earliest = ready
-            if dest >= 0:
-                waw = reg_ready[dest]
-                if waw > earliest:
-                    earliest = waw
-            if is_branch:
-                for src in srcs:
-                    ready = reg_ready[src]
-                    if ready > earliest:
-                        earliest = ready
-
-            issue = earliest
-
-            # Execution begins once the operands arrive at the unit.
-            start = issue
+        # Issue conditions: in-order slot, unit free, no WAW; a
+        # branch additionally reads its sources before resolving.
+        earliest = next_issue
+        ready = fu_free[unit]
+        if ready > earliest:
+            earliest = ready
+        if dest >= 0:
+            waw = reg_ready[dest]
+            if waw > earliest:
+                earliest = waw
+        if is_branch:
             for src in srcs:
                 ready = reg_ready[src]
-                if ready > start:
-                    start = ready
-            complete = start + latency
+                if ready > earliest:
+                    earliest = ready
 
-            if is_branch:
-                next_issue = issue + branch_latency
-                complete = next_issue
-                fu_free[unit] = issue + 1
+        issue = earliest
+
+        # Execution begins once the operands arrive at the unit.
+        start = issue
+        for src in srcs:
+            ready = reg_ready[src]
+            if ready > start:
+                start = ready
+        complete = start + latency
+        if start > issue:
+            # RAW delivery held the unit past its closed-form span.
+            # (Branches never take this path: their issue already
+            # waited on every source.)
+            t_extra[unit] += start - issue
+
+        if is_branch:
+            next_issue = issue + branch_latency
+            complete = next_issue
+            fu_free[unit] = issue + 1
+        else:
+            next_issue = issue + 1
+            if unit == _MEMORY:
+                fu_free[unit] = start + 1
             else:
-                next_issue = issue + 1
-                if unit == _MEMORY:
-                    fu_free[unit] = start + 1
-                else:
-                    fu_free[unit] = complete if holds else start + 1
-                if dest >= 0:
-                    reg_ready[dest] = complete
-
-            if complete > last_event:
-                last_event = complete
-            if tracking:
-                record.append((issue, complete))
-    else:
-        t_extra = [0] * len(UNITS)
-        for unit, dest, srcs, is_branch, _t, _v, _vl, _bus, _c in (
-            compiled.ops
-        ):
-            latency = latencies[unit]
-
-            earliest = next_issue
-            ready = fu_free[unit]
-            if ready > earliest:
-                earliest = ready
+                fu_free[unit] = complete if holds else start + 1
             if dest >= 0:
-                waw = reg_ready[dest]
-                if waw > earliest:
-                    earliest = waw
-            if is_branch:
-                for src in srcs:
-                    ready = reg_ready[src]
-                    if ready > earliest:
-                        earliest = ready
+                reg_ready[dest] = complete
 
-            issue = earliest
+        if complete > last_event:
+            last_event = complete
+        if tracking:
+            record.append((issue, complete))
 
-            start = issue
-            for src in srcs:
-                ready = reg_ready[src]
-                if ready > start:
-                    start = ready
-            complete = start + latency
-            if start > issue:
-                # RAW delivery held the unit past its closed-form span.
-                # (Branches never take this path: their issue already
-                # waited on every source.)
-                t_extra[unit] += start - issue
-
-            if is_branch:
-                next_issue = issue + branch_latency
-                complete = next_issue
-                fu_free[unit] = issue + 1
-            else:
-                next_issue = issue + 1
-                if unit == _MEMORY:
-                    fu_free[unit] = start + 1
-                else:
-                    fu_free[unit] = complete if holds else start + 1
-                if dest >= 0:
-                    reg_ready[dest] = complete
-
-            if complete > last_event:
-                last_event = complete
-            if tracking:
-                record.append((issue, complete))
-
-    detail: Dict[str, float] = {}
-    if telemetry:
-        busy = _closed_busy(compiled, latencies, branch_latency)
-        for u in range(len(UNITS)):
-            if t_extra[u]:
-                name = _UNIT_NAMES[u]
-                busy[name] = busy.get(name, 0) + t_extra[u]
-        detail = SimTelemetry(
-            instructions=compiled.n,
-            cycles=max(last_event, 1),
-            fu_busy_cycles=busy,
-            issue_width={1: compiled.n},
-        ).to_detail()
+    busy = _closed_busy(compiled, latencies, branch_latency)
+    for u in range(len(UNITS)):
+        if t_extra[u]:
+            name = _UNIT_NAMES[u]
+            busy[name] = busy.get(name, 0) + t_extra[u]
+    detail = SimTelemetry(
+        instructions=compiled.n,
+        cycles=max(last_event, 1),
+        fu_busy_cycles=busy,
+        issue_width={1: compiled.n},
+    ).to_detail()
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,
@@ -713,20 +594,18 @@ def simulate_tomasulo_fast(
     if tracking:
         issue_at = [0] * n_entries
         complete_at = [0] * n_entries
-    telemetry = telemetry_collecting()
-    if telemetry:
-        # Stall attribution is per-issue, not per-cycle: between two
-        # consecutive issues nothing changes `issue_resume` (only an
-        # issuing branch moves it), so the no-issue gap in front of an
-        # instruction splits in closed form -- cycles below the resume
-        # point stall on the branch, the rest on full stations (or all
-        # on the branch itself when the head *is* one, waiting for its
-        # operand).  Busy spans accumulate as `release - issue` split
-        # into two signed updates, saving the per-seq issue-cycle array.
-        t_branch_stalls = 0
-        t_full_stalls = 0
-        t_busy = [0] * n_units
-        t_prev_issue = -1
+    # Stall attribution is per-issue, not per-cycle: between two
+    # consecutive issues nothing changes `issue_resume` (only an
+    # issuing branch moves it), so the no-issue gap in front of an
+    # instruction splits in closed form -- cycles below the resume
+    # point stall on the branch, the rest on full stations (or all
+    # on the branch itself when the head *is* one, waiting for its
+    # operand).  Busy spans accumulate as `release - issue` split
+    # into two signed updates, saving the per-seq issue-cycle array.
+    t_branch_stalls = 0
+    t_full_stalls = 0
+    t_busy = [0] * n_units
+    t_prev_issue = -1
 
     while pos < n_entries or in_flight > 0:
         # ---- start ready operations on their (pipelined) units -------
@@ -770,11 +649,10 @@ def simulate_tomasulo_fast(
                 last_event = release
             if tracking:
                 complete_at[seq] = release
-            if telemetry:
-                # Station occupied from dispatch to release -- the
-                # ISSUE..COMPLETE window the reference events report
-                # (the dispatch cycle was subtracted at issue).
-                t_busy[unit] += release
+            # Station occupied from dispatch to release -- the
+            # ISSUE..COMPLETE window the reference events report
+            # (the dispatch cycle was subtracted at issue).
+            t_busy[unit] += release
 
         # ---- issue: one instruction per cycle ------------------------
         if pos < n_entries and cycle >= issue_resume:
@@ -789,13 +667,12 @@ def simulate_tomasulo_fast(
                     )
                 if a0_ready != _UNKNOWN and a0_ready <= cycle:
                     resolve = cycle + branch_latency
-                    if telemetry:
-                        # Every no-issue cycle in front of a branch --
-                        # shadow or operand wait -- stalls on the branch.
-                        gap = cycle - t_prev_issue - 1
-                        if gap > 0:
-                            t_branch_stalls += gap
-                        t_prev_issue = cycle
+                    # Every no-issue cycle in front of a branch --
+                    # shadow or operand wait -- stalls on the branch.
+                    gap = cycle - t_prev_issue - 1
+                    if gap > 0:
+                        t_branch_stalls += gap
+                    t_prev_issue = cycle
                     issue_resume = resolve
                     if resolve > last_event:
                         last_event = resolve
@@ -841,18 +718,17 @@ def simulate_tomasulo_fast(
                     in_flight += 1
                     if tracking:
                         issue_at[pos] = cycle
-                    if telemetry:
-                        t_busy[unit] -= cycle
-                        gap = cycle - t_prev_issue - 1
-                        if gap > 0:
-                            blocked = issue_resume - t_prev_issue - 1
-                            if blocked > gap:
-                                blocked = gap
-                            elif blocked < 0:
-                                blocked = 0
-                            t_branch_stalls += blocked
-                            t_full_stalls += gap - blocked
-                        t_prev_issue = cycle
+                    t_busy[unit] -= cycle
+                    gap = cycle - t_prev_issue - 1
+                    if gap > 0:
+                        blocked = issue_resume - t_prev_issue - 1
+                        if blocked > gap:
+                            blocked = gap
+                        elif blocked < 0:
+                            blocked = 0
+                        t_branch_stalls += blocked
+                        t_full_stalls += gap - blocked
+                    t_prev_issue = cycle
                     if pending == 0:
                         heappush(ready_heap, (ready, pos))
                     pos += 1
@@ -896,22 +772,20 @@ def simulate_tomasulo_fast(
 
     if tracking:
         record.extend(zip(issue_at, complete_at))
-    detail: Dict[str, float] = {}
-    if telemetry:
-        detail = SimTelemetry(
-            instructions=n_entries,
-            cycles=max(last_event, 1),
-            stall_cycles={
-                "BRANCH": t_branch_stalls,
-                "STATIONS_FULL": t_full_stalls,
-            },
-            fu_busy_cycles={
-                _UNIT_NAMES[u]: t_busy[u]
-                for u in range(n_units)
-                if t_busy[u]
-            },
-            issue_width={1: n_entries},
-        ).to_detail()
+    detail = SimTelemetry(
+        instructions=n_entries,
+        cycles=max(last_event, 1),
+        stall_cycles={
+            "BRANCH": t_branch_stalls,
+            "STATIONS_FULL": t_full_stalls,
+        },
+        fu_busy_cycles={
+            _UNIT_NAMES[u]: t_busy[u]
+            for u in range(n_units)
+            if t_busy[u]
+        },
+        issue_width={1: n_entries},
+    ).to_detail()
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,
@@ -1285,20 +1159,19 @@ def ruu_replay(
         "ruu_full_stall_cycles": float(full_stall_cycles),
         "branch_stall_cycles": float(branch_stall_cycles),
     }
-    if telemetry_collecting():
-        detail.update(SimTelemetry(
-            instructions=n_entries,
-            cycles=cycles,
-            stall_cycles={
-                "BRANCH": branch_stall_cycles,
-                "RUU_FULL": full_stall_cycles,
-            },
-            fu_busy_cycles={
-                _UNIT_NAMES[u]: busy[u] for u in range(n_units) if busy[u]
-            },
-            issue_width=t_width,
-            occupancy=t_occupancy,
-        ).to_detail())
+    detail.update(SimTelemetry(
+        instructions=n_entries,
+        cycles=cycles,
+        stall_cycles={
+            "BRANCH": branch_stall_cycles,
+            "RUU_FULL": full_stall_cycles,
+        },
+        fu_busy_cycles={
+            _UNIT_NAMES[u]: busy[u] for u in range(n_units) if busy[u]
+        },
+        issue_width=t_width,
+        occupancy=t_occupancy,
+    ).to_detail())
     schedule = list(zip(issue_at, complete_at)) if tracking else None
     return RUURun(cycles, detail, peak, schedule)
 
@@ -1389,11 +1262,9 @@ def simulate_ooo_fast(
     if tracking:
         issue_at = [0] * n_entries
         complete_at = [0] * n_entries
-    telemetry = telemetry_collecting()
-    if telemetry:
-        # Buffer occupancy and flushes are pure functions of the compiled
-        # taken flags (see window_stats); only issue width needs the loop.
-        t_width = [0] * (units + 1)
+    # Buffer occupancy and flushes are pure functions of the compiled
+    # taken flags (see window_stats); only issue width needs the loop.
+    t_width = [0] * (units + 1)
 
     while pos < n_entries:
         # Fetch buffer: up to N slots, cut after the first taken branch.
@@ -1512,7 +1383,7 @@ def simulate_ooo_fast(
                         last_event = resolve
                     if resolve > barrier:
                         barrier = resolve
-            if telemetry and scan_issues:
+            if scan_issues:
                 # Each scan pass runs at a distinct cycle (the cycle
                 # strictly advances between passes and across buffers),
                 # so the pass's issue count is that cycle's width.
@@ -1595,18 +1466,16 @@ def simulate_ooo_fast(
 
     if tracking:
         record.extend(zip(issue_at, complete_at))
-    detail: Dict[str, float] = {}
-    if telemetry:
-        occupancy, flushes, flush_cycles = window_stats(compiled, units)
-        detail = SimTelemetry(
-            instructions=n_entries,
-            cycles=max(last_event, 1),
-            fu_busy_cycles=_closed_busy(compiled, latencies, branch_latency),
-            issue_width={w: c for w, c in enumerate(t_width) if c},
-            occupancy=occupancy,
-            flushes=flushes,
-            flush_cycles=flush_cycles,
-        ).to_detail()
+    occupancy, flushes, flush_cycles = window_stats(compiled, units)
+    detail = SimTelemetry(
+        instructions=n_entries,
+        cycles=max(last_event, 1),
+        fu_busy_cycles=_closed_busy(compiled, latencies, branch_latency),
+        issue_width={w: c for w, c in enumerate(t_width) if c},
+        occupancy=occupancy,
+        flushes=flushes,
+        flush_cycles=flush_cycles,
+    ).to_detail()
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,
@@ -1716,11 +1585,9 @@ def simulate_spec_fast(
     if tracking:
         issue_at = [0] * n_entries
         complete_at = [0] * n_entries
-    telemetry = telemetry_collecting()
-    if telemetry:
-        t_busy = [0] * n_units
-        t_stride = issue_units + 1
-        t_hist = [0] * ((window + 1) * t_stride)
+    t_busy = [0] * n_units
+    t_stride = issue_units + 1
+    t_hist = [0] * ((window + 1) * t_stride)
 
     while True:
         if cycle > _MAX_CYCLES:  # pragma: no cover - bug trap
@@ -1739,8 +1606,7 @@ def simulate_spec_fast(
                 last_commit = cycle
             if tracking:
                 complete_at[seq] = cycle
-            if telemetry:
-                t_busy[ent_unit[seq]] += cycle
+            t_busy[ent_unit[seq]] += cycle
         if head > 4096 and head * 2 > len(ring):
             del ring[:head]
             head = 0
@@ -1841,14 +1707,12 @@ def simulate_spec_fast(
             live += 1
             if tracking:
                 issue_at[pos] = cycle
-            if telemetry:
-                t_busy[unit] -= cycle
+            t_busy[unit] -= cycle
             pos += 1
             issued += 1
 
         occupancy_sum += live
-        if telemetry:
-            t_hist[live * t_stride + issued] += 1
+        t_hist[live * t_stride + issued] += 1
         if pos < n_entries and issued == 0:
             if cycle < issue_resume:
                 branch_stall_cycles += 1
@@ -1885,8 +1749,7 @@ def simulate_spec_fast(
         idle = nxt - cycle - 1
         if idle > 0:
             occupancy_sum += live * idle
-            if telemetry:
-                t_hist[live * t_stride] += idle
+            t_hist[live * t_stride] += idle
             if pos < n_entries:
                 blocked = issue_resume - cycle - 1
                 if blocked > idle:
@@ -1910,32 +1773,31 @@ def simulate_spec_fast(
     if vp_warmup is not None:
         total = vp_hits + vp_misses
         detail["vp_accuracy"] = vp_hits / total if total else 0.0
-    if telemetry:
-        t_width: Dict[int, int] = {}
-        t_occupancy: Dict[int, int] = {}
-        for index, count in enumerate(t_hist):
-            if count:
-                level, issued = divmod(index, t_stride)
-                t_occupancy[level] = t_occupancy.get(level, 0) + count
-                if issued:
-                    t_width[issued] = t_width.get(issued, 0) + count
-        detail.update(SimTelemetry(
-            instructions=n_entries,
-            cycles=max(last_commit, 1),
-            stall_cycles={
-                "BRANCH": branch_stall_cycles,
-                "RUU_FULL": full_stall_cycles,
-            },
-            fu_busy_cycles={
-                _UNIT_NAMES[u]: t_busy[u]
-                for u in range(n_units)
-                if t_busy[u]
-            },
-            issue_width=t_width,
-            occupancy=t_occupancy,
-            flushes=flushes,
-            flush_cycles=flush_cycles,
-        ).to_detail())
+    t_width: Dict[int, int] = {}
+    t_occupancy: Dict[int, int] = {}
+    for index, count in enumerate(t_hist):
+        if count:
+            level, issued = divmod(index, t_stride)
+            t_occupancy[level] = t_occupancy.get(level, 0) + count
+            if issued:
+                t_width[issued] = t_width.get(issued, 0) + count
+    detail.update(SimTelemetry(
+        instructions=n_entries,
+        cycles=max(last_commit, 1),
+        stall_cycles={
+            "BRANCH": branch_stall_cycles,
+            "RUU_FULL": full_stall_cycles,
+        },
+        fu_busy_cycles={
+            _UNIT_NAMES[u]: t_busy[u]
+            for u in range(n_units)
+            if t_busy[u]
+        },
+        issue_width=t_width,
+        occupancy=t_occupancy,
+        flushes=flushes,
+        flush_cycles=flush_cycles,
+    ).to_detail())
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,

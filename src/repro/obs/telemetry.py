@@ -15,9 +15,9 @@ that the compiled fast loops fill from their integer ready-cycle arrays
 with O(instructions) extra work and attach to
 :attr:`repro.core.result.SimulationResult.detail` as flat ``tlm.*``
 float entries.  No event objects are allocated and the loops' issue
-timing is untouched; the cost is a few integer updates per instruction
-(gated under :func:`collecting`, benchmarked <5% by
-``benchmarks/bench_hooks.py``).
+timing is untouched; the cost is a few integer updates per instruction,
+always paid: every fast loop collects telemetry, so a cached result
+record carries the same ``tlm.*`` fields as a fresh one.
 
 The reference loops are left exactly as they are -- verbatim, with only
 the event hooks.  :func:`telemetry_from_events` derives the *same*
@@ -42,7 +42,6 @@ Detail-key encoding (all values are integral floats)::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional
 
@@ -51,35 +50,12 @@ from .events import EventKind, SimEvent
 __all__ = [
     "SimTelemetry",
     "TELEMETRY_PREFIX",
-    "collecting",
-    "set_collection",
     "strip_telemetry",
     "telemetry_from_events",
 ]
 
 #: Prefix under which telemetry entries ride in ``SimulationResult.detail``.
 TELEMETRY_PREFIX = "tlm."
-
-#: Module-level collection switch.  Defaults on -- telemetry is the
-#: cheap path -- and can be disabled for overhead measurement via the
-#: ``REPRO_TELEMETRY`` environment variable or :func:`set_collection`.
-_COLLECT = os.environ.get("REPRO_TELEMETRY", "1").lower() not in (
-    "0", "off", "false", "no",
-)
-
-
-def collecting() -> bool:
-    """Should the fast loops fill telemetry on this run?"""
-    return _COLLECT
-
-
-def set_collection(enabled: bool) -> bool:
-    """Set the collection switch; returns the previous value."""
-    global _COLLECT
-    previous = _COLLECT
-    _COLLECT = bool(enabled)
-    return previous
-
 
 def _clean(mapping: Mapping) -> Dict:
     """Normalised copy: int values, zero-valued entries dropped.

@@ -250,6 +250,43 @@ class TestFastpathCounters:
         assert warm_counters.get("fastpath.fast_runs", 0.0) == 0.0
 
 
+class TestWarmTelemetry:
+    def test_cold_and_warm_report_identical_sim_counters(self):
+        """A warm run folds ``sim.*`` counters from the cached records,
+        so every record must carry the same telemetry a fresh replay
+        attaches -- across every compiled family, batched or not."""
+        from repro.harness.engine import run_plan
+        from repro.harness.plans import Cell, ExperimentPlan
+
+        machines = (
+            "cray", "cdc6600", "inorder:2", "tomasulo", "ooo:2",
+            "ruu:2:10", "spec:50:2bit",
+        )
+        cells = tuple(
+            Cell(source=f"kernel:{loop}:n=20", machine=machine,
+                 config="M11BR5", row=machine, columns=("M11BR5",))
+            for machine in machines
+            for loop in (3, 5)
+        )
+        plan = ExperimentPlan(
+            table_id="mixed", title="mixed families", columns=("M11BR5",),
+            rows=machines, cells=cells,
+        )
+        cold = run_plan(plan, workers=1, cache=DiskCache(), observe=True)
+        clear_process_memo()
+        warm = run_plan(plan, workers=1, cache=DiskCache(), observe=True)
+
+        def sim_counters(run):
+            counters = run.manifest.metrics["counters"]
+            return {k: v for k, v in counters.items() if k.startswith("sim.")}
+
+        assert warm.stats.result_hits == len(cells)
+        assert sim_counters(cold)
+        assert any(k.startswith("sim.stall.") for k in sim_counters(cold))
+        assert sim_counters(warm) == sim_counters(cold)
+        assert warm.table.rows == cold.table.rows
+
+
 class TestSweepGrouping:
     """Sweep-shaped plans route through the batch backend without
     changing a single table value."""
@@ -291,15 +328,25 @@ class TestSweepGrouping:
 
         if not fastpath.enabled():
             pytest.skip("fast path disabled via REPRO_FASTPATH")
+        # Table 5 sweeps out-of-order members, which have a batch
+        # kernel; Table 1's families are served per spec inside the
+        # sweep and counted as fallbacks.
         cold = api.run_table(
-            "table1", sizes=small_sizes, workers=1, observe=True
+            "table5", sizes=small_sizes, workers=1, observe=True,
+            stations=(1, 2),
         )
         counters = cold.stats.metrics["counters"]
         assert counters["fastpath.batch.sweeps"] > 0
-        assert counters["fastpath.batch.fast_runs"] > 0
+        assert counters["fastpath.batch.fast_runs"] == cold.stats.cells
         assert cold.manifest.counter("fastpath.batch.sweeps") == (
             counters["fastpath.batch.sweeps"]
         )
+        table1 = api.run_table(
+            "table1", sizes=small_sizes, workers=1, observe=True
+        )
+        counters1 = table1.stats.metrics["counters"]
+        assert counters1["fastpath.batch.fallback_runs"] > 0
+        assert counters1.get("fastpath.batch.fast_runs", 0.0) == 0.0
 
 
 class TestDiskCacheUnit:

@@ -1,6 +1,6 @@
 """The batch backend's contract: bit-identical, correctly attributed.
 
-Three layers of tests for the structure-of-arrays sweep backend:
+Three layers of tests for the batch sweep backend:
 
 * **Differential sweep** -- every fuzzed trace replayed through the full
   oracle machine set as one batch sweep must agree with the per-spec
@@ -230,20 +230,29 @@ def test_batch_serves_spec_grid_bit_identically():
             assert br == pr, context
 
 
-def test_spec_sweep_members_counted_as_batch_fallbacks():
-    """Spec members of a batch sweep are attributed as fallback_runs
-    (python-loop service inside the sweep), never as batch fast_runs."""
-    machines = [build_simulator(spec) for spec in SPEC_SWEEP_SPECS[:4]]
+@pytest.mark.parametrize(
+    "specs",
+    (SPEC_SWEEP_SPECS[:4], ("cray",), ("cdc6600",),
+     ("inorder:2", "inorder:2:1bus")),
+    ids=("spec", "cray", "cdc6600", "inorder:2"),
+)
+def test_spec_sweep_members_counted_as_batch_fallbacks(specs):
+    """Members of a family without a batch kernel (spec, scoreboard,
+    cdc6600, in-order) are attributed as fallback_runs (python-loop
+    service inside the sweep), never as batch fast_runs."""
+    items = [
+        (build_simulator(spec), config)
+        for spec in specs
+        for config in (M11BR5, M5BR2)
+    ]
     fastpath.reset_stats()
-    fastpath.simulate_sweep(
-        TRACES[7],
-        [(sim, M11BR5) for sim in machines],
-        backend="batch",
-    )
+    batch = fastpath.simulate_sweep(TRACES[7], items, backend="batch")
     stats = fastpath.stats()
-    assert stats["batch.fallback_runs"] == len(machines)
+    assert stats["batch.fallback_runs"] == len(items)
     assert stats["batch.sweeps"] == 1
     assert stats["batch.fast_runs"] == 0
+    perspec = fastpath.simulate_sweep(TRACES[7], items, backend="python")
+    assert [r.cycles for r in batch] == [r.cycles for r in perspec]
 
 
 # ----------------------------------------------------------------------
@@ -514,8 +523,21 @@ def test_oracle_routes_replays_through_batch_sweeps():
     report = run_oracle(TRACES[1], M11BR5)
     assert report.ok
     stats = fastpath.stats()
-    assert stats["batch.sweeps"] >= 1
-    assert stats["batch.fast_runs"] >= 10
+    assert stats["batch.sweeps"] == 1
+    # Only the ooo and RUU members have batch kernels; every other
+    # compiled family is served per spec inside the same sweep, and
+    # the simple machine (no compiled loop) runs its reference.
+    batched = [
+        spec for spec in DEFAULT_ORACLE_MACHINES
+        if spec.startswith(("ooo:", "ruu:"))
+    ]
+    eligible = [spec for spec in DEFAULT_ORACLE_MACHINES if spec != "simple"]
+    assert len(batched) == 9
+    assert stats["batch.fast_runs"] == len(batched)
+    assert (
+        stats["batch.fast_runs"] + stats["batch.fallback_runs"]
+        == len(eligible)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +606,7 @@ class TestGatingAndStats:
         assert stats["batch.fast_runs"] == 1
 
     def test_fast_runs_attributed_per_backend(self):
-        simulator = build_simulator("inorder:2")
+        simulator = build_simulator("ooo:2")
         fastpath.reset_stats()
         fastpath.simulate_sweep(
             TRACES[4], [(simulator, M11BR5)], backend="batch"
