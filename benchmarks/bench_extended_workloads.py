@@ -3,7 +3,9 @@
 Kernels 18 (2-D hydro with synthesised divides), 19 (forward+backward
 recurrence), 21 (matrix product) and 24 (first minimum, data-dependent
 branches) stress behaviours the paper's 14 loops do not.  This benchmark
-runs them through the main machine spectrum on M11BR5.
+runs them through the main machine spectrum on M11BR5, plus the
+speculative ``spec`` machine (x4, window 50, 2-bit predictor), which is
+contention-free past issue.
 
 Expected shapes: 18 and 21 behave like rich vectorizable loops (big RUU
 gains); 19 is recurrence-bound; 24 is the control-flow wall -- the RUU
@@ -23,11 +25,11 @@ from repro.core import (
     M11BR5,
     OutOfOrderMultiIssueMachine,
     RUUMachine,
+    build_simulator,
     cray_like_machine,
 )
 from repro.kernels.extended import EXTENDED_LOOPS, build_extended
 from repro.limits import compute_limits
-from repro.predict import TwoBitPredictor
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -35,7 +37,7 @@ _MACHINES = (
     ("CRAY-like", cray_like_machine()),
     ("ooo x4", OutOfOrderMultiIssueMachine(4)),
     ("RUU x4 R=50", RUUMachine(4, 50)),
-    ("RUU x4 +2-bit", RUUMachine(4, 50, predictor_factory=TwoBitPredictor)),
+    ("spec x4 2-bit", build_simulator("spec:50:2bit:units=4")),
 )
 
 
@@ -92,4 +94,4 @@ def test_extended_workloads(benchmark):
             if "2-bit" in name:
                 continue
             assert values[name] <= values["limit"] * 1.0001
-    assert by_number[24]["RUU x4 +2-bit"] > by_number[24]["limit"]
+    assert by_number[24]["spec x4 2-bit"] > by_number[24]["limit"]

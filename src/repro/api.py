@@ -122,7 +122,6 @@ __all__ = [
     "kernel_stats",
     "limits",
     "limits_source",
-    "list_backends",
     "list_machines",
     "list_runs",
     "list_tables",
@@ -194,7 +193,6 @@ def run_table(
     cache: bool = True,
     sizes: Sizes = None,
     observe: bool = False,
-    backend: str = "auto",
     progress: Optional[ProgressCallback] = None,
     **plan_overrides,
 ) -> TableRun:
@@ -208,10 +206,6 @@ def run_table(
         sizes: loop-number -> problem-size overrides (tests use this).
         observe: record a span trace and write a durable run manifest
             under the cache root; returned as ``run.manifest``.
-        backend: fast-path backend for sweep-shaped cell groups
-            (``"auto"`` -- the batch backend -- or ``"python"`` /
-            ``"batch"`` explicitly); results are bit-identical either
-            way, only timing changes.
         progress: optional per-cell completion callback; invoked in this
             process with one :class:`~repro.harness.progress.
             ProgressEvent` per finished cell, in completion order (the
@@ -230,7 +224,6 @@ def run_table(
         workers=workers,
         cache=store,
         observe=observe,
-        backend=backend,
         progress=progress,
     )
     reference = PAPER_TABLES.get(table_id) if compare else None
@@ -522,7 +515,6 @@ def explore(
     workers: Optional[int] = None,
     cache: bool = True,
     observe: bool = False,
-    backend: str = "auto",
     exhaustive: bool = False,
     progress: Optional[ProgressCallback] = None,
 ) -> ExploreRun:
@@ -550,7 +542,6 @@ def explore(
         workers=workers,
         cache=store,
         observe=observe,
-        backend=backend,
         exhaustive=exhaustive,
         progress=progress,
     )
@@ -637,7 +628,6 @@ def bench_options(
     machines: Optional[Sequence[str]] = None,
     no_engine: bool = False,
     no_explore: bool = False,
-    backend: str = "auto",
 ) -> BenchOptions:
     """Suite options: the quick/full preset plus explicit overrides."""
     return _bench_options_from(
@@ -648,7 +638,6 @@ def bench_options(
         machines=tuple(machines) if machines is not None else None,
         no_engine=no_engine,
         no_explore=no_explore,
-        backend=backend,
     )
 
 
@@ -716,7 +705,7 @@ class MachineInfo:
     #: Compiled fast-path family (``"scoreboard"``, ``"ooo"``, ...) or
     #: ``None`` for machines that always run their reference loop.
     family: Optional[str]
-    #: Whether the fast-path backends can ever serve this machine.
+    #: Whether a compiled fast loop can ever serve this machine.
     fast_path: bool
 
 
@@ -728,8 +717,6 @@ def machine_info(spec: str) -> MachineInfo:
     parsed = _parse_spec_string(spec)
     simulator = build_simulator(spec)
     family = fastpath.family_of(simulator)
-    if family == "ruu" and simulator.predictor_factory is not None:
-        family = None
     return MachineInfo(
         spec=":".join((parsed.head,) + parsed.params),
         head=parsed.head,
@@ -748,13 +735,12 @@ class SweepRun:
     trace order; ``rates[spec]`` is the harmonic mean of the per-trace
     issue rates (instructions per cycle), the paper's aggregate.
     ``manifest`` is shared across the whole sweep: the specs, traces,
-    backend, wall time and the fast-path counter deltas attributing the
-    replays to the backend that served them.
+    wall time and the fast-path counter deltas attributing the replays
+    to the loop that served them.
     """
 
     specs: Tuple[str, ...]
     config: str
-    backend: str
     results: Mapping[str, Tuple[SimulationResult, ...]]
     rates: Mapping[str, float]
     manifest: Mapping[str, object]
@@ -763,8 +749,7 @@ class SweepRun:
         """A small fixed-width report: one line per spec."""
         lines = [
             f"sweep: {len(self.specs)} machines x "
-            f"{len(self.manifest['traces'])} traces on {self.config} "
-            f"(backend {self.backend})"
+            f"{len(self.manifest['traces'])} traces on {self.config}"
         ]
         for spec in self.specs:
             lines.append(f"  {spec:<16} rate {self.rates[spec]:.3f}")
@@ -776,17 +761,15 @@ def run_sweep(
     traces: Sequence,
     *,
     config: str = "M11BR5",
-    backend: str = "auto",
 ) -> SweepRun:
     """Replay a set of traces through a set of machine specs as sweeps.
 
     The sweep-shaped entry point: each trace is lowered once and
-    replayed through *every* spec in one pass of the selected fast-path
-    backend (``"auto"`` resolves to the batch sweep backend;
-    ``"python"`` forces per-spec compiled loops).  Machines
-    without a compiled loop -- and every machine when the fast path is
-    disabled -- run their reference loops; results are bit-identical
-    across backends either way.
+    replayed through *every* spec in one
+    :func:`repro.core.fastpath.simulate_sweep` call.  Machines without a
+    compiled loop -- and every machine when the fast path is disabled --
+    run their reference loops; results are bit-identical to each
+    machine's own ``simulate`` either way.
 
     Args:
         specs: registry spec strings; every spec is validated up front
@@ -796,7 +779,8 @@ def run_sweep(
             or Livermore kernel numbers (ints) to build at their
             default sizes.
         config: machine-variant name (``M11BR5`` ...).
-        backend: ``"auto"`` | ``"python"`` | ``"batch"``.
+
+    An empty *specs* or *traces* raises :class:`ValueError` naming it.
 
     Returns:
         A :class:`SweepRun` with per-(spec, trace) results, per-spec
@@ -805,13 +789,17 @@ def run_sweep(
     import time as _time
 
     spec_list = tuple(specs)
+    trace_list = list(traces)
+    if not spec_list:
+        raise ValueError("run_sweep: specs is empty; name at least one machine")
+    if not trace_list:
+        raise ValueError("run_sweep: traces is empty; name at least one trace")
     for spec in spec_list:
         parse_spec(spec)
-    fastpath.resolve_backend(backend)  # fail fast on unknown backends
     machine_config = config_by_name(config)
     simulators = [build_simulator(spec) for spec in spec_list]
     resolved: List[Trace] = []
-    for item in traces:
+    for item in trace_list:
         if isinstance(item, Trace):
             resolved.append(item)
         elif isinstance(item, str):
@@ -828,7 +816,6 @@ def run_sweep(
         swept = fastpath.simulate_sweep(
             trace,
             [(simulator, machine_config) for simulator in simulators],
-            backend=backend,
         )
         for spec, result in zip(spec_list, swept):
             per_spec[spec].append(result)
@@ -845,7 +832,6 @@ def run_sweep(
         "specs": list(spec_list),
         "traces": [trace.name for trace in resolved],
         "config": config,
-        "backend": backend,
         "wall_seconds": wall,
         "fastpath": {
             key: stats_after[key] - stats_before.get(key, 0)
@@ -856,7 +842,6 @@ def run_sweep(
     return SweepRun(
         specs=spec_list,
         config=config,
-        backend=backend,
         results={
             spec: tuple(results) for spec, results in per_spec.items()
         },
@@ -872,11 +857,6 @@ def run_sweep(
 def list_machines() -> Tuple[str, ...]:
     """Every accepted machine spec: fixed names plus templates."""
     return list_specs()
-
-
-def list_backends() -> Tuple[str, ...]:
-    """Registered fast-path backend names (``batch``, ``python``)."""
-    return fastpath.list_backends()
 
 
 def machine_spec_help() -> str:

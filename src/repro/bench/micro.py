@@ -10,8 +10,9 @@ traces come from fixed seeds, tables run at the pinned ``SMALL_SIZES``):
   expose ``reference_simulate``; cycle counts are asserted identical
   before any timing, so a fast-path divergence fails the benchmark
   rather than producing a fast wrong number.
-* ``sweep.<label>.{batch,perspec,speedup}`` -- one batch-backend sweep
-  per trace against one per-spec replay per member: ``ooo:4`` under the
+* ``sweep.<label>.{batch,perspec,speedup}`` -- one
+  :func:`~repro.core.fastpath.simulate_sweep` call per trace against
+  each member's own ``simulate`` (its per-spec loop): ``ooo:4`` under the
   four configs on the fuzzed traces, and Table 7's 192-member RUU grid
   on its kernel traces.
 * ``table.<id>.wall`` -- wall seconds to build and run one paper table
@@ -88,9 +89,6 @@ class BenchOptions:
     # RUU, so its wall time tracks the dynamic machines' compiled loops.
     tables: Tuple[str, ...] = ("table1", "table7")
     engine: bool = True
-    #: Fast-path backend the engine benchmarks run through ("auto"
-    #: resolves to batch); the sweep suite always measures both.
-    backend: str = "auto"
     explore: bool = True
     #: Instructions per explorer workload trace: the e2e exhaustive pass
     #: costs O(grid x this), so the quick preset shortens it.
@@ -177,7 +175,7 @@ SWEEP_SPEC = "ooo:4"
 #: (RUU spec, config) member -- 192 of them, four issue widths x six RUU
 #: sizes x two bus organisations x four configs -- as one sweep per
 #: kernel trace at ``SMALL_SIZES``, the shape whose never-full replays
-#: the batch backend reuses.
+#: the batch RUU kernel reuses.
 RUU_SWEEP_TABLE = "table7"
 
 
@@ -209,30 +207,36 @@ def _bench_sweep(options: BenchOptions, report: BenchReport, log: Log):
     """``sweep.<label>.{batch,perspec,speedup}``: one trace, many specs.
 
     Replays every trace of each :func:`_sweeps` entry through its sweep
-    members -- once through the batch backend (one sweep call per trace)
-    and once through the per-spec python backend (one replay per member)
-    -- and reports both throughputs plus their ratio.  Cycle counts are
-    asserted identical between the two backends before any timing.
+    members -- once as one :func:`~repro.core.fastpath.simulate_sweep`
+    call per trace and once through each member's own ``simulate`` (one
+    per-spec replay per member) -- and reports both throughputs plus
+    their ratio.  Cycle counts are asserted identical between the two
+    before any timing.
     """
     for label, items, traces in _sweeps(options):
         total = sum(len(trace) for trace in traces) * len(items)
 
-        def sweep_pass(backend: str) -> List[List[int]]:
-            cycles: List[List[int]] = []
-            for trace in traces:
-                results = fastpath.simulate_sweep(
-                    trace, items, backend=backend
-                )
-                cycles.append([result.cycles for result in results])
-            return cycles
+        def batch_pass() -> List[List[int]]:
+            return [
+                [result.cycles
+                 for result in fastpath.simulate_sweep(trace, items)]
+                for trace in traces
+            ]
 
-        # Correctness gate plus warm-up: the batch backend must agree
-        # with the per-spec loops on every (trace, member) cell, and both
+        def perspec_pass() -> List[List[int]]:
+            return [
+                [simulator.simulate(trace, config).cycles
+                 for simulator, config in items]
+                for trace in traces
+            ]
+
+        # Correctness gate plus warm-up: the batch sweep must agree with
+        # the per-spec loops on every (trace, member) cell, and both
         # passes populate the compile and sweep-plan caches so timing
         # measures replay, not lowering.
-        if sweep_pass("batch") != sweep_pass("python"):
+        if batch_pass() != perspec_pass():
             raise ValueError(
-                f"batch backend diverged from per-spec loops on {label} "
+                f"batch sweep diverged from per-spec loops on {label} "
                 "-- refusing to benchmark a wrong answer"
             )
 
@@ -240,10 +244,10 @@ def _bench_sweep(options: BenchOptions, report: BenchReport, log: Log):
         perspec_times: List[float] = []
         for _ in range(options.rounds):
             start = time.perf_counter()
-            sweep_pass("batch")
+            batch_pass()
             batch_times.append(time.perf_counter() - start)
             start = time.perf_counter()
-            sweep_pass("python")
+            perspec_pass()
             perspec_times.append(time.perf_counter() - start)
 
         batch = total / min(batch_times)
@@ -342,7 +346,7 @@ def _bench_tables(options: BenchOptions, report: BenchReport, log: Log):
         for _ in range(options.rounds):
             start = time.perf_counter()
             plan = build_plan(table_id, sizes)
-            run_plan(plan, workers=1, cache=None, backend=options.backend)
+            run_plan(plan, workers=1, cache=None)
             times.append(time.perf_counter() - start)
         wall = min(times)
         report.add(
@@ -362,12 +366,10 @@ def _bench_engine(options: BenchOptions, report: BenchReport, log: Log):
             with tempfile.TemporaryDirectory() as tmp:
                 store = DiskCache(root=tmp)
                 start = time.perf_counter()
-                run_plan(plan, workers=1, cache=store,
-                         backend=options.backend)
+                run_plan(plan, workers=1, cache=store)
                 cold_times.append(time.perf_counter() - start)
                 start = time.perf_counter()
-                run_plan(plan, workers=1, cache=store,
-                         backend=options.backend)
+                run_plan(plan, workers=1, cache=store)
                 warm_times.append(time.perf_counter() - start)
         cold, warm = min(cold_times), min(warm_times)
         report.add(
@@ -408,7 +410,6 @@ def run_suite(
             "machines": list(options.machines),
             "config": options.config,
             "tables": list(options.tables),
-            "backend": options.backend,
             "explore": options.explore,
             "explore_trace_length": options.explore_trace_length,
         },
@@ -441,7 +442,6 @@ def options_from(
     machines: Optional[Tuple[str, ...]] = None,
     no_engine: bool = False,
     no_explore: bool = False,
-    backend: str = "auto",
 ) -> BenchOptions:
     """The CLI's option builder: quick preset plus explicit overrides."""
     options = QUICK_OPTIONS if quick else DEFAULT_OPTIONS
@@ -458,6 +458,4 @@ def options_from(
         overrides["engine"] = False
     if no_explore:
         overrides["explore"] = False
-    if backend != "auto":
-        overrides["backend"] = backend
     return replace(options, **overrides) if overrides else options

@@ -138,15 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip recording the run trace and manifest",
     )
     tables.add_argument(
-        "--backend",
-        choices=("auto", "python", "batch"),
-        default="auto",
-        help=(
-            "fast-path backend for sweep-shaped cell groups (auto = "
-            "batch sweep kernels; results are identical either way)"
-        ),
-    )
-    tables.add_argument(
         "--progress",
         action="store_true",
         help="stream per-cell completions to stderr while the run is live",
@@ -192,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument("--config", default="M11BR5")
-    sweep.add_argument(
-        "--backend",
-        choices=("auto", "python", "batch"),
-        default="auto",
-        help="fast-path backend (auto = batch)",
-    )
 
     simulate = sub.add_parser(
         "simulate", help="time one kernel (or trace source) on one machine"
@@ -360,12 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip writing a run manifest",
     )
     explore.add_argument(
-        "--backend",
-        choices=("auto", "python", "batch"),
-        default="auto",
-        help="fast-path backend for the exact stage",
-    )
-    explore.add_argument(
         "--format",
         choices=("table", "json"),
         default="table",
@@ -523,12 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the design-space explorer benchmarks",
     )
     bench.add_argument(
-        "--backend",
-        choices=("auto", "python", "batch"),
-        default="auto",
-        help="fast-path backend for the engine and sweep benchmarks",
-    )
-    bench.add_argument(
         "--quiet",
         action="store_true",
         help="suppress per-benchmark progress lines",
@@ -586,7 +559,6 @@ def run_tables(
     workers: Optional[int] = None,
     cache: bool = True,
     observe: bool = True,
-    backend: str = "auto",
     progress: bool = False,
     progress_format: str = "human",
 ) -> int:
@@ -611,7 +583,6 @@ def run_tables(
             workers=workers,
             cache=cache,
             observe=observe,
-            backend=backend,
             progress=callback,
         )
         print(run.render_report(compare=compare))
@@ -663,13 +634,13 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
         f"({manifest.counter('fastpath.cache_hits'):.0f} trace-cache hits, "
         f"{manifest.counter('fastpath.evictions'):.0f} evictions)"
     )
-    backend_parts = []
-    for backend, keys in (
+    route_parts = []
+    for route, keys in (
         ("python", ("fast_runs",)),
         ("batch", ("fast_runs", "sweeps", "fallback_runs", "reused_runs")),
     ):
         counts = {
-            key: manifest.counter(f"fastpath.{backend}.{key}") for key in keys
+            key: manifest.counter(f"fastpath.{route}.{key}") for key in keys
         }
         if any(counts.values()):
             detail = ", ".join(
@@ -677,9 +648,9 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
                 for key, value in counts.items()
                 if value
             )
-            backend_parts.append(f"{backend}: {detail}")
-    if backend_parts:
-        lines.append("  fast-path backends: " + "; ".join(backend_parts))
+            route_parts.append(f"{route}: {detail}")
+    if route_parts:
+        lines.append("  fast-path routes: " + "; ".join(route_parts))
     ir_counts = {
         key: manifest.counter(f"fastpath.ir_stats.{key}")
         for key in ("hits", "misses", "stores")
@@ -715,8 +686,7 @@ def run_machine_info(spec: str) -> int:
     if info.params:
         print(f"params:    {', '.join(info.params)}")
     if info.fast_path:
-        print(f"fast path: yes (compiled family '{info.family}'; "
-              f"backends: {', '.join(api.list_backends())})")
+        print(f"fast path: yes (compiled family '{info.family}')")
     else:
         print("fast path: no (always runs its reference loop)")
     return 0
@@ -761,9 +731,7 @@ def run_sweep_cmd(args) -> int:
     traces += list(args.sources or [])
     if not traces:
         traces = list(ALL_LOOPS)
-    run = api.run_sweep(
-        args.machines, traces, config=args.config, backend=args.backend
-    )
+    run = api.run_sweep(args.machines, traces, config=args.config)
     print(run.render())
     fastpath = run.manifest.get("fastpath", {})
     swept = fastpath.get("batch.sweeps", 0)
@@ -918,7 +886,6 @@ def run_bench(args) -> int:
             machines=args.machines,
             no_engine=args.no_engine,
             no_explore=args.no_explore,
-            backend=args.backend,
         )
     except TypeError as exc:  # pragma: no cover - argparse guards types
         print(f"error: {exc}", file=sys.stderr)
@@ -985,7 +952,6 @@ def run_explore(args) -> int:
         workers=args.workers,
         cache=not args.no_cache,
         observe=not args.no_observe,
-        backend=args.backend,
         exhaustive=args.exhaustive,
         progress=callback,
     )
@@ -1042,7 +1008,6 @@ def _dispatch(args) -> int:
             workers=args.workers,
             cache=not args.no_cache,
             observe=not args.no_observe,
-            backend=args.backend,
             progress=args.progress or args.progress_format == "jsonl",
             progress_format=args.progress_format,
         )

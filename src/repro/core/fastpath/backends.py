@@ -1,59 +1,40 @@
-"""The fast-path backend registry: gating, selection and statistics.
+"""Fast-path gating, sweep members and run counters.
 
-A *backend* is one strategy for replaying a :class:`CompiledTrace`
-through machine timing models.  Two ship with the package (registered on
-import by their modules, the same shape as :mod:`repro.core.registry`
-for machines):
+One rule decides, per (simulator, call), whether the compiled loops may
+serve a machine (:func:`fast_eligible`):
 
-``python``
-    The original per-spec compiled loops
-    (:mod:`repro.core.fastpath.python_backend`): one machine, one
-    config, one replay.  This is what ``simulate()`` dispatches to.
-
-``batch``
-    Structure-of-arrays sweep evaluation
-    (:mod:`repro.core.fastpath.batch`): one compiled trace replayed
-    through *many* (machine, config) pairs in one pass, amortising the
-    decode, buffer decomposition and hazard analysis across the sweep.
-
-Gating is uniform across backends and decided here, once, per
-(simulator, call):
-
-* ``REPRO_FASTPATH=0`` / :func:`set_enabled` disables every backend --
-  ineligible work runs the reference loops via ``simulator.simulate``;
+* ``REPRO_FASTPATH=0`` / :func:`set_enabled` disables the fast path --
+  every machine runs its reference loop via ``simulator.simulate``;
 * an installed ``on_event`` hook (:func:`repro.obs.events.hook_installed`)
   forces the reference loop, which is the only event-emitting path;
-* machines without a compiled loop (and RUU machines with a branch
-  predictor) always take their own ``simulate`` path.
+* machines without a compiled loop (:func:`family_of` is ``None``)
+  always take their own ``simulate`` path.
 
 :func:`stats` merges the compile-cache counters from
-:mod:`repro.core.fastpath.ir` with per-backend run counters
-(``python.fast_runs``, ``batch.fast_runs``, ``batch.sweeps``, ...), so
-manifests and ``repro stats`` can attribute every fast run to the
-backend that served it; the flat ``fast_runs`` key remains the total
-across backends.
+:mod:`repro.core.fastpath.ir` with the run counters of the two replay
+routes -- ``python.fast_runs`` (a per-spec loop:
+:mod:`~repro.core.fastpath.python_backend`) and ``batch.fast_runs`` /
+``batch.sweeps`` / ``batch.fallback_runs`` / ``batch.reused_runs`` (the
+sweep kernels: :mod:`~repro.core.fastpath.batch`) -- so manifests and
+``repro stats`` can attribute every fast run; the flat ``fast_runs`` key
+is the total of the ``*.fast_runs`` counters.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..config import MachineConfig
-from ..result import SimulationResult
 from . import ir
 
 __all__ = [
-    "Backend",
     "SweepItem",
     "enabled",
     "fast_eligible",
-    "get_backend",
-    "list_backends",
-    "register_backend",
+    "family_of",
     "reset_stats",
-    "resolve_backend",
     "set_enabled",
     "stats",
 ]
@@ -69,8 +50,8 @@ def enabled() -> bool:
 def set_enabled(value: bool) -> bool:
     """Toggle fast-path auto-selection; returns the previous setting.
 
-    Applies to every backend: with the fast path disabled, machines and
-    sweeps run the reference loops regardless of the backend requested.
+    With the fast path disabled, machines and sweeps run the reference
+    loops.
     """
     global _ENABLED
     previous = _ENABLED
@@ -79,7 +60,7 @@ def set_enabled(value: bool) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Sweep members and run counters
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -94,84 +75,35 @@ class SweepItem:
     record: Optional[ir.Schedule] = None
 
 
-class Backend:
-    """One replay strategy over the compiled IR.
-
-    Subclasses implement :meth:`simulate` (one machine, one config) and
-    :meth:`simulate_sweep` (one trace, many machine/config pairs) and
-    register an instance with :func:`register_backend`.  Both entry
-    points assume the caller already passed the gating checks
-    (:func:`fast_eligible`); ineligible work never reaches a backend.
-    """
-
-    name: str = ""
-    #: Counters this backend reports; seeded to zero at registration so
-    #: ``stats()`` exposes a stable key set (the engine diffs snapshots).
-    counter_names: Tuple[str, ...] = ("fast_runs",)
-
-    def simulate(
-        self, simulator, trace, config, record=None
-    ) -> SimulationResult:
-        raise NotImplementedError
-
-    def simulate_sweep(self, trace, items) -> List[SimulationResult]:
-        raise NotImplementedError
+#: Run counters per replay route, seeded so ``stats()`` exposes a stable
+#: key set (the engine diffs snapshots); other groups (``ir_stats``) are
+#: added by their first :func:`count_run`.
+_RUN_STATS: Dict[str, Dict[str, int]] = {
+    "python": {"fast_runs": 0},
+    "batch": {
+        "fast_runs": 0, "sweeps": 0, "fallback_runs": 0, "reused_runs": 0,
+    },
+}
 
 
-_BACKENDS: Dict[str, Backend] = {}
-_RUN_STATS: Dict[str, Dict[str, int]] = {}
-
-
-def register_backend(backend: Backend) -> Backend:
-    """Add *backend* to the registry (last registration wins per name)."""
-    if not backend.name:
-        raise ValueError("backend must carry a non-empty name")
-    _BACKENDS[backend.name] = backend
-    counters = _RUN_STATS.setdefault(backend.name, {})
-    for key in backend.counter_names:
-        counters.setdefault(key, 0)
-    return backend
-
-
-def get_backend(name: str) -> Backend:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fastpath backend {name!r}; "
-            f"registered: {', '.join(sorted(_BACKENDS))}"
-        ) from None
-
-
-def list_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def resolve_backend(name: str) -> Backend:
-    """Resolve a backend request, mapping ``"auto"`` to the batch backend
-    (the sweep-shaped entry points are the only callers that resolve)."""
-    return get_backend("batch" if name == "auto" else name)
-
-
-def count_run(backend: str, key: str, n: int = 1) -> None:
-    """Bump a per-backend run counter (backends call this)."""
-    counters = _RUN_STATS.setdefault(backend, {})
+def count_run(group: str, key: str, n: int = 1) -> None:
+    """Bump the run counter ``<group>.<key>``."""
+    counters = _RUN_STATS.setdefault(group, {})
     counters[key] = counters.get(key, 0) + n
 
 
 def stats() -> Dict[str, int]:
-    """Compile-cache and per-backend dispatch counters, flattened.
+    """Compile-cache and per-route dispatch counters, flattened.
 
     ``compiles`` / ``cache_hits`` / ``cache_misses`` / ``evictions``
     describe the per-trace compile cache (every miss compiles, so
     ``cache_misses == compiles`` unless the counters were reset between
     the two events; ``evictions`` counts entries dropped by the weak
     reference when their trace was garbage-collected).  ``fast_runs``
-    totals fast replays across backends; ``<backend>.<counter>`` keys
+    totals fast replays across routes; ``<route>.<counter>`` keys
     (``python.fast_runs``, ``batch.fast_runs``, ``batch.sweeps``,
-    ``batch.fallback_runs``) attribute them to the backend that served
-    them.
+    ``batch.fallback_runs``, ``batch.reused_runs``) attribute them to
+    the loop that served them.
     """
     merged: Dict[str, int] = dict(ir._STATS)
     merged["fast_runs"] = 0
@@ -232,15 +164,11 @@ def family_of(simulator) -> Optional[str]:
 
 
 def fast_eligible(simulator) -> bool:
-    """May *simulator* be served by a fast-path backend right now?
+    """May *simulator* be served by a compiled loop right now?
 
-    The single gating rule every backend shares: the fast path must be
-    enabled, the machine must have a compiled loop, no ``on_event`` hook
-    may be installed (hooks only fire from the reference loops), and a
-    RUU machine must not carry a branch predictor (the compiled loop
-    models only the default resolve-at-issue policy).  The speculative
-    family is exempt from the predictor rule: its compiled loop replays
-    the machine's deterministic predictor itself.
+    The single gating rule: the fast path must be enabled, the machine
+    must have a compiled loop, and no ``on_event`` hook may be installed
+    (hooks only fire from the reference loops).
     """
     if not _ENABLED:
         return False
@@ -248,9 +176,4 @@ def fast_eligible(simulator) -> bool:
 
     if hook_installed(simulator):
         return False
-    family = family_of(simulator)
-    if family is None:
-        return False
-    if family == "ruu" and simulator.predictor_factory is not None:
-        return False
-    return True
+    return family_of(simulator) is not None

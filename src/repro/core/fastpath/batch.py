@@ -1,11 +1,11 @@
-"""The ``batch`` backend: sweep evaluation that shares work across specs.
+"""Batch sweep kernels: one replay pass that shares work across specs.
 
 The paper's experiments are sweep-shaped: the same trace replayed
 across many machine configurations (the four memory/branch variants of
 a table, the oracle's machine set, an issue-width sweep).  The
 per-spec loops pay the full replay cost per configuration even though
 :func:`~repro.core.fastpath.ir.compile_trace` already shares the
-decode.  This backend evaluates one :class:`CompiledTrace` through a
+decode.  :func:`sweep` evaluates one :class:`CompiledTrace` through a
 whole sweep in a single call and keeps a kernel only for the families
 where config-independent work is worth sharing:
 
@@ -16,9 +16,10 @@ where config-independent work is worth sharing:
   every smaller RUU its peak still fits (counted as ``reused_runs``).
 
 Every other family -- scoreboard, cdc6600, in-order, Tomasulo and the
-speculative machine -- is served by the ``python`` backend's per-spec
-loops inside the same sweep call, sharing the single compiled trace
-and counted as ``fallback_runs``.  A family is batched only if its
+speculative machine -- is served by its per-spec loop
+(:mod:`~repro.core.fastpath.python_backend`) inside the same sweep
+call, sharing the single compiled trace and counted as
+``fallback_runs``.  A family is batched only if its
 kernel beats per-spec replay on its own table's sweep shape: the
 single-issue and in-order recurrences have no shared analysis to
 amortise, and structure-of-arrays kernels for them measured slower
@@ -46,7 +47,7 @@ very next comparison), so vectorising across the sweep would have to
 speculate and repair -- and at sweep widths of 4-20 the per-op ufunc
 dispatch overhead dominates any arithmetic saved.  Bit-identity with
 ``reference_simulate`` is the contract here exactly as for the
-``python`` backend; the differential sweep in
+per-spec loops; the differential sweep in
 ``tests/test_fastpath_batch.py`` and the oracle's ``fastpath-dual``
 check enforce it.  Like the per-spec loops, both kernels always fill
 the ``tlm.*`` telemetry record.
@@ -61,13 +62,7 @@ from ...obs.telemetry import SimTelemetry
 from ...trace import Trace
 from ..buses import BusKind
 from ..result import SimulationResult
-from .backends import (
-    Backend,
-    count_run,
-    family_of,
-    get_backend,
-    register_backend,
-)
+from .backends import count_run, family_of
 from .ir import (
     N_REGISTERS,
     UNITS,
@@ -75,15 +70,15 @@ from .ir import (
     compile_trace,
     window_stats,
 )
-from .python_backend import _closed_busy, ruu_replay
+from .python_backend import FAMILY_LOOPS, _closed_busy, ruu_replay
 
-__all__ = ["BatchBackend"]
+__all__ = ["sweep"]
 
 #: Cap on buffer-drain scan passes, mirroring the per-spec loop's guard.
 _MAX_BUFFER_CYCLES = 100_000
 
-#: Families the batch kernels cover; the rest fall back to the
-#: ``python`` backend's per-spec loops (still inside the one sweep).
+#: Families the batch kernels cover; the rest fall back to their
+#: per-spec loops (still inside the one sweep).
 _BATCHED_FAMILIES = frozenset({"ooo", "ruu"})
 
 
@@ -773,62 +768,58 @@ def _sweep_ruu(compiled, group) -> List[SimulationResult]:
 
 
 # ----------------------------------------------------------------------
-# The backend
+# The sweep
 # ----------------------------------------------------------------------
 
-class BatchBackend(Backend):
-    """Sweep-shaped replay: group by structure key, share the analysis."""
+def sweep(trace: Trace, items) -> List[SimulationResult]:
+    """Replay *trace* through every fast-eligible sweep member.
 
-    name = "batch"
-    counter_names = ("fast_runs", "sweeps", "fallback_runs", "reused_runs")
+    Members are grouped by structure key; ooo and RUU groups run their
+    kernels (``batch.fast_runs``), every other member its per-spec loop
+    (``batch.fallback_runs``).  Results come back in item order.
+    """
+    compiled = compile_trace(trace)
+    families = [family_of(item.simulator) for item in items]
+    if compiled.has_vector:
+        # Mirror per-item dispatch: the first non-scoreboard machine
+        # in item order raises the reference loops' scalar-only error.
+        for item, family in zip(items, families):
+            if family != "scoreboard":
+                _scalar_only(item.simulator)
+    count_run("batch", "sweeps")
 
-    def simulate(self, simulator, trace, config, record=None):
-        """A single replay has no sweep to amortise over; serve it with
-        the per-spec loop (attributed to the ``python`` backend)."""
-        return get_backend("python").simulate(simulator, trace, config, record)
+    groups: Dict[Tuple, List[int]] = {}
+    for i, (item, family) in enumerate(zip(items, families)):
+        if family not in _BATCHED_FAMILIES:
+            key: Tuple = ("fallback",)
+        elif family == "ooo":
+            key = (
+                "ooo",
+                item.simulator.issue_units,
+                item.simulator.enforce_war,
+            )
+        else:
+            key = (family,)
+        groups.setdefault(key, []).append(i)
 
-    def simulate_sweep(self, trace: Trace, items) -> List[SimulationResult]:
-        compiled = compile_trace(trace)
-        if compiled.has_vector:
-            # Mirror per-item dispatch: the first non-scoreboard machine
-            # in item order raises the reference loops' scalar-only error.
-            for item in items:
-                if family_of(item.simulator) != "scoreboard":
-                    _scalar_only(item.simulator)
-        count_run("batch", "sweeps")
-
-        groups: Dict[Tuple, List[int]] = {}
-        for i, item in enumerate(items):
-            family = family_of(item.simulator)
-            if family not in _BATCHED_FAMILIES:
-                key: Tuple = ("fallback",)
-            elif family == "ooo":
-                key = (
-                    "ooo",
-                    item.simulator.issue_units,
-                    item.simulator.enforce_war,
+    results: List[SimulationResult] = [None] * len(items)  # type: ignore
+    for key, indices in groups.items():
+        group = [items[i] for i in indices]
+        family = key[0]
+        if family == "fallback":
+            count_run("batch", "fallback_runs", len(group))
+            batch = [
+                FAMILY_LOOPS[families[i]](
+                    items[i].simulator, trace, items[i].config, items[i].record
                 )
+                for i in indices
+            ]
+        else:
+            count_run("batch", "fast_runs", len(group))
+            if family == "ruu":
+                batch = _sweep_ruu(compiled, group)
             else:
-                key = (family,)
-            groups.setdefault(key, []).append(i)
-
-        results: List[SimulationResult] = [None] * len(items)  # type: ignore
-        for key, indices in groups.items():
-            group = [items[i] for i in indices]
-            family = key[0]
-            if family == "fallback":
-                python = get_backend("python")
-                count_run("batch", "fallback_runs", len(group))
-                batch = python.simulate_sweep(trace, group)
-            else:
-                count_run("batch", "fast_runs", len(group))
-                if family == "ruu":
-                    batch = _sweep_ruu(compiled, group)
-                else:
-                    batch = _sweep_ooo(compiled, key[1], key[2], group)
-            for i, result in zip(indices, batch):
-                results[i] = result
-        return results
-
-
-register_backend(BatchBackend())
+                batch = _sweep_ooo(compiled, key[1], key[2], group)
+        for i, result in zip(indices, batch):
+            results[i] = result
+    return results

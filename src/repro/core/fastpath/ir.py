@@ -1,4 +1,4 @@
-"""The compiled trace IR: per-trace lowering shared by every backend.
+"""The compiled trace IR: per-trace lowering shared by every replay.
 
 The reference simulators spend most of their wall time in
 per-instruction Python object churn: property chains
@@ -14,10 +14,10 @@ replay of the same trace.
 once into flat parallel tuples of small integers -- functional-unit
 index, destination/source register ids, branch/vector/bus flags, vector
 length -- resolved a single time up front and cached per trace object.
-Backends (:mod:`repro.core.fastpath.backends`) replay the compiled form
-with whatever evaluation strategy they implement; the lowering itself is
-machine- and config-independent, so one compilation serves every machine
-variant and every backend.
+The per-spec loops (:mod:`repro.core.fastpath.python_backend`) and the
+batch sweep kernels (:mod:`repro.core.fastpath.batch`) replay the
+compiled form; the lowering itself is machine- and config-independent,
+so one compilation serves every machine variant and every replay.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class CompiledTrace:
 #: the entry when the trace dies.
 _CACHE: Dict[int, Tuple["weakref.ref[Trace]", CompiledTrace]] = {}
 
-#: Compile-cache counters; backend run counters live in
+#: Compile-cache counters; replay run counters live in
 #: :mod:`repro.core.fastpath.backends` (the combined view is
 #: ``fastpath.stats()``).
 _STATS = {

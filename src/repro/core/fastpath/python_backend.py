@@ -1,4 +1,4 @@
-"""The ``python`` backend: the original per-spec compiled loops.
+"""The per-spec compiled loops: one machine, one config, one replay.
 
 One compiled fast loop per machine family, each a bit-identical twin of
 that family's ``reference_simulate``: state held in flat integer arrays
@@ -27,10 +27,10 @@ Bit-identity is a hard invariant, enforced three ways:
 
 The module-level ``simulate_*_fast`` functions are the machines\'
 dispatch targets (``fastpath.python_backend.simulate_*_fast``; the
-package does not re-export them); :class:`PythonBackend` wraps them
-behind the backend interface (:mod:`repro.core.fastpath.backends`) so
-sweep-shaped callers can select per-spec replay explicitly
-(``backend="python"``).
+package does not re-export them); :data:`FAMILY_LOOPS` maps each
+compiled family to its loop, which is how
+:func:`repro.core.fastpath.simulate_sweep` serves sweep members the
+batch kernels do not cover.  Every run counts as ``python.fast_runs``.
 
 Telemetry: every loop also fills a closed-form
 :class:`~repro.obs.telemetry.SimTelemetry` record -- stall cycles by
@@ -56,7 +56,7 @@ from ...trace import Trace
 from ..buses import BusKind
 from ..config import MachineConfig
 from ..result import SimulationResult
-from .backends import Backend, count_run, family_of, register_backend
+from .backends import count_run
 from .ir import (
     N_REGISTERS,
     Schedule,
@@ -72,7 +72,7 @@ from .ir import (
 )
 
 __all__ = [
-    "PythonBackend",
+    "FAMILY_LOOPS",
     "simulate_cdc6600_fast",
     "simulate_inorder_fast",
     "simulate_ooo_fast",
@@ -903,9 +903,9 @@ def ruu_replay(
 ) -> RUURun:
     """The RUU fast loop: one replay of *compiled* on *machine*/*config*.
 
-    Both backends run RUU machines through this one loop -- the
-    ``python`` backend once per spec, the ``batch`` backend once per
-    distinct replay of a sweep.  It walks the reference's commit /
+    Every RUU replay runs this one loop -- :func:`simulate_ruu_fast`
+    once per spec, the batch RUU kernel once per distinct replay of a
+    sweep.  It walks the reference's commit /
     dispatch / issue phase order over the shared :func:`ruu_plan`, so
     renaming costs tuple reads instead of tag dictionaries, and jumps
     over idle cycles (crediting occupancy and stall statistics for the
@@ -1185,9 +1185,6 @@ def simulate_ruu_fast(
     """Fast twin of :meth:`RUUMachine.reference_simulate`: one
     :func:`ruu_replay` over the trace's cached :func:`ruu_plan`.
 
-    Speculative runs (``predictor_factory``) keep the reference loop --
-    prediction state and accuracy stats are not modelled here; the
-    machine's dispatch gate never routes them this way.
     """
     compiled = compile_trace(trace)
     if compiled.has_vector:
@@ -1809,38 +1806,11 @@ def simulate_spec_fast(
 
 
 # ----------------------------------------------------------------------
-# The backend wrapper
+# Family -> loop
 # ----------------------------------------------------------------------
 
-class PythonBackend(Backend):
-    """Per-spec replay: each (machine, config) runs its own fast loop."""
-
-    name = "python"
-
-    _LOOPS = None  # family -> loop, bound lazily below
-
-    def _loop_for(self, simulator):
-        family = family_of(simulator)
-        if family is None:
-            raise ValueError(
-                f"{simulator!r} has no compiled fast loop"
-            )
-        return _FAMILY_LOOPS[family]
-
-    def simulate(
-        self, simulator, trace: Trace, config: MachineConfig, record=None
-    ) -> SimulationResult:
-        return self._loop_for(simulator)(simulator, trace, config, record)
-
-    def simulate_sweep(self, trace: Trace, items) -> List[SimulationResult]:
-        compile_trace(trace)  # shared lowering, pinned by the caller
-        return [
-            self.simulate(item.simulator, trace, item.config, item.record)
-            for item in items
-        ]
-
-
-_FAMILY_LOOPS = {
+#: The compiled loop of each :func:`~repro.core.fastpath.family_of` family.
+FAMILY_LOOPS = {
     "scoreboard": simulate_scoreboard_fast,
     "inorder": simulate_inorder_fast,
     "ooo": simulate_ooo_fast,
@@ -1849,5 +1819,3 @@ _FAMILY_LOOPS = {
     "tomasulo": simulate_tomasulo_fast,
     "cdc6600": simulate_cdc6600_fast,
 }
-
-register_backend(PythonBackend())

@@ -7,7 +7,8 @@ issue units and an RUU of R entries:
 * **issue**   -- up to N instructions enter the RUU in program order;
   issue blocks when the RUU is full or a branch is encountered (there is
   no branch prediction: the stream resumes only once the branch resolves,
-  i.e. its A0 instance is available plus the branch execution time);
+  i.e. its A0 instance is available plus the branch execution time --
+  prediction is studied with the ``spec`` family, :mod:`repro.core.spec`);
 * **dispatch**-- any RUU entries whose operands are available may proceed
   to the (fully pipelined) functional units, oldest first, limited by the
   RUU->FU path width;
@@ -84,11 +85,6 @@ class RUUMachine(Simulator):
         ordered_memory: if True, loads/stores dispatch in program order
             among themselves (ablation; the paper tracks register
             dependences only).
-        predictor_factory: optional branch-predictor factory
-            (:mod:`repro.predict`); enables speculative issue past
-            correctly predicted branches.
-        misprediction_penalty: extra recovery cycles beyond the normal
-            branch resolution on a mispredict.
         fu_copies: copies of every functional unit (including the memory
             port); the paper's base machine has exactly one of each.
     """
@@ -101,8 +97,6 @@ class RUUMachine(Simulator):
         *,
         bypass: bool = True,
         ordered_memory: bool = False,
-        predictor_factory=None,
-        misprediction_penalty: int = 0,
         fu_copies: int = 1,
     ) -> None:
         if issue_units < 1:
@@ -113,8 +107,6 @@ class RUUMachine(Simulator):
             raise ValueError(
                 "the RUU machine models N-Bus and 1-Bus organisations"
             )
-        if misprediction_penalty < 0:
-            raise ValueError("misprediction penalty cannot be negative")
         if fu_copies < 1:
             raise ValueError("need at least one copy of each functional unit")
         self.issue_units = issue_units
@@ -122,13 +114,6 @@ class RUUMachine(Simulator):
         self.bus_kind = bus_kind
         self.bypass = bypass
         self.ordered_memory = ordered_memory
-        #: Optional branch speculation (see repro.predict): a factory
-        #: producing a fresh BranchPredictor per run.  A correctly
-        #: predicted branch lets issue continue the next cycle instead of
-        #: waiting for resolution; a misprediction behaves like the
-        #: paper's non-speculative branch plus `misprediction_penalty`.
-        self.predictor_factory = predictor_factory
-        self.misprediction_penalty = misprediction_penalty
         #: Copies of every functional unit (the paper's base machine has
         #: one of each; >1 relaxes the resource limit's bottleneck).
         self.fu_copies = fu_copies
@@ -145,8 +130,6 @@ class RUUMachine(Simulator):
             extras.append("no-bypass")
         if self.ordered_memory:
             extras.append("ordered-mem")
-        if self.predictor_factory is not None:
-            extras.append(f"predict:{self.predictor_factory().name}")
         if self.fu_copies != 1:
             extras.append(f"{self.fu_copies}xFU")
         suffix = f", {'+'.join(extras)}" if extras else ""
@@ -157,15 +140,9 @@ class RUUMachine(Simulator):
 
     # ------------------------------------------------------------------
     def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # Speculative runs keep the reference loop: the fast loop models
-        # neither per-branch prediction state nor the accuracy detail.
         # hook_installed is re-read per call so a hook attached after
-        # construction always gets the event-emitting loop.
-        if (
-            self.predictor_factory is None
-            and fastpath.enabled()
-            and not hook_installed(self)
-        ):
+        # construction always gets the event-emitting reference loop.
+        if fastpath.enabled() and not hook_installed(self):
             return fastpath.python_backend.simulate_ruu_fast(self, trace, config)
         return self._simulate(trace, config, self.on_event)
 
@@ -205,12 +182,6 @@ class RUUMachine(Simulator):
         # unit accepts one operation per cycle.
         fu_cycle: Dict[FunctionalUnit, int] = {}
         fu_used: Dict[FunctionalUnit, int] = {}
-
-        predictor = (
-            self.predictor_factory() if self.predictor_factory else None
-        )
-        #: seq -> whether its (already scored) prediction was correct.
-        predicted_correct: Dict[int, bool] = {}
 
         occupancy_sum = 0  # RUU entries live, integrated over cycles
         full_stall_cycles = 0  # cycles issue was blocked by a full RUU
@@ -316,26 +287,6 @@ class RUUMachine(Simulator):
                 instr = t_entry.instruction
 
                 if instr.is_branch:
-                    if predictor is not None:
-                        handled, resume = self._speculate(
-                            t_entry, cycle, branch_latency, predictor,
-                            predicted_correct, operand_tag, tag_ready,
-                        )
-                        if not handled:
-                            break  # mispredicted branch awaiting A0
-                        issue_resume = resume
-                        if issue_resume > last_commit:
-                            last_commit = issue_resume
-                        if emit is not None:
-                            emit(SimEvent(EventKind.ISSUE, t_entry.seq, cycle))
-                            if not predicted_correct.get(t_entry.seq, True):
-                                emit(SimEvent(
-                                    EventKind.FLUSH, t_entry.seq, cycle,
-                                    reason="MISPREDICT",
-                                ))
-                        pos += 1
-                        issued += 1
-                        break
                     a0_tag = operand_tag(A0)
                     a0_ready = tag_ready(a0_tag) if instr.is_conditional_branch else 0
                     if a0_ready == _UNKNOWN or a0_ready > cycle:
@@ -411,8 +362,6 @@ class RUUMachine(Simulator):
             "ruu_full_stall_cycles": float(full_stall_cycles),
             "branch_stall_cycles": float(branch_stall_cycles),
         }
-        if predictor is not None and predictor.stats.predictions:
-            detail["prediction_accuracy"] = predictor.stats.accuracy
         return SimulationResult(
             trace_name=trace.name,
             simulator=self.name,
@@ -421,42 +370,3 @@ class RUUMachine(Simulator):
             cycles=cycles,
             detail=detail,
         )
-
-    # ------------------------------------------------------------------
-    def _speculate(
-        self, t_entry, cycle, branch_latency, predictor,
-        predicted_correct, operand_tag, tag_ready,
-    ):
-        """Handle one branch under speculation at the issue stage.
-
-        Returns ``(handled, issue_resume)``.  ``handled`` is False when a
-        mispredicted branch is still waiting for its A0 instance -- the
-        issue stage stalls (wrong-path work is being executed, which the
-        trace cannot represent, so correct-path issue halts exactly as in
-        the non-speculative machine).
-        """
-        instr = t_entry.instruction
-        seq = t_entry.seq
-
-        if not instr.is_conditional_branch:
-            # Unconditional: the target is known at decode; one-cycle
-            # fetch redirect.
-            return True, cycle + 1
-
-        if seq not in predicted_correct:
-            backward = bool(t_entry.backward)
-            prediction = predictor.predict(t_entry.static_index, backward)
-            correct = predictor.record(prediction, bool(t_entry.taken))
-            predictor.update(t_entry.static_index, bool(t_entry.taken))
-            predicted_correct[seq] = correct
-
-        if predicted_correct[seq]:
-            # Fetch already went the right way; continue next cycle.
-            return True, cycle + 1
-
-        # Misprediction: correct-path issue resumes only at resolution
-        # (A0 available + branch time) plus the recovery penalty.
-        a0_ready = tag_ready(operand_tag(A0))
-        if a0_ready == _UNKNOWN or a0_ready > cycle:
-            return False, 0
-        return True, cycle + branch_latency + self.misprediction_penalty

@@ -315,8 +315,8 @@ class SpecMachine(Simulator):
 
     # ------------------------------------------------------------------
     def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # Unlike the RUU, the spec fast loop models the predictors (they
-        # are deterministic), so a predictor never forces the reference
+        # The spec fast loop models the predictors (they are
+        # deterministic), so a predictor never forces the reference
         # loop -- only an installed event hook does.  hook_installed is
         # re-read per call so a hook attached after construction always
         # gets the event-emitting loop.

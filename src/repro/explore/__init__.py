@@ -239,7 +239,6 @@ def explore(
     workers: Optional[int] = None,
     cache: Optional[DiskCache] = None,
     observe: bool = False,
-    backend: str = "auto",
     exhaustive: bool = False,
     progress: Optional[ProgressCallback] = None,
 ) -> ExploreRun:
@@ -262,7 +261,6 @@ def explore(
         cache: DiskCache for traces, cell results, IR statistics,
             anchors and screened spaces.
         observe: write a run manifest (``explore`` table id).
-        backend: fast-path backend for the exact stage.
         exhaustive: additionally simulate *every* candidate (grids up to
             5000 only) and report frontier recall against the true
             frontier.
@@ -326,8 +324,7 @@ def explore(
     specs = {index: grid.machine_spec(index) for index in simulate_idx}
     simulated, sweep = simulate_specs(
         [specs[index] for index in simulate_idx], normalised,
-        config=config, workers=workers, cache=cache, backend=backend,
-        progress=progress,
+        config=config, workers=workers, cache=cache, progress=progress,
     )
     simulate_ended = time.monotonic()
 

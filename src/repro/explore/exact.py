@@ -36,7 +36,6 @@ def simulate_specs(
     config: str = "M11BR5",
     workers: Optional[int] = None,
     cache: Optional[DiskCache] = None,
-    backend: str = "auto",
     progress: Optional[ProgressCallback] = None,
 ) -> "tuple[Dict[str, float], PlanRun]":
     """Simulate every spec over every source; harmonic-mean rates.
@@ -64,10 +63,7 @@ def simulate_specs(
             for spec in rows
         ),
     )
-    run = run_plan(
-        plan, workers=workers, cache=cache, backend=backend,
-        progress=progress,
-    )
+    run = run_plan(plan, workers=workers, cache=cache, progress=progress)
     return {row: values["rate"] for row, values in run.table.rows}, run
 
 

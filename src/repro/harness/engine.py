@@ -80,8 +80,8 @@ def _fastpath_deltas(
     """Non-zero ``fastpath.stats()`` deltas as ``fastpath.*`` metrics.
 
     Every counter the stats expose is published -- including the
-    per-backend keys (``python.fast_runs``, ``batch.sweeps``, ...), so
-    manifests attribute fast runs to the backend that served them.
+    per-route keys (``python.fast_runs``, ``batch.sweeps``, ...), so
+    manifests attribute fast runs to the loop that served them.
     """
     deltas: Dict[str, float] = {}
     for key, value in after.items():
@@ -263,7 +263,7 @@ def _values_from_record(cell: Cell, record: Mapping[str, Any]) -> Dict[str, floa
 
 
 def _compute_records(
-    trace: Trace, cells: Sequence[Cell], backend: str
+    trace: Trace, cells: Sequence[Cell]
 ) -> Tuple[str, List[Dict[str, Any]]]:
     """``(work span name, one record per cell)`` for cells sharing *trace*."""
     if cells[0].is_limits:
@@ -284,7 +284,7 @@ def _compute_records(
         (build_simulator(cell.machine), config_by_name(cell.config))
         for cell in cells
     ]
-    results = fastpath.simulate_sweep(trace, items, backend=backend)
+    results = fastpath.simulate_sweep(trace, items)
     return "replay", [
         {
             "trace": result.trace_name,
@@ -301,15 +301,14 @@ def evaluate_group(
     group: Sequence[Tuple[int, Cell]],
     cache: Optional[DiskCache],
     *,
-    backend: str = "auto",
     enqueued: Optional[float] = None,
 ) -> List[CellOutcome]:
     """Evaluate ``(index, cell)`` pairs that share one trace.
 
     Every cell is first looked up in *cache*; a hit becomes an outcome
     with its own lookup interval.  The misses share one trace resolution
-    and one :func:`repro.core.fastpath.simulate_sweep` call through
-    *backend* (or one limits computation each) -- gating is per sweep
+    and one :func:`repro.core.fastpath.simulate_sweep` call (or one
+    limits computation each) -- gating is per sweep
     member, so a hooked or fast-path-disabled member still runs its
     reference loop and the table stays bit-identical to per-cell
     evaluation.  The computed part is recorded as one
@@ -368,9 +367,7 @@ def evaluate_group(
     fastpath_before = fastpath.stats()
     trace, trace_from = resolve_trace(source, cache)
     resolved = time.monotonic()
-    work, records = _compute_records(
-        trace, [cell for _, cell in pending], backend
-    )
+    work, records = _compute_records(trace, [cell for _, cell in pending])
     computed = time.monotonic()
     metrics = dict(lookup_metrics)
     for (index, cell), record in zip(pending, records):
@@ -408,12 +405,10 @@ def evaluate_group(
 
 
 def _evaluate_in_pool(
-    payload: Tuple[List[Tuple[int, Cell]], str, float]
+    payload: Tuple[List[Tuple[int, Cell]], float]
 ) -> List[CellOutcome]:
-    group, backend, enqueued = payload
-    return evaluate_group(
-        group, _WORKER_CACHE, backend=backend, enqueued=enqueued
-    )
+    group, enqueued = payload
+    return evaluate_group(group, _WORKER_CACHE, enqueued=enqueued)
 
 
 # ----------------------------------------------------------------------
@@ -655,15 +650,13 @@ def run_plan(
     workers: Optional[int] = None,
     cache: Optional[DiskCache] = None,
     observe: bool = False,
-    backend: str = "auto",
     progress: Optional[ProgressCallback] = None,
 ) -> PlanRun:
     """Evaluate every cell of *plan* and merge deterministically.
 
     ``workers=1`` (or a single-group plan) runs in-process; anything
     larger fans out over a ``ProcessPoolExecutor``.  Simulator cells
-    sharing a trace are evaluated as one fast-path sweep through
-    *backend* (``"auto"`` resolves to the batch backend; see
+    sharing a trace are evaluated as one fast-path sweep (see
     :mod:`repro.core.fastpath`) -- per-cell cache lookups and gating are
     preserved, so the table is bit-identical to per-cell evaluation.
     *cache* is optional: without it the engine is a pure compute path.
@@ -710,9 +703,7 @@ def run_plan(
 
     if workers == 1 or len(groups) <= 1:
         for group in groups:
-            collect(evaluate_group(
-                group, cache, backend=backend, enqueued=time.monotonic()
-            ))
+            collect(evaluate_group(group, cache, enqueued=time.monotonic()))
     else:
         cache_dir = str(cache.root) if cache is not None else None
         with ProcessPoolExecutor(
@@ -723,9 +714,7 @@ def run_plan(
             # One future per group, collected as they complete, so the
             # progress stream ticks while the pool is still busy.
             futures = [
-                pool.submit(
-                    _evaluate_in_pool, (group, backend, time.monotonic())
-                )
+                pool.submit(_evaluate_in_pool, (group, time.monotonic()))
                 for group in groups
             ]
             for future in as_completed(futures):

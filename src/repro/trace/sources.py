@@ -516,7 +516,7 @@ class SourceStats:
     """Dependence and functional-unit demand summary of one trace.
 
     Computed from the compiled IR (:mod:`repro.core.fastpath.ir`), the
-    same lowering every fast backend replays, so the statistics describe
+    same lowering every fast loop replays, so the statistics describe
     exactly what the simulators see.
 
     Attributes:

@@ -10,7 +10,7 @@ Two statistic families live here:
   trace records (opcodes, kinds, parcel widths);
 * :func:`ir_statistics` -- dependence and demand statistics over the
   *compiled* IR (:mod:`repro.core.fastpath.ir`), the exact lowering every
-  fast backend and limit computation replays.  These feed the analytic
+  fast loop and limit computation replays.  These feed the analytic
   design-space estimator (:mod:`repro.explore.model`) and the per-source
   summaries (:func:`repro.trace.sources.source_statistics`), and are
   cacheable per trace-source spec through :func:`cached_ir_stats` so

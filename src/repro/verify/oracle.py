@@ -255,7 +255,7 @@ def run_oracle(
     # Non-overridden specs replay as one sweep: eligibility is decided
     # per item inside simulate_sweep (exactly the machines' own dispatch
     # gate), so hooked/disabled/uncompiled members still run their
-    # reference loops while the rest share the batch backend.  Injected
+    # reference loops while the rest share one batch sweep.  Injected
     # simulator overrides bypass the sweep on purpose -- the test suite
     # plants broken machines there and expects their own ``simulate`` to
     # be what the oracle observes.

@@ -162,9 +162,6 @@ class TestParseSpecAndMachineInfo:
         assert info.family is None
         assert not info.fast_path
 
-    def test_list_backends(self):
-        assert set(api.list_backends()) >= {"batch", "python"}
-
 
 class TestRunSweep:
     SPECS = ("cray", "ooo:2", "ruu:2:10")
@@ -180,12 +177,18 @@ class TestRunSweep:
                 assert result.instructions == solo.instructions
 
     def test_backends_agree(self):
-        batch = api.run_sweep(self.SPECS, [12], backend="batch")
-        python = api.run_sweep(self.SPECS, [12], backend="python")
+        """The batch sweep agrees with each spec's own ``simulate``, and
+        the manifest attributes the replays to the sweep."""
+        from repro.harness.aggregate import harmonic_mean
+
+        run = api.run_sweep(self.SPECS, [12])
         for spec in self.SPECS:
-            assert batch.rates[spec] == python.rates[spec]
-        assert batch.manifest["fastpath"].get("batch.sweeps", 0) >= 1
-        assert python.manifest["fastpath"].get("python.fast_runs", 0) >= 1
+            solo = api.simulate(12, spec)
+            assert run.results[spec][0].detail == solo.detail
+            assert run.rates[spec] == harmonic_mean(
+                [solo.instructions / solo.cycles]
+            )
+        assert run.manifest["fastpath"].get("batch.sweeps", 0) >= 1
 
     def test_accepts_trace_objects(self, loop5_trace):
         run = api.run_sweep(["cray"], [loop5_trace])
@@ -199,9 +202,13 @@ class TestRunSweep:
         with pytest.raises(api.UnknownSpecError):
             api.run_sweep(["cray", "warp-drive"], [1])
 
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ValueError, match="unknown fastpath backend"):
-            api.run_sweep(["cray"], [1], backend="fortran")
+    def test_rejects_empty_specs(self):
+        with pytest.raises(ValueError, match="specs is empty"):
+            api.run_sweep([], [1])
+
+    def test_rejects_empty_traces(self):
+        with pytest.raises(ValueError, match="traces is empty"):
+            api.run_sweep(["cray"], [])
 
     def test_render_lists_every_spec(self):
         run = api.run_sweep(self.SPECS, [1])

@@ -189,8 +189,8 @@ def test_full_suite_meets_speedup_target(tmp_path):
         assert speedup is not None and speedup.value >= 3.0, (
             f"{spec}: {speedup.value if speedup else None}"
         )
-    # And the batch backend amortises a four-config sweep at least 2x
-    # over four per-spec fast replays (the batch-backend acceptance
+    # And the batch sweep amortises a four-config sweep at least 2x
+    # over four per-spec fast replays (the batch-kernel acceptance
     # floor the nightly gate also enforces).
     sweep = reloaded.result("sweep.ooo:4.speedup")
     assert sweep is not None and sweep.value >= 2.0, (

@@ -207,15 +207,6 @@ class TestSweepCommand:
         assert "sweep: 2 machines x 2 traces" in out
         assert "cray" in out and "ooo:2" in out
 
-    def test_sweep_backend_flag(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "sweep", "--machines", "cray",
-            "--kernels", "3", "--backend", "python",
-        )
-        assert code == 0
-        assert "backend python" in out
-
     def test_sweep_rejects_bad_spec(self, capsys):
         code = main(["sweep", "--machines", "cray", "warp-drive"])
         err = capsys.readouterr().err
@@ -242,34 +233,7 @@ class TestMachineInfoFlag:
         assert "ruu:2" in err
 
 
-class TestBackendFlags:
-    def test_tables_forwards_backend(self, capsys, monkeypatch):
-        import repro.api as api
-        from repro.harness.engine import EngineStats
-        from repro.harness.tables import ResultTable
-
-        seen = {}
-
-        def fake(table_id, *, backend="auto", **kw):
-            seen["backend"] = backend
-            table = ResultTable(
-                table_id=table_id,
-                title="fake",
-                columns=("M11BR5",),
-                rows=(("r", {"M11BR5": 1.0}),),
-            )
-            return api.TableRun(
-                table=table,
-                stats=EngineStats(table_id=table_id, cells=1, workers=1),
-            )
-
-        monkeypatch.setattr(api, "run_table", fake)
-        code, _ = run_cli(
-            capsys, "tables", "table1", "--backend", "python"
-        )
-        assert code == 0
-        assert seen == {"backend": "python"}
-
+class TestBenchFlags:
     def test_bench_rejects_bad_machine_before_running(self, capsys):
         code = main(["bench", "--quick", "--machines", "warp-drive"])
         err = capsys.readouterr().err

@@ -288,7 +288,7 @@ class TestWarmTelemetry:
 
 
 class TestSweepGrouping:
-    """Sweep-shaped plans route through the batch backend without
+    """Sweep-shaped plans route through the batch sweep without
     changing a single table value."""
 
     def test_sweep_groups_partition_by_trace(self, small_sizes):
@@ -313,15 +313,35 @@ class TestSweepGrouping:
             assert group[0][1].is_limits
 
     @pytest.mark.parametrize("backend", ["python", "batch"])
-    def test_backends_produce_identical_tables(self, small_sizes, backend):
-        auto = api.run_table(
-            "table1", sizes=small_sizes, workers=1, cache=False
-        )
-        other = api.run_table(
-            "table1", sizes=small_sizes, workers=1, cache=False,
-            backend=backend,
-        )
-        assert other.table.rows == auto.table.rows
+    def test_backends_produce_identical_tables(
+        self, small_sizes, monkeypatch, backend
+    ):
+        """Both replay routes give the fast-path-off tables: "batch" is
+        the engine's sweep (Table 5's ooo batch kernel, Table 1's
+        per-spec loops inside the sweep); "python" serves every member
+        through its own ``simulate``, i.e. its per-spec compiled loop."""
+        from repro.core import fastpath
+
+        if backend == "python":
+            monkeypatch.setattr(
+                fastpath, "simulate_sweep",
+                lambda trace, items: [
+                    simulator.simulate(trace, config)
+                    for simulator, config in items
+                ],
+            )
+        for table_id in ("table1", "table5"):
+            swept = api.run_table(
+                table_id, sizes=small_sizes, workers=1, cache=False
+            )
+            previous = fastpath.set_enabled(False)
+            try:
+                reference = api.run_table(
+                    table_id, sizes=small_sizes, workers=1, cache=False
+                )
+            finally:
+                fastpath.set_enabled(previous)
+            assert swept.table.rows == reference.table.rows, table_id
 
     def test_sweep_metrics_attribute_batch_backend(self, small_sizes):
         from repro.core import fastpath

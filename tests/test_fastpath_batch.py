@@ -1,20 +1,20 @@
-"""The batch backend's contract: bit-identical, correctly attributed.
+"""The batch sweep's contract: bit-identical, correctly attributed.
 
-Three layers of tests for the batch sweep backend:
+Three layers of tests for :func:`repro.core.fastpath.simulate_sweep`:
 
 * **Differential sweep** -- every fuzzed trace replayed through the full
-  oracle machine set as one batch sweep must agree with the per-spec
-  python backend *and* the reference loops on cycles, issue rates and
+  oracle machine set as one sweep must agree with each member's own
+  per-spec replay *and* the reference loops on cycles, issue rates and
   (for the fast-path machines) the per-instruction issue/completion
   schedule.
-* **Broken-backend detection** -- a batch backend replaying under
-  mutated latencies must be caught by the oracle's ``fastpath-dual``
-  check: the differential layers are what make the batch kernels safe
-  to trust, so this pins that they actually fire.
-* **Registry, gating and stats** -- backend registration seeds stable
-  counter keys, ``set_enabled(False)`` and installed hooks force the
-  reference loops uniformly, and every fast run is attributed to the
-  backend that served it.
+* **Broken-kernel detection** -- a batch sweep replaying under mutated
+  latencies must be caught by the oracle's ``fastpath-dual`` check: the
+  differential layers are what make the batch kernels safe to trust,
+  so this pins that they actually fire.
+* **Gating and stats** -- the run counters have a stable key set,
+  ``set_enabled(False)`` and installed hooks force the reference loops
+  uniformly, and every fast run is attributed to the loop that served
+  it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import pytest
 
 from repro.core import M5BR2, M5BR5, M11BR2, M11BR5, fastpath
 from repro.core.registry import build_simulator
-from repro.core.scoreboard import cray_like_machine
 from repro.obs.events import EventCollector, EventKind
 from repro.verify.fuzz import FuzzSpec, fuzz_trace
 from repro.verify.oracle import DEFAULT_ORACLE_MACHINES, run_oracle
@@ -52,6 +51,26 @@ def _oracle_simulators():
     return [(spec, build_simulator(spec)) for spec in DEFAULT_ORACLE_MACHINES]
 
 
+def _perspec(trace, items):
+    """Each sweep member replayed on its own: its ``simulate``, or -- to
+    fill a schedule record -- the per-spec compiled loop ``simulate``
+    dispatches to."""
+    results = []
+    for item in items:
+        if not isinstance(item, fastpath.SweepItem):
+            item = fastpath.SweepItem(*item)
+        if item.record is None:
+            results.append(item.simulator.simulate(trace, item.config))
+        else:
+            loop = fastpath.python_backend.FAMILY_LOOPS[
+                fastpath.family_of(item.simulator)
+            ]
+            results.append(
+                loop(item.simulator, trace, item.config, item.record)
+            )
+    return results
+
+
 # ----------------------------------------------------------------------
 # The three-way differential sweep
 # ----------------------------------------------------------------------
@@ -65,8 +84,8 @@ def test_batch_matches_perspec_and_reference_over_oracle_set():
     for seed, trace in enumerate(TRACES):
         config = CONFIGS[seed % len(CONFIGS)]
         bound = [(sim, config) for sim, _ in items]
-        batch = fastpath.simulate_sweep(trace, bound, backend="batch")
-        perspec = fastpath.simulate_sweep(trace, bound, backend="python")
+        batch = fastpath.simulate_sweep(trace, bound)
+        perspec = _perspec(trace, bound)
         for (spec, sim), b, p in zip(machines, batch, perspec):
             reference = getattr(sim, "reference_simulate", sim.simulate)
             ref = reference(trace, config)
@@ -97,15 +116,13 @@ def test_batch_schedules_match_perspec_over_oracle_set():
                 fastpath.SweepItem(sim, config, record)
                 for (_, sim), record in zip(machines, batch_records)
             ],
-            backend="batch",
         )
-        fastpath.simulate_sweep(
+        _perspec(
             trace,
             [
                 fastpath.SweepItem(sim, config, record)
                 for (_, sim), record in zip(machines, perspec_records)
             ],
-            backend="python",
         )
         for (spec, _), b, p in zip(machines, batch_records, perspec_records):
             assert len(b) == len(trace)
@@ -115,7 +132,7 @@ def test_batch_schedules_match_perspec_over_oracle_set():
 @pytest.mark.parametrize("spec", ("cray", "ooo:4", "ruu:2:50", "cdc6600"))
 def test_batch_schedule_matches_reference_events(spec):
     """Spot-check the batch schedules against the reference loops' event
-    streams directly (the python-backend equivalence above plus
+    streams directly (the per-spec equivalence above plus
     test_fastpath_diff covers the rest of the cross product)."""
     simulator = build_simulator(spec)
     for trace in TRACES[:30]:
@@ -123,7 +140,6 @@ def test_batch_schedule_matches_reference_events(spec):
         fastpath.simulate_sweep(
             trace,
             [fastpath.SweepItem(simulator, M11BR5, record)],
-            backend="batch",
         )
         collector = EventCollector()
         simulator.simulate_observed(trace, M11BR5, collector)
@@ -149,7 +165,6 @@ def test_table5_style_sweep_is_bit_identical_across_configs():
         results = fastpath.simulate_sweep(
             trace,
             [(simulator, config) for config in CONFIGS],
-            backend="batch",
         )
         for config, result in zip(CONFIGS, results):
             ref = simulator.reference_simulate(trace, config)
@@ -157,12 +172,12 @@ def test_table5_style_sweep_is_bit_identical_across_configs():
 
 
 # ----------------------------------------------------------------------
-# Speculative family through the batch backend
+# Speculative family through the batch sweep
 # ----------------------------------------------------------------------
 #
-# The batch backend has no spec kernels: spec sweep members are served
-# by the python backend's compiled loop inside the same sweep call and
-# counted as fallback_runs.  The contract is still full bit-identity --
+# There is no spec batch kernel: spec sweep members are served by their
+# per-spec compiled loop inside the same sweep call and counted as
+# fallback_runs.  The contract is still full bit-identity --
 # cycles, rates, schedules and tlm.* telemetry -- against both the
 # per-spec fast loop and the reference.
 
@@ -185,9 +200,9 @@ SPEC_SWEEP_SPECS = (
 
 
 def test_batch_serves_spec_grid_bit_identically():
-    """Predictor grid x backends: one batch sweep per trace must match
-    the python backend and the reference on cycles, rates, detail
-    (telemetry included) and per-instruction schedules."""
+    """Predictor grid: one batch sweep per trace must match the per-spec
+    loops and the reference on cycles, rates, detail (telemetry
+    included) and per-instruction schedules."""
     machines = [(spec, build_simulator(spec)) for spec in SPEC_SWEEP_SPECS]
     for seed in range(0, N_SEEDS, 4):
         trace = TRACES[seed]
@@ -200,15 +215,13 @@ def test_batch_serves_spec_grid_bit_identically():
                 fastpath.SweepItem(sim, config, record)
                 for (_, sim), record in zip(machines, batch_records)
             ],
-            backend="batch",
         )
-        perspec = fastpath.simulate_sweep(
+        perspec = _perspec(
             trace,
             [
                 fastpath.SweepItem(sim, config, record)
                 for (_, sim), record in zip(machines, perspec_records)
             ],
-            backend="python",
         )
         for (spec, sim), b, p, br, pr in zip(
             machines, batch, perspec, batch_records, perspec_records
@@ -220,7 +233,7 @@ def test_batch_serves_spec_grid_bit_identically():
             assert b.instructions == p.instructions == ref.instructions, (
                 context
             )
-            # Identical telemetry from both backends, and the
+            # Identical telemetry from both routes, and the
             # non-telemetry detail matches the reference exactly.
             assert dict(b.detail or {}) == dict(p.detail or {}), context
             assert strip_telemetry(b.detail) == dict(ref.detail or {}), (
@@ -238,7 +251,7 @@ def test_batch_serves_spec_grid_bit_identically():
 )
 def test_spec_sweep_members_counted_as_batch_fallbacks(specs):
     """Members of a family without a batch kernel (spec, scoreboard,
-    cdc6600, in-order) are attributed as fallback_runs (python-loop
+    cdc6600, in-order) are attributed as fallback_runs (per-spec loop
     service inside the sweep), never as batch fast_runs."""
     items = [
         (build_simulator(spec), config)
@@ -246,21 +259,21 @@ def test_spec_sweep_members_counted_as_batch_fallbacks(specs):
         for config in (M11BR5, M5BR2)
     ]
     fastpath.reset_stats()
-    batch = fastpath.simulate_sweep(TRACES[7], items, backend="batch")
+    batch = fastpath.simulate_sweep(TRACES[7], items)
     stats = fastpath.stats()
     assert stats["batch.fallback_runs"] == len(items)
     assert stats["batch.sweeps"] == 1
     assert stats["batch.fast_runs"] == 0
-    perspec = fastpath.simulate_sweep(TRACES[7], items, backend="python")
+    perspec = _perspec(TRACES[7], items)
     assert [r.cycles for r in batch] == [r.cycles for r in perspec]
 
 
 # ----------------------------------------------------------------------
-# RUU grid through the batch backend: one loop, reused never-full runs
+# RUU grid through the batch sweep: one loop, reused never-full runs
 # ----------------------------------------------------------------------
 #
-# The batch backend replays RUU members through the same loop as the
-# python backend, largest RUU first per timing class, and copies a run
+# The batch RUU kernel replays members through the same loop as the
+# per-spec path, largest RUU first per timing class, and copies a run
 # to every smaller RUU its peak occupancy still fits.  The contract is
 # unchanged: cycles, detail (telemetry included) and schedules equal the
 # per-spec loop's, and the non-telemetry detail equals the reference's.
@@ -306,15 +319,13 @@ def test_ruu_grid_batch_matches_perspec_and_reference():
                 fastpath.SweepItem(machine, config, record)
                 for machine, record in zip(machines, batch_records)
             ],
-            backend="batch",
         )
-        perspec = fastpath.simulate_sweep(
+        perspec = _perspec(
             trace,
             [
                 fastpath.SweepItem(machine, config, record)
                 for machine, record in zip(machines, perspec_records)
             ],
-            backend="python",
         )
         for machine, b, p, br, pr in zip(
             machines, batch, perspec, batch_records, perspec_records
@@ -342,7 +353,7 @@ def test_ruu_never_full_runs_are_reused_and_full_ones_are_not():
     machines = [RUUMachine(2, size) for size in sizes]
     fastpath.reset_stats()
     batch = fastpath.simulate_sweep(
-        trace, [(machine, M11BR5) for machine in machines], backend="batch"
+        trace, [(machine, M11BR5) for machine in machines]
     )
     stats = fastpath.stats()
     assert stats["batch.fast_runs"] == len(machines)
@@ -387,7 +398,7 @@ def test_ruu_plan_resolves_register_instances():
 
 
 # ----------------------------------------------------------------------
-# Registry-sourced workload families through the batch backend
+# Registry-sourced workload families through the batch sweep
 # ----------------------------------------------------------------------
 
 from repro.trace.sources import trace_source
@@ -416,8 +427,8 @@ def _family_traces(seeds):
 def _batch_agrees_on(trace, config):
     machines = _oracle_simulators()
     bound = [(sim, config) for _, sim in machines]
-    batch = fastpath.simulate_sweep(trace, bound, backend="batch")
-    perspec = fastpath.simulate_sweep(trace, bound, backend="python")
+    batch = fastpath.simulate_sweep(trace, bound)
+    perspec = _perspec(trace, bound)
     for (spec, sim), b, p in zip(machines, batch, perspec):
         reference = getattr(sim, "reference_simulate", sim.simulate)
         ref = reference(trace, config)
@@ -455,16 +466,16 @@ def test_batch_schedules_match_perspec_on_registry_families():
     for trace in _family_traces(range(2)):
         batch_records = [[] for _ in machines]
         perspec_records = [[] for _ in machines]
-        for backend, records in (
-            ("batch", batch_records), ("python", perspec_records)
+        for replay, records in (
+            (fastpath.simulate_sweep, batch_records),
+            (_perspec, perspec_records),
         ):
-            fastpath.simulate_sweep(
+            replay(
                 trace,
                 [
                     fastpath.SweepItem(sim, M11BR5, record)
                     for (_, sim), record in zip(machines, records)
                 ],
-                backend=backend,
             )
         for (spec, _), b, p in zip(machines, batch_records, perspec_records):
             assert len(b) == len(trace)
@@ -472,24 +483,19 @@ def test_batch_schedules_match_perspec_on_registry_families():
 
 
 # ----------------------------------------------------------------------
-# A broken batch backend is caught
+# A broken batch sweep is caught
 # ----------------------------------------------------------------------
 
-class _MutatedLatencyBatch(fastpath.Backend):
-    """A deliberately wrong batch backend: replays every sweep member
-    under a memory latency one cycle higher than asked."""
+def test_oracle_catches_mutated_latency_batch_backend(monkeypatch):
+    """The fastpath-dual check must flag a batch sweep whose kernels
+    drift from the reference loops -- the safety net behind every
+    sweep."""
+    real = fastpath.batch.sweep
 
-    name = "batch"
-    counter_names = ("fast_runs", "sweeps", "fallback_runs")
-
-    def __init__(self, real):
-        self._real = real
-
-    def simulate(self, simulator, trace, config, record=None):
-        return self._real.simulate(simulator, trace, config, record)
-
-    def simulate_sweep(self, trace, items):
-        mutated = [
+    def mutated(trace, items):
+        # Every sweep member replays under a memory latency one cycle
+        # higher than asked.
+        return real(trace, [
             fastpath.SweepItem(
                 item.simulator,
                 replace(
@@ -499,22 +505,14 @@ class _MutatedLatencyBatch(fastpath.Backend):
                 item.record,
             )
             for item in items
-        ]
-        return self._real.simulate_sweep(trace, mutated)
+        ])
 
-
-def test_oracle_catches_mutated_latency_batch_backend():
-    """The fastpath-dual check must flag a batch backend whose kernels
-    drift from the reference loops -- the safety net behind 'auto'."""
-    real = fastpath.get_backend("batch")
-    fastpath.register_backend(_MutatedLatencyBatch(real))
-    try:
-        report = run_oracle(TRACES[0], M11BR5)
-    finally:
-        fastpath.register_backend(real)
+    monkeypatch.setattr(fastpath.batch, "sweep", mutated)
+    report = run_oracle(TRACES[0], M11BR5)
     duals = [v for v in report.violations if v.check == "fastpath-dual"]
-    assert duals, "mutated-latency batch backend went undetected"
-    # And with the real backend restored the same replay is clean.
+    assert duals, "mutated-latency batch sweep went undetected"
+    # And with the real sweep restored the same replay is clean.
+    monkeypatch.undo()
     assert run_oracle(TRACES[0], M11BR5).ok
 
 
@@ -541,38 +539,24 @@ def test_oracle_routes_replays_through_batch_sweeps():
 
 
 # ----------------------------------------------------------------------
-# Registry, gating, stats
+# Gating, stats
 # ----------------------------------------------------------------------
 
-class TestBackendRegistry:
-    def test_both_backends_registered(self):
-        assert set(fastpath.list_backends()) >= {"batch", "python"}
-
-    def test_auto_resolves_to_batch(self):
-        assert fastpath.resolve_backend("auto").name == "batch"
-        assert fastpath.resolve_backend("python").name == "python"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown fastpath backend"):
-            fastpath.get_backend("fortran")
-        with pytest.raises(ValueError, match="unknown fastpath backend"):
-            fastpath.simulate_sweep(
-                TRACES[0], [(cray_like_machine(), M11BR5)], backend="rust"
-            )
-
-    def test_registration_requires_name(self):
-        with pytest.raises(ValueError, match="non-empty name"):
-            fastpath.register_backend(fastpath.Backend())
-
-    def test_counters_seeded_at_registration(self):
+class TestRunCounters:
+    def test_counter_keys_are_stable(self):
+        """Every run counter is present, at zero, after a reset -- the
+        engine and the layer benchmark diff snapshots by key."""
+        fastpath.reset_stats()
         stats = fastpath.stats()
         for key in (
+            "fast_runs",
             "python.fast_runs",
             "batch.fast_runs",
             "batch.sweeps",
             "batch.fallback_runs",
+            "batch.reused_runs",
         ):
-            assert key in stats
+            assert stats[key] == 0, key
 
 
 class TestGatingAndStats:
@@ -606,32 +590,24 @@ class TestGatingAndStats:
         assert stats["batch.fast_runs"] == 1
 
     def test_fast_runs_attributed_per_backend(self):
+        """A sweep member counts as ``batch.fast_runs``, the machine's own
+        ``simulate`` as ``python.fast_runs``."""
         simulator = build_simulator("ooo:2")
         fastpath.reset_stats()
-        fastpath.simulate_sweep(
-            TRACES[4], [(simulator, M11BR5)], backend="batch"
-        )
-        fastpath.simulate_sweep(
-            TRACES[4], [(simulator, M11BR5)], backend="python"
-        )
+        fastpath.simulate_sweep(TRACES[4], [(simulator, M11BR5)])
+        simulator.simulate(TRACES[4], M11BR5)
         stats = fastpath.stats()
         assert stats["batch.fast_runs"] == 1
-        assert stats["python.fast_runs"] >= 1
+        assert stats["python.fast_runs"] == 1
         assert stats["fast_runs"] == (
             stats["batch.fast_runs"] + stats["python.fast_runs"]
         )
 
     def test_no_fast_path_machine_falls_back_inside_batch(self):
-        """RUU-with-predictor and the simple machine never take a
-        compiled loop, even as sweep members."""
-        from repro.predict import AlwaysTakenPredictor
-        from repro.core.ruu import RUUMachine
-
-        predicted = RUUMachine(2, 50, predictor_factory=AlwaysTakenPredictor)
+        """A machine without a compiled loop (the simple machine) runs
+        its own ``simulate``, even as a sweep member."""
         simple = build_simulator("simple")
         fastpath.reset_stats()
-        results = fastpath.simulate_sweep(
-            TRACES[5], [(predicted, M11BR5), (simple, M11BR5)]
-        )
-        assert all(result.cycles >= 1 for result in results)
+        result = fastpath.simulate_sweep(TRACES[5], [(simple, M11BR5)])[0]
+        assert result.cycles == simple.simulate(TRACES[5], M11BR5).cycles
         assert fastpath.stats()["fast_runs"] == 0

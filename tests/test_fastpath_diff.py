@@ -164,24 +164,6 @@ def test_compile_cache_hits_on_same_trace_object():
     assert stats["cache_hits"] >= 1
 
 
-def test_ruu_predictor_gate_forces_reference():
-    """A RUU with a branch predictor never takes the fast path (the fast
-    loop models only the default resolve-at-issue policy)."""
-    from repro.predict import AlwaysTakenPredictor
-
-    predicted = RUUMachine(2, 50, predictor_factory=AlwaysTakenPredictor)
-    fastpath.reset_stats()
-    result = predicted.simulate(TRACES[5], M11BR5)
-    assert fastpath.stats()["fast_runs"] == 0
-    # And the reference loop it fell back to is the real one.
-    assert result.cycles == predicted._simulate(TRACES[5], M11BR5, None).cycles
-
-    plain = RUUMachine(2, 50)
-    fastpath.reset_stats()
-    plain.simulate(TRACES[5], M11BR5)
-    assert fastpath.stats()["fast_runs"] == 1
-
-
 def test_compile_cache_evicts_dead_traces():
     """1k throwaway traces must not grow the compile cache (weakref
     eviction) -- the regression a plain dict cache would reintroduce."""
@@ -373,8 +355,8 @@ def _family_traces_spec(seeds):
 
 
 def test_spec_machine_takes_fast_path_with_predictor():
-    """Unlike the RUU, a spec machine with a predictor stays fast (the
-    compiled loop replays the deterministic predictor itself)."""
+    """A spec machine with a predictor stays fast (the compiled loop
+    replays the deterministic predictor itself)."""
     simulator = build_simulator("spec:50:2bit")
     assert isinstance(simulator, SpecMachine)
     assert simulator.predictor_factory is not None

@@ -142,11 +142,10 @@ class TestEventStreamSemantics:
         machine.simulate_recorded(trace, config, direct.append)
         assert via_events == direct
 
-    def test_ruu_emits_flush_on_mispredict(self, small_traces):
-        from repro.core import RUUMachine
-        from repro.predict import AlwaysTakenPredictor
+    def test_spec_emits_flush_on_mispredict(self, small_traces):
+        from repro.core.spec import SpecMachine
 
-        machine = RUUMachine(2, 50, predictor_factory=AlwaysTakenPredictor)
+        machine = SpecMachine(2, 50, predictor="always")
         collector = EventCollector()
         machine.simulate_observed(
             small_traces[5], config_by_name("M11BR5"), collector

@@ -1,7 +1,7 @@
 """Differential tests for the zero-slowdown fast-path telemetry.
 
 The contract under test: every compiled fast loop (and the batch
-sweep backend) attaches an aggregate
+sweep kernels) attaches an aggregate
 :class:`~repro.obs.telemetry.SimTelemetry` record to its result that is
 *bit-identical* to the record derived from the matching reference
 loop's event stream by :func:`~repro.obs.telemetry.telemetry_from_events`.
@@ -18,8 +18,8 @@ import math
 import pytest
 
 import repro.api as api
-from repro.core import M11BR5, STANDARD_CONFIGS
-from repro.core.fastpath.backends import SweepItem, family_of, get_backend
+from repro.core import M11BR5, STANDARD_CONFIGS, fastpath
+from repro.core.fastpath.backends import SweepItem, family_of
 from repro.core.registry import build_simulator
 from repro.obs.events import EventCollector
 from repro.obs.metrics import MetricsRegistry
@@ -96,7 +96,6 @@ class TestFuzzedEquality:
             assert_telemetry_matches(sim, trace, config, result)
 
     def test_batch_backend_matches_event_reduction(self):
-        backend = get_backend("batch")
         # Two parameter points per swept family so the batch kernels'
         # per-spec (K > 1) telemetry paths, and the per-spec fallback
         # inside a sweep, are exercised.
@@ -110,9 +109,11 @@ class TestFuzzedEquality:
             config = STANDARD_CONFIGS[seed % len(STANDARD_CONFIGS)]
             trace = fuzz_trace(1000 + seed, SHAPES[seed % len(SHAPES)])
             items = [SweepItem(sim, config) for sim in sims]
-            results = backend.simulate_sweep(trace, items)
+            results = fastpath.simulate_sweep(trace, items)
             for sim, result in zip(sims, results):
                 assert_telemetry_matches(sim, trace, config, result)
+                alone = sim.simulate(trace, config)
+                assert dict(result.detail) == dict(alone.detail), sim.name
 
 
 class TestPinnedStallReasons:

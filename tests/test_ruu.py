@@ -206,13 +206,3 @@ class TestOccupancyStatistics:
         a = RUUMachine(4, 20).simulate(trace, M11BR5).detail
         b = RUUMachine(4, 100).simulate(trace, M11BR5).detail
         assert a["branch_stall_cycles"] == b["branch_stall_cycles"]
-
-    def test_prediction_removes_branch_stalls(self, small_traces):
-        from repro.predict import TwoBitPredictor
-
-        trace = small_traces[12]
-        plain = RUUMachine(4, 50).simulate(trace, M11BR5).detail
-        spec = RUUMachine(
-            4, 50, predictor_factory=TwoBitPredictor
-        ).simulate(trace, M11BR5).detail
-        assert spec["branch_stall_cycles"] < plain["branch_stall_cycles"]
