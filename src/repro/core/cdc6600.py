@@ -115,6 +115,10 @@ class CDC6600Machine(Simulator):
             else:
                 next_issue = issue + 1
                 if unit is FunctionalUnit.MEMORY:
+                    # The 6600's storage was organised in independent
+                    # banks; keep the memory interleaved (as the paper
+                    # fixes for all machines beyond SerialMemory) so the
+                    # comparison isolates the issue scheme.
                     fu_free[unit] = start + 1
                 else:
                     fu_free[unit] = (
@@ -140,78 +144,9 @@ class CDC6600Machine(Simulator):
     def reference_simulate(
         self, trace: Trace, config: MachineConfig
     ) -> SimulationResult:
-        """The seed issue recurrence, kept verbatim as the oracle twin.
+        """The reference recurrence with no hook: the oracle twin.
 
         The differential tests and the cross-machine oracle use this as
         the baseline the compiled fast loop must match bit-for-bit.
         """
-        require_scalar_trace(trace, self.name)
-        latencies = config.latencies
-        branch_latency = config.branch_latency
-
-        reg_ready: Dict[Register, int] = {}
-        fu_free: Dict[FunctionalUnit, int] = {}
-        next_issue = 0
-        last_event = 0
-
-        for entry in trace:
-            instr = entry.instruction
-            unit = instr.unit
-            latency = instr.latency(latencies)
-
-            # Issue conditions: in-order slot, unit free, no WAW.
-            earliest = next_issue
-            unit_free = fu_free.get(unit, 0)
-            if unit_free > earliest:
-                earliest = unit_free
-            if instr.dest is not None:
-                waw = reg_ready.get(instr.dest, 0)
-                if waw > earliest:
-                    earliest = waw
-            if instr.is_branch:
-                # The branch must read A0 before it can resolve; the 6600
-                # has no branch prediction either.
-                for src in instr.source_registers:
-                    ready = reg_ready.get(src, 0)
-                    if ready > earliest:
-                        earliest = ready
-
-            issue = earliest
-
-            # Execution begins once the operands arrive at the unit.
-            start = issue
-            for src in instr.source_registers:
-                ready = reg_ready.get(src, 0)
-                if ready > start:
-                    start = ready
-            complete = start + latency
-
-            if instr.is_branch:
-                next_issue = issue + branch_latency
-                complete = issue + branch_latency
-                fu_free[unit] = issue + 1
-            else:
-                next_issue = issue + 1
-                if unit is FunctionalUnit.MEMORY:
-                    # The 6600's storage was organised in independent
-                    # banks; keep the memory interleaved (as the paper
-                    # fixes for all machines beyond SerialMemory) so the
-                    # comparison isolates the issue scheme.
-                    fu_free[unit] = start + 1
-                else:
-                    fu_free[unit] = (
-                        complete if self.fu_holds_until_complete else start + 1
-                    )
-                if instr.dest is not None:
-                    reg_ready[instr.dest] = complete
-
-            if complete > last_event:
-                last_event = complete
-
-        return SimulationResult(
-            trace_name=trace.name,
-            simulator=self.name,
-            config=config,
-            instructions=len(trace),
-            cycles=max(last_event, 1),
-        )
+        return self._simulate(trace, config, None)

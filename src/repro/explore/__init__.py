@@ -43,6 +43,7 @@ from ..obs import (
     write_manifest,
 )
 from ..trace import DiskCache, default_cache_dir
+from ..trace.diskcache import model_fingerprint
 from .exact import ErrorStats, frontier_recall, simulate_specs
 from .model import MODEL_VERSION, TraceAnchors, build_anchors, estimate_grid
 from .screen import ScreenResult, screen_space
@@ -476,6 +477,7 @@ def _explore_manifest(
         config={
             "space": space.to_key(),
             "model_version": MODEL_VERSION,
+            "model": model_fingerprint(),
             "workers": sweep.stats.workers,
             "cache_enabled": cache is not None,
         },

@@ -62,6 +62,7 @@ from ..core.config import MachineConfig, config_by_name
 from ..isa import FunctionalUnit
 from ..limits import compute_limits
 from ..trace import DiskCache, Trace
+from ..trace.diskcache import model_fingerprint
 from ..trace.stats import cached_ir_stats
 from .space import BUSES, FAMILIES, CandidateGrid
 
@@ -73,8 +74,10 @@ __all__ = [
     "estimate_rates",
 ]
 
-#: Bump to invalidate cached anchors and screened spaces after any
-#: change to the estimator's terms or the anchor payload.
+#: Bump to invalidate cached anchors and screened spaces after a change
+#: to the estimator's terms or the anchor payload.  Their keys also fold
+#: in the model fingerprint, so an edit to this module, the screen or
+#: any timing model invalidates them even without a bump.
 MODEL_VERSION = 1
 
 _RUU = FAMILIES.index("ruu")
@@ -197,6 +200,7 @@ def _anchors_key(source: str, config: str) -> Dict[str, Any]:
         "source": source,
         "config": config,
         "version": MODEL_VERSION,
+        "model": model_fingerprint(),
     }
 
 
@@ -210,7 +214,7 @@ def build_anchors(
     """Compute (or load) the estimator anchors for one trace source.
 
     With a :class:`~repro.trace.DiskCache`, anchors are content-addressed
-    on (source, config, model version); a warm hit skips trace
+    on (source, config, model version, model fingerprint); a warm hit skips trace
     generation, compilation and both limit computations entirely.
     ``file:`` sources are never cached.  The trace resolves through the
     engine (:func:`repro.harness.engine.resolve_trace`), so the exact

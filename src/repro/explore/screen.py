@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..trace import DiskCache
+from ..trace.diskcache import model_fingerprint
 from .model import MODEL_VERSION, TraceAnchors, estimate_grid
 from .space import CandidateGrid, DesignSpace, expand_space
 
@@ -165,6 +166,7 @@ def _screen_key(
         "sources": list(sources),
         "model_version": MODEL_VERSION,
         "schema": _SCREEN_SCHEMA,
+        "model": model_fingerprint(),
     }
 
 

@@ -6,33 +6,39 @@ each :class:`~repro.harness.plans.Cell` names (``kernel:5:n=200``,
 ``branchy:seed=7:n=2000``) -- evaluates every group, in-process for
 ``workers=1`` and over a ``ProcessPoolExecutor`` otherwise, and merges
 the per-cell values back into a :class:`~repro.harness.tables.ResultTable`.
-Simulator cells sharing a trace form one sweep group; a limits cell is a
-group of one.  Every group goes through :func:`evaluate_group`.
+All cells naming one trace source -- simulator and limits cells alike --
+form one sweep group, and every group goes through :func:`evaluate_group`.
 
 Determinism: cell values depend only on the cell (trace content and
 machine timing are fully deterministic), and the merge harmonic-means
 grouped values in *plan order*, never in completion order.  Parallel
 output is therefore bit-identical to serial output.
 
-Persistence: when given a :class:`~repro.trace.DiskCache`, workers look
-up each cell result (and each trace) by content hash before computing,
-and store whatever they had to compute.  A corrupted or missing entry is
-indistinguishable from a cold cache -- it only costs time (and is
-counted: corruption rebuilds surface in the metrics and the footer).
+Persistence: when given a :class:`~repro.trace.DiskCache`, a group reads
+its source's result segment once, looks every cell up in it, computes
+only the misses and merges them back with one segment write.  Segments
+and traces are keyed by the model fingerprint
+(:func:`~repro.trace.diskcache.model_fingerprint`), and a cell's key
+names its resolved latencies rather than a config name, so a model edit
+can never be answered from an older entry.  A corrupted or missing
+entry is indistinguishable from a cold cache -- it only costs time (and
+is counted: corruption rebuilds surface in the metrics and the footer).
 ``file:`` sources never touch the DiskCache: the file can change.
 
 Observability: every evaluation aggregates structured metrics
 (:mod:`repro.obs.metrics`) -- per-cell wall time, queue wait, cache
-hit/miss/corruption counts, per-worker utilization -- and, with
-``observe=True``, records a span trace (plan -> sweep/cell ->
-resolve/replay) and writes a durable run manifest next to the cache
-entries (:mod:`repro.obs.manifest`).  Workers ship their measurements
-back inside each :class:`CellOutcome` (plain picklable data); the parent
-merges, so no cross-process state is ever shared.
+hit/miss/corruption counts, per-worker utilization, and the ``sim.*``
+telemetry summed once per group -- and, with ``observe=True``, records
+a span trace (plan -> one ``sweep:<source>`` per group -> lookup,
+resolve, replay/limits, store) and writes a durable run manifest next
+to the cache entries (:mod:`repro.obs.manifest`).  Workers ship their
+measurements back inside each :class:`CellOutcome` (plain picklable
+data); the parent merges, so no cross-process state is ever shared.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -42,6 +48,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import config_by_name, fastpath
 from ..core.registry import build_simulator
+from ..isa import FunctionalUnit
 from ..limits import compute_limits
 from ..obs import (
     TELEMETRY_PREFIX,
@@ -53,18 +60,14 @@ from ..obs import (
     write_manifest,
 )
 from ..trace import DiskCache, Trace, default_cache_dir
+from ..trace.diskcache import model_fingerprint
 from ..trace.sources import trace_source
 from .aggregate import arithmetic_mean, harmonic_mean
 from .plans import Cell, ExperimentPlan
 from .progress import ProgressCallback, ProgressEvent
 from .tables import ResultTable
 
-#: Bump to invalidate previously stored cell results after a change to
-#: the timing models or the record schema.  v2: cell records carry the
-#: result's ``detail`` mapping (fast-path ``tlm.*`` telemetry included).
-RESULT_SCHEMA_VERSION = 2
-
-#: DiskCache counter key -> metric name published per cell.
+#: DiskCache counter key -> metric name published per group.
 _CACHE_METRIC_NAMES = {
     "trace_hits": "cache.trace.hits",
     "trace_misses": "cache.trace.misses",
@@ -106,13 +109,8 @@ def _cache_deltas(
     return deltas
 
 
-def _add_into(total: Dict[str, float], more: Mapping[str, float]) -> None:
-    for name, value in more.items():
-        total[name] = total.get(name, 0.0) + value
-
-
-def _telemetry_metrics(record: Mapping[str, Any]) -> Dict[str, float]:
-    """A cell record's ``tlm.*`` detail entries as ``sim.*`` metrics.
+def _sim_metrics(detail: Mapping[str, float]) -> Dict[str, float]:
+    """A group's summed ``tlm.*`` detail entries as ``sim.*`` metrics.
 
     The rename marks the aggregation boundary: per-replay telemetry
     (``tlm.stall.RAW`` on one result) becomes a run-level counter
@@ -120,12 +118,9 @@ def _telemetry_metrics(record: Mapping[str, Any]) -> Dict[str, float]:
     ``cache.*`` / ``fastpath.*`` counters in manifests and
     ``repro stats``.
     """
-    detail = record.get("detail")
-    if not detail:
-        return {}
     plen = len(TELEMETRY_PREFIX)
     return {
-        "sim." + key[plen:]: float(value)
+        "sim." + key[plen:]: value
         for key, value in detail.items()
         if key.startswith(TELEMETRY_PREFIX)
     }
@@ -141,24 +136,46 @@ def default_workers() -> int:
 # ----------------------------------------------------------------------
 
 def trace_key(source: str) -> Dict[str, Any]:
-    """Identity of a resolved trace: its canonical trace-source spec."""
-    return {"kind": "trace", "source": source}
+    """Identity of a resolved trace: its canonical trace-source spec
+    under the current model fingerprint."""
+    return {"kind": "trace", "source": source, "model": model_fingerprint()}
 
 
-def cell_key(cell: Cell) -> Dict[str, Any]:
-    """Identity of one cell result (table/row/column independent).
+def segment_key(source: str) -> Dict[str, Any]:
+    """Identity of the result segment that holds every cell of *source*."""
+    return {"kind": "segment", "source": source, "model": model_fingerprint()}
 
-    A table cell and an explorer cell naming the same (source, machine,
-    config) share one entry.
+
+def timing_key(config: str) -> str:
+    """The resolved timing of a config name, as a cell-key component.
+
+    Memory and branch latency plus every other functional unit's
+    latency, read from the latency table at call time:
+    ``M11BR5`` -> ``m11.b5.fu2.6.3.1.2.3.6.7.14.1``.
     """
-    return {
-        "kind": "cell",
-        "source": cell.source,
-        "machine": cell.machine,
-        "config": cell.config,
-        "serial": cell.serial,
-        "schema": RESULT_SCHEMA_VERSION,
-    }
+    resolved = config_by_name(config)
+    latencies = resolved.latencies
+    fixed = ".".join(
+        str(latencies.latency(unit))
+        for unit in FunctionalUnit
+        if not (unit.is_memory or unit.is_branch)
+    )
+    return f"m{resolved.memory_latency}.b{resolved.branch_latency}.fu{fixed}"
+
+
+def cell_key(cell: Cell, timing: Optional[str] = None) -> str:
+    """One cell's key inside its source's segment (never whitespace).
+
+    The machine spec, the resolved timing (:func:`timing_key`, not the
+    config *name*) and the serial flag.  Table, row and column are not
+    part of it, so a table cell and an explorer or sweep cell naming
+    the same (source, machine, timing, serial) share one entry.
+    *timing* saves recomputing ``timing_key(cell.config)``.
+    """
+    if timing is None:
+        timing = timing_key(cell.config)
+    machine = "".join(cell.machine.split())
+    return f"{machine}|{timing}|s{int(cell.serial)}"
 
 
 # ----------------------------------------------------------------------
@@ -228,11 +245,10 @@ SpanRecord = Tuple[str, float, float, int, Mapping[str, Any]]
 class CellOutcome:
     """What evaluating one cell produced (plus bookkeeping).
 
-    ``started``/``ended`` and the span endpoints are ``time.monotonic()``
-    readings; with the default ``fork`` start method that clock is
-    system-wide, so the parent can nest worker spans directly under its
-    own run trace.  A group's spans, and its shared metric deltas, ride
-    on the outcome of its first computed cell.
+    Span endpoints are ``time.monotonic()`` readings; with the default
+    ``fork`` start method that clock is system-wide, so the parent can
+    nest worker spans directly under its own run trace.  A group's
+    spans, and its metric deltas, ride on the outcome of its first cell.
     """
 
     index: int
@@ -242,8 +258,6 @@ class CellOutcome:
     trace_source: str  # "memo" | "disk" | "built" | "cached-result"
     pid: int = 0
     queue_wait: float = 0.0
-    started: float = 0.0
-    ended: float = 0.0
     spans: Tuple[SpanRecord, ...] = ()
     metrics: Mapping[str, float] = field(default_factory=dict)
 
@@ -254,47 +268,74 @@ def _values_from_record(cell: Cell, record: Mapping[str, Any]) -> Dict[str, floa
         return {column: float(limits[column]) for column in cell.columns}
     if cell.metric != "rate":
         # Detail-backed metric (prediction_accuracy, vp_accuracy, ...).
-        # A record missing the key raises KeyError, which the callers
-        # treat exactly like a corrupt entry: recompute and overwrite.
+        # A record missing the key raises KeyError, which the lookup
+        # treats exactly like a corrupt entry: recompute and overwrite.
         detail = record.get("detail") or {}
         return {cell.columns[0]: float(detail[cell.metric])}
     rate = int(record["instructions"]) / int(record["cycles"])
     return {cell.columns[0]: rate}
 
 
+_NUMBER_TYPES = frozenset((int, float, bool))
+
+
+def _decode(
+    cell: Cell, record: Mapping[str, Any]
+) -> Tuple[Dict[str, float], Mapping[str, float]]:
+    """A stored record's values for *cell*, and its numeric detail."""
+    values = _values_from_record(cell, record)
+    detail = record.get("detail") or {}
+    if not isinstance(detail, dict) or not _NUMBER_TYPES.issuperset(
+        map(type, detail.values())
+    ):
+        raise TypeError("record detail must map names to numbers")
+    return values, detail
+
+
 def _compute_records(
     trace: Trace, cells: Sequence[Cell]
-) -> Tuple[str, List[Dict[str, Any]]]:
-    """``(work span name, one record per cell)`` for cells sharing *trace*."""
-    if cells[0].is_limits:
-        records = []
-        for cell in cells:
+) -> Tuple[List[Tuple[str, float, float]], List[Dict[str, Any]]]:
+    """Work phases ``(span name, start, end)`` and one record per cell.
+
+    The simulator cells share one :func:`repro.core.fastpath.simulate_sweep`
+    call (the ``replay`` phase); each limits cell is one limits
+    computation (together the ``limits`` phase).
+    """
+    records: List[Dict[str, Any]] = [{} for _ in cells]
+    phases: List[Tuple[str, float, float]] = []
+    sims = [i for i, cell in enumerate(cells) if not cell.is_limits]
+    if sims:
+        start = time.monotonic()
+        items = [
+            (build_simulator(cells[i].machine), config_by_name(cells[i].config))
+            for i in sims
+        ]
+        for i, result in zip(sims, fastpath.simulate_sweep(trace, items)):
+            records[i] = {
+                "trace": result.trace_name,
+                "simulator": result.simulator,
+                "instructions": result.instructions,
+                "cycles": result.cycles,
+                "detail": dict(result.detail or {}),
+            }
+        phases.append(("replay", start, time.monotonic()))
+    if len(sims) < len(cells):
+        start = time.monotonic()
+        for i, cell in enumerate(cells):
+            if not cell.is_limits:
+                continue
             report = compute_limits(
                 trace, config_by_name(cell.config), serial=cell.serial
             )
-            records.append({
+            records[i] = {
                 "limits": {
                     "pseudo-dataflow": report.pseudo_dataflow_rate,
                     "resource": report.resource_rate,
                     "actual": report.actual_rate,
                 }
-            })
-        return "limits", records
-    items = [
-        (build_simulator(cell.machine), config_by_name(cell.config))
-        for cell in cells
-    ]
-    results = fastpath.simulate_sweep(trace, items)
-    return "replay", [
-        {
-            "trace": result.trace_name,
-            "simulator": result.simulator,
-            "instructions": result.instructions,
-            "cycles": result.cycles,
-            "detail": dict(result.detail or {}),
-        }
-        for result in results
-    ]
+            }
+        phases.append(("limits", start, time.monotonic()))
+    return phases, records
 
 
 def evaluate_group(
@@ -303,17 +344,26 @@ def evaluate_group(
     *,
     enqueued: Optional[float] = None,
 ) -> List[CellOutcome]:
-    """Evaluate ``(index, cell)`` pairs that share one trace.
+    """Evaluate ``(index, cell)`` pairs that share one trace source.
 
-    Every cell is first looked up in *cache*; a hit becomes an outcome
-    with its own lookup interval.  The misses share one trace resolution
-    and one :func:`repro.core.fastpath.simulate_sweep` call (or one
-    limits computation each) -- gating is per sweep
-    member, so a hooked or fast-path-disabled member still runs its
-    reference loop and the table stays bit-identical to per-cell
-    evaluation.  The computed part is recorded as one
-    ``sweep:<source>`` span with ``resolve`` and ``replay``/``limits``
-    children; its wall time is split evenly across the computed cells.
+    With *cache*, the source's segment is read once and every cell is
+    looked up in it (one counted hit or miss each).  The misses share one
+    trace resolution, one :func:`repro.core.fastpath.simulate_sweep` call
+    for the simulator cells -- gating is per sweep member, so a hooked or
+    fast-path-disabled member still runs its reference loop and the
+    table stays bit-identical to per-cell evaluation -- and one limits
+    computation per limits cell.  Their records go back in one segment
+    write.
+
+    The group is one ``sweep:<source>`` span with ``cells`` and ``hits``
+    attributes (plus ``trace_source`` when it computed).  A group served
+    entirely from its segment has no children; otherwise the children
+    are ``lookup`` (with a cache), ``resolve``, ``replay`` and/or
+    ``limits``, and ``store`` (with a cache).  Every cell's seconds are
+    an even share of the lookup plus, for a computed cell, an even
+    share of the rest.  The span, the group's cache/fast-path metric
+    deltas and its ``tlm.*`` telemetry -- summed over every cell, then
+    renamed to ``sim.*`` once -- ride on the group's first outcome.
 
     *enqueued* is the parent's ``time.monotonic()`` reading when the
     group was handed to the pool; the difference to the worker's start
@@ -322,82 +372,85 @@ def evaluate_group(
     source = group[0][1].source
     cache = _cacheable(source, cache)
     pid = os.getpid()
-    queue_wait = (
-        max(0.0, time.monotonic() - enqueued) if enqueued is not None else 0.0
-    )
-    outcomes: List[CellOutcome] = []
-    pending: List[Tuple[int, Cell]] = []
-    lookup_metrics: Dict[str, float] = {}
-    for index, cell in group:
-        started = time.monotonic()
-        before = cache.counters() if cache is not None else None
-        record = cache.load_result(cell_key(cell)) if cache is not None else None
-        values = None
-        if record is not None:
-            try:
-                values = _values_from_record(cell, record)
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                # A record that does not decode cleanly is treated
-                # exactly like a miss: recompute and overwrite it.
-                values = None
-        deltas = _cache_deltas(cache, before)
-        if values is None:
-            # A missed lookup's counters ride with the sweep metrics.
-            _add_into(lookup_metrics, deltas)
-            pending.append((index, cell))
-            continue
-        ended = time.monotonic()
-        outcomes.append(CellOutcome(
-            index=index,
-            values=values,
-            seconds=ended - started,
-            result_hit=True,
-            trace_source="cached-result",
-            pid=pid,
-            queue_wait=0.0 if outcomes else queue_wait,
-            started=started,
-            ended=ended,
-            metrics={**deltas, **_telemetry_metrics(record)},
-        ))
-    if not pending:
-        return outcomes
-
     started = time.monotonic()
+    queue_wait = max(0.0, started - enqueued) if enqueued is not None else 0.0
     before = cache.counters() if cache is not None else None
-    fastpath_before = fastpath.stats()
-    trace, trace_from = resolve_trace(source, cache)
-    resolved = time.monotonic()
-    work, records = _compute_records(trace, [cell for _, cell in pending])
-    computed = time.monotonic()
-    metrics = dict(lookup_metrics)
-    for (index, cell), record in zip(pending, records):
+    values: List[Optional[Mapping[str, float]]] = [None] * len(group)
+    # Every cell's detail, summed per key; _sim_metrics keeps ``tlm.*``.
+    detail_totals: Dict[str, float] = {}
+    timings: Dict[str, str] = {}
+    if cache is not None:
+        segment = cache.read_segment(segment_key(source))
+        for position, (_, cell) in enumerate(group):
+            timing = timings.get(cell.config)
+            if timing is None:
+                timing = timings[cell.config] = timing_key(cell.config)
+            hit = segment.lookup(
+                cell_key(cell, timing), functools.partial(_decode, cell)
+            )
+            if hit is not None:
+                values[position], detail = hit
+                for key, value in detail.items():
+                    detail_totals[key] = detail_totals.get(key, 0.0) + value
+    pending = [position for position, value in enumerate(values) if value is None]
+    looked_up = time.monotonic()
+
+    attrs: Dict[str, Any] = {
+        "cells": len(group), "hits": len(group) - len(pending),
+    }
+    children: List[Tuple[str, float, float]] = []
+    metrics: Dict[str, float] = {}
+    trace_from = "cached-result"
+    if pending:
         if cache is not None:
-            cache.store_result(cell_key(cell), record)
-        _add_into(metrics, _telemetry_metrics(record))
-    _add_into(metrics, _cache_deltas(cache, before))
-    metrics.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
+            children.append(("lookup", started, looked_up))
+        fastpath_before = fastpath.stats()
+        trace, trace_from = resolve_trace(source, cache)
+        resolved = time.monotonic()
+        children.append(("resolve", looked_up, resolved))
+        cells = [group[position][1] for position in pending]
+        phases, records = _compute_records(trace, cells)
+        children.extend(phases)
+        for position, cell, record in zip(pending, cells, records):
+            values[position] = _values_from_record(cell, record)
+            for key, value in record.get("detail", {}).items():
+                detail_totals[key] = detail_totals.get(key, 0.0) + value
+        if cache is not None:
+            storing = time.monotonic()
+            cache.store_segment(segment_key(source), {
+                cell_key(cell, timings[cell.config]): record
+                for cell, record in zip(cells, records)
+            })
+            children.append(("store", storing, time.monotonic()))
+        metrics.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
+        attrs["trace_source"] = trace_from
+    metrics.update(_cache_deltas(cache, before))
+    metrics.update(_sim_metrics(detail_totals))
     ended = time.monotonic()
 
     spans: Tuple[SpanRecord, ...] = (
-        (f"sweep:{source}", started, ended, -1,
-         {"cells": len(pending), "trace_source": trace_from}),
-        ("resolve", started, resolved, 0, {}),
-        (work, resolved, computed, 0, {}),
-    )
-    share = (ended - started) / len(pending)
-    first = not outcomes
-    for position, ((index, cell), record) in enumerate(zip(pending, records)):
+        (f"sweep:{source}", started, ended, -1, attrs),
+    ) + tuple((name, start, end, 0, {}) for name, start, end in children)
+    lookup_share = (looked_up - started) / len(group)
+    compute_share = (ended - looked_up) / len(pending) if pending else 0.0
+    first_computed = pending[0] if pending else -1
+    computed = set(pending)
+    outcomes: List[CellOutcome] = []
+    for position, (index, cell) in enumerate(group):
+        hit = position not in computed
         lead = position == 0
+        if hit:
+            origin = "cached-result"
+        else:
+            origin = trace_from if position == first_computed else "memo"
         outcomes.append(CellOutcome(
             index=index,
-            values=_values_from_record(cell, record),
-            seconds=share,
-            result_hit=False,
-            trace_source=trace_from if lead else "memo",
+            values=values[position],
+            seconds=lookup_share + (0.0 if hit else compute_share),
+            result_hit=hit,
+            trace_source=origin,
             pid=pid,
-            queue_wait=queue_wait if lead and first else 0.0,
-            started=started,
-            ended=ended,
+            queue_wait=queue_wait if lead else 0.0,
             spans=spans if lead else (),
             metrics=metrics if lead else {},
         ))
@@ -534,7 +587,7 @@ def _aggregate_metrics(
     workers: int,
     cache_enabled: bool,
 ) -> MetricsRegistry:
-    """Fold per-cell measurements into one run-level registry."""
+    """Fold per-cell and per-group measurements into one registry."""
     registry = MetricsRegistry()
     registry.inc("engine.cells.total", len(outcomes))
     registry.inc(
@@ -544,13 +597,18 @@ def _aggregate_metrics(
     registry.set_gauge("engine.workers", workers)
     registry.set_gauge("engine.wall_seconds", wall_seconds)
     registry.set_gauge("engine.cache_enabled", 1.0 if cache_enabled else 0.0)
+    registry.inc("engine.cell.seconds_total", sum(o.seconds for o in outcomes))
+    registry.inc(
+        "engine.queue.wait_seconds_total", sum(o.queue_wait for o in outcomes)
+    )
+    cell_seconds = registry.histogram("engine.cell.seconds")
+    queue_wait = registry.histogram("engine.queue.wait_seconds")
     for outcome in outcomes:
+        # Group-level metrics ride on one outcome per group.
         for name, value in outcome.metrics.items():
             registry.inc(name, value)
-        registry.inc("engine.cell.seconds_total", outcome.seconds)
-        registry.inc("engine.queue.wait_seconds_total", outcome.queue_wait)
-        registry.observe("engine.cell.seconds", outcome.seconds)
-        registry.observe("engine.queue.wait_seconds", outcome.queue_wait)
+        cell_seconds.observe(outcome.seconds)
+        queue_wait.observe(outcome.queue_wait)
     for pid, busy in sorted(_busy_seconds(outcomes).items()):
         utilization = busy / wall_seconds if wall_seconds > 0 else 0.0
         registry.set_gauge(f"worker.{pid}.busy_seconds", busy)
@@ -568,8 +626,8 @@ def _build_manifest(
 ) -> RunManifest:
     """Assemble the span trace and the durable run manifest.
 
-    The tree is plan -> (one ``cell:`` span per cached hit, one
-    ``sweep:<source>`` span per computed group) -> resolve/replay.
+    The tree is plan -> one ``sweep:<source>`` span per group ->
+    lookup/resolve/replay/limits/store (see :func:`evaluate_group`).
     """
     tracer = Tracer()
     root = tracer.adopt(
@@ -577,17 +635,6 @@ def _build_manifest(
         pid=os.getpid(), cells=len(plan.cells), workers=stats.workers,
     )
     for outcome in sorted(outcomes, key=lambda o: o.index):
-        if outcome.result_hit:
-            cell = plan.cells[outcome.index]
-            tracer.adopt(
-                f"cell:{cell.source}/{cell.machine}/{cell.config}",
-                outcome.started,
-                outcome.ended,
-                parent_id=root.span_id,
-                pid=outcome.pid,
-                row=cell.row,
-                queue_wait=round(outcome.queue_wait, 6),
-            )
         adopted = []
         for name, start, end, parent, attrs in outcome.spans:
             adopted.append(tracer.adopt(
@@ -609,7 +656,7 @@ def _build_manifest(
             "workers": stats.workers,
             "cache_enabled": stats.cache_enabled,
             "cells": stats.cells,
-            "schema_version": RESULT_SCHEMA_VERSION,
+            "model": model_fingerprint(),
         },
         timings={
             "wall_seconds": stats.wall_seconds,
@@ -623,25 +670,17 @@ def _build_manifest(
 
 
 def _sweep_groups(plan: ExperimentPlan) -> List[List[Tuple[int, Cell]]]:
-    """Partition plan cells into groups of ``(index, cell)`` pairs.
+    """Partition plan cells into one group per trace source.
 
-    Simulator cells naming the same trace source form one sweep group;
-    limits cells stay groups of one (they have no machine to sweep).
+    Simulator and limits cells naming the same source share a group, so
+    within a plan each source's segment has exactly one reader-writer.
     Groups come in first-appearance order; the deterministic merge sorts
     by cell index, so grouping never changes the table.
     """
-    groups: List[List[Tuple[int, Cell]]] = []
     by_source: Dict[str, List[Tuple[int, Cell]]] = {}
     for index, cell in enumerate(plan.cells):
-        if cell.is_limits:
-            groups.append([(index, cell)])
-            continue
-        bucket = by_source.get(cell.source)
-        if bucket is None:
-            by_source[cell.source] = bucket = []
-            groups.append(bucket)
-        bucket.append((index, cell))
-    return groups
+        by_source.setdefault(cell.source, []).append((index, cell))
+    return list(by_source.values())
 
 
 def run_plan(
@@ -655,10 +694,11 @@ def run_plan(
     """Evaluate every cell of *plan* and merge deterministically.
 
     ``workers=1`` (or a single-group plan) runs in-process; anything
-    larger fans out over a ``ProcessPoolExecutor``.  Simulator cells
-    sharing a trace are evaluated as one fast-path sweep (see
-    :mod:`repro.core.fastpath`) -- per-cell cache lookups and gating are
-    preserved, so the table is bit-identical to per-cell evaluation.
+    larger fans out over a ``ProcessPoolExecutor``.  The cells of one
+    trace source are one group: one segment read, one fast-path sweep
+    for the simulator misses (see :mod:`repro.core.fastpath`), one
+    segment write -- per-cell cache lookups and gating are preserved,
+    so the table is bit-identical to per-cell evaluation.
     *cache* is optional: without it the engine is a pure compute path.
     With ``observe=True`` the run also records a span trace and writes a
     :class:`~repro.obs.manifest.RunManifest` under the cache root

@@ -8,8 +8,8 @@ wall time, cache traffic and simulator cycles go:
   counters, gauges and fixed-bucket histograms.  The experiment engine
   aggregates per-cell wall time, queue wait, cache hit/miss/corruption
   counts and per-worker utilization through it.
-* :mod:`repro.obs.tracing` -- span traces (plan -> sweep/cell ->
-  resolve/replay) with parent ids and monotonic timestamps, exportable
+* :mod:`repro.obs.tracing` -- span traces (plan -> sweep ->
+  lookup/resolve/replay/store) with parent ids and monotonic timestamps, exportable
   as JSON or Chrome ``trace_event`` format (``repro trace-export``).
 * :mod:`repro.obs.events` -- typed issue/stall/complete/flush events
   emitted by every timing simulator through an optional ``on_event``

@@ -7,10 +7,11 @@ observation on (``repro.api.run_table(..., observe=True)``, or the CLI
 needed to account for the run after the fact:
 
 * identity -- run id, table id, creation time, git SHA of the checkout;
-* configuration -- worker count, cache enablement, cell count;
+* configuration -- worker count, cache enablement, cell count, and the
+  model fingerprint the run's cache keys were built under;
 * timings -- wall seconds, summed cell seconds, max cell seconds;
 * a full metrics snapshot (:mod:`repro.obs.metrics`);
-* the span trace (:mod:`repro.obs.tracing`), per-cell timings included.
+* the span trace (:mod:`repro.obs.tracing`), one span per sweep group.
 
 ``python -m repro stats`` renders manifests as a per-run breakdown
 table; ``python -m repro trace-export`` converts a manifest's spans to
@@ -19,6 +20,7 @@ Chrome ``trace_event`` JSON.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -43,8 +45,14 @@ __all__ = [
 MANIFEST_VERSION = 1
 
 
+@functools.lru_cache(maxsize=None)
 def current_git_sha(cwd: Optional[os.PathLike] = None) -> Optional[str]:
-    """The checkout's HEAD SHA, or None outside a repository (fail-soft)."""
+    """The checkout's HEAD SHA, or None outside a repository (fail-soft).
+
+    Computed once per process (and *cwd*): the first call spawns
+    ``git rev-parse HEAD``, every later one returns the cached answer,
+    so a commit made while the process runs is not seen.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -129,10 +137,11 @@ class RunManifest:
         }
 
     def cell_timings(self) -> List[Dict[str, Any]]:
-        """Work-unit spans (name, seconds, pid), slowest first.
+        """Sweep-group spans (name, seconds, pid, attrs), slowest first.
 
-        A work unit is a cached cell (``cell:`` span) or a computed
-        sweep group (``sweep:`` span); neither ever contains another.
+        Every group of cells sharing a trace source is one ``sweep:``
+        span, whether its cells were served from the cache or computed
+        (its ``cells`` and ``hits`` attributes say which).
         """
         cells = [
             {
@@ -143,7 +152,7 @@ class RunManifest:
             }
             for span in self.spans
             if span.get("end") is not None
-            and span["name"].startswith(("cell:", "sweep:"))
+            and span["name"].startswith("sweep:")
         ]
         cells.sort(key=lambda c: c["seconds"], reverse=True)
         return cells

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from ..isa import FunctionalUnit, OpKind, Opcode
 from ..isa.encoding import mean_parcels
+from .diskcache import model_fingerprint
 from .record import Trace
 
 #: Bump to invalidate cached :class:`IRStats` payloads after a change to
@@ -331,12 +332,14 @@ def _ir_stats_key(source: str) -> Dict[str, Any]:
 
     Seeded generator parameters (``seed=``, ``n=`` ...) are part of the
     normalised spec text, so every (trace spec, seed) pair keys its own
-    entry.
+    entry; the model fingerprint retires entries whose producers or
+    statistics code changed.
     """
     return {
         "kind": "ir-stats",
         "source": source,
         "version": IR_STATS_VERSION,
+        "model": model_fingerprint(),
     }
 
 

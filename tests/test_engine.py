@@ -7,7 +7,9 @@ The two properties the redesign promises:
   order).
 * **Cache transparency** -- a cold run populates the store, a warm run
   hits it, and a corrupted entry is silently ignored and rebuilt; cache
-  state can only ever change timing, never values.
+  state can only ever change timing, never values.  Results live in one
+  segment per trace source, so corruption is exercised per segment and
+  per line.
 """
 
 import json
@@ -15,14 +17,32 @@ import json
 import pytest
 
 import repro.api as api
+import repro.harness.engine as engine
 from repro.harness.engine import (
     cell_key,
     clear_process_memo,
     evaluate_group,
+    run_plan,
+    segment_key,
     trace_key,
 )
-from repro.harness.plans import build_plan
+from repro.harness.plans import Cell, ExperimentPlan, build_plan
 from repro.trace import DiskCache
+from repro.trace.diskcache import model_fingerprint
+
+
+def segment_of(source):
+    """The segment file holding *source*'s cells in the default store."""
+    return DiskCache().segment_path(segment_key(source))
+
+
+def plan_of(table_id, cells):
+    rows = tuple(dict.fromkeys(cell.row for cell in cells))
+    columns = tuple(dict.fromkeys(c for cell in cells for c in cell.columns))
+    return ExperimentPlan(
+        table_id=table_id, title=table_id, columns=columns, rows=rows,
+        cells=tuple(cells),
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -55,8 +75,15 @@ class TestPlans:
         assert cell_key(cray) != cell_key(inorder)
         assert trace_key(cray.source) == {
             "kind": "trace", "source": cray.source,
+            "model": model_fingerprint(),
         }
-        assert cell_key(cray)["source"] == cray.source
+        # The config name resolves to its latencies; row and column are
+        # not part of the identity, so an explorer cell shares the entry.
+        explorer = Cell(source=cray.source, machine="cray",
+                        config=cray.config, row="x", columns=("y",))
+        assert cell_key(explorer) == cell_key(cray)
+        assert cray.config not in cell_key(cray)
+        assert len(cell_key(cray).split()) == 1
 
 
 class TestDeterminism:
@@ -107,20 +134,99 @@ class TestDiskCacheRoundTrip:
         assert warm.stats.traces_built == 0
         assert warm.table.rows == cold.table.rows
 
-    def test_corrupted_result_is_ignored_and_rebuilt(self, small_sizes):
+    def test_corrupted_result_is_ignored_and_rebuilt(
+        self, small_sizes
+    ):
+        plan = build_plan("table1", small_sizes)
         cold = api.run_table("table1", sizes=small_sizes, workers=1)
-        store = DiskCache()
-        results = sorted((store.root / "results").glob("*.jsonl"))
-        assert len(results) == cold.stats.cells
-        results[0].write_text("this is not json\n")
-        results[1].write_text(json.dumps({"kind": "header"}) + "\n")
+        segments = sorted((DiskCache().root / "segments").glob("*.jsonl"))
+        assert len(segments) == 14
+        source = plan.cells[0].source
+        in_group = sum(1 for cell in plan.cells if cell.source == source)
+        segment_of(source).write_text("this is not json\n")
+
+        warm = api.run_table(
+            "table1", sizes=small_sizes, workers=1, observe=True
+        )
+        assert warm.table.rows == cold.table.rows
+        assert warm.stats.result_misses == in_group
+        assert warm.stats.corrupt_rebuilds == in_group
+        counters = warm.stats.metrics["counters"]
+        assert counters["cache.result.corruptions"] == in_group
+        assert counters["cache.result.misses"] == in_group
+        # The segment was rebuilt in place.
+        rerun = api.run_table("table1", sizes=small_sizes, workers=1)
+        assert rerun.stats.result_hits == rerun.stats.cells
+
+    def test_one_bad_line_is_one_miss(self, small_sizes):
+        plan = build_plan("table1", small_sizes)
+        cold = api.run_table("table1", sizes=small_sizes, workers=1)
+        path = segment_of(plan.cells[0].source)
+        lines = path.read_text().split("\n")
+        key, _, _ = lines[3].partition(" ")
+        lines[3] = key + ' {"instructions": 1, "cyc'
+        path.write_text("\n".join(lines))
 
         warm = api.run_table("table1", sizes=small_sizes, workers=1)
         assert warm.table.rows == cold.table.rows
-        assert warm.stats.result_hits == warm.stats.cells - 2
-        # The corrupted entries were rebuilt in place.
+        assert warm.stats.result_misses == 1
+        assert warm.stats.corrupt_rebuilds == 1
         rerun = api.run_table("table1", sizes=small_sizes, workers=1)
         assert rerun.stats.result_hits == rerun.stats.cells
+
+    @pytest.mark.parametrize("damage", ["no-trailing-newline", "lost-line"])
+    def test_truncated_segment_is_detected(self, small_sizes, damage):
+        plan = build_plan("table1", small_sizes)
+        cold = api.run_table("table1", sizes=small_sizes, workers=1)
+        source = plan.cells[0].source
+        in_group = sum(1 for cell in plan.cells if cell.source == source)
+        path = segment_of(source)
+        text = path.read_text()
+        if damage == "no-trailing-newline":
+            # Cut mid-record: every line before the cut still parses.
+            path.write_text(text[: text.rindex("\n", 0, -1) + 40])
+        else:
+            # Cut at a line boundary: the header's count catches it.
+            path.write_text(text[: text.rindex("\n", 0, -1) + 1])
+
+        warm = api.run_table("table1", sizes=small_sizes, workers=1)
+        assert warm.table.rows == cold.table.rows
+        assert warm.stats.result_misses == in_group
+        assert warm.stats.corrupt_rebuilds == in_group
+        rerun = api.run_table("table1", sizes=small_sizes, workers=1)
+        assert rerun.stats.result_hits == rerun.stats.cells
+
+    def test_two_plans_storing_one_source_both_survive(self):
+        source = "kernel:3:n=16"
+        first = plan_of("first", [
+            Cell(source, "cray", "M11BR5", "cray", ("M11BR5",)),
+            Cell(source, "limits", "M11BR5", "limits",
+                 ("pseudo-dataflow", "resource", "actual")),
+        ])
+        second = plan_of("second", [
+            Cell(source, "ooo:2", "M5BR2", "ooo", ("M5BR2",)),
+            Cell(source, "ruu:2:10", "M11BR2", "ruu", ("M11BR2",)),
+        ])
+        assert run_plan(first, workers=1, cache=DiskCache()).stats.result_hits == 0
+        assert run_plan(second, workers=1, cache=DiskCache()).stats.result_hits == 0
+        lines = segment_of(source).read_text().splitlines()
+        assert len(lines) == 1 + 4
+        for plan in (first, second):
+            rerun = run_plan(plan, workers=1, cache=DiskCache())
+            assert rerun.stats.result_hits == len(plan.cells)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_cold_then_warm_table2_in_parallel_has_no_misses(
+        self, small_sizes, workers
+    ):
+        # table2's 8 limits cells per source once were 8 groups racing
+        # one segment's read-merge-replace; a lost update would show
+        # here as a warm miss.
+        cold = api.run_table("table2", sizes=small_sizes, workers=workers)
+        assert cold.stats.result_hits == 0
+        warm = api.run_table("table2", sizes=small_sizes, workers=workers)
+        assert warm.stats.result_misses == 0
+        assert warm.table.rows == cold.table.rows
 
     def test_corrupted_trace_is_ignored_and_rebuilt(self, small_sizes):
         api.run_table("table1", sizes=small_sizes, workers=1)
@@ -129,7 +235,7 @@ class TestDiskCacheRoundTrip:
             archive.write_text("garbage\n")
         # Wipe results so traces must be re-resolved, and forget the
         # in-process memo so the corrupted archives are actually read.
-        for entry in (store.root / "results").glob("*.jsonl"):
+        for entry in (store.root / "segments").glob("*.jsonl"):
             entry.unlink()
         clear_process_memo()
 
@@ -198,9 +304,11 @@ class TestObservedCacheCounters:
 
     def test_corruption_rebuilds_are_counted(self, small_sizes):
         api.run_table("table1", sizes=small_sizes, workers=1)
-        store = DiskCache()
-        results = sorted((store.root / "results").glob("*.jsonl"))
-        results[0].write_text("this is not json\n")
+        path = segment_of(build_plan("table1", small_sizes).cells[0].source)
+        lines = path.read_text().split("\n")
+        key, _, _ = lines[1].partition(" ")
+        lines[1] = key + " this is not json"
+        path.write_text("\n".join(lines))
 
         warm = api.run_table(
             "table1", sizes=small_sizes, workers=1, observe=True
@@ -304,13 +412,18 @@ class TestSweepGrouping:
         for group in groups:
             assert len({cell.source for _, cell in group}) == 1
 
-    def test_limit_cells_stay_singletons(self, small_sizes):
+    def test_limits_cells_join_their_source_group(self, small_sizes):
         from repro.harness.engine import _sweep_groups
 
         plan = build_plan("table2", small_sizes)
-        for group in _sweep_groups(plan):
-            assert len(group) == 1
-            assert group[0][1].is_limits
+        groups = _sweep_groups(plan)
+        # One group per trace source: 8 limits cells (4 configs x
+        # pure/serial) each, so a segment has one writer per plan.
+        assert len(groups) == 14
+        for group in groups:
+            assert len(group) == 8
+            assert len({cell.source for _, cell in group}) == 1
+            assert all(cell.is_limits for _, cell in group)
 
     @pytest.mark.parametrize("backend", ["python", "batch"])
     def test_backends_produce_identical_tables(
@@ -389,3 +502,111 @@ class TestDiskCacheUnit:
         store.store_result({"k": 1}, {"v": 2})
         store.clear()
         assert store.load_result({"k": 1}) is None
+
+    def test_segment_round_trip_counts_each_lookup(self, tmp_path):
+        store = DiskCache(tmp_path / "c")
+        key = {"kind": "segment", "source": "s"}
+        store.store_segment(key, {"a|x|s0": {"v": 1}, "b|x|s0": {"v": 2}})
+        segment = store.read_segment(key)
+        assert segment.lookup("a|x|s0", lambda r: r["v"]) == 1
+        assert segment.lookup("missing", lambda r: r["v"]) is None
+        # A record the decoder rejects is a corruption and a miss.
+        assert segment.lookup("b|x|s0", lambda r: r["nope"]) is None
+        counters = store.counters()
+        assert counters["result_hits"] == 1
+        assert counters["result_misses"] == 2
+        assert counters["result_corruptions"] == 1
+
+    def test_segment_store_merges_and_replaces(self, tmp_path):
+        store = DiskCache(tmp_path / "c")
+        key = {"kind": "segment", "source": "s"}
+        store.store_segment(key, {"a": {"v": 1}, "b": {"v": 2}})
+        store.store_segment(key, {"b": {"v": 3}, "c": {"v": 4}})
+        segment = store.read_segment(key)
+        assert [segment.lookup(k, lambda r: r["v"]) for k in "abc"] == [
+            1, 3, 4,
+        ]
+        with pytest.raises(ValueError):
+            store.store_segment(key, {"has space": {"v": 5}})
+
+    def test_damaged_segment_is_discarded(self, tmp_path):
+        store = DiskCache(tmp_path / "c")
+        key = {"kind": "segment", "source": "s"}
+        store.store_segment(key, {"a": {"v": 1}})
+        path = store.segment_path(key)
+        path.write_text(path.read_text().rstrip("\n"))
+        segment = store.read_segment(key)
+        assert segment.damaged
+        assert not path.exists()
+        assert segment.lookup("a", lambda r: r["v"]) is None
+        assert store.counters()["result_corruptions"] == 1
+
+    def test_clear_removes_segments(self, tmp_path):
+        store = DiskCache(tmp_path / "c")
+        key = {"kind": "segment", "source": "s"}
+        store.store_segment(key, {"a": {"v": 1}})
+        store.clear()
+        assert store.read_segment(key).lookup("a", dict) is None
+
+
+class TestModelFingerprint:
+    """A model change must never be answered from an older entry."""
+
+    def test_patched_latency_changes_every_cell_key(
+        self, small_sizes, monkeypatch
+    ):
+        from repro.isa import FunctionalUnit, functional_units
+
+        cells = [
+            cell
+            for table_id in ("table1", "table2")
+            for cell in build_plan(table_id, small_sizes).cells
+        ]
+        before = [cell_key(cell) for cell in cells]
+        monkeypatch.setitem(
+            functional_units.FIXED_LATENCIES, FunctionalUnit.FP_ADD, 7
+        )
+        after = [cell_key(cell) for cell in cells]
+        assert all(old != new for old, new in zip(before, after))
+
+    def test_patched_latency_makes_a_warm_cache_miss(
+        self, small_sizes, monkeypatch
+    ):
+        from repro.isa import FunctionalUnit, functional_units
+
+        api.run_table("table1", sizes=small_sizes, workers=1)
+        monkeypatch.setitem(
+            functional_units.FIXED_LATENCIES, FunctionalUnit.FP_MULTIPLY, 8
+        )
+        rerun = api.run_table("table1", sizes=small_sizes, workers=1)
+        assert rerun.stats.result_hits == 0
+
+    def test_fingerprint_is_in_every_segment_and_trace_key(
+        self, small_sizes, monkeypatch
+    ):
+        sources = {cell.source for cell in build_plan("table1", small_sizes).cells}
+        store = DiskCache()
+        real = {
+            source: (
+                store.segment_path(segment_key(source)),
+                store.trace_path(trace_key(source)),
+            )
+            for source in sources
+        }
+        cold = api.run_table("table1", sizes=small_sizes, workers=1)
+        monkeypatch.setattr(engine, "model_fingerprint", lambda: "edited")
+        for source in sources:
+            segment, trace = real[source]
+            assert store.segment_path(segment_key(source)) != segment
+            assert store.trace_path(trace_key(source)) != trace
+        clear_process_memo()
+        edited = api.run_table("table1", sizes=small_sizes, workers=1)
+        assert edited.stats.result_hits == 0
+        assert edited.stats.traces_loaded == 0
+        assert edited.table.rows == cold.table.rows
+
+    def test_fingerprint_is_recorded_in_manifests(self, small_sizes):
+        run = api.run_table("table1", sizes=small_sizes, workers=1,
+                            observe=True)
+        assert run.manifest.config["model"] == model_fingerprint()
+        assert len(model_fingerprint()) == 64

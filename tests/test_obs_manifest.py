@@ -51,9 +51,9 @@ def _manifest(run_id="20260101T000000-table1-1-abc", **overrides):
         spans=[
             {"name": "plan:table1", "span_id": 1, "parent_id": None,
              "start": 0.0, "end": 1.5, "pid": 1},
-            {"name": "cell:5/cray/M11BR5", "span_id": 2, "parent_id": 1,
+            {"name": "sweep:kernel:5:n=16", "span_id": 2, "parent_id": 1,
              "start": 0.1, "end": 0.9, "pid": 100},
-            {"name": "cell:7/cray/M11BR5", "span_id": 3, "parent_id": 1,
+            {"name": "sweep:kernel:7:n=16", "span_id": 3, "parent_id": 1,
              "start": 0.1, "end": 1.4, "pid": 101},
         ],
     )
@@ -112,8 +112,8 @@ class TestDerivedAccounting:
 
     def test_cell_timings_slowest_first(self):
         cells = _manifest().cell_timings()
-        assert [c["name"].split(":")[1].split("/")[0] for c in cells] == [
-            "7", "5",
+        assert [c["name"] for c in cells] == [
+            "sweep:kernel:7:n=16", "sweep:kernel:5:n=16",
         ]
         assert cells[0]["seconds"] == pytest.approx(1.3)
 
@@ -131,13 +131,14 @@ class TestObservedRunEndToEnd:
         assert api.find_run(manifest.run_id).run_id == manifest.run_id
         assert api.list_runs(limit=1)[0].run_id == manifest.run_id
         # Spans cover the plan and every cell: a cold run computes every
-        # cell inside one sweep span per trace.
+        # cell inside one sweep span per trace source.
         names = [span["name"] for span in manifest.spans]
         assert names[0] == "plan:table1"
         sweeps = [s for s in manifest.spans if s["name"].startswith("sweep:")]
         assert len(sweeps) == 14
         assert sum(s["attrs"]["cells"] for s in sweeps) == run.stats.cells
-        assert not any(n.startswith("cell:") for n in names)
+        assert all(s["attrs"]["hits"] == 0 for s in sweeps)
+        assert len(names) == 1 + 5 * len(sweeps)
 
     def test_observe_off_writes_nothing(self, small_sizes):
         run = api.run_table("table1", sizes=small_sizes, workers=1)

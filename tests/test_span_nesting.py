@@ -1,4 +1,4 @@
-"""Run manifests nest: plan -> sweep/cell -> resolve/replay.
+"""Run manifests nest: plan -> sweep -> lookup/resolve/replay/store.
 
 Every span lies inside its parent, and the children a span has in one
 process never sum to more than the span.  Checked over the manifests of
@@ -38,25 +38,27 @@ def test_cold_and_warm_plan_manifests_nest(small_sizes, workers):
     assert nesting_errors(cold.spans) == []
     assert nesting_errors(warm.spans) == []
 
-    # Cold: one sweep per trace, each with a resolve and a replay child,
-    # and no per-cell spans at all.
+    # Cold: one sweep per trace source, each looking its cells up,
+    # resolving the trace, replaying and storing, and no per-cell spans.
     plan = build_plan("table7", small_sizes, **overrides)
+    sources = {f"sweep:{cell.source}" for cell in plan.cells}
     sweeps = [s for s in cold.spans if s["name"].startswith("sweep:")]
-    assert {s["name"] for s in sweeps} == {
-        f"sweep:{cell.source}" for cell in plan.cells
-    }
+    assert sorted(s["name"] for s in sweeps) == sorted(sources)
     assert sum(s["attrs"]["cells"] for s in sweeps) == len(plan.cells)
+    assert all(s["attrs"]["hits"] == 0 for s in sweeps)
     for sweep in sweeps:
         assert [c["name"] for c in children(cold, sweep)] == [
-            "resolve", "replay",
+            "lookup", "resolve", "replay", "store",
         ]
-    assert not any(s["name"].startswith("cell:") for s in cold.spans)
+    assert len(cold.spans) == 1 + 5 * len(sources)
 
-    # Warm: every cell is a cached hit with its own span, nothing else.
+    # Warm: one childless sweep span per group, every cell a hit.
     names = [s["name"] for s in warm.spans]
     assert names[0] == "plan:table7"
-    assert len(names) == 1 + len(plan.cells)
-    assert all(name.startswith("cell:") for name in names[1:])
+    assert sorted(names[1:]) == sorted(sources)
+    warm_sweeps = warm.spans[1:]
+    assert sum(s["attrs"]["hits"] for s in warm_sweeps) == len(plan.cells)
+    assert all(s["attrs"]["hits"] == s["attrs"]["cells"] for s in warm_sweeps)
 
 
 def test_limits_cells_nest(small_sizes):
@@ -65,10 +67,45 @@ def test_limits_cells_nest(small_sizes):
     ).manifest
     assert nesting_errors(manifest.spans) == []
     sweeps = [s for s in manifest.spans if s["name"].startswith("sweep:")]
-    assert sweeps and all(s["attrs"]["cells"] == 1 for s in sweeps)
+    # One group per source: 4 configs x pure/serial limits cells each.
+    assert len(sweeps) == 14 and all(s["attrs"]["cells"] == 8 for s in sweeps)
     assert [c["name"] for c in children(manifest, sweeps[0])] == [
-        "resolve", "limits",
+        "lookup", "resolve", "limits", "store",
     ]
+
+
+def test_mixed_group_replays_and_computes_limits(small_sizes):
+    """table1 then table2 share their sources' traces and segments; a
+    plan mixing both kinds of cell replays and computes limits in one
+    group, and a warm rerun of either table is one span per group."""
+    from repro.harness.engine import run_plan
+    from repro.harness.plans import ExperimentPlan
+    from repro.trace import DiskCache
+
+    table1 = build_plan("table1", small_sizes)
+    table2 = build_plan("table2", small_sizes)
+    plan = ExperimentPlan(
+        table_id="mixed", title="mixed",
+        columns=table1.columns + table2.columns,
+        rows=table1.rows + table2.rows,
+        cells=table1.cells + table2.cells,
+    )
+    manifest = run_plan(
+        plan, workers=1, cache=DiskCache(), observe=True
+    ).manifest
+    assert nesting_errors(manifest.spans) == []
+    sweeps = [s for s in manifest.spans if s["name"].startswith("sweep:")]
+    assert len(sweeps) == 14
+    for sweep in sweeps:
+        assert [c["name"] for c in children(manifest, sweep)] == [
+            "lookup", "resolve", "replay", "limits", "store",
+        ]
+    for table_id in ("table1", "table2"):
+        warm = api.run_table(
+            table_id, sizes=small_sizes, workers=1, observe=True
+        )
+        assert warm.stats.result_hits == warm.stats.cells
+        assert len(warm.manifest.spans) == 1 + 14
 
 
 def test_explore_manifest_nests():
