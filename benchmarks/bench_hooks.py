@@ -7,9 +7,10 @@ machine; interleaving cancels slow drift):
 * **disabled hooks** -- the event-hook plumbing in
   :meth:`ScoreboardMachine.simulate` must be free when no callback is
   attached.  The hooked issue loop (``simulate()`` with
-  ``on_event=None``) is measured against the seed implementation
-  preserved verbatim as ``reference_simulate()``, over the full table-1
-  scoreboard workload (all 14 Livermore loops).
+  ``on_event=None``) is measured against the seed implementation,
+  frozen with no hook code in ``seed_scoreboard.py`` next to this
+  script, over the full table-1 scoreboard workload (all 14 Livermore
+  loops).
 * **fast-path floor** -- the compiled fast loops, which always fill the
   aggregate :mod:`repro.obs.telemetry` counters, must stay well ahead of
   the reference loops they replace.  The workload is all six machine
@@ -30,12 +31,14 @@ across every variant, so the gates double as correctness checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
 from repro.core import build_simulator, config_by_name, fastpath
 from repro.core.scoreboard import cray_like_machine
 from repro.kernels import ALL_LOOPS, build_kernel
+from seed_scoreboard import seed_simulate
 
 #: One representative machine per family with a compiled fast loop.
 FAST_SPECS = (
@@ -64,6 +67,7 @@ def time_pass(fn, traces, config) -> float:
 
 def measure(rounds: int, config_name: str):
     machine = cray_like_machine()
+    seed = functools.partial(seed_simulate, machine)
     traces, config = build_workload(config_name)
 
     # This gate measures the *hook plumbing* in the reference issue loop,
@@ -75,7 +79,7 @@ def measure(rounds: int, config_name: str):
         # seed.
         for trace in traces:
             hooked = machine.simulate(trace, config)
-            reference = machine.reference_simulate(trace, config)
+            reference = seed(trace, config)
             if hooked.cycles != reference.cycles:
                 raise SystemExit(
                     f"cycle mismatch on {trace.name}: "
@@ -85,9 +89,7 @@ def measure(rounds: int, config_name: str):
         hooked_times, reference_times = [], []
         for _ in range(rounds):
             hooked_times.append(time_pass(machine.simulate, traces, config))
-            reference_times.append(
-                time_pass(machine.reference_simulate, traces, config)
-            )
+            reference_times.append(time_pass(seed, traces, config))
     finally:
         fastpath.set_enabled(previous)
     return min(hooked_times), min(reference_times)

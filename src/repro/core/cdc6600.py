@@ -146,7 +146,8 @@ class CDC6600Machine(Simulator):
     ) -> SimulationResult:
         """The reference recurrence with no hook: the oracle twin.
 
-        The differential tests and the cross-machine oracle use this as
-        the baseline the compiled fast loop must match bit-for-bit.
+        The differential tests use this, and the cross-machine oracle an
+        observed run of the same loop, as the baseline the compiled fast
+        loop must match bit-for-bit.
         """
         return self._simulate(trace, config, None)

@@ -22,8 +22,9 @@ Bit-identity is a hard invariant, enforced three ways:
   through both paths and compares cycle counts, issue rates and
   per-instruction issue/completion schedules;
 * the cross-machine oracle (:mod:`repro.verify.oracle`) checks the
-  fast path against ``reference_simulate`` as an exact dual on every
-  ``repro verify`` replay, including the nightly 1000-seed shards.
+  fast path's cycles and recorded schedule against an observed run of
+  the reference loop as an exact dual on every ``repro verify``
+  replay, including the nightly 1000-seed shards.
 
 The module-level ``simulate_*_fast`` functions are the machines\'
 dispatch targets (``fastpath.python_backend.simulate_*_fast``; the

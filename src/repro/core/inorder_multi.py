@@ -63,11 +63,11 @@ class InOrderMultiIssueMachine(Simulator):
     ) -> SimulationResult:
         """The pre-fast-path issue loop, hook plumbing disabled.
 
-        The oracle baseline for this machine: ``repro verify`` checks
-        :meth:`simulate` against it as an exact dual (the
-        ``fastpath-dual`` check), and the benchmark suite measures the
-        fast path's speedup over it.  Keep it in lockstep with any
-        timing-model change.
+        The baseline for this machine: ``repro verify`` checks
+        :meth:`simulate` against an observed run of this loop as an exact
+        dual (the ``fastpath-dual`` check), and the benchmark suite
+        measures the fast path's speedup over it.  Keep it in lockstep
+        with any timing-model change.
         """
         return self._simulate(trace, config, None)
 

@@ -151,8 +151,9 @@ class RUUMachine(Simulator):
     ) -> SimulationResult:
         """The pre-fast-path RUU loop, hook plumbing disabled.
 
-        The differential tests and the cross-machine oracle use this as
-        the baseline the compiled fast loop must match bit-for-bit.
+        The differential tests use this, and the cross-machine oracle an
+        observed run of the same loop, as the baseline the compiled fast
+        loop must match bit-for-bit.
         """
         return self._simulate(trace, config, None)
 

@@ -323,91 +323,15 @@ class ScoreboardMachine(Simulator):
     def reference_simulate(
         self, trace: Trace, config: MachineConfig
     ) -> SimulationResult:
-        """The seed implementation, kept verbatim with no hook plumbing.
+        """The event-capable issue loop, hook plumbing disabled.
 
-        This is the golden baseline for the event-hook work: tests assert
-        :meth:`simulate` (hooks disabled) is bit-identical to it, and
-        ``benchmarks/bench_hooks.py`` measures the disabled-hook overhead
-        against it (CI gates at <2%).  Keep it in lockstep with any
-        timing-model change to :meth:`_simulate`.
+        The differential tests and the benchmark suite use this as the
+        baseline the compiled fast loop must match bit-for-bit.  The
+        seed implementation it replaced survives, frozen, as
+        ``benchmarks/seed_scoreboard.py``: ``benchmarks/bench_hooks.py``
+        gates the disabled-hook overhead of this loop against it.
         """
-        latencies = config.latencies
-        branch_latency = config.branch_latency
-
-        reg_ready: Dict[Register, int] = {}
-        reg_write_done: Dict[Register, int] = {}
-        fu_free: Dict[FunctionalUnit, int] = {}
-        bus_reserved: Set[int] = set()
-        next_issue = 0
-        last_event = 0
-
-        for entry in trace:
-            instr = entry.instruction
-            unit = instr.unit
-            latency = instr.latency(latencies)
-            is_vector = instr.is_vector
-            vl = entry.vector_length if is_vector else 0
-            uses_bus = instr.dest is not None and not is_vector and (
-                instr.dest.is_address or instr.dest.is_scalar
-            )
-
-            earliest = next_issue
-            for src in instr.source_registers:
-                ready = reg_ready.get(src, 0)
-                if ready > earliest:
-                    earliest = ready
-            if instr.dest is not None:
-                ready = reg_write_done.get(
-                    instr.dest, reg_ready.get(instr.dest, 0)
-                )
-                if ready > earliest:
-                    earliest = ready
-            unit_free = fu_free.get(unit, 0)
-            if unit_free > earliest:
-                earliest = unit_free
-            if self.model_result_bus and uses_bus:
-                while earliest + latency in bus_reserved:
-                    earliest += 1
-
-            issue = earliest
-            complete = issue + latency + (vl if is_vector else 0)
-            if self.model_result_bus and uses_bus:
-                bus_reserved.add(complete)
-
-            if unit is FunctionalUnit.MEMORY:
-                pipelined = self.memory_interleaved
-            elif unit is FunctionalUnit.BRANCH:
-                pipelined = True
-            else:
-                pipelined = self.fu_pipelined or latency <= 1
-            if is_vector:
-                fu_free[unit] = issue + vl if pipelined else complete
-            else:
-                fu_free[unit] = issue + 1 if pipelined else complete
-
-            if instr.dest is not None:
-                if is_vector and self.vector_chaining:
-                    reg_ready[instr.dest] = issue + latency
-                else:
-                    reg_ready[instr.dest] = complete
-                reg_write_done[instr.dest] = complete
-
-            if instr.is_branch:
-                next_issue = issue + branch_latency
-                complete = issue + branch_latency
-            else:
-                next_issue = issue + 1
-
-            if complete > last_event:
-                last_event = complete
-
-        return SimulationResult(
-            trace_name=trace.name,
-            simulator=self.name,
-            config=config,
-            instructions=len(trace),
-            cycles=last_event,
-        )
+        return self._simulate(trace, config, None)
 
 
 def serial_memory_machine() -> ScoreboardMachine:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "EventCallback",
@@ -42,6 +42,7 @@ __all__ = [
     "EventKind",
     "SimEvent",
     "hook_installed",
+    "schedule_from_events",
     "tee",
 ]
 
@@ -153,3 +154,45 @@ def tee(*callbacks: EventCallback) -> EventCallback:
             callback(event)
 
     return fanout
+
+
+def schedule_from_events(
+    events: Iterable[SimEvent],
+    length: int,
+    *,
+    branch_latency: int,
+    predicted: bool = False,
+) -> List[Tuple[Optional[int], Optional[int]]]:
+    """Per-instruction ``(issue, resolution)`` pairs from one replay.
+
+    This is the schedule a compiled fast loop writes into its ``record``
+    list (:mod:`repro.core.fastpath`), rebuilt from the event stream of
+    the same machine's event-emitting loop, so the two can be compared
+    entry by entry.  *length* is the trace length.  The resolution is
+    the instruction's first COMPLETE cycle.  The branches of the
+    buffered and speculative machines get no COMPLETE; they resolve at
+    issue plus the ``MISPREDICT`` FLUSH window when mispredicted, at
+    issue + 1 when a branch predictor is on (*predicted*), and at issue
+    + *branch_latency* otherwise.  A seq with no ISSUE event gets
+    ``None`` for its issue cycle.
+    """
+    issues: Dict[int, int] = {}
+    completes: Dict[int, int] = {}
+    windows: Dict[int, int] = {}
+    for event in events:
+        kind = event.kind
+        if kind is EventKind.ISSUE:
+            issues.setdefault(event.seq, event.cycle)
+        elif kind is EventKind.COMPLETE:
+            completes.setdefault(event.seq, event.cycle)
+        elif kind is EventKind.FLUSH and event.reason == "MISPREDICT":
+            windows.setdefault(event.seq, event.cycles)
+    resolve_after = 1 if predicted else branch_latency
+    schedule: List[Tuple[Optional[int], Optional[int]]] = []
+    for seq in range(length):
+        issue = issues.get(seq)
+        resolution = completes.get(seq)
+        if resolution is None and issue is not None:
+            resolution = issue + windows.get(seq, resolve_after)
+        schedule.append((issue, resolution))
+    return schedule

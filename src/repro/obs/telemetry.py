@@ -248,8 +248,9 @@ def telemetry_from_events(
     This is the reducer half of the differential contract: the fast
     loops compute the record in closed form from their integer state;
     this function derives the identical record from the ISSUE / STALL /
-    COMPLETE / FLUSH events the preserved ``reference_simulate`` twins
-    emit.  *cycles* is the reference result's cycle count; *family* is
+    COMPLETE / FLUSH events each machine's event-emitting loop
+    (``_simulate``, observed through ``simulate_observed``) emits.
+    *cycles* is the reference result's cycle count; *family* is
     the fast-path family name (:func:`repro.core.fastpath.family_of`),
     which selects the occupancy reconstruction; *issue_units* is the
     fetch-buffer width for the windowed (in-order / out-of-order)

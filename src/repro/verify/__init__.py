@@ -22,12 +22,16 @@ from .fuzz import FuzzSpec, fuzz_trace, kernel_calibrated_spec
 from .invariants import (
     InvariantViolation,
     MachineProfile,
+    ObservedReplay,
     check_invariants,
+    check_replay,
+    observe,
     profile_for_spec,
 )
 from .oracle import (
     DEFAULT_EDGES,
     DEFAULT_ORACLE_MACHINES,
+    ORACLE_CHECKS,
     OracleReport,
     OracleViolation,
     OrderingEdge,
@@ -42,6 +46,8 @@ __all__ = [
     "FuzzSpec",
     "InvariantViolation",
     "MachineProfile",
+    "ORACLE_CHECKS",
+    "ObservedReplay",
     "OracleReport",
     "OracleViolation",
     "OrderingEdge",
@@ -49,8 +55,10 @@ __all__ = [
     "VerifyOptions",
     "VerifyReport",
     "check_invariants",
+    "check_replay",
     "fuzz_trace",
     "kernel_calibrated_spec",
+    "observe",
     "profile_for_spec",
     "run_oracle",
     "run_verification",

@@ -33,9 +33,15 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.base import Simulator
 from ..core.config import MachineConfig
+from ..core.result import SimulationResult
 from ..core.registry import build_simulator, parse_spec
 from ..isa import Register
-from ..obs.events import EventCollector, EventKind, SimEvent
+from ..obs.events import (
+    EventCollector,
+    EventKind,
+    SimEvent,
+    schedule_from_events,
+)
 from ..trace import Trace
 
 #: Every stall reason any machine documents (see repro.obs.events).
@@ -191,6 +197,60 @@ class InvariantViolation:
         )
 
 
+@dataclass(frozen=True)
+class ObservedReplay:
+    """One event-emitting replay of a trace on one machine.
+
+    The verify runner makes one per (seed, machine) and feeds it to
+    every consumer: the invariant checks here, and the oracle's
+    fastpath dual and telemetry reduction (:mod:`repro.verify.oracle`).
+
+    Attributes:
+        simulator: the machine instance that replayed.
+        result: the replay's result.
+        collector: every event the replay emitted; ``None`` for a
+            machine whose profile emits no events, or once the events
+            have been released.
+        schedule: the per-instruction ``(issue, resolution)`` schedule
+            the events give (see
+            :func:`~repro.obs.events.schedule_from_events`), or ``None``
+            without events.
+    """
+
+    simulator: Simulator
+    result: SimulationResult
+    collector: Optional[EventCollector]
+    schedule: Optional[List[Tuple[Optional[int], Optional[int]]]]
+
+
+def observe(
+    trace: Trace,
+    spec: str,
+    config: MachineConfig,
+    *,
+    simulator: Optional[Simulator] = None,
+    profile: Optional[MachineProfile] = None,
+) -> ObservedReplay:
+    """The replay step: run *trace* once on *spec* with a collector
+    attached (when its profile emits events)."""
+    profile = profile or profile_for_spec(spec)
+    sim = simulator if simulator is not None else build_simulator(spec)
+    if not profile.emits_events:
+        return ObservedReplay(
+            sim, sim.simulate_observed(trace, config, None), None, None
+        )
+    collector = EventCollector()
+    result = sim.simulate_observed(trace, config, collector)
+    schedule = schedule_from_events(
+        collector.events,
+        len(trace),
+        branch_latency=config.branch_latency,
+        # Only the speculative machines carry a branch predictor.
+        predicted=bool(getattr(sim, "predictor_factory", None)),
+    )
+    return ObservedReplay(sim, result, collector, schedule)
+
+
 def check_invariants(
     trace: Trace,
     spec: str,
@@ -198,20 +258,37 @@ def check_invariants(
     *,
     simulator: Optional[Simulator] = None,
     profile: Optional[MachineProfile] = None,
+    replay: Optional[ObservedReplay] = None,
 ) -> List[InvariantViolation]:
     """Replay *trace* on the machine for *spec* and check every invariant.
 
-    Passing *simulator* substitutes a specific instance (used by the
-    test suite to aim the checker at deliberately broken machines while
-    keeping *spec* as the profile key).
+    The composition of the replay step (:func:`observe`) and the checks
+    step (:func:`check_replay`).  Passing *replay* skips the replay
+    step and checks that replay instead.  Passing *simulator*
+    substitutes a specific instance (used by the test suite to aim the
+    checker at deliberately broken machines while keeping *spec* as the
+    profile key).
     """
     profile = profile or profile_for_spec(spec)
-    sim = simulator if simulator is not None else build_simulator(spec)
+    if replay is None:
+        replay = observe(
+            trace, spec, config, simulator=simulator, profile=profile
+        )
+    return check_replay(trace, spec, config, replay, profile=profile)
 
-    collector = EventCollector()
-    result = sim.simulate_observed(
-        trace, config, collector if profile.emits_events else None
-    )
+
+def check_replay(
+    trace: Trace,
+    spec: str,
+    config: MachineConfig,
+    replay: ObservedReplay,
+    *,
+    profile: Optional[MachineProfile] = None,
+) -> List[InvariantViolation]:
+    """The checks step: every invariant over one observed replay."""
+    profile = profile or profile_for_spec(spec)
+    result = replay.result
+    collector = replay.collector
 
     violations: List[InvariantViolation] = []
 
@@ -235,7 +312,7 @@ def check_invariants(
             f"result reports {result.instructions} instructions for a "
             f"{len(trace)}-entry trace",
         )
-    if not profile.emits_events:
+    if collector is None:
         return violations
 
     events = collector.events

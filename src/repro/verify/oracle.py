@@ -17,13 +17,17 @@ is exact -- no floating-point tolerance needed):
   machines at one issue station are numerically identical (they model
   the same hardware), as are in-order and out-of-order issue at a
   buffer of one;
-* **fastpath duals** -- any machine exposing a ``reference_simulate``
-  method (the scoreboard family, the in-order and out-of-order
-  multi-issue machines, the RUU, Tomasulo and CDC6600 models -- every
-  machine whose default :meth:`simulate` dispatches to the compiled
-  fast path in :mod:`repro.core.fastpath`) must report the same cycle
-  count from both paths; the nightly fuzz shards replay this check over
-  thousands of seeds.
+* **fastpath duals** -- every machine whose default :meth:`simulate`
+  dispatches to the compiled fast path in :mod:`repro.core.fastpath`
+  (the scoreboard family, the in-order and out-of-order multi-issue
+  machines, the RUU, Tomasulo, CDC6600 and speculative models) must
+  match one observed replay of its event-emitting reference loop: the
+  same cycle count, and the same per-instruction ``(issue,
+  resolution)`` schedule -- the fast path's recorded schedule against
+  the one :func:`repro.obs.events.schedule_from_events` rebuilds from
+  the replay's events.  The verify runner makes that replay once per
+  (seed, machine) and shares it with the invariant checks; the nightly
+  fuzz shards replay this check over thousands of seeds.
 
 The edge list was calibrated empirically over ~12,000 fuzzed traces
 (all four memory/branch variants, trace shapes from length-1 to
@@ -55,16 +59,19 @@ choices, so a second slot can only help).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import fastpath
 from ..core.base import Simulator
 from ..core.config import MachineConfig
-from ..core.registry import build_simulator
+from ..core.fastpath.ir import Schedule
+from ..core.result import SimulationResult
 from ..limits import pseudo_dataflow_schedule, resource_limit
 from ..obs.events import EventCollector
 from ..obs.telemetry import SimTelemetry, telemetry_from_events
 from ..trace import Trace
+from .invariants import ObservedReplay, observe
 
 #: The machine set `repro verify` replays by default: every fixed
 #: registry spec plus representative points of each parameter sweep.
@@ -165,6 +172,20 @@ DEFAULT_EDGES: Tuple[OrderingEdge, ...] = (
 )
 
 
+#: Every check id :func:`run_oracle` reports.  The verify shrinker routes
+#: a failure back to the oracle by this set; any other id is an
+#: invariant check (:mod:`repro.verify.invariants`).
+ORACLE_CHECKS = frozenset({
+    "serial-dataflow-bound",
+    "dataflow-bound",
+    "resource-bound",
+    "fastpath-dual",
+    "telemetry",
+    "exact-equality",
+    "partial-order",
+})
+
+
 @dataclass(frozen=True)
 class OracleViolation:
     """One broken ordering or bound on one (trace, config) replay."""
@@ -208,25 +229,35 @@ def run_oracle(
     *,
     simulators: Optional[Mapping[str, Simulator]] = None,
     check_telemetry: bool = False,
+    observed: Optional[Mapping[str, ObservedReplay]] = None,
 ) -> OracleReport:
     """Replay *trace* through *machines* and check bounds and orderings.
 
     Edges whose endpoints are not both in *machines* are skipped, so a
     caller can verify any subset.  *simulators* substitutes specific
     instances by spec (the test suite injects deliberately broken
-    machines this way).
+    machines this way); an injected machine is replayed through its own
+    ``simulate`` and, for the dual, its own ``reference_simulate``.
 
-    With *check_telemetry* the fastpath-dual replay runs through the
-    event stream instead of the bare reference loop: one observed replay
-    then serves both the cycle-equality check and a field-by-field
-    comparison of the fast loop's aggregate :class:`~repro.obs.telemetry.
-    SimTelemetry` record against the event-derived reduction -- the
-    nightly telemetry-equality oracle.
+    Every other spec is served by one observed replay
+    (:class:`~repro.verify.invariants.ObservedReplay`): the entry in
+    *observed* when the caller already made it (the verify runner
+    passes the replays its invariant checks used), otherwise one made
+    here.  That replay is the machine's result when it has no compiled
+    fast path; for the rest it is the reference side of the
+    ``fastpath-dual`` check, which compares the fast path's cycles and
+    its recorded per-instruction ``(issue, resolution)`` schedule with
+    the replay's result and the schedule its events give.  With
+    *check_telemetry* the replay's events (which the replay must then
+    still hold) are also folded into a
+    :class:`~repro.obs.telemetry.SimTelemetry` record and compared field
+    by field with the fast path's -- the nightly telemetry-equality
+    oracle.
 
     The trace is lowered once up front (a strong reference pins the
-    compile-cache entry for the whole run), so the limit calculators,
-    every fast-path machine, and the fastpath-dual re-replays below all
-    share one :func:`repro.core.fastpath.compile_trace` result.
+    compile-cache entry for the whole run), so the limit calculators
+    and every fast-path machine share one
+    :func:`repro.core.fastpath.compile_trace` result.
     """
     report = OracleReport(trace_name=trace.name, config=config.name)
     compiled = fastpath.compile_trace(trace)  # noqa: F841 -- keepalive
@@ -238,140 +269,91 @@ def run_oracle(
     report.serial_dataflow_makespan = serial.makespan
     report.resource_makespan = resource.makespan
 
-    if serial.makespan < dataflow.makespan:
+    def violation(
+        check: str, machine: str, message: str, other: str = ""
+    ) -> None:
         report.violations.append(
             OracleViolation(
-                check="serial-dataflow-bound",
-                machine="limits",
+                check=check,
+                machine=machine,
                 config=config.name,
                 trace_name=trace.name,
-                message=(
-                    f"serial-WAW dataflow makespan {serial.makespan} beats "
-                    f"the unconstrained makespan {dataflow.makespan}"
-                ),
+                message=message,
+                other=other,
             )
         )
 
-    # Non-overridden specs replay as one sweep: eligibility is decided
-    # per item inside simulate_sweep (exactly the machines' own dispatch
-    # gate), so hooked/disabled/uncompiled members still run their
-    # reference loops while the rest share one batch sweep.  Injected
-    # simulator overrides bypass the sweep on purpose -- the test suite
-    # plants broken machines there and expects their own ``simulate`` to
-    # be what the oracle observes.
+    if serial.makespan < dataflow.makespan:
+        violation(
+            "serial-dataflow-bound",
+            "limits",
+            f"serial-WAW dataflow makespan {serial.makespan} beats "
+            f"the unconstrained makespan {dataflow.makespan}",
+        )
+
+    # Fast-eligible specs replay as one sweep, each member recording its
+    # schedule for the dual; the rest reuse their observed replay.
+    # Injected simulator overrides bypass both on purpose -- the test
+    # suite plants broken machines there and expects their own
+    # ``simulate`` to be what the oracle observes.
     sims: Dict[str, Simulator] = {}
-    sweep_specs: List[str] = []
-    results: Dict[str, "object"] = {}
+    results: Dict[str, SimulationResult] = {}
+    references: Dict[str, ObservedReplay] = {}
+    records: Dict[str, Schedule] = {}
     for spec in machines:
         if simulators is not None and spec in simulators:
             sim = simulators[spec]
             results[spec] = sim.simulate(trace, config)
+            if hasattr(sim, "reference_simulate"):
+                references[spec] = _injected_reference(
+                    sim, trace, config, check_telemetry
+                )
         else:
-            sim = build_simulator(spec)
-            sweep_specs.append(spec)
+            replay = observed.get(spec) if observed is not None else None
+            if replay is None:
+                replay = observe(trace, spec, config)
+            sim = replay.simulator
+            if fastpath.fast_eligible(sim):
+                references[spec] = replay
+                records[spec] = []
+            else:
+                results[spec] = replay.result
         sims[spec] = sim
-    if sweep_specs:
-        swept = fastpath.simulate_sweep(
-            trace, [(sims[spec], config) for spec in sweep_specs]
-        )
-        results.update(zip(sweep_specs, swept))
+    if records:
+        results.update(zip(records, fastpath.simulate_sweep(
+            trace, [(sims[spec], config, records[spec]) for spec in records]
+        )))
 
     for spec in machines:
         sim = sims[spec]
         result = results[spec]
         report.cycles[spec] = result.cycles
 
-        reference = getattr(sim, "reference_simulate", None)
-        if reference is not None:
-            family = fastpath.family_of(sim)
-            collector: Optional[EventCollector] = None
-            if check_telemetry and family is not None:
-                # One observed replay serves both the cycle-equality
-                # check and the telemetry reduction below.
-                collector = EventCollector()
-                ref_result = sim.simulate_observed(trace, config, collector)
-            else:
-                ref_result = reference(trace, config)
-            ref_cycles = ref_result.cycles
-            if result.cycles != ref_cycles:
-                report.violations.append(
-                    OracleViolation(
-                        check="fastpath-dual",
-                        machine=spec,
-                        config=config.name,
-                        trace_name=trace.name,
-                        message=(
-                            f"simulate() reported {result.cycles} cycles but "
-                            f"reference_simulate() reported {ref_cycles}; the "
-                            "compiled fast path must be bit-identical to the "
-                            "reference loop"
-                        ),
-                    )
-                )
-            elif collector is not None:
-                fast_telemetry = SimTelemetry.from_detail(result.detail)
-                if fast_telemetry is not None:
-                    expected = telemetry_from_events(
-                        collector.events,
-                        trace=trace,
-                        cycles=ref_cycles,
-                        family=family,
-                        issue_units=getattr(sim, "issue_units", 0),
-                    )
-                    if fast_telemetry != expected:
-                        fields = [
-                            name
-                            for name in (
-                                "instructions", "cycles", "stall_cycles",
-                                "fu_busy_cycles", "issue_width",
-                                "occupancy", "flushes", "flush_cycles",
-                            )
-                            if getattr(fast_telemetry, name)
-                            != getattr(expected, name)
-                        ]
-                        report.violations.append(
-                            OracleViolation(
-                                check="telemetry",
-                                machine=spec,
-                                config=config.name,
-                                trace_name=trace.name,
-                                message=(
-                                    "fast-path telemetry diverges from the "
-                                    "event-derived record in "
-                                    f"{', '.join(fields)}; the aggregate "
-                                    "counters must be bit-identical"
-                                ),
-                            )
-                        )
+        if spec in references:
+            failed = _dual_violation(
+                sim, trace, result, references[spec], records.get(spec),
+                check_telemetry,
+            )
+            if failed is not None:
+                check, message = failed
+                violation(check, spec, message)
 
         if spec.split(":", 1)[0] in _BOUND_EXEMPT_HEADS:
             continue
         if result.cycles < dataflow.makespan:
-            report.violations.append(
-                OracleViolation(
-                    check="dataflow-bound",
-                    machine=spec,
-                    config=config.name,
-                    trace_name=trace.name,
-                    message=(
-                        f"{result.cycles} cycles beats the pseudo-dataflow "
-                        f"critical path of {dataflow.makespan}"
-                    ),
-                )
+            violation(
+                "dataflow-bound",
+                spec,
+                f"{result.cycles} cycles beats the pseudo-dataflow "
+                f"critical path of {dataflow.makespan}",
             )
         if result.cycles < resource.makespan:
-            report.violations.append(
-                OracleViolation(
-                    check="resource-bound",
-                    machine=spec,
-                    config=config.name,
-                    trace_name=trace.name,
-                    message=(
-                        f"{result.cycles} cycles beats the resource bound "
-                        f"of {resource.makespan} "
-                        f"(bottleneck {resource.bottleneck})"
-                    ),
-                )
+            violation(
+                "resource-bound",
+                spec,
+                f"{result.cycles} cycles beats the resource bound "
+                f"of {resource.makespan} "
+                f"(bottleneck {resource.bottleneck})",
             )
 
     for edge in edges:
@@ -381,31 +363,91 @@ def run_oracle(
             continue
         if edge.exact:
             if fast != slow:
-                report.violations.append(
-                    OracleViolation(
-                        check="exact-equality",
-                        machine=edge.fast,
-                        other=edge.slow,
-                        config=config.name,
-                        trace_name=trace.name,
-                        message=(
-                            f"expected identical timing to {edge.slow} "
-                            f"({edge.claim}); got {fast} vs {slow} cycles"
-                        ),
-                    )
+                violation(
+                    "exact-equality",
+                    edge.fast,
+                    f"expected identical timing to {edge.slow} "
+                    f"({edge.claim}); got {fast} vs {slow} cycles",
+                    other=edge.slow,
                 )
         elif fast > slow:
-            report.violations.append(
-                OracleViolation(
-                    check="partial-order",
-                    machine=edge.fast,
-                    other=edge.slow,
-                    config=config.name,
-                    trace_name=trace.name,
-                    message=(
-                        f"took {fast} cycles, slower than {edge.slow} at "
-                        f"{slow} ({edge.claim} should never lose)"
-                    ),
-                )
+            violation(
+                "partial-order",
+                edge.fast,
+                f"took {fast} cycles, slower than {edge.slow} at "
+                f"{slow} ({edge.claim} should never lose)",
+                other=edge.slow,
             )
     return report
+
+
+def _injected_reference(
+    sim, trace: Trace, config: MachineConfig, check_telemetry: bool
+) -> ObservedReplay:
+    """An injected machine's own reference run (observed when the
+    telemetry oracle needs its events)."""
+    if check_telemetry and fastpath.family_of(sim) is not None:
+        collector = EventCollector()
+        result = sim.simulate_observed(trace, config, collector)
+        return ObservedReplay(sim, result, collector, None)
+    return ObservedReplay(
+        sim, sim.reference_simulate(trace, config), None, None
+    )
+
+
+def _dual_violation(
+    sim,
+    trace: Trace,
+    result: SimulationResult,
+    reference: ObservedReplay,
+    record: Optional[Schedule],
+    check_telemetry: bool,
+) -> Optional[Tuple[str, str]]:
+    """``(check, message)`` for the first way the fast path's *result*
+    and recorded schedule differ from the *reference* replay: cycles,
+    then the schedule, then (with *check_telemetry*) the telemetry
+    record."""
+    if result.cycles != reference.result.cycles:
+        return "fastpath-dual", (
+            f"simulate() reported {result.cycles} cycles but the reference "
+            f"loop reported {reference.result.cycles}; the compiled fast "
+            "path must be bit-identical to the reference loop"
+        )
+    if record is not None and reference.schedule is not None:
+        for seq, (fast, ref) in enumerate(
+            zip_longest(record, reference.schedule)
+        ):
+            if fast != ref:
+                return "fastpath-dual", (
+                    f"the fast path scheduled seq {seq} at (issue, "
+                    f"resolution) {fast} but the reference loop's events "
+                    f"give {ref}; the compiled fast path must be "
+                    "bit-identical to the reference loop"
+                )
+    collector = reference.collector
+    if not check_telemetry or collector is None:
+        return None
+    fast_telemetry = SimTelemetry.from_detail(result.detail)
+    if fast_telemetry is None:
+        return None
+    expected_telemetry = telemetry_from_events(
+        collector.events,
+        trace=trace,
+        cycles=reference.result.cycles,
+        family=fastpath.family_of(sim),
+        issue_units=getattr(sim, "issue_units", 0),
+    )
+    if fast_telemetry == expected_telemetry:
+        return None
+    fields = [
+        name
+        for name in (
+            "instructions", "cycles", "stall_cycles", "fu_busy_cycles",
+            "issue_width", "occupancy", "flushes", "flush_cycles",
+        )
+        if getattr(fast_telemetry, name) != getattr(expected_telemetry, name)
+    ]
+    return "telemetry", (
+        "fast-path telemetry diverges from the event-derived record in "
+        f"{', '.join(fields)}; the aggregate counters must be bit-identical"
+    )

@@ -3,7 +3,9 @@
 For each seed the runner generates a trace (:mod:`repro.verify.fuzz`),
 rotates through the requested machine variants, and runs both check
 layers: the per-cycle invariant checker on every machine and the
-cross-machine oracle over the whole set.  On a failure it re-runs the
+cross-machine oracle over the whole set.  Each machine replays the
+seed's trace once, observed; the invariant checks and the oracle's
+fastpath dual read that one replay.  On a failure it re-runs the
 single offending check inside a delta-debugging shrink loop
 (:mod:`repro.verify.shrink`) and dumps the minimal reproducing trace as
 JSON-lines (replayable with ``repro replay`` / ``repro simulate``).
@@ -19,8 +21,13 @@ from ..core import fastpath
 from ..core.config import STANDARD_CONFIGS, MachineConfig
 from ..trace import Trace, write_trace
 from .fuzz import FuzzSpec, fuzz_trace
-from .invariants import check_invariants, profile_for_spec
-from .oracle import DEFAULT_EDGES, DEFAULT_ORACLE_MACHINES, run_oracle
+from .invariants import check_invariants, observe, profile_for_spec
+from .oracle import (
+    DEFAULT_EDGES,
+    DEFAULT_ORACLE_MACHINES,
+    ORACLE_CHECKS,
+    run_oracle,
+)
 from .shrink import shrink_trace
 
 #: Stop collecting (and shrinking) after this many distinct failures.
@@ -146,21 +153,33 @@ def _first_violation(
     """All-layer check pass; returns (violation, checks_run) with the
     first violation found (or None).
 
-    The trace is compiled once here (strong reference held for the whole
-    pass), so the oracle's limit calculators and every fast-path machine
-    across all specs share one lowering per seed.
+    Each machine replays the trace once, observed
+    (:func:`~repro.verify.invariants.observe`); that one replay feeds
+    its invariant checks, and the oracle's fastpath dual and telemetry
+    check.  The replays live only as long as this pass.  The trace is
+    compiled once here (strong reference held for the whole pass), so
+    the oracle's limit calculators and every fast-path machine across
+    all specs share one lowering per seed.
     """
     compiled = fastpath.compile_trace(trace)  # noqa: F841 -- keepalive
     checks = 0
+    observed = {}
     for spec in machines:
         checks += 1
-        violations = check_invariants(trace, spec, config)
+        replay = observe(trace, spec, config)
+        violations = check_invariants(trace, spec, config, replay=replay)
         if violations:
             return violations[0], checks
+        # Past the invariant checks only the telemetry oracle reads the
+        # events themselves (the dual reads the replay's schedule), so
+        # release them unless it runs.
+        observed[spec] = (
+            replay if check_telemetry else replace(replay, collector=None)
+        )
     checks += 1
     oracle = run_oracle(
         trace, config, machines, DEFAULT_EDGES,
-        check_telemetry=check_telemetry,
+        check_telemetry=check_telemetry, observed=observed,
     )
     if oracle.violations:
         return oracle.violations[0], checks
@@ -178,20 +197,13 @@ def _still_fails_same_way(
 
     def predicate(candidate: Trace) -> bool:
         try:
-            if machine != "limits" and check_id not in (
-                "partial-order",
-                "exact-equality",
-                "dataflow-bound",
-                "resource-bound",
-                "serial-dataflow-bound",
-                "telemetry",
-            ):
-                violations = check_invariants(candidate, machine, config)
-            else:
+            if check_id in ORACLE_CHECKS:
                 violations = run_oracle(
                     candidate, config, machines, DEFAULT_EDGES,
                     check_telemetry=check_telemetry,
                 ).violations
+            else:
+                violations = check_invariants(candidate, machine, config)
         except Exception:
             # A candidate that crashes a model is a different bug; keep
             # the shrink anchored to the original failure.

@@ -3,10 +3,10 @@
 Two promises to pin down:
 
 * **Zero-cost when disabled** -- with ``on_event`` unset, every machine
-  must produce cycle counts bit-identical to the seed implementation
-  (preserved verbatim as ``ScoreboardMachine.reference_simulate``); the
-  runtime side of that promise is enforced by
-  ``benchmarks/bench_hooks.py`` in CI.
+  must produce cycle counts bit-identical to its reference loop
+  (``reference_simulate``); the runtime side of that promise is
+  enforced by ``benchmarks/bench_hooks.py`` in CI, against the
+  scoreboard's frozen seed loop (``benchmarks/seed_scoreboard.py``).
 * **Faithful when enabled** -- the typed event stream carries the whole
   schedule: the :class:`~repro.core.scoreboard.EventRecorder` adapter
   reconstructs the exact per-instruction issue records the analysis
@@ -61,7 +61,7 @@ class TestEventPrimitives:
 
 
 class TestDisabledHooksBitIdentity:
-    """simulate() with hooks off must equal the preserved seed loop."""
+    """simulate() with hooks off must equal the reference loop."""
 
     @pytest.mark.parametrize("config_name", CONFIGS)
     @pytest.mark.parametrize(

@@ -3,7 +3,11 @@
 The headline acceptance test: a deliberately broken machine (a mutated
 latency table, the classic reproduction bug) must be caught by the
 differential oracle, and the failing fuzzed trace must shrink to a
-reproducer of at most 20 instructions.
+reproducer of at most 20 instructions.  The fastpath-dual tests plant
+faults in the compiled fast path (cycles, one recorded issue cycle,
+latencies, telemetry) and require the campaign runner, which makes one
+observed reference replay per (seed, machine), to catch and shrink
+them.
 """
 
 from __future__ import annotations
@@ -13,13 +17,27 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from repro.core import M11BR5, M5BR2, MachineConfig
+from repro.core.base import Simulator
+from repro.core.cdc6600 import CDC6600Machine
+from repro.core.fastpath import batch, python_backend
+from repro.core.inorder_multi import InOrderMultiIssueMachine
+from repro.core.ooo_multi import OutOfOrderMultiIssueMachine
 from repro.core.registry import build_simulator
+from repro.core.ruu import RUUMachine
+from repro.core.scoreboard import ScoreboardMachine
+from repro.core.spec import SpecMachine
+from repro.core.tomasulo import TomasuloMachine
+from repro.obs.telemetry import SimTelemetry, strip_telemetry
 from repro.trace import subset_trace
 from repro.verify import (
     DEFAULT_EDGES,
+    DEFAULT_ORACLE_MACHINES,
     OrderingEdge,
+    VerifyOptions,
     fuzz_trace,
+    observe,
     run_oracle,
+    run_verification,
     shrink_trace,
 )
 from repro.verify.fuzz import FuzzSpec
@@ -214,8 +232,6 @@ class TestBrokenMachineCaught:
 
 class TestEdges:
     def test_default_edges_reference_default_machines(self):
-        from repro.verify import DEFAULT_ORACLE_MACHINES
-
         for edge in DEFAULT_EDGES:
             assert edge.fast in DEFAULT_ORACLE_MACHINES
             assert edge.slow in DEFAULT_ORACLE_MACHINES
@@ -282,3 +298,178 @@ class TestShrinker:
             assert new_entry.instruction == old_entry.instruction
             assert new_entry.address == old_entry.address
             assert new_entry.taken == old_entry.taken
+
+
+# ----------------------------------------------------------------------
+# One observed replay per (seed, machine), and the schedule-level dual
+# ----------------------------------------------------------------------
+
+#: Every machine class with a ``reference_simulate`` loop.
+REFERENCE_CLASSES = (
+    ScoreboardMachine,
+    CDC6600Machine,
+    TomasuloMachine,
+    InOrderMultiIssueMachine,
+    OutOfOrderMultiIssueMachine,
+    RUUMachine,
+    SpecMachine,
+)
+
+#: A short campaign: every config of the rotation but one, no shrink.
+_SHORT = dict(seeds=3, fuzz=FuzzSpec(length=24), shrink=False)
+
+
+def _plant_on_cray(monkeypatch, fault):
+    """Route the CRAY-like scoreboard's sweep replays through *fault*,
+    ``fault(loop, machine, trace, config, record) -> result``; the other
+    scoreboard machines keep the real loop."""
+    loop = python_backend.FAMILY_LOOPS["scoreboard"]
+
+    def planted(machine, trace, config, record=None):
+        if machine.name != "CRAY-like":
+            return loop(machine, trace, config, record)
+        return fault(loop, machine, trace, config, record)
+
+    monkeypatch.setitem(python_backend.FAMILY_LOOPS, "scoreboard", planted)
+
+
+def _one_cycle_late(loop, machine, trace, config, record):
+    result = loop(machine, trace, config, record)
+    return dc_replace(result, cycles=result.cycles + 1)
+
+
+def _fast_memory_latency(loop, machine, trace, config, record):
+    # Memory latency 11 -> 5 in the fast loop only.
+    if config.memory_latency == 11:
+        config = dc_replace(config, memory_latency=5)
+    return loop(machine, trace, config, record)
+
+
+class TestObservedReplayCampaign:
+    def test_one_observed_replay_per_machine_and_no_reference_calls(
+        self, monkeypatch
+    ):
+        observed = []
+        references = []
+        simulate_observed = Simulator.simulate_observed
+
+        def counting_observed(self, trace, config, on_event):
+            observed.append(on_event is not None)
+            return simulate_observed(self, trace, config, on_event)
+
+        monkeypatch.setattr(Simulator, "simulate_observed", counting_observed)
+        for cls in REFERENCE_CLASSES:
+            monkeypatch.setattr(
+                cls,
+                "reference_simulate",
+                lambda self, trace, config: references.append(self),
+            )
+        report = run_verification(VerifyOptions(**_SHORT))
+        assert report.ok, [str(f) for f in report.failures]
+        machines = len(DEFAULT_ORACLE_MACHINES)
+        assert report.checks_run == report.seeds_run * (machines + 1)
+        # Every machine but the eventless simple one replays with events.
+        assert len(observed) == report.seeds_run * machines
+        assert sum(observed) == report.seeds_run * (machines - 1)
+        assert references == []
+
+    def test_run_oracle_observes_for_itself_without_a_map(self):
+        trace = fuzz_trace(7)
+        replays = {
+            spec: observe(trace, spec, M11BR5)
+            for spec in DEFAULT_ORACLE_MACHINES
+        }
+        given = run_oracle(trace, M11BR5, observed=replays)
+        own = run_oracle(trace, M11BR5)
+        assert given.ok and own.ok
+        assert given.cycles == own.cycles
+        assert given.cycles == {
+            spec: replay.result.cycles for spec, replay in replays.items()
+        }
+
+
+class TestScheduleDual:
+    def test_schedule_only_sweep_fault_caught_by_runner(self, monkeypatch):
+        # The RUU batch kernel reports correct cycles but shifts one
+        # recorded issue cycle: only a schedule-level dual sees it.
+        sweep_ruu = batch._sweep_ruu
+        shifted = []
+
+        def planted(compiled, group):
+            results = sweep_ruu(compiled, group)
+            for item in group:
+                if item.record:
+                    seq = len(item.record) // 2
+                    issue, resolution = item.record[seq]
+                    item.record[seq] = (issue + 1, resolution)
+                    shifted.append(seq)
+            return results
+
+        monkeypatch.setattr(batch, "_sweep_ruu", planted)
+        report = run_verification(VerifyOptions(**_SHORT))
+        assert shifted
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.check == "fastpath-dual"
+        assert failure.machine.startswith("ruu:")
+        assert f"seq {shifted[0]}" in failure.message
+
+    def test_schedule_mismatch_names_the_first_differing_seq(
+        self, monkeypatch
+    ):
+        def late_third_issue(loop, machine, trace, config, record):
+            result = loop(machine, trace, config, record)
+            issue, resolution = record[2]
+            record[2] = (issue + 1, resolution)
+            return result
+
+        _plant_on_cray(monkeypatch, late_third_issue)
+        report = run_oracle(fuzz_trace(3), M11BR5, machines=("cray",))
+        (violation,) = report.violations
+        assert violation.check == "fastpath-dual"
+        assert violation.machine == "cray"
+        assert "seq 2 " in violation.message
+
+
+class TestRunnerCatchesPlantedFastPathFaults:
+    def test_off_by_one_fast_path_caught_and_shrunk(self, monkeypatch):
+        _plant_on_cray(monkeypatch, _one_cycle_late)
+        report = run_verification(
+            VerifyOptions(seeds=3, machines=DEFAULT_ORACLE_MACHINES)
+        )
+        assert not report.ok
+        failure = report.failures[0]
+        assert (failure.check, failure.machine) == ("fastpath-dual", "cray")
+        # Any one instruction is a witness: the shrinker must find one.
+        assert len(failure.trace) <= 2, len(failure.trace)
+
+    def test_mutated_latency_fast_path_caught(self, monkeypatch):
+        _plant_on_cray(monkeypatch, _fast_memory_latency)
+        report = run_verification(VerifyOptions(**_SHORT))
+        assert not report.ok
+        failure = report.failures[0]
+        assert (failure.check, failure.machine) == ("fastpath-dual", "cray")
+
+    def test_telemetry_divergence_caught_only_with_telemetry(
+        self, monkeypatch
+    ):
+        loop = python_backend.FAMILY_LOOPS["tomasulo"]
+
+        def extra_flush(machine, trace, config, record=None):
+            result = loop(machine, trace, config, record)
+            telemetry = SimTelemetry.from_detail(result.detail)
+            wrong = dc_replace(telemetry, flushes=telemetry.flushes + 1)
+            detail = {**strip_telemetry(result.detail), **wrong.to_detail()}
+            return dc_replace(result, detail=detail)
+
+        monkeypatch.setitem(
+            python_backend.FAMILY_LOOPS, "tomasulo", extra_flush
+        )
+        assert run_verification(VerifyOptions(**_SHORT)).ok
+        report = run_verification(
+            VerifyOptions(**_SHORT, check_telemetry=True)
+        )
+        assert not report.ok
+        failure = report.failures[0]
+        assert (failure.check, failure.machine) == ("telemetry", "tomasulo")
+        assert "flushes" in failure.message
