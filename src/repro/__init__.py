@@ -13,8 +13,9 @@ The package is organised bottom-up:
   paper studies (Simple, SerialMemory, NonSegmented, CRAY-like, in-order
   and out-of-order multi-issue, RUU dependency resolution);
 * :mod:`repro.limits`  -- pseudo-dataflow / resource / serial limits;
-* :mod:`repro.harness` -- experiments regenerating Tables 1-8, paper data
-  and comparison machinery (cell plans + the parallel engine);
+* :mod:`repro.harness` -- cell plans for Tables 1-10, the Section 3.3
+  quote and the per-loop appendix, the parallel engine, paper data and
+  comparison machinery;
 * :mod:`repro.obs`     -- observability: process-safe metrics, run/span
   tracing, simulator event hooks, durable run manifests;
 * :mod:`repro.api`     -- the one public facade: ``run_table``,

@@ -52,11 +52,10 @@ from .core.registry import (
     list_specs,
     parse_spec as _parse_spec_string,
 )
-from .harness import experiments as _experiments
 from .harness.aggregate import harmonic_mean, relative_error
 from .harness.engine import EngineStats, run_plan
 from .harness.progress import ProgressCallback, ProgressEvent
-from .harness.paper import PAPER_SECTION33, PAPER_TABLES
+from .harness.paper import PAPER_SECTION33, PAPER_SECTION33_TABLE, PAPER_TABLES
 from .harness.plans import PLAN_BUILDERS, build_plan
 from .harness.tables import ResultTable, compare_tables
 from .kernels import build_kernel
@@ -181,8 +180,19 @@ class TableRun:
 
 
 def list_tables() -> Tuple[str, ...]:
-    """Every table id :func:`run_table` accepts, in numeric order."""
-    return tuple(sorted(PLAN_BUILDERS, key=lambda tid: int(tid[5:])))
+    """The numbered table ids (``table1`` ... ``table10``), in order.
+
+    :func:`run_table` also accepts ``"section33"`` and ``"per-loop"``;
+    they are not numbered tables, so ``repro tables all`` leaves them out.
+    """
+    return tuple(sorted(
+        (tid for tid in PLAN_BUILDERS if tid.startswith("table")),
+        key=lambda tid: int(tid[5:]),
+    ))
+
+
+#: Plan id -> the paper's reported table, for ``compare=True``.
+_PAPER_REFERENCES = {**PAPER_TABLES, "section33": PAPER_SECTION33_TABLE}
 
 
 def run_table(
@@ -199,7 +209,8 @@ def run_table(
     """Regenerate one of the paper's tables.
 
     Args:
-        table_id: ``"table1"`` ... ``"table8"``.
+        table_id: ``"table1"`` ... ``"table10"``, ``"section33"`` or
+            ``"per-loop"``.
         compare: attach the paper's reported table for cell-by-cell diffs.
         workers: process fan-out width (default ``os.cpu_count()``).
         cache: consult/feed the persistent store under ``REPRO_CACHE_DIR``.
@@ -226,7 +237,7 @@ def run_table(
         observe=observe,
         progress=progress,
     )
-    reference = PAPER_TABLES.get(table_id) if compare else None
+    reference = _PAPER_REFERENCES.get(table_id) if compare else None
     return TableRun(
         table=outcome.table,
         stats=outcome.stats,
@@ -236,8 +247,13 @@ def run_table(
 
 
 def section33(sizes: Sizes = None) -> Dict[str, float]:
-    """The Section 3.3 quote: single-issue RUU rates per loop class."""
-    return _experiments.section33(sizes)
+    """The Section 3.3 quote: single-issue RUU rates per loop class.
+
+    The rows of ``run_table("section33", sizes=sizes, workers=1,
+    cache=False)``.
+    """
+    run = run_table("section33", sizes=sizes, workers=1, cache=False)
+    return {row: values["M11BR5"] for row, values in run.table.rows}
 
 
 def paper_section33() -> Dict[str, float]:

@@ -3,8 +3,9 @@
 Every subcommand is a thin wrapper over :mod:`repro.api` -- the CLI
 parses arguments and prints, the facade does the work:
 
-* ``tables``   -- regenerate any of the paper's tables in parallel with a
-  persistent result store (``--workers``, ``--no-cache``, ``--compare``;
+* ``tables``   -- regenerate any of the paper's tables, the Section 3.3
+  quote (``section33``) or the per-loop appendix (``per-loop``) in
+  parallel with a persistent result store (``--workers``, ``--no-cache``, ``--compare``;
   records a run manifest unless ``--no-observe``; ``--progress``
   streams per-cell completions to stderr, as a human ticker or
   ``--progress-format jsonl``);
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables = sub.add_parser("tables", help="regenerate the paper's tables")
     tables.add_argument(
         "table",
-        choices=list(api.list_tables()) + ["section33", "all"],
+        choices=list(api.list_tables()) + ["section33", "per-loop", "all"],
     )
     tables.add_argument("--compare", action="store_true")
     tables.add_argument(
@@ -562,18 +563,8 @@ def run_tables(
     progress: bool = False,
     progress_format: str = "human",
 ) -> int:
-    """The ``tables`` subcommand: print tables (or the section 3.3 quote)."""
-    if table == "section33":
-        rates = api.section33()
-        paper = api.paper_section33()
-        print("Section 3.3: single-issue dependency resolution on M11BR5")
-        for class_label, rate in rates.items():
-            print(
-                f"  {class_label:<13} measured {rate:.2f}   "
-                f"paper {paper[class_label]:.2f}"
-            )
-        return 0
-
+    """The ``tables`` subcommand: print one plan's table, or every
+    numbered table for ``all``."""
     callback = _progress_callback(progress_format) if progress else None
     targets = api.list_tables() if table == "all" else (table,)
     for table_id in targets:

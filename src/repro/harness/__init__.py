@@ -1,4 +1,4 @@
-"""Evaluation harness: experiment definitions, aggregation and reporting."""
+"""Evaluation harness: experiment plans, the engine, aggregation and reporting."""
 
 from .aggregate import (
     arithmetic_mean,
@@ -9,28 +9,11 @@ from .aggregate import (
 from .engine import EngineStats, PlanRun, run_plan
 from .plans import PLAN_BUILDERS, Cell, ExperimentPlan, build_plan
 from .progress import ProgressCallback, ProgressEvent
-from .experiments import (
-    EXPERIMENTS,
-    class_traces,
-    per_loop_table,
-    section33,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-    table8,
-    table9,
-    table10,
-)
 from .paper import PAPER_SECTION33, PAPER_TABLES
 from .tables import ResultTable, compare_tables
 
 __all__ = [
     "Cell",
-    "EXPERIMENTS",
     "EngineStats",
     "ExperimentPlan",
     "PAPER_SECTION33",
@@ -42,22 +25,9 @@ __all__ = [
     "ResultTable",
     "arithmetic_mean",
     "build_plan",
-    "class_traces",
     "compare_tables",
     "run_plan",
     "harmonic_mean",
     "hmean_by_key",
-    "per_loop_table",
     "relative_error",
-    "section33",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "table9",
-    "table10",
 ]

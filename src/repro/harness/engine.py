@@ -59,7 +59,7 @@ from ..obs import (
     new_run_id,
     write_manifest,
 )
-from ..trace import DiskCache, Trace, default_cache_dir
+from ..trace import GLOBAL_TRACE_CACHE, DiskCache, Trace, default_cache_dir
 from ..trace.diskcache import model_fingerprint
 from ..trace.sources import trace_source
 from .aggregate import arithmetic_mean, harmonic_mean
@@ -179,13 +179,9 @@ def cell_key(cell: Cell, timing: Optional[str] = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Trace resolution: one in-process memo, then the DiskCache, then capture
+# Trace resolution: the process-wide trace memo, then the DiskCache,
+# then capture
 # ----------------------------------------------------------------------
-
-#: Per-process trace memo: canonical trace-source spec -> Trace.  With the
-#: default ``fork`` start method child workers inherit a snapshot and then
-#: extend their own copy.
-_TRACE_MEMO: Dict[str, Trace] = {}
 
 #: Per-process DiskCache handle, set by the pool initializer.
 _WORKER_CACHE: Optional[DiskCache] = None
@@ -197,8 +193,8 @@ def _pool_init(cache_dir: Optional[str]) -> None:
 
 
 def clear_process_memo() -> None:
-    """Forget this process's in-memory trace memo (tests use this)."""
-    _TRACE_MEMO.clear()
+    """Forget this process's in-memory traces (tests use this)."""
+    GLOBAL_TRACE_CACHE.clear()
 
 
 def _cacheable(source: str, cache: Optional[DiskCache]) -> Optional[DiskCache]:
@@ -211,24 +207,25 @@ def resolve_trace(
 ) -> Tuple[Trace, str]:
     """The trace of a canonical source spec, and where it came from.
 
-    Looks in the process memo, then the DiskCache, and only then captures
-    through the source registry (kernels verify against their NumPy
-    reference there).  Returns ``(trace, "memo" | "disk" | "built")``.
+    Looks in :data:`~repro.trace.GLOBAL_TRACE_CACHE` -- the one
+    in-process trace memo, keyed by trace-source spec and shared with
+    :meth:`~repro.kernels.KernelInstance.trace` -- then the DiskCache,
+    and only then captures through the source registry (kernels verify
+    against their NumPy reference there).  With the default ``fork``
+    start method pool workers inherit a snapshot of the memo and extend
+    their own copy.  Returns ``(trace, "memo" | "disk" | "built")``.
     """
-    trace = _TRACE_MEMO.get(source)
+    trace = GLOBAL_TRACE_CACHE.peek(source)
     if trace is not None:
         return trace, "memo"
     cache = _cacheable(source, cache)
-    if cache is not None:
-        trace = cache.load_trace(trace_key(source))
-        if trace is not None:
-            _TRACE_MEMO[source] = trace
-            return trace, "disk"
-    trace = trace_source(source)
-    _TRACE_MEMO[source] = trace
-    if cache is not None:
-        cache.store_trace(trace_key(source), trace)
-    return trace, "built"
+    trace = cache.load_trace(trace_key(source)) if cache is not None else None
+    origin = "disk"
+    if trace is None:
+        trace, origin = trace_source(source), "built"
+        if cache is not None:
+            cache.store_trace(trace_key(source), trace)
+    return GLOBAL_TRACE_CACHE.get_or_build(source, lambda: trace), origin
 
 
 # ----------------------------------------------------------------------

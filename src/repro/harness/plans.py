@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..kernels import SCALAR_LOOPS, VECTORIZABLE_LOOPS, default_size
+from ..kernels import (
+    ALL_LOOPS,
+    SCALAR_LOOPS,
+    VECTORIZABLE_LOOPS,
+    classify,
+    default_size,
+)
 from .paper import BUS_LABELS, CONFIG_NAMES, RUU_SIZES, RUU_UNITS
 
 Sizes = Optional[Mapping[int, int]]
@@ -377,7 +383,81 @@ def plan_table10(sizes: Sizes = None) -> ExperimentPlan:
     )
 
 
-#: Table id -> plan builder.  Every builder accepts ``sizes`` as its first
+def plan_section33(sizes: Sizes = None) -> ExperimentPlan:
+    """The Section 3.3 quote: single-issue RUU (R=50, N-Bus) on M11BR5.
+
+    The paper: "the issue rate of an M11BR5 machine with a single issue
+    unit can be improved to about 0.72 instructions per cycle for scalar
+    code and 0.81 instructions for vectorizable code."  Every cell is
+    also a Table 7/8 cell (``x1 N-Bus``, ``M11BR5/R50``), so a store
+    that has run those tables answers this plan without a replay.
+    """
+    cells = tuple(
+        Cell(
+            source=_source(loop, sizes),
+            machine="ruu:1:50:nbus",
+            config="M11BR5",
+            row=class_label,
+            columns=("M11BR5",),
+        )
+        for class_label, loops in _CLASS_LOOPS.items()
+        for loop in loops
+    )
+    return ExperimentPlan(
+        table_id="section33",
+        title="Section 3.3: single-issue dependency resolution "
+        "(RUU x1 R50 N-Bus)",
+        columns=("M11BR5",),
+        rows=tuple(_CLASS_LOOPS),
+        cells=cells,
+    )
+
+
+#: Machine columns of the per-loop table: ``(column label, spec)``.
+_PER_LOOP_MACHINES: Tuple[Tuple[str, str], ...] = (
+    ("Simple", "simple"),
+    ("CRAY-like", "cray"),
+    ("ooo x4", "ooo:4"),
+    ("RUU x4 R=50", "ruu:4:50"),
+)
+
+
+def plan_per_loop(sizes: Sizes = None) -> ExperimentPlan:
+    """Per-loop issue rates on M11BR5 across the main machine spectrum.
+
+    Not a paper table: the paper reports only class harmonic means, and
+    this appendix shows each loop on its own next to its actual
+    (dataflow + resource) limit, which is where the class differences
+    come from.  Every (row, column) holds one value, so every column
+    folds with the arithmetic mean -- the value itself, bit for bit.
+    """
+    columns = tuple(label for label, _ in _PER_LOOP_MACHINES) + ("actual",)
+    rows = []
+    cells = []
+    for loop in ALL_LOOPS:
+        source = _source(loop, sizes)
+        row = f"loop {loop:02d} ({classify(loop).value[:6]})"
+        rows.append(row)
+        for column, machine in _PER_LOOP_MACHINES:
+            cells.append(Cell(
+                source=source, machine=machine, config="M11BR5", row=row,
+                columns=(column,),
+            ))
+        cells.append(Cell(
+            source=source, machine=LIMITS_MACHINE, config="M11BR5", row=row,
+            columns=("actual",),
+        ))
+    return ExperimentPlan(
+        table_id="per-loop",
+        title="Per-loop issue rates on M11BR5",
+        columns=columns,
+        rows=tuple(rows),
+        cells=tuple(cells),
+        aggregators=tuple((column, "amean") for column in columns),
+    )
+
+
+#: Plan id -> plan builder.  Every builder accepts ``sizes`` as its first
 #: keyword; tables 3-8 also accept their sweep parameters.
 PLAN_BUILDERS: Dict[str, Callable[..., ExperimentPlan]] = {
     "table1": plan_table1,
@@ -390,6 +470,8 @@ PLAN_BUILDERS: Dict[str, Callable[..., ExperimentPlan]] = {
     "table8": plan_table8,
     "table9": plan_table9,
     "table10": plan_table10,
+    "section33": plan_section33,
+    "per-loop": plan_per_loop,
 }
 
 

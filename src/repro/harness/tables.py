@@ -1,6 +1,6 @@
 """Generic result tables and plain-text rendering.
 
-Every experiment in :mod:`repro.harness.experiments` returns a
+Every experiment plan (:mod:`repro.harness.plans`) merges into a
 :class:`ResultTable`; the same structure holds the paper's reported
 numbers (:mod:`repro.harness.paper`), so measured-vs-paper comparisons are
 table-to-table.
@@ -17,7 +17,7 @@ class ResultTable:
     """A labelled grid of issue rates (or limits).
 
     Attributes:
-        table_id: short identifier (``"table1"`` ... ``"table8"``).
+        table_id: short identifier (``"table1"``, ``"section33"`` ...).
         title: human-readable description.
         columns: ordered column labels.
         rows: ordered (row label, {column label: value}) pairs.

@@ -5,7 +5,7 @@ late-1980s scalar compiler), a Python/NumPy reference implementation, and
 deterministic input data.  :func:`build_kernel` returns a prepared
 :class:`~repro.kernels.common.KernelInstance`; ``instance.trace()`` runs
 the kernel, verifies it against the reference, and returns the dynamic
-trace (cached process-wide).
+trace (memoized process-wide under the instance's trace-source spec).
 """
 
 import dataclasses
@@ -80,17 +80,25 @@ def build_kernel(
     ``explicit_addressing=True`` expands folded displacements into
     explicit A-register arithmetic (:mod:`repro.asm.addressing`) -- the
     CFT-style code-bulk model used by the calibration study.
+
+    The instance records its canonical trace-source spec
+    (``kernel:5:n=200[:unroll=k][:schedule=off][:addressing=explicit]``)
+    as :attr:`KernelInstance.source`; ``instance.trace()`` memoizes
+    under it.
     """
     try:
         module = _MODULES[number]
     except KeyError:
         raise ValueError(f"no Livermore loop numbered {number}") from None
     instance = module.build(n)
+    source = f"kernel:{number}:n={instance.n}"
     if unroll != 1:
         instance = dataclasses.replace(
             instance,
+            name=f"{instance.name} (unroll x{unroll})",
             program=unroll_innermost(instance.program, unroll),
         )
+        source += f":unroll={unroll}"
     if explicit_addressing:
         instance = dataclasses.replace(
             instance,
@@ -102,12 +110,11 @@ def build_kernel(
             program=schedule_program(instance.program),
             scheduled=True,
         )
-    if unroll != 1:
-        # Unrolled variants get their own trace-cache identity.
-        instance = dataclasses.replace(
-            instance, name=f"{instance.name} (unroll x{unroll})"
-        )
-    return instance
+    else:
+        source += ":schedule=off"
+    if explicit_addressing:
+        source += ":addressing=explicit"
+    return dataclasses.replace(instance, source=source)
 
 
 def build_all(

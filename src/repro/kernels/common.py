@@ -82,6 +82,12 @@ class KernelInstance:
         expected: expected final contents of each checked array, computed
             by the Python/NumPy reference before any assembly runs.
         checked_arrays: names of the arrays compared during verification.
+        scheduled: the program went through the list scheduler.
+        source: the canonical trace-source spec that rebuilds exactly
+            this instance (``kernel:5:n=200``, ``kernel:1:n=64:vector=on``);
+            :func:`~repro.kernels.build_kernel` and
+            :func:`~repro.kernels.vectorized.build_vectorized` record it.
+            None for an instance built any other way.
     """
 
     number: int
@@ -93,6 +99,7 @@ class KernelInstance:
     expected: Mapping[str, np.ndarray]
     checked_arrays: Tuple[str, ...]
     scheduled: bool = False
+    source: Optional[str] = None
 
     def __post_init__(self) -> None:
         missing = [a for a in self.checked_arrays if a not in self.arrays]
@@ -148,12 +155,14 @@ class KernelInstance:
         return trace
 
     def trace(self) -> Trace:
-        """The kernel's dynamic trace, verified once and cached process-wide."""
-        key = (
-            "kernel",
-            self.number,
-            self.n,
-            self.scheduled,
-            self.program.name,  # distinguishes unrolled/transformed variants
-        )
-        return GLOBAL_TRACE_CACHE.get_or_build(key, self.verify)
+        """The kernel's dynamic trace, verified once per process.
+
+        Memoized in :data:`~repro.trace.GLOBAL_TRACE_CACHE` under
+        :attr:`source`, the key the experiment engine resolves the same
+        source under, so a table and a single-kernel call replay one
+        trace object.  An instance without a source spec is verified on
+        every call.
+        """
+        if self.source is None:
+            return self.verify()
+        return GLOBAL_TRACE_CACHE.get_or_build(self.source, self.verify)

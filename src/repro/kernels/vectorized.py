@@ -58,7 +58,10 @@ def _vload_at(b: ProgramBuilder, dest, base: int, comment: str = "") -> None:
 
 
 def build_vectorized(number: int, n: Optional[int] = None) -> KernelInstance:
-    """Vectorised variant of Livermore loop *number* (1, 7 or 12)."""
+    """Vectorised variant of Livermore loop *number* (1, 7 or 12).
+
+    The instance's trace-source spec is ``kernel:<number>:n=<n>:vector=on``.
+    """
     try:
         builder = _BUILDERS[number]
     except KeyError:
@@ -66,7 +69,10 @@ def build_vectorized(number: int, n: Optional[int] = None) -> KernelInstance:
             f"no vectorised encoding for loop {number}; "
             f"available: {VECTORIZED_LOOPS}"
         ) from None
-    return builder(n)
+    instance = builder(n)
+    return dataclasses.replace(
+        instance, source=f"kernel:{number}:n={instance.n}:vector=on"
+    )
 
 
 # ----------------------------------------------------------------------

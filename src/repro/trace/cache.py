@@ -1,21 +1,29 @@
-"""In-process trace cache.
+"""The in-process trace memo.
 
-A kernel's dynamic trace depends only on the kernel and its problem size --
-*not* on any machine parameter (memory latency, branch time, issue method
-are all timing-level concerns).  The paper exploits the same property: one
-trace per benchmark drives every machine variant.  Caching traces therefore
-makes whole-table experiments dramatically cheaper without changing any
-result.
+A trace depends only on its source -- the kernel, its problem size and
+code variant, or a seeded generator's parameters -- and *not* on any
+machine parameter (memory latency, branch time, issue method are all
+timing-level concerns).  The paper exploits the same property: one trace
+per benchmark drives every machine variant.
+
+:data:`GLOBAL_TRACE_CACHE` is the process's one trace memo, keyed by
+canonical trace-source spec (``kernel:5:n=200``, ``branchy:seed=7``).
+The experiment engine's :func:`~repro.harness.engine.resolve_trace`
+fills it in front of the persistent
+:class:`~repro.trace.diskcache.DiskCache`, and
+:meth:`~repro.kernels.KernelInstance.trace` memoizes under the
+instance's own spec, so a trace captured for a single-kernel call and
+the one a table replays are the same object.
 """
 
 from __future__ import annotations
 
 from threading import Lock
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional
 
 from .record import Trace
 
-_CacheKey = Tuple[Hashable, ...]
+_CacheKey = Hashable
 
 
 class TraceCache:
@@ -51,5 +59,5 @@ class TraceCache:
             return len(self._traces)
 
 
-#: Process-wide cache used by :mod:`repro.kernels` helpers and the harness.
+#: The process-wide trace memo, keyed by canonical trace-source spec.
 GLOBAL_TRACE_CACHE = TraceCache()

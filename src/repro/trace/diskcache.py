@@ -1,8 +1,10 @@
 """Persistent content-addressed store for traces and cell results.
 
-The in-process :class:`~repro.trace.cache.TraceCache` forgets everything
-between runs; this module makes the paper's capture-once/replay-many split
-durable.  File names are SHA-256 hashes over a canonical JSON encoding of
+The in-process trace memo (:data:`~repro.trace.cache.GLOBAL_TRACE_CACHE`,
+keyed by trace-source spec) forgets everything between runs; this module
+makes the paper's capture-once/replay-many split durable.  The engine
+looks a trace up in the memo first, then here, and only then captures.
+File names are SHA-256 hashes over a canonical JSON encoding of
 the identifying parameters (trace-source spec, model fingerprint, ...),
 so a key can never collide across semantically different entries and
 never misses across semantically identical ones.

@@ -11,7 +11,7 @@ spec                    trace
 ======================  ==============================================
 ``kernel:5``            Livermore loop 5 at its default size
 ``kernel:k2:n=50``      loop 2 at n=50 (``unroll=``, ``schedule=``,
-                        ``vector=`` also accepted)
+                        ``vector=``, ``addressing=`` also accepted)
 ``synthetic:stride``    a `workloads.synthetic` preset (``default``,
                         ``stride``, ``deep``, ``wide``; override with
                         ``n=``, ``body=``, ``mem=``, ``chains=``,
@@ -320,19 +320,29 @@ def _build_kernel_source(params: Tuple[str, ...]) -> Trace:
     unroll = _take_int(pairs, "unroll", 1)
     schedule = _take_bool(pairs, "schedule", True)
     vector = _take_bool(pairs, "vector", False)
-    _reject_leftovers(pairs, "n, unroll, schedule, vector")
+    addressing = pairs.pop("addressing", "folded")
+    if addressing not in ("folded", "explicit"):
+        raise ValueError(
+            f"addressing must be folded or explicit, got {addressing!r}"
+        )
+    explicit = addressing == "explicit"
+    _reject_leftovers(pairs, "n, unroll, schedule, vector, addressing")
     if vector:
         if number not in VECTORIZED_LOOPS:
             raise ValueError(
                 f"loop {number} has no vectorised encoding "
                 f"(available: {', '.join(map(str, VECTORIZED_LOOPS))})"
             )
-        if unroll != 1 or not schedule:
+        if unroll != 1 or not schedule or explicit:
             raise ValueError(
-                "vector=on does not combine with unroll/schedule overrides"
+                "vector=on does not combine with unroll/schedule/"
+                "addressing overrides"
             )
-        return build_vectorized(number, n).trace()
-    return build_kernel(number, n, schedule=schedule, unroll=unroll).trace()
+        return build_vectorized(number, n).verify()
+    return build_kernel(
+        number, n, schedule=schedule, unroll=unroll,
+        explicit_addressing=explicit,
+    ).verify()
 
 
 #: ``synthetic`` presets: named corners of the SyntheticSpec space.
@@ -443,7 +453,7 @@ register_source(TraceSource(
     description="Livermore loop kernels (the paper's 14 benchmarks)",
     templates=(
         "kernel:<loop>[:n=<size>][:unroll=<k>][:schedule=on|off]"
-        "[:vector=on|off]",
+        "[:vector=on|off][:addressing=folded|explicit]",
     ),
     builder=_build_kernel_source,
 ))

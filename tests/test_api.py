@@ -5,7 +5,7 @@ import pytest
 import repro
 import repro.api as api
 from repro.core import SimulationResult, UnknownSpecError, build_simulator
-from repro.harness import PAPER_TABLES
+from repro.harness import PAPER_TABLES, PLAN_BUILDERS
 
 
 @pytest.fixture(autouse=True)
@@ -35,13 +35,27 @@ class TestRunTable:
         assert "relative deviation" in report
 
     def test_matches_legacy_experiment_function(self, small_sizes):
-        from repro.harness import table3
+        """run_table is the plan evaluated by the in-process engine --
+        what the removed ``repro.harness.table3`` wrapper returned."""
+        from repro.harness import build_plan, run_plan
 
         run = api.run_table(
             "table3", sizes=small_sizes, workers=1, cache=False,
             stations=(1, 2),
         )
-        assert run.table.rows == table3(small_sizes, stations=(1, 2)).rows
+        plan = build_plan("table3", small_sizes, stations=(1, 2))
+        assert run.table.rows == run_plan(plan, workers=1).table.rows
+
+    def test_section33_served_by_table7_and_table8_cells(self, small_sizes):
+        """The quote's cells are Tables 7/8 cells (x1 N-Bus, R50 on
+        M11BR5): after those rows, every section33 cell is a store hit."""
+        for table_id in ("table7", "table8"):
+            api.run_table(
+                table_id, sizes=small_sizes, workers=1,
+                ruu_sizes=(50,), units=(1,),
+            )
+        run = api.run_table("section33", sizes=small_sizes, workers=1)
+        assert run.stats.result_hits == run.stats.cells == 14
 
     def test_unknown_table(self):
         with pytest.raises(KeyError):
@@ -98,8 +112,10 @@ class TestKernelHelpers:
 class TestIntrospection:
     def test_list_tables(self):
         tables = api.list_tables()
-        # Tables 1-8 from the paper, 9-10 the speculation limit study.
+        # Tables 1-8 from the paper, 9-10 the speculation limit study;
+        # the section33 and per-loop plans are not numbered tables.
         assert tables == tuple(f"table{i}" for i in range(1, 11))
+        assert {"section33", "per-loop"} <= set(PLAN_BUILDERS)
 
     def test_list_machines_covers_registry(self):
         machines = api.list_machines()

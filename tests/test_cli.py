@@ -100,14 +100,41 @@ class TestParser:
             main(["simulate", "--kernel", "99"])
 
     def test_tables_delegates(self, capsys, monkeypatch):
+        """section33 runs through api.run_table like every table, and
+        --compare attaches the paper's quote."""
         import repro.api as api
+        from repro.harness.engine import EngineStats
+        from repro.harness.paper import PAPER_SECTION33_TABLE
+        from repro.harness.tables import ResultTable
 
-        monkeypatch.setattr(
-            api, "section33", lambda: {"scalar": 0.5, "vectorizable": 0.6}
+        calls = []
+
+        def fake(table_id, *, compare=False, workers=None, cache=True, **kw):
+            calls.append((table_id, compare, workers, cache))
+            table = ResultTable(
+                table_id=table_id,
+                title="fake section33",
+                columns=("M11BR5",),
+                rows=(
+                    ("scalar", {"M11BR5": 0.5}),
+                    ("vectorizable", {"M11BR5": 0.6}),
+                ),
+            )
+            return api.TableRun(
+                table=table,
+                stats=EngineStats(table_id=table_id, cells=14, workers=1),
+                reference=PAPER_SECTION33_TABLE if compare else None,
+            )
+
+        monkeypatch.setattr(api, "run_table", fake)
+        code, out = run_cli(
+            capsys, "tables", "section33", "--compare", "--workers", "2",
+            "--no-cache",
         )
-        code, out = run_cli(capsys, "tables", "section33")
         assert code == 0
-        assert "0.50" in out and "paper 0.72" in out
+        assert calls == [("section33", True, 2, False)]
+        assert "0.50" in out and "0.72" in out
+        assert "Paper Section 3.3" in out
 
     def test_tables_forwards_workers_and_cache_flags(self, capsys, monkeypatch):
         import repro.api as api
@@ -180,6 +207,57 @@ class TestParser:
         calls = self.fake_tables(monkeypatch)
         assert run_cli(capsys, "tables", "all")[0] == 0
         assert [table for table, _ in calls] == list(api.list_tables())
+
+
+class TestSection33Flags:
+    """``tables section33`` takes the same engine flags as every table."""
+
+    @pytest.fixture
+    def root(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        return root
+
+    @staticmethod
+    def files(root):
+        return sorted(
+            str(path.relative_to(root))
+            for path in root.rglob("*") if path.is_file()
+        ) if root.exists() else []
+
+    def test_no_cache_writes_no_cache_entries(self, capsys, root):
+        code, _ = run_cli(
+            capsys, "tables", "section33", "--no-cache", "--no-observe"
+        )
+        assert code == 0
+        assert self.files(root) == []
+        code, out = run_cli(capsys, "tables", "section33", "--no-cache")
+        assert code == 0 and "cache disabled" in out
+        # Only the run manifest: no trace, segment or result entry.
+        assert [path.split("/")[0] for path in self.files(root)] == [
+            "manifests"
+        ]
+
+    def test_default_run_writes_one_manifest(self, capsys, root):
+        import json
+
+        code, out = run_cli(capsys, "tables", "section33")
+        assert code == 0 and "14 cells" in out
+        manifests = list((root / "manifests").glob("*.json"))
+        assert len(manifests) == 1
+        assert json.loads(manifests[0].read_text())["table_id"] == "section33"
+
+    def test_workers_do_not_change_output(self, capsys, root):
+        def table(*flags):
+            code, out = run_cli(
+                capsys, "tables", "section33", "--no-cache", "--no-observe",
+                *flags,
+            )
+            assert code == 0
+            return [line for line in out.splitlines()
+                    if not line.startswith("[")]
+
+        assert table("--workers", "2") == table("--workers", "1")
 
 
 class TestVectorFlag:

@@ -482,6 +482,35 @@ class TestSweepGrouping:
         assert counters1.get("fastpath.batch.fast_runs", 0.0) == 0.0
 
 
+class TestTraceMemo:
+    """GLOBAL_TRACE_CACHE is the one in-process trace memo, keyed by
+    trace-source spec and shared by the engine and the kernels."""
+
+    def test_engine_and_kernel_resolve_one_object(self):
+        from repro.kernels import build_kernel, default_size
+
+        trace, origin = engine.resolve_trace(f"kernel:5:n={default_size(5)}")
+        assert origin == "built"
+        assert trace is build_kernel(5).trace()
+
+    def test_kernel_trace_is_an_engine_memo_hit(self, small_sizes):
+        from repro.kernels import build_kernel
+
+        n = small_sizes[7]
+        trace = build_kernel(7, n).trace()
+        resolved, origin = engine.resolve_trace(f"kernel:7:n={n}")
+        assert resolved is trace and origin == "memo"
+
+    def test_one_entry_per_plan_source(self, small_sizes):
+        from repro.trace import GLOBAL_TRACE_CACHE
+
+        plan = build_plan("per-loop", small_sizes)
+        run_plan(plan, workers=1)
+        assert len(GLOBAL_TRACE_CACHE) == len(
+            {cell.source for cell in plan.cells}
+        )
+
+
 class TestDiskCacheUnit:
     def test_result_round_trip(self, tmp_path):
         store = DiskCache(tmp_path / "c")

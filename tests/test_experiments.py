@@ -8,44 +8,43 @@ paper (different compiler, scaled loops); the shapes must not.
 
 import pytest
 
-from repro.harness import (
-    PAPER_TABLES,
-    compare_tables,
-    section33,
-    table1,
-    table2,
-    table3,
-    table5,
-    table7,
-    table8,
-)
+import repro.api as api
+from repro.harness import PAPER_TABLES, compare_tables
 
 CONFIG_NAMES = ("M11BR5", "M11BR2", "M5BR5", "M5BR2")
 
 
+def _table(table_id, sizes, **overrides):
+    return api.run_table(
+        table_id, sizes=sizes, workers=1, cache=False, **overrides
+    ).table
+
+
 @pytest.fixture(scope="module")
 def t1(small_sizes):
-    return table1(small_sizes)
+    return _table("table1", small_sizes)
 
 
 @pytest.fixture(scope="module")
 def t2(small_sizes):
-    return table2(small_sizes)
+    return _table("table2", small_sizes)
 
 
 @pytest.fixture(scope="module")
 def t3(small_sizes):
-    return table3(small_sizes, stations=(1, 2, 4, 8))
+    return _table("table3", small_sizes, stations=(1, 2, 4, 8))
 
 
 @pytest.fixture(scope="module")
 def t5(small_sizes):
-    return table5(small_sizes, stations=(1, 2, 4, 8))
+    return _table("table5", small_sizes, stations=(1, 2, 4, 8))
 
 
 @pytest.fixture(scope="module")
 def t7(small_sizes):
-    return table7(small_sizes, ruu_sizes=(10, 20, 50), units=(1, 2, 4))
+    return _table(
+        "table7", small_sizes, ruu_sizes=(10, 20, 50), units=(1, 2, 4)
+    )
 
 
 class TestTable1Shape:
@@ -189,10 +188,12 @@ class TestTable7Shape:
 
 
 class TestSection33:
-    def test_dependency_resolution_single_issue(self, small_sizes):
-        rates = section33(small_sizes)
+    def test_dependency_resolution_single_issue(self, small_sizes, t7):
+        rates = api.section33(small_sizes)
         assert 0 < rates["scalar"] < 1.0
         assert 0 < rates["vectorizable"] < 1.0
+        # The quote's cells are Table 7's single-unit R50 N-Bus cells.
+        assert rates["scalar"] == t7.value("M11BR5/R50", "x1 N-Bus")
 
 
 class TestComparisonMachinery:

@@ -116,6 +116,36 @@ class TestInstanceBehaviour:
         naive = build_kernel(12, 8, schedule=False).trace()
         assert sched is not naive
 
+    @pytest.mark.parametrize(
+        "options, spec",
+        [
+            ({}, "kernel:12:n=16"),
+            ({"schedule": False}, "kernel:12:n=16:schedule=off"),
+            ({"unroll": 2}, "kernel:12:n=16:unroll=2"),
+            ({"explicit_addressing": True},
+             "kernel:12:n=16:addressing=explicit"),
+            ({"unroll": 2, "schedule": False, "explicit_addressing": True},
+             "kernel:12:n=16:unroll=2:schedule=off:addressing=explicit"),
+            ({"vector": True}, "kernel:12:n=16:vector=on"),
+        ],
+    )
+    def test_source_spec_rebuilds_the_instance(self, options, spec):
+        """Every variant records the trace-source spec that recaptures
+        exactly its trace (the key its ``trace()`` memoizes under)."""
+        from repro.kernels.vectorized import build_vectorized
+        from repro.trace import trace_source
+
+        options = dict(options)
+        if options.pop("vector", False):
+            instance = build_vectorized(12, 16)
+        else:
+            instance = build_kernel(12, 16, **options)
+        assert instance.source == spec
+        assert trace_source(instance.source) == instance.verify()
+
+    def test_default_size_spec_names_the_size(self):
+        assert build_kernel(5).source == f"kernel:5:n={default_size(5)}"
+
     def test_loop_class_property(self):
         assert build_kernel(5, 8).loop_class is LoopClass.SCALAR
         assert build_kernel(1, 8).loop_class is LoopClass.VECTORIZABLE

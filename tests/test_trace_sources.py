@@ -120,6 +120,8 @@ def test_unknown_source_error_carries_spec_and_valid(head):
         ("kernel:x7", "bad loop number 'x7'"),
         ("kernel:5:vector=on", "no vectorised encoding"),
         ("kernel:5:schedule=maybe", "schedule must be on/off"),
+        ("kernel:5:addressing=wide", "addressing must be folded or explicit"),
+        ("kernel:1:vector=on:addressing=explicit", "does not combine"),
         ("synthetic:stride:deep", "more than one preset"),
         ("fuzz:seed=3:seed=4", "duplicate parameter 'seed'"),
         ("mixed:strip=0", "strip"),
