@@ -13,6 +13,7 @@ from typing import Optional
 
 from ..obs.events import EventCallback
 from ..trace import Trace
+from . import fastpath
 from .config import MachineConfig
 from .result import SimulationResult
 
@@ -64,7 +65,12 @@ class Simulator(abc.ABC):
 
     @abc.abstractmethod
     def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        """Replay *trace* and return the timing outcome."""
+        """Replay *trace* and return the timing outcome.
+
+        Machines with a compiled fast loop inherit theirs from
+        :class:`CompiledSimulator`; the rest (the simple machine, the
+        memory-system wrappers) define their own.
+        """
 
     def simulate_observed(
         self,
@@ -91,3 +97,51 @@ class Simulator(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class CompiledSimulator(Simulator):
+    """A machine family with a compiled fast loop.
+
+    Subclasses name their :attr:`family` and implement the event-capable
+    reference loop :meth:`_simulate`; this class is the one place a
+    machine picks between that loop and its compiled twin
+    (``fastpath.python_backend.FAMILY_LOOPS[family]``).
+    """
+
+    #: Key of the compiled loop in ``FAMILY_LOOPS`` (what
+    #: :func:`repro.core.fastpath.family_of` reports).
+    family: str
+
+    def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
+        """Replay *trace* on the compiled loop when
+        :func:`~repro.core.fastpath.fast_eligible` allows it, else on the
+        reference loop with the installed ``on_event`` hook.
+
+        The gate is re-read on every call (never cached), so a hook
+        attached after construction -- or installed temporarily via
+        :meth:`simulate_observed` -- always gets the event-emitting
+        reference loop.  The compiled loop is bit-identical
+        (``tests/test_fastpath_diff.py``, the oracle's ``fastpath-dual``
+        check) but emits no events.
+        """
+        if fastpath.fast_eligible(self):
+            loop = fastpath.python_backend.FAMILY_LOOPS[self.family]
+            return loop(self, trace, config)
+        return self._simulate(trace, config, self.on_event)
+
+    def reference_simulate(
+        self, trace: Trace, config: MachineConfig
+    ) -> SimulationResult:
+        """The reference loop with no hook: the baseline the compiled
+        loop must match bit-for-bit in the differential tests, the
+        oracle's ``fastpath-dual`` check and the benchmark suite."""
+        return self._simulate(trace, config, None)
+
+    @abc.abstractmethod
+    def _simulate(
+        self,
+        trace: Trace,
+        config: MachineConfig,
+        emit: Optional[EventCallback],
+    ) -> SimulationResult:
+        """The event-capable reference loop; *emit* receives its events."""

@@ -25,15 +25,14 @@ from __future__ import annotations
 from typing import Dict
 
 from ..isa import FunctionalUnit, Register
-from ..obs.events import EventKind, SimEvent, hook_installed
+from ..obs.events import EventKind, SimEvent
 from ..trace import Trace
-from . import fastpath
-from .base import Simulator, require_scalar_trace
+from .base import CompiledSimulator, require_scalar_trace
 from .config import MachineConfig
 from .result import SimulationResult
 
 
-class CDC6600Machine(Simulator):
+class CDC6600Machine(CompiledSimulator):
     """Single issue unit; RAW resolved at the units; WAW blocks issue.
 
     Args:
@@ -43,6 +42,8 @@ class CDC6600Machine(Simulator):
             the WAW-blocking effect).
     """
 
+    family = "cdc6600"
+
     def __init__(self, *, fu_holds_until_complete: bool = True) -> None:
         self.fu_holds_until_complete = fu_holds_until_complete
 
@@ -50,13 +51,6 @@ class CDC6600Machine(Simulator):
     def name(self) -> str:
         suffix = "" if self.fu_holds_until_complete else ", pipelined units"
         return f"CDC6600-style{suffix}"
-
-    def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # hook_installed is re-read per call so a hook attached after
-        # construction always gets the event-emitting loop.
-        if fastpath.enabled() and not hook_installed(self):
-            return fastpath.python_backend.simulate_cdc6600_fast(self, trace, config)
-        return self._simulate(trace, config, self.on_event)
 
     def _simulate(
         self, trace: Trace, config: MachineConfig, emit
@@ -140,14 +134,3 @@ class CDC6600Machine(Simulator):
             instructions=len(trace),
             cycles=max(last_event, 1),
         )
-
-    def reference_simulate(
-        self, trace: Trace, config: MachineConfig
-    ) -> SimulationResult:
-        """The reference recurrence with no hook: the oracle twin.
-
-        The differential tests use this, and the cross-machine oracle an
-        observed run of the same loop, as the baseline the compiled fast
-        loop must match bit-for-bit.
-        """
-        return self._simulate(trace, config, None)

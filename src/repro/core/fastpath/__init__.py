@@ -1,4 +1,4 @@
-"""Fast replay: compiled trace IR, per-spec loops and batch sweep kernels.
+"""Fast replay: compiled trace IR, per-family loops and the batch sweep.
 
 The package splits the fast path into three layers:
 
@@ -11,32 +11,29 @@ The package splits the fast path into three layers:
   (:func:`fast_eligible`: ``REPRO_FASTPATH`` / :func:`set_enabled`, a
   compiled family, no installed ``on_event`` hook) and the run counters
   behind :func:`stats`.
-* the replay loops -- :mod:`~repro.core.fastpath.python_backend`: the
-  per-spec compiled loops machines dispatch to;
-  :mod:`~repro.core.fastpath.batch`: sweep kernels that replay one
-  compiled trace through many out-of-order or RUU (machine, config)
-  pairs with shared analysis.
+* the replay loops -- :mod:`~repro.core.fastpath.python_backend`: one
+  compiled loop per family (``FAMILY_LOOPS``), including the
+  out-of-order and RUU kernels; :mod:`~repro.core.fastpath.batch`: the
+  sweep, which groups out-of-order and RUU members so one kernel call
+  shares their config-independent analysis.
 
-:func:`simulate_sweep` is the sweep entry point and has one route: it
-applies the gating per item (ineligible members run their machine's own
-``simulate``, i.e. the reference loop), compiles the trace once, and
-hands the eligible members to :func:`batch.sweep`, which runs the ooo
-and RUU groups through their kernels and every other member through
-its per-spec loop.  The experiment engine (:mod:`repro.harness.engine`)
-and the differential oracle (:mod:`repro.verify.oracle`) route
-sweep-shaped work through here; :func:`repro.api.run_sweep` exposes it
-publicly.
+A machine picks its loop in one place,
+:meth:`repro.core.base.CompiledSimulator.simulate`: the compiled loop
+when :func:`fast_eligible` allows it, else its reference loop.
+:func:`simulate_sweep` is the sweep entry point and applies the same
+gate per item (ineligible members run their machine's own ``simulate``,
+i.e. the reference loop), compiles the trace once, and hands the
+eligible members to :func:`batch.sweep`.  The experiment engine
+(:mod:`repro.harness.engine`) and the differential oracle
+(:mod:`repro.verify.oracle`) route sweep-shaped work through here;
+:func:`repro.api.run_sweep` exposes it publicly.
 
 Bit-identity with ``reference_simulate`` is a hard invariant for every
 loop and kernel, enforced by the differential suites
 (``tests/test_fastpath_diff.py``, ``tests/test_fastpath_batch.py``),
 the oracle's ``fastpath-dual`` check on every ``repro verify`` replay,
-and the golden tables (which run with the fast path both on and off).
-
-The per-family ``simulate_*_fast`` loops live in
-:mod:`~repro.core.fastpath.python_backend`, where the machines' dispatch
-gates reach them; everything else goes through :func:`simulate_sweep`
-(see ``docs/performance.md``).
+and the golden tables (which run with the fast path both on and off);
+see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -55,23 +52,7 @@ from .backends import (
     set_enabled,
     stats,
 )
-from .ir import (
-    _A0,
-    _BRANCH,
-    _CACHE,
-    _FILE_OFFSETS,
-    _MAX_CYCLES,
-    _MEMORY,
-    _UNIT_INDEX,
-    _UNKNOWN,
-    N_REGISTERS,
-    UNITS,
-    CompiledTrace,
-    Op,
-    Schedule,
-    _unit_tables,
-    compile_trace,
-)
+from .ir import N_REGISTERS, UNITS, CompiledTrace, compile_trace
 from . import python_backend
 from . import batch
 

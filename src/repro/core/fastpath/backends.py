@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
+from ...obs.events import hook_installed
 from ..config import MachineConfig
 from . import ir
 
@@ -127,40 +128,12 @@ def reset_stats() -> None:
 # Gating
 # ----------------------------------------------------------------------
 
-_FAMILY_CLASSES: Optional[Tuple[Tuple[type, str], ...]] = None
-
-
-def _family_classes() -> Tuple[Tuple[type, str], ...]:
-    # Deferred: the machine modules import this package at module level.
-    global _FAMILY_CLASSES
-    if _FAMILY_CLASSES is None:
-        from ..cdc6600 import CDC6600Machine
-        from ..inorder_multi import InOrderMultiIssueMachine
-        from ..ooo_multi import OutOfOrderMultiIssueMachine
-        from ..ruu import RUUMachine
-        from ..scoreboard import ScoreboardMachine
-        from ..spec import SpecMachine
-        from ..tomasulo import TomasuloMachine
-
-        _FAMILY_CLASSES = (
-            (ScoreboardMachine, "scoreboard"),
-            (InOrderMultiIssueMachine, "inorder"),
-            (OutOfOrderMultiIssueMachine, "ooo"),
-            (RUUMachine, "ruu"),
-            (SpecMachine, "spec"),
-            (TomasuloMachine, "tomasulo"),
-            (CDC6600Machine, "cdc6600"),
-        )
-    return _FAMILY_CLASSES
-
-
 def family_of(simulator) -> Optional[str]:
-    """The compiled-loop family of *simulator*, or ``None`` if it has no
-    fast path (memory-system wrappers, the simple machine, ...)."""
-    for cls, family in _family_classes():
-        if isinstance(simulator, cls):
-            return family
-    return None
+    """The compiled-loop family of *simulator* (its ``family`` class
+    attribute, set by :class:`~repro.core.base.CompiledSimulator`
+    subclasses), or ``None`` if it has no fast path (memory-system
+    wrappers, the simple machine, ...)."""
+    return getattr(simulator, "family", None)
 
 
 def fast_eligible(simulator) -> bool:
@@ -170,10 +143,8 @@ def fast_eligible(simulator) -> bool:
     must have a compiled loop, and no ``on_event`` hook may be installed
     (hooks only fire from the reference loops).
     """
-    if not _ENABLED:
-        return False
-    from ...obs.events import hook_installed
-
-    if hook_installed(simulator):
-        return False
-    return family_of(simulator) is not None
+    return (
+        _ENABLED
+        and not hook_installed(simulator)
+        and family_of(simulator) is not None
+    )

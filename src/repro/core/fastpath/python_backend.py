@@ -1,4 +1,4 @@
-"""The per-spec compiled loops: one machine, one config, one replay.
+"""The compiled loops: one per machine family.
 
 One compiled fast loop per machine family, each a bit-identical twin of
 that family's ``reference_simulate``: state held in flat integer arrays
@@ -13,11 +13,21 @@ jump straight from one issue decision to the next, so the only scans
 left are the short result-bus conflict probes, which the heap keeps
 bounded.
 
+Two families replay through a kernel that also serves the batch sweep
+(:mod:`~repro.core.fastpath.batch`): :func:`ruu_replay` over the
+trace's cached rename plan, and :func:`ooo_replay` over a cached
+out-of-order buffer plan, which a single replay calls as a one-member
+group.  The state arrays are plain Python ``int`` lists, not NumPy
+vectors: the recurrences are data-dependent (issue decisions feed the
+very next comparison), and at sweep widths of 4-20 the per-op ufunc
+dispatch overhead would dominate any arithmetic saved.
+
 Bit-identity is a hard invariant, enforced three ways:
 
-* machines auto-select this path **only** when no ``on_event`` hook is
-  installed (:func:`repro.obs.events.hook_installed` is the single
-  presence test) and fall back to the reference loop otherwise;
+* machines auto-select this path **only** when
+  :func:`repro.core.fastpath.fast_eligible` allows it (no ``on_event``
+  hook installed, fast path enabled) and fall back to the reference
+  loop otherwise;
 * ``tests/test_fastpath_diff.py`` replays hundreds of fuzzed traces
   through both paths and compares cycle counts, issue rates and
   per-instruction issue/completion schedules;
@@ -26,12 +36,12 @@ Bit-identity is a hard invariant, enforced three ways:
   the reference loop as an exact dual on every ``repro verify``
   replay, including the nightly 1000-seed shards.
 
-The module-level ``simulate_*_fast`` functions are the machines\'
-dispatch targets (``fastpath.python_backend.simulate_*_fast``; the
-package does not re-export them); :data:`FAMILY_LOOPS` maps each
-compiled family to its loop, which is how
+:data:`FAMILY_LOOPS` maps each compiled family to its loop, with the
+signature ``loop(machine, trace, config, record=None)``; it is how
+:meth:`repro.core.base.CompiledSimulator.simulate` dispatches and how
 :func:`repro.core.fastpath.simulate_sweep` serves sweep members the
-batch kernels do not cover.  Every run counts as ``python.fast_runs``.
+batch kernels do not cover (the package does not re-export the loops).
+Every run through it counts as ``python.fast_runs``.
 
 Telemetry: every loop also fills a closed-form
 :class:`~repro.obs.telemetry.SimTelemetry` record -- stall cycles by
@@ -57,7 +67,7 @@ from ...trace import Trace
 from ..buses import BusKind
 from ..config import MachineConfig
 from ..result import SimulationResult
-from .backends import count_run
+from .backends import SweepItem, count_run
 from .ir import (
     N_REGISTERS,
     Schedule,
@@ -74,9 +84,9 @@ from .ir import (
 
 __all__ = [
     "FAMILY_LOOPS",
+    "ooo_replay",
     "simulate_cdc6600_fast",
     "simulate_inorder_fast",
-    "simulate_ooo_fast",
     "simulate_ruu_fast",
     "simulate_scoreboard_fast",
     "simulate_spec_fast",
@@ -103,6 +113,17 @@ def _closed_busy(compiled, latencies, branch_latency) -> Dict[str, int]:
         if total:
             busy[_UNIT_NAMES[unit]] = total
     return busy
+
+
+def _result(compiled, machine, config, cycles, detail) -> SimulationResult:
+    return SimulationResult(
+        trace_name=compiled.name,
+        simulator=machine.name,
+        config=config,
+        instructions=compiled.n,
+        cycles=cycles,
+        detail=detail,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1207,65 +1228,43 @@ def simulate_ruu_fast(
 
 
 # ----------------------------------------------------------------------
-# Out-of-order multiple issue (Section 5.2)
+# Out-of-order multiple issue (Section 5.2): shared hazard bitmasks
 # ----------------------------------------------------------------------
 
 #: Cap on buffer-drain scan passes, mirroring the reference's guard.
 _MAX_BUFFER_CYCLES = 100_000
 
+#: Drain-variant tags for out-of-order buffer records (see
+#: :func:`_ooo_plan`).
+_SINGLE, _INDEP, _NOBRANCH, _GENERAL = 0, 1, 2, 3
 
-def simulate_ooo_fast(
-    machine,
-    trace: Trace,
-    config: MachineConfig,
-    record: Optional[Schedule] = None,
-) -> SimulationResult:
-    """Fast twin of :meth:`OutOfOrderMultiIssueMachine.reference_simulate`.
+#: Cached buffer plans keyed by ``(id(compiled), units, enforce_war)``;
+#: the weak reference validates the key and evicts with the compiled
+#: trace, mirroring :data:`repro.core.fastpath.ir._CACHE`.
+_OOO_PLANS: Dict[Tuple[int, int, bool], Tuple["weakref.ref", list]] = {}
 
-    Buffer cuts come from the compiled taken flags; the per-cycle slot
-    scan is the reference's (same hazard tests in the same order against
-    integer state), and whenever a full scan issues nothing the loop
-    jumps to the earliest cycle any unblocked slot could issue -- the
-    machine state is frozen in between, so the skipped scans are pure
-    no-ops in the reference too.
+
+def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
+    """Decode every fetch buffer of *compiled* once for an out-of-order
+    machine of the given issue width and WAR policy.
+
+    The buffer cut (after the first taken branch) and the intra-buffer
+    hazard structure are config-independent, so the plan is shared by
+    every sweep member and cached across sweep calls on the same
+    compiled trace.  Records are ``(pos, tag, payload, full_mask)``;
+    payload is the op tuple for singles, else a tuple of per-slot
+    tuples unpacked by the drains in :func:`ooo_replay`.
     """
-    compiled = compile_trace(trace)
-    if compiled.has_vector:
-        from ..base import scalar_only_error
-
-        raise scalar_only_error(machine.name)
-    count_run("python", "fast_runs")
-    table = config.latencies
-    latencies = [table.latency(unit) for unit in UNITS]
-    branch_latency = config.branch_latency
-    units = machine.issue_units
-    kind = machine.bus_kind
-    enforce_war = machine.enforce_war
-    n_buses = 1 if kind is BusKind.ONE_BUS else units
-    xbar = kind is BusKind.X_BAR
-
-    reg_ready = [0] * N_REGISTERS
-    fu_free = [0] * len(UNITS)
-    buses: List[set] = [set() for _ in range(n_buses)]
-    # Completion-event min-heap for pruning dead reservations (the
-    # cycle floor never decreases across or within buffers).
-    bus_heap: List[Tuple[int, int]] = []
+    key = (id(compiled), units, enforce_war)
+    hit = _OOO_PLANS.get(key)
+    if hit is not None and hit[0]() is compiled:
+        return hit[1]
 
     ops = compiled.ops
     n_entries = compiled.n
+    buffers: List[tuple] = []
     pos = 0
-    cycle = 0
-    last_event = 0
-    tracking = record is not None
-    if tracking:
-        issue_at = [0] * n_entries
-        complete_at = [0] * n_entries
-    # Buffer occupancy and flushes are pure functions of the compiled
-    # taken flags (see window_stats); only issue width needs the loop.
-    t_width = [0] * (units + 1)
-
     while pos < n_entries:
-        # Fetch buffer: up to N slots, cut after the first taken branch.
         end = pos + units
         if end > n_entries:
             end = n_entries
@@ -1275,213 +1274,598 @@ def simulate_ooo_fast(
             op = ops[index]
             if op[3] and op[4]:
                 break
+        if blen == 1:
+            buffers.append((pos, _SINGLE, ops[pos], 0))
+            pos += 1
+            continue
 
-        issued = [False] * blen
-        branch_resolve = [_UNKNOWN] * blen
-        remaining = blen
-        barrier = 0  # latest branch resolution; gates the next buffer
-        guard = 0
+        s_unit = [0] * blen
+        s_dest = [0] * blen
+        s_srcs: List[Tuple[int, ...]] = [()] * blen
+        s_isbr = [False] * blen
+        any_branch = False
+        units_seen = 0
+        indep = True
+        for slot in range(blen):
+            op = ops[pos + slot]
+            unit = op[0]
+            s_unit[slot] = unit
+            s_dest[slot] = op[1]
+            s_srcs[slot] = op[2]
+            unit_bit = 1 << unit
+            if units_seen & unit_bit:
+                indep = False
+            units_seen |= unit_bit
+            if op[3]:
+                s_isbr[slot] = True
+                any_branch = True
 
-        while remaining:
-            guard += 1
-            if guard > _MAX_BUFFER_CYCLES:  # pragma: no cover - bug trap
-                raise RuntimeError(
-                    f"buffer failed to drain at trace pos {pos}"
-                )
-            while bus_heap and bus_heap[0][0] <= cycle:
-                done, bus_index = heappop(bus_heap)
-                buses[bus_index].discard(done)
-            progressed = False
-            scan_issues = 0
-            for slot in range(blen):
-                if issued[slot]:
-                    continue
-                op = ops[pos + slot]
-                unit, dest, srcs, is_branch = op[0], op[1], op[2], op[3]
-                # Control: every earlier branch resolved (no speculation).
-                blocked = False
-                for earlier in range(slot):
-                    if ops[pos + earlier][3]:
-                        resolve = branch_resolve[earlier]
-                        if resolve == _UNKNOWN or resolve > cycle:
-                            blocked = True
-                            break
-                if blocked:
-                    continue
-                # RAW/WAW (and optionally WAR) against unissued earlier
-                # slots.
-                for earlier in range(slot):
-                    if issued[earlier]:
-                        continue
-                    eop = ops[pos + earlier]
-                    edest = eop[1]
-                    if edest >= 0:
-                        if edest in srcs:  # RAW
-                            blocked = True
-                            break
-                        if dest >= 0 and edest == dest:  # WAW
-                            blocked = True
-                            break
-                    if enforce_war and dest >= 0 and dest in eop[2]:  # WAR
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-                latency = latencies[unit]
-                earliest = cycle
+        # Per-slot hazard masks against earlier slots: dep_mask covers
+        # RAW/WAW (and WAR when enforced) against *unissued* earlier
+        # slots, branches_before the control dependence on earlier
+        # branch slots.
+        dep_mask = [0] * blen
+        branches_before = [0] * blen
+        br_slots_before: List[Tuple[int, ...]] = [()] * blen
+        for slot in range(1, blen):
+            dest = s_dest[slot]
+            srcs = s_srcs[slot]
+            mask = 0
+            bb = 0
+            brs: List[int] = []
+            for earlier in range(slot):
+                if s_isbr[earlier]:
+                    bb |= 1 << earlier
+                    brs.append(earlier)
+                edest = s_dest[earlier]
+                if edest >= 0 and (
+                    edest in srcs or (dest >= 0 and edest == dest)
+                ):
+                    mask |= 1 << earlier
+                elif dest >= 0 and dest in s_srcs[earlier]:
+                    indep = False
+                    if enforce_war:
+                        mask |= 1 << earlier
+            if mask:
+                indep = False
+            dep_mask[slot] = mask
+            branches_before[slot] = bb
+            br_slots_before[slot] = tuple(brs)
+
+        full_mask = (1 << blen) - 1
+        if any_branch:
+            payload = tuple(
+                (1 << slot, dep_mask[slot], branches_before[slot],
+                 br_slots_before[slot], s_unit[slot], s_dest[slot],
+                 s_srcs[slot], s_isbr[slot])
+                for slot in range(blen)
+            )
+            buffers.append((pos, _GENERAL, payload, full_mask))
+        else:
+            payload = tuple(
+                (1 << slot, dep_mask[slot], s_unit[slot], s_dest[slot],
+                 s_srcs[slot])
+                for slot in range(blen)
+            )
+            tag = _INDEP if indep else _NOBRANCH
+            buffers.append((pos, tag, payload, full_mask))
+        pos += blen
+
+    def _evict(_ref: object, _key=key) -> None:
+        _OOO_PLANS.pop(_key, None)
+
+    _OOO_PLANS[key] = (weakref.ref(compiled, _evict), buffers)
+    return buffers
+
+
+def ooo_replay(compiled, group) -> List[SimulationResult]:
+    """The out-of-order kernel: replay *compiled* once per member of
+    *group* (``SweepItem`` members of one issue width and WAR policy).
+
+    Every out-of-order replay runs this one kernel -- the ``ooo`` entry
+    of :data:`FAMILY_LOOPS` as a one-member group, the batch sweep once
+    per (width, WAR) group.  It runs in two phases.  Phase 1
+    (:func:`_ooo_plan`, cached per compiled trace) decodes every fetch
+    buffer once -- the buffer cut (after the first taken branch) and the
+    intra-buffer hazard structure are config-independent -- into
+    per-slot hazard bitmasks, so each scan tests ``dep_mask & unissued``
+    / ``branches_before & unissued`` instead of walking earlier slots
+    each cycle, and tags each buffer with the cheapest drain that
+    reproduces the reference:
+
+    ``single``
+        One slot (the tail, and right after a taken branch): no
+        intra-buffer hazards, so the issue cycle is a closed-form max
+        over operand/unit readiness plus a result-bus probe.
+    ``independent``
+        No branch, no shared functional unit, and no register shared in
+        any direction (WAR overlap disqualifies even when not enforced,
+        because a later write still raises an earlier read's floor once
+        issued).  With per-slot result buses no slot can observe
+        another, so each issues at its own closed-form cycle -- exactly
+        where the reference scan lands via progress steps and jumps.
+        Specs with a shared bus (1-Bus, crossbar) fall back to the
+        branch-free drain.
+    ``branch-free`` / ``general``
+        The scan drain, with the reference's separate jump-candidate
+        pass folded into the issue scan: candidates are only consulted
+        when the scan issued nothing, exactly the case where no state
+        changed during the scan, so inline candidates equal what a
+        second pass over the same state would compute.
+
+    Phase 2 replays the prebuilt buffer records once per sweep member
+    with that member's latencies, bus wiring and machine state bound as
+    locals for the whole trace.
+
+    Bus reservations are grow-only sets rather than the reference's
+    pruned set + heap: every membership probe targets a cycle strictly
+    greater than the current one, while every entry pruning would drop
+    is less than or equal to it, so stale entries can never satisfy a
+    probe and the prune is unobservable.
+    """
+    units = group[0].simulator.issue_units
+    enforce_war = group[0].simulator.enforce_war
+    K = len(group)
+    p_lat: List[List[int]] = []
+    p_brlat: List[int] = []
+    p_nbus: List[int] = []
+    p_xbar: List[bool] = []
+    for item in group:
+        table = item.config.latencies
+        p_lat.append([table.latency(unit) for unit in UNITS])
+        p_brlat.append(item.config.branch_latency)
+        kind = item.simulator.bus_kind
+        p_nbus.append(1 if kind is BusKind.ONE_BUS else units)
+        p_xbar.append(kind is BusKind.X_BAR)
+
+    buffers = _ooo_plan(compiled, units, enforce_war)
+
+    # Buffer occupancy and taken-branch flushes depend only on the
+    # taken flags (shared per-trace cache); single-slot buffers always
+    # issue alone, so their width-1 contribution is one count, not one
+    # dict update per buffer per spec.
+    t_occ, t_flushes, t_flush_cycles = window_stats(compiled, units)
+    t_singles = sum(1 for _pos, tag, _p, _fm in buffers if tag == _SINGLE)
+    t_details: List[Dict[str, float]] = [{}] * K
+
+    # ------------------------------------------------------------------
+    # Phase 2: replay the records once per sweep member.
+    # ------------------------------------------------------------------
+    n_units = len(UNITS)
+    last_events = [0] * K
+    tracking = [item.record is not None for item in group]
+    issue_at = [
+        [0] * compiled.n if tracking[k] else None for k in range(K)
+    ]
+    complete_at = [
+        [0] * compiled.n if tracking[k] else None for k in range(K)
+    ]
+
+    for k in range(K):
+        latencies = p_lat[k]
+        brlat = p_brlat[k]
+        nb = p_nbus[k]
+        xb = p_xbar[k]
+        regs = [0] * N_REGISTERS
+        fuf = [0] * n_units
+        buses_k = [set() for _ in range(nb)]
+        # slot -> result bus, replacing `slot % nb` in the drains (a
+        # slot index never exceeds the issue-unit count).
+        busmap = buses_k if nb != 1 else buses_k * units
+        track = tracking[k]
+        issue_k = issue_at[k]
+        complete_k = complete_at[k]
+        cycle = 0
+        last_event = 0
+        closed_ok = nb != 1 and not xb
+        # Scan passes issue at most `units` slots, so width counts live
+        # in a flat list; single-slot buffers are added once at the end.
+        t_width = [0] * (units + 1)
+        t_cs: List[int] = []
+        t_cs_append = t_cs.append
+
+        for pos, tag, payload, full_mask in buffers:
+            if tag == _SINGLE:
+                unit, dest, srcs, is_branch = payload[:4]
+                c = cycle
                 for src in srcs:
-                    ready = reg_ready[src]
-                    if ready > earliest:
-                        earliest = ready
+                    ready = regs[src]
+                    if ready > c:
+                        c = ready
                 if dest >= 0:
-                    ready = reg_ready[dest]
-                    if ready > earliest:
-                        earliest = ready
-                ready = fu_free[unit]
-                if ready > earliest:
-                    earliest = ready
-                if earliest > cycle:
-                    continue
-                complete = cycle + latency
-                if dest >= 0:
-                    if xbar:
+                    ready = regs[dest]
+                    if ready > c:
+                        c = ready
+                    ready = fuf[unit]
+                    if ready > c:
+                        c = ready
+                    complete = c + latencies[unit]
+                    if xb:
                         chosen = -1
-                        for bus_index in range(n_buses):
-                            if complete not in buses[bus_index]:
+                        for bus_index in range(nb):
+                            if complete not in buses_k[bus_index]:
                                 chosen = bus_index
                                 break
                         if chosen < 0:
-                            continue
+                            while all(complete in bus for bus in buses_k):
+                                c += 1
+                                complete += 1
+                            for bus_index in range(nb):
+                                if complete not in buses_k[bus_index]:
+                                    chosen = bus_index
+                                    break
+                        reserved = buses_k[chosen]
                     else:
-                        chosen = slot % n_buses
-                        if complete in buses[chosen]:
-                            continue
-
-                # Issue slot at `cycle`.
-                issued[slot] = True
-                remaining -= 1
-                progressed = True
-                scan_issues += 1
-                fu_free[unit] = cycle + 1
-                if dest >= 0:
-                    reg_ready[dest] = complete
-                    buses[chosen].add(complete)
-                    heappush(bus_heap, (complete, chosen))
-                if not is_branch and complete > last_event:
-                    last_event = complete
-                if tracking:
-                    issue_at[pos + slot] = cycle
-                    complete_at[pos + slot] = (
-                        cycle + branch_latency if is_branch else complete
-                    )
+                        reserved = buses_k[0]
+                        while complete in reserved:
+                            c += 1
+                            complete += 1
+                    reserved.add(complete)
+                    regs[dest] = complete
+                else:
+                    ready = fuf[unit]
+                    if ready > c:
+                        c = ready
+                    complete = c + latencies[unit]
+                fuf[unit] = c + 1
                 if is_branch:
-                    resolve = cycle + branch_latency
-                    branch_resolve[slot] = resolve
+                    resolve = c + brlat
                     if resolve > last_event:
                         last_event = resolve
-                    if resolve > barrier:
-                        barrier = resolve
-            if scan_issues:
-                # Each scan pass runs at a distinct cycle (the cycle
-                # strictly advances between passes and across buffers),
-                # so the pass's issue count is that cycle's width.
-                t_width[scan_issues] += 1
-            if remaining:
-                if progressed:
-                    cycle += 1
-                    continue
-                # Nothing issued and nothing can until some floor
-                # passes: jump to the earliest candidate issue cycle.
+                    cycle = c + 1 if c + 1 > resolve else resolve
+                    if track:
+                        issue_k[pos] = c
+                        complete_k[pos] = resolve
+                else:
+                    if complete > last_event:
+                        last_event = complete
+                    cycle = c + 1
+                    if track:
+                        issue_k[pos] = c
+                        complete_k[pos] = complete
+                continue
+
+            if tag == _INDEP and closed_ok:
+                maxc = cycle
+                for slot, (bit, dep, unit, dest, srcs) in enumerate(
+                    payload
+                ):
+                    c = cycle
+                    for src in srcs:
+                        ready = regs[src]
+                        if ready > c:
+                            c = ready
+                    ready = fuf[unit]
+                    if ready > c:
+                        c = ready
+                    complete = c + latencies[unit]
+                    if dest >= 0:
+                        ready = regs[dest]
+                        if ready > c:
+                            c = ready
+                            complete = c + latencies[unit]
+                        reserved = buses_k[slot]
+                        while complete in reserved:
+                            c += 1
+                            complete += 1
+                        reserved.add(complete)
+                        regs[dest] = complete
+                    fuf[unit] = c + 1
+                    if complete > last_event:
+                        last_event = complete
+                    if c > maxc:
+                        maxc = c
+                    t_cs_append(c)
+                    if track:
+                        issue_k[pos + slot] = c
+                        complete_k[pos + slot] = complete
+                # Slots may share an issue cycle only within this
+                # buffer (the next one starts past ``maxc``), so the
+                # per-buffer multiset gives the per-cycle widths;
+                # pairwise counting over <= `units` entries beats a
+                # per-slot dict by a wide margin.
+                m = len(t_cs)
+                if m == 1:
+                    t_width[1] += 1
+                else:
+                    counted = 0
+                    for i in range(m):
+                        if counted >> i & 1:
+                            continue
+                        ci = t_cs[i]
+                        run = 1
+                        for j in range(i + 1, m):
+                            if t_cs[j] == ci:
+                                run += 1
+                                counted |= 1 << j
+                        t_width[run] += 1
+                t_cs.clear()
+                cycle = maxc + 1
+                continue
+
+            if tag != _GENERAL:
+                # Branch-free drain: data hazards + structural conflicts
+                # only.
+                unissued = full_mask
+                guard = 0
+                while unissued:
+                    guard += 1
+                    if guard > _MAX_BUFFER_CYCLES:  # pragma: no cover
+                        raise RuntimeError(
+                            f"buffer failed to drain at trace pos {pos}"
+                        )
+                    progressed = False
+                    nxt = -1
+                    before = unissued
+                    for slot, (bit, dep, unit, dest, srcs) in enumerate(
+                        payload
+                    ):
+                        if not unissued & bit:
+                            continue
+                        # RAW/WAW (and optionally WAR) against unissued
+                        # earlier slots; gated slots are bounded by the
+                        # gating slot's own candidate.
+                        if dep & unissued:
+                            continue
+                        earliest = cycle
+                        for src in srcs:
+                            ready = regs[src]
+                            if ready > earliest:
+                                earliest = ready
+                        if dest >= 0:
+                            ready = regs[dest]
+                            if ready > earliest:
+                                earliest = ready
+                        ready = fuf[unit]
+                        if ready > earliest:
+                            earliest = ready
+                        latency = latencies[unit]
+                        if earliest > cycle:
+                            # Not ready: jump candidate (used only when
+                            # nothing issues this scan, i.e. when state
+                            # did not change under us).
+                            cand = earliest
+                            if dest >= 0:
+                                if xb:
+                                    while all(
+                                        cand + latency in bus
+                                        for bus in buses_k
+                                    ):
+                                        cand += 1
+                                else:
+                                    reserved = busmap[slot]
+                                    while cand + latency in reserved:
+                                        cand += 1
+                            if nxt < 0 or cand < nxt:
+                                nxt = cand
+                            continue
+                        complete = cycle + latency
+                        if dest >= 0:
+                            if xb:
+                                chosen = -1
+                                for bus_index in range(nb):
+                                    if complete not in buses_k[bus_index]:
+                                        chosen = bus_index
+                                        break
+                                if chosen < 0:
+                                    cand = cycle + 1
+                                    while all(
+                                        cand + latency in bus
+                                        for bus in buses_k
+                                    ):
+                                        cand += 1
+                                    if nxt < 0 or cand < nxt:
+                                        nxt = cand
+                                    continue
+                                reserved = buses_k[chosen]
+                            else:
+                                reserved = busmap[slot]
+                                if complete in reserved:
+                                    cand = cycle + 1
+                                    while cand + latency in reserved:
+                                        cand += 1
+                                    if nxt < 0 or cand < nxt:
+                                        nxt = cand
+                                    continue
+                            regs[dest] = complete
+                            reserved.add(complete)
+                        # Issue slot at `cycle`.
+                        unissued &= ~bit
+                        progressed = True
+                        fuf[unit] = cycle + 1
+                        if complete > last_event:
+                            last_event = complete
+                        if track:
+                            issue_k[pos + slot] = cycle
+                            complete_k[pos + slot] = complete
+                        if not unissued:
+                            break
+                    # Scan passes visit strictly increasing cycles,
+                    # so the issues of one pass are one cycle's
+                    # issue width (issued bits = before ^ unissued,
+                    # since unissued only ever loses bits).
+                    issued = (before ^ unissued).bit_count()
+                    if issued:
+                        t_width[issued] += 1
+                    if unissued:
+                        if progressed:
+                            cycle += 1
+                        else:
+                            cycle = nxt if nxt > cycle else cycle + 1
+                # Next buffer starts the cycle after the last issue.
+                cycle += 1
+                continue
+
+            # General drain: branches gate later slots until resolved.
+            unissued = full_mask
+            branch_resolve = [_UNKNOWN] * len(payload)
+            barrier = 0
+            guard = 0
+            while unissued:
+                guard += 1
+                if guard > _MAX_BUFFER_CYCLES:  # pragma: no cover
+                    raise RuntimeError(
+                        f"buffer failed to drain at trace pos {pos}"
+                    )
+                progressed = False
                 nxt = -1
-                for slot in range(blen):
-                    if issued[slot]:
+                before = unissued
+                for slot, (
+                    bit, dep, bb, brs, unit, dest, srcs, isbr
+                ) in enumerate(payload):
+                    if not unissued & bit:
                         continue
-                    op = ops[pos + slot]
-                    unit, dest, srcs = op[0], op[1], op[2]
+                    # Gated by an earlier *unissued* slot (branch or
+                    # hazard): that slot's own candidate bounds this
+                    # one, so it contributes nothing to the jump.
+                    if (dep | bb) & unissued:
+                        continue
+                    # Control: every earlier branch (all issued now)
+                    # must also have resolved.
                     control_floor = 0
-                    blocked = False
-                    for earlier in range(slot):
-                        eop = ops[pos + earlier]
-                        if not issued[earlier]:
-                            # Gated by an earlier unissued slot: that
-                            # slot's own candidate bounds this one.
-                            if eop[3]:
-                                blocked = True
-                                break
-                            edest = eop[1]
-                            if edest >= 0 and (
-                                edest in srcs
-                                or (dest >= 0 and edest == dest)
-                            ):
-                                blocked = True
-                                break
-                            if (
-                                enforce_war
-                                and dest >= 0
-                                and dest in eop[2]
-                            ):
-                                blocked = True
-                                break
-                        elif eop[3]:
-                            resolve = branch_resolve[earlier]
+                    if bb:
+                        for b in brs:
+                            resolve = branch_resolve[b]
                             if resolve > control_floor:
                                 control_floor = resolve
-                    if blocked:
-                        continue
-                    cand = cycle + 1
-                    if control_floor > cand:
-                        cand = control_floor
+                    earliest = cycle
                     for src in srcs:
-                        ready = reg_ready[src]
-                        if ready > cand:
-                            cand = ready
+                        ready = regs[src]
+                        if ready > earliest:
+                            earliest = ready
                     if dest >= 0:
-                        ready = reg_ready[dest]
-                        if ready > cand:
-                            cand = ready
-                    ready = fu_free[unit]
-                    if ready > cand:
-                        cand = ready
+                        ready = regs[dest]
+                        if ready > earliest:
+                            earliest = ready
+                    ready = fuf[unit]
+                    if ready > earliest:
+                        earliest = ready
+                    latency = latencies[unit]
+                    if earliest > cycle or control_floor > cycle:
+                        cand = cycle + 1
+                        if control_floor > cand:
+                            cand = control_floor
+                        if earliest > cand:
+                            cand = earliest
+                        if dest >= 0:
+                            if xb:
+                                while all(
+                                    cand + latency in bus
+                                    for bus in buses_k
+                                ):
+                                    cand += 1
+                            else:
+                                reserved = busmap[slot]
+                                while cand + latency in reserved:
+                                    cand += 1
+                        if nxt < 0 or cand < nxt:
+                            nxt = cand
+                        continue
+                    complete = cycle + latency
                     if dest >= 0:
-                        latency = latencies[unit]
-                        if xbar:
-                            while all(
-                                cand + latency in bus for bus in buses
-                            ):
-                                cand += 1
+                        if xb:
+                            chosen = -1
+                            for bus_index in range(nb):
+                                if complete not in buses_k[bus_index]:
+                                    chosen = bus_index
+                                    break
+                            if chosen < 0:
+                                cand = cycle + 1
+                                while all(
+                                    cand + latency in bus
+                                    for bus in buses_k
+                                ):
+                                    cand += 1
+                                if nxt < 0 or cand < nxt:
+                                    nxt = cand
+                                continue
+                            reserved = buses_k[chosen]
                         else:
-                            reserved = buses[slot % n_buses]
-                            while cand + latency in reserved:
-                                cand += 1
-                    if nxt < 0 or cand < nxt:
-                        nxt = cand
-                cycle = nxt if nxt > cycle else cycle + 1
+                            reserved = busmap[slot]
+                            if complete in reserved:
+                                cand = cycle + 1
+                                while cand + latency in reserved:
+                                    cand += 1
+                                if nxt < 0 or cand < nxt:
+                                    nxt = cand
+                                continue
+                        regs[dest] = complete
+                        reserved.add(complete)
+                    # Issue slot at `cycle`.
+                    unissued &= ~bit
+                    progressed = True
+                    fuf[unit] = cycle + 1
+                    if isbr:
+                        resolve = cycle + brlat
+                        branch_resolve[slot] = resolve
+                        if resolve > last_event:
+                            last_event = resolve
+                        if resolve > barrier:
+                            barrier = resolve
+                        if track:
+                            issue_k[pos + slot] = cycle
+                            complete_k[pos + slot] = resolve
+                    else:
+                        if complete > last_event:
+                            last_event = complete
+                        if track:
+                            issue_k[pos + slot] = cycle
+                            complete_k[pos + slot] = complete
+                    if not unissued:
+                        break
+                issued = (before ^ unissued).bit_count()
+                if issued:
+                    t_width[issued] += 1
+                if unissued:
+                    if progressed:
+                        cycle += 1
+                    else:
+                        cycle = nxt if nxt > cycle else cycle + 1
+            # The next buffer is available the cycle after the last
+            # issue, but never before every branch in this buffer has
+            # resolved.
+            cycle = cycle + 1 if cycle + 1 > barrier else barrier
 
-        pos += blen
-        # The next buffer is available the cycle after the last issue,
-        # but never before every branch in this buffer has resolved.
-        cycle = cycle + 1 if cycle + 1 > barrier else barrier
+        last_events[k] = last_event
+        t_width[1] += t_singles
+        t_details[k] = SimTelemetry(
+            instructions=compiled.n,
+            cycles=max(last_event, 1),
+            stall_cycles={},
+            fu_busy_cycles=_closed_busy(compiled, latencies, brlat),
+            issue_width={w: c for w, c in enumerate(t_width) if c},
+            occupancy=t_occ,
+            flushes=t_flushes,
+            flush_cycles=t_flush_cycles,
+        ).to_detail()
 
-    if tracking:
-        record.extend(zip(issue_at, complete_at))
-    occupancy, flushes, flush_cycles = window_stats(compiled, units)
-    detail = SimTelemetry(
-        instructions=n_entries,
-        cycles=max(last_event, 1),
-        fu_busy_cycles=_closed_busy(compiled, latencies, branch_latency),
-        issue_width={w: c for w, c in enumerate(t_width) if c},
-        occupancy=occupancy,
-        flushes=flushes,
-        flush_cycles=flush_cycles,
-    ).to_detail()
-    return SimulationResult(
-        trace_name=compiled.name,
-        simulator=machine.name,
-        config=config,
-        instructions=n_entries,
-        cycles=max(last_event, 1),
-        detail=detail,
-    )
+    results = []
+    for k, item in enumerate(group):
+        if tracking[k]:
+            item.record.extend(zip(issue_at[k], complete_at[k]))
+        results.append(
+            _result(compiled, item.simulator, item.config,
+                    max(last_events[k], 1), t_details[k])
+        )
+    return results
+
+
+def _ooo_member(
+    machine,
+    trace: Trace,
+    config: MachineConfig,
+    record: Optional[Schedule] = None,
+) -> SimulationResult:
+    """The ``ooo`` entry of :data:`FAMILY_LOOPS`: a one-member
+    :func:`ooo_replay`, so a single out-of-order replay runs the sweep
+    kernel (and reuses its buffer plan, cached per compiled trace)."""
+    compiled = compile_trace(trace)
+    if compiled.has_vector:
+        from ..base import scalar_only_error
+
+        raise scalar_only_error(machine.name)
+    count_run("python", "fast_runs")
+    return ooo_replay(compiled, [SweepItem(machine, config, record)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -1814,7 +2198,7 @@ def simulate_spec_fast(
 FAMILY_LOOPS = {
     "scoreboard": simulate_scoreboard_fast,
     "inorder": simulate_inorder_fast,
-    "ooo": simulate_ooo_fast,
+    "ooo": _ooo_member,
     "ruu": simulate_ruu_fast,
     "spec": simulate_spec_fast,
     "tomasulo": simulate_tomasulo_fast,

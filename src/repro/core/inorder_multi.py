@@ -20,16 +20,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..isa import FunctionalUnit, Register
-from ..obs.events import EventCallback, EventKind, SimEvent, hook_installed
+from ..obs.events import EventCallback, EventKind, SimEvent
 from ..trace import Trace, TraceEntry
-from . import fastpath
-from .base import Simulator, require_scalar_trace
+from .base import CompiledSimulator, require_scalar_trace
 from .buses import BusKind, ResultBuses
 from .config import MachineConfig
 from .result import SimulationResult
 
 
-class InOrderMultiIssueMachine(Simulator):
+class InOrderMultiIssueMachine(CompiledSimulator):
     """N issue units, program-order issue, CRAY-like functional units.
 
     Args:
@@ -37,6 +36,8 @@ class InOrderMultiIssueMachine(Simulator):
             and, for N-Bus/X-Bar, the number of result buses).
         bus_kind: result-bus interconnect model.
     """
+
+    family = "inorder"
 
     def __init__(self, issue_units: int, bus_kind: BusKind = BusKind.N_BUS) -> None:
         if issue_units < 1:
@@ -49,28 +50,6 @@ class InOrderMultiIssueMachine(Simulator):
         return f"in-order x{self.issue_units} ({self.bus_kind})"
 
     # ------------------------------------------------------------------
-    def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # Same dispatch rule as the scoreboard family: the hook test is
-        # re-evaluated per call, so a subscriber attached at any point
-        # forces the event-emitting reference loop; the compiled fast
-        # path (bit-identical, event-free) runs otherwise.
-        if fastpath.enabled() and not hook_installed(self):
-            return fastpath.python_backend.simulate_inorder_fast(self, trace, config)
-        return self._simulate(trace, config, self.on_event)
-
-    def reference_simulate(
-        self, trace: Trace, config: MachineConfig
-    ) -> SimulationResult:
-        """The pre-fast-path issue loop, hook plumbing disabled.
-
-        The baseline for this machine: ``repro verify`` checks
-        :meth:`simulate` against an observed run of this loop as an exact
-        dual (the ``fastpath-dual`` check), and the benchmark suite
-        measures the fast path's speedup over it.  Keep it in lockstep
-        with any timing-model change.
-        """
-        return self._simulate(trace, config, None)
-
     def _simulate(
         self,
         trace: Trace,

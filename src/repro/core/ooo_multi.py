@@ -23,10 +23,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..isa import FunctionalUnit, Register
-from ..obs.events import EventKind, SimEvent, hook_installed
+from ..obs.events import EventKind, SimEvent
 from ..trace import Trace, TraceEntry
-from . import fastpath
-from .base import Simulator, require_scalar_trace
+from .base import CompiledSimulator, require_scalar_trace
 from .buses import BusKind, ResultBuses
 from .config import MachineConfig
 from .result import SimulationResult
@@ -36,7 +35,7 @@ from .result import SimulationResult
 _MAX_BUFFER_CYCLES = 100_000
 
 
-class OutOfOrderMultiIssueMachine(Simulator):
+class OutOfOrderMultiIssueMachine(CompiledSimulator):
     """N issue units, out-of-order issue within the instruction buffer.
 
     Args:
@@ -46,6 +45,8 @@ class OutOfOrderMultiIssueMachine(Simulator):
             hardware); disable only for the ablation discussed in the
             module docstring.
     """
+
+    family = "ooo"
 
     def __init__(
         self,
@@ -66,24 +67,6 @@ class OutOfOrderMultiIssueMachine(Simulator):
         return f"out-of-order x{self.issue_units} ({self.bus_kind}{war})"
 
     # ------------------------------------------------------------------
-    def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # hook_installed is re-read per call so a hook attached after
-        # construction always gets the event-emitting reference loop.
-        if fastpath.enabled() and not hook_installed(self):
-            return fastpath.python_backend.simulate_ooo_fast(self, trace, config)
-        return self._simulate(trace, config, self.on_event)
-
-    def reference_simulate(
-        self, trace: Trace, config: MachineConfig
-    ) -> SimulationResult:
-        """The pre-fast-path out-of-order loop, hook plumbing disabled.
-
-        The differential tests use this, and the cross-machine oracle an
-        observed run of the same loop, as the baseline the compiled fast
-        loop must match bit-for-bit.
-        """
-        return self._simulate(trace, config, None)
-
     def _simulate(
         self, trace: Trace, config: MachineConfig, emit
     ) -> SimulationResult:

@@ -39,10 +39,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..isa import A0, FunctionalUnit, Register
-from ..obs.events import EventKind, SimEvent, hook_installed
+from ..obs.events import EventKind, SimEvent
 from ..trace import Trace
-from . import fastpath
-from .base import Simulator, require_scalar_trace
+from .base import CompiledSimulator, require_scalar_trace
 from .buses import BusKind, SlotPerCycle
 from .config import MachineConfig
 from .result import SimulationResult
@@ -71,7 +70,7 @@ class _Entry:
     committed: bool = False
 
 
-class RUUMachine(Simulator):
+class RUUMachine(CompiledSimulator):
     """N issue units with a Register Update Unit of R entries.
 
     Args:
@@ -88,6 +87,8 @@ class RUUMachine(Simulator):
         fu_copies: copies of every functional unit (including the memory
             port); the paper's base machine has exactly one of each.
     """
+
+    family = "ruu"
 
     def __init__(
         self,
@@ -139,24 +140,6 @@ class RUUMachine(Simulator):
         )
 
     # ------------------------------------------------------------------
-    def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # hook_installed is re-read per call so a hook attached after
-        # construction always gets the event-emitting reference loop.
-        if fastpath.enabled() and not hook_installed(self):
-            return fastpath.python_backend.simulate_ruu_fast(self, trace, config)
-        return self._simulate(trace, config, self.on_event)
-
-    def reference_simulate(
-        self, trace: Trace, config: MachineConfig
-    ) -> SimulationResult:
-        """The pre-fast-path RUU loop, hook plumbing disabled.
-
-        The differential tests use this, and the cross-machine oracle an
-        observed run of the same loop, as the baseline the compiled fast
-        loop must match bit-for-bit.
-        """
-        return self._simulate(trace, config, None)
-
     def _simulate(
         self, trace: Trace, config: MachineConfig, emit
     ) -> SimulationResult:

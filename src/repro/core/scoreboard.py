@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from ..isa import FunctionalUnit, Register
-from ..obs.events import EventCallback, EventKind, SimEvent, hook_installed, tee
+from ..obs.events import EventCallback, EventKind, SimEvent, tee
 from ..trace import Trace
-from . import fastpath
-from .base import Simulator
+from .base import CompiledSimulator
 from .config import MachineConfig
 from .result import SimulationResult
 
@@ -110,7 +109,7 @@ class EventRecorder:
             self._stall_cycles = 0
 
 
-class ScoreboardMachine(Simulator):
+class ScoreboardMachine(CompiledSimulator):
     """Single-issue in-order machine with configurable unit pipelining.
 
     Args:
@@ -128,6 +127,8 @@ class ScoreboardMachine(Simulator):
         label: display name; defaults to the paper's name for the
             flag combination.
     """
+
+    family = "scoreboard"
 
     def __init__(
         self,
@@ -162,17 +163,6 @@ class ScoreboardMachine(Simulator):
         return self._label
 
     # ------------------------------------------------------------------
-    def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # Hook presence is re-read on every call (never cached), so a
-        # subscriber attached after construction -- or installed
-        # temporarily via simulate_observed -- always gets the
-        # event-emitting reference loop.  The compiled fast path is
-        # bit-identical (tests/test_fastpath_diff.py, the oracle's
-        # fastpath-dual check) but emits no events.
-        if fastpath.enabled() and not hook_installed(self):
-            return fastpath.python_backend.simulate_scoreboard_fast(self, trace, config)
-        return self._simulate(trace, config, self.on_event)
-
     def simulate_recorded(
         self,
         trace: Trace,
@@ -201,6 +191,10 @@ class ScoreboardMachine(Simulator):
         config: MachineConfig,
         emit: Optional[EventCallback],
     ) -> SimulationResult:
+        # The seed implementation this loop replaced survives, frozen,
+        # as ``benchmarks/seed_scoreboard.py``:
+        # ``benchmarks/bench_hooks.py`` gates the disabled-hook overhead
+        # of this loop against it.
         latencies = config.latencies
         branch_latency = config.branch_latency
 
@@ -318,20 +312,6 @@ class ScoreboardMachine(Simulator):
             instructions=len(trace),
             cycles=last_event,
         )
-
-    # ------------------------------------------------------------------
-    def reference_simulate(
-        self, trace: Trace, config: MachineConfig
-    ) -> SimulationResult:
-        """The event-capable issue loop, hook plumbing disabled.
-
-        The differential tests and the benchmark suite use this as the
-        baseline the compiled fast loop must match bit-for-bit.  The
-        seed implementation it replaced survives, frozen, as
-        ``benchmarks/seed_scoreboard.py``: ``benchmarks/bench_hooks.py``
-        gates the disabled-hook overhead of this loop against it.
-        """
-        return self._simulate(trace, config, None)
 
 
 def serial_memory_machine() -> ScoreboardMachine:

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa import A0, FunctionalUnit, Register
-from ..obs.events import EventKind, SimEvent, hook_installed
+from ..obs.events import EventKind, SimEvent
 from ..predict import (
     AlwaysTakenPredictor,
     BackwardTakenPredictor,
@@ -70,8 +70,7 @@ from ..predict import (
     TwoBitPredictor,
 )
 from ..trace import Trace
-from . import fastpath
-from .base import Simulator, require_scalar_trace
+from .base import CompiledSimulator, require_scalar_trace
 from .buses import BusKind
 from .config import MachineConfig
 from .result import SimulationResult
@@ -215,7 +214,7 @@ class _Entry:
     vp_miss: bool = False
 
 
-class SpecMachine(Simulator):
+class SpecMachine(CompiledSimulator):
     """The speculative window machine: N issue units, a window of R
     entries, branch prediction and optional value prediction.
 
@@ -232,7 +231,13 @@ class SpecMachine(Simulator):
             (see the module docstring for the warm-up model).
         value_penalty: squash/re-execute cycles a value misprediction
             adds to the producer's result availability.
+
+    The compiled loop models the predictors (they are deterministic),
+    so a predictor never forces the reference loop; only an installed
+    event hook does.
     """
+
+    family = "spec"
 
     def __init__(
         self,
@@ -314,27 +319,6 @@ class SpecMachine(Simulator):
         )
 
     # ------------------------------------------------------------------
-    def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # The spec fast loop models the predictors (they are
-        # deterministic), so a predictor never forces the reference
-        # loop -- only an installed event hook does.  hook_installed is
-        # re-read per call so a hook attached after construction always
-        # gets the event-emitting loop.
-        if fastpath.enabled() and not hook_installed(self):
-            return fastpath.python_backend.simulate_spec_fast(self, trace, config)
-        return self._simulate(trace, config, self.on_event)
-
-    def reference_simulate(
-        self, trace: Trace, config: MachineConfig
-    ) -> SimulationResult:
-        """The event-capable speculative loop, hook plumbing disabled.
-
-        The differential tests use this, and the cross-machine oracle an
-        observed run of the same loop, as the baseline the compiled fast
-        loop must match bit-for-bit.
-        """
-        return self._simulate(trace, config, None)
-
     # ------------------------------------------------------------------
     def _speculate(
         self, t_entry, cycle, branch_latency, predictor, predicted_correct,

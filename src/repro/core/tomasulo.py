@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..isa import FunctionalUnit, Register
-from ..obs.events import EventKind, SimEvent, hook_installed
+from ..obs.events import EventKind, SimEvent
 from ..trace import Trace
-from . import fastpath
-from .base import Simulator, require_scalar_trace
+from .base import CompiledSimulator, require_scalar_trace
 from .buses import SlotPerCycle
 from .config import MachineConfig
 from .result import SimulationResult
@@ -49,7 +48,7 @@ class _Station:
     operands_ready: int
 
 
-class TomasuloMachine(Simulator):
+class TomasuloMachine(CompiledSimulator):
     """Single issue unit with per-unit reservation stations and a CDB.
 
     Args:
@@ -57,6 +56,8 @@ class TomasuloMachine(Simulator):
         cdb_width: results broadcast per cycle on the common data bus
             (1 on the IBM 360/91).
     """
+
+    family = "tomasulo"
 
     def __init__(self, stations_per_unit: int = 4, cdb_width: int = 1) -> None:
         if stations_per_unit < 1:
@@ -74,24 +75,6 @@ class TomasuloMachine(Simulator):
         )
 
     # ------------------------------------------------------------------
-    def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
-        # hook_installed is re-read per call so a hook attached after
-        # construction always gets the event-emitting reference loop.
-        if fastpath.enabled() and not hook_installed(self):
-            return fastpath.python_backend.simulate_tomasulo_fast(self, trace, config)
-        return self._simulate(trace, config, self.on_event)
-
-    def reference_simulate(
-        self, trace: Trace, config: MachineConfig
-    ) -> SimulationResult:
-        """The pre-fast-path Tomasulo loop, hook plumbing disabled.
-
-        The differential tests use this, and the cross-machine oracle an
-        observed run of the same loop, as the baseline the compiled fast
-        loop must match bit-for-bit.
-        """
-        return self._simulate(trace, config, None)
-
     def _simulate(
         self, trace: Trace, config: MachineConfig, emit
     ) -> SimulationResult:

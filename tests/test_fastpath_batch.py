@@ -52,22 +52,23 @@ def _oracle_simulators():
 
 
 def _perspec(trace, items):
-    """Each sweep member replayed on its own: its ``simulate``, or -- to
-    fill a schedule record -- the per-spec compiled loop ``simulate``
-    dispatches to."""
+    """Each sweep member replayed on its own: the compiled loop its
+    ``simulate`` dispatches to (``FAMILY_LOOPS``), filling the member's
+    schedule record; members the gate sends to the reference loop run
+    their own ``simulate``."""
     results = []
     for item in items:
         if not isinstance(item, fastpath.SweepItem):
             item = fastpath.SweepItem(*item)
-        if item.record is None:
-            results.append(item.simulator.simulate(trace, item.config))
-        else:
+        if fastpath.fast_eligible(item.simulator):
             loop = fastpath.python_backend.FAMILY_LOOPS[
                 fastpath.family_of(item.simulator)
             ]
             results.append(
                 loop(item.simulator, trace, item.config, item.record)
             )
+        else:
+            results.append(item.simulator.simulate(trace, item.config))
     return results
 
 
@@ -591,11 +592,17 @@ class TestGatingAndStats:
 
     def test_fast_runs_attributed_per_backend(self):
         """A sweep member counts as ``batch.fast_runs``, the machine's own
-        ``simulate`` as ``python.fast_runs``."""
+        ``simulate`` as ``python.fast_runs`` -- even though for the
+        out-of-order machine both run the same kernel -- and a direct
+        ``simulate`` moves no ``batch.*`` counter."""
         simulator = build_simulator("ooo:2")
         fastpath.reset_stats()
-        fastpath.simulate_sweep(TRACES[4], [(simulator, M11BR5)])
         simulator.simulate(TRACES[4], M11BR5)
+        stats = fastpath.stats()
+        assert stats["python.fast_runs"] == 1
+        for key in ("fast_runs", "sweeps", "fallback_runs", "reused_runs"):
+            assert stats[f"batch.{key}"] == 0, key
+        fastpath.simulate_sweep(TRACES[4], [(simulator, M11BR5)])
         stats = fastpath.stats()
         assert stats["batch.fast_runs"] == 1
         assert stats["python.fast_runs"] == 1

@@ -15,10 +15,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import M5BR2, M5BR5, M11BR2, M11BR5, fastpath
+from repro.core.buses import BusKind
 from repro.core.cdc6600 import CDC6600Machine
 from repro.core.registry import build_simulator
 from repro.core.ruu import RUUMachine
-from repro.core.scoreboard import ScoreboardMachine, cray_like_machine
+from repro.core.scoreboard import cray_like_machine
 from repro.core.inorder_multi import InOrderMultiIssueMachine
 from repro.core.ooo_multi import OutOfOrderMultiIssueMachine
 from repro.core.tomasulo import TomasuloMachine
@@ -69,18 +70,48 @@ def _fastpath_on():
 
 
 def _fast_fn(simulator):
-    if isinstance(simulator, ScoreboardMachine):
-        return fastpath.python_backend.simulate_scoreboard_fast
-    if isinstance(simulator, InOrderMultiIssueMachine):
-        return fastpath.python_backend.simulate_inorder_fast
-    if isinstance(simulator, OutOfOrderMultiIssueMachine):
-        return fastpath.python_backend.simulate_ooo_fast
-    if isinstance(simulator, RUUMachine):
-        return fastpath.python_backend.simulate_ruu_fast
-    if isinstance(simulator, TomasuloMachine):
-        return fastpath.python_backend.simulate_tomasulo_fast
-    assert isinstance(simulator, CDC6600Machine)
-    return fastpath.python_backend.simulate_cdc6600_fast
+    """The compiled loop *simulator*'s ``simulate`` dispatches to."""
+    return fastpath.python_backend.FAMILY_LOOPS[fastpath.family_of(simulator)]
+
+
+def _assert_fast_matches_reference(simulator, trace, config, context):
+    """One trace, one machine: cycles, rates and non-telemetry detail of
+    :meth:`simulate` (fast) against :meth:`reference_simulate`, and the
+    compiled loop's recorded per-instruction (issue, complete) pairs
+    against the reference path's event stream.
+
+    The fast path additionally carries tlm.* telemetry entries (covered
+    by tests/test_obs_telemetry.py).  The RUU and Tomasulo references
+    emit no COMPLETE for branches (they never occupy a window slot); the
+    fast loops record their resolution, issue + branch_latency, for
+    those.
+    """
+    fast = simulator.simulate(trace, config)
+    reference = simulator.reference_simulate(trace, config)
+    assert fast.cycles == reference.cycles, context
+    assert fast.issue_rate == reference.issue_rate, context
+    assert fast.instructions == reference.instructions, context
+    assert strip_telemetry(fast.detail) == dict(reference.detail or {}), (
+        context
+    )
+
+    schedule = []
+    recorded = _fast_fn(simulator)(simulator, trace, config, schedule)
+    assert recorded.cycles == fast.cycles, context
+    collector = EventCollector()
+    simulator.simulate_observed(trace, config, collector)
+    issues = collector.cycles_by_seq(EventKind.ISSUE)
+    completes = collector.cycles_by_seq(EventKind.COMPLETE)
+    expected = [
+        (
+            issues[entry.seq],
+            completes.get(
+                entry.seq, issues[entry.seq] + config.branch_latency
+            ),
+        )
+        for entry in trace.entries
+    ]
+    assert schedule == expected, context
 
 
 # ----------------------------------------------------------------------
@@ -91,45 +122,26 @@ def _fast_fn(simulator):
 def test_fast_path_matches_reference(spec):
     """300 fuzzed traces: cycles, rates and schedules all identical."""
     simulator = build_simulator(spec)
-    fast_fn = _fast_fn(simulator)
     for seed, trace in enumerate(TRACES):
         config = CONFIGS[seed % len(CONFIGS)]
-
-        fast = simulator.simulate(trace, config)
-        reference = simulator.reference_simulate(trace, config)
-        assert fast.cycles == reference.cycles, (spec, trace.name)
-        assert fast.issue_rate == reference.issue_rate, (spec, trace.name)
-        assert fast.instructions == reference.instructions
-        # The fast path additionally carries tlm.* telemetry entries
-        # (covered by tests/test_obs_telemetry.py); the non-telemetry
-        # detail must still match the reference exactly.
-        assert strip_telemetry(fast.detail) == dict(reference.detail or {}), (
-            spec,
-            trace.name,
+        _assert_fast_matches_reference(
+            simulator, trace, config, (spec, trace.name)
         )
 
-        # Per-instruction (issue, complete) pairs from the fast loop's
-        # record hook vs the reference path's event stream.  The RUU and
-        # Tomasulo references emit no COMPLETE for branches (they never
-        # occupy a window slot); the fast loops record their resolution,
-        # issue + branch_latency, for those.
-        schedule = []
-        recorded = fast_fn(simulator, trace, config, schedule)
-        assert recorded.cycles == fast.cycles
-        collector = EventCollector()
-        simulator.simulate_observed(trace, config, collector)
-        issues = collector.cycles_by_seq(EventKind.ISSUE)
-        completes = collector.cycles_by_seq(EventKind.COMPLETE)
-        expected = [
-            (
-                issues[entry.seq],
-                completes.get(
-                    entry.seq, issues[entry.seq] + config.branch_latency
-                ),
-            )
-            for entry in trace.entries
-        ]
-        assert schedule == expected, (spec, trace.name)
+
+@pytest.mark.parametrize("bus_kind", list(BusKind), ids=str)
+@pytest.mark.parametrize("width", (2, 4))
+def test_ooo_without_war_matches_reference(width, bus_kind):
+    """The WAR-off ablation (``benchmarks/bench_ablations.py``) has no
+    spec string, so it is built here: same pool, same checks."""
+    simulator = OutOfOrderMultiIssueMachine(
+        width, bus_kind, enforce_war=False
+    )
+    for seed, trace in enumerate(TRACES):
+        config = CONFIGS[seed % len(CONFIGS)]
+        _assert_fast_matches_reference(
+            simulator, trace, config, (simulator.name, trace.name)
+        )
 
 
 def test_fast_path_runs_by_default():
@@ -171,7 +183,7 @@ def test_compile_cache_evicts_dead_traces():
 
     machine = TomasuloMachine()
     fastpath.reset_stats()
-    before = len(fastpath._CACHE)
+    before = len(fastpath.ir._CACHE)
     shape = FuzzSpec(length=8)
     for seed in range(1000):
         throwaway = fuzz_trace(10_000 + seed, shape)
@@ -180,7 +192,7 @@ def test_compile_cache_evicts_dead_traces():
             machine.simulate(throwaway, M11BR5)
         del throwaway
     gc.collect()
-    assert len(fastpath._CACHE) <= before + 2
+    assert len(fastpath.ir._CACHE) <= before + 2
     stats = fastpath.stats()
     assert stats["compiles"] == 1000
     assert stats["evictions"] >= 990
@@ -252,7 +264,7 @@ def _assert_spec_matches_reference(simulator, trace, config, context):
     )
 
     schedule = []
-    recorded = fastpath.python_backend.simulate_spec_fast(simulator, trace, config, schedule)
+    recorded = _fast_fn(simulator)(simulator, trace, config, schedule)
     assert recorded.cycles == fast.cycles, context
     collector = EventCollector()
     simulator.simulate_observed(trace, config, collector)
@@ -406,36 +418,6 @@ def _family_traces(templates, seeds):
         for template in templates
         for seed in seeds
     ]
-
-
-def _assert_fast_matches_reference(simulator, trace, config, context):
-    """One trace, one machine: cycles, rate, telemetry and schedule."""
-    fast = simulator.simulate(trace, config)
-    reference = simulator.reference_simulate(trace, config)
-    assert fast.cycles == reference.cycles, context
-    assert fast.issue_rate == reference.issue_rate, context
-    assert fast.instructions == reference.instructions, context
-    assert strip_telemetry(fast.detail) == dict(reference.detail or {}), (
-        context
-    )
-
-    schedule = []
-    recorded = _fast_fn(simulator)(simulator, trace, config, schedule)
-    assert recorded.cycles == fast.cycles, context
-    collector = EventCollector()
-    simulator.simulate_observed(trace, config, collector)
-    issues = collector.cycles_by_seq(EventKind.ISSUE)
-    completes = collector.cycles_by_seq(EventKind.COMPLETE)
-    expected = [
-        (
-            issues[entry.seq],
-            completes.get(
-                entry.seq, issues[entry.seq] + config.branch_latency
-            ),
-        )
-        for entry in trace.entries
-    ]
-    assert schedule == expected, context
 
 
 @pytest.mark.sources
