@@ -29,7 +29,7 @@ Quickstart::
     run = repro.run_table("table1", workers=4)   # parallel + cached
     print(run.render_report())
 
-    result = repro.simulate(5, "ruu:2:50")       # loop 5 on one machine
+    result = repro.simulate("kernel:5", "ruu:2:50")  # loop 5, one machine
     print(result.issue_rate)
 
 Lower-level building blocks stay importable::

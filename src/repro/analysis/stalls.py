@@ -8,19 +8,15 @@ module aggregates those attributions into a breakdown -- the
 quantitative version of the paper's Section 6 discussion of what limits
 each organisation.
 
-Two resolutions are available:
-
-* ``"auto"`` (default) reads the aggregate :class:`~repro.obs.telemetry.
-  SimTelemetry` record the compiled fast loops attach to every result --
-  one plain ``simulate`` call, no event stream, fast-path speed.  When
-  the machine has no fast loop (or telemetry collection is disabled) it
-  falls back to events transparently.
-* ``"events"`` replays through the typed event stream
-  (:mod:`repro.obs.events`, adapted into per-instruction
-  :class:`repro.core.scoreboard.IssueRecord`\\ s) and keeps the full
-  per-instruction schedule in :attr:`StallBreakdown.records`.  Ask for
-  it explicitly when you need per-cycle resolution (e.g. to feed
-  :func:`repro.analysis.timeline.render_timeline`).
+The breakdown reads the aggregate :class:`~repro.obs.telemetry.
+SimTelemetry` record the compiled fast loops attach to every result --
+one plain ``simulate`` call, no event stream, fast-path speed.  When the
+machine has no fast loop (or the fast path is disabled) it replays
+through the typed event stream instead (:mod:`repro.obs.events`,
+adapted into per-instruction :class:`repro.core.scoreboard.IssueRecord`
+entries) and keeps that schedule in :attr:`StallBreakdown.records`;
+both routes attribute the same cycles.  For a per-cycle view use
+:func:`repro.analysis.timeline.record_schedule`.
 """
 
 from __future__ import annotations
@@ -38,9 +34,6 @@ from ..core.scoreboard import (
 )
 from ..obs.telemetry import SimTelemetry
 from ..trace import Trace
-
-_RESOLUTIONS = ("auto", "telemetry", "events")
-
 
 @dataclass(frozen=True)
 class StallBreakdown:
@@ -96,7 +89,7 @@ def _breakdown_from_telemetry(
     config: MachineConfig,
     machine: ScoreboardMachine,
 ) -> Optional[StallBreakdown]:
-    """Telemetry-resolution breakdown, or None when unavailable."""
+    """The breakdown from aggregate telemetry, or None when unavailable."""
     result = machine.simulate(trace, config)
     telemetry = SimTelemetry.from_detail(result.detail)
     if telemetry is None:
@@ -123,8 +116,6 @@ def stall_breakdown(
     trace: Trace,
     config: MachineConfig,
     machine: Optional[ScoreboardMachine] = None,
-    *,
-    resolution: str = "auto",
 ) -> StallBreakdown:
     """Attribute every idle issue cycle of *trace* on *machine*.
 
@@ -132,28 +123,11 @@ def stall_breakdown(
         trace: the dynamic trace to analyse.
         config: memory/branch variant.
         machine: any :class:`ScoreboardMachine`; defaults to CRAY-like.
-        resolution: ``"auto"`` prefers the fast-path telemetry record
-            (no per-instruction records) and falls back to an event
-            replay; ``"telemetry"`` requires telemetry and raises when
-            it is unavailable; ``"events"`` always replays and keeps
-            :attr:`StallBreakdown.records`.
     """
-    if resolution not in _RESOLUTIONS:
-        raise ValueError(
-            f"unknown resolution {resolution!r}; expected one of "
-            f"{_RESOLUTIONS}"
-        )
     machine = machine or cray_like_machine()
-
-    if resolution in ("auto", "telemetry"):
-        breakdown = _breakdown_from_telemetry(trace, config, machine)
-        if breakdown is not None:
-            return breakdown
-        if resolution == "telemetry":
-            raise ValueError(
-                f"{machine.name} produced no telemetry for "
-                f"{trace.name} [{config.name}]; use resolution='events'"
-            )
+    breakdown = _breakdown_from_telemetry(trace, config, machine)
+    if breakdown is not None:
+        return breakdown
 
     records: List[IssueRecord] = []
     result = machine.simulate_observed(

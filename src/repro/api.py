@@ -8,8 +8,8 @@ runner, and the benchmark scripts run experiments::
     run = api.run_table("table7", workers=4)     # parallel + cached
     print(run.render_report())
 
-    result = api.simulate(5, "ruu:2:50")         # one kernel, one machine
-    report = api.limits(5)                       # dataflow/resource limits
+    result = api.simulate("kernel:5", "ruu:2:50")  # one trace, one machine
+    report = api.limits("kernel:5")                # dataflow/resource limits
 
 Key facts:
 
@@ -53,12 +53,11 @@ from .core.registry import (
     parse_spec as _parse_spec_string,
 )
 from .harness.aggregate import harmonic_mean, relative_error
-from .harness.engine import EngineStats, run_plan
+from .harness.engine import EngineStats, resolve_trace as _resolve_trace, run_plan
 from .harness.progress import ProgressCallback, ProgressEvent
 from .harness.paper import PAPER_SECTION33, PAPER_SECTION33_TABLE, PAPER_TABLES
 from .harness.plans import PLAN_BUILDERS, build_plan
 from .harness.tables import ResultTable, compare_tables
-from .kernels import build_kernel
 from .limits import LoopLimits, compute_limits
 from .obs.manifest import RunManifest, find_manifest, list_manifests
 from .verify import (
@@ -73,9 +72,7 @@ from .trace import (
     Trace,
     TraceStats,
     default_cache_dir,
-    read_trace,
-    trace_stats,
-    write_trace,
+    trace_stats as _trace_stats,
 )
 from .trace.importer import TraceImportError, export_trace, import_trace
 from .trace.sources import (
@@ -84,10 +81,10 @@ from .trace.sources import (
     TraceSource,
     UnknownTraceSourceError,
     available_sources as _available_sources,
+    kernel_instance,
     list_sources as _list_sources,
     parse_trace_spec as _parse_trace_spec_string,
     source_statistics,
-    trace_source,
 )
 
 Sizes = Optional[Mapping[int, int]]
@@ -113,14 +110,11 @@ __all__ = [
     "VerifyReport",
     "bench_options",
     "capture",
-    "capture_source",
     "compare_bench",
     "disassemble",
     "explore",
     "find_run",
-    "kernel_stats",
     "limits",
-    "limits_source",
     "list_machines",
     "list_runs",
     "list_tables",
@@ -129,17 +123,16 @@ __all__ = [
     "machine_info",
     "parse_spec",
     "parse_trace_spec",
-    "replay",
     "resolve_trace",
     "run_bench",
     "run_sweep",
     "run_table",
     "section33",
     "simulate",
-    "simulate_source",
     "source_stats",
     "stalls",
     "trace_source_help",
+    "trace_stats",
     "verify_machines",
 ]
 
@@ -279,151 +272,7 @@ def find_run(run_id: str) -> Optional[RunManifest]:
 
 
 # ----------------------------------------------------------------------
-# Single-kernel operations
-# ----------------------------------------------------------------------
-
-def _kernel(
-    kernel: int,
-    n: Optional[int],
-    *,
-    schedule: bool = True,
-    unroll: int = 1,
-    vector: bool = False,
-    explicit_addressing: bool = False,
-):
-    if vector:
-        from .kernels.vectorized import build_vectorized
-
-        return build_vectorized(kernel, n)
-    return build_kernel(
-        kernel,
-        n,
-        schedule=schedule,
-        unroll=unroll,
-        explicit_addressing=explicit_addressing,
-    )
-
-
-def simulate(
-    kernel: int,
-    machine: str = "cray",
-    *,
-    n: Optional[int] = None,
-    config: str = "M11BR5",
-    schedule: bool = True,
-    unroll: int = 1,
-    vector: bool = False,
-    explicit_addressing: bool = False,
-) -> SimulationResult:
-    """Time one kernel on one machine organisation.
-
-    *machine* is a registry spec string (see :func:`list_machines`);
-    unknown specs raise :class:`UnknownSpecError`.
-    """
-    simulator = build_simulator(machine)
-    instance = _kernel(
-        kernel, n,
-        schedule=schedule, unroll=unroll, vector=vector,
-        explicit_addressing=explicit_addressing,
-    )
-    return simulator.simulate(instance.trace(), config_by_name(config))
-
-
-def limits(
-    kernel: int,
-    *,
-    n: Optional[int] = None,
-    config: str = "M11BR5",
-    serial: bool = False,
-    schedule: bool = True,
-    unroll: int = 1,
-) -> LoopLimits:
-    """Pseudo-dataflow / resource / actual limits for one kernel."""
-    instance = _kernel(kernel, n, schedule=schedule, unroll=unroll)
-    return compute_limits(
-        instance.trace(), config_by_name(config), serial=serial
-    )
-
-
-def stalls(
-    kernel: int,
-    *,
-    n: Optional[int] = None,
-    config: str = "M11BR5",
-    schedule: bool = True,
-    unroll: int = 1,
-):
-    """Stall attribution for one kernel on an issue-blocking machine."""
-    instance = _kernel(kernel, n, schedule=schedule, unroll=unroll)
-    return stall_breakdown(instance.trace(), config_by_name(config))
-
-
-def disassemble(
-    kernel: int,
-    *,
-    n: Optional[int] = None,
-    schedule: bool = True,
-    unroll: int = 1,
-    vector: bool = False,
-    explicit_addressing: bool = False,
-) -> str:
-    """A kernel's assembly listing."""
-    instance = _kernel(
-        kernel, n,
-        schedule=schedule, unroll=unroll, vector=vector,
-        explicit_addressing=explicit_addressing,
-    )
-    return instance.program.disassemble()
-
-
-def kernel_stats(
-    kernel: int,
-    *,
-    n: Optional[int] = None,
-    schedule: bool = True,
-    unroll: int = 1,
-    vector: bool = False,
-) -> TraceStats:
-    """Dynamic instruction-mix statistics for one kernel."""
-    instance = _kernel(kernel, n, schedule=schedule, unroll=unroll, vector=vector)
-    return trace_stats(instance.trace())
-
-
-def capture(
-    kernel: int,
-    out: str,
-    *,
-    n: Optional[int] = None,
-    schedule: bool = True,
-    unroll: int = 1,
-    vector: bool = False,
-) -> int:
-    """Save a kernel's verified dynamic trace as JSON lines; entry count."""
-    instance = _kernel(kernel, n, schedule=schedule, unroll=unroll, vector=vector)
-    trace = instance.trace()
-    write_trace(trace, out)
-    return len(trace)
-
-
-def replay(
-    trace_path: str,
-    machine: str = "cray",
-    *,
-    config: str = "M11BR5",
-) -> SimulationResult:
-    """Time a previously captured trace on any machine.
-
-    The archive goes through the strict importer, so a malformed file
-    fails with one ``path:line`` diagnostic
-    (:class:`TraceImportError`) instead of a parse backtrace.
-    """
-    trace: Trace = import_trace(trace_path)
-    simulator = build_simulator(machine)
-    return simulator.simulate(trace, config_by_name(config))
-
-
-# ----------------------------------------------------------------------
-# Trace sources (the unified registry)
+# Single-trace operations: one trace-source spec each
 # ----------------------------------------------------------------------
 
 def parse_trace_spec(spec: str) -> ParsedTraceSpec:
@@ -448,11 +297,85 @@ def resolve_trace(spec: str) -> Trace:
     """Resolve a trace-source spec (``kernel:5``, ``branchy:n=256``,
     ``file:trace.jsonl`` ...) to its :class:`~repro.trace.Trace`.
 
+    Goes through :func:`repro.harness.engine.resolve_trace` without a
+    DiskCache: the process's one trace memo serves repeats (``file:``
+    archives are re-read every time), so every single-trace operation
+    below and a table replaying the same spec share one trace object.
     Every rejected spec raises :class:`UnknownTraceSourceError`;
     malformed ``file:`` archives raise :class:`TraceImportError` with a
     ``path:line`` diagnostic.
     """
-    return trace_source(spec)
+    return _resolve_trace(spec)[0]
+
+
+def simulate(
+    source: str,
+    machine: str = "cray",
+    *,
+    config: str = "M11BR5",
+) -> SimulationResult:
+    """Time one trace source on one machine organisation.
+
+    ``simulate("kernel:5", "ruu:2:50")`` times Livermore loop 5;
+    ``"branchy:n=256"`` or ``"file:trace.jsonl"`` replay a synthetic
+    family or a captured archive the same way.  *machine* is a registry
+    spec string (see :func:`list_machines`); unknown specs raise
+    :class:`UnknownSpecError`.
+    """
+    simulator = build_simulator(machine)
+    return simulator.simulate(resolve_trace(source), config_by_name(config))
+
+
+def limits(
+    source: str,
+    *,
+    config: str = "M11BR5",
+    serial: bool = False,
+) -> LoopLimits:
+    """Pseudo-dataflow / resource / actual limits of one trace source."""
+    return compute_limits(
+        resolve_trace(source), config_by_name(config), serial=serial
+    )
+
+
+def stalls(source: str, *, config: str = "M11BR5"):
+    """Stall attribution for one trace source on the CRAY-like machine."""
+    return stall_breakdown(resolve_trace(source), config_by_name(config))
+
+
+def trace_stats(source: str) -> TraceStats:
+    """Dynamic instruction-mix statistics of one trace source."""
+    return _trace_stats(resolve_trace(source))
+
+
+def capture(source: str, out: str) -> int:
+    """Save one trace source's trace as a JSONL archive; entry count.
+
+    Kernel traces are verified against their NumPy reference on
+    capture; the written file round-trips byte-stably through
+    ``file:<out>``.
+    """
+    trace = resolve_trace(source)
+    export_trace(trace, out)
+    return len(trace)
+
+
+def disassemble(source: str) -> str:
+    """The assembly listing of a ``kernel:`` spec.
+
+    Other trace sources have no program; they raise
+    :class:`UnknownTraceSourceError`.
+    """
+    return kernel_instance(source).program.disassemble()
+
+
+def source_stats(spec: str) -> SourceStats:
+    """Dependence-distance and FU-demand summary of one source's trace.
+
+    Computed from the compiled-trace IR (see
+    :func:`repro.trace.sources.source_statistics`).
+    """
+    return source_statistics(resolve_trace(spec))
 
 
 def list_trace_sources() -> Tuple[TraceSource, ...]:
@@ -463,55 +386,6 @@ def list_trace_sources() -> Tuple[TraceSource, ...]:
 def trace_source_help() -> str:
     """One-line grammar of accepted trace-source specification strings."""
     return _available_sources()
-
-
-def source_stats(spec: str) -> SourceStats:
-    """Dependence-distance and FU-demand summary of one source's trace.
-
-    Computed from the compiled-trace IR (see
-    :func:`repro.trace.sources.source_statistics`).
-    """
-    return source_statistics(trace_source(spec))
-
-
-def simulate_source(
-    source: str,
-    machine: str = "cray",
-    *,
-    config: str = "M11BR5",
-) -> SimulationResult:
-    """Time any trace source on one machine organisation.
-
-    The source-spec generalisation of :func:`simulate`:
-    ``simulate_source("kernel:5", "ruu:2:50")`` is
-    ``simulate(5, "ruu:2:50")``, and the same call replays synthetic
-    families or external ``file:`` archives.
-    """
-    simulator = build_simulator(machine)
-    return simulator.simulate(trace_source(source), config_by_name(config))
-
-
-def limits_source(
-    source: str,
-    *,
-    config: str = "M11BR5",
-    serial: bool = False,
-) -> LoopLimits:
-    """Pseudo-dataflow / resource / actual limits for any trace source."""
-    return compute_limits(
-        trace_source(source), config_by_name(config), serial=serial
-    )
-
-
-def capture_source(source: str, out: str) -> int:
-    """Resolve any trace source and save it as a JSONL archive.
-
-    Returns the entry count; the written file round-trips byte-stably
-    through ``file:<out>`` / :func:`resolve_trace`.
-    """
-    trace = trace_source(source)
-    export_trace(trace, out)
-    return len(trace)
 
 
 # ----------------------------------------------------------------------
@@ -589,7 +463,7 @@ def verify_machines(
     checker and the cross-machine ordering/bound oracle.  Failing
     traces are delta-debugged down to minimal reproducers, written as
     JSON lines under *dump_dir* when given (replayable with
-    :func:`replay`).
+    ``simulate("file:<path>", ...)``).
 
     Args:
         seeds: number of fuzzed traces (seeds ``first_seed ..
@@ -790,10 +664,10 @@ def run_sweep(
     Args:
         specs: registry spec strings; every spec is validated up front
             and an :class:`UnknownSpecError` names the first bad one.
-        traces: :class:`~repro.trace.Trace` objects, trace-source spec
-            strings (``"branchy:n=256"``, ``"file:trace.jsonl"`` ...),
-            or Livermore kernel numbers (ints) to build at their
-            default sizes.
+        traces: :class:`~repro.trace.Trace` objects or trace-source
+            spec strings (``"kernel:5"``, ``"branchy:n=256"``,
+            ``"file:trace.jsonl"`` ...), resolved like
+            :func:`resolve_trace`.
         config: machine-variant name (``M11BR5`` ...).
 
     An empty *specs* or *traces* raises :class:`ValueError` naming it.
@@ -814,14 +688,10 @@ def run_sweep(
         parse_spec(spec)
     machine_config = config_by_name(config)
     simulators = [build_simulator(spec) for spec in spec_list]
-    resolved: List[Trace] = []
-    for item in trace_list:
-        if isinstance(item, Trace):
-            resolved.append(item)
-        elif isinstance(item, str):
-            resolved.append(trace_source(item))
-        else:
-            resolved.append(_kernel(item, None).trace())
+    resolved = [
+        item if isinstance(item, Trace) else resolve_trace(item)
+        for item in trace_list
+    ]
 
     stats_before = fastpath.stats()
     start = _time.perf_counter()

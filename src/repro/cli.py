@@ -9,9 +9,9 @@ parses arguments and prints, the facade does the work:
   records a run manifest unless ``--no-observe``; ``--progress``
   streams per-cell completions to stderr, as a human ticker or
   ``--progress-format jsonl``);
-* ``simulate`` -- run one kernel through one machine organisation;
+* ``simulate`` -- time one trace on one machine organisation;
 * ``disasm``   -- print a kernel's assembly listing;
-* ``stats``    -- with ``--kernel``: dynamic instruction-mix statistics;
+* ``stats``    -- with a trace: dynamic instruction-mix statistics;
   without: the run breakdown of past observed runs (timings, cache hit
   rate, worker utilization) from the stored manifests; ``--format
   openmetrics`` dumps a run's metric snapshot as an OpenMetrics
@@ -21,8 +21,9 @@ parses arguments and prints, the facade does the work:
   named per-worker tracks) or the raw span payload;
 * ``limits``   -- pseudo-dataflow / resource / serial limits;
 * ``stalls``   -- stall attribution on an issue-blocking machine;
-* ``capture``  -- save a verified dynamic trace as JSON lines;
-* ``replay``   -- time a saved trace on any machine;
+* ``capture``  -- save a (kernel-verified) dynamic trace as JSON lines;
+* ``replay``   -- time a saved trace on any machine (``simulate
+  --source file:<path>``);
 * ``verify``   -- differential verification: fuzz traces, replay them
   through every machine, check per-cycle invariants and cross-machine
   ordering/bound claims, shrink any failure to a minimal reproducer;
@@ -30,6 +31,12 @@ parses arguments and prints, the facade does the work:
   throughput, table wall time, engine cold/warm cache); writes a
   ``repro-bench/v1`` JSON report and, with ``--compare BASELINE``,
   flags regressions beyond a noise threshold.
+
+The six single-trace subcommands (``simulate``, ``limits``, ``stats``,
+``stalls``, ``capture``, ``disasm``) name their trace the same way:
+``--kernel N`` with ``--n``/``--unroll``/``--no-schedule``/``--vector``/
+``--explicit-addressing``, which is the spec ``kernel:N:n=...``, or one
+``--source SPEC``.
 
 Subcommands that render a verdict (``verify``, ``stats``, ``bench``)
 decide their exit code *before* printing, so a downstream ``| head``
@@ -51,34 +58,30 @@ from .obs.tracing import spans_to_chrome, spans_to_perfetto
 from .trace import format_stats
 
 
-def _add_kernel_arguments(
-    parser: argparse.ArgumentParser,
-    *,
-    required: bool = True,
-    source: bool = False,
+def _add_trace_arguments(
+    parser: argparse.ArgumentParser, *, required: bool = True
 ) -> None:
-    parser.add_argument(
+    """The single-trace argument group: ``--kernel N`` plus its
+    modifiers, or one ``--source SPEC``; :func:`_trace_spec` turns it
+    into the spec the api takes."""
+    picked = parser.add_mutually_exclusive_group(required=required)
+    picked.add_argument(
         "--kernel",
         type=int,
-        required=required and not source,
         choices=ALL_LOOPS,
-        help="Livermore loop number",
+        help="Livermore loop number (the spec kernel:<N>)",
     )
-    if source:
-        parser.add_argument(
-            "--source",
-            default=None,
-            metavar="SPEC",
-            help=(
-                "trace-source spec instead of --kernel (kernel:5, "
-                "branchy:n=256, fuzz:seed=7, file:trace.jsonl ...; "
-                "see `repro sources`)"
-            ),
-        )
-    parser.add_argument("--n", type=int, default=None, help="problem size")
-    parser.add_argument(
-        "--unroll", type=int, default=1, help="unroll factor (default 1)"
+    picked.add_argument(
+        "--source",
+        metavar="SPEC",
+        help=(
+            "trace-source spec instead of --kernel (kernel:5:n=64, "
+            "branchy:n=256, fuzz:seed=7, file:trace.jsonl ...; "
+            "see `repro sources`)"
+        ),
     )
+    parser.add_argument("--n", type=int, help="problem size")
+    parser.add_argument("--unroll", type=int, help="unroll factor (default 1)")
     parser.add_argument(
         "--no-schedule",
         action="store_true",
@@ -96,14 +99,34 @@ def _add_kernel_arguments(
     )
 
 
-def _kernel_kwargs(args) -> dict:
-    return {
-        "n": args.n,
-        "schedule": not args.no_schedule,
-        "unroll": args.unroll,
-        "vector": getattr(args, "vector", False),
-        "explicit_addressing": getattr(args, "explicit_addressing", False),
+def _trace_spec(args) -> Optional[str]:
+    """The trace-source spec of the single-trace argument group.
+
+    ``--kernel 12 --n 16 --vector`` is ``kernel:12:n=16:vector=on``;
+    ``--source`` is taken as given, and a kernel modifier next to it is
+    rejected as a bad spec (exit 2).  None when neither flag was given.
+    """
+    modifiers = {
+        "--n": None if args.n is None else f"n={args.n}",
+        "--unroll": None if args.unroll is None else f"unroll={args.unroll}",
+        "--no-schedule": "schedule=off" if args.no_schedule else None,
+        "--vector": "vector=on" if args.vector else None,
+        "--explicit-addressing": (
+            "addressing=explicit" if args.explicit_addressing else None
+        ),
     }
+    given = {flag: token for flag, token in modifiers.items() if token}
+    if args.source is not None:
+        if given:
+            raise api.UnknownTraceSourceError(
+                args.source,
+                reason=f"{', '.join(given)} modify --kernel only; write "
+                f"them into the spec (kernel:12:n=64:vector=on)",
+            )
+        return args.source
+    if args.kernel is None:
+        return None
+    return ":".join([f"kernel:{args.kernel}", *given.values()])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="time one kernel (or trace source) on one machine"
     )
-    _add_kernel_arguments(simulate, source=True)
+    _add_trace_arguments(simulate)
     simulate.add_argument(
         "--machine",
         default="cray",
@@ -211,16 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     disasm = sub.add_parser("disasm", help="print a kernel's assembly")
-    _add_kernel_arguments(disasm)
+    _add_trace_arguments(disasm)
 
     stats = sub.add_parser(
         "stats",
         help=(
             "instruction-mix statistics (--kernel/--source) or the run "
-            "breakdown of past observed runs (no --kernel)"
+            "breakdown of past observed runs (neither)"
         ),
     )
-    _add_kernel_arguments(stats, required=False, source=True)
+    _add_trace_arguments(stats, required=False)
     stats.add_argument(
         "--machine",
         default=None,
@@ -273,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     limits = sub.add_parser("limits", help="dataflow/resource/serial limits")
-    _add_kernel_arguments(limits, source=True)
+    _add_trace_arguments(limits)
     limits.add_argument("--config", default="M11BR5")
     limits.add_argument(
         "--format",
@@ -358,11 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     stalls = sub.add_parser("stalls", help="stall attribution")
-    _add_kernel_arguments(stalls)
+    _add_trace_arguments(stalls)
     stalls.add_argument("--config", default="M11BR5")
 
     capture = sub.add_parser("capture", help="save a verified trace (JSONL)")
-    _add_kernel_arguments(capture, source=True)
+    _add_trace_arguments(capture)
     capture.add_argument("--out", required=True, help="output path")
 
     replay = sub.add_parser("replay", help="time a saved trace")
@@ -718,10 +741,10 @@ def run_sweep_cmd(args) -> int:
     """The ``sweep`` subcommand: batched multi-machine replay."""
     for spec in args.machines:
         api.parse_spec(spec)  # raises UnknownSpecError -> exit 2
-    traces: List = list(args.kernels or [])
-    traces += list(args.sources or [])
+    traces = [f"kernel:{loop}" for loop in args.kernels or ()]
+    traces += args.sources or []
     if not traces:
-        traces = list(ALL_LOOPS)
+        traces = [f"kernel:{loop}" for loop in ALL_LOOPS]
     run = api.run_sweep(args.machines, traces, config=args.config)
     print(run.render())
     fastpath = run.manifest.get("fastpath", {})
@@ -1019,62 +1042,36 @@ def _dispatch(args) -> int:
         return run_explore(args)
 
     if args.command == "replay":
-        print(api.replay(args.trace, args.machine, config=args.config))
-        return 0
-
-    if args.command == "disasm":
-        print(api.disassemble(args.kernel, **_kernel_kwargs(args)))
+        print(api.simulate(
+            f"file:{args.trace}", args.machine, config=args.config
+        ))
         return 0
 
     if args.command == "sources":
         return run_sources(args.spec)
 
+    if args.command == "stats" and args.machine is not None:
+        return run_machine_info(args.machine)
+
+    spec = _trace_spec(args)
+
+    if args.command == "disasm":
+        print(api.disassemble(spec))
+        return 0
+
     if args.command == "simulate":
-        picked = _picked_trace(args)
-        if picked is None:
-            return 2
-        if args.source is not None:
-            print(api.simulate_source(
-                args.source, args.machine, config=args.config
-            ))
-            return 0
-        kwargs = _kernel_kwargs(args)
-        print(api.simulate(args.kernel, args.machine, config=args.config, **kwargs))
+        print(api.simulate(spec, args.machine, config=args.config))
         return 0
 
     if args.command == "stats":
-        if args.machine is not None:
-            return run_machine_info(args.machine)
-        if args.source is not None:
-            if args.kernel is not None:
-                print("error: give --kernel or --source, not both",
-                      file=sys.stderr)
-                return 2
-            return run_sources(args.source)
-        if args.kernel is None:
+        if spec is None:
             return run_stats(args.run, args.limit, args.format)
-        kwargs = _kernel_kwargs(args)
-        kwargs.pop("explicit_addressing")
-        print(format_stats(api.kernel_stats(args.kernel, **kwargs)))
+        print(format_stats(api.trace_stats(spec)))
         return 0
 
     if args.command == "limits":
-        picked = _picked_trace(args)
-        if picked is None:
-            return 2
-        if args.source is not None:
-            pure = api.limits_source(args.source, config=args.config)
-            serial = api.limits_source(
-                args.source, config=args.config, serial=True
-            )
-        else:
-            kwargs = _kernel_kwargs(args)
-            kwargs.pop("vector")
-            kwargs.pop("explicit_addressing")
-            pure = api.limits(args.kernel, config=args.config, **kwargs)
-            serial = api.limits(
-                args.kernel, config=args.config, serial=True, **kwargs
-            )
+        pure = api.limits(spec, config=args.config)
+        serial = api.limits(spec, config=args.config, serial=True)
         if args.format == "json":
             payload = {
                 "pure": pure.to_payload(),
@@ -1091,38 +1088,15 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "stalls":
-        kwargs = _kernel_kwargs(args)
-        kwargs.pop("vector")
-        kwargs.pop("explicit_addressing")
-        print(api.stalls(args.kernel, config=args.config, **kwargs).render())
+        print(api.stalls(spec, config=args.config).render())
         return 0
 
     if args.command == "capture":
-        picked = _picked_trace(args)
-        if picked is None:
-            return 2
-        if args.source is not None:
-            count = api.capture_source(args.source, args.out)
-        else:
-            kwargs = _kernel_kwargs(args)
-            kwargs.pop("explicit_addressing")
-            count = api.capture(args.kernel, args.out, **kwargs)
+        count = api.capture(spec, args.out)
         print(f"wrote {count} entries to {args.out}")
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
-
-
-def _picked_trace(args) -> Optional[str]:
-    """Enforce exactly one of --kernel / --source; None means exit 2."""
-    if args.kernel is not None and args.source is not None:
-        print("error: give --kernel or --source, not both", file=sys.stderr)
-        return None
-    if args.kernel is None and args.source is None:
-        print("error: one of --kernel or --source is required",
-              file=sys.stderr)
-        return None
-    return "source" if args.source is not None else "kernel"
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -197,8 +197,9 @@ def clear_process_memo() -> None:
     GLOBAL_TRACE_CACHE.clear()
 
 
-def _cacheable(source: str, cache: Optional[DiskCache]) -> Optional[DiskCache]:
-    """*cache*, or None for ``file:`` sources (the file can change)."""
+def _cacheable(source: str, cache):
+    """*cache* (a DiskCache or the trace memo), or None for ``file:``
+    sources (the file can change)."""
     return None if source.startswith("file:") else cache
 
 
@@ -213,12 +214,15 @@ def resolve_trace(
     and only then captures through the source registry (kernels verify
     against their NumPy reference there).  With the default ``fork``
     start method pool workers inherit a snapshot of the memo and extend
-    their own copy.  Returns ``(trace, "memo" | "disk" | "built")``.
+    their own copy.  ``file:`` sources skip the memo like the DiskCache:
+    the file can change between calls.  Returns ``(trace, "memo" |
+    "disk" | "built")``.
     """
+    if _cacheable(source, GLOBAL_TRACE_CACHE) is None:
+        return trace_source(source), "built"
     trace = GLOBAL_TRACE_CACHE.peek(source)
     if trace is not None:
         return trace, "memo"
-    cache = _cacheable(source, cache)
     trace = cache.load_trace(trace_key(source)) if cache is not None else None
     origin = "disk"
     if trace is None:

@@ -49,9 +49,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 from .record import Trace
+
+if TYPE_CHECKING:
+    from ..kernels import KernelInstance
 
 __all__ = [
     "FAMILY_ENVELOPES",
@@ -62,6 +65,7 @@ __all__ = [
     "UnknownTraceSourceError",
     "available_sources",
     "format_trace_spec",
+    "kernel_instance",
     "list_sources",
     "parse_trace_spec",
     "register_source",
@@ -196,14 +200,35 @@ def trace_source(spec: str) -> Trace:
     (:class:`~repro.trace.importer.TraceImportError` with path and line
     number) instead of being folded into the spec error.
     """
-    from .io import TraceFormatError
-
     parsed = parse_trace_spec(spec)
     source = _SOURCES.get(parsed.head)
     if source is None:
         raise UnknownTraceSourceError(spec)
+    return _build(spec, source.builder, parsed.params)
+
+
+def kernel_instance(spec: str) -> "KernelInstance":
+    """The :class:`~repro.kernels.KernelInstance` a ``kernel:`` spec names.
+
+    The one place a kernel spec becomes a program: the ``kernel`` source
+    verifies this instance's trace, and the program listing
+    (``repro disasm``) reads it.  Other heads and bad parameters raise
+    :class:`UnknownTraceSourceError`.
+    """
+    parsed = parse_trace_spec(spec)
+    if parsed.head != "kernel":
+        raise UnknownTraceSourceError(
+            spec, reason="only kernel: specs name an assembly program"
+        )
+    return _build(spec, _kernel_instance, parsed.params)
+
+
+def _build(spec: str, builder: Callable, params: Tuple[str, ...]):
+    """``builder(params)``, any ``ValueError`` folded into a spec error."""
+    from .io import TraceFormatError
+
     try:
-        return source.builder(parsed.params)
+        return builder(params)
     except (UnknownTraceSourceError, TraceFormatError):
         raise
     except ValueError as exc:
@@ -298,7 +323,7 @@ def _reject_leftovers(pairs: Dict[str, str], accepted: str) -> None:
 # imports here would be circular.
 # ----------------------------------------------------------------------
 
-def _build_kernel_source(params: Tuple[str, ...]) -> Trace:
+def _kernel_instance(params: Tuple[str, ...]) -> "KernelInstance":
     from ..kernels import ALL_LOOPS, build_kernel
     from ..kernels.vectorized import VECTORIZED_LOOPS, build_vectorized
 
@@ -338,11 +363,15 @@ def _build_kernel_source(params: Tuple[str, ...]) -> Trace:
                 "vector=on does not combine with unroll/schedule/"
                 "addressing overrides"
             )
-        return build_vectorized(number, n).verify()
+        return build_vectorized(number, n)
     return build_kernel(
         number, n, schedule=schedule, unroll=unroll,
         explicit_addressing=explicit,
-    ).verify()
+    )
+
+
+def _build_kernel_source(params: Tuple[str, ...]) -> Trace:
+    return _kernel_instance(params).verify()
 
 
 #: ``synthetic`` presets: named corners of the SyntheticSpec space.

@@ -80,6 +80,21 @@ class TestStallBreakdown:
         fast = stall_breakdown(loop5_trace, M5BR2)
         assert fast.stall_cycles < slow.stall_cycles
 
+    def test_event_replay_matches_telemetry(self, loop5_trace):
+        from repro.core import fastpath
+
+        fast = stall_breakdown(loop5_trace, M11BR5)
+        previous = fastpath.set_enabled(False)
+        try:
+            replayed = stall_breakdown(loop5_trace, M11BR5)
+        finally:
+            fastpath.set_enabled(previous)
+        assert fast.records == []
+        assert len(replayed.records) == len(loop5_trace)
+        assert replayed.stalled_by == fast.stalled_by
+        assert replayed.total_cycles == fast.total_cycles
+        assert replayed.issue_cycles == fast.issue_cycles
+
     def test_render(self, loop5_trace):
         text = stall_breakdown(loop5_trace, M11BR5).render()
         assert "source register" in text

@@ -69,42 +69,60 @@ class TestRunTable:
 
 class TestSimulate:
     def test_returns_simulation_result(self):
-        result = api.simulate(12, "cray", n=16, config="M5BR2")
+        result = api.simulate("kernel:12:n=16", "cray", config="M5BR2")
         assert isinstance(result, SimulationResult)
         assert result.config.name == "M5BR2"
         assert 0 < result.issue_rate < 1.5
 
+    def test_kernel_spec_replays_the_memoized_trace(self, monkeypatch):
+        """A single-trace call and a kernel instance share one trace."""
+        from repro.kernels import build_kernel
+
+        trace = build_kernel(5).trace()
+        resolved = []
+
+        def spy(spec):
+            resolved.append(real(spec))
+            return resolved[-1]
+
+        real = api._resolve_trace
+        monkeypatch.setattr(api, "_resolve_trace", spy)
+        api.simulate("kernel:5:n=200", "cray")
+        assert len(resolved) == 1
+        assert resolved[0][0] is trace
+        assert resolved[0][1] == "memo"
+
     def test_unknown_machine_raises_structured_error(self):
         with pytest.raises(UnknownSpecError):
-            api.simulate(12, "warp-drive", n=16)
+            api.simulate("kernel:12:n=16", "warp-drive")
 
 
 class TestLimitsAndStalls:
     def test_limits(self):
-        report = api.limits(5, n=8)
+        report = api.limits("kernel:5:n=8")
         assert report.actual_rate <= report.pseudo_dataflow_rate + 1e-9
-        serial = api.limits(5, n=8, serial=True)
+        serial = api.limits("kernel:5:n=8", serial=True)
         assert serial.actual_rate <= report.actual_rate + 1e-9
 
     def test_stalls_render(self):
-        text = api.stalls(5, n=8).render()
+        text = api.stalls("kernel:5:n=8").render()
         assert "source register" in text
 
 
 class TestKernelHelpers:
     def test_disassemble(self):
-        listing = api.disassemble(5, n=8)
+        listing = api.disassemble("kernel:5:n=8")
         assert "LOADS" in listing
 
     def test_kernel_stats(self):
-        stats = api.kernel_stats(5, n=8)
+        stats = api.trace_stats("kernel:5:n=8")
         assert stats.total > 0
 
     def test_capture_replay_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        count = api.capture(12, str(path), n=16)
+        count = api.capture("kernel:12:n=16", str(path))
         assert count > 0 and path.exists()
-        result = api.replay(str(path), "ooo:4")
+        result = api.simulate(f"file:{path}", "ooo:4")
         assert isinstance(result, SimulationResult)
         assert result.instructions == count
 
@@ -183,12 +201,12 @@ class TestRunSweep:
     SPECS = ("cray", "ooo:2", "ruu:2:10")
 
     def test_matches_per_spec_simulate(self):
-        run = api.run_sweep(self.SPECS, [1, 5])
+        run = api.run_sweep(self.SPECS, ["kernel:1", "kernel:5"])
         assert run.specs == self.SPECS
         for spec in self.SPECS:
             assert len(run.results[spec]) == 2
             for result, kernel in zip(run.results[spec], (1, 5)):
-                solo = api.simulate(kernel, spec)
+                solo = api.simulate(f"kernel:{kernel}", spec)
                 assert result.cycles == solo.cycles
                 assert result.instructions == solo.instructions
 
@@ -197,9 +215,9 @@ class TestRunSweep:
         the manifest attributes the replays to the sweep."""
         from repro.harness.aggregate import harmonic_mean
 
-        run = api.run_sweep(self.SPECS, [12])
+        run = api.run_sweep(self.SPECS, ["kernel:12"])
         for spec in self.SPECS:
-            solo = api.simulate(12, spec)
+            solo = api.simulate("kernel:12", spec)
             assert run.results[spec][0].detail == solo.detail
             assert run.rates[spec] == harmonic_mean(
                 [solo.instructions / solo.cycles]
@@ -216,18 +234,18 @@ class TestRunSweep:
 
     def test_rejects_bad_spec_before_running(self):
         with pytest.raises(api.UnknownSpecError):
-            api.run_sweep(["cray", "warp-drive"], [1])
+            api.run_sweep(["cray", "warp-drive"], ["kernel:1"])
 
     def test_rejects_empty_specs(self):
         with pytest.raises(ValueError, match="specs is empty"):
-            api.run_sweep([], [1])
+            api.run_sweep([], ["kernel:1"])
 
     def test_rejects_empty_traces(self):
         with pytest.raises(ValueError, match="traces is empty"):
             api.run_sweep(["cray"], [])
 
     def test_render_lists_every_spec(self):
-        run = api.run_sweep(self.SPECS, [1])
+        run = api.run_sweep(self.SPECS, ["kernel:1"])
         text = run.render()
         for spec in self.SPECS:
             assert spec in text

@@ -270,8 +270,83 @@ class TestVectorFlag:
         assert "per cycle" in out
 
     def test_vector_flag_rejects_scalar_only_loops(self, capsys):
-        with pytest.raises(ValueError):
-            main(["simulate", "--kernel", "5", "--vector"])
+        code = main(["simulate", "--kernel", "5", "--vector"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "loop 5" in err[0]
+
+
+#: (flags, spec tokens) for each kernel modifier of the trace group.
+MODIFIERS = [
+    pytest.param((), "", id="plain"),
+    pytest.param(("--unroll", "2"), ":unroll=2", id="unroll"),
+    pytest.param(("--no-schedule",), ":schedule=off", id="no-schedule"),
+    pytest.param(("--vector",), ":vector=on", id="vector"),
+    pytest.param(
+        ("--explicit-addressing",), ":addressing=explicit", id="explicit"
+    ),
+]
+
+#: The six single-trace commands, each with its own trailing flags.
+TRACE_COMMANDS = [
+    ("simulate", ()),
+    ("limits", ("--format", "json")),
+    ("stats", ()),
+    ("stalls", ()),
+    ("capture", ("--out",)),
+    ("disasm", ()),
+]
+
+
+class TestTraceRoute:
+    """``--kernel`` and its flags are spellings of a ``kernel:`` spec."""
+
+    @staticmethod
+    def _output(capsys, argv, out_path):
+        extra = (str(out_path),) if argv[0] == "capture" else ()
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        return out + (out_path.read_text() if extra else "")
+
+    @pytest.mark.parametrize("flags,tokens", MODIFIERS)
+    @pytest.mark.parametrize(
+        "command,tail", TRACE_COMMANDS, ids=[c for c, _ in TRACE_COMMANDS]
+    )
+    def test_kernel_flags_match_source_spec(
+        self, capsys, tmp_path, command, tail, flags, tokens
+    ):
+        n = "64" if "--vector" in flags else "16"
+        out_path = tmp_path / "t.jsonl"
+        by_flags = self._output(
+            capsys,
+            (command, "--kernel", "12", "--n", n, *flags, *tail),
+            out_path,
+        )
+        by_spec = self._output(
+            capsys,
+            (command, "--source", f"kernel:12:n={n}{tokens}", *tail),
+            out_path,
+        )
+        assert by_flags == by_spec
+
+    def test_modifier_with_source_exits_2(self, capsys):
+        code = main(["simulate", "--source", "branchy", "--n", "5"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--n modify --kernel only" in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("--kernel", "5", "--vector"),
+        ("--kernel", "12", "--vector", "--unroll", "4"),
+        ("--source", "kernel:12:vector=on:unroll=4"),
+    ])
+    def test_conflicting_kernel_flags_exit_2(self, capsys, argv):
+        code = main(["simulate", *argv])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestSweepCommand:

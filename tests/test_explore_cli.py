@@ -87,7 +87,7 @@ class TestLimitsJson:
             "limits", "--kernel", "5", "--format", "json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        expected = api.limits(5).to_payload()
+        expected = api.limits("kernel:5").to_payload()
         assert payload["pure"] == expected
 
     def test_text_format_unchanged(self, capsys):

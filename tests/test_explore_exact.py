@@ -54,7 +54,7 @@ class TestSimulateSpecsPlan:
 
     def test_file_sources_never_cached(self, tmp_path):
         path = tmp_path / "branchy.jsonl"
-        api.capture_source(SOURCES[0], str(path))
+        api.capture(SOURCES[0], str(path))
         cache = DiskCache(tmp_path / "cache")
         file_rates, run = simulate_specs(
             SPECS, [f"file:{path}"], workers=1, cache=cache
@@ -66,6 +66,16 @@ class TestSimulateSpecsPlan:
         assert run.stats.result_hits == rerun.stats.result_hits == 0
         direct, _ = simulate_specs(SPECS, SOURCES[:1], workers=1)
         assert file_rates == again == direct
+        # Nor memoized in-process: rewriting the file changes the next run.
+        api.capture(SOURCES[1], str(path))
+        rewritten, _ = simulate_specs(
+            SPECS, [f"file:{path}"], workers=1, cache=cache
+        )
+        other, _ = simulate_specs(SPECS, SOURCES[1:], workers=1)
+        assert rewritten == other != file_rates
+        trace, origin = engine.resolve_trace(f"file:{path}")
+        assert origin == "built"
+        assert len(trace) == len(engine.resolve_trace(SOURCES[1])[0])
 
     def test_explore_captures_and_compiles_each_source_once(
         self, tmp_path, monkeypatch

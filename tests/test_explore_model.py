@@ -120,14 +120,14 @@ class TestAnchors:
     def test_resource_term_equals_exact_resource_limit(self, source):
         """At fu=1 the model's resource term IS the limit study's bound."""
         anchors = anchors_for(source)
-        payload = api.limits_source(source).to_payload()
+        payload = api.limits(source).to_payload()
         assert _resource_rate(anchors, 1) == pytest.approx(
             payload["resource"]["rate"]
         )
         assert anchors.dataflow_rate == pytest.approx(
             payload["pseudo_dataflow"]["rate"]
         )
-        serial_payload = api.limits_source(source, serial=True).to_payload()
+        serial_payload = api.limits(source, serial=True).to_payload()
         assert anchors.serial_rate == pytest.approx(
             serial_payload["actual_rate"]
         )

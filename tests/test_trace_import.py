@@ -193,12 +193,12 @@ def test_replay_through_every_surface(tmp_path):
 
     trace = trace_source("fuzz:seed=3:len=48")
     path = tmp_path / "t.jsonl"
-    assert api.capture_source("fuzz:seed=3:len=48", str(path)) == len(trace)
+    assert api.capture("fuzz:seed=3:len=48", str(path)) == len(trace)
 
     spec = f"file:{path}"
-    sim = api.simulate_source(spec, "ooo:2")
+    sim = api.simulate(spec, "ooo:2")
     assert sim.instructions == len(trace)
-    limits = api.limits_source(spec)
+    limits = api.limits(spec)
     assert limits.actual_rate > 0
     stats = api.source_stats(spec)
     assert stats.length == len(trace)
