@@ -14,9 +14,10 @@ runner, and the benchmark scripts run experiments::
 Key facts:
 
 * :func:`run_table` decomposes a table into independent
-  ``(kernel, machine-spec, config)`` cells, fans them out over a process
-  pool (``workers``, default ``os.cpu_count()``), and merges results
-  deterministically -- parallel output is bit-identical to serial.
+  ``(source, machine-spec, config)`` cells, evaluates them as one sweep
+  group per trace source over a process pool (``workers``, default
+  ``os.cpu_count()``), and merges results deterministically -- parallel
+  output is bit-identical to serial.
 * Results and traces persist in a content-addressed store under
   ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``); pass ``cache=False``
   to opt out.  Cache state can only affect timing, never results.
@@ -28,7 +29,7 @@ Key facts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,6 +46,7 @@ from .bench import (
 from .core import SimulationResult, build_simulator, config_by_name
 from .core import fastpath
 from .explore import ExploreRun, SpaceError, explore as _explore
+from .explore.exact import simulate_specs
 from .core.registry import (
     ParsedSpec,
     UnknownSpecError,
@@ -52,7 +54,7 @@ from .core.registry import (
     list_specs,
     parse_spec as _parse_spec_string,
 )
-from .harness.aggregate import harmonic_mean, relative_error
+from .harness.aggregate import relative_error
 from .harness.engine import EngineStats, resolve_trace as _resolve_trace, run_plan
 from .harness.progress import ProgressCallback, ProgressEvent
 from .harness.paper import PAPER_SECTION33, PAPER_SECTION33_TABLE, PAPER_TABLES
@@ -210,10 +212,11 @@ def run_table(
         sizes: loop-number -> problem-size overrides (tests use this).
         observe: record a span trace and write a durable run manifest
             under the cache root; returned as ``run.manifest``.
-        progress: optional per-cell completion callback; invoked in this
+        progress: optional completion callback; invoked in this
             process with one :class:`~repro.harness.progress.
-            ProgressEvent` per finished cell, in completion order (the
-            CLI renders it as the ``tables --progress`` ticker).
+            ProgressEvent` per finished sweep group (one per trace
+            source), in completion order (the CLI renders it as the
+            ``tables --progress`` ticker).
         plan_overrides: table-specific sweep parameters (``stations``,
             ``ruu_sizes``, ``units``).
 
@@ -447,7 +450,6 @@ def verify_machines(
     machines: Optional[Sequence[str]] = None,
     configs: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
-    fuzz: Optional[FuzzSpec] = None,
     shrink: bool = True,
     dump_dir: Optional[str] = None,
     first_seed: int = 0,
@@ -472,8 +474,8 @@ def verify_machines(
             :class:`UnknownSpecError` up front.
         configs: machine-variant names (default: all four paper
             variants); seeds rotate through them.
-        trace_length: override the fuzzed trace length only.
-        fuzz: full trace-shape control (overrides *trace_length*).
+        trace_length: override the fuzzed trace length only (full
+            trace-shape control is :attr:`VerifyOptions.fuzz`).
         source: seeded trace-source spec to draw the campaign's traces
             from instead of the default fuzzer (``"branchy"``,
             ``"fuzz:pointer"``, ``"synthetic:deep"`` ...); the runner
@@ -486,9 +488,7 @@ def verify_machines(
             event-derived reduction (``repro verify --telemetry``).
         log: optional progress sink (the CLI passes ``print``).
     """
-    shape = fuzz if fuzz is not None else FuzzSpec()
-    if fuzz is None and trace_length is not None:
-        shape = replace(shape, length=trace_length)
+    shape = FuzzSpec() if trace_length is None else FuzzSpec(length=trace_length)
     options = VerifyOptions(
         seeds=seeds,
         machines=tuple(machines) if machines else DEFAULT_ORACLE_MACHINES,
@@ -619,27 +619,27 @@ def machine_info(spec: str) -> MachineInfo:
 
 @dataclass(frozen=True)
 class SweepRun:
-    """One finished :func:`run_sweep`: every replay plus the aggregates.
+    """One finished :func:`run_sweep`: per-spec aggregate rates.
 
-    ``results[spec]`` holds one :class:`SimulationResult` per trace, in
-    trace order; ``rates[spec]`` is the harmonic mean of the per-trace
-    issue rates (instructions per cycle), the paper's aggregate.
-    ``manifest`` is shared across the whole sweep: the specs, traces,
-    wall time and the fast-path counter deltas attributing the replays
-    to the loop that served them.
+    ``rates[spec]`` is the harmonic mean of the spec's per-source issue
+    rates (instructions per cycle) in source order, the paper's
+    aggregate.  ``stats`` is the engine run's :class:`EngineStats`: wall
+    time, groups, and -- in ``stats.metrics["counters"]`` -- the
+    ``fastpath.*`` deltas attributing the replays to the loop that
+    served them.
     """
 
     specs: Tuple[str, ...]
     config: str
-    results: Mapping[str, Tuple[SimulationResult, ...]]
+    sources: Tuple[str, ...]
     rates: Mapping[str, float]
-    manifest: Mapping[str, object]
+    stats: EngineStats
 
     def render(self) -> str:
         """A small fixed-width report: one line per spec."""
         lines = [
             f"sweep: {len(self.specs)} machines x "
-            f"{len(self.manifest['traces'])} traces on {self.config}"
+            f"{len(self.sources)} traces on {self.config}"
         ]
         for spec in self.specs:
             lines.append(f"  {spec:<16} rate {self.rates[spec]:.3f}")
@@ -648,91 +648,47 @@ class SweepRun:
 
 def run_sweep(
     specs: Sequence[str],
-    traces: Sequence,
+    sources: Sequence[str],
     *,
     config: str = "M11BR5",
 ) -> SweepRun:
-    """Replay a set of traces through a set of machine specs as sweeps.
+    """Replay a set of trace sources through a set of machine specs.
 
-    The sweep-shaped entry point: each trace is lowered once and
-    replayed through *every* spec in one
+    The sweep-shaped entry point: the explorer's exact-simulation plan
+    (:func:`repro.explore.exact.simulate_specs`, one rate cell per
+    (spec, source)) run in-process and without a DiskCache.  The engine
+    evaluates each source as one sweep group: its trace is lowered once
+    and replayed through *every* spec in one
     :func:`repro.core.fastpath.simulate_sweep` call.  Machines without a
     compiled loop -- and every machine when the fast path is disabled --
-    run their reference loops; results are bit-identical to each
+    run their reference loops; rates are bit-identical to each
     machine's own ``simulate`` either way.
 
     Args:
         specs: registry spec strings; every spec is validated up front
             and an :class:`UnknownSpecError` names the first bad one.
-        traces: :class:`~repro.trace.Trace` objects or trace-source
-            spec strings (``"kernel:5"``, ``"branchy:n=256"``,
-            ``"file:trace.jsonl"`` ...), resolved like
-            :func:`resolve_trace`.
+        sources: trace-source spec strings (``"kernel:5"``,
+            ``"branchy:n=256"``, ``"file:trace.jsonl"`` ...), resolved
+            like :func:`resolve_trace`.
         config: machine-variant name (``M11BR5`` ...).
 
-    An empty *specs* or *traces* raises :class:`ValueError` naming it.
-
-    Returns:
-        A :class:`SweepRun` with per-(spec, trace) results, per-spec
-        harmonic-mean rates, and one shared manifest.
+    An empty *specs* or *sources* raises :class:`ValueError` naming it.
     """
-    import time as _time
-
     spec_list = tuple(specs)
-    trace_list = list(traces)
+    source_list = tuple(sources)
     if not spec_list:
         raise ValueError("run_sweep: specs is empty; name at least one machine")
-    if not trace_list:
-        raise ValueError("run_sweep: traces is empty; name at least one trace")
+    if not source_list:
+        raise ValueError("run_sweep: sources is empty; name at least one trace")
     for spec in spec_list:
         parse_spec(spec)
-    machine_config = config_by_name(config)
-    simulators = [build_simulator(spec) for spec in spec_list]
-    resolved = [
-        item if isinstance(item, Trace) else resolve_trace(item)
-        for item in trace_list
-    ]
-
-    stats_before = fastpath.stats()
-    start = _time.perf_counter()
-    per_spec: Dict[str, List[SimulationResult]] = {
-        spec: [] for spec in spec_list
-    }
-    for trace in resolved:
-        swept = fastpath.simulate_sweep(
-            trace,
-            [(simulator, machine_config) for simulator in simulators],
-        )
-        for spec, result in zip(spec_list, swept):
-            per_spec[spec].append(result)
-    wall = _time.perf_counter() - start
-    stats_after = fastpath.stats()
-
-    rates = {
-        spec: harmonic_mean(
-            [r.instructions / r.cycles for r in results]
-        )
-        for spec, results in per_spec.items()
-    }
-    manifest = {
-        "specs": list(spec_list),
-        "traces": [trace.name for trace in resolved],
-        "config": config,
-        "wall_seconds": wall,
-        "fastpath": {
-            key: stats_after[key] - stats_before.get(key, 0)
-            for key in stats_after
-            if stats_after[key] - stats_before.get(key, 0)
-        },
-    }
+    rates, run = simulate_specs(spec_list, source_list, config=config, workers=1)
     return SweepRun(
         specs=spec_list,
         config=config,
-        results={
-            spec: tuple(results) for spec, results in per_spec.items()
-        },
+        sources=source_list,
         rates=rates,
-        manifest=manifest,
+        stats=run.stats,
     )
 
 

@@ -7,7 +7,7 @@ parses arguments and prints, the facade does the work:
   quote (``section33``) or the per-loop appendix (``per-loop``) in
   parallel with a persistent result store (``--workers``, ``--no-cache``, ``--compare``;
   records a run manifest unless ``--no-observe``; ``--progress``
-  streams per-cell completions to stderr, as a human ticker or
+  streams per-group completions to stderr, as a human ticker or
   ``--progress-format jsonl``);
 * ``simulate`` -- time one trace on one machine organisation;
 * ``disasm``   -- print a kernel's assembly listing;
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument(
         "--progress",
         action="store_true",
-        help="stream per-cell completions to stderr while the run is live",
+        help="stream per-group completions to stderr while the run is live",
     )
     tables.add_argument(
         "--progress-format",
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help=(
             "progress rendering: a live human ticker (default) or one "
-            "JSON object per completed cell; implies --progress"
+            "JSON object per completed group; implies --progress"
         ),
     )
 
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _progress_callback(progress_format: str, stream=None):
     """A :class:`~repro.api.ProgressCallback` rendering to *stream*.
 
-    ``jsonl`` writes one JSON object per completed cell (machine-
+    ``jsonl`` writes one JSON object per completed sweep group (machine-
     readable, the seed of the serve-layer streaming API); ``human``
     writes a live ticker -- carriage-return rewrites on a TTY, plain
     lines otherwise.  Progress goes to stderr so table output on stdout
@@ -555,15 +555,11 @@ def _progress_callback(progress_format: str, stream=None):
     interactive = getattr(stream, "isatty", lambda: False)()
 
     def emit_human(event) -> None:
-        cell = (
-            f"{event.source} "
-            + (f"{event.machine}/" if event.machine else "limits/")
-            + event.config
-        )
         line = (
             f"[{event.completed:>3}/{event.total}] {event.table_id} "
-            f"{cell:<40} {event.seconds:7.3f}s"
-            + ("  (cached)" if event.result_hit else "")
+            f"{event.source:<32} {event.cells:>4} cells "
+            f"{event.seconds:7.3f}s"
+            + (f"  ({event.hits} cached)" if event.hits else "")
         )
         if interactive:
             stream.write("\r\x1b[2K" + line)
@@ -625,10 +621,15 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
         f"cache: {'on' if manifest.config.get('cache_enabled') else 'off'}",
     ]
     timings = manifest.timings
+    if manifest.version < 2:
+        group_time = timings.get("cell_seconds", 0.0)
+        longest = "max n/a in a v1 manifest"
+    else:
+        group_time = timings.get("group_seconds", 0.0)
+        longest = f"max {timings.get('max_group_seconds', 0.0):.3f}s"
     lines.append(
         f"  wall {timings.get('wall_seconds', 0.0):.2f}s, "
-        f"cell time {timings.get('cell_seconds', 0.0):.2f}s "
-        f"(max {timings.get('max_cell_seconds', 0.0):.3f}s), "
+        f"group time {group_time:.2f}s ({longest}), "
         f"queue wait {timings.get('queue_wait_seconds', 0.0):.3f}s"
     )
     hit_rate = manifest.cache_hit_rate
@@ -681,13 +682,13 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
             f"{pid}: {share:.0%}" for pid, share in sorted(utilization.items())
         )
         lines.append(f"  worker utilization: {shares}")
-    cells = manifest.cell_timings()
-    if cells:
-        lines.append(f"  slowest cells (of {len(cells)}):")
-        for cell in cells[:top]:
+    groups = manifest.group_timings()
+    if groups:
+        lines.append(f"  slowest groups (of {len(groups)}):")
+        for group in groups[:top]:
             lines.append(
-                f"    {cell['name']:<44} {cell['seconds']:>8.3f}s  "
-                f"pid {cell['pid']}"
+                f"    {group['name']:<44} {group['seconds']:>8.3f}s  "
+                f"pid {group['pid']}"
             )
     return "\n".join(lines)
 
@@ -741,23 +742,27 @@ def run_sweep_cmd(args) -> int:
     """The ``sweep`` subcommand: batched multi-machine replay."""
     for spec in args.machines:
         api.parse_spec(spec)  # raises UnknownSpecError -> exit 2
-    traces = [f"kernel:{loop}" for loop in args.kernels or ()]
-    traces += args.sources or []
-    if not traces:
-        traces = [f"kernel:{loop}" for loop in ALL_LOOPS]
-    run = api.run_sweep(args.machines, traces, config=args.config)
+    sources = [f"kernel:{loop}" for loop in args.kernels or ()]
+    sources += args.sources or []
+    if not sources:
+        sources = [f"kernel:{loop}" for loop in ALL_LOOPS]
+    run = api.run_sweep(args.machines, sources, config=args.config)
     print(run.render())
-    fastpath = run.manifest.get("fastpath", {})
-    swept = fastpath.get("batch.sweeps", 0)
-    fallback = fastpath.get("batch.fallback_runs", 0)
-    reused = fastpath.get("batch.reused_runs", 0)
+    counters = run.stats.metrics["counters"]
+
+    def count(key: str) -> int:
+        return int(counters.get(f"fastpath.{key}", 0))
+
+    swept = count("batch.sweeps")
+    fallback = count("batch.fallback_runs")
+    reused = count("batch.reused_runs")
     if swept or fallback:
         print(
-            f"  [{fastpath.get('fast_runs', 0)} fast replays via "
+            f"  [{count('fast_runs')} fast replays via "
             f"{swept} batched sweeps"
             + (f"; {reused} reused" if reused else "")
             + (f"; {fallback} per-spec fallbacks" if fallback else "")
-            + f"; {run.manifest['wall_seconds']:.3f}s]"
+            + f"; {run.stats.wall_seconds:.3f}s]"
         )
     return 0
 

@@ -26,7 +26,8 @@ i.e. the reference loop), compiles the trace once, and hands the
 eligible members to :func:`batch.sweep`.  The experiment engine
 (:mod:`repro.harness.engine`) and the differential oracle
 (:mod:`repro.verify.oracle`) route sweep-shaped work through here;
-:func:`repro.api.run_sweep` exposes it publicly.
+:func:`repro.api.run_sweep` and ``repro sweep`` reach it as an engine
+plan.
 
 Bit-identity with ``reference_simulate`` is a hard invariant for every
 loop and kernel, enforced by the differential suites

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from ..isa import FunctionalUnit, Register
-from ..obs.events import EventCallback, EventKind, SimEvent, tee
+from ..obs.events import EventCallback, EventKind, SimEvent
 from ..trace import Trace
 from .base import CompiledSimulator
 from .config import MachineConfig
@@ -163,28 +163,6 @@ class ScoreboardMachine(CompiledSimulator):
         return self._label
 
     # ------------------------------------------------------------------
-    def simulate_recorded(
-        self,
-        trace: Trace,
-        config: MachineConfig,
-        recorder: Optional[ScheduleRecorder],
-    ) -> SimulationResult:
-        """Like :meth:`simulate`, optionally emitting an
-        :class:`IssueRecord` per instruction (used by
-        :mod:`repro.analysis` for stall attribution and timelines).
-
-        The records are derived from the same typed event stream any
-        ``on_event`` subscriber sees, via :class:`EventRecorder`; an
-        installed ``on_event`` hook keeps receiving events alongside.
-        """
-        if recorder is None:
-            return self.simulate(trace, config)
-        if self.on_event is None:
-            emit: Optional[EventCallback] = EventRecorder(recorder)
-        else:
-            emit = tee(self.on_event, EventRecorder(recorder))
-        return self._simulate(trace, config, emit)
-
     def _simulate(
         self,
         trace: Trace,

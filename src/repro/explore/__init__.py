@@ -191,10 +191,15 @@ class ExploreRun:
                 f"{point.relative_error:>5.1%}  {point.spec}"
             )
         lines.append("")
+        audit = (
+            f"audit mean {self.audit_errors.mean_relative:.1%}"
+            if self.audit_errors.count
+            else "no audit sample"
+        )
         lines.append(
             f"  model error: mean {self.errors.mean_relative:.1%} / "
             f"max {self.errors.max_relative:.1%} over {self.errors.count} "
-            f"simulated; audit mean {self.audit_errors.mean_relative:.1%}"
+            f"simulated; {audit}"
         )
         if self.recall is not None:
             lines.append(

@@ -45,8 +45,8 @@ def simulate_specs(
     mean folds each spec's per-source rates in source order -- the
     aggregation of :func:`repro.explore.model.estimate_rates`, so
     predicted and simulated numbers are directly comparable.  *sources*
-    must be normalised spec strings.  Returns ``(spec -> aggregate issue
-    rate, the plan run)``.
+    must be normalised spec strings when *cache* is given (they key its
+    segments).  Returns ``(spec -> aggregate issue rate, the plan run)``.
     """
     rows = tuple(dict.fromkeys(specs))
     plan = ExperimentPlan(

@@ -25,15 +25,16 @@ entry is indistinguishable from a cold cache -- it only costs time (and
 is counted: corruption rebuilds surface in the metrics and the footer).
 ``file:`` sources never touch the DiskCache: the file can change.
 
-Observability: every evaluation aggregates structured metrics
-(:mod:`repro.obs.metrics`) -- per-cell wall time, queue wait, cache
-hit/miss/corruption counts, per-worker utilization, and the ``sim.*``
-telemetry summed once per group -- and, with ``observe=True``, records
-a span trace (plan -> one ``sweep:<source>`` per group -> lookup,
-resolve, replay/limits, store) and writes a durable run manifest next
-to the cache entries (:mod:`repro.obs.manifest`).  Workers ship their
-measurements back inside each :class:`CellOutcome` (plain picklable
-data); the parent merges, so no cross-process state is ever shared.
+Observability: the sweep group is also the unit of report.  Every
+evaluation aggregates structured metrics (:mod:`repro.obs.metrics`) --
+per-group wall time and queue wait, cache hit/miss/corruption counts,
+per-worker utilization, and the ``sim.*`` telemetry summed once per
+group -- and, with ``observe=True``, records a span trace (plan -> one
+``sweep:<source>`` per group -> lookup, resolve, replay/limits, store)
+and writes a durable run manifest next to the cache entries
+(:mod:`repro.obs.manifest`).  Workers ship their measurements back
+inside one :class:`GroupOutcome` per group (plain picklable data); the
+parent merges, so no cross-process state is ever shared.
 """
 
 from __future__ import annotations
@@ -243,24 +244,34 @@ SpanRecord = Tuple[str, float, float, int, Mapping[str, Any]]
 
 
 @dataclass(frozen=True)
-class CellOutcome:
-    """What evaluating one cell produced (plus bookkeeping).
+class GroupOutcome:
+    """What evaluating one sweep group produced (plus bookkeeping).
 
-    Span endpoints are ``time.monotonic()`` readings; with the default
-    ``fork`` start method that clock is system-wide, so the parent can
-    nest worker spans directly under its own run trace.  A group's
-    spans, and its metric deltas, ride on the outcome of its first cell.
+    ``values[i]`` is the value mapping of the cell at plan position
+    ``indices[i]`` (plan order).  ``seconds`` is the group's measured
+    time in its worker -- the length of its ``sweep:`` span -- and
+    ``hits`` counts the cells served from the result segment.
+    ``trace_source`` says where the group's trace came from (``"memo"``,
+    ``"disk"`` or ``"built"``), or ``"cached-result"`` when no cell
+    needed it.  Span endpoints are ``time.monotonic()`` readings; with
+    the default ``fork`` start method that clock is system-wide, so the
+    parent can nest worker spans directly under its own run trace.
     """
 
-    index: int
-    values: Mapping[str, float]
+    source: str
+    indices: Tuple[int, ...]
+    values: Tuple[Mapping[str, float], ...]
     seconds: float
-    result_hit: bool
-    trace_source: str  # "memo" | "disk" | "built" | "cached-result"
+    hits: int
+    trace_source: str
     pid: int = 0
     queue_wait: float = 0.0
     spans: Tuple[SpanRecord, ...] = ()
     metrics: Mapping[str, float] = field(default_factory=dict)
+
+    @property
+    def cells(self) -> int:
+        return len(self.indices)
 
 
 def _values_from_record(cell: Cell, record: Mapping[str, Any]) -> Dict[str, float]:
@@ -344,7 +355,7 @@ def evaluate_group(
     cache: Optional[DiskCache],
     *,
     enqueued: Optional[float] = None,
-) -> List[CellOutcome]:
+) -> GroupOutcome:
     """Evaluate ``(index, cell)`` pairs that share one trace source.
 
     With *cache*, the source's segment is read once and every cell is
@@ -360,15 +371,14 @@ def evaluate_group(
     attributes (plus ``trace_source`` when it computed).  A group served
     entirely from its segment has no children; otherwise the children
     are ``lookup`` (with a cache), ``resolve``, ``replay`` and/or
-    ``limits``, and ``store`` (with a cache).  Every cell's seconds are
-    an even share of the lookup plus, for a computed cell, an even
-    share of the rest.  The span, the group's cache/fast-path metric
-    deltas and its ``tlm.*`` telemetry -- summed over every cell, then
-    renamed to ``sim.*`` once -- ride on the group's first outcome.
+    ``limits``, and ``store`` (with a cache).  The returned
+    :class:`GroupOutcome` carries the span, the group's measured
+    seconds, its cache/fast-path metric deltas and its ``tlm.*``
+    telemetry -- summed over every cell, then renamed to ``sim.*`` once.
 
     *enqueued* is the parent's ``time.monotonic()`` reading when the
     group was handed to the pool; the difference to the worker's start
-    is the group's queue wait, charged to its first outcome.
+    is the group's queue wait.
     """
     source = group[0][1].source
     cache = _cacheable(source, cache)
@@ -396,9 +406,8 @@ def evaluate_group(
     pending = [position for position, value in enumerate(values) if value is None]
     looked_up = time.monotonic()
 
-    attrs: Dict[str, Any] = {
-        "cells": len(group), "hits": len(group) - len(pending),
-    }
+    hits = len(group) - len(pending)
+    attrs: Dict[str, Any] = {"cells": len(group), "hits": hits}
     children: List[Tuple[str, float, float]] = []
     metrics: Dict[str, float] = {}
     trace_from = "cached-result"
@@ -428,39 +437,25 @@ def evaluate_group(
     metrics.update(_cache_deltas(cache, before))
     metrics.update(_sim_metrics(detail_totals))
     ended = time.monotonic()
-
-    spans: Tuple[SpanRecord, ...] = (
-        (f"sweep:{source}", started, ended, -1, attrs),
-    ) + tuple((name, start, end, 0, {}) for name, start, end in children)
-    lookup_share = (looked_up - started) / len(group)
-    compute_share = (ended - looked_up) / len(pending) if pending else 0.0
-    first_computed = pending[0] if pending else -1
-    computed = set(pending)
-    outcomes: List[CellOutcome] = []
-    for position, (index, cell) in enumerate(group):
-        hit = position not in computed
-        lead = position == 0
-        if hit:
-            origin = "cached-result"
-        else:
-            origin = trace_from if position == first_computed else "memo"
-        outcomes.append(CellOutcome(
-            index=index,
-            values=values[position],
-            seconds=lookup_share + (0.0 if hit else compute_share),
-            result_hit=hit,
-            trace_source=origin,
-            pid=pid,
-            queue_wait=queue_wait if lead else 0.0,
-            spans=spans if lead else (),
-            metrics=metrics if lead else {},
-        ))
-    return outcomes
+    return GroupOutcome(
+        source=source,
+        indices=tuple(index for index, _ in group),
+        values=tuple(values),
+        seconds=ended - started,
+        hits=hits,
+        trace_source=trace_from,
+        pid=pid,
+        queue_wait=queue_wait,
+        spans=((f"sweep:{source}", started, ended, -1, attrs),) + tuple(
+            (name, start, end, 0, {}) for name, start, end in children
+        ),
+        metrics=metrics,
+    )
 
 
 def _evaluate_in_pool(
     payload: Tuple[List[Tuple[int, Cell]], float]
-) -> List[CellOutcome]:
+) -> GroupOutcome:
     group, enqueued = payload
     return evaluate_group(group, _WORKER_CACHE, enqueued=enqueued)
 
@@ -476,9 +471,10 @@ class EngineStats:
     table_id: str
     cells: int
     workers: int
+    groups: int = 0
     wall_seconds: float = 0.0
-    cell_seconds: float = 0.0
-    max_cell_seconds: float = 0.0
+    group_seconds: float = 0.0
+    max_group_seconds: float = 0.0
     result_hits: int = 0
     traces_built: int = 0
     traces_loaded: int = 0
@@ -515,9 +511,9 @@ class EngineStats:
         else:
             cache = "cache disabled"
         return (
-            f"[{self.table_id}: {self.cells} cells in "
-            f"{self.wall_seconds:.1f}s wall / {self.cell_seconds:.1f}s cell "
-            f"time (max {self.max_cell_seconds:.2f}s), "
+            f"[{self.table_id}: {self.cells} cells in {self.groups} groups, "
+            f"{self.wall_seconds:.1f}s wall / {self.group_seconds:.1f}s "
+            f"group time (max {self.max_group_seconds:.2f}s), "
             f"workers={self.workers}; {cache}]"
         )
 
@@ -532,9 +528,9 @@ class PlanRun:
 
 
 def merge_outcomes(
-    plan: ExperimentPlan, outcomes: List[CellOutcome]
+    plan: ExperimentPlan, outcomes: Sequence[GroupOutcome]
 ) -> ResultTable:
-    """Assemble the table from cell outcomes, in plan order.
+    """Assemble the table from group outcomes, in plan order.
 
     Grouped values are harmonic-meaned in cell order (class loop order),
     matching the paper's per-class aggregation exactly -- and making the
@@ -543,11 +539,16 @@ def merge_outcomes(
     with ``speedup_base`` set, the ``speedup_columns`` means are divided
     by the row's base-column mean after folding.
     """
+    cells = sorted(
+        (pair for outcome in outcomes
+         for pair in zip(outcome.indices, outcome.values)),
+        key=lambda pair: pair[0],
+    )
     grouped: Dict[Tuple[str, str], List[float]] = {}
-    for outcome in sorted(outcomes, key=lambda o: o.index):
-        cell = plan.cells[outcome.index]
-        for column, value in outcome.values.items():
-            grouped.setdefault((cell.row, column), []).append(value)
+    for index, cell_values in cells:
+        row = plan.cells[index].row
+        for column, value in cell_values.items():
+            grouped.setdefault((row, column), []).append(value)
     folds = dict(plan.aggregators)
     rows = []
     for row in plan.rows:
@@ -575,7 +576,7 @@ def merge_outcomes(
     )
 
 
-def _busy_seconds(outcomes: List[CellOutcome]) -> Dict[int, float]:
+def _busy_seconds(outcomes: Sequence[GroupOutcome]) -> Dict[int, float]:
     busy: Dict[int, float] = {}
     for outcome in outcomes:
         busy[outcome.pid] = busy.get(outcome.pid, 0.0) + outcome.seconds
@@ -583,32 +584,30 @@ def _busy_seconds(outcomes: List[CellOutcome]) -> Dict[int, float]:
 
 
 def _aggregate_metrics(
-    outcomes: List[CellOutcome],
+    outcomes: Sequence[GroupOutcome],
     wall_seconds: float,
     workers: int,
     cache_enabled: bool,
 ) -> MetricsRegistry:
-    """Fold per-cell and per-group measurements into one registry."""
+    """Fold the groups' measurements into one registry."""
     registry = MetricsRegistry()
-    registry.inc("engine.cells.total", len(outcomes))
-    registry.inc(
-        "engine.cells.result_hits",
-        sum(1 for o in outcomes if o.result_hit),
-    )
+    registry.inc("engine.cells.total", sum(o.cells for o in outcomes))
+    registry.inc("engine.cells.result_hits", sum(o.hits for o in outcomes))
     registry.set_gauge("engine.workers", workers)
     registry.set_gauge("engine.wall_seconds", wall_seconds)
     registry.set_gauge("engine.cache_enabled", 1.0 if cache_enabled else 0.0)
-    registry.inc("engine.cell.seconds_total", sum(o.seconds for o in outcomes))
+    registry.inc(
+        "engine.group.seconds_total", sum(o.seconds for o in outcomes)
+    )
     registry.inc(
         "engine.queue.wait_seconds_total", sum(o.queue_wait for o in outcomes)
     )
-    cell_seconds = registry.histogram("engine.cell.seconds")
+    group_seconds = registry.histogram("engine.group.seconds")
     queue_wait = registry.histogram("engine.queue.wait_seconds")
     for outcome in outcomes:
-        # Group-level metrics ride on one outcome per group.
         for name, value in outcome.metrics.items():
             registry.inc(name, value)
-        cell_seconds.observe(outcome.seconds)
+        group_seconds.observe(outcome.seconds)
         queue_wait.observe(outcome.queue_wait)
     for pid, busy in sorted(_busy_seconds(outcomes).items()):
         utilization = busy / wall_seconds if wall_seconds > 0 else 0.0
@@ -619,7 +618,7 @@ def _aggregate_metrics(
 
 def _build_manifest(
     plan: ExperimentPlan,
-    outcomes: List[CellOutcome],
+    outcomes: Sequence[GroupOutcome],
     stats: EngineStats,
     registry: MetricsRegistry,
     run_started: float,
@@ -635,7 +634,7 @@ def _build_manifest(
         f"plan:{plan.table_id}", run_started, run_ended,
         pid=os.getpid(), cells=len(plan.cells), workers=stats.workers,
     )
-    for outcome in sorted(outcomes, key=lambda o: o.index):
+    for outcome in sorted(outcomes, key=lambda o: o.indices[0]):
         adopted = []
         for name, start, end, parent, attrs in outcome.spans:
             adopted.append(tracer.adopt(
@@ -661,8 +660,8 @@ def _build_manifest(
         },
         timings={
             "wall_seconds": stats.wall_seconds,
-            "cell_seconds": stats.cell_seconds,
-            "max_cell_seconds": stats.max_cell_seconds,
+            "group_seconds": stats.group_seconds,
+            "max_group_seconds": stats.max_group_seconds,
             "queue_wait_seconds": stats.queue_wait_seconds,
         },
         metrics=registry.snapshot(),
@@ -706,39 +705,26 @@ def run_plan(
     (``<root>/manifests``), returned on the :class:`PlanRun`.
 
     *progress* receives one :class:`~repro.harness.progress.ProgressEvent`
-    per completed cell, in the parent process, as results arrive
-    (completion order across groups; plan order within a group).  The
-    merge stays deterministic regardless.
+    per completed group, in the parent process, as results arrive
+    (completion order).  The merge stays deterministic regardless.
     """
     workers = default_workers() if workers is None else max(1, int(workers))
     run_started = time.monotonic()
     start = time.perf_counter()
     groups = _sweep_groups(plan)
+    outcomes: List[GroupOutcome] = []
 
-    total = len(plan.cells)
-    completed = 0
-    outcomes: List[CellOutcome] = []
-
-    def collect(batch: List[CellOutcome]) -> None:
-        nonlocal completed
-        outcomes.extend(batch)
-        if progress is None:
-            completed += len(batch)
-            return
-        for outcome in sorted(batch, key=lambda o: o.index):
-            completed += 1
-            cell = plan.cells[outcome.index]
+    def collect(outcome: GroupOutcome) -> None:
+        outcomes.append(outcome)
+        if progress is not None:
             progress(ProgressEvent(
                 table_id=plan.table_id,
-                completed=completed,
-                total=total,
-                index=outcome.index,
-                source=cell.source,
-                machine="" if cell.is_limits else cell.machine,
-                config=cell.config,
-                row=cell.row,
+                completed=len(outcomes),
+                total=len(groups),
+                source=outcome.source,
+                cells=outcome.cells,
+                hits=outcome.hits,
                 seconds=outcome.seconds,
-                result_hit=outcome.result_hit,
                 pid=outcome.pid,
             ))
 
@@ -771,10 +757,11 @@ def run_plan(
         table_id=plan.table_id,
         cells=len(plan.cells),
         workers=workers,
+        groups=len(outcomes),
         wall_seconds=wall_seconds,
-        cell_seconds=sum(o.seconds for o in outcomes),
-        max_cell_seconds=max((o.seconds for o in outcomes), default=0.0),
-        result_hits=sum(1 for o in outcomes if o.result_hit),
+        group_seconds=sum(o.seconds for o in outcomes),
+        max_group_seconds=max((o.seconds for o in outcomes), default=0.0),
+        result_hits=sum(o.hits for o in outcomes),
         traces_built=sum(1 for o in outcomes if o.trace_source == "built"),
         traces_loaded=sum(1 for o in outcomes if o.trace_source == "disk"),
         cache_enabled=cache is not None,

@@ -1,14 +1,14 @@
-"""Live engine progress: per-cell completion events for ``run_plan``.
+"""Live engine progress: per-group completion events for ``run_plan``.
 
-The engine evaluates plan cells over a process pool; until a run
-finishes, the only signal is the final footer.  This module defines the
-streaming contract: ``run_plan(progress=...)`` invokes the callback in
-the *parent* process once per completed cell, as worker results arrive
-(completion order, not plan order -- the deterministic merge is
-unaffected).  The CLI renders the stream as a live ticker
-(``repro tables --progress``) or as one JSON object per line
-(``--progress-format jsonl``), the seed of the serve-layer streaming
-API.
+The engine evaluates a plan as sweep groups -- one per trace source --
+over a process pool; until a run finishes, the only signal is the final
+footer.  This module defines the streaming contract:
+``run_plan(progress=...)`` invokes the callback in the *parent* process
+once per completed group, as worker results arrive (completion order,
+not plan order -- the deterministic merge is unaffected).  The CLI
+renders the stream as a live ticker (``repro tables --progress``) or as
+one JSON object per line (``--progress-format jsonl``), the seed of the
+serve-layer streaming API.
 
 Callbacks run on the engine's result-collection path: keep them cheap
 and never raise (a raising callback aborts the run, exactly like any
@@ -25,32 +25,26 @@ __all__ = ["ProgressCallback", "ProgressEvent"]
 
 @dataclass(frozen=True)
 class ProgressEvent:
-    """One completed plan cell.
+    """One completed sweep group.
 
     Attributes:
         table_id: the plan being evaluated.
-        completed: cells finished so far (this one included).
-        total: cells in the plan.
-        index: the cell's position in plan order.
-        source: trace-source spec of the cell's trace.
-        machine: registry spec of the machine (``""`` for limits cells).
-        config: machine-configuration name (``"M11BR5"`` etc.).
-        row: the table row this cell feeds.
-        seconds: the cell's compute time in its worker.
-        result_hit: whether the value came from the result cache.
-        pid: the worker process that evaluated the cell.
+        completed: groups finished so far (this one included).
+        total: groups in the plan (its distinct trace sources).
+        source: trace-source spec of the group's trace.
+        cells: plan cells in the group.
+        hits: cells served from the result cache.
+        seconds: the group's measured time in its worker.
+        pid: the worker process that evaluated the group.
     """
 
     table_id: str
     completed: int
     total: int
-    index: int
     source: str
-    machine: str
-    config: str
-    row: str
+    cells: int
+    hits: int
     seconds: float
-    result_hit: bool
     pid: int
 
     def to_payload(self) -> dict:

@@ -6,8 +6,8 @@ wall time, cache traffic and simulator cycles go:
 
 * :mod:`repro.obs.metrics` -- a merge-based, process-safe registry of
   counters, gauges and fixed-bucket histograms.  The experiment engine
-  aggregates per-cell wall time, queue wait, cache hit/miss/corruption
-  counts and per-worker utilization through it.
+  aggregates per-sweep-group wall time and queue wait, cache
+  hit/miss/corruption counts and per-worker utilization through it.
 * :mod:`repro.obs.tracing` -- span traces (plan -> sweep ->
   lookup/resolve/replay/store) with parent ids and monotonic timestamps, exportable
   as JSON or Chrome ``trace_event`` format (``repro trace-export``).

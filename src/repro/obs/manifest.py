@@ -9,7 +9,8 @@ needed to account for the run after the fact:
 * identity -- run id, table id, creation time, git SHA of the checkout;
 * configuration -- worker count, cache enablement, cell count, and the
   model fingerprint the run's cache keys were built under;
-* timings -- wall seconds, summed cell seconds, max cell seconds;
+* timings -- wall seconds, summed and max sweep-group seconds, queue
+  wait;
 * a full metrics snapshot (:mod:`repro.obs.metrics`);
 * the span trace (:mod:`repro.obs.tracing`), one span per sweep group.
 
@@ -41,8 +42,11 @@ __all__ = [
     "write_manifest",
 ]
 
-#: Manifest schema version; bump on incompatible layout changes.
-MANIFEST_VERSION = 1
+#: Manifest schema version; bump on incompatible layout changes.  v2
+#: names the timings ``group_seconds``/``max_group_seconds``; v1 had
+#: ``cell_seconds`` (the same per-group sum) and ``max_cell_seconds``
+#: (the largest even per-cell share, no group's time).
+MANIFEST_VERSION = 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,14 +140,14 @@ class RunManifest:
             if name.startswith("worker.") and name.endswith(".utilization")
         }
 
-    def cell_timings(self) -> List[Dict[str, Any]]:
+    def group_timings(self) -> List[Dict[str, Any]]:
         """Sweep-group spans (name, seconds, pid, attrs), slowest first.
 
         Every group of cells sharing a trace source is one ``sweep:``
         span, whether its cells were served from the cache or computed
         (its ``cells`` and ``hits`` attributes say which).
         """
-        cells = [
+        groups = [
             {
                 "name": span["name"],
                 "seconds": float(span["end"]) - float(span["start"]),
@@ -154,8 +158,8 @@ class RunManifest:
             if span.get("end") is not None
             and span["name"].startswith("sweep:")
         ]
-        cells.sort(key=lambda c: c["seconds"], reverse=True)
-        return cells
+        groups.sort(key=lambda g: g["seconds"], reverse=True)
+        return groups
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ Metric kinds:
 
 Naming convention (used across the engine, the disk cache and the CLI):
 dotted lowercase paths, e.g. ``cache.result.hits``,
-``engine.cell.seconds``, ``worker.12345.busy_seconds``.
+``engine.group.seconds``, ``worker.12345.busy_seconds``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from repro.harness.aggregate import (
     hmean_by_key,
     relative_error,
 )
-from repro.harness.engine import CellOutcome, merge_outcomes
+from repro.harness.engine import GroupOutcome, merge_outcomes
 from repro.harness.plans import Cell, ExperimentPlan
 
 
@@ -134,17 +134,36 @@ def _plan_and_outcomes():
         rows=("scalar", "vectorizable"),
         cells=tuple(cells),
     )
-    outcomes = [
-        CellOutcome(
-            index=index,
-            values=vals,
+    return plan, _groups(plan, values)
+
+
+def _groups(plan, values):
+    """One outcome per trace source, like the engine's sweep groups."""
+    by_source = {}
+    for index, vals in values.items():
+        by_source.setdefault(plan.cells[index].source, []).append(
+            (index, vals)
+        )
+    return [
+        GroupOutcome(
+            source=source,
+            indices=tuple(index for index, _ in pairs),
+            values=tuple(vals for _, vals in pairs),
             seconds=0.0,
-            result_hit=False,
+            hits=0,
             trace_source="built",
         )
-        for index, vals in values.items()
+        for source, pairs in by_source.items()
     ]
-    return plan, outcomes
+
+
+def _cell_values(plan, outcomes):
+    """``(row, values)`` of every cell the outcomes carry."""
+    return [
+        (plan.cells[index].row, vals)
+        for outcome in outcomes
+        for index, vals in zip(outcome.indices, outcome.values)
+    ]
 
 
 class TestMergeOutcomes:
@@ -155,9 +174,9 @@ class TestMergeOutcomes:
         for row in plan.rows:
             for column in plan.columns:
                 group = [
-                    outcome.values[column]
-                    for outcome in outcomes
-                    if plan.cells[outcome.index].row == row
+                    vals[column]
+                    for cell_row, vals in _cell_values(plan, outcomes)
+                    if cell_row == row
                 ]
                 assert by_row[row][column] == pytest.approx(
                     harmonic_mean(group)
@@ -189,26 +208,18 @@ class TestMergeOutcomes:
                 ),
             ),
         )
-        outcomes = [
-            CellOutcome(
-                index=0,
-                values={"M11BR5": 0.42},
-                seconds=0.0,
-                result_hit=False,
-                trace_source="built",
-            )
-        ]
-        table = merge_outcomes(plan, outcomes)
+        table = merge_outcomes(plan, _groups(plan, {0: {"M11BR5": 0.42}}))
         assert dict(table.rows)["only"]["M11BR5"] == pytest.approx(0.42)
 
     def test_missing_group_leaves_row_sparse(self):
         plan, outcomes = _plan_and_outcomes()
-        scalar_only = [
-            outcome
+        scalar_only = {
+            index: vals
             for outcome in outcomes
-            if plan.cells[outcome.index].row == "scalar"
-        ]
-        table = merge_outcomes(plan, scalar_only)
+            for index, vals in zip(outcome.indices, outcome.values)
+            if plan.cells[index].row == "scalar"
+        }
+        table = merge_outcomes(plan, _groups(plan, scalar_only))
         by_row = dict(table.rows)
         assert by_row["scalar"]
         assert by_row["vectorizable"] == {}

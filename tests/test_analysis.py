@@ -9,7 +9,7 @@ from repro.analysis import (
     stall_breakdown,
 )
 from repro.core import M5BR2, M11BR5, cray_like_machine, serial_memory_machine
-from repro.core.scoreboard import StallReason
+from repro.core.scoreboard import EventRecorder, StallReason
 from repro.isa import FunctionalUnit
 from repro.limits import pseudo_dataflow_schedule
 
@@ -30,8 +30,12 @@ class TestIssueRecords:
     def test_recorded_run_matches_plain_run(self, loop5_trace):
         machine = cray_like_machine()
         plain = machine.simulate(loop5_trace, M11BR5)
-        recorded = machine.simulate_recorded(loop5_trace, M11BR5, lambda r: None)
+        records = []
+        recorded = machine.simulate_observed(
+            loop5_trace, M11BR5, EventRecorder(records.append)
+        )
         assert plain.cycles == recorded.cycles
+        assert len(records) == len(loop5_trace)
 
     def test_raw_stall_attributed(self):
         trace = make_trace([loads(1, 1), fadd(2, 1, 1)])

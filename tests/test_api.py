@@ -201,36 +201,45 @@ class TestRunSweep:
     SPECS = ("cray", "ooo:2", "ruu:2:10")
 
     def test_matches_per_spec_simulate(self):
-        run = api.run_sweep(self.SPECS, ["kernel:1", "kernel:5"])
-        assert run.specs == self.SPECS
-        for spec in self.SPECS:
-            assert len(run.results[spec]) == 2
-            for result, kernel in zip(run.results[spec], (1, 5)):
-                solo = api.simulate(f"kernel:{kernel}", spec)
-                assert result.cycles == solo.cycles
-                assert result.instructions == solo.instructions
-
-    def test_backends_agree(self):
-        """The batch sweep agrees with each spec's own ``simulate``, and
-        the manifest attributes the replays to the sweep."""
         from repro.harness.aggregate import harmonic_mean
 
-        run = api.run_sweep(self.SPECS, ["kernel:12"])
+        sources = ("kernel:1", "kernel:5")
+        run = api.run_sweep(self.SPECS, sources)
+        assert run.specs == self.SPECS
+        assert run.sources == sources
         for spec in self.SPECS:
-            solo = api.simulate("kernel:12", spec)
-            assert run.results[spec][0].detail == solo.detail
+            solo = [api.simulate(source, spec) for source in sources]
             assert run.rates[spec] == harmonic_mean(
-                [solo.instructions / solo.cycles]
+                [result.instructions / result.cycles for result in solo]
             )
-        assert run.manifest["fastpath"].get("batch.sweeps", 0) >= 1
 
-    def test_accepts_trace_objects(self, loop5_trace):
-        run = api.run_sweep(["cray"], [loop5_trace])
-        assert run.manifest["traces"] == [loop5_trace.name]
-        result = run.results["cray"][0]
-        assert run.rates["cray"] == pytest.approx(
-            result.instructions / result.cycles
-        )
+    def test_backends_agree(self):
+        """The batch sweep and the reference loops give the same rates,
+        and the run's stats attribute the replays to the sweep."""
+        from repro.core import fastpath
+
+        run = api.run_sweep(self.SPECS, ["kernel:12"])
+        previous = fastpath.set_enabled(False)
+        try:
+            reference = api.run_sweep(self.SPECS, ["kernel:12"])
+        finally:
+            fastpath.set_enabled(previous)
+        assert run.rates == reference.rates
+        counters = run.stats.metrics["counters"]
+        assert counters.get("fastpath.batch.sweeps", 0) >= 1
+        assert counters.get("fastpath.fast_runs", 0) >= 1
+        assert run.stats.cells == len(self.SPECS)
+        assert run.stats.groups == 1
+        assert not run.stats.cache_enabled
+
+    def test_accepts_file_specs(self, tmp_path):
+        path = tmp_path / "loop5.jsonl"
+        api.capture("kernel:5", str(path))
+        spec = f"file:{path}"
+        run = api.run_sweep(["cray"], [spec])
+        assert run.sources == (spec,)
+        solo = api.simulate(spec, "cray")
+        assert run.rates["cray"] == solo.instructions / solo.cycles
 
     def test_rejects_bad_spec_before_running(self):
         with pytest.raises(api.UnknownSpecError):
@@ -241,7 +250,7 @@ class TestRunSweep:
             api.run_sweep([], ["kernel:1"])
 
     def test_rejects_empty_traces(self):
-        with pytest.raises(ValueError, match="traces is empty"):
+        with pytest.raises(ValueError, match="sources is empty"):
             api.run_sweep(["cray"], [])
 
     def test_render_lists_every_spec(self):

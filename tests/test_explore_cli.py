@@ -31,6 +31,19 @@ class TestExploreCommand:
         assert "model error:" in out
         assert "ruu:" in out
 
+    def test_empty_audit_sample_is_named(self, capsys):
+        # With no audit sample there is no audit error to quote; the
+        # JSON payload keeps its zero-count error record.
+        assert cli.main(_explore_args("--audit", "0")) == 0
+        out = capsys.readouterr().out
+        assert "no audit sample" in out
+        assert "audit mean" not in out
+        assert cli.main(_explore_args("--audit", "0", "--format", "json")) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["audit_errors"] == {
+            "count": 0, "mean_relative": 0.0, "max_relative": 0.0,
+        }
+
     def test_json_output_shape(self, capsys):
         assert cli.main(_explore_args("--format", "json")) == 0
         payload = json.loads(capsys.readouterr().out)

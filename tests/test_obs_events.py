@@ -8,9 +8,7 @@ Two promises to pin down:
   enforced by ``benchmarks/bench_hooks.py`` in CI, against the
   scoreboard's frozen seed loop (``benchmarks/seed_scoreboard.py``).
 * **Faithful when enabled** -- the typed event stream carries the whole
-  schedule: the :class:`~repro.core.scoreboard.EventRecorder` adapter
-  reconstructs the exact per-instruction issue records the analysis
-  layer used to get directly.
+  schedule: issues, stalls and flushes with their reasons.
 """
 
 import pytest
@@ -18,7 +16,6 @@ import pytest
 from repro.core import config_by_name
 from repro.core.registry import build_simulator
 from repro.core.scoreboard import (
-    EventRecorder,
     StallReason,
     cray_like_machine,
     serial_memory_machine,
@@ -127,20 +124,6 @@ class TestEventStreamSemantics:
         for stall in stalls:
             assert stall.reason in names
             assert stall.cycles > 0
-
-    def test_recorder_adapter_rebuilds_issue_records(self, small_traces):
-        """EventRecorder(record.append) == the seed's direct recording."""
-        machine = cray_like_machine()
-        config = config_by_name("M11BR5")
-        trace = small_traces[7]
-
-        via_events = []
-        machine.simulate_observed(
-            trace, config, EventRecorder(via_events.append)
-        )
-        direct = []
-        machine.simulate_recorded(trace, config, direct.append)
-        assert via_events == direct
 
     def test_spec_emits_flush_on_mispredict(self, small_traces):
         from repro.core.spec import SpecMachine

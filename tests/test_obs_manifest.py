@@ -11,7 +11,7 @@ import json
 import pytest
 
 import repro.api as api
-from repro.cli import main as cli_main
+from repro.cli import _render_run_detail, main as cli_main
 from repro.harness.engine import clear_process_memo
 from repro.obs.manifest import (
     RunManifest,
@@ -110,12 +110,12 @@ class TestDerivedAccounting:
     def test_worker_utilization(self):
         assert _manifest().worker_utilization == {"100": 0.8, "101": 0.6}
 
-    def test_cell_timings_slowest_first(self):
-        cells = _manifest().cell_timings()
-        assert [c["name"] for c in cells] == [
+    def test_group_timings_slowest_first(self):
+        groups = _manifest().group_timings()
+        assert [g["name"] for g in groups] == [
             "sweep:kernel:7:n=16", "sweep:kernel:5:n=16",
         ]
-        assert cells[0]["seconds"] == pytest.approx(1.3)
+        assert groups[0]["seconds"] == pytest.approx(1.3)
 
 
 class TestObservedRunEndToEnd:
@@ -140,6 +140,28 @@ class TestObservedRunEndToEnd:
         assert all(s["attrs"]["hits"] == 0 for s in sweeps)
         assert len(names) == 1 + 5 * len(sweeps)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_group_seconds_are_the_sweep_spans(self, small_sizes, workers):
+        # The engine reports what it measured: one time per sweep group,
+        # the length of that group's span -- no per-cell shares.
+        for _ in range(2):  # cold, then warm
+            run = api.run_table(
+                "table1", sizes=small_sizes, workers=workers, observe=True
+            )
+            groups = run.manifest.group_timings()
+            assert len(groups) == run.stats.groups == 14
+            assert run.stats.max_group_seconds == groups[0]["seconds"]
+            assert run.manifest.timings["max_group_seconds"] == (
+                groups[0]["seconds"]
+            )
+            assert run.stats.group_seconds == pytest.approx(
+                sum(g["seconds"] for g in groups)
+            )
+            histograms = run.manifest.metrics["histograms"]
+            assert histograms["engine.group.seconds"]["count"] == 14
+            assert histograms["engine.queue.wait_seconds"]["count"] == 14
+            assert "engine.cell.seconds" not in histograms
+
     def test_observe_off_writes_nothing(self, small_sizes):
         run = api.run_table("table1", sizes=small_sizes, workers=1)
         assert run.manifest is None
@@ -155,7 +177,7 @@ class TestCliStats:
         assert "observed runs" in out
         assert "result cache" in out
         assert "compiled fast path" in out
-        assert "slowest cells" in out
+        assert "slowest groups" in out
         # The warm second run hit the cache on every cell.
         assert "hit rate 100.0%" in out
 
@@ -169,6 +191,28 @@ class TestCliStats:
     def test_stats_unknown_run_fails(self, capsys):
         assert cli_main(["stats", "--run", "nope"]) == 2
         assert "no run matching" in capsys.readouterr().err
+
+    def test_run_detail_reads_group_timings(self):
+        manifest = _manifest(timings={
+            "wall_seconds": 1.5, "group_seconds": 2.1,
+            "max_group_seconds": 1.3, "queue_wait_seconds": 0.0,
+        })
+        detail = _render_run_detail(manifest)
+        assert "group time 2.10s (max 1.300s)" in detail
+        assert "slowest groups" in detail
+
+    def test_run_detail_reads_a_v1_manifest(self):
+        # v1 named the per-group sum cell_seconds; its max_cell_seconds
+        # was an even per-cell share, so no group maximum is shown.
+        data = _manifest().to_dict()
+        data.update(version=1, timings={
+            "wall_seconds": 1.5, "cell_seconds": 2.1,
+            "max_cell_seconds": 0.02, "queue_wait_seconds": 0.0,
+        })
+        manifest = RunManifest.from_dict(data)
+        assert manifest.version == 1
+        detail = _render_run_detail(manifest)
+        assert "group time 2.10s (max n/a in a v1 manifest)" in detail
 
     def test_stats_with_kernel_keeps_old_behaviour(self, capsys):
         assert cli_main(["stats", "--kernel", "5", "--n", "16"]) == 0

@@ -12,6 +12,7 @@ The export/streaming satellites ride along: OpenMetrics rendering,
 Perfetto track naming, and the ``run_plan(progress=...)`` stream.
 """
 
+import io
 import json
 import math
 
@@ -20,7 +21,10 @@ import pytest
 import repro.api as api
 from repro.core import M11BR5, STANDARD_CONFIGS, fastpath
 from repro.core.fastpath.backends import SweepItem, family_of
+from repro.cli import _progress_callback
 from repro.core.registry import build_simulator
+from repro.harness.progress import ProgressEvent
+from repro.harness.plans import build_plan
 from repro.obs.events import EventCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
@@ -203,32 +207,32 @@ class TestOpenMetrics:
     def test_exposition_shape(self):
         registry = MetricsRegistry()
         registry.inc("cache.result.hits", 3)
-        registry.inc("engine.cell.seconds_total", 1.5)
+        registry.inc("engine.group.seconds_total", 1.5)
         registry.set_gauge("worker.42.utilization", 0.75)
-        registry.observe("engine.cell.seconds", 0.004)
-        registry.observe("engine.cell.seconds", 2.0)
+        registry.observe("engine.group.seconds", 0.004)
+        registry.observe("engine.group.seconds", 2.0)
         text = registry.to_openmetrics()
         lines = text.splitlines()
         assert text.endswith("# EOF\n")
         assert "cache_result_hits_total 3" in lines
         # A pre-existing _total suffix must not double up.
-        assert "engine_cell_seconds_total_total 1.5" not in lines
-        assert "engine_cell_seconds_total 1.5" in lines
+        assert "engine_group_seconds_total_total 1.5" not in lines
+        assert "engine_group_seconds_total 1.5" in lines
         assert "worker_42_utilization 0.75" in lines
-        assert 'engine_cell_seconds_bucket{le="+Inf"} 2' in lines
-        assert "engine_cell_seconds_count 2" in lines
+        assert 'engine_group_seconds_bucket{le="+Inf"} 2' in lines
+        assert "engine_group_seconds_count 2" in lines
         # Buckets are cumulative and non-decreasing.
         counts = [
             int(line.rsplit(" ", 1)[1])
             for line in lines
-            if line.startswith("engine_cell_seconds_bucket")
+            if line.startswith("engine_group_seconds_bucket")
         ]
         assert counts == sorted(counts)
 
     def test_round_trips_from_manifest_snapshot(self):
         registry = MetricsRegistry()
         registry.inc("sim.stall.RAW", 120)
-        registry.observe("engine.cell.seconds", 0.5)
+        registry.observe("engine.group.seconds", 0.5)
         clone = MetricsRegistry.from_snapshot(registry.snapshot())
         assert clone.to_openmetrics() == registry.to_openmetrics()
 
@@ -253,6 +257,17 @@ class TestPerfettoExport:
 
 
 class TestProgressStream:
+    @staticmethod
+    def _assert_group_stream(events, run, plan_sources):
+        groups = len(plan_sources)
+        assert len(events) == groups
+        assert [e.completed for e in events] == list(range(1, groups + 1))
+        assert all(e.total == groups for e in events)
+        assert sorted(e.source for e in events) == sorted(plan_sources)
+        assert sum(e.cells for e in events) == run.stats.cells
+        assert all(e.hits == 0 and e.seconds > 0 for e in events)
+        assert all(e.table_id == "table1" for e in events)
+
     def test_run_plan_streams_every_cell(self, small_sizes, monkeypatch,
                                          tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -261,12 +276,12 @@ class TestProgressStream:
             "table1", sizes=small_sizes, workers=1, cache=False,
             progress=events.append,
         )
-        plan_cells = 4 * 4 * 14
-        assert len(events) == plan_cells
-        assert [e.completed for e in events] == list(range(1, plan_cells + 1))
-        assert all(e.total == plan_cells for e in events)
-        assert sorted(e.index for e in events) == list(range(plan_cells))
-        assert all(e.table_id == "table1" for e in events)
+        plan = build_plan("table1", small_sizes)
+        sources = list(dict.fromkeys(cell.source for cell in plan.cells))
+        # One event per sweep group, in plan order when serial.
+        self._assert_group_stream(events, run, sources)
+        assert [e.source for e in events] == sources
+        assert run.stats.cells == 4 * 4 * 14
         payload = events[0].to_payload()
         assert json.loads(json.dumps(payload)) == payload
         assert run.table.rows  # the run itself still completes
@@ -284,13 +299,27 @@ class TestProgressStream:
             "table1", sizes=small_sizes, workers=4, cache=False,
             progress=parallel_events.append,
         )
-        assert len(serial_events) == len(parallel_events)
-        assert sorted(e.index for e in serial_events) == sorted(
-            e.index for e in parallel_events
-        )
-        assert [r for r, _ in serial.table.rows] == [
-            r for r, _ in parallel.table.rows
-        ]
+        plan = build_plan("table1", small_sizes)
+        sources = list(dict.fromkeys(cell.source for cell in plan.cells))
+        self._assert_group_stream(serial_events, serial, sources)
+        self._assert_group_stream(parallel_events, parallel, sources)
+        assert serial.table.rows == parallel.table.rows
+
+    def test_human_ticker_prints_one_line_per_group(self):
+        stream = io.StringIO()
+        emit = _progress_callback("human", stream)
+        emit(ProgressEvent(
+            table_id="table1", completed=3, total=14, source="kernel:5:n=16",
+            cells=16, hits=4, seconds=0.25, pid=1,
+        ))
+        emit(ProgressEvent(
+            table_id="table1", completed=4, total=14, source="kernel:7:n=16",
+            cells=16, hits=0, seconds=0.5, pid=1,
+        ))
+        first, second = stream.getvalue().splitlines()
+        assert first.startswith("[  3/14] table1 kernel:5:n=16 ")
+        assert first.split()[-5:] == ["16", "cells", "0.250s", "(4", "cached)"]
+        assert second.split()[-3:] == ["16", "cells", "0.500s"]
 
 
 class TestEngineTelemetryFolding:
