@@ -651,7 +651,7 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
     )
     route_parts = []
     for route, keys in (
-        ("python", ("fast_runs",)),
+        ("python", ("fast_runs", "skipped_instructions")),
         ("batch", ("fast_runs", "sweeps", "fallback_runs", "reused_runs")),
     ):
         counts = {

@@ -80,7 +80,7 @@ class SweepItem:
 #: key set (the engine diffs snapshots); other groups (``ir_stats``) are
 #: added by their first :func:`count_run`.
 _RUN_STATS: Dict[str, Dict[str, int]] = {
-    "python": {"fast_runs": 0},
+    "python": {"fast_runs": 0, "skipped_instructions": 0},
     "batch": {
         "fast_runs": 0, "sweeps": 0, "fallback_runs": 0, "reused_runs": 0,
     },
@@ -104,7 +104,9 @@ def stats() -> Dict[str, int]:
     totals fast replays across routes; ``<route>.<counter>`` keys
     (``python.fast_runs``, ``batch.fast_runs``, ``batch.sweeps``,
     ``batch.fallback_runs``, ``batch.reused_runs``) attribute them to
-    the loop that served them.
+    the loop that served them.  ``python.skipped_instructions`` counts
+    the instructions the RUU and out-of-order loops credited in closed
+    form instead of replaying (the steady-state fast-forward).
     """
     merged: Dict[str, int] = dict(ir._STATS)
     merged["fast_runs"] = 0

@@ -14,6 +14,10 @@ config-independent work:
 * ``ruu``: members share the trace's rename plan and run the one RUU
   loop per distinct replay -- a replay whose RUU never filled serves
   every smaller RUU its peak still fits (counted as ``reused_runs``).
+  The reuse still pays next to the loop's steady-state fast-forward:
+  the largest RUU settles slowest, so the members it serves would each
+  replay their own transient (Tables 7-8 cold: about 2.5-3.6 s with
+  the reuse, 4.2-5.5 s without).
 
 Both kernels live in :mod:`~repro.core.fastpath.python_backend` next to
 the per-spec loops, which call them with one member; this module only

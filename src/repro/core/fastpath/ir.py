@@ -17,14 +17,17 @@ length -- resolved a single time up front and cached per trace object.
 The per-spec loops (:mod:`repro.core.fastpath.python_backend`) and the
 batch sweep kernels (:mod:`repro.core.fastpath.batch`) replay the
 compiled form; the lowering itself is machine- and config-independent,
-so one compilation serves every machine variant and every replay.
+so one compilation serves every machine variant and every replay.  The
+same pass marks where the trace is one loop body repeated
+(``CompiledTrace.regions``), which the RUU and out-of-order loops
+fast-forward through.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...isa.functional_units import FunctionalUnit
 from ...isa.registers import RegFile
@@ -94,12 +97,25 @@ class CompiledTrace:
     resolved per :class:`~repro.core.config.MachineConfig` at simulation
     time from 12-entry per-unit tables, so one compilation serves every
     machine variant.
+
+    ``regions`` marks where the trace is one loop body repeated: the
+    period scan of :func:`compile_trace` proposes a period from the
+    distance between two entries of the same static instruction and
+    keeps a run only while every op equals the op one period back.
+    Fuzzed and seeded generator traces have none.
     """
 
     name: str
     n: int
     ops: Tuple[Op, ...]
     has_vector: bool
+    #: Periodic regions as ``(start, period, end)`` triples, in trace
+    #: order and disjoint: ``ops[s] == ops[s - period]`` for every ``s``
+    #: in ``[start + period, end)``, at least :data:`_MIN_BODIES` bodies
+    #: long, with ``start`` just after a taken branch when the body has
+    #: one (so out-of-order fetch buffers start on body boundaries).  The
+    #: RUU and out-of-order loops fast-forward whole periods inside them.
+    regions: Tuple[Tuple[int, int, int], ...]
 
 
 #: Compile results keyed by ``id(trace)``; the paired weak reference
@@ -123,6 +139,24 @@ def reset_compile_stats() -> None:
         _STATS[key] = 0
 
 
+#: Fewest loop bodies a periodic region must cover.
+_MIN_BODIES = 4
+
+
+def _region(ops, start, period, end) -> Optional[Tuple[int, int, int]]:
+    """The run ``[start, end)`` of *period* as a region, its start moved
+    to just after its first taken branch, or None if it then covers
+    fewer than :data:`_MIN_BODIES` bodies."""
+    for index in range(start, min(start + period, end)):
+        op = ops[index]
+        if op[3] and op[4]:
+            start = index + 1
+            break
+    if end - start < _MIN_BODIES * period:
+        return None
+    return (start, period, end)
+
+
 def compile_trace(trace: Trace) -> CompiledTrace:
     """Lower *trace* to flat integer tuples (cached per trace object)."""
     key = id(trace)
@@ -136,7 +170,15 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     unit_index = _UNIT_INDEX
     ops: List[Op] = []
     has_vector = False
-    for entry in trace.entries:
+    # Period scan state: the latest seq of each static instruction, the
+    # current run's period (0: none) and first seq, and the end of the
+    # last region kept (regions never overlap).
+    last_at: Dict[int, int] = {}
+    regions: List[Tuple[int, int, int]] = []
+    period = 0
+    run_start = 0
+    floor = 0
+    for seq, entry in enumerate(trace.entries):
         instr = entry.instruction
         unit = unit_index[instr.unit]
         dest = instr.dest
@@ -160,13 +202,36 @@ def compile_trace(trace: Trace) -> CompiledTrace:
         is_branch = instr.is_branch
         taken = bool(entry.taken) if is_branch else False
         is_cond = instr.is_conditional_branch if is_branch else False
-        ops.append(
-            (unit, dest_id, srcs, is_branch, taken, is_vector, vl, uses_bus,
-             is_cond)
-        )
+        op = (unit, dest_id, srcs, is_branch, taken, is_vector, vl, uses_bus,
+              is_cond)
+        ops.append(op)
+
+        static = entry.static_index
+        previous = last_at.get(static)
+        last_at[static] = seq
+        if period and ops[seq - period] == op and (
+            previous is None
+            or seq - previous >= period
+            or ops[previous] != op
+        ):
+            continue  # the run goes on (no shorter, inner-loop period)
+        if period:
+            region = _region(ops, run_start, period, seq)
+            if region is not None:
+                regions.append(region)
+                floor = seq
+            period = 0
+        if previous is not None and ops[previous] == op:
+            period = seq - previous
+            run_start = previous if previous > floor else floor
+    if period:
+        region = _region(ops, run_start, period, len(ops))
+        if region is not None:
+            regions.append(region)
 
     compiled = CompiledTrace(
-        name=trace.name, n=len(ops), ops=tuple(ops), has_vector=has_vector
+        name=trace.name, n=len(ops), ops=tuple(ops), has_vector=has_vector,
+        regions=tuple(regions),
     )
     _STATS["compiles"] += 1
 

@@ -22,6 +22,25 @@ vectors: the recurrences are data-dependent (issue decisions feed the
 very next comparison), and at sweep widths of 4-20 the per-op ufunc
 dispatch overhead would dominate any arithmetic saved.
 
+Those two loops also skip work, not just idle cycles: the steady-state
+fast-forward.  Inside a periodic region of the compiled trace
+(``CompiledTrace.regions``: one loop body repeated) the loop takes its
+state at each body boundary relative to the cycle and the boundary seq
+-- the live RUU entries, or the out-of-order register, unit and bus
+ready cycles, clamped at the current cycle.  The machines are
+deterministic and their timing reads only the ops, so once that state
+repeats after ``p`` bodies and ``dc`` cycles, every later period
+repeats it too: the loop shifts its live state by as many whole periods
+as stay inside the region, adds that many times the period's deltas to
+its histograms, busy, stall and width counters, shifts the recorded
+schedule under ``record``, and replays the rest as before.  A cheap
+signature (issue offset, live count, cycle gap) gates the full key, so
+boundaries cost O(1) until a repeat is likely, and traces without
+regions (fuzzed, seeded generators) never check at all.  Skipped
+instructions count as ``python.skipped_instructions``.  The in-order,
+scoreboard, CDC 6600, Tomasulo and speculative loops have no
+fast-forward.
+
 Bit-identity is a hard invariant, enforced three ways:
 
 * machines auto-select this path **only** when
@@ -59,7 +78,9 @@ the same ``tlm.*`` fields.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ...obs.telemetry import SimTelemetry
@@ -920,6 +941,65 @@ def ruu_plan(compiled) -> tuple:
     return plan
 
 
+def _ruu_key(
+    base, cycle, pos, head, tail, ring, result, pending, ready, heap, stride,
+    issue_resume, memory_next,
+) -> tuple:
+    """The RUU loop's state at a body boundary *base*, relative to
+    *cycle* and *base*: every value the loop will read again.
+
+    Per live entry its offset and one state: dispatched (result cycle),
+    waiting in the wakeup heap (ready cycle), ready but blocked, or
+    pending on N undispatched producers (ready floor so far).  Cycles
+    are clamped at the current one (-1 for a result already back, 0
+    otherwise): the loop only compares them against cycles from here
+    on.  The return-path uses from this cycle on are the live results'
+    return cycles, committed producers are all usable by now, and
+    functional-unit claims never outlive their cycle, so none of them
+    needs a field of its own.
+    """
+    heaped = {h % stride: h // stride - cycle for h in heap}
+    flat = [pos - base, issue_resume - cycle if issue_resume > cycle else 0,
+            memory_next]
+    for index in range(head, tail):
+        seq = ring[index]
+        back = result[seq]
+        if back != _UNDISPATCHED:
+            flat += (seq - base, 0, back - cycle if back >= cycle else -1)
+            continue
+        at = heaped.get(seq)
+        if at is not None:
+            flat += (seq - base, 1, at if at > 0 else 0)
+        elif pending[seq]:
+            at = ready[seq] - cycle
+            flat += (seq - base, 2 + pending[seq], at if at > 0 else 0)
+        else:
+            flat += (seq - base, 2, 0)  # ready, blocked last cycle
+    return tuple(flat)
+
+
+def _credit(counts, before, repeats) -> None:
+    """Add *repeats* more periods to counters that read *before* one
+    period ago."""
+    for index, count in enumerate(before):
+        if counts[index] != count:
+            counts[index] += repeats * (counts[index] - count)
+
+
+def _ruu_shift(low, high, skip, lag, result, avail, pending, ready) -> None:
+    """Copy the per-seq state of seqs ``[low, high)`` *skip* seqs and
+    *lag* cycles ahead, youngest first: a jump shorter than the window
+    overlaps it, and each source must be read before it is overwritten."""
+    for seq in range(high - 1, low - 1, -1):
+        to = seq + skip
+        back = result[seq]
+        result[to] = back if back == _UNDISPATCHED else back + lag
+        usable = avail[seq]
+        avail[to] = usable if usable == _UNKNOWN else usable + lag
+        pending[to] = pending[seq]
+        ready[to] = ready[seq] + lag
+
+
 def ruu_replay(
     compiled, machine, config: MachineConfig, tracking: bool = False
 ) -> RUURun:
@@ -942,6 +1022,10 @@ def ruu_replay(
     ``live * (issue_units + 1) + issued``; the occupancy mean, the
     telemetry histograms and the run's peak are all read off it.  Busy
     spans accumulate as ``commit - issue`` in two signed updates.
+
+    Inside the trace's periodic regions the loop fast-forwards (see the
+    module docstring): :func:`_ruu_key` is its state at a body boundary,
+    and a repeated key skips whole periods in closed form.
     """
     units, producers, consumers, branch_wait, ring = ruu_plan(compiled)
     table = config.latencies
@@ -987,9 +1071,115 @@ def ruu_replay(
         issue_at = [0] * n_entries
         complete_at = [0] * n_entries
 
+    # Steady-state fast-forward over the trace's periodic regions: at
+    # each body boundary (the first cycle whose issue front has crossed
+    # one) a cheap signature gates the full relative state key; a key
+    # seen at an earlier boundary repeats every later period exactly.
+    regions = compiled.regions
+    region = 0
+    next_check = regions[0][0] + regions[0][1] if regions else n_entries + 1
+    seen: Dict[tuple, tuple] = {}
+    signatures = set()
+    boundary_cycle = 0
+
     while True:
         if cycle > _MAX_CYCLES:  # pragma: no cover - bug trap
             raise RuntimeError("RUU simulation failed to make progress")
+
+        if pos >= next_check:
+            start, period, end = regions[region]
+            base = pos - (pos - start) % period
+            # No later boundary can jump: leave the region after this one.
+            leave = base + 2 * period >= end
+            if pos + period < end and (head == tail or ring[head] >= start):
+                signature = (pos - base, tail - head, cycle - boundary_cycle)
+                boundary_cycle = cycle
+                if signature in signatures:
+                    key = _ruu_key(
+                        base, cycle, pos, head, tail, ring, result, pending,
+                        ready, heap, stride, issue_resume,
+                        memory_seqs[memory_index] - base
+                        if ordered_memory and memory_index < len(memory_seqs)
+                        else -1,
+                    )
+                    snapshot = seen.get(key)
+                    if snapshot is None:
+                        seen[key] = (
+                            cycle, pos, head, issue_resume,
+                            memory_index if ordered_memory else 0,
+                            busy[:], hist[:], full_stall_cycles,
+                            branch_stall_cycles,
+                        )
+                    else:
+                        (cycle0, pos0, head0, resume0, memory0,
+                         busy0, hist0, full0, branch0) = snapshot
+                        span = pos - pos0  # seqs per state period
+                        repeats = (end - 1 - pos) // span
+                        if repeats > 0:
+                            gap = cycle - cycle0
+                            entries = head - head0  # ring entries per period
+                            skip = repeats * span
+                            lag = repeats * gap
+                            moved = repeats * entries
+                            low = pos - period
+                            if head < tail and ring[head] < low:
+                                low = ring[head]
+                            _ruu_shift(low, pos, skip, lag, result, avail,
+                                       pending, ready)
+                            if tracking:
+                                for seq in range(pos, pos + skip):
+                                    issue_at[seq] = issue_at[seq - span] + gap
+                                    if branch_wait[seq] != _NOT_BRANCH:
+                                        complete_at[seq] = (
+                                            complete_at[seq - span] + gap
+                                        )
+                                for index in range(head, head + moved):
+                                    complete_at[ring[index]] = (
+                                        complete_at[ring[index - entries]]
+                                        + gap
+                                    )
+                            heap = [h + lag * stride + skip for h in heap]
+                            eligible = [seq + skip for seq in eligible]
+                            _credit(busy, busy0, repeats)
+                            _credit(hist, hist0, repeats)
+                            full_stall_cycles += repeats * (
+                                full_stall_cycles - full0
+                            )
+                            branch_stall_cycles += repeats * (
+                                branch_stall_cycles - branch0
+                            )
+                            # The last commit needs no shift: whatever
+                            # is still live, or left to issue, commits or
+                            # resolves later than any skipped commit.
+                            if issue_resume != resume0:
+                                issue_resume += lag
+                            if ordered_memory:
+                                memory_index += repeats * (
+                                    memory_index - memory0
+                                )
+                            pos += skip
+                            head += moved
+                            tail += moved
+                            cycle += lag
+                            # Return-path uses from this cycle on are
+                            # exactly the live results' return cycles.
+                            ret_used = {}
+                            for index in range(head, tail):
+                                back = result[ring[index]]
+                                if back != _UNDISPATCHED and back >= cycle:
+                                    ret_used[back] = ret_used.get(back, 0) + 1
+                            count_run("python", "skipped_instructions", skip)
+                            leave = True
+                signatures.add(signature)
+            next_check = base + period
+            if leave:
+                region += 1
+                seen = {}
+                signatures = set()
+                next_check = (
+                    regions[region][0] + regions[region][1]
+                    if region < len(regions) else n_entries + 1
+                )
 
         # ---- commit: retire in order from the head -------------------
         if head < tail:
@@ -1358,6 +1548,49 @@ def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
     return buffers
 
 
+def _ooo_key(cycle, last_event, regs, fuf, buses, horizon) -> tuple:
+    """The out-of-order loop's state at a buffer that starts a body,
+    relative to *cycle*: register and unit ready cycles and the result
+    bus reservations from this cycle on (every probe targets a later
+    cycle), clamped at the current cycle.  The last event is clamped at
+    -1, so two equal keys prove the period raised it."""
+    return (
+        last_event - cycle if last_event >= cycle else -1,
+        tuple([r - cycle if r > cycle else 0 for r in regs]),
+        tuple([r - cycle if r > cycle else 0 for r in fuf]),
+        tuple(
+            tuple([at - cycle for at in range(cycle, cycle + horizon)
+                   if at in bus])
+            for bus in buses
+        ),
+    )
+
+
+def _ooo_jump(cycle, lag, regs, fuf, buses, horizon) -> None:
+    """Move the out-of-order state that is still ahead of *cycle*
+    *lag* cycles later.  Bus reservations stay grow-only, like the
+    drains': the old ones remain (a real run keeps them too), and no
+    probe reaches back to them."""
+    for r, ready in enumerate(regs):
+        if ready > cycle:
+            regs[r] = ready + lag
+    for u, ready in enumerate(fuf):
+        if ready > cycle:
+            fuf[u] = ready + lag
+    for bus in buses:
+        bus.update([
+            at + lag for at in range(cycle, cycle + horizon) if at in bus
+        ])
+
+
+def _shift_schedule(issue_at, complete_at, pos, skip, span, gap) -> None:
+    """Fill the schedule of seqs ``[pos, pos + skip)`` by shifting the
+    period *span* seqs and *gap* cycles back, oldest first."""
+    for seq in range(pos, pos + skip):
+        issue_at[seq] = issue_at[seq - span] + gap
+        complete_at[seq] = complete_at[seq - span] + gap
+
+
 def ooo_replay(compiled, group) -> List[SimulationResult]:
     """The out-of-order kernel: replay *compiled* once per member of
     *group* (``SweepItem`` members of one issue width and WAR policy).
@@ -1402,6 +1635,11 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
     greater than the current one, while every entry pruning would drop
     is less than or equal to it, so stale entries can never satisfy a
     probe and the prune is unobservable.
+
+    Inside the trace's periodic regions each member's replay
+    fast-forwards (see the module docstring): :func:`_ooo_key` is its
+    state at a buffer that starts a body, and a repeated key skips whole
+    periods of buffers in closed form.
     """
     units = group[0].simulator.issue_units
     enforce_war = group[0].simulator.enforce_war
@@ -1432,6 +1670,9 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
     # Phase 2: replay the records once per sweep member.
     # ------------------------------------------------------------------
     n_units = len(UNITS)
+    n_entries = compiled.n
+    regions = compiled.regions
+    positions = [record[0] for record in buffers] if regions else None
     last_events = [0] * K
     tracking = [item.record is not None for item in group]
     issue_at = [
@@ -1463,8 +1704,75 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
         t_width = [0] * (units + 1)
         t_cs: List[int] = []
         t_cs_append = t_cs.append
+        # Steady-state fast-forward, as in ruu_replay: at each buffer that
+        # starts a body, a cheap signature gates the full relative state.
+        # The buffers from any body start on are the same shifted (no
+        # rename plan here), so the first body is already a boundary.
+        region = 0
+        next_check = regions[0][0] if regions else n_entries
+        seen: Dict[tuple, tuple] = {}
+        signatures = set()
+        boundary_cycle = 0
+        horizon = max(latencies) + 1  # bus reservations end before this
 
-        for pos, tag, payload, full_mask in buffers:
+        records = iter(buffers)
+        for pos, tag, payload, full_mask in records:
+            if pos >= next_check:
+                start, period, end = regions[region]
+                base = pos - (pos - start) % period
+                # No later boundary can jump: leave the region after this.
+                leave = base + 2 * period >= end
+                if pos == base and pos + period < end:
+                    signature = (
+                        cycle - boundary_cycle,
+                        last_event - cycle if last_event > cycle else 0,
+                    )
+                    boundary_cycle = cycle
+                    if signature in signatures:
+                        key = _ooo_key(cycle, last_event, regs, fuf, buses_k,
+                                       horizon)
+                        snapshot = seen.get(key)
+                        if snapshot is None:
+                            seen[key] = (cycle, pos, last_event, t_width[:])
+                        else:
+                            cycle0, pos0, event0, width0 = snapshot
+                            span = pos - pos0  # seqs per state period
+                            repeats = (end - 1 - pos) // span
+                            skip = repeats * span
+                            target = bisect_left(positions, pos + skip)
+                            if repeats > 0 and target < len(positions) and (
+                                positions[target] == pos + skip
+                            ):
+                                gap = cycle - cycle0
+                                if track:
+                                    _shift_schedule(issue_k, complete_k, pos,
+                                                    skip, span, gap)
+                                _ooo_jump(cycle, repeats * gap, regs, fuf,
+                                          buses_k, horizon)
+                                _credit(t_width, width0, repeats)
+                                if last_event != event0:
+                                    last_event += repeats * gap
+                                cycle += repeats * gap
+                                count_run(
+                                    "python", "skipped_instructions", skip
+                                )
+                                pos, tag, payload, full_mask = next(islice(
+                                    records,
+                                    target - bisect_left(positions, pos) - 1,
+                                    None,
+                                ))
+                                leave = True
+                    signatures.add(signature)
+                next_check = base + period
+                if leave:
+                    region += 1
+                    seen = {}
+                    signatures = set()
+                    next_check = (
+                        regions[region][0] if region < len(regions)
+                        else n_entries
+                    )
+
             if tag == _SINGLE:
                 unit, dest, srcs, is_branch = payload[:4]
                 c = cycle

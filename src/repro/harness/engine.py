@@ -44,7 +44,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from datetime import datetime, timezone
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import config_by_name, fastpath
@@ -576,6 +576,33 @@ def merge_outcomes(
     )
 
 
+def _worker_queue_waits(
+    outcomes: Sequence[GroupOutcome],
+) -> List[GroupOutcome]:
+    """*outcomes* with each group's queue wait measured from the later
+    of its submit and the end of its worker's previous group.
+
+    Every group is submitted at once, so the wait since submit also
+    counts the groups that ran ahead of it on the same worker.  The
+    submit is the ``sweep:`` span's start minus the recorded wait; the
+    previous group's end is its own ``sweep:`` span's end.
+    """
+    previous_end: Dict[int, float] = {}
+    waits: Dict[int, float] = {}
+    for position, outcome in sorted(
+        enumerate(outcomes), key=lambda item: item[1].spans[0][1]
+    ):
+        _, started, ended, _, _ = outcome.spans[0]
+        ready = max(started - outcome.queue_wait,
+                    previous_end.get(outcome.pid, 0.0))
+        waits[position] = max(0.0, started - ready)
+        previous_end[outcome.pid] = ended
+    return [
+        replace(outcome, queue_wait=waits[position])
+        for position, outcome in enumerate(outcomes)
+    ]
+
+
 def _busy_seconds(outcomes: Sequence[GroupOutcome]) -> Dict[int, float]:
     busy: Dict[int, float] = {}
     for outcome in outcomes:
@@ -747,6 +774,7 @@ def run_plan(
             for future in as_completed(futures):
                 collect(future.result())
 
+    outcomes = _worker_queue_waits(outcomes)
     table = merge_outcomes(plan, outcomes)
     run_ended = time.monotonic()
     wall_seconds = time.perf_counter() - start

@@ -302,6 +302,19 @@ class TestObservedCacheCounters:
             for name in gauges
         )
 
+    def test_queue_wait_starts_when_the_worker_is_free(self, small_sizes):
+        """Every group is submitted at once, but a group waits only from
+        the end of its worker's previous group: the waits of a plan with
+        more groups than workers add up to at most workers x wall."""
+        workers = 2
+        run = api.run_table(
+            "table1", sizes=small_sizes, workers=workers, observe=True
+        )
+        assert run.stats.groups > workers
+        assert run.stats.queue_wait_seconds <= (
+            workers * run.stats.wall_seconds
+        )
+
     def test_corruption_rebuilds_are_counted(self, small_sizes):
         api.run_table("table1", sizes=small_sizes, workers=1)
         path = segment_of(build_plan("table1", small_sizes).cells[0].source)
@@ -509,6 +522,18 @@ class TestTraceMemo:
         assert len(GLOBAL_TRACE_CACHE) == len(
             {cell.source for cell in plan.cells}
         )
+
+
+    def test_memo_keeps_the_most_recent_traces(self):
+        from repro.trace import GLOBAL_TRACE_CACHE
+        from repro.trace.cache import CAPACITY
+
+        sources = [f"branchy:seed={seed}:n=40" for seed in range(CAPACITY + 5)]
+        traces = [engine.resolve_trace(source)[0] for source in sources]
+        assert len(GLOBAL_TRACE_CACHE) <= CAPACITY
+        assert GLOBAL_TRACE_CACHE.peek(sources[0]) is None
+        newest, origin = engine.resolve_trace(sources[-1])
+        assert newest is traces[-1] and origin == "memo"
 
 
 class TestDiskCacheUnit:

@@ -552,6 +552,7 @@ class TestRunCounters:
         for key in (
             "fast_runs",
             "python.fast_runs",
+            "python.skipped_instructions",
             "batch.fast_runs",
             "batch.sweeps",
             "batch.fallback_runs",

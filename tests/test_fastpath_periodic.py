@@ -1,0 +1,272 @@
+"""The steady-state fast-forward of the RUU and out-of-order loops.
+
+``compile_trace`` marks the periodic regions of a trace (one loop body
+repeated), and :func:`~repro.core.fastpath.python_backend.ruu_replay`
+and :func:`~repro.core.fastpath.python_backend.ooo_replay` credit every
+whole period after the first repeated state in closed form.  The skip
+path must be invisible on traces that are mostly periodic -- the
+Livermore kernels and fuzzed bodies repeated many times: cycles, rates,
+``detail`` and the per-instruction schedule equal the reference loops',
+and the whole replay (``tlm.*`` telemetry and the RUU peak included)
+equals the same loop's replay of the trace with its regions dropped.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from repro.core import M5BR2, M5BR5, M11BR2, M11BR5, fastpath
+from repro.core.fastpath import SweepItem, compile_trace
+from repro.core.fastpath.python_backend import ooo_replay, ruu_replay
+from repro.core.ooo_multi import OutOfOrderMultiIssueMachine
+from repro.core.registry import build_simulator
+from repro.core.ruu import RUUMachine
+from repro.kernels import DEFAULT_SIZES, SMALL_SIZES
+from repro.trace import TraceEntry
+from repro.trace.generator import assemble_trace
+from repro.trace.sources import trace_source
+from repro.verify.fuzz import FuzzSpec, fuzz_trace
+
+from helpers import aadd, fmul, frecip, jan, loads
+from test_fastpath_diff import _assert_fast_matches_reference
+
+CONFIGS = (M11BR5, M11BR2, M5BR5, M5BR2)
+
+#: The skip-path matrix: RUU sizes below, at and above a body's live
+#: window, one- and N-bus, and the out-of-order drains (single-slot,
+#: scan, shared bus, crossbar, no WAR).
+SPECS = (
+    "ruu:1:1",
+    "ruu:2:10",
+    "ruu:4:50",
+    "ruu:4:50:1bus",
+    "ruu:4:100",
+    "ooo:1",
+    "ooo:4",
+    "ooo:4:1bus",
+    "ooo:4:xbar",
+)
+
+
+def _machines():
+    for spec in SPECS:
+        yield spec, build_simulator(spec)
+    yield "ruu:2:30:fu=2", build_simulator("ruu:2:30:fu=2")
+    yield "ruu:4:50:ordered", RUUMachine(
+        4, 50, ordered_memory=True, bypass=False
+    )
+    yield "ooo:4:nowar", OutOfOrderMultiIssueMachine(4, enforce_war=False)
+
+
+MACHINES = tuple(_machines())
+MACHINE_IDS = [name for name, _ in MACHINES]
+
+
+@pytest.fixture(autouse=True)
+def _fastpath_on():
+    """Pin fast-path auto-selection on (REPRO_FASTPATH=0 environments)."""
+    previous = fastpath.set_enabled(True)
+    yield
+    fastpath.set_enabled(previous)
+
+
+def _assert_matches(simulator, trace, config, context):
+    """The reference contract, plus: skipping changes nothing at all."""
+    _assert_fast_matches_reference(simulator, trace, config, context)
+    compiled = compile_trace(trace)
+    flat = replace(compiled, regions=())
+    if fastpath.family_of(simulator) == "ruu":
+        skipped = ruu_replay(compiled, simulator, config, tracking=True)
+        replayed = ruu_replay(flat, simulator, config, tracking=True)
+        assert skipped == replayed, context
+        return
+    schedules = ([], [])
+    skipped, replayed = (
+        ooo_replay(source, [SweepItem(simulator, config, schedule)])[0]
+        for source, schedule in zip((compiled, flat), schedules)
+    )
+    assert skipped.cycles == replayed.cycles, context
+    assert skipped.detail == replayed.detail, context
+    assert schedules[0] == schedules[1], context
+
+
+def _kernel(loop: int, sizes=SMALL_SIZES):
+    return trace_source(f"kernel:{loop}:n={sizes[loop]}")
+
+
+def _closing_branch(static_index: int) -> TraceEntry:
+    instruction, taken = jan(True)
+    return TraceEntry(
+        seq=0, static_index=static_index, instruction=instruction,
+        taken=taken,
+    )
+
+
+def _repeated(body, times: int, *, prefix=(), suffix=(), name="periodic"):
+    """*body* entries ``times`` times over (static indices kept, so the
+    period scan sees one loop), between optional *prefix* and *suffix*."""
+    return assemble_trace(
+        list(prefix) + list(body) * times + list(suffix), name=name
+    )
+
+
+def _fuzzed_body(seed: int, length: int = 12):
+    """A fuzzed loop body closed by a taken backward branch."""
+    entries = fuzz_trace(seed, FuzzSpec(length=length)).entries
+    return list(entries) + [_closing_branch(length)]
+
+
+def _shifted(entries, offset: int):
+    """*entries* under static indices disjoint from a body's."""
+    return [
+        TraceEntry(
+            seq=0, static_index=entry.static_index + offset,
+            instruction=entry.instruction, taken=entry.taken,
+            address=entry.address, backward=entry.backward,
+            vector_length=entry.vector_length,
+        )
+        for entry in entries
+    ]
+
+
+# ----------------------------------------------------------------------
+# The period scan
+# ----------------------------------------------------------------------
+
+def test_kernel1_is_one_region_of_period_12():
+    compiled = compile_trace(_kernel(1))
+    assert len(compiled.regions) == 1
+    start, period, end = compiled.regions[0]
+    assert period == 12
+    assert end - start >= 4 * period
+
+
+@pytest.mark.parametrize("loop", (2, 14))
+def test_nested_loops_have_one_region_per_inner_loop(loop):
+    compiled = compile_trace(_kernel(loop, DEFAULT_SIZES))
+    assert len(compiled.regions) > 1
+    previous_end = 0
+    for start, period, end in compiled.regions:
+        assert previous_end <= start < end <= compiled.n
+        assert end - start >= 4 * period
+        ops = compiled.ops
+        assert all(
+            ops[seq] == ops[seq - period]
+            for seq in range(start + period, end)
+        )
+        previous_end = end
+
+
+@pytest.mark.parametrize(
+    "trace",
+    (
+        fuzz_trace(3, FuzzSpec(length=400)),
+        trace_source("branchy:seed=1:n=2000"),
+    ),
+    ids=("fuzz", "branchy"),
+)
+def test_generated_traces_have_no_regions(trace):
+    assert compile_trace(trace).regions == ()
+
+
+def test_region_starts_after_the_taken_branch():
+    body = _fuzzed_body(5)
+    prefix = _shifted(fuzz_trace(6, FuzzSpec(length=7)).entries, 1000)
+    compiled = compile_trace(_repeated(body, 9, prefix=prefix))
+    [(start, period, end)] = compiled.regions
+    assert period == len(body)
+    # The first body's branch is the region's first taken one.
+    assert compiled.ops[start - 1][3] and compiled.ops[start - 1][4]
+    assert end == compiled.n
+
+
+# ----------------------------------------------------------------------
+# Differential: the skip path is bit-identical
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,simulator", MACHINES, ids=MACHINE_IDS)
+def test_kernels_match_reference(name, simulator):
+    for loop in range(1, 15):
+        trace = _kernel(loop)
+        for config in CONFIGS:
+            _assert_matches(
+                simulator, trace, config, (name, loop, config.name)
+            )
+
+
+@pytest.mark.parametrize("name,simulator", MACHINES, ids=MACHINE_IDS)
+def test_repeated_fuzzed_bodies_match_reference(name, simulator):
+    for seed in range(6):
+        body = _fuzzed_body(seed, length=6 + 3 * seed)
+        prefix = _shifted(fuzz_trace(100 + seed).entries[:10], 1000)
+        suffix = _shifted(fuzz_trace(200 + seed).entries[:10], 2000)
+        for times in (5, 13, 40):
+            trace = _repeated(body, times, prefix=prefix, suffix=suffix)
+            config = CONFIGS[(seed + times) % len(CONFIGS)]
+            _assert_matches(
+                simulator, trace, config, (name, seed, times, config.name)
+            )
+
+
+def _recurrence_body():
+    """Six ops whose loop-carried reciprocal chain fills any RUU: the
+    live window spans many bodies, so a jump can be shorter than it."""
+    return [
+        TraceEntry(seq=0, static_index=index, instruction=item)
+        for index, item in enumerate(
+            (frecip(2, 1), fmul(1, 2, 3), loads(4, 1), aadd(1, 1),
+             aadd(0, 0, -1))
+        )
+    ] + [_closing_branch(5)]
+
+
+@pytest.mark.parametrize("times", (12, 20, 30, 45))
+def test_jump_shorter_than_the_live_window(times):
+    """The live state is copied youngest-first, so a jump that overlaps
+    its own window reads every source before overwriting it."""
+    simulator = build_simulator("ruu:4:100")
+    trace = _repeated(_recurrence_body(), times)
+    for config in CONFIGS:
+        _assert_matches(
+            simulator, trace, config, (times, config.name)
+        )
+
+
+def _slow_tail_body():
+    """Five ops whose slowest result is the body's last: a trace that
+    stops a few ops into the next body finishes on a skipped event."""
+    return [
+        TraceEntry(seq=0, static_index=index, instruction=item)
+        for index, item in enumerate(
+            (aadd(1, 1), loads(4, 1), aadd(0, 0, -1), frecip(2, 4))
+        )
+    ] + [_closing_branch(4)]
+
+
+@pytest.mark.parametrize("name,simulator", MACHINES, ids=MACHINE_IDS)
+def test_trace_ending_with_its_region(name, simulator):
+    """Little runs after the last skipped period, so the finish time
+    comes from the shifted branch resolution or last event."""
+    traces = [_repeated(_fuzzed_body(seed, length=8), 30) for seed in range(3)]
+    body = _slow_tail_body()
+    traces += [
+        _repeated(body, times, suffix=body[:extra])
+        for times in (7, 10) for extra in (1, 2, 3)
+    ]
+    for trace in traces:
+        assert compile_trace(trace).regions[-1][2] == len(trace)
+        for config in CONFIGS:
+            _assert_matches(
+                simulator, trace, config, (name, len(trace), config.name)
+            )
+
+
+def test_kernels_skip_instructions():
+    fastpath.reset_stats()
+    for spec in ("ruu:4:50", "ooo:4"):
+        simulator = build_simulator(spec)
+        for loop in (1, 3, 7):
+            simulator.simulate(_kernel(loop), M11BR5)
+    assert fastpath.stats()["python.skipped_instructions"] > 0

@@ -11,8 +11,9 @@ cell named.
 Values are compared bit-exactly: the engine is deterministic, so a
 difference of one ULP is a real behaviour change.
 
-The fast tables (1-4, about three seconds together) run in tier-1; the
-R-sweep tables (5-8) are ``slow``-marked for the nightly job.
+All eight tables run in tier-1: the R-sweep tables (5-8) are the only
+goldens for the out-of-order and RUU machines, and the steady-state
+fast-forward keeps them to a few seconds at ``SMALL_SIZES``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from repro.kernels import SMALL_SIZES
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_tables.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-_FAST_TABLES = ("table1", "table2", "table3", "table4")
-_SLOW_TABLES = ("table5", "table6", "table7", "table8")
+_TABLES = tuple(f"table{number}" for number in range(1, 9))
 
 
 def _assert_matches_golden(table_id: str) -> None:
@@ -68,14 +68,8 @@ def test_golden_file_covers_every_table():
     assert not set(GOLDEN) & set(spec_golden)
 
 
-@pytest.mark.parametrize("table_id", _FAST_TABLES)
+@pytest.mark.parametrize("table_id", _TABLES)
 def test_table_matches_seed_run(table_id):
-    _assert_matches_golden(table_id)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("table_id", _SLOW_TABLES)
-def test_slow_table_matches_seed_run(table_id):
     _assert_matches_golden(table_id)
 
 
