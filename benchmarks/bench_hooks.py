@@ -6,8 +6,9 @@ machine; interleaving cancels slow drift):
 
 * **disabled hooks** -- the event-hook plumbing in
   :meth:`ScoreboardMachine.simulate` must be free when no callback is
-  attached.  The hooked issue loop (``simulate()`` with
-  ``on_event=None``) is measured against the seed implementation,
+  attached.  The hooked issue loop (``simulate()`` with the fast path
+  off: the reference loop, ``emit=None``) is measured against the seed
+  implementation,
   frozen with no hook code in ``seed_scoreboard.py`` next to this
   script, over the full table-1 scoreboard workload (all 14 Livermore
   loops).

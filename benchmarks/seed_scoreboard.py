@@ -4,7 +4,7 @@
 Hooks were added later inside the same recurrence
 (``ScoreboardMachine._simulate``), and ``benchmarks/bench_hooks.py``
 gates what they cost when no subscriber is attached: the hooked loop,
-run with ``on_event=None``, must stay within 2% of this copy on the
+run with ``emit=None``, must stay within 2% of this copy on the
 table-1 workload.  The copy lives here, not in ``src/``, because it is
 a measuring stick and nothing else runs it.
 

@@ -29,9 +29,9 @@ def main() -> None:
         print(breakdown.render())
         print()
 
-        records = record_schedule(trace, M11BR5)
+        schedule = record_schedule(trace, M11BR5)
         body = len(kernel.program)  # roughly one iteration of instructions
-        print(render_timeline(trace, records, first=body, count=min(body, 18)))
+        print(render_timeline(trace, schedule, first=body, count=min(body, 18)))
         print()
 
         path = critical_path(trace, M11BR5)

@@ -17,7 +17,7 @@ The package is organised bottom-up:
   quote and the per-loop appendix, the parallel engine, paper data and
   comparison machinery;
 * :mod:`repro.obs`     -- observability: process-safe metrics, run/span
-  tracing, simulator event hooks, durable run manifests;
+  tracing, simulator events, durable run manifests;
 * :mod:`repro.api`     -- the one public facade: ``run_table``,
   ``simulate``, ``limits``, ``list_machines`` and friends, with process
   fan-out and a persistent result store underneath.

@@ -9,31 +9,28 @@ quantitative version of the paper's Section 6 discussion of what limits
 each organisation.
 
 The breakdown reads the aggregate :class:`~repro.obs.telemetry.
-SimTelemetry` record the compiled fast loops attach to every result --
-one plain ``simulate`` call, no event stream, fast-path speed.  When the
-machine has no fast loop (or the fast path is disabled) it replays
-through the typed event stream instead (:mod:`repro.obs.events`,
-adapted into per-instruction :class:`repro.core.scoreboard.IssueRecord`
-entries) and keeps that schedule in :attr:`StallBreakdown.records`;
-both routes attribute the same cycles.  For a per-cycle view use
-:func:`repro.analysis.timeline.record_schedule`.
+SimTelemetry` record the machine's compiled loop attaches to its result
+-- the same loop call :func:`repro.core.fastpath.batch.sweep` makes, so
+the answer does not depend on ``REPRO_FASTPATH``.  The compiled loops
+are proved equal to the reference loops by ``tests/test_fastpath_diff.py``
+and the oracle's ``fastpath-dual`` check; per-instruction attribution
+lives in the reference loop's STALL events
+(:meth:`~repro.core.base.Simulator.simulate_observed`).  For a per-cycle
+view use :func:`repro.analysis.timeline.record_schedule`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
+from ..core.base import CompiledSimulator
 from ..core.config import MachineConfig
-from ..core.scoreboard import (
-    EventRecorder,
-    IssueRecord,
-    ScoreboardMachine,
-    StallReason,
-    cray_like_machine,
-)
+from ..core.fastpath.python_backend import FAMILY_LOOPS
+from ..core.scoreboard import StallReason, cray_like_machine
 from ..obs.telemetry import SimTelemetry
 from ..trace import Trace
+
 
 @dataclass(frozen=True)
 class StallBreakdown:
@@ -46,9 +43,6 @@ class StallBreakdown:
         total_cycles: total execution cycles.
         issue_cycles: cycles in which an instruction issued.
         stalled_by: idle issue cycles attributed to each reason.
-        records: the per-instruction schedule (in trace order); empty
-            when the breakdown came from aggregate telemetry rather
-            than an event replay.
     """
 
     trace_name: str
@@ -57,7 +51,6 @@ class StallBreakdown:
     total_cycles: int
     issue_cycles: int
     stalled_by: Dict[StallReason, int]
-    records: List[IssueRecord] = field(repr=False, default_factory=list)
 
     @property
     def stall_cycles(self) -> int:
@@ -84,20 +77,36 @@ class StallBreakdown:
         return "\n".join(lines)
 
 
-def _breakdown_from_telemetry(
+def stall_breakdown(
     trace: Trace,
     config: MachineConfig,
-    machine: ScoreboardMachine,
-) -> Optional[StallBreakdown]:
-    """The breakdown from aggregate telemetry, or None when unavailable."""
-    result = machine.simulate(trace, config)
+    machine: Optional[CompiledSimulator] = None,
+) -> StallBreakdown:
+    """Attribute every idle issue cycle of *trace* on *machine*.
+
+    Args:
+        trace: the dynamic trace to analyse.
+        config: memory/branch variant.
+        machine: a machine whose stall reasons are
+            :class:`StallReason` names (the scoreboard family);
+            defaults to CRAY-like.
+
+    Raises:
+        ValueError: the machine's telemetry names a stall reason outside
+            :class:`StallReason` (the RUU's ``RUU_FULL``, Tomasulo's
+            ``STATIONS_FULL``).
+    """
+    machine = machine or cray_like_machine()
+    result = FAMILY_LOOPS[machine.family](machine, trace, config)
     telemetry = SimTelemetry.from_detail(result.detail)
-    if telemetry is None:
-        return None
-    if not all(
-        name in StallReason.__members__ for name in telemetry.stall_cycles
-    ):
-        return None
+    unknown = sorted(
+        set(telemetry.stall_cycles) - set(StallReason.__members__)
+    )
+    if unknown:
+        raise ValueError(
+            f"{machine.name} stalls on {', '.join(unknown)}, which stall "
+            "attribution does not cover (it reads the scoreboard's reasons)"
+        )
     return StallBreakdown(
         trace_name=trace.name,
         machine=machine.name,
@@ -108,45 +117,4 @@ def _breakdown_from_telemetry(
             StallReason[name]: cycles
             for name, cycles in telemetry.stall_cycles.items()
         },
-        records=[],
-    )
-
-
-def stall_breakdown(
-    trace: Trace,
-    config: MachineConfig,
-    machine: Optional[ScoreboardMachine] = None,
-) -> StallBreakdown:
-    """Attribute every idle issue cycle of *trace* on *machine*.
-
-    Args:
-        trace: the dynamic trace to analyse.
-        config: memory/branch variant.
-        machine: any :class:`ScoreboardMachine`; defaults to CRAY-like.
-    """
-    machine = machine or cray_like_machine()
-    breakdown = _breakdown_from_telemetry(trace, config, machine)
-    if breakdown is not None:
-        return breakdown
-
-    records: List[IssueRecord] = []
-    result = machine.simulate_observed(
-        trace, config, EventRecorder(records.append)
-    )
-
-    stalled: Dict[StallReason, int] = {}
-    for record in records:
-        if record.stall_cycles:
-            stalled[record.stall] = (
-                stalled.get(record.stall, 0) + record.stall_cycles
-            )
-
-    return StallBreakdown(
-        trace_name=trace.name,
-        machine=machine.name,
-        config=config,
-        total_cycles=result.cycles,
-        issue_cycles=len(records),
-        stalled_by=stalled,
-        records=records,
     )

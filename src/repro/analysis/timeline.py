@@ -5,47 +5,42 @@ one row per instruction, one column per cycle, ``I`` at issue, ``=``
 while the operation is in a functional unit, ``*`` at completion.
 Useful for eyeballing exactly why a loop body stalls.
 
-Timelines inherently need per-cycle, per-instruction resolution, so
-this module always replays through the typed event stream -- the
-aggregate :mod:`repro.obs.telemetry` record that serves
-:func:`repro.analysis.stalls.stall_breakdown` cannot reconstruct a
-schedule.  That makes :func:`record_schedule` the deliberate "events
-only when per-cycle resolution is explicitly requested" path.
+The schedule is the ``record=`` list of the machine's compiled loop
+(:data:`repro.core.fastpath.python_backend.FAMILY_LOOPS`): one
+``(issue, complete)`` pair per instruction, indexed by seq -- the same
+pairs the reference loop's events give
+(:func:`repro.obs.events.schedule_from_events`; the differential tests
+and the oracle's ``fastpath-dual`` check hold the two equal).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
+from ..core.base import CompiledSimulator
 from ..core.config import MachineConfig
-from ..core.scoreboard import (
-    EventRecorder,
-    IssueRecord,
-    ScoreboardMachine,
-    cray_like_machine,
-)
+from ..core.fastpath.ir import Schedule
+from ..core.fastpath.python_backend import FAMILY_LOOPS
+from ..core.scoreboard import cray_like_machine
 from ..trace import Trace
 
 
 def record_schedule(
     trace: Trace,
     config: MachineConfig,
-    machine: Optional[ScoreboardMachine] = None,
-) -> List[IssueRecord]:
-    """Per-instruction issue records for *trace* on *machine*.
-
-    Derived from the machine's typed event stream
-    (:mod:`repro.obs.events`) via :class:`~repro.core.scoreboard.EventRecorder`.
-    """
+    machine: Optional[CompiledSimulator] = None,
+) -> Schedule:
+    """Per-instruction ``(issue, complete)`` pairs for *trace* on
+    *machine* (CRAY-like by default), from its compiled loop."""
     machine = machine or cray_like_machine()
-    records: List[IssueRecord] = []
-    machine.simulate_observed(trace, config, EventRecorder(records.append))
-    return records
+    schedule: Schedule = []
+    FAMILY_LOOPS[machine.family](machine, trace, config, schedule)
+    return schedule
 
 
 def render_timeline(
     trace: Trace,
-    records: Sequence[IssueRecord],
+    schedule: Schedule,
     *,
     first: int = 0,
     count: int = 20,
@@ -54,18 +49,19 @@ def render_timeline(
     """Render instructions ``[first, first+count)`` as a pipeline diagram.
 
     Args:
-        trace: the trace the records came from (for disassembly).
-        records: schedule records from :func:`record_schedule`.
+        trace: the trace the schedule came from (for disassembly).
+        schedule: ``(issue, complete)`` pairs by seq, from
+            :func:`record_schedule`.
         first: first dynamic instruction to show.
         count: how many instructions to show.
         max_width: clip the cycle axis to this many columns.
     """
-    window = records[first : first + count]
+    window = schedule[first : first + count]
     if not window:
         raise ValueError(f"empty window [{first}, {first + count})")
 
-    origin = min(r.issue for r in window)
-    span = max(r.complete for r in window) - origin + 1
+    origin = min(issue for issue, _ in window)
+    span = max(complete for _, complete in window) - origin + 1
     span = min(span, max_width)
 
     header_label = f"cycle {origin} +"
@@ -73,18 +69,18 @@ def render_timeline(
     axis = "".join(str((origin + c) % 10) for c in range(span))
     lines.append(f"{'':<36}{axis}")
 
-    for record in window:
-        instr = trace[record.seq].instruction
-        label = f"{record.seq:>5}  {str(instr).split(';')[0].strip():<27}"
+    for seq, (issue, complete) in enumerate(window, first):
+        instr = trace[seq].instruction
+        label = f"{seq:>5}  {str(instr).split(';')[0].strip():<27}"
         row = [" "] * span
-        issue_col = record.issue - origin
+        issue_col = issue - origin
         if 0 <= issue_col < span:
             row[issue_col] = "I"
-        for cycle in range(record.issue + 1, record.complete):
+        for cycle in range(issue + 1, complete):
             col = cycle - origin
             if 0 <= col < span:
                 row[col] = "="
-        done_col = record.complete - origin
+        done_col = complete - origin
         if 0 <= done_col < span:
             row[done_col] = "*"
         lines.append(f"{label[:35]:<36}{''.join(row)}")

@@ -77,16 +77,15 @@ from .trace import (
     trace_stats as _trace_stats,
 )
 from .trace.importer import TraceImportError, export_trace, import_trace
+from .trace.stats import IRStats, ir_statistics
 from .trace.sources import (
     ParsedTraceSpec,
-    SourceStats,
     TraceSource,
     UnknownTraceSourceError,
     available_sources as _available_sources,
     kernel_instance,
     list_sources as _list_sources,
     parse_trace_spec as _parse_trace_spec_string,
-    source_statistics,
 )
 
 Sizes = Optional[Mapping[int, int]]
@@ -95,13 +94,13 @@ __all__ = [
     "BenchOptions",
     "BenchReport",
     "ExploreRun",
+    "IRStats",
     "MachineInfo",
     "ParsedSpec",
     "ParsedTraceSpec",
     "ProgressCallback",
     "ProgressEvent",
     "RunManifest",
-    "SourceStats",
     "SpaceError",
     "SweepRun",
     "TableRun",
@@ -372,13 +371,13 @@ def disassemble(source: str) -> str:
     return kernel_instance(source).program.disassemble()
 
 
-def source_stats(spec: str) -> SourceStats:
+def source_stats(spec: str) -> IRStats:
     """Dependence-distance and FU-demand summary of one source's trace.
 
     Computed from the compiled-trace IR (see
-    :func:`repro.trace.sources.source_statistics`).
+    :func:`repro.trace.stats.ir_statistics`).
     """
-    return source_statistics(resolve_trace(spec))
+    return ir_statistics(resolve_trace(spec))
 
 
 def list_trace_sources() -> Tuple[TraceSource, ...]:

@@ -666,16 +666,6 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
             route_parts.append(f"{route}: {detail}")
     if route_parts:
         lines.append("  fast-path routes: " + "; ".join(route_parts))
-    ir_counts = {
-        key: manifest.counter(f"fastpath.ir_stats.{key}")
-        for key in ("hits", "misses", "stores")
-    }
-    if any(ir_counts.values()):
-        lines.append(
-            f"  ir-stats cache: {ir_counts['hits']:.0f} hit / "
-            f"{ir_counts['misses']:.0f} miss "
-            f"({ir_counts['stores']:.0f} stored)"
-        )
     utilization = manifest.worker_utilization
     if utilization:
         shares = ", ".join(

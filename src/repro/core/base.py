@@ -47,16 +47,12 @@ def require_scalar_trace(trace: Trace, machine_name: str) -> None:
 class Simulator(abc.ABC):
     """A timing model for one instruction-issue method.
 
-    Every simulator exposes an optional event hook: set :attr:`on_event`
-    to an :data:`repro.obs.events.EventCallback` and :meth:`simulate`
-    emits typed issue/stall/complete/flush events
-    (:class:`repro.obs.events.SimEvent`) as it models the run.  The hook
-    is observational only -- it never changes timing -- and the disabled
-    path costs one ``is not None`` test per instruction.
+    :meth:`simulate_observed` is the one way to watch a replay: machines
+    with an event-emitting reference loop pass its typed
+    issue/stall/complete/flush events
+    (:class:`repro.obs.events.SimEvent`) to the callback.  Events are
+    observational only -- they never change timing.
     """
-
-    #: Optional observer for typed simulator events (None = disabled).
-    on_event: Optional[EventCallback] = None
 
     @property
     @abc.abstractmethod
@@ -78,18 +74,12 @@ class Simulator(abc.ABC):
         config: MachineConfig,
         on_event: Optional[EventCallback],
     ) -> SimulationResult:
-        """Run :meth:`simulate` with *on_event* installed for the call.
+        """Replay *trace* with *on_event* receiving the replay's events.
 
-        The previous hook is restored afterwards, so a shared simulator
-        instance is safe to observe temporarily (this is how
-        :mod:`repro.analysis` attaches itself).
+        Machines without an event-emitting loop (the simple machine, the
+        memory-system wrappers) emit none and just :meth:`simulate`.
         """
-        previous = self.on_event
-        self.on_event = on_event
-        try:
-            return self.simulate(trace, config)
-        finally:
-            self.on_event = previous
+        return self.simulate(trace, config)
 
     def issue_rate(self, trace: Trace, config: MachineConfig) -> float:
         """Convenience: just the issue rate."""
@@ -115,24 +105,32 @@ class CompiledSimulator(Simulator):
     def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
         """Replay *trace* on the compiled loop when
         :func:`~repro.core.fastpath.fast_eligible` allows it, else on the
-        reference loop with the installed ``on_event`` hook.
+        reference loop.
 
-        The gate is re-read on every call (never cached), so a hook
-        attached after construction -- or installed temporarily via
-        :meth:`simulate_observed` -- always gets the event-emitting
-        reference loop.  The compiled loop is bit-identical
-        (``tests/test_fastpath_diff.py``, the oracle's ``fastpath-dual``
-        check) but emits no events.
+        The gate is re-read on every call (never cached).  The compiled
+        loop is bit-identical (``tests/test_fastpath_diff.py``, the
+        oracle's ``fastpath-dual`` check) but emits no events; observed
+        replays go through :meth:`simulate_observed`.
         """
         if fastpath.fast_eligible(self):
             loop = fastpath.python_backend.FAMILY_LOOPS[self.family]
             return loop(self, trace, config)
-        return self._simulate(trace, config, self.on_event)
+        return self._simulate(trace, config, None)
+
+    def simulate_observed(
+        self,
+        trace: Trace,
+        config: MachineConfig,
+        on_event: Optional[EventCallback],
+    ) -> SimulationResult:
+        """The event-emitting reference loop, with *on_event* receiving
+        its events (``None`` runs it unobserved)."""
+        return self._simulate(trace, config, on_event)
 
     def reference_simulate(
         self, trace: Trace, config: MachineConfig
     ) -> SimulationResult:
-        """The reference loop with no hook: the baseline the compiled
+        """The reference loop with no callback: the baseline the compiled
         loop must match bit-for-bit in the differential tests, the
         oracle's ``fastpath-dual`` check and the benchmark suite."""
         return self._simulate(trace, config, None)

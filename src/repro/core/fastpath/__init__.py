@@ -8,9 +8,8 @@ The package splits the fast path into three layers:
   flags), cached per trace object.  Machine- and config-independent:
   one compilation serves every machine variant and every replay.
 * :mod:`~repro.core.fastpath.backends` -- the uniform gating rule
-  (:func:`fast_eligible`: ``REPRO_FASTPATH`` / :func:`set_enabled`, a
-  compiled family, no installed ``on_event`` hook) and the run counters
-  behind :func:`stats`.
+  (:func:`fast_eligible`: ``REPRO_FASTPATH`` / :func:`set_enabled` and a
+  compiled family) and the run counters behind :func:`stats`.
 * the replay loops -- :mod:`~repro.core.fastpath.python_backend`: one
   compiled loop per family (``FAMILY_LOOPS``), including the
   out-of-order and RUU kernels; :mod:`~repro.core.fastpath.batch`: the
@@ -19,7 +18,8 @@ The package splits the fast path into three layers:
 
 A machine picks its loop in one place,
 :meth:`repro.core.base.CompiledSimulator.simulate`: the compiled loop
-when :func:`fast_eligible` allows it, else its reference loop.
+when :func:`fast_eligible` allows it, else its reference loop.  Events
+come only from the reference loops, through ``simulate_observed``.
 :func:`simulate_sweep` is the sweep entry point and applies the same
 gate per item (ineligible members run their machine's own ``simulate``,
 i.e. the reference loop), compiles the trace once, and hands the
@@ -82,11 +82,11 @@ def simulate_sweep(
     Items are :class:`SweepItem` instances or ``(simulator, config)`` /
     ``(simulator, config, record)`` tuples; results come back in item
     order.  Gating is per item and identical to the machines' own
-    dispatch: a member whose simulator has no compiled loop, carries an
-    ``on_event`` hook, or runs with the fast path disabled
-    (``REPRO_FASTPATH=0`` / :func:`set_enabled`) is served by its own
-    ``simulate`` -- the reference path -- while the rest share one
-    compiled trace through :func:`batch.sweep`.
+    dispatch: a member whose simulator has no compiled loop, or runs
+    with the fast path disabled (``REPRO_FASTPATH=0`` /
+    :func:`set_enabled`), is served by its own ``simulate`` -- the
+    reference path -- while the rest share one compiled trace through
+    :func:`batch.sweep`.
     """
     resolved = [
         item if isinstance(item, SweepItem) else SweepItem(*item)
@@ -100,9 +100,6 @@ def simulate_sweep(
         else:
             results[index] = item.simulator.simulate(trace, item.config)
     if fast_indices:
-        # One lowering for the whole sweep; the local reference pins the
-        # compile-cache entry until every member has replayed.
-        compiled = compile_trace(trace)  # noqa: F841 -- keepalive
         subset = [resolved[index] for index in fast_indices]
         for index, result in zip(fast_indices, batch.sweep(trace, subset)):
             results[index] = result

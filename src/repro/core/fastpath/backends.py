@@ -5,10 +5,11 @@ serve a machine (:func:`fast_eligible`):
 
 * ``REPRO_FASTPATH=0`` / :func:`set_enabled` disables the fast path --
   every machine runs its reference loop via ``simulator.simulate``;
-* an installed ``on_event`` hook (:func:`repro.obs.events.hook_installed`)
-  forces the reference loop, which is the only event-emitting path;
 * machines without a compiled loop (:func:`family_of` is ``None``)
   always take their own ``simulate`` path.
+
+Observed replays never reach the gate: ``simulate_observed`` always
+runs the event-emitting reference loop.
 
 :func:`stats` merges the compile-cache counters from
 :mod:`repro.core.fastpath.ir` with the run counters of the two replay
@@ -26,7 +27,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ...obs.events import hook_installed
 from ..config import MachineConfig
 from . import ir
 
@@ -77,8 +77,7 @@ class SweepItem:
 
 
 #: Run counters per replay route, seeded so ``stats()`` exposes a stable
-#: key set (the engine diffs snapshots); other groups (``ir_stats``) are
-#: added by their first :func:`count_run`.
+#: key set (the engine diffs snapshots).
 _RUN_STATS: Dict[str, Dict[str, int]] = {
     "python": {"fast_runs": 0, "skipped_instructions": 0},
     "batch": {
@@ -89,8 +88,7 @@ _RUN_STATS: Dict[str, Dict[str, int]] = {
 
 def count_run(group: str, key: str, n: int = 1) -> None:
     """Bump the run counter ``<group>.<key>``."""
-    counters = _RUN_STATS.setdefault(group, {})
-    counters[key] = counters.get(key, 0) + n
+    _RUN_STATS[group][key] += n
 
 
 def stats() -> Dict[str, int]:
@@ -141,12 +139,7 @@ def family_of(simulator) -> Optional[str]:
 def fast_eligible(simulator) -> bool:
     """May *simulator* be served by a compiled loop right now?
 
-    The single gating rule: the fast path must be enabled, the machine
-    must have a compiled loop, and no ``on_event`` hook may be installed
-    (hooks only fire from the reference loops).
+    The single gating rule: the fast path must be enabled and the
+    machine must have a compiled loop.
     """
-    return (
-        _ENABLED
-        and not hook_installed(simulator)
-        and family_of(simulator) is not None
-    )
+    return _ENABLED and family_of(simulator) is not None

@@ -367,6 +367,6 @@ def _unit_tables(
     return latencies, pipelined
 
 
-#: Per-instruction (issue, complete) pairs, matching the cycles an
-#: ``on_event`` subscriber of the reference path would observe.
+#: Per-instruction (issue, complete) pairs, matching the cycles the
+#: reference loop's events give (``obs.events.schedule_from_events``).
 Schedule = List[Tuple[int, int]]

@@ -44,9 +44,9 @@ fast-forward.
 Bit-identity is a hard invariant, enforced three ways:
 
 * machines auto-select this path **only** when
-  :func:`repro.core.fastpath.fast_eligible` allows it (no ``on_event``
-  hook installed, fast path enabled) and fall back to the reference
-  loop otherwise;
+  :func:`repro.core.fastpath.fast_eligible` allows it (fast path
+  enabled) and run the reference loop otherwise; observed replays
+  (``simulate_observed``) always run the reference loop;
 * ``tests/test_fastpath_diff.py`` replays hundreds of fuzzed traces
   through both paths and compares cycle counts, issue rates and
   per-instruction issue/completion schedules;
@@ -1191,6 +1191,10 @@ def ruu_replay(
                 if result[seq] > cycle:
                     break
                 head += 1
+                # Every later return probe is at cycle + latency or
+                # later (latencies are >= 1), so this return cycle is
+                # never read again: the dict stays as small as the RUU.
+                ret_used.pop(result[seq], None)
                 # RUU entry occupied from issue to commit -- the
                 # ISSUE..COMPLETE window of the reference events.
                 busy[units[seq]] += cycle

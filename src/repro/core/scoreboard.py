@@ -25,8 +25,7 @@ organisation          functional units      memory
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..isa import FunctionalUnit, Register
 from ..obs.events import EventCallback, EventKind, SimEvent
@@ -45,68 +44,6 @@ class StallReason(enum.Enum):
     UNIT = "functional unit busy"
     BUS = "result bus conflict"
     BRANCH = "waiting for a branch to resolve"
-
-
-@dataclass(frozen=True)
-class IssueRecord:
-    """Per-instruction schedule record (produced with ``record=``).
-
-    Attributes:
-        seq: dynamic instruction index.
-        issue: cycle the instruction issued.
-        complete: cycle its result (or branch resolution) was available.
-        stall: the binding constraint, i.e. the reason the instruction did
-            not issue earlier (``NONE`` when it issued back-to-back).
-        stall_cycles: cycles lost to that constraint beyond the earliest
-            in-order slot.
-    """
-
-    seq: int
-    issue: int
-    complete: int
-    stall: StallReason
-    stall_cycles: int
-
-
-#: Callback receiving one IssueRecord per simulated instruction.
-ScheduleRecorder = Callable[[IssueRecord], None]
-
-
-class EventRecorder:
-    """Adapts the typed event stream back into :class:`IssueRecord`\\ s.
-
-    The scoreboard emits, per instruction and in order: an optional
-    ``STALL`` (when issue was delayed), an ``ISSUE``, then a
-    ``COMPLETE``.  This adapter folds that triple back into the
-    per-instruction record shape that :mod:`repro.analysis` aggregates,
-    so stall attribution and timelines consume the same stream as any
-    other event subscriber.
-    """
-
-    def __init__(self, recorder: ScheduleRecorder) -> None:
-        self._recorder = recorder
-        self._issue_cycle = 0
-        self._stall = StallReason.NONE
-        self._stall_cycles = 0
-
-    def __call__(self, event: SimEvent) -> None:
-        if event.kind is EventKind.STALL:
-            self._stall = StallReason[event.reason]
-            self._stall_cycles = event.cycles
-        elif event.kind is EventKind.ISSUE:
-            self._issue_cycle = event.cycle
-        elif event.kind is EventKind.COMPLETE:
-            self._recorder(
-                IssueRecord(
-                    seq=event.seq,
-                    issue=self._issue_cycle,
-                    complete=event.cycle,
-                    stall=self._stall,
-                    stall_cycles=self._stall_cycles,
-                )
-            )
-            self._stall = StallReason.NONE
-            self._stall_cycles = 0
 
 
 class ScoreboardMachine(CompiledSimulator):
@@ -171,8 +108,8 @@ class ScoreboardMachine(CompiledSimulator):
     ) -> SimulationResult:
         # The seed implementation this loop replaced survives, frozen,
         # as ``benchmarks/seed_scoreboard.py``:
-        # ``benchmarks/bench_hooks.py`` gates the disabled-hook overhead
-        # of this loop against it.
+        # ``benchmarks/bench_hooks.py`` gates the unobserved
+        # (``emit=None``) overhead of this loop against it.
         latencies = config.latencies
         branch_latency = config.branch_latency
 
@@ -186,7 +123,7 @@ class ScoreboardMachine(CompiledSimulator):
         last_event = 0
         # Hoisted so reason tracking costs local stores, not enum
         # attribute lookups; with no subscriber the per-instruction price
-        # of the hook plumbing is just the `emit is not None` tests
+        # of the event plumbing is just the `emit is not None` tests
         # (bench_hooks.py gates that price in CI).
         tracking = emit is not None
         reason_none = StallReason.NONE

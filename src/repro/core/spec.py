@@ -233,8 +233,8 @@ class SpecMachine(CompiledSimulator):
             adds to the producer's result availability.
 
     The compiled loop models the predictors (they are deterministic),
-    so a predictor never forces the reference loop; only an installed
-    event hook does.
+    so a predictor never forces the reference loop; only an observed
+    replay (``simulate_observed``) runs it.
     """
 
     family = "spec"

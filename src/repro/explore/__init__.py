@@ -264,8 +264,8 @@ def explore(
         slack: relative near-frontier slack for the verification band.
         band_per_segment: band size cap per frontier segment.
         workers: process fan-out for the exact stage.
-        cache: DiskCache for traces, cell results, IR statistics,
-            anchors and screened spaces.
+        cache: DiskCache for traces, cell results, anchors and
+            screened spaces.
         observe: write a run manifest (``explore`` table id).
         exhaustive: additionally simulate *every* candidate (grids up to
             5000 only) and report frontier recall against the true

@@ -63,7 +63,7 @@ from ..isa import FunctionalUnit
 from ..limits import compute_limits
 from ..trace import DiskCache, Trace
 from ..trace.diskcache import model_fingerprint
-from ..trace.stats import cached_ir_stats
+from ..trace.stats import ir_statistics
 from .space import BUSES, FAMILIES, CandidateGrid
 
 __all__ = [
@@ -239,7 +239,7 @@ def build_anchors(
 
     if trace is None:
         trace, _ = resolve_trace(normalised, cache)
-    ir = cached_ir_stats(normalised, cache, trace=trace)
+    ir = ir_statistics(trace)
     pure = compute_limits(trace, config)
     serial = compute_limits(trace, config, serial=True)
     latencies = config.latencies

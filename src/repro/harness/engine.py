@@ -361,7 +361,7 @@ def evaluate_group(
     With *cache*, the source's segment is read once and every cell is
     looked up in it (one counted hit or miss each).  The misses share one
     trace resolution, one :func:`repro.core.fastpath.simulate_sweep` call
-    for the simulator cells -- gating is per sweep member, so a hooked or
+    for the simulator cells -- gating is per sweep member, so a
     fast-path-disabled member still runs its reference loop and the
     table stays bit-identical to per-cell evaluation -- and one limits
     computation per limits cell.  Their records go back in one segment

@@ -1,4 +1,4 @@
-"""Observability: structured metrics, run tracing, simulator event hooks.
+"""Observability: structured metrics, run tracing, simulator events.
 
 The paper's core question is *where issue cycles go*; this package is the
 repo-wide answer to the engineering version of that question -- where
@@ -12,13 +12,14 @@ wall time, cache traffic and simulator cycles go:
   lookup/resolve/replay/store) with parent ids and monotonic timestamps, exportable
   as JSON or Chrome ``trace_event`` format (``repro trace-export``).
 * :mod:`repro.obs.events` -- typed issue/stall/complete/flush events
-  emitted by every timing simulator through an optional ``on_event``
-  hook; :mod:`repro.analysis` consumes the same stream.
+  the reference loops emit to the callback of ``simulate_observed``;
+  the invariant checker and the oracle (:mod:`repro.verify`) consume
+  them.
 * :mod:`repro.obs.telemetry` -- closed-form aggregate telemetry
   (:class:`SimTelemetry`): stall/busy/width/occupancy attribution the
   compiled fast loops fill with O(instructions) work and the reference
   loops derive from their event streams, making attribution available
-  at fast-path speed.
+  at fast-path speed (:mod:`repro.analysis` reads it).
 * :mod:`repro.obs.manifest` -- durable per-run manifests (config, git
   SHA, timings, metric snapshots) written next to the cache entries and
   rendered by ``repro stats``.

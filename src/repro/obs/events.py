@@ -1,8 +1,8 @@
 """Typed simulator events: one observation channel for every machine.
 
-Every timing simulator (:mod:`repro.core`) accepts an optional
-``on_event`` callback (an attribute on :class:`repro.core.base.Simulator`)
-and, when it is set, emits :class:`SimEvent` records as the model makes
+Every timing simulator with an event-emitting reference loop
+(:mod:`repro.core`) passes :class:`SimEvent` records to the callback of
+:meth:`repro.core.base.Simulator.simulate_observed` as the model makes
 issue decisions:
 
 ====================  ==================================================
@@ -17,11 +17,12 @@ kind                  meaning
                             flush, branch misprediction recovery)
 ====================  ==================================================
 
-The disabled path is a single ``if emit is not None`` test per
-instruction in each model's hot loop -- benchmarked at well under 2%
-overhead (``benchmarks/bench_hooks.py`` gates this in CI) and leaving
-issue timing bit-identical (the event plumbing never feeds back into the
-model).
+An unobserved reference replay pays a single ``if emit is not None``
+test per instruction in each model's loop -- benchmarked at well under
+2% overhead (``benchmarks/bench_hooks.py`` gates this in CI) -- and
+issue timing is bit-identical either way (the event plumbing never
+feeds back into the model).  Plain ``simulate`` calls take the compiled
+fast loops, which emit no events.
 
 ``reason`` strings are the emitting machine's vocabulary: the scoreboard
 uses :class:`repro.core.scoreboard.StallReason` names (``"RAW"``,
@@ -41,24 +42,9 @@ __all__ = [
     "EventCollector",
     "EventKind",
     "SimEvent",
-    "hook_installed",
     "schedule_from_events",
     "tee",
 ]
-
-
-def hook_installed(simulator: object) -> bool:
-    """Does *simulator* currently have an ``on_event`` subscriber?
-
-    The single hook-presence test the machines consult when choosing
-    between the compiled fast path (:mod:`repro.core.fastpath`) and the
-    event-emitting reference loop.  It reads the attribute at call time,
-    never a cached decision, so a hook attached *after* construction --
-    or installed temporarily by
-    :meth:`~repro.core.base.Simulator.simulate_observed` mid-session --
-    always forces the reference path and receives its events.
-    """
-    return getattr(simulator, "on_event", None) is not None
 
 
 class EventKind(enum.Enum):
@@ -93,7 +79,7 @@ class SimEvent:
     cycles: int = 0
 
 
-#: The hook signature every simulator accepts.
+#: The callback ``Simulator.simulate_observed`` passes events to.
 EventCallback = Callable[[SimEvent], None]
 
 

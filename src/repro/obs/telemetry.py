@@ -2,11 +2,9 @@
 
 The paper's limit-study methodology is about *attribution* -- which
 resource (functional-unit conflicts, result-bus contention, window
-occupancy, dependency wait) ate the cycles.  Until now that attribution
-required installing an ``on_event`` hook, which
-:func:`repro.core.fastpath.backends.fast_eligible` rightly treats as a
-request for the reference loops: you could be fast or observable, never
-both.
+occupancy, dependency wait) ate the cycles.  Per-instruction events
+come only from the reference loops (``simulate_observed``), so an
+attribution built on events could be fast or observable, never both.
 
 :class:`SimTelemetry` closes the gap.  It is a closed-form, aggregate
 record -- stall cycles by reason, per-functional-unit busy cycles, an
@@ -20,7 +18,7 @@ always paid: every fast loop collects telemetry, so a cached result
 record carries the same ``tlm.*`` fields as a fresh one.
 
 The reference loops are left exactly as they are -- verbatim, with only
-the event hooks.  :func:`telemetry_from_events` derives the *same*
+their event plumbing.  :func:`telemetry_from_events` derives the *same*
 record from a reference replay's event stream, which turns telemetry
 into a differential-test contract exactly like cycle counts: the fuzzed
 suite in ``tests/test_obs_telemetry.py`` and the oracle's optional
@@ -182,7 +180,7 @@ class SimTelemetry:
         """Recover the record from flattened detail entries.
 
         Returns ``None`` when *detail* carries no telemetry (reference
-        results, hooked runs, collection disabled).
+        results).
         """
         if not detail or prefix + "instructions" not in detail:
             return None

@@ -20,7 +20,6 @@ from .sources import (
     FAMILY_ENVELOPES,
     MIXED_MACHINES,
     ParsedTraceSpec,
-    SourceStats,
     TraceSource,
     UnknownTraceSourceError,
     available_sources,
@@ -29,7 +28,6 @@ from .sources import (
     parse_trace_spec,
     register_source,
     source_names,
-    source_statistics,
     trace_source,
 )
 from .stats import TraceStats, format_stats, trace_stats
@@ -42,7 +40,6 @@ __all__ = [
     "MIXED_MACHINES",
     "ParsedTraceSpec",
     "SUPPORTED_VERSIONS",
-    "SourceStats",
     "Trace",
     "TraceCache",
     "TraceEntry",
@@ -66,7 +63,6 @@ __all__ = [
     "read_trace",
     "register_source",
     "source_names",
-    "source_statistics",
     "subset_trace",
     "trace_source",
     "trace_stats",

@@ -37,19 +37,19 @@ every rejected spec raises :class:`UnknownTraceSourceError` carrying
 ``.spec``/``.reason``/``.valid`` exactly like
 :class:`~repro.core.registry.UnknownSpecError`.
 
-Per-family statistics (:func:`source_statistics`) are computed from the
-compiled-trace IR -- dependence distances and functional-unit demand --
-and each seeded family documents the envelope those statistics stay
-inside (:data:`FAMILY_ENVELOPES`); the calibration tests hold 200 seeds
-per family to it so the oracle's partial-order edges stay sound as the
-generators evolve.
+Per-family statistics (:func:`repro.trace.stats.ir_statistics`) are
+computed from the compiled-trace IR -- dependence distances and
+functional-unit demand -- and each seeded family documents the envelope
+those statistics stay inside (:data:`FAMILY_ENVELOPES`); the
+calibration tests hold 200 seeds per family to it so the oracle's
+partial-order edges stay sound as the generators evolve.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from .record import Trace
 
@@ -60,7 +60,6 @@ __all__ = [
     "FAMILY_ENVELOPES",
     "MIXED_MACHINES",
     "ParsedTraceSpec",
-    "SourceStats",
     "TraceSource",
     "UnknownTraceSourceError",
     "available_sources",
@@ -70,7 +69,6 @@ __all__ = [
     "parse_trace_spec",
     "register_source",
     "source_names",
-    "source_statistics",
     "trace_source",
 ]
 
@@ -544,69 +542,6 @@ register_source(TraceSource(
 MIXED_MACHINES: Tuple[str, ...] = (
     "simple", "serialmemory", "nonsegmented", "cray",
 )
-
-
-# ----------------------------------------------------------------------
-# Per-source statistics from the compiled-trace IR
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SourceStats:
-    """Dependence and functional-unit demand summary of one trace.
-
-    Computed from the compiled IR (:mod:`repro.core.fastpath.ir`), the
-    same lowering every fast loop replays, so the statistics describe
-    exactly what the simulators see.
-
-    Attributes:
-        name: trace name.
-        length: dynamic instruction count.
-        branch_fraction: branches / length.
-        memory_fraction: memory-port instructions / length
-            (vector loads/stores included).
-        vector_fraction: vector instructions / length.
-        mean_dependence_distance: mean over instructions with at least
-            one in-trace producer of the distance (in dynamic
-            instructions) to the *nearest* producer of any source
-            register -- the tightness of RAW chains.
-        dependent_fraction: instructions with at least one in-trace
-            producer / length (how connected the dataflow is).
-        fu_demand: functional-unit name -> fraction of dynamic
-            instructions executed by that unit.
-    """
-
-    name: str
-    length: int
-    branch_fraction: float
-    memory_fraction: float
-    vector_fraction: float
-    mean_dependence_distance: float
-    dependent_fraction: float
-    fu_demand: Mapping[str, float]
-
-
-def source_statistics(trace: Trace) -> SourceStats:
-    """Compute the :class:`SourceStats` summary of *trace*.
-
-    A view over :func:`repro.trace.stats.ir_statistics` -- the richer
-    compiled-IR summary the design-space explorer consumes -- so both
-    report identical numbers from a single walk of the IR.
-    """
-    from .stats import ir_statistics
-
-    ir = ir_statistics(trace)
-    return SourceStats(
-        name=ir.name,
-        length=ir.length,
-        branch_fraction=ir.branch_fraction,
-        memory_fraction=ir.memory_fraction,
-        vector_fraction=ir.vector_fraction,
-        mean_dependence_distance=ir.mean_dependence_distance,
-        dependent_fraction=ir.dependent_fraction,
-        fu_demand={
-            unit: count / ir.length for unit, count in ir.unit_counts.items()
-        },
-    )
 
 
 #: Documented calibration envelopes: for each seeded family, the closed

@@ -11,28 +11,20 @@ Two statistic families live here:
 * :func:`ir_statistics` -- dependence and demand statistics over the
   *compiled* IR (:mod:`repro.core.fastpath.ir`), the exact lowering every
   fast loop and limit computation replays.  These feed the analytic
-  design-space estimator (:mod:`repro.explore.model`) and the per-source
-  summaries (:func:`repro.trace.sources.source_statistics`), and are
-  cacheable per trace-source spec through :func:`cached_ir_stats` so
-  repeated explore/screen runs never recompile unchanged traces.
+  design-space estimator (:mod:`repro.explore.model`, whose cached
+  anchors record is built from them) and the per-source summaries
+  (``repro sources --spec``, :func:`repro.api.source_stats`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from ..isa import FunctionalUnit, OpKind, Opcode
 from ..isa.encoding import mean_parcels
-from .diskcache import model_fingerprint
 from .record import Trace
-
-#: Bump to invalidate cached :class:`IRStats` payloads after a change to
-#: the statistics themselves (new fields recompute via the fail-soft
-#: decode path, so only semantic changes need a bump).
-IR_STATS_VERSION = 1
-
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -208,47 +200,14 @@ class IRStats:
     unit_counts: Mapping[str, int]
     unit_occupancy: Mapping[str, int]
 
-    def to_payload(self) -> Dict[str, Any]:
-        """A JSON-serialisable encoding (DiskCache record)."""
+    @property
+    def fu_demand(self) -> Dict[str, float]:
+        """Functional-unit name -> fraction of dynamic instructions
+        executed by that unit (``unit_counts / length``, same order)."""
         return {
-            "name": self.name,
-            "length": self.length,
-            "branch_fraction": self.branch_fraction,
-            "memory_fraction": self.memory_fraction,
-            "vector_fraction": self.vector_fraction,
-            "mean_dependence_distance": self.mean_dependence_distance,
-            "p50_dependence_distance": self.p50_dependence_distance,
-            "p90_dependence_distance": self.p90_dependence_distance,
-            "dependent_fraction": self.dependent_fraction,
-            "bus_fraction": self.bus_fraction,
-            "unit_counts": dict(self.unit_counts),
-            "unit_occupancy": dict(self.unit_occupancy),
+            unit: count / self.length
+            for unit, count in self.unit_counts.items()
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "IRStats":
-        """Decode a :meth:`to_payload` record; raises on malformed input
-        (callers treat that exactly like a cache miss)."""
-        return cls(
-            name=str(payload["name"]),
-            length=int(payload["length"]),
-            branch_fraction=float(payload["branch_fraction"]),
-            memory_fraction=float(payload["memory_fraction"]),
-            vector_fraction=float(payload["vector_fraction"]),
-            mean_dependence_distance=float(
-                payload["mean_dependence_distance"]
-            ),
-            p50_dependence_distance=float(payload["p50_dependence_distance"]),
-            p90_dependence_distance=float(payload["p90_dependence_distance"]),
-            dependent_fraction=float(payload["dependent_fraction"]),
-            bus_fraction=float(payload["bus_fraction"]),
-            unit_counts={
-                str(k): int(v) for k, v in payload["unit_counts"].items()
-            },
-            unit_occupancy={
-                str(k): int(v) for k, v in payload["unit_occupancy"].items()
-            },
-        )
 
 
 def _nearest_rank(sorted_values: List[int], quantile: float) -> float:
@@ -325,61 +284,3 @@ def ir_statistics(trace: Trace) -> IRStats:
             if unit_occupancy[i]
         },
     )
-
-
-def _ir_stats_key(source: str) -> Dict[str, Any]:
-    """DiskCache identity of one source's compiled-IR statistics.
-
-    Seeded generator parameters (``seed=``, ``n=`` ...) are part of the
-    normalised spec text, so every (trace spec, seed) pair keys its own
-    entry; the model fingerprint retires entries whose producers or
-    statistics code changed.
-    """
-    return {
-        "kind": "ir-stats",
-        "source": source,
-        "version": IR_STATS_VERSION,
-        "model": model_fingerprint(),
-    }
-
-
-def cached_ir_stats(
-    spec: str,
-    cache=None,
-    *,
-    trace: Optional[Trace] = None,
-) -> IRStats:
-    """:func:`ir_statistics` for a trace-source spec, via the DiskCache.
-
-    With *cache* (a :class:`~repro.trace.DiskCache`), the statistics are
-    looked up content-addressed by the normalised spec text before the
-    trace is built or compiled -- a hit skips trace generation entirely.
-    ``file:`` sources are never cached (the file's content can change
-    under the same path).  Hits, misses and stores are counted as
-    ``fastpath.ir_stats.*`` (surfaced by manifests and ``repro stats``).
-
-    *trace* short-circuits trace resolution on a miss when the caller
-    already holds the resolved trace.
-    """
-    from ..core.fastpath.backends import count_run
-    from .sources import format_trace_spec, parse_trace_spec, trace_source
-
-    parsed = parse_trace_spec(spec)
-    source = format_trace_spec(parsed)
-    cacheable = cache is not None and parsed.head != "file"
-    if cacheable:
-        record = cache.load_result(_ir_stats_key(source))
-        if record is not None:
-            try:
-                stats = IRStats.from_payload(record)
-            except (KeyError, TypeError, ValueError):
-                stats = None  # corrupt payload: recompute and overwrite
-            if stats is not None:
-                count_run("ir_stats", "hits")
-                return stats
-        count_run("ir_stats", "misses")
-    stats = ir_statistics(trace if trace is not None else trace_source(spec))
-    if cacheable:
-        cache.store_result(_ir_stats_key(source), stats.to_payload())
-        count_run("ir_stats", "stores")
-    return stats

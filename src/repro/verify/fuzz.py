@@ -285,7 +285,7 @@ def kernel_calibrated_spec(
     """Fuzzer knobs calibrated to one Livermore kernel's measured shape.
 
     Measures the kernel's verified dynamic trace with
-    :func:`repro.trace.sources.source_statistics` and maps the envelope
+    :func:`repro.trace.stats.ir_statistics` and maps the envelope
     onto the :class:`FuzzSpec` knobs, so fuzzed campaigns can stress the
     machine models with workloads shaped like each real kernel (rather
     than only the hand-picked family corners):
@@ -309,11 +309,12 @@ def kernel_calibrated_spec(
     ``fuzz_trace(seed, kernel_calibrated_spec(loop))`` is reproducible.
     """
     from ..kernels import default_size
-    from ..trace.sources import source_statistics, trace_source
+    from ..trace.sources import trace_source
+    from ..trace.stats import ir_statistics
 
     size = default_size(loop) if n is None else n
     trace = trace_source(f"kernel:{loop}:n={size}")
-    stats = source_statistics(trace)
+    stats = ir_statistics(trace)
 
     branch_fraction = _clamp(stats.branch_fraction, 0.0, 0.35)
     memory_fraction = _clamp(

@@ -1,8 +1,8 @@
 """Per-cycle invariant checks over the simulator event stream.
 
-The checker rides the existing :mod:`repro.obs.events` ``on_event`` hook
-(via :meth:`~repro.core.base.Simulator.simulate_observed`), so it adds
-zero code to the simulator hot paths.  What can be asserted depends on
+The checker rides the existing :mod:`repro.obs.events` stream (via
+:meth:`~repro.core.base.Simulator.simulate_observed`), so it adds zero
+code to the simulator hot paths.  What can be asserted depends on
 the issue discipline, captured by a :class:`MachineProfile`:
 
 * **blocking** machines (the scoreboard family, the multi-issue buffer

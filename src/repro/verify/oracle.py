@@ -254,13 +254,11 @@ def run_oracle(
     by field with the fast path's -- the nightly telemetry-equality
     oracle.
 
-    The trace is lowered once up front (a strong reference pins the
-    compile-cache entry for the whole run), so the limit calculators
-    and every fast-path machine share one
-    :func:`repro.core.fastpath.compile_trace` result.
+    The limit calculators and every fast-path machine share one
+    :func:`repro.core.fastpath.compile_trace` result: the compile cache
+    holds it for as long as the trace lives.
     """
     report = OracleReport(trace_name=trace.name, config=config.name)
-    compiled = fastpath.compile_trace(trace)  # noqa: F841 -- keepalive
 
     dataflow = pseudo_dataflow_schedule(trace, config)
     serial = pseudo_dataflow_schedule(trace, config, serial_waw=True)

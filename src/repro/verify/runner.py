@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core import fastpath
 from ..core.config import STANDARD_CONFIGS, MachineConfig
 from ..trace import Trace, write_trace
 from .fuzz import FuzzSpec, fuzz_trace
@@ -156,12 +155,11 @@ def _first_violation(
     Each machine replays the trace once, observed
     (:func:`~repro.verify.invariants.observe`); that one replay feeds
     its invariant checks, and the oracle's fastpath dual and telemetry
-    check.  The replays live only as long as this pass.  The trace is
-    compiled once here (strong reference held for the whole pass), so
-    the oracle's limit calculators and every fast-path machine across
-    all specs share one lowering per seed.
+    check.  The replays live only as long as this pass.  The oracle's
+    limit calculators and every fast-path machine across all specs share
+    one lowering per seed: the compile cache holds it for as long as the
+    trace lives.
     """
-    compiled = fastpath.compile_trace(trace)  # noqa: F841 -- keepalive
     checks = 0
     observed = {}
     for spec in machines:

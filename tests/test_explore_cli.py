@@ -1,6 +1,5 @@
 """CLI plumbing for the explorer: `repro explore`, `repro limits
---format json`, exit codes, and the ir-stats cache line in run
-breakdowns."""
+--format json` and exit codes."""
 
 from __future__ import annotations
 
@@ -108,15 +107,3 @@ class TestLimitsJson:
         out = capsys.readouterr().out
         assert "pseudo-dataflow limit" in out
         assert "serial (WAW) limit" in out
-
-
-class TestRunDetailIrStats:
-    def test_ir_stats_cache_line(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        run = api.explore(
-            SPACE, [SOURCE], workers=1, observe=True, audit=2,
-        )
-        assert run.manifest is not None
-        detail = cli._render_run_detail(run.manifest)
-        assert "ir-stats cache" in detail
-        assert run.manifest.counter("fastpath.ir_stats.misses") >= 1

@@ -12,9 +12,8 @@ with hypothesis over random knob settings on real workload anchors:
   estimator is anchored to the limit study rather than merely inspired
   by it.
 
-Plus the compiled-IR statistics cache the anchors are built from:
-DiskCache round-trip, counter accounting, and equivalence with the
-`source_statistics` view.
+Plus the compiled-IR statistics the anchors are built from: the
+functional-unit demand view over their unit counts.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.core import fastpath
 from repro.explore.model import (
     TraceAnchors,
     _resource_rate,
@@ -34,8 +32,8 @@ from repro.explore.model import (
     estimate_one,
 )
 from repro.trace import DiskCache
-from repro.trace.sources import source_statistics, trace_source
-from repro.trace.stats import cached_ir_stats, ir_statistics
+from repro.trace.sources import trace_source
+from repro.trace.stats import ir_statistics
 
 SOURCES = (
     "branchy:seed=3:n=200",
@@ -143,38 +141,11 @@ class TestAnchors:
         assert TraceAnchors.from_payload(anchors.to_payload()) == anchors
 
 
-class TestIRStatsCache:
-    def test_matches_direct_statistics(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache")
-        trace = trace_source(SOURCES[0])
-        direct = ir_statistics(trace)
-        cold = cached_ir_stats(SOURCES[0], cache)
-        warm = cached_ir_stats(SOURCES[0], cache)
-        assert cold == direct
-        assert warm == direct
-
-    def test_counters_flow_into_fastpath_stats(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache")
-        before = fastpath.stats()
-        cached_ir_stats(SOURCES[2], cache)   # miss + store
-        cached_ir_stats(SOURCES[2], cache)   # hit
-        after = fastpath.stats()
-
-        def delta(key):
-            return after.get(key, 0) - before.get(key, 0)
-
-        assert delta("ir_stats.misses") == 1
-        assert delta("ir_stats.stores") == 1
-        assert delta("ir_stats.hits") == 1
-
-    def test_source_statistics_is_a_view_over_ir_statistics(self):
-        trace = trace_source(SOURCES[0])
-        ir = ir_statistics(trace)
-        stats = source_statistics(trace)
-        assert stats.length == ir.length
-        assert stats.branch_fraction == ir.branch_fraction
-        assert stats.memory_fraction == ir.memory_fraction
-        assert stats.fu_demand == {
+class TestIRStats:
+    def test_fu_demand_is_unit_counts_over_length(self):
+        ir = ir_statistics(trace_source(SOURCES[0]))
+        assert ir.fu_demand == {
             unit: count / ir.length
             for unit, count in ir.unit_counts.items()
         }
+        assert list(ir.fu_demand) == list(ir.unit_counts)

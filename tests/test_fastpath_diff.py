@@ -3,11 +3,10 @@
 Every fast-path machine replays hundreds of fuzzed traces through both
 :meth:`simulate` (fast) and :meth:`reference_simulate` (the event-capable
 reference loop); cycle counts, issue rates *and the per-instruction
-issue/completion schedule* must match exactly.  The hook-dispatch tests
-pin the selection rule: no ``on_event`` hook -> fast path; a hook
-attached at any time -- including after construction or temporarily via
-``simulate_observed`` -- forces the reference loop and receives its
-events.
+issue/completion schedule* must match exactly.  The dispatch tests pin
+the selection rule: ``simulate`` takes the fast path; an observed replay
+(``simulate_observed``) runs the reference loop and receives its
+events, and leaves the next ``simulate`` on the fast path.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def test_ooo_without_war_matches_reference(width, bus_kind):
 
 
 def test_fast_path_runs_by_default():
-    """Without a hook, simulate() really is the fast path (not a no-op
+    """A plain simulate() really is the fast path (not a no-op
     dispatch that silently falls back)."""
     simulator = cray_like_machine()
     fastpath.reset_stats()
@@ -470,7 +469,7 @@ def test_mixed_family_matches_reference_full_matrix(spec):
 
 
 # ----------------------------------------------------------------------
-# Hook-presence dispatch
+# Observed-replay dispatch
 # ----------------------------------------------------------------------
 
 _HOOK_MACHINES = [
@@ -488,32 +487,9 @@ _HOOK_IDS = [
 
 
 @pytest.mark.parametrize("make_machine", _HOOK_MACHINES, ids=_HOOK_IDS)
-def test_hook_attached_after_construction_forces_reference(make_machine):
-    """The regression the dispatch rule exists for: a collector attached
-    *after* the machine has already run fast must still receive events.
-    """
-    machine = make_machine()
-    trace, config = TRACES[3], M11BR5
-    fast = machine.simulate(trace, config)  # warm: fast path, no hook
-
-    machine.on_event = collector = EventCollector()
-    fastpath.reset_stats()
-    hooked = machine.simulate(trace, config)
-    assert fastpath.stats()["fast_runs"] == 0
-    assert collector.events, "attached hook received no events"
-    assert collector.cycles_by_seq(EventKind.ISSUE), "no ISSUE events"
-    assert hooked.cycles == fast.cycles
-
-    machine.on_event = None
-    fastpath.reset_stats()
-    machine.simulate(trace, config)
-    assert fastpath.stats()["fast_runs"] == 1
-
-
-@pytest.mark.parametrize("make_machine", _HOOK_MACHINES, ids=_HOOK_IDS)
 def test_simulate_observed_forces_reference(make_machine):
-    """simulate_observed installs the hook mid-call; it must never run
-    the event-free fast path."""
+    """simulate_observed must never run the event-free fast path, also
+    on a machine that has already run fast."""
     machine = make_machine()
     trace, config = TRACES[4], M11BR5
     baseline = machine.simulate(trace, config)
@@ -524,9 +500,8 @@ def test_simulate_observed_forces_reference(make_machine):
     assert fastpath.stats()["fast_runs"] == 0
     assert collector.events
     assert observed.cycles == baseline.cycles
-    assert machine.on_event is None  # restored afterwards
 
-    # And with the hook gone again, the next call is fast once more.
+    # The observed run leaves nothing behind: the next call is fast.
     fastpath.reset_stats()
     machine.simulate(trace, config)
     assert fastpath.stats()["fast_runs"] == 1

@@ -3,7 +3,7 @@
 Two layers:
 
 * **Calibration** -- :func:`repro.verify.kernel_calibrated_spec` maps
-  each Livermore kernel's measured :func:`source_statistics` envelope
+  each Livermore kernel's measured :func:`ir_statistics` envelope
   onto the fuzzer's knobs.  The tests pin the mapping (knobs equal the
   clamped measurements) and hold the *generated* traces to the kernel's
   mix: the fuzzer must actually reproduce the calibrated fractions, and
@@ -24,7 +24,8 @@ import pytest
 from repro.core import M5BR2, M11BR5
 from repro.core.registry import build_simulator
 from repro.kernels import ALL_LOOPS, SMALL_SIZES
-from repro.trace.sources import source_statistics, trace_source
+from repro.trace.sources import trace_source
+from repro.trace.stats import ir_statistics
 from repro.verify import kernel_calibrated_spec, run_oracle
 from repro.verify.fuzz import fuzz_trace
 
@@ -41,7 +42,7 @@ _FAST_LOOPS = (5, 8, 11)
 def test_calibrated_knobs_track_measured_envelope(loop):
     n = SMALL_SIZES[loop]
     spec = kernel_calibrated_spec(loop, n=n)
-    stats = source_statistics(trace_source(f"kernel:{loop}:n={n}"))
+    stats = ir_statistics(trace_source(f"kernel:{loop}:n={n}"))
 
     assert spec.branch_fraction == min(stats.branch_fraction, 0.35)
     assert spec.memory_fraction <= 1.0 - spec.branch_fraction
@@ -77,7 +78,7 @@ def test_calibrated_traces_reproduce_kernel_mix(loop):
     spec = kernel_calibrated_spec(loop, n=SMALL_SIZES[loop])
     total = branches = memory = 0
     for seed in range(20):
-        stats = source_statistics(fuzz_trace(seed, spec))
+        stats = ir_statistics(fuzz_trace(seed, spec))
         total += stats.length
         branches += round(stats.branch_fraction * stats.length)
         memory += round(stats.memory_fraction * stats.length)
@@ -94,10 +95,10 @@ def test_calibrated_density_shapes_generated_dataflow():
     wide_spec = kernel_calibrated_spec(8, n=SMALL_SIZES[8])
     tight_spec = kernel_calibrated_spec(5, n=SMALL_SIZES[5])
     wide = [
-        source_statistics(fuzz_trace(seed, wide_spec)) for seed in range(10)
+        ir_statistics(fuzz_trace(seed, wide_spec)) for seed in range(10)
     ]
     tight = [
-        source_statistics(fuzz_trace(seed, tight_spec)) for seed in range(10)
+        ir_statistics(fuzz_trace(seed, tight_spec)) for seed in range(10)
     ]
     mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
     assert mean([s.mean_dependence_distance for s in wide]) > mean(

@@ -1,8 +1,8 @@
-"""Tests for simulator event hooks (repro.obs.events).
+"""Tests for simulator events (repro.obs.events).
 
 Two promises to pin down:
 
-* **Zero-cost when disabled** -- with ``on_event`` unset, every machine
+* **Zero-cost when unobserved** -- with no callback, every machine
   must produce cycle counts bit-identical to its reference loop
   (``reference_simulate``); the runtime side of that promise is
   enforced by ``benchmarks/bench_hooks.py`` in CI, against the
@@ -13,7 +13,7 @@ Two promises to pin down:
 
 import pytest
 
-from repro.core import config_by_name
+from repro.core import config_by_name, fastpath
 from repro.core.registry import build_simulator
 from repro.core.scoreboard import (
     StallReason,
@@ -24,7 +24,7 @@ from repro.obs.events import EventCollector, EventKind, SimEvent, tee
 
 CONFIGS = ("M11BR5", "M5BR2")
 
-#: One spec per machine family that supports event hooks.
+#: One spec per machine family whose reference loop emits events.
 HOOKED_SPECS = (
     "cray",
     "serialmemory",
@@ -58,7 +58,7 @@ class TestEventPrimitives:
 
 
 class TestDisabledHooksBitIdentity:
-    """simulate() with hooks off must equal the reference loop."""
+    """Unobserved simulate() must equal the reference loop."""
 
     @pytest.mark.parametrize("config_name", CONFIGS)
     @pytest.mark.parametrize(
@@ -92,11 +92,20 @@ class TestHooksDoNotChangeResults:
 
     @pytest.mark.parametrize("spec", HOOKED_SPECS)
     def test_hook_is_restored_after_observed_run(self, small_traces, spec):
+        """The callback is an argument, never machine state: an observed
+        run leaves the machine as it was, and its next plain replay is
+        the fast path, which feeds the old callback nothing."""
         machine = build_simulator(spec)
-        machine.simulate_observed(
-            small_traces[5], config_by_name("M11BR5"), EventCollector()
-        )
-        assert machine.on_event is None
+        before = dict(vars(machine))
+        collector = EventCollector()
+        trace, config = small_traces[5], config_by_name("M11BR5")
+        machine.simulate_observed(trace, config, collector)
+        assert vars(machine) == before
+        seen = len(collector.events)
+        fastpath.reset_stats()
+        machine.simulate(trace, config)
+        assert fastpath.stats()["fast_runs"] == 1
+        assert len(collector.events) == seen
 
 
 class TestEventStreamSemantics:

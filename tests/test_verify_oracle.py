@@ -17,7 +17,7 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from repro.core import M11BR5, M5BR2, MachineConfig
-from repro.core.base import Simulator
+from repro.core.base import CompiledSimulator, Simulator
 from repro.core.cdc6600 import CDC6600Machine
 from repro.core.fastpath import batch, python_backend
 from repro.core.inorder_multi import InOrderMultiIssueMachine
@@ -351,13 +351,17 @@ class TestObservedReplayCampaign:
     ):
         observed = []
         references = []
-        simulate_observed = Simulator.simulate_observed
 
-        def counting_observed(self, trace, config, on_event):
-            observed.append(on_event is not None)
-            return simulate_observed(self, trace, config, on_event)
+        def counting(simulate_observed):
+            def counting_observed(self, trace, config, on_event):
+                observed.append(on_event is not None)
+                return simulate_observed(self, trace, config, on_event)
+            return counting_observed
 
-        monkeypatch.setattr(Simulator, "simulate_observed", counting_observed)
+        for cls in (Simulator, CompiledSimulator):
+            monkeypatch.setattr(
+                cls, "simulate_observed", counting(cls.simulate_observed)
+            )
         for cls in REFERENCE_CLASSES:
             monkeypatch.setattr(
                 cls,

@@ -18,9 +18,9 @@ from repro.isa import Opcode
 from repro.trace.sources import (
     FAMILY_ENVELOPES,
     MIXED_MACHINES,
-    source_statistics,
     trace_source,
 )
+from repro.trace.stats import ir_statistics
 from repro.workloads import (
     BranchySpec,
     MixedSpec,
@@ -67,8 +67,8 @@ def test_branchy_taken_fraction_tracks_the_knob():
 
 
 def test_branchy_block_knob_sets_branch_density():
-    sparse = source_statistics(trace_source("branchy:n=300:block=8"))
-    dense = source_statistics(trace_source("branchy:n=300:block=1"))
+    sparse = ir_statistics(trace_source("branchy:n=300:block=8"))
+    dense = ir_statistics(trace_source("branchy:n=300:block=1"))
     assert dense.branch_fraction > 2 * sparse.branch_fraction
 
 
@@ -122,7 +122,7 @@ def test_pointer_gather_fraction_tracks_the_knob():
 
 
 def test_pointer_statistics_show_short_dependence_distance():
-    stats = source_statistics(trace_source("pointer:n=256"))
+    stats = ir_statistics(trace_source("pointer:n=256"))
     assert stats.mean_dependence_distance < 2.0
     assert stats.dependent_fraction > 0.95
 
@@ -221,7 +221,7 @@ def _assert_inside_envelope(family, seeds):
     envelope = FAMILY_ENVELOPES[family]
     out = []
     for seed in seeds:
-        stats = source_statistics(trace_source(f"{family}:seed={seed}"))
+        stats = ir_statistics(trace_source(f"{family}:seed={seed}"))
         for stat in _CHECKED_STATS:
             low, high = envelope[stat]
             value = getattr(stats, stat)
@@ -254,6 +254,6 @@ def test_envelopes_documented_for_every_seeded_family():
 
 def test_fu_demand_sums_to_one():
     for family in sorted(FAMILY_ENVELOPES):
-        stats = source_statistics(trace_source(f"{family}:seed=0"))
+        stats = ir_statistics(trace_source(f"{family}:seed=0"))
         assert sum(stats.fu_demand.values()) == pytest.approx(1.0)
         assert all(share > 0 for share in stats.fu_demand.values())
