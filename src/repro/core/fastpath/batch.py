@@ -9,11 +9,12 @@ config-independent work:
 
 * ``ooo``: members of one issue width and WAR policy form one
   :func:`~repro.core.fastpath.python_backend.ooo_replay` call, which
-  decodes each fetch buffer's hazard masks once (a cached buffer plan)
-  and replays them per member;
-* ``ruu``: members share the trace's rename plan and run the one RUU
-  loop per distinct replay -- a replay whose RUU never filled serves
-  every smaller RUU its peak still fits (counted as ``reused_runs``).
+  decodes each fetch buffer's hazard masks once (a buffer plan memoised
+  on the compiled trace) and replays them per member;
+* ``ruu``: members share the trace's rename plan (memoised the same
+  way) and run the one RUU loop per distinct replay -- a replay whose
+  RUU never filled serves every smaller RUU its peak still fits
+  (counted as ``reused_runs``).
   The reuse still pays next to the loop's steady-state fast-forward:
   the largest RUU settles slowest, so the members it serves would each
   replay their own transient (Tables 7-8 cold: about 2.5-3.6 s with
@@ -50,19 +51,19 @@ from ...trace import Trace
 from ..result import SimulationResult
 from .backends import count_run, family_of
 from .ir import UNITS, compile_trace
-from .python_backend import FAMILY_LOOPS, _result, ooo_replay, ruu_replay
+from .python_backend import (
+    FAMILY_LOOPS,
+    _result,
+    ooo_replay,
+    require_scalar,
+    ruu_replay,
+)
 
 __all__ = ["sweep"]
 
 #: Families the batch kernels cover; the rest fall back to their
 #: per-spec loops (still inside the one sweep).
 _BATCHED_FAMILIES = frozenset({"ooo", "ruu"})
-
-
-def _scalar_only(machine):
-    from ..base import scalar_only_error
-
-    raise scalar_only_error(machine.name)
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +73,7 @@ def _scalar_only(machine):
 def _sweep_ruu(compiled, group) -> List[SimulationResult]:
     """Every RUU variant over one trace.
 
-    All members share the trace's cached rename plan
+    All members share the trace's memoised rename plan
     (:func:`~repro.core.fastpath.python_backend.ruu_plan`) and run the
     one RUU loop (:func:`~repro.core.fastpath.python_backend.ruu_replay`).
     Members that differ only in RUU size are replayed largest first: a
@@ -133,12 +134,11 @@ def sweep(trace: Trace, items) -> List[SimulationResult]:
     """
     compiled = compile_trace(trace)
     families = [family_of(item.simulator) for item in items]
-    if compiled.has_vector:
-        # Mirror per-item dispatch: the first non-scoreboard machine
-        # in item order raises the reference loops' scalar-only error.
-        for item, family in zip(items, families):
-            if family != "scoreboard":
-                _scalar_only(item.simulator)
+    # Mirror per-item dispatch: on a vector trace the first
+    # non-scoreboard machine in item order raises the scalar-only error.
+    for item, family in zip(items, families):
+        if family != "scoreboard":
+            require_scalar(compiled, item.simulator)
     count_run("batch", "sweeps")
 
     groups: Dict[Tuple, List[int]] = {}

@@ -21,13 +21,21 @@ so one compilation serves every machine variant and every replay.  The
 same pass marks where the trace is one loop body repeated
 (``CompiledTrace.regions``), which the RUU and out-of-order loops
 fast-forward through.
+
+Everything else derived from a compiled trace alone -- the per-unit op
+profile, the fetch-window counts, the RUU rename plan, the out-of-order
+buffer plans -- is memoised on the compiled trace itself by
+:func:`per_trace` (``CompiledTrace.derived``), so it lives exactly as
+long as the trace's compilation does.  The compile cache is the one
+weakly keyed cache of the package.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...isa.functional_units import FunctionalUnit
 from ...isa.registers import RegFile
@@ -41,6 +49,7 @@ __all__ = [
     "Schedule",
     "UNITS",
     "compile_trace",
+    "per_trace",
     "unit_profile",
     "window_stats",
 ]
@@ -103,6 +112,10 @@ class CompiledTrace:
     distance between two entries of the same static instruction and
     keeps a run only while every op equals the op one period back.
     Fuzzed and seeded generator traces have none.
+
+    ``derived`` is the memo of every analysis built from the compiled
+    trace alone (:func:`per_trace`); it takes no part in equality and
+    dies with the compiled trace.
     """
 
     name: str
@@ -116,6 +129,11 @@ class CompiledTrace:
     #: one (so out-of-order fetch buffers start on body boundaries).  The
     #: RUU and out-of-order loops fast-forward whole periods inside them.
     regions: Tuple[Tuple[int, int, int], ...]
+    #: ``(builder, *params) -> value`` for each :func:`per_trace`
+    #: analysis built so far (fresh on every instance, ``replace`` too).
+    derived: Dict[tuple, Any] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 #: Compile results keyed by ``id(trace)``; the paired weak reference
@@ -243,11 +261,29 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     return compiled
 
 
-#: Per-unit op-count profiles keyed by ``id(compiled)``; weakref-validated
-#: and -evicted exactly like :data:`_CACHE`.
-_PROFILES: Dict[int, Tuple["weakref.ref[CompiledTrace]", tuple]] = {}
+def per_trace(build: Callable) -> Callable:
+    """Memoise ``build(compiled, *params)`` in ``compiled.derived``.
+
+    The key is the builder and its positional parameters, so one
+    compiled trace holds at most one value per (analysis, parameters)
+    and every replay of the trace shares it.  Whoever knows a trace is
+    done with may drop its analyses early with ``derived.clear()``; the
+    next call rebuilds them.
+    """
+
+    @functools.wraps(build)
+    def memoised(compiled: CompiledTrace, *params: Any):
+        key = (build, *params)
+        derived = compiled.derived
+        value = derived.get(key)
+        if value is None:
+            value = derived[key] = build(compiled, *params)
+        return value
+
+    return memoised
 
 
+@per_trace
 def unit_profile(
     compiled: CompiledTrace,
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
@@ -259,13 +295,8 @@ def unit_profile(
     latency for branches, total busy per unit is
     ``count*latency + vl_sum`` plus ``branches*branch_latency`` --
     config-dependent only through the latency tables, so the counts are
-    cached per compiled trace.
+    memoised on the compiled trace.
     """
-    key = id(compiled)
-    hit = _PROFILES.get(key)
-    if hit is not None and hit[0]() is compiled:
-        return hit[1]
-
     n_units = len(UNITS)
     counts = [0] * n_units
     vl_sums = [0] * n_units
@@ -277,20 +308,10 @@ def unit_profile(
             counts[unit] += 1
             vl_sums[unit] += vl
 
-    profile = (tuple(counts), tuple(vl_sums), tuple(branches))
-
-    def _evict(_ref: object, _key: int = key) -> None:
-        _PROFILES.pop(_key, None)
-
-    _PROFILES[key] = (weakref.ref(compiled, _evict), profile)
-    return profile
+    return (tuple(counts), tuple(vl_sums), tuple(branches))
 
 
-#: Fetch-window statistics keyed by ``id(compiled)`` then issue width;
-#: weakref-validated and -evicted exactly like :data:`_CACHE`.
-_WINDOWS: Dict[int, Tuple["weakref.ref[CompiledTrace]", Dict[int, tuple]]] = {}
-
-
+@per_trace
 def window_stats(
     compiled: CompiledTrace, units: int
 ) -> Tuple[Dict[int, int], int, int]:
@@ -301,26 +322,11 @@ def window_stats(
     fill fetch buffers of up to *units* instructions, cut after the
     first taken branch -- a pure function of the compiled ``taken``
     flags, independent of the machine config, so the telemetry loops
-    share one cached walk per (trace, width) instead of recounting
-    buffers on every replay.  A taken-branch cut flushes the unfilled
-    remainder of the buffer (possibly zero slots), matching the
-    reference loops' FLUSH events.
+    share one walk per (trace, width), memoised on the compiled trace,
+    instead of recounting buffers on every replay.  A taken-branch cut
+    flushes the unfilled remainder of the buffer (possibly zero slots),
+    matching the reference loops' FLUSH events.
     """
-    key = id(compiled)
-    hit = _WINDOWS.get(key)
-    if hit is not None and hit[0]() is compiled:
-        per_width = hit[1]
-        cached = per_width.get(units)
-        if cached is not None:
-            return cached
-    else:
-        per_width = {}
-
-        def _evict(_ref: object, _key: int = key) -> None:
-            _WINDOWS.pop(_key, None)
-
-        _WINDOWS[key] = (weakref.ref(compiled, _evict), per_width)
-
     ops = compiled.ops
     n = compiled.n
     occupancy: Dict[int, int] = {}
@@ -345,9 +351,7 @@ def window_stats(
             flush_cycles += units - length
         pos += length
 
-    stats = (occupancy, flushes, flush_cycles)
-    per_width[units] = stats
-    return stats
+    return (occupancy, flushes, flush_cycles)
 
 
 def _unit_tables(

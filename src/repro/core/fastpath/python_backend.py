@@ -15,12 +15,15 @@ bounded.
 
 Two families replay through a kernel that also serves the batch sweep
 (:mod:`~repro.core.fastpath.batch`): :func:`ruu_replay` over the
-trace's cached rename plan, and :func:`ooo_replay` over a cached
-out-of-order buffer plan, which a single replay calls as a one-member
-group.  The state arrays are plain Python ``int`` lists, not NumPy
-vectors: the recurrences are data-dependent (issue decisions feed the
-very next comparison), and at sweep widths of 4-20 the per-op ufunc
-dispatch overhead would dominate any arithmetic saved.
+trace's rename plan, and :func:`ooo_replay` over an out-of-order buffer
+plan, which a single replay calls as a one-member group.  Both plans
+are memoised on the compiled trace
+(:func:`~repro.core.fastpath.ir.per_trace`), so every replay of one
+trace shares them and they die with its compilation.
+The state arrays are plain Python ``int`` lists, not NumPy vectors:
+the recurrences are data-dependent (issue decisions feed the very next
+comparison), and at sweep widths of 4-20 the per-op ufunc dispatch
+overhead would dominate any arithmetic saved.
 
 Those two loops also skip work, not just idle cycles: the steady-state
 fast-forward.  Inside a periodic region of the compiled trace
@@ -77,7 +80,6 @@ the same ``tlm.*`` fields.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import islice
@@ -90,6 +92,7 @@ from ..config import MachineConfig
 from ..result import SimulationResult
 from .backends import SweepItem, count_run
 from .ir import (
+    CompiledTrace,
     N_REGISTERS,
     Schedule,
     UNITS,
@@ -99,6 +102,7 @@ from .ir import (
     _UNKNOWN,
     _unit_tables,
     compile_trace,
+    per_trace,
     unit_profile,
     window_stats,
 )
@@ -134,6 +138,17 @@ def _closed_busy(compiled, latencies, branch_latency) -> Dict[str, int]:
         if total:
             busy[_UNIT_NAMES[unit]] = total
     return busy
+
+
+def require_scalar(compiled: CompiledTrace, machine) -> CompiledTrace:
+    """*compiled*, or the reference loops' scalar-only error for
+    *machine* when the trace holds vector operations (every family but
+    the scoreboard issues scalar code only)."""
+    if compiled.has_vector:
+        from ..base import scalar_only_error
+
+        raise scalar_only_error(machine.name)
+    return compiled
 
 
 def _result(compiled, machine, config, cycles, detail) -> SimulationResult:
@@ -315,11 +330,7 @@ def simulate_inorder_fast(
     buffer cut (up to N slots, ending at the first taken branch) is
     derived from the compiled ``taken`` flags.
     """
-    compiled = compile_trace(trace)
-    if compiled.has_vector:
-        from ..base import scalar_only_error
-
-        raise scalar_only_error(machine.name)
+    compiled = require_scalar(compile_trace(trace), machine)
     count_run("python", "fast_runs")
     latencies, _ = _unit_tables(config, True, True)
     branch_latency = config.branch_latency
@@ -478,11 +489,7 @@ def simulate_cdc6600_fast(
     functional unit; the loop is a direct integer transcription of the
     reference recurrence (same max chains, same tie-breaks).
     """
-    compiled = compile_trace(trace)
-    if compiled.has_vector:
-        from ..base import scalar_only_error
-
-        raise scalar_only_error(machine.name)
+    compiled = require_scalar(compile_trace(trace), machine)
     count_run("python", "fast_runs")
     table = config.latencies
     latencies = [table.latency(unit) for unit in UNITS]
@@ -595,11 +602,7 @@ def simulate_tomasulo_fast(
     known branch-operand availability, or branch resolution.  Inside an
     active cycle the start/issue order matches the reference exactly.
     """
-    compiled = compile_trace(trace)
-    if compiled.has_vector:
-        from ..base import scalar_only_error
-
-        raise scalar_only_error(machine.name)
+    compiled = require_scalar(compile_trace(trace), machine)
     count_run("python", "fast_runs")
     table = config.latencies
     latencies = [table.latency(unit) for unit in UNITS]
@@ -850,13 +853,6 @@ _NOT_BRANCH = -2
 #: so the in-order commit test is one comparison.
 _UNDISPATCHED = 1 << 62
 
-#: The most recent RUU rename plan as ``(weakref to compiled, plan)``.
-#: One entry suffices -- sweeps, and per-spec runs over one trace, come
-#: back to back -- and keeps memory at one plan (~170 bytes per
-#: instruction) instead of one per live trace.
-_RUU_PLAN: List[Optional[Tuple["weakref.ref", tuple]]] = [None]
-
-
 class RUURun(NamedTuple):
     """One RUU replay: what :func:`ruu_replay` hands its callers.
 
@@ -872,8 +868,10 @@ class RUURun(NamedTuple):
     schedule: Optional[Schedule]
 
 
+@per_trace
 def ruu_plan(compiled) -> tuple:
-    """The configuration-independent half of an RUU replay, once per trace.
+    """The configuration-independent half of an RUU replay, once per trace
+    (memoised on the compiled trace).
 
     Register instances make every operand tag a function of program
     order alone: a source names the latest earlier non-branch write of
@@ -900,10 +898,6 @@ def ruu_plan(compiled) -> tuple:
         the non-branch seqs in program order: the RUU entries, so the
         live entries are always ``ring[head:tail]``.
     """
-    hit = _RUU_PLAN[0]
-    if hit is not None and hit[0]() is compiled:
-        return hit[1]
-
     n = compiled.n
     writer = [-1] * N_REGISTERS  # register -> seq of its latest write
     units = [0] * n
@@ -929,16 +923,13 @@ def ruu_plan(compiled) -> tuple:
         if dest >= 0:
             writer[dest] = seq
 
-    plan = (
+    return (
         tuple(units),
         tuple(producers),
         tuple(tuple(c) for c in consumers),
         tuple(branch_wait),
         tuple(ring),
     )
-
-    _RUU_PLAN[0] = (weakref.ref(compiled), plan)
-    return plan
 
 
 def _ruu_key(
@@ -1399,14 +1390,10 @@ def simulate_ruu_fast(
     record: Optional[Schedule] = None,
 ) -> SimulationResult:
     """Fast twin of :meth:`RUUMachine.reference_simulate`: one
-    :func:`ruu_replay` over the trace's cached :func:`ruu_plan`.
+    :func:`ruu_replay` over the trace's memoised :func:`ruu_plan`.
 
     """
-    compiled = compile_trace(trace)
-    if compiled.has_vector:
-        from ..base import scalar_only_error
-
-        raise scalar_only_error(machine.name)
+    compiled = require_scalar(compile_trace(trace), machine)
     count_run("python", "fast_runs")
     run = ruu_replay(compiled, machine, config, record is not None)
     if record is not None:
@@ -1432,28 +1419,18 @@ _MAX_BUFFER_CYCLES = 100_000
 #: :func:`_ooo_plan`).
 _SINGLE, _INDEP, _NOBRANCH, _GENERAL = 0, 1, 2, 3
 
-#: Cached buffer plans keyed by ``(id(compiled), units, enforce_war)``;
-#: the weak reference validates the key and evicts with the compiled
-#: trace, mirroring :data:`repro.core.fastpath.ir._CACHE`.
-_OOO_PLANS: Dict[Tuple[int, int, bool], Tuple["weakref.ref", list]] = {}
-
-
+@per_trace
 def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
     """Decode every fetch buffer of *compiled* once for an out-of-order
     machine of the given issue width and WAR policy.
 
     The buffer cut (after the first taken branch) and the intra-buffer
     hazard structure are config-independent, so the plan is shared by
-    every sweep member and cached across sweep calls on the same
-    compiled trace.  Records are ``(pos, tag, payload, full_mask)``;
+    every sweep member and memoised on the compiled trace across sweep
+    and per-spec calls.  Records are ``(pos, tag, payload, full_mask)``;
     payload is the op tuple for singles, else a tuple of per-slot
     tuples unpacked by the drains in :func:`ooo_replay`.
     """
-    key = (id(compiled), units, enforce_war)
-    hit = _OOO_PLANS.get(key)
-    if hit is not None and hit[0]() is compiled:
-        return hit[1]
-
     ops = compiled.ops
     n_entries = compiled.n
     buffers: List[tuple] = []
@@ -1544,11 +1521,6 @@ def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
             tag = _INDEP if indep else _NOBRANCH
             buffers.append((pos, tag, payload, full_mask))
         pos += blen
-
-    def _evict(_ref: object, _key=key) -> None:
-        _OOO_PLANS.pop(_key, None)
-
-    _OOO_PLANS[key] = (weakref.ref(compiled, _evict), buffers)
     return buffers
 
 
@@ -2170,12 +2142,9 @@ def _ooo_member(
 ) -> SimulationResult:
     """The ``ooo`` entry of :data:`FAMILY_LOOPS`: a one-member
     :func:`ooo_replay`, so a single out-of-order replay runs the sweep
-    kernel (and reuses its buffer plan, cached per compiled trace)."""
-    compiled = compile_trace(trace)
-    if compiled.has_vector:
-        from ..base import scalar_only_error
-
-        raise scalar_only_error(machine.name)
+    kernel (and shares its buffer plan, memoised on the compiled
+    trace)."""
+    compiled = require_scalar(compile_trace(trace), machine)
     count_run("python", "fast_runs")
     return ooo_replay(compiled, [SweepItem(machine, config, record)])[0]
 
@@ -2226,11 +2195,7 @@ def simulate_spec_fast(
     branch, the full recovery window after a mispredict, issue + branch
     latency with prediction off).
     """
-    compiled = compile_trace(trace)
-    if compiled.has_vector:
-        from ..base import scalar_only_error
-
-        raise scalar_only_error(machine.name)
+    compiled = require_scalar(compile_trace(trace), machine)
     count_run("python", "fast_runs")
     table = config.latencies
     latencies = [table.latency(unit) for unit in UNITS]

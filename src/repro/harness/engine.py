@@ -311,7 +311,10 @@ def _compute_records(
 
     The simulator cells share one :func:`repro.core.fastpath.simulate_sweep`
     call (the ``replay`` phase); each limits cell is one limits
-    computation (together the ``limits`` phase).
+    computation (together the ``limits`` phase).  A plan replays each
+    trace in one group, so the replay phase ends by dropping the plans
+    memoised on the compiled trace (``CompiledTrace.derived``): the
+    trace memo keeps the trace and its compilation, not them.
     """
     records: List[Dict[str, Any]] = [{} for _ in cells]
     phases: List[Tuple[str, float, float]] = []
@@ -330,6 +333,7 @@ def _compute_records(
                 "cycles": result.cycles,
                 "detail": dict(result.detail or {}),
             }
+        fastpath.compile_trace(trace).derived.clear()
         phases.append(("replay", start, time.monotonic()))
     if len(sims) < len(cells):
         start = time.monotonic()

@@ -284,7 +284,8 @@ def kernel_calibrated_spec(
 ) -> FuzzSpec:
     """Fuzzer knobs calibrated to one Livermore kernel's measured shape.
 
-    Measures the kernel's verified dynamic trace with
+    Measures the kernel's verified dynamic trace (resolved through the
+    engine's trace memo, so repeat calibrations capture it once) with
     :func:`repro.trace.stats.ir_statistics` and maps the envelope
     onto the :class:`FuzzSpec` knobs, so fuzzed campaigns can stress the
     machine models with workloads shaped like each real kernel (rather
@@ -308,12 +309,12 @@ def kernel_calibrated_spec(
     The deterministic fuzzer contract is unchanged:
     ``fuzz_trace(seed, kernel_calibrated_spec(loop))`` is reproducible.
     """
+    from ..harness.engine import resolve_trace
     from ..kernels import default_size
-    from ..trace.sources import trace_source
     from ..trace.stats import ir_statistics
 
     size = default_size(loop) if n is None else n
-    trace = trace_source(f"kernel:{loop}:n={size}")
+    trace, _ = resolve_trace(f"kernel:{loop}:n={size}")
     stats = ir_statistics(trace)
 
     branch_fraction = _clamp(stats.branch_fraction, 0.0, 0.35)

@@ -214,12 +214,16 @@ def _still_fails_same_way(
 def _seed_trace(options: VerifyOptions, seed: int) -> Trace:
     """The trace for one campaign seed: registry family or legacy fuzz.
 
-    Seeded families get ``:seed=<seed>`` appended; fixed sources
-    (``kernel:...``, ``file:...``) resolve to the same trace each
-    iteration -- only the config rotation varies.
+    Seeded families get ``:seed=<seed>`` appended and are captured
+    fresh; fixed sources (``kernel:...``, ``file:...``) resolve through
+    the engine's trace memo (:func:`repro.harness.engine.resolve_trace`),
+    so every iteration replays one trace object and its one compilation
+    -- only the config rotation varies.  ``file:`` archives skip the
+    memo and are re-read each iteration (the file can change).
     """
     if options.source is None:
         return fuzz_trace(seed, options.fuzz)
+    from ..harness.engine import resolve_trace
     from ..trace.sources import (
         MIXED_MACHINES,
         _SOURCES,
@@ -230,7 +234,7 @@ def _seed_trace(options: VerifyOptions, seed: int) -> Trace:
     if _SOURCES[parse_trace_spec(options.source).head].seeded:
         trace = trace_source(f"{options.source}:seed={seed}")
     else:
-        trace = trace_source(options.source)
+        trace, _ = resolve_trace(options.source)
     # A file: archive can carry vector operations the head-level guard
     # in VerifyOptions cannot see; apply the same machine restriction
     # here, on the resolved trace.

@@ -524,6 +524,22 @@ class TestTraceMemo:
         )
 
 
+    def test_finished_groups_release_their_plans(self, small_sizes):
+        """A plan replays each trace in one group, which drops the trace's
+        plans when it ends: after a cold table 5 (out-of-order widths
+        1-8) the memo still holds every trace and its compilation, but
+        no plan derived from it."""
+        from repro.core import fastpath
+        from repro.trace import GLOBAL_TRACE_CACHE
+
+        plan = build_plan("table5", small_sizes)
+        run_plan(plan, workers=1, cache=None)
+        compiles = fastpath.stats()["compiles"]
+        for source in {cell.source for cell in plan.cells}:
+            trace = GLOBAL_TRACE_CACHE.peek(source)
+            assert fastpath.compile_trace(trace).derived == {}, source
+        assert fastpath.stats()["compiles"] == compiles
+
     def test_memo_keeps_the_most_recent_traces(self):
         from repro.trace import GLOBAL_TRACE_CACHE
         from repro.trace.cache import CAPACITY

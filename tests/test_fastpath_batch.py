@@ -398,6 +398,60 @@ def test_ruu_plan_resolves_register_instances():
 
 
 # ----------------------------------------------------------------------
+# Per-trace plans: memoised on the compiled trace, dying with it
+# ----------------------------------------------------------------------
+
+def _holders(value):
+    """Everything but stack frames that still references *value*."""
+    import gc
+    import types
+
+    gc.collect()
+    return [
+        holder for holder in gc.get_referrers(value)
+        if not isinstance(holder, types.FrameType)
+    ]
+
+
+def test_plans_die_with_their_trace():
+    """Once the trace (and so its compilation) is gone, nothing holds its
+    RUU or out-of-order plan any more.  The plans are a tuple and a list,
+    which take no weak references, so the check is on their referrers."""
+    trace = fuzz_trace(60_000, _SHAPE)
+    ruu = fastpath.python_backend.ruu_plan(fastpath.compile_trace(trace))
+    ooo = fastpath.python_backend._ooo_plan(
+        fastpath.compile_trace(trace), 4, True
+    )
+    assert _holders(ruu) and _holders(ooo)  # the compiled trace's memo
+    del trace
+    assert _holders(ruu) == []
+    assert _holders(ooo) == []
+
+
+def test_alternating_replays_build_each_plan_once():
+    """Per-spec replays of ``ruu:2:50`` and ``ooo:4`` alternating over two
+    traces get the same plan objects back on every call."""
+    backend = fastpath.python_backend
+    ruu, ooo = build_simulator("ruu:2:50"), build_simulator("ooo:4")
+
+    def plans(trace):
+        compiled = fastpath.compile_trace(trace)
+        return (
+            backend.ruu_plan(compiled),
+            backend._ooo_plan(compiled, ooo.issue_units, ooo.enforce_war),
+        )
+
+    first = {}
+    for _ in range(3):
+        for index in (3, 4):
+            trace = TRACES[index]
+            ruu.simulate(trace, M11BR5)
+            ooo.simulate(trace, M11BR5)
+            built = first.setdefault(index, plans(trace))
+            assert all(a is b for a, b in zip(plans(trace), built))
+
+
+# ----------------------------------------------------------------------
 # Registry-sourced workload families through the batch sweep
 # ----------------------------------------------------------------------
 

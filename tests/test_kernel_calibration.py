@@ -70,6 +70,25 @@ def test_calibration_orders_dataflow_width():
     assert wide.dependency_density < tight.dependency_density
 
 
+def test_calibration_resolves_the_memoized_kernel_trace(monkeypatch):
+    """The calibrated kernel's trace resolves through the engine's trace
+    memo: a second calibration of the same kernel captures nothing."""
+    import repro.harness.engine as engine
+
+    engine.clear_process_memo()
+    captured = []
+    capture = engine.trace_source
+
+    def counting(spec):
+        captured.append(spec)
+        return capture(spec)
+
+    monkeypatch.setattr(engine, "trace_source", counting)
+    first = kernel_calibrated_spec(5, n=SMALL_SIZES[5])
+    assert kernel_calibrated_spec(5, n=SMALL_SIZES[5]) == first
+    assert captured == [f"kernel:5:n={SMALL_SIZES[5]}"]
+
+
 @pytest.mark.parametrize("loop", _FAST_LOOPS)
 def test_calibrated_traces_reproduce_kernel_mix(loop):
     """The fuzzer really emits the calibrated mix: measured branch and

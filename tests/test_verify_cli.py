@@ -157,6 +157,21 @@ class TestRunner:
         assert report.seeds_run == 4
         assert report.checks_run > 0
 
+    def test_fixed_source_is_captured_and_compiled_once(self):
+        """A fixed (unseeded) source resolves through the engine's trace
+        memo, so every seed replays one trace object and one compile."""
+        import repro.api as api
+        from repro.core import fastpath
+        from repro.harness.engine import clear_process_memo
+
+        clear_process_memo()
+        before = fastpath.stats()["compiles"]
+        report = api.verify_machines(
+            3, source="kernel:5:n=16", shrink=False
+        )
+        assert report.ok and report.seeds_run == 3
+        assert fastpath.stats()["compiles"] - before == 1
+
     def test_option_validation(self):
         with pytest.raises(ValueError):
             VerifyOptions(seeds=0)
