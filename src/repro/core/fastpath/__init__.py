@@ -53,7 +53,7 @@ from .backends import (
     set_enabled,
     stats,
 )
-from .ir import N_REGISTERS, UNITS, CompiledTrace, compile_trace
+from .ir import N_REGISTERS, UNITS, CompiledTrace, compile_trace, drop_derived
 from . import python_backend
 from . import batch
 
@@ -63,6 +63,7 @@ __all__ = [
     "SweepItem",
     "UNITS",
     "compile_trace",
+    "drop_derived",
     "enabled",
     "fast_eligible",
     "family_of",

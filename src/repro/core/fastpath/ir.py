@@ -49,6 +49,7 @@ __all__ = [
     "Schedule",
     "UNITS",
     "compile_trace",
+    "drop_derived",
     "per_trace",
     "unit_profile",
     "window_stats",
@@ -175,14 +176,20 @@ def _region(ops, start, period, end) -> Optional[Tuple[int, int, int]]:
     return (start, period, end)
 
 
+def _compiled(trace: Trace) -> Optional[CompiledTrace]:
+    """*trace*'s cached compilation, or None."""
+    hit = _CACHE.get(id(trace))
+    return hit[1] if hit is not None and hit[0]() is trace else None
+
+
 def compile_trace(trace: Trace) -> CompiledTrace:
     """Lower *trace* to flat integer tuples (cached per trace object)."""
-    key = id(trace)
-    hit = _CACHE.get(key)
-    if hit is not None and hit[0]() is trace:
+    compiled = _compiled(trace)
+    if compiled is not None:
         _STATS["cache_hits"] += 1
-        return hit[1]
+        return compiled
     _STATS["cache_misses"] += 1
+    key = id(trace)
 
     file_offsets = _FILE_OFFSETS
     unit_index = _UNIT_INDEX
@@ -261,13 +268,21 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     return compiled
 
 
+def drop_derived(trace: Trace) -> None:
+    """Drop every analysis memoised on *trace*'s compilation, if it has
+    one; a trace no replay compiled is left uncompiled."""
+    compiled = _compiled(trace)
+    if compiled is not None:
+        compiled.derived.clear()
+
+
 def per_trace(build: Callable) -> Callable:
     """Memoise ``build(compiled, *params)`` in ``compiled.derived``.
 
     The key is the builder and its positional parameters, so one
     compiled trace holds at most one value per (analysis, parameters)
     and every replay of the trace shares it.  Whoever knows a trace is
-    done with may drop its analyses early with ``derived.clear()``; the
+    done with may drop its analyses early with :func:`drop_derived`; the
     next call rebuilds them.
     """
 

@@ -3,15 +3,16 @@
 One compiled fast loop per machine family, each a bit-identical twin of
 that family's ``reference_simulate``: state held in flat integer arrays
 (one ``int`` slot per architectural register and per functional unit)
-instead of hash tables, per-unit latency/pipelining tables built once
-per call, and a min-heap of outstanding completion events so stale
-result-bus reservations are pruned as the issue front passes them
-(state stays O(outstanding writes), not O(trace length)).
+instead of hash tables, and per-unit latency/pipelining tables built
+once per call.  The scoreboard and in-order loops keep a min-heap of
+outstanding result-bus reservations, pruned as the issue front passes
+them (state stays O(outstanding writes), not O(trace length)); the
+out-of-order kernel keeps grow-only bus sets instead, whose stale
+entries no probe can match (see :func:`ooo_replay`).
 
-Like the reference loops, the fast loops never scan idle cycles: both
+Like the reference loops, the fast loops never scan idle cycles: they
 jump straight from one issue decision to the next, so the only scans
-left are the short result-bus conflict probes, which the heap keeps
-bounded.
+left are the short result-bus conflict probes.
 
 Two families replay through a kernel that also serves the batch sweep
 (:mod:`~repro.core.fastpath.batch`): :func:`ruu_replay` over the
@@ -28,21 +29,25 @@ overhead would dominate any arithmetic saved.
 Those two loops also skip work, not just idle cycles: the steady-state
 fast-forward.  Inside a periodic region of the compiled trace
 (``CompiledTrace.regions``: one loop body repeated) the loop takes its
-state at each body boundary relative to the cycle and the boundary seq
--- the live RUU entries, or the out-of-order register, unit and bus
-ready cycles, clamped at the current cycle.  The machines are
-deterministic and their timing reads only the ops, so once that state
-repeats after ``p`` bodies and ``dc`` cycles, every later period
-repeats it too: the loop shifts its live state by as many whole periods
-as stay inside the region, adds that many times the period's deltas to
-its histograms, busy, stall and width counters, shifts the recorded
-schedule under ``record``, and replays the rest as before.  A cheap
-signature (issue offset, live count, cycle gap) gates the full key, so
-boundaries cost O(1) until a repeat is likely, and traces without
-regions (fuzzed, seeded generators) never check at all.  Skipped
-instructions count as ``python.skipped_instructions``.  The in-order,
-scoreboard, CDC 6600, Tomasulo and speculative loops have no
-fast-forward.
+state at each body boundary relative to the cycle and the boundary seq,
+clamped at the current cycle.  The machines are deterministic and their
+timing reads only the ops, so once that state repeats after ``p``
+bodies and ``dc`` cycles, every later period repeats it too: the loop
+shifts its live state by as many whole periods as stay inside the
+region, adds that many times the period's deltas to its histograms,
+busy, stall and width counters, shifts the recorded schedule under
+``record``, and replays the rest as before.  One protocol,
+:class:`_SteadyState`, owns the region cursor, a cheap signature that
+gates the full key (so boundaries cost O(1) until a repeat is likely),
+the key history, the counter credit and the
+``python.skipped_instructions`` count; traces without regions (fuzzed,
+seeded generators) never enter it.  Each loop supplies only its own
+part: :func:`ruu_replay` its live RUU entries as the key
+(:func:`_ruu_key`) and their shift (:func:`_ruu_shift`), checked from
+one body into a region on; :func:`ooo_replay` its register, unit and
+bus ready cycles (:func:`_ooo_key`, :func:`_ooo_jump`), checked at
+buffers that start a body.  The in-order, scoreboard, CDC 6600,
+Tomasulo and speculative loops have no fast-forward.
 
 Bit-identity is a hard invariant, enforced three ways:
 
@@ -969,12 +974,106 @@ def _ruu_key(
     return tuple(flat)
 
 
-def _credit(counts, before, repeats) -> None:
-    """Add *repeats* more periods to counters that read *before* one
-    period ago."""
-    for index, count in enumerate(before):
-        if counts[index] != count:
-            counts[index] += repeats * (counts[index] - count)
+class _SteadyState:
+    """The steady-state fast-forward of one replay (see the module
+    docstring), shared by :func:`ruu_replay` and :func:`ooo_replay`: the
+    region cursor, the signature gate, the key history, the counter
+    credit and the skipped-instruction count.
+
+    A loop keeps :attr:`next_check` in a local and calls in only once
+    its cursor (the next seq to issue) reaches it: :meth:`enter` with
+    the cursor; then, if the loop's own boundary condition holds,
+    :meth:`gate` with its cheap signature; and, if that signature
+    repeats, :meth:`repeat` with its full state key.  A jump that
+    :meth:`repeat` returns has had its counters credited and its
+    instructions counted; the loop applies its own shift.  Either way
+    the loop then reloads :attr:`next_check`.
+
+    *first* is the number of bodies into a region before its first
+    checked boundary; *stops*, when given, the sorted seqs a jump may
+    land on (the loop's cursor stands on no others).
+    """
+
+    def __init__(self, compiled, first: int, stops=None) -> None:
+        self.regions = compiled.regions
+        # Past every seq, and small: CPython compares small ints faster.
+        self.never = compiled.n + 1
+        self.first = first
+        self.stops = stops
+        self.region = -1
+        self.leave = True
+        self.boundary_cycle = 0
+        self.next_check = self._following()
+
+    def _following(self) -> int:
+        """The first boundary checked in the region after this one."""
+        if self.region + 1 < len(self.regions):
+            start, period, _end = self.regions[self.region + 1]
+            return start + self.first * period
+        return self.never
+
+    def enter(self, pos: int) -> int:
+        """Take the body boundary the cursor *pos* has reached; returns
+        the start of the body holding *pos*."""
+        if self.leave:
+            self.region += 1
+            self.start, self.period, self.end = self.regions[self.region]
+            self.seen = {}
+            self.signatures = set()
+        period = self.period
+        base = pos - (pos - self.start) % period
+        # No later boundary can jump: leave the region after this one.
+        self.leave = base + 2 * period >= self.end
+        self.next_check = self._following() if self.leave else base + period
+        return base
+
+    def gate(self, pos: int, cycle: int, signature) -> bool:
+        """Whether the full key is worth building at this boundary: the
+        cycles since the last gated boundary and the loop's *signature*
+        were seen together before in this region.  No period fits once
+        the cursor is within one body of the region's end."""
+        if pos + self.period >= self.end:
+            return False
+        signature = (cycle - self.boundary_cycle, signature)
+        self.boundary_cycle = cycle
+        if signature in self.signatures:
+            return True
+        self.signatures.add(signature)
+        return False
+
+    def repeat(self, pos: int, cycle: int, key, tallies, extra):
+        """Jump if *key* was the state at an earlier boundary of this
+        region, else remember it.
+
+        *tallies* are the loop's counter lists, snapshotted with the key
+        and credited in place on a jump (a loop passes its scalar
+        counters in a fresh list and reads them back); *extra* is
+        whatever else the loop's shift needs from the earlier boundary.
+        Returns None, or ``(repeats, span, gap, extra then)``: the
+        periods skipped, and the seqs and cycles per period."""
+        snapshot = self.seen.get(key)
+        if snapshot is None:
+            self.seen[key] = (cycle, pos, [tally[:] for tally in tallies],
+                              extra)
+            return None
+        cycle0, pos0, tallies0, extra0 = snapshot
+        span = pos - pos0  # seqs per state period
+        repeats = (self.end - 1 - pos) // span
+        skip = repeats * span
+        if repeats <= 0:
+            return None
+        if self.stops is not None:
+            target = bisect_left(self.stops, pos + skip)
+            if target == len(self.stops) or self.stops[target] != pos + skip:
+                return None
+        for tally, before in zip(tallies, tallies0):  # repeats more periods
+            for index, count in enumerate(before):
+                if tally[index] != count:
+                    tally[index] += repeats * (tally[index] - count)
+        count_run("python", "skipped_instructions", skip)
+        self.leave = True
+        self.next_check = self._following()
+        return repeats, span, cycle - cycle0, extra0
 
 
 def _ruu_shift(low, high, skip, lag, result, avail, pending, ready) -> None:
@@ -1042,9 +1141,11 @@ def ruu_replay(
     ret_used: Dict[int, int] = {}  # FU->RUU return-path uses per cycle
     fu_cycle = [_UNKNOWN] * n_units
     fu_used = [0] * n_units
-    if ordered_memory:
-        memory_seqs = [seq for seq in ring if units[seq] == _MEMORY]
-        memory_index = 0
+    memory_seqs = (
+        [seq for seq in ring if units[seq] == _MEMORY] if ordered_memory
+        else []
+    )
+    memory_index = 0
 
     busy = [0] * n_units
     h_stride = issue_units + 1
@@ -1062,115 +1163,76 @@ def ruu_replay(
         issue_at = [0] * n_entries
         complete_at = [0] * n_entries
 
-    # Steady-state fast-forward over the trace's periodic regions: at
-    # each body boundary (the first cycle whose issue front has crossed
-    # one) a cheap signature gates the full relative state key; a key
-    # seen at an earlier boundary repeats every later period exactly.
-    regions = compiled.regions
-    region = 0
-    next_check = regions[0][0] + regions[0][1] if regions else n_entries + 1
-    seen: Dict[tuple, tuple] = {}
-    signatures = set()
-    boundary_cycle = 0
+    # Steady-state fast-forward: renaming reads up to one body back, so
+    # the first boundary checked is one body into a region.
+    steady = _SteadyState(compiled, 1)
+    next_check = steady.next_check
 
     while True:
         if cycle > _MAX_CYCLES:  # pragma: no cover - bug trap
             raise RuntimeError("RUU simulation failed to make progress")
 
         if pos >= next_check:
-            start, period, end = regions[region]
-            base = pos - (pos - start) % period
-            # No later boundary can jump: leave the region after this one.
-            leave = base + 2 * period >= end
-            if pos + period < end and (head == tail or ring[head] >= start):
-                signature = (pos - base, tail - head, cycle - boundary_cycle)
-                boundary_cycle = cycle
-                if signature in signatures:
-                    key = _ruu_key(
+            base = steady.enter(pos)
+            # Only a live window inside the region repeats.
+            if (head == tail or ring[head] >= steady.start) and steady.gate(
+                pos, cycle, (pos - base, tail - head)
+            ):
+                counts = [full_stall_cycles, branch_stall_cycles, memory_index]
+                jump = steady.repeat(
+                    pos, cycle,
+                    _ruu_key(
                         base, cycle, pos, head, tail, ring, result, pending,
                         ready, heap, stride, issue_resume,
                         memory_seqs[memory_index] - base
-                        if ordered_memory and memory_index < len(memory_seqs)
-                        else -1,
-                    )
-                    snapshot = seen.get(key)
-                    if snapshot is None:
-                        seen[key] = (
-                            cycle, pos, head, issue_resume,
-                            memory_index if ordered_memory else 0,
-                            busy[:], hist[:], full_stall_cycles,
-                            branch_stall_cycles,
-                        )
-                    else:
-                        (cycle0, pos0, head0, resume0, memory0,
-                         busy0, hist0, full0, branch0) = snapshot
-                        span = pos - pos0  # seqs per state period
-                        repeats = (end - 1 - pos) // span
-                        if repeats > 0:
-                            gap = cycle - cycle0
-                            entries = head - head0  # ring entries per period
-                            skip = repeats * span
-                            lag = repeats * gap
-                            moved = repeats * entries
-                            low = pos - period
-                            if head < tail and ring[head] < low:
-                                low = ring[head]
-                            _ruu_shift(low, pos, skip, lag, result, avail,
-                                       pending, ready)
-                            if tracking:
-                                for seq in range(pos, pos + skip):
-                                    issue_at[seq] = issue_at[seq - span] + gap
-                                    if branch_wait[seq] != _NOT_BRANCH:
-                                        complete_at[seq] = (
-                                            complete_at[seq - span] + gap
-                                        )
-                                for index in range(head, head + moved):
-                                    complete_at[ring[index]] = (
-                                        complete_at[ring[index - entries]]
-                                        + gap
-                                    )
-                            heap = [h + lag * stride + skip for h in heap]
-                            eligible = [seq + skip for seq in eligible]
-                            _credit(busy, busy0, repeats)
-                            _credit(hist, hist0, repeats)
-                            full_stall_cycles += repeats * (
-                                full_stall_cycles - full0
-                            )
-                            branch_stall_cycles += repeats * (
-                                branch_stall_cycles - branch0
-                            )
-                            # The last commit needs no shift: whatever
-                            # is still live, or left to issue, commits or
-                            # resolves later than any skipped commit.
-                            if issue_resume != resume0:
-                                issue_resume += lag
-                            if ordered_memory:
-                                memory_index += repeats * (
-                                    memory_index - memory0
-                                )
-                            pos += skip
-                            head += moved
-                            tail += moved
-                            cycle += lag
-                            # Return-path uses from this cycle on are
-                            # exactly the live results' return cycles.
-                            ret_used = {}
-                            for index in range(head, tail):
-                                back = result[ring[index]]
-                                if back != _UNDISPATCHED and back >= cycle:
-                                    ret_used[back] = ret_used.get(back, 0) + 1
-                            count_run("python", "skipped_instructions", skip)
-                            leave = True
-                signatures.add(signature)
-            next_check = base + period
-            if leave:
-                region += 1
-                seen = {}
-                signatures = set()
-                next_check = (
-                    regions[region][0] + regions[region][1]
-                    if region < len(regions) else n_entries + 1
+                        if memory_index < len(memory_seqs) else -1,
+                    ),
+                    (busy, hist, counts), (head, issue_resume),
                 )
+                if jump is not None:
+                    repeats, span, gap, (head0, resume0) = jump
+                    full_stall_cycles, branch_stall_cycles, memory_index = (
+                        counts
+                    )
+                    entries = head - head0  # ring entries per period
+                    skip = repeats * span
+                    lag = repeats * gap
+                    moved = repeats * entries
+                    low = pos - steady.period
+                    if head < tail and ring[head] < low:
+                        low = ring[head]
+                    _ruu_shift(low, pos, skip, lag, result, avail, pending,
+                               ready)
+                    if tracking:
+                        for seq in range(pos, pos + skip):
+                            issue_at[seq] = issue_at[seq - span] + gap
+                            if branch_wait[seq] != _NOT_BRANCH:
+                                complete_at[seq] = (
+                                    complete_at[seq - span] + gap
+                                )
+                        for index in range(head, head + moved):
+                            complete_at[ring[index]] = (
+                                complete_at[ring[index - entries]] + gap
+                            )
+                    heap = [h + lag * stride + skip for h in heap]
+                    eligible = [seq + skip for seq in eligible]
+                    # The last commit needs no shift: whatever is still
+                    # live, or left to issue, commits or resolves later
+                    # than any skipped commit.
+                    if issue_resume != resume0:
+                        issue_resume += lag
+                    pos += skip
+                    head += moved
+                    tail += moved
+                    cycle += lag
+                    # Return-path uses from this cycle on are exactly the
+                    # live results' return cycles.
+                    ret_used = {}
+                    for index in range(head, tail):
+                        back = result[ring[index]]
+                        if back != _UNDISPATCHED and back >= cycle:
+                            ret_used[back] = ret_used.get(back, 0) + 1
+            next_check = steady.next_check
 
         # ---- commit: retire in order from the head -------------------
         if head < tail:
@@ -1415,9 +1477,8 @@ def simulate_ruu_fast(
 #: Cap on buffer-drain scan passes, mirroring the reference's guard.
 _MAX_BUFFER_CYCLES = 100_000
 
-#: Drain-variant tags for out-of-order buffer records (see
-#: :func:`_ooo_plan`).
-_SINGLE, _INDEP, _NOBRANCH, _GENERAL = 0, 1, 2, 3
+#: Drain tags for out-of-order buffer records (see :func:`_ooo_plan`).
+_SINGLE, _INDEP, _SCAN = 0, 1, 2
 
 @per_trace
 def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
@@ -1427,9 +1488,13 @@ def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
     The buffer cut (after the first taken branch) and the intra-buffer
     hazard structure are config-independent, so the plan is shared by
     every sweep member and memoised on the compiled trace across sweep
-    and per-spec calls.  Records are ``(pos, tag, payload, full_mask)``;
-    payload is the op tuple for singles, else a tuple of per-slot
-    tuples unpacked by the drains in :func:`ooo_replay`.
+    and per-spec calls.  Records are ``(pos, tag, payload, full_mask)``.
+    A single's payload is its op tuple; any other buffer's is one
+    ``(bit, gate, branches, unit, dest, srcs, is_branch)`` tuple per
+    slot, where ``gate`` masks the earlier slots that must issue first
+    (RAW/WAW, WAR when enforced, and every earlier branch) and
+    ``branches`` lists the earlier branch slots that must also have
+    resolved.
     """
     ops = compiled.ops
     n_entries = compiled.n
@@ -1450,76 +1515,36 @@ def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
             pos += 1
             continue
 
-        s_unit = [0] * blen
-        s_dest = [0] * blen
-        s_srcs: List[Tuple[int, ...]] = [()] * blen
-        s_isbr = [False] * blen
-        any_branch = False
+        # Independent: no branch, no shared functional unit and no
+        # register shared in any direction (see :func:`ooo_replay`).
+        slots: List[tuple] = []
         units_seen = 0
         indep = True
         for slot in range(blen):
-            op = ops[pos + slot]
-            unit = op[0]
-            s_unit[slot] = unit
-            s_dest[slot] = op[1]
-            s_srcs[slot] = op[2]
-            unit_bit = 1 << unit
-            if units_seen & unit_bit:
-                indep = False
-            units_seen |= unit_bit
-            if op[3]:
-                s_isbr[slot] = True
-                any_branch = True
-
-        # Per-slot hazard masks against earlier slots: dep_mask covers
-        # RAW/WAW (and WAR when enforced) against *unissued* earlier
-        # slots, branches_before the control dependence on earlier
-        # branch slots.
-        dep_mask = [0] * blen
-        branches_before = [0] * blen
-        br_slots_before: List[Tuple[int, ...]] = [()] * blen
-        for slot in range(1, blen):
-            dest = s_dest[slot]
-            srcs = s_srcs[slot]
-            mask = 0
-            bb = 0
-            brs: List[int] = []
-            for earlier in range(slot):
-                if s_isbr[earlier]:
-                    bb |= 1 << earlier
-                    brs.append(earlier)
-                edest = s_dest[earlier]
-                if edest >= 0 and (
-                    edest in srcs or (dest >= 0 and edest == dest)
-                ):
-                    mask |= 1 << earlier
-                elif dest >= 0 and dest in s_srcs[earlier]:
+            unit, dest, srcs, is_branch = ops[pos + slot][:4]
+            gate = 0
+            branches = []
+            for earlier, (_b, _g, _bs, _u, edest, esrcs, ebranch) in (
+                enumerate(slots)
+            ):
+                if ebranch:
+                    gate |= 1 << earlier
+                    branches.append(earlier)
+                if edest >= 0 and (edest in srcs or edest == dest):
+                    gate |= 1 << earlier
+                    indep = False
+                elif dest >= 0 and dest in esrcs:
                     indep = False
                     if enforce_war:
-                        mask |= 1 << earlier
-            if mask:
+                        gate |= 1 << earlier
+            if is_branch or units_seen >> unit & 1:
                 indep = False
-            dep_mask[slot] = mask
-            branches_before[slot] = bb
-            br_slots_before[slot] = tuple(brs)
-
-        full_mask = (1 << blen) - 1
-        if any_branch:
-            payload = tuple(
-                (1 << slot, dep_mask[slot], branches_before[slot],
-                 br_slots_before[slot], s_unit[slot], s_dest[slot],
-                 s_srcs[slot], s_isbr[slot])
-                for slot in range(blen)
-            )
-            buffers.append((pos, _GENERAL, payload, full_mask))
-        else:
-            payload = tuple(
-                (1 << slot, dep_mask[slot], s_unit[slot], s_dest[slot],
-                 s_srcs[slot])
-                for slot in range(blen)
-            )
-            tag = _INDEP if indep else _NOBRANCH
-            buffers.append((pos, tag, payload, full_mask))
+            units_seen |= 1 << unit
+            slots.append((1 << slot, gate, tuple(branches), unit, dest, srcs,
+                          is_branch))
+        buffers.append(
+            (pos, _INDEP if indep else _SCAN, tuple(slots), (1 << blen) - 1)
+        )
         pos += blen
     return buffers
 
@@ -1577,10 +1602,9 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
     (:func:`_ooo_plan`, cached per compiled trace) decodes every fetch
     buffer once -- the buffer cut (after the first taken branch) and the
     intra-buffer hazard structure are config-independent -- into
-    per-slot hazard bitmasks, so each scan tests ``dep_mask & unissued``
-    / ``branches_before & unissued`` instead of walking earlier slots
-    each cycle, and tags each buffer with the cheapest drain that
-    reproduces the reference:
+    per-slot hazard bitmasks, so each scan tests ``gate & unissued``
+    instead of walking earlier slots each cycle, and tags each buffer
+    with one of three drains that reproduce the reference:
 
     ``single``
         One slot (the tail, and right after a taken branch): no
@@ -1593,14 +1617,15 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
         issued).  With per-slot result buses no slot can observe
         another, so each issues at its own closed-form cycle -- exactly
         where the reference scan lands via progress steps and jumps.
-        Specs with a shared bus (1-Bus, crossbar) fall back to the
-        branch-free drain.
-    ``branch-free`` / ``general``
-        The scan drain, with the reference's separate jump-candidate
-        pass folded into the issue scan: candidates are only consulted
-        when the scan issued nothing, exactly the case where no state
-        changed during the scan, so inline candidates equal what a
-        second pass over the same state would compute.
+        Specs with a shared bus (1-Bus, crossbar) take the scan drain.
+    ``scan``
+        Every other buffer: the reference's scan, with its separate
+        jump-candidate pass folded into the issue scan: candidates are
+        only consulted when the scan issued nothing, exactly the case
+        where no state changed during the scan, so inline candidates
+        equal what a second pass over the same state would compute.  A
+        branch-free buffer is the case with no branch slots to gate or
+        wait on.
 
     Phase 2 replays the prebuilt buffer records once per sweep member
     with that member's latencies, bus wiring and machine state bound as
@@ -1646,7 +1671,6 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
     # Phase 2: replay the records once per sweep member.
     # ------------------------------------------------------------------
     n_units = len(UNITS)
-    n_entries = compiled.n
     regions = compiled.regions
     positions = [record[0] for record in buffers] if regions else None
     last_events = [0] * K
@@ -1680,74 +1704,46 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
         t_width = [0] * (units + 1)
         t_cs: List[int] = []
         t_cs_append = t_cs.append
-        # Steady-state fast-forward, as in ruu_replay: at each buffer that
-        # starts a body, a cheap signature gates the full relative state.
-        # The buffers from any body start on are the same shifted (no
-        # rename plan here), so the first body is already a boundary.
-        region = 0
-        next_check = regions[0][0] if regions else n_entries
-        seen: Dict[tuple, tuple] = {}
-        signatures = set()
-        boundary_cycle = 0
+        # Steady-state fast-forward at the buffers that start a body.  The
+        # buffers from any body start on are the same shifted (no rename
+        # plan here), so the first body is already a boundary.
+        steady = _SteadyState(compiled, 0, positions)
+        next_check = steady.next_check
         horizon = max(latencies) + 1  # bus reservations end before this
+        # Scan drains read the resolution of earlier branch slots of the
+        # same buffer only, each written when that slot issued.
+        branch_resolve = [0] * units
 
         records = iter(buffers)
         for pos, tag, payload, full_mask in records:
             if pos >= next_check:
-                start, period, end = regions[region]
-                base = pos - (pos - start) % period
-                # No later boundary can jump: leave the region after this.
-                leave = base + 2 * period >= end
-                if pos == base and pos + period < end:
-                    signature = (
-                        cycle - boundary_cycle,
-                        last_event - cycle if last_event > cycle else 0,
+                if steady.enter(pos) == pos and steady.gate(
+                    pos, cycle, last_event - cycle if last_event > cycle else 0
+                ):
+                    jump = steady.repeat(
+                        pos, cycle,
+                        _ooo_key(cycle, last_event, regs, fuf, buses_k,
+                                 horizon),
+                        (t_width,), last_event,
                     )
-                    boundary_cycle = cycle
-                    if signature in signatures:
-                        key = _ooo_key(cycle, last_event, regs, fuf, buses_k,
-                                       horizon)
-                        snapshot = seen.get(key)
-                        if snapshot is None:
-                            seen[key] = (cycle, pos, last_event, t_width[:])
-                        else:
-                            cycle0, pos0, event0, width0 = snapshot
-                            span = pos - pos0  # seqs per state period
-                            repeats = (end - 1 - pos) // span
-                            skip = repeats * span
-                            target = bisect_left(positions, pos + skip)
-                            if repeats > 0 and target < len(positions) and (
-                                positions[target] == pos + skip
-                            ):
-                                gap = cycle - cycle0
-                                if track:
-                                    _shift_schedule(issue_k, complete_k, pos,
-                                                    skip, span, gap)
-                                _ooo_jump(cycle, repeats * gap, regs, fuf,
-                                          buses_k, horizon)
-                                _credit(t_width, width0, repeats)
-                                if last_event != event0:
-                                    last_event += repeats * gap
-                                cycle += repeats * gap
-                                count_run(
-                                    "python", "skipped_instructions", skip
-                                )
-                                pos, tag, payload, full_mask = next(islice(
-                                    records,
-                                    target - bisect_left(positions, pos) - 1,
-                                    None,
-                                ))
-                                leave = True
-                    signatures.add(signature)
-                next_check = base + period
-                if leave:
-                    region += 1
-                    seen = {}
-                    signatures = set()
-                    next_check = (
-                        regions[region][0] if region < len(regions)
-                        else n_entries
-                    )
+                    if jump is not None:
+                        repeats, span, gap, event0 = jump
+                        skip = repeats * span
+                        if track:
+                            _shift_schedule(issue_k, complete_k, pos, skip,
+                                            span, gap)
+                        _ooo_jump(cycle, repeats * gap, regs, fuf, buses_k,
+                                  horizon)
+                        if last_event != event0:
+                            last_event += repeats * gap
+                        cycle += repeats * gap
+                        pos, tag, payload, full_mask = next(islice(
+                            records,
+                            bisect_left(positions, pos + skip)
+                            - bisect_left(positions, pos) - 1,
+                            None,
+                        ))
+                next_check = steady.next_check
 
             if tag == _SINGLE:
                 unit, dest, srcs, is_branch = payload[:4]
@@ -1811,7 +1807,7 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
 
             if tag == _INDEP and closed_ok:
                 maxc = cycle
-                for slot, (bit, dep, unit, dest, srcs) in enumerate(
+                for slot, (_b, _g, _bs, unit, dest, srcs, _br) in enumerate(
                     payload
                 ):
                     c = cycle
@@ -1867,122 +1863,9 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
                 cycle = maxc + 1
                 continue
 
-            if tag != _GENERAL:
-                # Branch-free drain: data hazards + structural conflicts
-                # only.
-                unissued = full_mask
-                guard = 0
-                while unissued:
-                    guard += 1
-                    if guard > _MAX_BUFFER_CYCLES:  # pragma: no cover
-                        raise RuntimeError(
-                            f"buffer failed to drain at trace pos {pos}"
-                        )
-                    progressed = False
-                    nxt = -1
-                    before = unissued
-                    for slot, (bit, dep, unit, dest, srcs) in enumerate(
-                        payload
-                    ):
-                        if not unissued & bit:
-                            continue
-                        # RAW/WAW (and optionally WAR) against unissued
-                        # earlier slots; gated slots are bounded by the
-                        # gating slot's own candidate.
-                        if dep & unissued:
-                            continue
-                        earliest = cycle
-                        for src in srcs:
-                            ready = regs[src]
-                            if ready > earliest:
-                                earliest = ready
-                        if dest >= 0:
-                            ready = regs[dest]
-                            if ready > earliest:
-                                earliest = ready
-                        ready = fuf[unit]
-                        if ready > earliest:
-                            earliest = ready
-                        latency = latencies[unit]
-                        if earliest > cycle:
-                            # Not ready: jump candidate (used only when
-                            # nothing issues this scan, i.e. when state
-                            # did not change under us).
-                            cand = earliest
-                            if dest >= 0:
-                                if xb:
-                                    while all(
-                                        cand + latency in bus
-                                        for bus in buses_k
-                                    ):
-                                        cand += 1
-                                else:
-                                    reserved = busmap[slot]
-                                    while cand + latency in reserved:
-                                        cand += 1
-                            if nxt < 0 or cand < nxt:
-                                nxt = cand
-                            continue
-                        complete = cycle + latency
-                        if dest >= 0:
-                            if xb:
-                                chosen = -1
-                                for bus_index in range(nb):
-                                    if complete not in buses_k[bus_index]:
-                                        chosen = bus_index
-                                        break
-                                if chosen < 0:
-                                    cand = cycle + 1
-                                    while all(
-                                        cand + latency in bus
-                                        for bus in buses_k
-                                    ):
-                                        cand += 1
-                                    if nxt < 0 or cand < nxt:
-                                        nxt = cand
-                                    continue
-                                reserved = buses_k[chosen]
-                            else:
-                                reserved = busmap[slot]
-                                if complete in reserved:
-                                    cand = cycle + 1
-                                    while cand + latency in reserved:
-                                        cand += 1
-                                    if nxt < 0 or cand < nxt:
-                                        nxt = cand
-                                    continue
-                            regs[dest] = complete
-                            reserved.add(complete)
-                        # Issue slot at `cycle`.
-                        unissued &= ~bit
-                        progressed = True
-                        fuf[unit] = cycle + 1
-                        if complete > last_event:
-                            last_event = complete
-                        if track:
-                            issue_k[pos + slot] = cycle
-                            complete_k[pos + slot] = complete
-                        if not unissued:
-                            break
-                    # Scan passes visit strictly increasing cycles,
-                    # so the issues of one pass are one cycle's
-                    # issue width (issued bits = before ^ unissued,
-                    # since unissued only ever loses bits).
-                    issued = (before ^ unissued).bit_count()
-                    if issued:
-                        t_width[issued] += 1
-                    if unissued:
-                        if progressed:
-                            cycle += 1
-                        else:
-                            cycle = nxt if nxt > cycle else cycle + 1
-                # Next buffer starts the cycle after the last issue.
-                cycle += 1
-                continue
-
-            # General drain: branches gate later slots until resolved.
+            # Scan drain: a slot waits for the earlier slots its gate names
+            # to issue, and for the earlier branches among them to resolve.
             unissued = full_mask
-            branch_resolve = [_UNKNOWN] * len(payload)
             barrier = 0
             guard = 0
             while unissued:
@@ -1995,24 +1878,20 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
                 nxt = -1
                 before = unissued
                 for slot, (
-                    bit, dep, bb, brs, unit, dest, srcs, isbr
+                    bit, gate, branches, unit, dest, srcs, is_branch
                 ) in enumerate(payload):
                     if not unissued & bit:
                         continue
                     # Gated by an earlier *unissued* slot (branch or
                     # hazard): that slot's own candidate bounds this
                     # one, so it contributes nothing to the jump.
-                    if (dep | bb) & unissued:
+                    if gate & unissued:
                         continue
-                    # Control: every earlier branch (all issued now)
-                    # must also have resolved.
-                    control_floor = 0
-                    if bb:
-                        for b in brs:
-                            resolve = branch_resolve[b]
-                            if resolve > control_floor:
-                                control_floor = resolve
                     earliest = cycle
+                    for b in branches:
+                        resolve = branch_resolve[b]
+                        if resolve > earliest:
+                            earliest = resolve
                     for src in srcs:
                         ready = regs[src]
                         if ready > earliest:
@@ -2025,17 +1904,15 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
                     if ready > earliest:
                         earliest = ready
                     latency = latencies[unit]
-                    if earliest > cycle or control_floor > cycle:
-                        cand = cycle + 1
-                        if control_floor > cand:
-                            cand = control_floor
-                        if earliest > cand:
-                            cand = earliest
+                    if earliest > cycle:
+                        # Not ready: jump candidate (used only when
+                        # nothing issues this scan, i.e. when state did
+                        # not change under us).
+                        cand = earliest
                         if dest >= 0:
                             if xb:
                                 while all(
-                                    cand + latency in bus
-                                    for bus in buses_k
+                                    cand + latency in bus for bus in buses_k
                                 ):
                                     cand += 1
                             else:
@@ -2056,8 +1933,7 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
                             if chosen < 0:
                                 cand = cycle + 1
                                 while all(
-                                    cand + latency in bus
-                                    for bus in buses_k
+                                    cand + latency in bus for bus in buses_k
                                 ):
                                     cand += 1
                                 if nxt < 0 or cand < nxt:
@@ -2075,28 +1951,27 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
                                 continue
                         regs[dest] = complete
                         reserved.add(complete)
-                    # Issue slot at `cycle`.
+                    # Issue slot at `cycle`; a branch completes when it
+                    # resolves.
                     unissued &= ~bit
                     progressed = True
                     fuf[unit] = cycle + 1
-                    if isbr:
-                        resolve = cycle + brlat
-                        branch_resolve[slot] = resolve
-                        if resolve > last_event:
-                            last_event = resolve
-                        if resolve > barrier:
-                            barrier = resolve
-                        if track:
-                            issue_k[pos + slot] = cycle
-                            complete_k[pos + slot] = resolve
-                    else:
-                        if complete > last_event:
-                            last_event = complete
-                        if track:
-                            issue_k[pos + slot] = cycle
-                            complete_k[pos + slot] = complete
+                    if is_branch:
+                        complete = cycle + brlat
+                        branch_resolve[slot] = complete
+                        if complete > barrier:
+                            barrier = complete
+                    if complete > last_event:
+                        last_event = complete
+                    if track:
+                        issue_k[pos + slot] = cycle
+                        complete_k[pos + slot] = complete
                     if not unissued:
                         break
+                # Scan passes visit strictly increasing cycles, so the
+                # issues of one pass are one cycle's issue width (issued
+                # bits = before ^ unissued, since unissued only ever
+                # loses bits).
                 issued = (before ^ unissued).bit_count()
                 if issued:
                     t_width[issued] += 1

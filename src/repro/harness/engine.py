@@ -314,7 +314,8 @@ def _compute_records(
     computation (together the ``limits`` phase).  A plan replays each
     trace in one group, so the replay phase ends by dropping the plans
     memoised on the compiled trace (``CompiledTrace.derived``): the
-    trace memo keeps the trace and its compilation, not them.
+    trace memo keeps the trace and its compilation, not them.  A trace
+    no replay compiled (the fast path off) stays uncompiled.
     """
     records: List[Dict[str, Any]] = [{} for _ in cells]
     phases: List[Tuple[str, float, float]] = []
@@ -333,7 +334,7 @@ def _compute_records(
                 "cycles": result.cycles,
                 "detail": dict(result.detail or {}),
             }
-        fastpath.compile_trace(trace).derived.clear()
+        fastpath.drop_derived(trace)
         phases.append(("replay", start, time.monotonic()))
     if len(sims) < len(cells):
         start = time.monotonic()

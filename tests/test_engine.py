@@ -540,6 +540,21 @@ class TestTraceMemo:
             assert fastpath.compile_trace(trace).derived == {}, source
         assert fastpath.stats()["compiles"] == compiles
 
+    def test_reference_replays_compile_nothing(self, small_sizes):
+        """With the fast path off no replay compiles a trace, so dropping
+        a finished group's plans must not compile one either."""
+        from repro.core import fastpath
+        from repro.trace import GLOBAL_TRACE_CACHE
+
+        GLOBAL_TRACE_CACHE.clear()  # fresh traces: none compiled yet
+        previous = fastpath.set_enabled(False)
+        try:
+            fastpath.reset_stats()
+            run_plan(build_plan("table3", small_sizes), workers=1, cache=None)
+            assert fastpath.stats()["compiles"] == 0
+        finally:
+            fastpath.set_enabled(previous)
+
     def test_memo_keeps_the_most_recent_traces(self):
         from repro.trace import GLOBAL_TRACE_CACHE
         from repro.trace.cache import CAPACITY

@@ -128,6 +128,45 @@ def test_fast_path_matches_reference(spec):
         )
 
 
+def _drain_shapes(simulator, trace):
+    """The out-of-order buffer shapes *simulator* drains *trace* with."""
+    backend = fastpath.python_backend
+    plan = backend._ooo_plan(
+        fastpath.compile_trace(trace), simulator.issue_units,
+        simulator.enforce_war,
+    )
+    closed = simulator.bus_kind is BusKind.N_BUS
+    shapes = set()
+    for _pos, tag, payload, _mask in plan:
+        if tag == backend._SINGLE:
+            shapes.add("single")
+        elif tag == backend._INDEP:
+            shapes.add("independent" if closed else "independent, shared bus")
+        elif any(slot[-1] for slot in payload):
+            shapes.add("branch-gated")
+        else:
+            shapes.add("branch-free with hazards")
+    return shapes
+
+
+def test_ooo_pool_reaches_every_drain_shape():
+    """The pool that :func:`test_fast_path_matches_reference` replays on
+    ``ooo:4``, ``ooo:4:1bus`` and ``ooo:4:xbar`` reaches every buffer
+    shape, so each caller of the one scan drain is covered by design."""
+    shapes = set()
+    for spec in ("ooo:4", "ooo:4:1bus", "ooo:4:xbar"):
+        simulator = build_simulator(spec)
+        for trace in TRACES:
+            shapes |= _drain_shapes(simulator, trace)
+    assert shapes == {
+        "single",
+        "independent",
+        "independent, shared bus",
+        "branch-free with hazards",
+        "branch-gated",
+    }
+
+
 @pytest.mark.parametrize("bus_kind", list(BusKind), ids=str)
 @pytest.mark.parametrize("width", (2, 4))
 def test_ooo_without_war_matches_reference(width, bus_kind):
