@@ -174,11 +174,9 @@ class TableRun:
 
 
 def list_tables() -> Tuple[str, ...]:
-    """The numbered table ids (``table1`` ... ``table10``), in order.
-
-    :func:`run_table` also accepts ``"section33"`` and ``"per-loop"``;
-    they are not numbered tables, so ``repro tables all`` leaves them out.
-    """
+    """The numbered table ids (``table1`` ... ``table10``), in order:
+    what ``repro tables all`` runs.  :func:`run_table` also accepts the
+    appendix and extension-study plans (every ``PLAN_BUILDERS`` id)."""
     return tuple(sorted(
         (tid for tid in PLAN_BUILDERS if tid.startswith("table")),
         key=lambda tid: int(tid[5:]),
@@ -200,11 +198,12 @@ def run_table(
     progress: Optional[ProgressCallback] = None,
     **plan_overrides,
 ) -> TableRun:
-    """Regenerate one of the paper's tables.
+    """Regenerate one of the paper's tables, or an extension study.
 
     Args:
-        table_id: ``"table1"`` ... ``"table10"``, ``"section33"`` or
-            ``"per-loop"``.
+        table_id: a ``PLAN_BUILDERS`` id: ``"table1"`` ...
+            ``"table10"``, ``"section33"``, ``"per-loop"`` or an
+            extension study (``"ablations"``, ``"unrolling"`` ...).
         compare: attach the paper's reported table for cell-by-cell diffs.
         workers: process fan-out width (default ``os.cpu_count()``).
         cache: consult/feed the persistent store under ``REPRO_CACHE_DIR``.

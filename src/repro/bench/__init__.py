@@ -13,8 +13,9 @@ Typical use::
     from repro.bench import QUICK_OPTIONS, run_suite, compare_reports
 
     report = run_suite(QUICK_OPTIONS, log=print)
-    report.write("BENCH_fastpath.json")
-    comparison = compare_reports(report, load_report("baseline.json"))
+    report.write("BENCH_quick.json")
+    baseline = load_report("benchmarks/baselines/BENCH_quick.json")
+    comparison = compare_reports(report, baseline)
     assert comparison.ok, comparison.regressions
 """
 

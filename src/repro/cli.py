@@ -52,6 +52,7 @@ import sys
 from typing import List, Optional
 
 from . import api
+from .harness.plans import PLAN_BUILDERS
 from .kernels import ALL_LOOPS
 from .obs.metrics import MetricsRegistry
 from .obs.tracing import spans_to_chrome, spans_to_perfetto
@@ -139,10 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tables = sub.add_parser("tables", help="regenerate the paper's tables")
+    tables = sub.add_parser(
+        "tables", help="regenerate the paper's tables and the studies"
+    )
     tables.add_argument(
         "table",
-        choices=list(api.list_tables()) + ["section33", "per-loop", "all"],
+        choices=list(PLAN_BUILDERS) + ["all"],
+        help="a plan id, or all for the numbered tables",
     )
     tables.add_argument("--compare", action="store_true")
     tables.add_argument(

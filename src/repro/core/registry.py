@@ -3,6 +3,10 @@
 Convenient for examples and CLI-style exploration: build any simulator the
 paper studies from a short specification string, e.g. ``"simple"``,
 ``"cray"``, ``"inorder:4:1bus"``, ``"ooo:8"``, ``"ruu:2:50:nbus"``.
+The modelling switches the extension studies flip are spellings too:
+``"ooo:4:war=off"`` (WAR hazards ignored), ``"ruu:4:50:bypass=off"``,
+``"ruu:4:50:mem=ordered"`` (loads and stores kept in program order) and
+``"cray-unchained"`` (no vector chaining).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .inorder_multi import InOrderMultiIssueMachine
 from .ooo_multi import OutOfOrderMultiIssueMachine
 from .ruu import RUUMachine
 from .scoreboard import (
+    ScoreboardMachine,
     cray_like_machine,
     non_segmented_machine,
     serial_memory_machine,
@@ -59,6 +64,9 @@ _FIXED: Dict[str, Callable[[], Simulator]] = {
     "nonsegmented": non_segmented_machine,
     "cray": cray_like_machine,
     "cray-like": cray_like_machine,
+    "cray-unchained": lambda: ScoreboardMachine(
+        fu_pipelined=True, memory_interleaved=True, vector_chaining=False
+    ),
     "cdc6600": CDC6600Machine,
     "tomasulo": TomasuloMachine,
 }
@@ -67,8 +75,9 @@ _FIXED: Dict[str, Callable[[], Simulator]] = {
 #: Parameterised spec templates accepted alongside the fixed names.
 SPEC_TEMPLATES = (
     "inorder:<units>[:<bus>]",
-    "ooo:<units>[:<bus>]",
-    "ruu:<units>:<ruu-size>[:<bus>][:fu=<copies>]",
+    "ooo:<units>[:<bus>][:war=on|off]",
+    "ruu:<units>:<ruu-size>[:<bus>][:fu=<copies>][:bypass=on|off]"
+    "[:mem=free|ordered]",
     "spec[:<window>][:<predictor>][:<key>=<value>...]",
     "cache:<words>[:<hit>:<miss>]",
     "banked:<banks>[:<busy>]",
@@ -83,9 +92,11 @@ def list_specs() -> tuple:
 def available_specs() -> str:
     """Human-readable description of accepted specification strings."""
     return (
-        "simple | serialmemory | nonsegmented | cray | cdc6600 | tomasulo | "
-        "inorder:<units>[:<bus>] | ooo:<units>[:<bus>] | "
-        "ruu:<units>:<ruu-size>[:<bus>][:fu=<copies>] | "
+        "simple | serialmemory | nonsegmented | cray | cray-unchained | "
+        "cdc6600 | tomasulo | inorder:<units>[:<bus>] | "
+        "ooo:<units>[:<bus>][:war=on|off] | "
+        "ruu:<units>:<ruu-size>[:<bus>][:fu=<copies>][:bypass=on|off]"
+        "[:mem=free|ordered] | "
         "spec[:<window>][:<predictor>][:<key>=<value>...] | "
         "cache:<words>[:<hit>:<miss>] | banked:<banks>[:<busy>]"
         "  (bus: nbus, 1bus, xbar; spec predictors: none, always, btfn, "
@@ -124,6 +135,34 @@ def _parse_bus(token: str, default: BusKind) -> BusKind:
         ) from None
 
 
+def _parse_trailing(
+    tokens: Tuple[str, ...], keys: Dict[str, Optional[Tuple[str, ...]]]
+) -> Tuple[BusKind, Dict[str, str]]:
+    """Trailing spec tokens: at most one bus name plus ``key=value``
+    options, in any order, each key at most once.  *keys* maps each
+    accepted key to its allowed values (None: any value)."""
+    bus = ""
+    options: Dict[str, str] = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            if bus:
+                raise ValueError(f"unexpected parameter {token!r}")
+            bus = token
+            continue
+        if key not in keys:
+            raise ValueError(f"unknown parameter {token!r}")
+        if key in options:
+            raise ValueError(f"duplicate {key}= parameter")
+        allowed = keys[key]
+        if allowed is not None and value not in allowed:
+            raise ValueError(
+                f"{key}= takes {' or '.join(allowed)}, got {value!r}"
+            )
+        options[key] = value
+    return _parse_bus(bus, BusKind.N_BUS), options
+
+
 def build_simulator(spec: str) -> Simulator:
     """Build a simulator from a specification string (see module docstring).
 
@@ -151,38 +190,36 @@ def _build_simulator(spec: str) -> Simulator:
         if len(parts) < 2:
             raise ValueError(f"{head!r} needs an issue-unit count")
         units = int(parts[1])
-        bus = _parse_bus(parts[2] if len(parts) > 2 else "", BusKind.N_BUS)
         if head == "inorder":
+            bus, _ = _parse_trailing(parts[2:], {})
             return InOrderMultiIssueMachine(units, bus)
-        return OutOfOrderMultiIssueMachine(units, bus)
+        bus, options = _parse_trailing(parts[2:], {"war": ("on", "off")})
+        return OutOfOrderMultiIssueMachine(
+            units, bus, enforce_war=options.get("war", "on") == "on"
+        )
 
     if head == "ruu":
         if len(parts) < 3:
             raise ValueError("'ruu' needs issue units and an RUU size")
         units = int(parts[1])
         size = int(parts[2])
-        bus = BusKind.N_BUS
-        fu_copies = 1
-        saw_bus = saw_fu = False
-        # Trailing tokens: at most one bus name and one fu=<copies>
-        # duplication factor, in either order.
-        for token in parts[3:]:
-            if token.startswith("fu="):
-                if saw_fu:
-                    raise ValueError("duplicate fu= parameter")
-                saw_fu = True
-                try:
-                    fu_copies = int(token[3:])
-                except ValueError:
-                    raise ValueError(
-                        f"fu= needs an integer copy count, got {token!r}"
-                    ) from None
-            else:
-                if saw_bus:
-                    raise ValueError(f"unexpected parameter {token!r}")
-                saw_bus = True
-                bus = _parse_bus(token, BusKind.N_BUS)
-        return RUUMachine(units, size, bus, fu_copies=fu_copies)
+        bus, options = _parse_trailing(parts[3:], {
+            "fu": None,
+            "bypass": ("on", "off"),
+            "mem": ("free", "ordered"),
+        })
+        try:
+            fu_copies = int(options.get("fu", "1"))
+        except ValueError:
+            raise ValueError(
+                f"fu= needs an integer copy count, got {options['fu']!r}"
+            ) from None
+        return RUUMachine(
+            units, size, bus,
+            bypass=options.get("bypass", "on") == "on",
+            ordered_memory=options.get("mem", "free") == "ordered",
+            fu_copies=fu_copies,
+        )
 
     if head == "spec":
         from .spec import SpecMachine, parse_spec_params

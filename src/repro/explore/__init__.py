@@ -211,9 +211,9 @@ class ExploreRun:
 
 
 def _normalise_sources(sources: Sequence[str]) -> List[str]:
-    from ..trace.sources import format_trace_spec, parse_trace_spec
+    from ..trace.sources import canonical_trace_spec
 
-    return [format_trace_spec(parse_trace_spec(source)) for source in sources]
+    return [canonical_trace_spec(source) for source in sources]
 
 
 def _audit_sample(

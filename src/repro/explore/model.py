@@ -222,13 +222,12 @@ def build_anchors(
     compiled IR -- the anchors were computed from.
     """
     from ..harness.engine import resolve_trace
-    from ..trace.sources import format_trace_spec, parse_trace_spec
+    from ..trace.sources import canonical_trace_spec
 
     if config is None:
         config = config_by_name("M11BR5")
-    parsed = parse_trace_spec(source)
-    normalised = format_trace_spec(parsed)
-    cacheable = cache is not None and parsed.head != "file"
+    normalised = canonical_trace_spec(source)
+    cacheable = cache is not None and not normalised.startswith("file:")
     if cacheable:
         record = cache.load_result(_anchors_key(normalised, config.name))
         if record is not None:

@@ -62,7 +62,11 @@ from ..obs import (
 )
 from ..trace import GLOBAL_TRACE_CACHE, DiskCache, Trace, default_cache_dir
 from ..trace.diskcache import model_fingerprint
-from ..trace.sources import trace_source
+from ..trace.sources import (
+    canonical_trace_spec,
+    parse_trace_spec,
+    trace_source,
+)
 from .aggregate import arithmetic_mean, harmonic_mean
 from .plans import Cell, ExperimentPlan
 from .progress import ProgressCallback, ProgressEvent
@@ -200,17 +204,18 @@ def clear_process_memo() -> None:
 
 def _cacheable(source: str, cache):
     """*cache* (a DiskCache or the trace memo), or None for ``file:``
-    sources (the file can change)."""
-    return None if source.startswith("file:") else cache
+    sources, however spelled (the file can change)."""
+    return None if parse_trace_spec(source).head == "file" else cache
 
 
 def resolve_trace(
     source: str, cache: Optional[DiskCache] = None
 ) -> Tuple[Trace, str]:
-    """The trace of a canonical source spec, and where it came from.
+    """The trace of a source spec, and where it came from.
 
     Looks in :data:`~repro.trace.GLOBAL_TRACE_CACHE` -- the one
-    in-process trace memo, keyed by trace-source spec and shared with
+    in-process trace memo, keyed by
+    :func:`~repro.trace.sources.canonical_trace_spec` and shared with
     :meth:`~repro.kernels.KernelInstance.trace` -- then the DiskCache,
     and only then captures through the source registry (kernels verify
     against their NumPy reference there).  With the default ``fork``
@@ -221,6 +226,7 @@ def resolve_trace(
     """
     if _cacheable(source, GLOBAL_TRACE_CACHE) is None:
         return trace_source(source), "built"
+    source = canonical_trace_spec(source)
     trace = GLOBAL_TRACE_CACHE.peek(source)
     if trace is not None:
         return trace, "memo"

@@ -3,7 +3,8 @@
 The paper uses the original 14 Lawrence Livermore Loops; the later LFK
 suite adds ten more.  Four of them exercise behaviours the first 14 do
 not, so they ship here as *extended* workloads (never mixed into the
-paper-table experiments):
+paper-table experiments; the trace-source spec ``kernel:18`` names one,
+and the ``extended-kernels`` plan runs all four):
 
 * **18 — 2-D explicit hydrodynamics**: the largest kernel; contains real
   divisions, synthesised the CRAY way (FRECIP + one Newton step + multiply).
@@ -19,7 +20,8 @@ NumPy/Python reference, deterministic data, `verify()`/`trace()`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import dataclasses
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,18 +32,25 @@ from .common import KernelInstance, Layout, kernel_rng
 #: Extended kernel numbers available from :func:`build_extended`.
 EXTENDED_LOOPS: Tuple[int, ...] = (18, 19, 21, 24)
 
-_DEFAULT_SIZES = {18: 10, 19: 128, 21: 10, 24: 200}
+#: Default problem size per extended kernel.
+EXTENDED_SIZES: Dict[int, int] = {18: 10, 19: 128, 21: 10, 24: 200}
 
 
 def build_extended(number: int, n: Optional[int] = None) -> KernelInstance:
-    """Build extended Livermore kernel *number* (18, 19, 21 or 24)."""
+    """Build extended Livermore kernel *number* (18, 19, 21 or 24).
+
+    The instance's trace-source spec is ``kernel:<number>:n=<n>``.
+    """
     try:
         builder = _BUILDERS[number]
     except KeyError:
         raise ValueError(
             f"no extended kernel numbered {number}; available: {EXTENDED_LOOPS}"
         ) from None
-    return builder(n if n is not None else _DEFAULT_SIZES[number])
+    instance = builder(n if n is not None else EXTENDED_SIZES[number])
+    return dataclasses.replace(
+        instance, source=f"kernel:{number}:n={instance.n}"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ spec                    trace
 ``kernel:5``            Livermore loop 5 at its default size
 ``kernel:k2:n=50``      loop 2 at n=50 (``unroll=``, ``schedule=``,
                         ``vector=``, ``addressing=`` also accepted)
+``kernel:24``           extended Livermore kernel 24 (18, 19, 21 and
+                        24 take ``n=`` only; :mod:`repro.kernels.extended`)
 ``synthetic:stride``    a `workloads.synthetic` preset (``default``,
                         ``stride``, ``deep``, ``wide``; override with
                         ``n=``, ``body=``, ``mem=``, ``chains=``,
@@ -33,6 +35,8 @@ order-insensitive.  The ``file`` head is special: everything after the
 first ``:`` is the path, taken verbatim (case and further colons
 preserved).  :func:`parse_trace_spec` and :func:`format_trace_spec` are
 inverses on normalised specs, mirroring ``core.registry.parse_spec``;
+:func:`canonical_trace_spec` is the one spelling every memo and cache
+key uses (``kernel:05`` and ``kernel:5`` are ``kernel:5:n=200``);
 every rejected spec raises :class:`UnknownTraceSourceError` carrying
 ``.spec``/``.reason``/``.valid`` exactly like
 :class:`~repro.core.registry.UnknownSpecError`.
@@ -63,6 +67,7 @@ __all__ = [
     "TraceSource",
     "UnknownTraceSourceError",
     "available_sources",
+    "canonical_trace_spec",
     "format_trace_spec",
     "kernel_instance",
     "list_sources",
@@ -114,6 +119,23 @@ def format_trace_spec(parsed: ParsedTraceSpec) -> str:
     result (the property suite holds the round trip over fuzzed specs).
     """
     return ":".join((parsed.head,) + parsed.params)
+
+
+def canonical_trace_spec(spec: str) -> str:
+    """The one spelling of *spec* that every memo and cache key uses.
+
+    A ``kernel:`` spec is written as :attr:`KernelInstance.source
+    <repro.kernels.KernelInstance.source>` spells it: the loop number as
+    an int, the default ``n`` filled in, and only the non-default
+    options, in a fixed order (``kernel:05`` and ``kernel:5:n=200`` are
+    both ``kernel:5:n=200``).  Every other family is its
+    :func:`format_trace_spec` text.  A malformed ``kernel:`` spec raises
+    :class:`UnknownTraceSourceError`.
+    """
+    parsed = parse_trace_spec(spec)
+    if parsed.head != "kernel":
+        return format_trace_spec(parsed)
+    return _build(spec, _kernel_options, parsed.params).canonical
 
 
 class UnknownTraceSourceError(ValueError):
@@ -321,9 +343,33 @@ def _reject_leftovers(pairs: Dict[str, str], accepted: str) -> None:
 # imports here would be circular.
 # ----------------------------------------------------------------------
 
-def _kernel_instance(params: Tuple[str, ...]) -> "KernelInstance":
-    from ..kernels import ALL_LOOPS, build_kernel
-    from ..kernels.vectorized import VECTORIZED_LOOPS, build_vectorized
+@dataclass(frozen=True)
+class _KernelOptions:
+    """A parsed ``kernel:`` spec, with the default size filled in."""
+
+    number: int
+    n: int
+    unroll: int = 1
+    schedule: bool = True
+    vector: bool = False
+    explicit: bool = False
+
+    @property
+    def canonical(self) -> str:
+        text = f"kernel:{self.number}:n={self.n}"
+        if self.vector:
+            return text + ":vector=on"
+        if self.unroll != 1:
+            text += f":unroll={self.unroll}"
+        if not self.schedule:
+            text += ":schedule=off"
+        if self.explicit:
+            text += ":addressing=explicit"
+        return text
+
+
+def _kernel_options(params: Tuple[str, ...]) -> _KernelOptions:
+    from ..kernels import ALL_LOOPS, default_size
 
     if not params:
         raise ValueError(
@@ -335,12 +381,20 @@ def _kernel_instance(params: Tuple[str, ...]) -> "KernelInstance":
         number = int(number_text)
     except ValueError:
         raise ValueError(f"bad loop number {token!r}") from None
-    if number not in ALL_LOOPS:
-        raise ValueError(f"no Livermore loop numbered {number}")
 
     _, pairs = _split_params(params[1:])
-    n = _take_int(pairs, "n", 0) or None
+    n = _take_int(pairs, "n", 0)
+    if number not in ALL_LOOPS:
+        from ..kernels.extended import EXTENDED_LOOPS, EXTENDED_SIZES
+
+        if number not in EXTENDED_LOOPS:
+            raise ValueError(f"no Livermore loop numbered {number}")
+        _reject_leftovers(pairs, f"n (extended kernel {number})")
+        return _KernelOptions(number, n or EXTENDED_SIZES[number])
+
     unroll = _take_int(pairs, "unroll", 1)
+    if unroll < 1:
+        raise ValueError(f"unroll must be >= 1, got {unroll}")
     schedule = _take_bool(pairs, "schedule", True)
     vector = _take_bool(pairs, "vector", False)
     addressing = pairs.pop("addressing", "folded")
@@ -351,6 +405,8 @@ def _kernel_instance(params: Tuple[str, ...]) -> "KernelInstance":
     explicit = addressing == "explicit"
     _reject_leftovers(pairs, "n, unroll, schedule, vector, addressing")
     if vector:
+        from ..kernels.vectorized import VECTORIZED_LOOPS
+
         if number not in VECTORIZED_LOOPS:
             raise ValueError(
                 f"loop {number} has no vectorised encoding "
@@ -361,10 +417,26 @@ def _kernel_instance(params: Tuple[str, ...]) -> "KernelInstance":
                 "vector=on does not combine with unroll/schedule/"
                 "addressing overrides"
             )
-        return build_vectorized(number, n)
+    return _KernelOptions(
+        number, n or default_size(number), unroll, schedule, vector, explicit
+    )
+
+
+def _kernel_instance(params: Tuple[str, ...]) -> "KernelInstance":
+    from ..kernels import ALL_LOOPS, build_kernel
+
+    options = _kernel_options(params)
+    if options.number not in ALL_LOOPS:
+        from ..kernels.extended import build_extended
+
+        return build_extended(options.number, options.n)
+    if options.vector:
+        from ..kernels.vectorized import build_vectorized
+
+        return build_vectorized(options.number, options.n)
     return build_kernel(
-        number, n, schedule=schedule, unroll=unroll,
-        explicit_addressing=explicit,
+        options.number, options.n, schedule=options.schedule,
+        unroll=options.unroll, explicit_addressing=options.explicit,
     )
 
 
@@ -477,10 +549,13 @@ def _build_file_source(params: Tuple[str, ...]) -> Trace:
 
 register_source(TraceSource(
     name="kernel",
-    description="Livermore loop kernels (the paper's 14 benchmarks)",
+    description=(
+        "Livermore loop kernels (the paper's 14, plus 18, 19, 21, 24)"
+    ),
     templates=(
         "kernel:<loop>[:n=<size>][:unroll=<k>][:schedule=on|off]"
         "[:vector=on|off][:addressing=folded|explicit]",
+        "kernel:<18|19|21|24>[:n=<size>]",
     ),
     builder=_build_kernel_source,
 ))
@@ -540,7 +615,7 @@ register_source(TraceSource(
 #: scoreboard family model element streaming; every other machine
 #: rejects vector instructions by design.
 MIXED_MACHINES: Tuple[str, ...] = (
-    "simple", "serialmemory", "nonsegmented", "cray",
+    "simple", "serialmemory", "nonsegmented", "cray", "cray-unchained",
 )
 
 

@@ -116,7 +116,9 @@ def profile_for_spec(spec: str) -> MachineProfile:
         # is start + latency with start >= issue, so only the latency
         # floor holds, not exactness.
         return MachineProfile(spec=spec, blocking=False)
-    if head in ("serialmemory", "nonsegmented", "cray", "cray-like"):
+    if head in (
+        "serialmemory", "nonsegmented", "cray", "cray-like", "cray-unchained"
+    ):
         return MachineProfile(spec=spec)
     if head == "tomasulo":
         return MachineProfile(

@@ -44,3 +44,22 @@ def loop12_trace(small_traces):
 def any_config(request):
     """Parametrised over the paper's four machine variants."""
     return request.param
+
+
+@pytest.fixture(scope="session")
+def study_table():
+    """``study_table(table_id)``: an extension-study plan's table at the
+    study's own sizes (``workers=1``, no cache), run once per session
+    and shared by the golden and the shape tests."""
+    import repro.api as api
+
+    tables = {}
+
+    def run(table_id):
+        if table_id not in tables:
+            tables[table_id] = api.run_table(
+                table_id, workers=1, cache=False
+            ).table
+        return tables[table_id]
+
+    return run

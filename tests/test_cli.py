@@ -189,8 +189,22 @@ class TestParser:
         return calls
 
     def test_tables_rejects_unknown_table(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main(["tables", "table99"])
+        assert info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1 and "table99" in errors[0]
+
+    def test_tables_accepts_every_plan_id(self):
+        from repro.cli import build_parser
+        from repro.harness.plans import PLAN_BUILDERS
+
+        parser = build_parser()
+        for table_id in list(PLAN_BUILDERS) + ["all"]:
+            assert parser.parse_args(["tables", table_id]).table == table_id
 
     def test_tables_compare_prints_paper_numbers(self, capsys, monkeypatch):
         calls = self.fake_tables(monkeypatch)

@@ -695,3 +695,25 @@ class TestModelFingerprint:
                             observe=True)
         assert run.manifest.config["model"] == model_fingerprint()
         assert len(model_fingerprint()) == 64
+
+
+@pytest.mark.parametrize("head", ("file", "FILE"))
+def test_file_cells_never_served_from_the_store(tmp_path, head):
+    """A ``file:`` source, however spelled, is recomputed on every run:
+    the file can change between runs."""
+    from repro.trace import export_trace
+    from repro.trace.sources import trace_source
+
+    path = tmp_path / "trace.jsonl"
+    plan = ExperimentPlan(
+        table_id="probe", title="probe", columns=("M11BR5",), rows=("r",),
+        cells=(Cell(f"{head}:{path}", "cray", "M11BR5", "r", ("M11BR5",)),),
+    )
+    store = DiskCache(tmp_path / "cache")
+    rates = []
+    for spec in ("branchy:n=32:seed=1", "branchy:n=200:seed=5"):
+        export_trace(trace_source(spec), path)
+        run = run_plan(plan, workers=1, cache=store)
+        assert run.stats.result_hits == 0
+        rates.append(run.table.value("r", "M11BR5"))
+    assert rates[0] != rates[1]

@@ -48,6 +48,10 @@ FAST_PATH_SPECS = (
     "ruu:2:50",
     "ruu:4:50",
     "ruu:4:50:1bus",
+    # The modelling switches the ablations and vectorisation studies flip.
+    "ruu:4:50:bypass=off",
+    "ruu:4:50:mem=ordered",
+    "cray-unchained",
 )
 
 CONFIGS = (M11BR5, M11BR2, M5BR5, M5BR2)
@@ -167,14 +171,21 @@ def test_ooo_pool_reaches_every_drain_shape():
     }
 
 
+_BUS_TOKENS = {
+    BusKind.N_BUS: "nbus", BusKind.ONE_BUS: "1bus", BusKind.X_BAR: "xbar"
+}
+
+
 @pytest.mark.parametrize("bus_kind", list(BusKind), ids=str)
 @pytest.mark.parametrize("width", (2, 4))
 def test_ooo_without_war_matches_reference(width, bus_kind):
-    """The WAR-off ablation (``benchmarks/bench_ablations.py``) has no
-    spec string, so it is built here: same pool, same checks."""
-    simulator = OutOfOrderMultiIssueMachine(
-        width, bus_kind, enforce_war=False
+    """The WAR-off ablation (``ooo:<units>:<bus>:war=off``, a row of the
+    ``ablations`` plan) on every bus: same pool, same checks."""
+    simulator = build_simulator(
+        f"ooo:{width}:{_BUS_TOKENS[bus_kind]}:war=off"
     )
+    assert isinstance(simulator, OutOfOrderMultiIssueMachine)
+    assert not simulator.enforce_war and simulator.bus_kind is bus_kind
     for seed, trace in enumerate(TRACES):
         config = CONFIGS[seed % len(CONFIGS)]
         _assert_fast_matches_reference(

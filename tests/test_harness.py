@@ -157,9 +157,37 @@ class TestSimulatorRegistry:
         sim = build_simulator("ruu:2:50:nbus")
         assert sim.ruu_size == 50
 
+    def test_study_switch_spellings(self):
+        """Each modelling switch the studies flip is a spelling of the
+        machine they used to build by constructor."""
+        sim = build_simulator("ooo:4:1bus:war=off")
+        assert (sim.issue_units, sim.bus_kind, sim.enforce_war) == (
+            4, BusKind.ONE_BUS, False
+        )
+        assert build_simulator("ooo:4").enforce_war
+        sim = build_simulator("ruu:4:50:bypass=off")
+        assert (sim.bypass, sim.ordered_memory, sim.fu_copies) == (
+            False, False, 1
+        )
+        sim = build_simulator("ruu:4:50:mem=ordered:fu=2:1bus")
+        assert (sim.bypass, sim.ordered_memory, sim.fu_copies) == (
+            True, True, 2
+        )
+        assert sim.bus_kind is BusKind.ONE_BUS
+        chained, unchained = (
+            build_simulator(spec) for spec in ("cray", "cray-unchained")
+        )
+        assert chained.vector_chaining and not unchained.vector_chaining
+        assert (unchained.fu_pipelined, unchained.memory_interleaved) == (
+            True, True
+        )
+
     @pytest.mark.parametrize(
         "bad",
-        ["", "bogus", "inorder", "ruu:2", "inorder:2:zbus", "simple:3"],
+        ["", "bogus", "inorder", "ruu:2", "inorder:2:zbus", "simple:3",
+         "inorder:4:war=off", "ooo:4:war=maybe",
+         "ruu:4:50:bypass=off:bypass=on", "ruu:4:50:mem=random",
+         "ruu:4:50:nbus:xbar", "cray-unchained:2"],
     )
     def test_bad_specs(self, bad):
         with pytest.raises(ValueError):

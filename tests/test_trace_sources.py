@@ -21,6 +21,7 @@ from repro.trace.sources import (
     TraceSource,
     UnknownTraceSourceError,
     available_sources,
+    canonical_trace_spec,
     format_trace_spec,
     list_sources,
     parse_trace_spec,
@@ -122,6 +123,8 @@ def test_unknown_source_error_carries_spec_and_valid(head):
         ("kernel:5:schedule=maybe", "schedule must be on/off"),
         ("kernel:5:addressing=wide", "addressing must be folded or explicit"),
         ("kernel:1:vector=on:addressing=explicit", "does not combine"),
+        ("kernel:18:unroll=2", "unknown parameter(s) unroll"),
+        ("kernel:12:unroll=0", "unroll must be >= 1"),
         ("synthetic:stride:deep", "more than one preset"),
         ("fuzz:seed=3:seed=4", "duplicate parameter 'seed'"),
         ("mixed:strip=0", "strip"),
@@ -137,6 +140,84 @@ def test_malformed_specs_reject_with_reason(spec, fragment):
     assert exc.reason is not None
     assert fragment in exc.reason, exc.reason
     assert "\n" not in str(exc)
+
+
+@pytest.mark.parametrize(
+    ("spec", "canonical"),
+    (
+        ("kernel:5", "kernel:5:n=200"),
+        ("kernel:05", "kernel:5:n=200"),
+        ("KERNEL:k5:N=200", "kernel:5:n=200"),
+        ("kernel:5:n=0", "kernel:5:n=200"),
+        ("kernel:5:schedule=off:n=16", "kernel:5:n=16:schedule=off"),
+        ("kernel:3:addressing=explicit:unroll=2:schedule=on",
+         "kernel:3:n=256:unroll=2:addressing=explicit"),
+        ("kernel:1:vector=on", "kernel:1:n=128:vector=on"),
+        ("kernel:24", "kernel:24:n=200"),
+        ("branchy:seed=3:n=64", "branchy:seed=3:n=64"),
+        ("synthetic: stride :n=12", "synthetic:stride:n=12"),
+        ("file:Traces/App:v2.jsonl", "file:Traces/App:v2.jsonl"),
+    ),
+)
+def test_canonical_trace_spec(spec, canonical):
+    """Kernel specs get one spelling; every other family keeps its
+    :func:`format_trace_spec` text."""
+    assert canonical_trace_spec(spec) == canonical
+    assert canonical_trace_spec(canonical) == canonical
+
+
+def test_canonical_spec_is_what_instances_and_plans_record():
+    from repro.harness.plans import PLAN_BUILDERS, build_plan
+    from repro.kernels import build_kernel
+    from repro.kernels.extended import build_extended
+    from repro.kernels.vectorized import build_vectorized
+
+    instances = {
+        "kernel:5": build_kernel(5),
+        "kernel:5:schedule=off:n=16": build_kernel(5, 16, schedule=False),
+        "kernel:3:unroll=2:addressing=explicit": build_kernel(
+            3, unroll=2, explicit_addressing=True
+        ),
+        "kernel:1:vector=on": build_vectorized(1),
+        "kernel:24": build_extended(24),
+    }
+    for spec, instance in instances.items():
+        assert canonical_trace_spec(spec) == instance.source
+    for table_id in PLAN_BUILDERS:
+        for cell in build_plan(table_id).cells:
+            assert canonical_trace_spec(cell.source) == cell.source
+
+
+def test_spellings_of_one_kernel_share_one_memo_entry():
+    import repro.api as api
+    from repro.harness.engine import clear_process_memo
+    from repro.trace import GLOBAL_TRACE_CACHE
+
+    clear_process_memo()
+    traces = [
+        api.resolve_trace(spec)
+        for spec in ("kernel:5", "kernel:5:n=200", "kernel:05")
+    ]
+    assert traces[0] is traces[1] is traces[2]
+    assert len(GLOBAL_TRACE_CACHE) == 1
+
+
+@pytest.mark.parametrize("head", ("file", "FILE", " file"))
+def test_file_sources_are_reread_under_any_spelling(tmp_path, head):
+    """A file can change between calls, so no spelling of a ``file:``
+    spec is served from the trace memo."""
+    import repro.api as api
+    from repro.harness.engine import clear_process_memo
+    from repro.trace import GLOBAL_TRACE_CACHE, export_trace
+
+    clear_process_memo()
+    path = tmp_path / "trace.jsonl"
+    export_trace(trace_source("branchy:n=32:seed=1"), path)
+    first = api.resolve_trace(f"{head}:{path}")
+    export_trace(trace_source("branchy:n=48:seed=2"), path)
+    second = api.resolve_trace(f"{head}:{path}")
+    assert (len(first), len(second)) == (32, 48)
+    assert len(GLOBAL_TRACE_CACHE) == 0
 
 
 def test_file_errors_keep_importer_diagnostics(tmp_path):
