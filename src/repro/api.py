@@ -514,8 +514,6 @@ def bench_options(
     trace_length: Optional[int] = None,
     rounds: Optional[int] = None,
     machines: Optional[Sequence[str]] = None,
-    no_engine: bool = False,
-    no_explore: bool = False,
 ) -> BenchOptions:
     """Suite options: the quick/full preset plus explicit overrides."""
     return _bench_options_from(
@@ -524,8 +522,6 @@ def bench_options(
         trace_length=trace_length,
         rounds=rounds,
         machines=tuple(machines) if machines is not None else None,
-        no_engine=no_engine,
-        no_explore=no_explore,
     )
 
 
@@ -537,10 +533,11 @@ def run_bench(
 ) -> BenchReport:
     """Run the seeded micro-benchmark suite (see :mod:`repro.bench`).
 
-    Measures fast-path vs reference replay throughput per machine,
-    per-table wall time and engine cold/warm cache behaviour; returns a
+    Measures fast-path vs reference replay throughput per machine and
+    batch sweep vs per-spec replay throughput; returns a
     :class:`~repro.bench.BenchReport` (``report.write(path)`` persists
-    it as ``repro-bench/v1`` JSON).
+    it as ``repro-bench/v1`` JSON).  Table, cache and explorer speed
+    are measured end to end by ``benchmarks/e2e``.
     """
     return _run_bench_suite(options, name=name, log=log)
 

@@ -3,7 +3,7 @@
 The package behind ``repro bench``:
 
 * :mod:`repro.bench.micro` -- the suite (fast-path vs reference replay
-  throughput per machine, per-table wall time, engine cold/warm cache);
+  throughput per machine, batch sweep vs per-spec replay);
 * :mod:`repro.bench.report` -- the ``repro-bench/v1`` JSON schema,
   validation, and baseline comparison with a noise threshold;
 * :mod:`repro.bench.env` -- environment metadata stamped into reports.

@@ -1,7 +1,9 @@
 """The seeded micro-benchmark suite behind ``repro bench``.
 
-Three benchmark families, all deterministic in their workloads (fuzzed
-traces come from fixed seeds, tables run at the pinned ``SMALL_SIZES``):
+Two benchmark families, the replay-layer ratios that the end-to-end
+benchmark (``benchmarks/e2e``) cannot take, both deterministic in their
+workloads (fuzzed traces come from fixed seeds, Table 7 runs at the
+pinned ``SMALL_SIZES``):
 
 * ``machine.<spec>.{fast,reference,speedup}`` -- replay throughput
   (instructions/second) of the compiled fast path
@@ -15,13 +17,10 @@ traces come from fixed seeds, tables run at the pinned ``SMALL_SIZES``):
   each member's own ``simulate`` (its per-spec loop): ``ooo:4`` under the
   four configs on the fuzzed traces, and Table 7's 192-member RUU grid
   on its kernel traces.
-* ``table.<id>.wall`` -- wall seconds to build and run one paper table
-  in-process (``workers=1``, no cache): the end-to-end single-core cost
-  a contributor pays per golden-table check.
-* ``engine.<id>.{cold,warm}`` -- the same table through
-  :func:`repro.harness.engine.run_plan` against a fresh
-  :class:`~repro.trace.DiskCache` (cold) and again on the now-populated
-  store (warm).
+
+Table wall time, engine cold/warm cache behaviour and explorer speed are
+end-to-end facts: the e2e ``tables-cold``, ``tables-warm`` and
+``explore`` workloads measure them at full size.
 
 Methodology: variants are timed in interleaved rounds and compared on
 their minimum round time -- the minimum is the least noisy location
@@ -32,18 +31,15 @@ warm-up pass precedes timing so the fast path's per-trace compilation
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Callable, List, Optional, Tuple
 
 from ..core import build_simulator, config_by_name, fastpath
-from ..harness.engine import run_plan
+from ..harness.engine import resolve_trace
 from ..harness.plans import build_plan
 from ..kernels import SMALL_SIZES
-from ..trace import DiskCache
-from ..trace.sources import trace_source
 from ..verify.fuzz import FuzzSpec, fuzz_trace
 from .env import environment_metadata
 from .report import BenchReport
@@ -75,6 +71,10 @@ DEFAULT_MACHINES: Tuple[str, ...] = (
 Log = Optional[Callable[[str], None]]
 
 
+#: The machine config every benchmark replays under.
+CONFIG = "M11BR5"
+
+
 @dataclass(frozen=True)
 class BenchOptions:
     """Knobs for one suite run (see :data:`QUICK_OPTIONS` for CI)."""
@@ -84,25 +84,13 @@ class BenchOptions:
     trace_length: int = 1024
     rounds: int = 5
     machines: Tuple[str, ...] = DEFAULT_MACHINES
-    config: str = "M11BR5"
-    # table1 covers the statically scheduled machines; table7 sweeps the
-    # RUU, so its wall time tracks the dynamic machines' compiled loops.
-    tables: Tuple[str, ...] = ("table1", "table7")
-    engine: bool = True
-    explore: bool = True
-    #: Instructions per explorer workload trace: the e2e exhaustive pass
-    #: costs O(grid x this), so the quick preset shortens it.
-    explore_trace_length: int = 300
 
 
 DEFAULT_OPTIONS = BenchOptions()
 
 #: The CI smoke configuration: small enough to finish in well under 30
 #: seconds, large enough that the fast-path speedup is unambiguous.
-QUICK_OPTIONS = BenchOptions(
-    quick=True, seeds=12, trace_length=256, rounds=3, tables=("table1",),
-    explore_trace_length=120,
-)
+QUICK_OPTIONS = BenchOptions(quick=True, seeds=12, trace_length=256, rounds=3)
 
 
 def _now() -> str:
@@ -117,7 +105,7 @@ def _time_pass(fn, traces, config) -> float:
 
 
 def _bench_machines(options: BenchOptions, report: BenchReport, log: Log):
-    config = config_by_name(options.config)
+    config = config_by_name(CONFIG)
     spec_shape = FuzzSpec(length=options.trace_length)
     traces = [
         fuzz_trace(seed, spec_shape) for seed in range(options.seeds)
@@ -198,7 +186,7 @@ def _sweeps(options: BenchOptions):
             (build_simulator(machine), config_by_name(config))
             for machine, config in members
         ],
-        [trace_source(source)
+        [resolve_trace(source)[0]
          for source in dict.fromkeys(cell.source for cell in plan.cells)],
     )
 
@@ -217,9 +205,12 @@ def _bench_sweep(options: BenchOptions, report: BenchReport, log: Log):
     ``simulate`` is a one-member call into the batch sweep's
     out-of-order kernel, and an RUU member's runs the one RUU loop.  So
     ``perspec`` measures what a member costs replayed alone -- for
-    ``ooo:4`` the ratio is about 1x by design (the nightly gate holds
-    ``perspec >= 0.8 * batch``) -- and the Table 7 ratio is what the
-    sweep's reuse of never-full RUU replays saves.
+    ``ooo:4`` the ratio is about 1x by design (the full-size suite's
+    test holds ``perspec >= 0.8 * batch``) -- and the Table 7 ratio is
+    what the sweep's reuse of never-full RUU replays saves.  The ratio
+    has no floor of its own: it moves with host load, so the reuse it
+    stands for is pinned as an exact count of reused runs instead
+    (``tests/test_fastpath_batch.py``).
     """
     for label, items, traces in _sweeps(options):
         total = sum(len(trace) for trace in traces) * len(items)
@@ -271,128 +262,6 @@ def _bench_sweep(options: BenchOptions, report: BenchReport, log: Log):
             )
 
 
-#: Screen-throughput space: large enough (130,816 candidates) that the
-#: vectorised pass dominates any per-call overhead.
-SCREEN_SPACE = "family=ruu;width=1..32;window=2..512;bus=nbus,1bus;fu=1..4"
-
-#: End-to-end space: 2,048 RUU candidates, big enough that exhaustive
-#: simulation visibly dwarfs the screened run.
-E2E_SPACE = "family=ruu;width=1..8;window=2..128:2;bus=nbus,1bus;fu=1,2"
-
-
-def _bench_explore(options: BenchOptions, report: BenchReport, log: Log):
-    """``explore.screen.rate`` + ``explore.e2e.{explore,exhaustive,speedup}``.
-
-    The screen benchmark scores :data:`SCREEN_SPACE` analytically (min
-    over the usual interleaved rounds).  The end-to-end benchmark runs
-    one budgeted explorer pass over :data:`E2E_SPACE` and the explorer's
-    exact-stage plan (:func:`~repro.explore.exact.simulate_specs`) over
-    every candidate of the same grid -- a single pass
-    each, because the exhaustive side costs seconds by design and its
-    duration is what the speedup divides by.
-    """
-    from ..explore import explore as explore_run
-    from ..explore.exact import simulate_specs
-    from ..explore.model import build_anchors
-    from ..explore.screen import screen_space
-    from ..explore.space import expand_space, parse_space
-
-    n = options.explore_trace_length
-    sources = [f"branchy:seed=3:n={n}", f"pointer:seed=5:n={n}"]
-    config = options.config
-
-    space = parse_space(SCREEN_SPACE, default_config=config)
-    anchors = [
-        build_anchors(source, config_by_name(config)) for source in sources
-    ]
-    screen_times: List[float] = []
-    for _ in range(options.rounds):
-        screen_times.append(
-            screen_space(space, anchors, cache=None).seconds
-        )
-    rate = space.size / min(screen_times)
-    report.add("explore.screen.rate", rate, "configs/s")
-    if log:
-        log(f"  explore.screen.rate {rate:>14,.0f} configs/s "
-            f"({space.size} candidates)")
-
-    explore_times: List[float] = []
-    simulated = 0
-    for _ in range(options.rounds):
-        start = time.perf_counter()
-        run = explore_run(
-            E2E_SPACE, sources, config=config, budget=20, audit=4,
-            workers=1, cache=None, observe=False,
-        )
-        explore_times.append(time.perf_counter() - start)
-        simulated = run.simulated_count
-    grid = expand_space(parse_space(E2E_SPACE, default_config=config))
-    specs = [grid.machine_spec(i) for i in range(grid.n)]
-    start = time.perf_counter()
-    simulate_specs(specs, sources, config=config, workers=1, cache=None)
-    exhaustive = time.perf_counter() - start
-
-    explored = min(explore_times)
-    report.add("explore.e2e.explore", explored, "s", higher_is_better=False)
-    report.add(
-        "explore.e2e.exhaustive", exhaustive, "s", higher_is_better=False
-    )
-    report.add("explore.e2e.speedup", exhaustive / explored, "x")
-    if log:
-        log(
-            f"  explore.e2e      explore {explored * 1e3:>8.1f} ms "
-            f"({simulated} of {grid.n} simulated)  "
-            f"exhaustive {exhaustive * 1e3:>8.1f} ms  "
-            f"speedup {exhaustive / explored:.1f}x"
-        )
-
-
-def _bench_tables(options: BenchOptions, report: BenchReport, log: Log):
-    sizes = dict(SMALL_SIZES)
-    for table_id in options.tables:
-        times: List[float] = []
-        for _ in range(options.rounds):
-            start = time.perf_counter()
-            plan = build_plan(table_id, sizes)
-            run_plan(plan, workers=1, cache=None)
-            times.append(time.perf_counter() - start)
-        wall = min(times)
-        report.add(
-            f"table.{table_id}.wall", wall, "s", higher_is_better=False
-        )
-        if log:
-            log(f"  table.{table_id}.wall {wall * 1e3:>10.1f} ms")
-
-
-def _bench_engine(options: BenchOptions, report: BenchReport, log: Log):
-    sizes = dict(SMALL_SIZES)
-    for table_id in options.tables:
-        plan = build_plan(table_id, sizes)
-        cold_times: List[float] = []
-        warm_times: List[float] = []
-        for _ in range(options.rounds):
-            with tempfile.TemporaryDirectory() as tmp:
-                store = DiskCache(root=tmp)
-                start = time.perf_counter()
-                run_plan(plan, workers=1, cache=store)
-                cold_times.append(time.perf_counter() - start)
-                start = time.perf_counter()
-                run_plan(plan, workers=1, cache=store)
-                warm_times.append(time.perf_counter() - start)
-        cold, warm = min(cold_times), min(warm_times)
-        report.add(
-            f"engine.{table_id}.cold", cold, "s", higher_is_better=False
-        )
-        report.add(
-            f"engine.{table_id}.warm", warm, "s", higher_is_better=False
-        )
-        if log:
-            log(
-                f"  engine.{table_id} cold {cold * 1e3:>8.1f} ms  "
-                f"warm {warm * 1e3:>8.1f} ms"
-            )
-
-
 def run_suite(
     options: Optional[BenchOptions] = None,
     *,
@@ -416,10 +285,7 @@ def run_suite(
             "trace_length": options.trace_length,
             "rounds": options.rounds,
             "machines": list(options.machines),
-            "config": options.config,
-            "tables": list(options.tables),
-            "explore": options.explore,
-            "explore_trace_length": options.explore_trace_length,
+            "config": CONFIG,
         },
     )
     previous = fastpath.set_enabled(True)
@@ -430,12 +296,6 @@ def run_suite(
                 f"min of {options.rounds} rounds")
         _bench_machines(options, report, log)
         _bench_sweep(options, report, log)
-        if options.explore:
-            _bench_explore(options, report, log)
-        if options.tables:
-            _bench_tables(options, report, log)
-        if options.engine and options.tables:
-            _bench_engine(options, report, log)
     finally:
         fastpath.set_enabled(previous)
     return report
@@ -448,8 +308,6 @@ def options_from(
     trace_length: Optional[int] = None,
     rounds: Optional[int] = None,
     machines: Optional[Tuple[str, ...]] = None,
-    no_engine: bool = False,
-    no_explore: bool = False,
 ) -> BenchOptions:
     """The CLI's option builder: quick preset plus explicit overrides."""
     options = QUICK_OPTIONS if quick else DEFAULT_OPTIONS
@@ -462,8 +320,4 @@ def options_from(
         overrides["rounds"] = rounds
     if machines is not None:
         overrides["machines"] = tuple(machines)
-    if no_engine:
-        overrides["engine"] = False
-    if no_explore:
-        overrides["explore"] = False
     return replace(options, **overrides) if overrides else options

@@ -22,13 +22,11 @@ parses arguments and prints, the facade does the work:
 * ``limits``   -- pseudo-dataflow / resource / serial limits;
 * ``stalls``   -- stall attribution on an issue-blocking machine;
 * ``capture``  -- save a (kernel-verified) dynamic trace as JSON lines;
-* ``replay``   -- time a saved trace on any machine (``simulate
-  --source file:<path>``);
 * ``verify``   -- differential verification: fuzz traces, replay them
   through every machine, check per-cycle invariants and cross-machine
   ordering/bound claims, shrink any failure to a minimal reproducer;
 * ``bench``    -- seeded micro-benchmarks (fast-path vs reference replay
-  throughput, table wall time, engine cold/warm cache); writes a
+  throughput, batch sweep vs per-spec replay); writes a
   ``repro-bench/v1`` JSON report and, with ``--compare BASELINE``,
   flags regressions beyond a noise threshold.
 
@@ -392,11 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_arguments(capture)
     capture.add_argument("--out", required=True, help="output path")
 
-    replay = sub.add_parser("replay", help="time a saved trace")
-    replay.add_argument("--trace", required=True, help="JSONL trace path")
-    replay.add_argument("--machine", default="cray")
-    replay.add_argument("--config", default="M11BR5")
-
     verify = sub.add_parser(
         "verify",
         help="differential verification: fuzz, replay, check, shrink",
@@ -518,16 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="fast-path machine specs to replay-benchmark",
-    )
-    bench.add_argument(
-        "--no-engine",
-        action="store_true",
-        help="skip the engine cold/warm cache benchmarks",
-    )
-    bench.add_argument(
-        "--no-explore",
-        action="store_true",
-        help="skip the design-space explorer benchmarks",
     )
     bench.add_argument(
         "--quiet",
@@ -897,8 +880,6 @@ def run_bench(args) -> int:
             trace_length=args.trace_length,
             rounds=args.rounds,
             machines=args.machines,
-            no_engine=args.no_engine,
-            no_explore=args.no_explore,
         )
     except TypeError as exc:  # pragma: no cover - argparse guards types
         print(f"error: {exc}", file=sys.stderr)
@@ -1039,12 +1020,6 @@ def _dispatch(args) -> int:
 
     if args.command == "explore":
         return run_explore(args)
-
-    if args.command == "replay":
-        print(api.simulate(
-            f"file:{args.trace}", args.machine, config=args.config
-        ))
-        return 0
 
     if args.command == "sources":
         return run_sources(args.spec)

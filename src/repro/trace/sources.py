@@ -291,7 +291,9 @@ def _split_params(
     return preset, pairs
 
 
-def _take_int(pairs: Dict[str, str], key: str, default: int) -> int:
+def _take_int(
+    pairs: Dict[str, str], key: str, default: Optional[int]
+) -> Optional[int]:
     value = pairs.pop(key, None)
     if value is None:
         return default
@@ -383,14 +385,18 @@ def _kernel_options(params: Tuple[str, ...]) -> _KernelOptions:
         raise ValueError(f"bad loop number {token!r}") from None
 
     _, pairs = _split_params(params[1:])
-    n = _take_int(pairs, "n", 0)
+    # Absent n is the default size; an explicit n, 0 included, is the
+    # kernel builder's to accept or reject.
+    n = _take_int(pairs, "n", None)
     if number not in ALL_LOOPS:
         from ..kernels.extended import EXTENDED_LOOPS, EXTENDED_SIZES
 
         if number not in EXTENDED_LOOPS:
             raise ValueError(f"no Livermore loop numbered {number}")
         _reject_leftovers(pairs, f"n (extended kernel {number})")
-        return _KernelOptions(number, n or EXTENDED_SIZES[number])
+        return _KernelOptions(
+            number, EXTENDED_SIZES[number] if n is None else n
+        )
 
     unroll = _take_int(pairs, "unroll", 1)
     if unroll < 1:
@@ -418,14 +424,18 @@ def _kernel_options(params: Tuple[str, ...]) -> _KernelOptions:
                 "addressing overrides"
             )
     return _KernelOptions(
-        number, n or default_size(number), unroll, schedule, vector, explicit
+        number, default_size(number) if n is None else n,
+        unroll, schedule, vector, explicit,
     )
 
 
 def _kernel_instance(params: Tuple[str, ...]) -> "KernelInstance":
+    return _instance_of(_kernel_options(params))
+
+
+def _instance_of(options: _KernelOptions) -> "KernelInstance":
     from ..kernels import ALL_LOOPS, build_kernel
 
-    options = _kernel_options(params)
     if options.number not in ALL_LOOPS:
         from ..kernels.extended import build_extended
 
@@ -441,7 +451,22 @@ def _kernel_instance(params: Tuple[str, ...]) -> "KernelInstance":
 
 
 def _build_kernel_source(params: Tuple[str, ...]) -> Trace:
-    return _kernel_instance(params).verify()
+    from ..asm.errors import ExecutionError
+    from ..kernels.common import KernelVerificationError
+
+    options = _kernel_options(params)
+    try:
+        return _instance_of(options).verify()
+    except (ExecutionError, KernelVerificationError):
+        if options.unroll == 1:
+            raise
+        # An unrolled body keeps one loop-closing branch per *unroll*
+        # copies, so a trip count that *unroll* does not divide runs past
+        # the loop's end: the program faults or computes wrong arrays.
+        raise ValueError(
+            f"unroll={options.unroll} does not divide every trip count "
+            f"of loop {options.number} at n={options.n}"
+        ) from None
 
 
 #: ``synthetic`` presets: named corners of the SyntheticSpec space.

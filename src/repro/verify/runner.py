@@ -8,7 +8,7 @@ seed's trace once, observed; the invariant checks and the oracle's
 fastpath dual read that one replay.  On a failure it re-runs the
 single offending check inside a delta-debugging shrink loop
 (:mod:`repro.verify.shrink`) and dumps the minimal reproducing trace as
-JSON-lines (replayable with ``repro replay`` / ``repro simulate``).
+JSON-lines (replayable with ``repro simulate --source file:<path>``).
 """
 
 from __future__ import annotations

@@ -84,7 +84,8 @@ class TestCaptureReplay:
         assert path.exists()
 
         code, out = run_cli(
-            capsys, "replay", "--trace", str(path), "--machine", "ooo:4"
+            capsys, "simulate", "--source", f"file:{path}",
+            "--machine", "ooo:4",
         )
         assert code == 0
         assert "out-of-order x4" in out

@@ -364,6 +364,25 @@ def test_ruu_never_full_runs_are_reused_and_full_ones_are_not():
         assert (result.cycles, result.detail) == (alone.cycles, alone.detail)
 
 
+def test_table7_reuses_an_exact_count_of_ruu_replays():
+    """Table 7 at ``SMALL_SIZES`` is one sweep per kernel trace of its
+    192-member RUU grid, and the batch kernel serves 396 of the 960
+    runs from another member's never-full replay.  The count repeats
+    exactly on any host, where the batch-over-per-spec speed ratio it
+    buys (``repro bench``'s ``sweep.table7.speedup``) moves with load."""
+    from repro.harness.engine import run_plan
+    from repro.harness.plans import build_plan
+    from repro.kernels import SMALL_SIZES
+
+    fastpath.reset_stats()
+    run_plan(build_plan("table7", SMALL_SIZES), workers=1, cache=None)
+    stats = fastpath.stats()
+    assert stats["batch.sweeps"] == 5
+    assert stats["batch.fast_runs"] == 960
+    assert stats["batch.fallback_runs"] == 0
+    assert stats["batch.reused_runs"] == 396
+
+
 def test_ruu_plan_resolves_register_instances():
     """The rename plan names producers by seq: a source reads the latest
     earlier non-branch write of its register, initial contents drop out,

@@ -25,10 +25,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.asm.errors import ExecutionError
 from repro.core import build_simulator, config_by_name
 from repro.kernels import ALL_LOOPS, build_kernel
 from repro.kernels.vectorized import VECTORIZED_LOOPS, build_vectorized
-from repro.trace.sources import trace_source
+from repro.trace.sources import UnknownTraceSourceError, trace_source
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_sources.json").read_text())
@@ -96,13 +97,14 @@ def test_kernel_source_options_identical(loop):
         trace_source(f"kernel:{loop}:n={n}"),
         build_kernel(loop, n=n).trace(),
     )
-    # Some loops reject unrolling at this size (address-range limits in
-    # the assembler's data segment); the registry must agree with the
-    # legacy builder either way -- same trace or same refusal.
+    # Some loops have trip counts at this size that 2 does not divide,
+    # so the unrolled program runs past its arrays; the registry must
+    # agree with the legacy builder either way -- the same trace, or a
+    # spec error where the builder's program faults.
     try:
         legacy_unrolled = build_kernel(loop, n=n, unroll=2).trace()
-    except Exception as legacy_error:
-        with pytest.raises(type(legacy_error)):
+    except ExecutionError:
+        with pytest.raises(UnknownTraceSourceError, match="does not divide"):
             trace_source(f"kernel:{loop}:n={n}:unroll=2")
     else:
         _same_trace(

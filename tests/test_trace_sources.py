@@ -125,6 +125,8 @@ def test_unknown_source_error_carries_spec_and_valid(head):
         ("kernel:1:vector=on:addressing=explicit", "does not combine"),
         ("kernel:18:unroll=2", "unknown parameter(s) unroll"),
         ("kernel:12:unroll=0", "unroll must be >= 1"),
+        ("kernel:1:n=10:unroll=4", "unroll=4 does not divide"),
+        ("kernel:5:n=0", "loop 5 needs n >= 2"),
         ("synthetic:stride:deep", "more than one preset"),
         ("fuzz:seed=3:seed=4", "duplicate parameter 'seed'"),
         ("mixed:strip=0", "strip"),
@@ -148,7 +150,6 @@ def test_malformed_specs_reject_with_reason(spec, fragment):
         ("kernel:5", "kernel:5:n=200"),
         ("kernel:05", "kernel:5:n=200"),
         ("KERNEL:k5:N=200", "kernel:5:n=200"),
-        ("kernel:5:n=0", "kernel:5:n=200"),
         ("kernel:5:schedule=off:n=16", "kernel:5:n=16:schedule=off"),
         ("kernel:3:addressing=explicit:unroll=2:schedule=on",
          "kernel:3:n=256:unroll=2:addressing=explicit"),
