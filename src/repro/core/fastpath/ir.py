@@ -19,12 +19,12 @@ batch sweep kernels (:mod:`repro.core.fastpath.batch`) replay the
 compiled form; the lowering itself is machine- and config-independent,
 so one compilation serves every machine variant and every replay.  The
 same pass marks where the trace is one loop body repeated
-(``CompiledTrace.regions``), which the RUU and out-of-order loops
-fast-forward through.
+(``CompiledTrace.regions``), which the RUU, out-of-order, in-order and
+scoreboard loops fast-forward through.
 
 Everything else derived from a compiled trace alone -- the per-unit op
-profile, the fetch-window counts, the RUU rename plan, the out-of-order
-buffer plans -- is memoised on the compiled trace itself by
+profile, the fetch-buffer cut and its counts, the RUU rename plan, the
+out-of-order buffer plans -- is memoised on the compiled trace itself by
 :func:`per_trace` (``CompiledTrace.derived``), so it lives exactly as
 long as the trace's compilation does.  The compile cache is the one
 weakly keyed cache of the package.
@@ -50,6 +50,7 @@ __all__ = [
     "UNITS",
     "compile_trace",
     "drop_derived",
+    "fetch_buffers",
     "per_trace",
     "unit_profile",
     "window_stats",
@@ -127,8 +128,9 @@ class CompiledTrace:
     #: order and disjoint: ``ops[s] == ops[s - period]`` for every ``s``
     #: in ``[start + period, end)``, at least :data:`_MIN_BODIES` bodies
     #: long, with ``start`` just after a taken branch when the body has
-    #: one (so out-of-order fetch buffers start on body boundaries).  The
-    #: RUU and out-of-order loops fast-forward whole periods inside them.
+    #: one (so fetch buffers start on body boundaries).  The RUU,
+    #: out-of-order, in-order and scoreboard loops fast-forward whole
+    #: periods inside them.
     regions: Tuple[Tuple[int, int, int], ...]
     #: ``(builder, *params) -> value`` for each :func:`per_trace`
     #: analysis built so far (fresh on every instance, ``replace`` too).
@@ -327,44 +329,59 @@ def unit_profile(
 
 
 @per_trace
-def window_stats(
+def fetch_buffers(
     compiled: CompiledTrace, units: int
-) -> Tuple[Dict[int, int], int, int]:
-    """``(occupancy histogram, flushes, flush cycles)`` for a fetch
-    window of *units* slots.
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(starts, lengths)`` of the fetch buffers of a window of *units*
+    slots.
 
     The windowed machines (in-order and out-of-order multiple issue)
     fill fetch buffers of up to *units* instructions, cut after the
     first taken branch -- a pure function of the compiled ``taken``
-    flags, independent of the machine config, so the telemetry loops
-    share one walk per (trace, width), memoised on the compiled trace,
-    instead of recounting buffers on every replay.  A taken-branch cut
-    flushes the unfilled remainder of the buffer (possibly zero slots),
-    matching the reference loops' FLUSH events.
+    flags, independent of the machine config, so every replay of one
+    (trace, width) shares one walk, memoised on the compiled trace.  A
+    buffer ends in a taken branch exactly when it was cut.
     """
     ops = compiled.ops
     n = compiled.n
-    occupancy: Dict[int, int] = {}
-    flushes = 0
-    flush_cycles = 0
+    starts: List[int] = []
+    lengths: List[int] = []
     pos = 0
     while pos < n:
         end = pos + units
         if end > n:
             end = n
         length = 0
-        cut = False
         for index in range(pos, end):
             length += 1
             op = ops[index]
             if op[3] and op[4]:
-                cut = True
                 break
+        starts.append(pos)
+        lengths.append(length)
+        pos += length
+    return (tuple(starts), tuple(lengths))
+
+
+@per_trace
+def window_stats(
+    compiled: CompiledTrace, units: int
+) -> Tuple[Dict[int, int], int, int]:
+    """``(occupancy histogram, flushes, flush cycles)`` of the
+    :func:`fetch_buffers` of a window of *units* slots.  A taken-branch
+    cut flushes the unfilled remainder of the buffer (possibly zero
+    slots), matching the reference loops' FLUSH events.
+    """
+    ops = compiled.ops
+    occupancy: Dict[int, int] = {}
+    flushes = 0
+    flush_cycles = 0
+    for start, length in zip(*fetch_buffers(compiled, units)):
         occupancy[length] = occupancy.get(length, 0) + 1
-        if cut:
+        op = ops[start + length - 1]
+        if op[3] and op[4]:
             flushes += 1
             flush_cycles += units - length
-        pos += length
 
     return (occupancy, flushes, flush_cycles)
 

@@ -4,11 +4,11 @@ One compiled fast loop per machine family, each a bit-identical twin of
 that family's ``reference_simulate``: state held in flat integer arrays
 (one ``int`` slot per architectural register and per functional unit)
 instead of hash tables, and per-unit latency/pipelining tables built
-once per call.  The scoreboard and in-order loops keep a min-heap of
-outstanding result-bus reservations, pruned as the issue front passes
-them (state stays O(outstanding writes), not O(trace length)); the
-out-of-order kernel keeps grow-only bus sets instead, whose stale
-entries no probe can match (see :func:`ooo_replay`).
+once per call.  The scoreboard, in-order and out-of-order loops keep
+result-bus reservations in grow-only sets, as the reference loops do:
+every probe targets a cycle after the issue front, and the front never
+goes back, so a reservation at or before it is never matched again and
+pruning it would change nothing.
 
 Like the reference loops, the fast loops never scan idle cycles: they
 jump straight from one issue decision to the next, so the only scans
@@ -46,8 +46,12 @@ part: :func:`ruu_replay` its live RUU entries as the key
 (:func:`_ruu_key`) and their shift (:func:`_ruu_shift`), checked from
 one body into a region on; :func:`ooo_replay` its register, unit and
 bus ready cycles (:func:`_ooo_key`, :func:`_ooo_jump`), checked at
-buffers that start a body.  The in-order, scoreboard, CDC 6600,
-Tomasulo and speculative loops have no fast-forward.
+buffers that start a body; :func:`simulate_inorder_fast` the same key
+plus its open issue-width run, checked at the same buffers; and
+:func:`simulate_scoreboard_fast` its register, write, unit and bus
+state relative to the issue front, checked at every body start from
+one body in.  The CDC 6600, Tomasulo and speculative loops have no
+fast-forward.
 
 Bit-identity is a hard invariant, enforced three ways:
 
@@ -107,6 +111,7 @@ from .ir import (
     _UNKNOWN,
     _unit_tables,
     compile_trace,
+    fetch_buffers,
     per_trace,
     unit_profile,
     window_stats,
@@ -184,6 +189,12 @@ def simulate_scoreboard_fast(
     dictionaries.  *record*, when given, receives one ``(issue,
     complete)`` pair per instruction -- the same cycles the reference
     path's event stream reports (differential tests compare them).
+
+    Inside the trace's periodic regions the loop fast-forwards (see the
+    module docstring) from one body in, at every body start: its key is
+    the register, write and unit ready cycles, the last event and the
+    bus reservations, all relative to the issue front, and a repeated
+    key skips whole periods.
     """
     compiled = compile_trace(trace)
     count_run("python", "fast_runs")
@@ -197,12 +208,9 @@ def simulate_scoreboard_fast(
     reg_ready = [0] * N_REGISTERS
     write_done = [0] * N_REGISTERS
     fu_free = [0] * len(UNITS)
-    # Result-bus reservations: membership set plus a completion-event
-    # min-heap.  The issue front (`next_issue`) only ever probes cycles
-    # >= next_issue + 1, so reservations at or before it are dead and
-    # are pruned as the heap root passes behind the front.
+    # Grow-only result-bus reservations, as in :func:`ooo_replay`: the
+    # issue front (`next_issue`) only ever probes cycles after itself.
     bus_reserved = set()
-    bus_heap: List[int] = []
     next_issue = 0
     last_event = 0
     tracking = record is not None
@@ -223,78 +231,130 @@ def simulate_scoreboard_fast(
     t_prev = -1
     t_shadow_credit = branch_latency - 1
     reason = 0
-    for unit, dest, srcs, is_branch, _tk, is_vector, vl, uses_bus, _c in (
-        compiled.ops
-    ):
-        latency = latencies[unit]
 
-        earliest = next_issue
-        for src in srcs:
-            ready = reg_ready[src]
+    ops = compiled.ops
+    n_entries = compiled.n
+    # Steady-state fast-forward: the loop runs the ops up to the next
+    # checked body start in one stretch.  Region-free traces never
+    # check, so they run as one stretch.
+    if compiled.regions:
+        steady = _SteadyState(compiled, 1)
+        next_check = steady.next_check
+        # Only scalar results reserve the bus (vector ones never do), so
+        # every reservation ends within the longest latency.
+        horizon = max(latencies) + 1
+    else:
+        next_check = n_entries + 1
+    pos = 0
+    while True:
+        for unit, dest, srcs, is_branch, _tk, is_vector, vl, uses_bus, _c in (
+            ops[pos:next_check]
+        ):
+            latency = latencies[unit]
+
+            earliest = next_issue
+            for src in srcs:
+                ready = reg_ready[src]
+                if ready > earliest:
+                    earliest = ready
+                    reason = 1
+            if dest >= 0:
+                ready = write_done[dest]
+                if ready > earliest:
+                    earliest = ready
+                    reason = 2
+            ready = fu_free[unit]
             if ready > earliest:
                 earliest = ready
-                reason = 1
-        if dest >= 0:
-            ready = write_done[dest]
-            if ready > earliest:
-                earliest = ready
-                reason = 2
-        ready = fu_free[unit]
-        if ready > earliest:
-            earliest = ready
-            reason = 3
-        if model_bus and uses_bus:
-            while bus_heap and bus_heap[0] <= next_issue:
-                bus_reserved.discard(heappop(bus_heap))
-            while earliest + latency in bus_reserved:
-                earliest += 1
-                reason = 4
+                reason = 3
+            if model_bus and uses_bus:
+                while earliest + latency in bus_reserved:
+                    earliest += 1
+                    reason = 4
 
-        issue = earliest
-        if issue > next_issue:
-            # A strict improvement set `reason` this iteration; the
-            # gap runs from the previous issue slot and is charged
-            # whole, shadow cycles included.
-            gap = issue - t_prev - 1
-            t_acc[reason] += gap
-            shadow = gap - issue + next_issue
-            if shadow:
-                t_acc[5] -= shadow
-        t_prev = issue
+            issue = earliest
+            if issue > next_issue:
+                # A strict improvement set `reason` this iteration; the
+                # gap runs from the previous issue slot and is charged
+                # whole, shadow cycles included.
+                gap = issue - t_prev - 1
+                t_acc[reason] += gap
+                shadow = gap - issue + next_issue
+                if shadow:
+                    t_acc[5] -= shadow
+            t_prev = issue
 
-        complete = issue + latency + vl
-        if model_bus and uses_bus:
-            bus_reserved.add(complete)
-            heappush(bus_heap, complete)
+            complete = issue + latency + vl
+            if model_bus and uses_bus:
+                bus_reserved.add(complete)
 
-        if is_vector:
-            fu_free[unit] = issue + vl if pipelined[unit] else complete
-        else:
-            fu_free[unit] = issue + 1 if pipelined[unit] else complete
-
-        if dest >= 0:
-            if is_vector and chaining:
-                reg_ready[dest] = issue + latency
+            if is_vector:
+                fu_free[unit] = issue + vl if pipelined[unit] else complete
             else:
-                reg_ready[dest] = complete
-            write_done[dest] = complete
+                fu_free[unit] = issue + 1 if pipelined[unit] else complete
 
-        if is_branch:
-            next_issue = issue + branch_latency
-            complete = next_issue
-            t_acc[5] += t_shadow_credit
-        else:
-            next_issue = issue + 1
+            if dest >= 0:
+                if is_vector and chaining:
+                    reg_ready[dest] = issue + latency
+                else:
+                    reg_ready[dest] = complete
+                write_done[dest] = complete
 
-        if complete > last_event:
-            last_event = complete
-        if tracking:
-            record.append((issue, complete))
-    if compiled.n and compiled.ops[-1][3]:
+            if is_branch:
+                next_issue = issue + branch_latency
+                complete = next_issue
+                t_acc[5] += t_shadow_credit
+            else:
+                next_issue = issue + 1
+
+            if complete > last_event:
+                last_event = complete
+            if tracking:
+                record.append((issue, complete))
+        if next_check > n_entries:
+            break
+
+        # Every checked boundary follows the body's last op, so the
+        # previous issue is the same distance behind the issue front at
+        # each and needs no field of the key.
+        pos = steady.enter(next_check)
+        if steady.gate(
+            pos, next_issue,
+            last_event - next_issue if last_event > next_issue else 0,
+        ):
+            jump = steady.repeat(
+                pos, next_issue,
+                (
+                    tuple([
+                        w - next_issue if w > next_issue else 0
+                        for w in write_done
+                    ]),
+                    _ooo_key(next_issue, last_event, reg_ready, fu_free,
+                             (bus_reserved,), horizon),
+                ),
+                (t_acc,), last_event,
+            )
+            if jump is not None:
+                repeats, span, gap, event0 = jump
+                lag = repeats * gap
+                if tracking:
+                    _extend_schedule(record, span, repeats, gap)
+                for r, ready in enumerate(write_done):
+                    if ready > next_issue:
+                        write_done[r] = ready + lag
+                _ooo_jump(next_issue, lag, reg_ready, fu_free,
+                          (bus_reserved,), horizon)
+                if last_event != event0:
+                    last_event += lag
+                t_prev += lag
+                next_issue += lag
+                pos += repeats * span
+        next_check = steady.next_check
+    if n_entries and ops[-1][3]:
         t_acc[5] -= t_shadow_credit
 
     detail = SimTelemetry(
-        instructions=compiled.n,
+        instructions=n_entries,
         cycles=last_event,
         stall_cycles={
             "RAW": t_acc[1],
@@ -304,13 +364,13 @@ def simulate_scoreboard_fast(
             "BRANCH": t_acc[5],
         },
         fu_busy_cycles=_closed_busy(compiled, latencies, branch_latency),
-        issue_width={1: compiled.n},
+        issue_width={1: n_entries},
     ).to_detail()
     return SimulationResult(
         trace_name=compiled.name,
         simulator=machine.name,
         config=config,
-        instructions=compiled.n,
+        instructions=n_entries,
         cycles=last_event,
         detail=detail,
     )
@@ -332,8 +392,13 @@ def simulate_inorder_fast(
     floor; because the machine state is untouched between the two
     examinations, the re-scan returns the same cycle, so this loop
     folds both passes into one ``max`` chain plus one bus probe.  The
-    buffer cut (up to N slots, ending at the first taken branch) is
-    derived from the compiled ``taken`` flags.
+    buffer cut (up to N slots, ending at the first taken branch) is the
+    trace's shared :func:`~repro.core.fastpath.ir.fetch_buffers`.
+
+    Inside the trace's periodic regions the loop fast-forwards (see the
+    module docstring) at the buffers that start a body: its key is the
+    out-of-order loop's (:func:`_ooo_key`) plus the open issue-width
+    run, and a repeated key skips whole periods of buffers.
     """
     compiled = require_scalar(compile_trace(trace), machine)
     count_run("python", "fast_runs")
@@ -346,18 +411,13 @@ def simulate_inorder_fast(
 
     reg_ready = [0] * N_REGISTERS
     fu_free = [0] * len(UNITS)
+    # Grow-only result-bus reservations, as in :func:`ooo_replay`.
     buses: List[set] = [set() for _ in range(n_buses)]
-    # Completion-event min-heap over reserved writeback cycles: the
-    # cycle floor never decreases, so reservations behind it can be
-    # dropped from the per-bus sets (same pruning as the scoreboard).
-    bus_heap: List[Tuple[int, int]] = []
 
     ops = compiled.ops
     n_entries = compiled.n
-    pos = 0
     cycle = 0
     last_event = 0
-    is_branch = False
     tracking = record is not None
     # Buffer occupancy and flush totals are a pure function of the
     # compiled taken flags and the issue width, pulled from the
@@ -368,14 +428,51 @@ def simulate_inorder_fast(
     t_run = 0
     t_run_cycle = -1
 
-    while pos < n_entries:
-        end = pos + units
-        if end > n_entries:
-            end = n_entries
-        index = pos
-        cut = False
-        while index < end:
-            unit, dest, srcs, is_branch, taken, _v, _vl, _bus, _c = ops[index]
+    starts, lengths = fetch_buffers(compiled, units)
+    # Steady-state fast-forward at the buffers that start a body; every
+    # issue-width run but the open one ends before the cycle floor at a
+    # buffer start, so the next issue closes it.  Region-free traces
+    # never check.
+    if compiled.regions:
+        steady = _SteadyState(compiled, 0, starts)
+        next_check = steady.next_check
+        horizon = max(latencies) + 1  # bus reservations end before this
+    else:
+        next_check = n_entries + 1
+
+    buffers = zip(starts, lengths)
+    for pos, length in buffers:
+        if pos >= next_check:
+            if steady.enter(pos) == pos and steady.gate(
+                pos, cycle, (t_run, last_event - cycle if last_event > cycle
+                             else 0)
+            ):
+                jump = steady.repeat(
+                    pos, cycle,
+                    (t_run, _ooo_key(cycle, last_event, reg_ready, fu_free,
+                                     buses, horizon)),
+                    (t_width,), last_event,
+                )
+                if jump is not None:
+                    repeats, span, gap, event0 = jump
+                    skip = repeats * span
+                    if tracking:
+                        _extend_schedule(record, span, repeats, gap)
+                    _ooo_jump(cycle, repeats * gap, reg_ready, fu_free, buses,
+                              horizon)
+                    if last_event != event0:
+                        last_event += repeats * gap
+                    cycle += repeats * gap
+                    pos, length = next(islice(
+                        buffers,
+                        bisect_left(starts, pos + skip)
+                        - bisect_left(starts, pos) - 1,
+                        None,
+                    ))
+            next_check = steady.next_check
+
+        for index in range(pos, pos + length):
+            unit, dest, srcs, is_branch, _t, _v, _vl, _bus, _c = ops[index]
             latency = latencies[unit]
 
             earliest = cycle
@@ -392,9 +489,6 @@ def simulate_inorder_fast(
                 earliest = ready
 
             if dest >= 0:
-                while bus_heap and bus_heap[0][0] <= cycle:
-                    done, bus_index = heappop(bus_heap)
-                    buses[bus_index].discard(done)
                 target = earliest + latency
                 if xbar:
                     while True:
@@ -414,7 +508,6 @@ def simulate_inorder_fast(
                         earliest += 1
                         target += 1
                 buses[chosen].add(target)
-                heappush(bus_heap, (target, chosen))
 
             cycle = earliest
             complete = cycle + latency
@@ -439,21 +532,17 @@ def simulate_inorder_fast(
                     t_width[t_run] += 1
                 t_run_cycle = cycle
                 t_run = 1
-            index += 1
 
             if is_branch:
                 resolve = cycle + branch_latency
                 if resolve > last_event:
                     last_event = resolve
                 cycle = resolve
-                if taken:
-                    cut = True
-                    break
 
-        pos = index
-        if not cut and not is_branch:
-            # Full buffer issued, straight-line tail: the refill is
-            # overlapped, examinable the cycle after the last issue.
+        if not is_branch:
+            # Straight-line tail (a cut buffer ends in its taken
+            # branch): the refill is overlapped, examinable the cycle
+            # after the last issue.
             cycle += 1
 
     if t_run:
@@ -976,8 +1065,9 @@ def _ruu_key(
 
 class _SteadyState:
     """The steady-state fast-forward of one replay (see the module
-    docstring), shared by :func:`ruu_replay` and :func:`ooo_replay`: the
-    region cursor, the signature gate, the key history, the counter
+    docstring), shared by :func:`ruu_replay`, :func:`ooo_replay`,
+    :func:`simulate_inorder_fast` and :func:`simulate_scoreboard_fast`:
+    the region cursor, the signature gate, the key history, the counter
     credit and the skipped-instruction count.
 
     A loop keeps :attr:`next_check` in a local and calls in only once
@@ -1482,8 +1572,9 @@ _SINGLE, _INDEP, _SCAN = 0, 1, 2
 
 @per_trace
 def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
-    """Decode every fetch buffer of *compiled* once for an out-of-order
-    machine of the given issue width and WAR policy.
+    """Decode every fetch buffer of *compiled*
+    (:func:`~repro.core.fastpath.ir.fetch_buffers`) once for an
+    out-of-order machine of the given issue width and WAR policy.
 
     The buffer cut (after the first taken branch) and the intra-buffer
     hazard structure are config-independent, so the plan is shared by
@@ -1497,22 +1588,10 @@ def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
     resolved.
     """
     ops = compiled.ops
-    n_entries = compiled.n
     buffers: List[tuple] = []
-    pos = 0
-    while pos < n_entries:
-        end = pos + units
-        if end > n_entries:
-            end = n_entries
-        blen = 0
-        for index in range(pos, end):
-            blen += 1
-            op = ops[index]
-            if op[3] and op[4]:
-                break
+    for pos, blen in zip(*fetch_buffers(compiled, units)):
         if blen == 1:
             buffers.append((pos, _SINGLE, ops[pos], 0))
-            pos += 1
             continue
 
         # Independent: no branch, no shared functional unit and no
@@ -1545,7 +1624,6 @@ def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
         buffers.append(
             (pos, _INDEP if indep else _SCAN, tuple(slots), (1 << blen) - 1)
         )
-        pos += blen
     return buffers
 
 
@@ -1582,6 +1660,15 @@ def _ooo_jump(cycle, lag, regs, fuf, buses, horizon) -> None:
         bus.update([
             at + lag for at in range(cycle, cycle + horizon) if at in bus
         ])
+
+
+def _extend_schedule(record, span, repeats, gap) -> None:
+    """Append *repeats* more periods to the schedule *record*: its last
+    *span* rows, each period *gap* cycles after the one before."""
+    period = record[-span:]
+    for times in range(1, repeats + 1):
+        lag = times * gap
+        record.extend([(issue + lag, done + lag) for issue, done in period])
 
 
 def _shift_schedule(issue_at, complete_at, pos, skip, span, gap) -> None:
@@ -1631,11 +1718,7 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
     with that member's latencies, bus wiring and machine state bound as
     locals for the whole trace.
 
-    Bus reservations are grow-only sets rather than the reference's
-    pruned set + heap: every membership probe targets a cycle strictly
-    greater than the current one, while every entry pruning would drop
-    is less than or equal to it, so stale entries can never satisfy a
-    probe and the prune is unobservable.
+    Bus reservations are grow-only sets (see the module docstring).
 
     Inside the trace's periodic regions each member's replay
     fast-forwards (see the module docstring): :func:`_ooo_key` is its
@@ -1671,8 +1754,7 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
     # Phase 2: replay the records once per sweep member.
     # ------------------------------------------------------------------
     n_units = len(UNITS)
-    regions = compiled.regions
-    positions = [record[0] for record in buffers] if regions else None
+    positions = fetch_buffers(compiled, units)[0]
     last_events = [0] * K
     tracking = [item.record is not None for item in group]
     issue_at = [

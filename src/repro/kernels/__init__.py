@@ -75,7 +75,9 @@ def build_kernel(
     ``unroll=k`` unrolls every structurally clean counted loop by *k*
     before scheduling (the paper's Section 4 remark about unrolling and
     critical paths).  The caller must pick a size whose trip counts are
-    multiples of *k* -- verification catches violations.
+    multiples of *k* -- verification catches violations; the instance's
+    ``trip_counts`` lists them, and a ``kernel:`` trace spec is checked
+    against them before anything runs.
 
     ``explicit_addressing=True`` expands folded displacements into
     explicit A-register arithmetic (:mod:`repro.asm.addressing`) -- the

@@ -88,6 +88,12 @@ class KernelInstance:
             :func:`~repro.kernels.build_kernel` and
             :func:`~repro.kernels.vectorized.build_vectorized` record it.
             None for an instance built any other way.
+        trip_counts: the trip counts the builder derives from *n* for
+            the program's counted loops (the ones
+            :func:`~repro.asm.unroller.unroll_innermost` unrolls), one
+            per entry into such a loop; an unroll factor is sound only
+            if it divides every one.  Empty for the builders that take
+            no unroll factor (vectorised and extended kernels).
     """
 
     number: int
@@ -100,6 +106,7 @@ class KernelInstance:
     checked_arrays: Tuple[str, ...]
     scheduled: bool = False
     source: Optional[str] = None
+    trip_counts: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         missing = [a for a in self.checked_arrays if a not in self.arrays]

@@ -111,4 +111,7 @@ def build(n: Optional[int] = None) -> KernelInstance:
         arrays=layout.arrays,
         expected={"x": expected_x},
         checked_arrays=("x",),
+        # One inner pass per halving of ii: n/2, n/4, ..., 1 (the empty
+        # last pass is skipped).
+        trip_counts=tuple(n >> k for k in range(1, n.bit_length())),
     )

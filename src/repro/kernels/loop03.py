@@ -77,4 +77,5 @@ def build(n: Optional[int] = None) -> KernelInstance:
         arrays=layout.arrays,
         expected={"q": expected_q},
         checked_arrays=("q",),
+        trip_counts=(n,),
     )

@@ -112,4 +112,5 @@ def build(n: Optional[int] = None) -> KernelInstance:
         arrays=layout.arrays,
         expected={"x": expected_x},
         checked_arrays=("x",),
+        trip_counts=(inner_trip,),
     )

@@ -79,4 +79,5 @@ def build(n: Optional[int] = None) -> KernelInstance:
         arrays=layout.arrays,
         expected={"x": expected_x},
         checked_arrays=("x",),
+        trip_counts=(n - 1,),
     )

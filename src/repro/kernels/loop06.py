@@ -87,4 +87,5 @@ def build(n: Optional[int] = None) -> KernelInstance:
         arrays=layout.arrays,
         expected={"w": expected_w},
         checked_arrays=("w",),
+        trip_counts=tuple(range(1, n)),  # inner trip = i
     )

@@ -165,4 +165,5 @@ def build(n: Optional[int] = None) -> KernelInstance:
             "du1": e_du1, "du2": e_du2, "du3": e_du3,
         },
         checked_arrays=("u1", "u2", "u3", "du1", "du2", "du3"),
+        trip_counts=(n - 1,),
     )

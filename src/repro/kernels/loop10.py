@@ -114,4 +114,5 @@ def build(n: Optional[int] = None) -> KernelInstance:
         arrays=layout.arrays,
         expected={"px": expected_px},
         checked_arrays=("px",),
+        trip_counts=(n,),
     )

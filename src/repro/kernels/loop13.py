@@ -170,4 +170,5 @@ def build(n: Optional[int] = None) -> KernelInstance:
         arrays=layout.arrays,
         expected={"p": expected_p, "h": expected_h},
         checked_arrays=("p", "h"),
+        trip_counts=(n,),
     )

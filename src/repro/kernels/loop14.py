@@ -200,4 +200,5 @@ def build(n: Optional[int] = None) -> KernelInstance:
         checked_arrays=(
             "vx", "xx", "ix", "xi", "ex1", "dex1", "ir", "rx", "rh",
         ),
+        trip_counts=(n, n, n),
     )

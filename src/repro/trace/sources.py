@@ -444,29 +444,25 @@ def _instance_of(options: _KernelOptions) -> "KernelInstance":
         from ..kernels.vectorized import build_vectorized
 
         return build_vectorized(options.number, options.n)
-    return build_kernel(
+    instance = build_kernel(
         options.number, options.n, schedule=options.schedule,
         unroll=options.unroll, explicit_addressing=options.explicit,
     )
-
-
-def _build_kernel_source(params: Tuple[str, ...]) -> Trace:
-    from ..asm.errors import ExecutionError
-    from ..kernels.common import KernelVerificationError
-
-    options = _kernel_options(params)
-    try:
-        return _instance_of(options).verify()
-    except (ExecutionError, KernelVerificationError):
-        if options.unroll == 1:
-            raise
-        # An unrolled body keeps one loop-closing branch per *unroll*
-        # copies, so a trip count that *unroll* does not divide runs past
-        # the loop's end: the program faults or computes wrong arrays.
+    # An unrolled body keeps one loop-closing branch per *unroll* copies,
+    # so a trip count that *unroll* does not divide runs past the loop's
+    # end: the program would fault or compute wrong arrays.  The builder
+    # derives its trip counts from n, so the factor is checked here,
+    # before anything runs.
+    if any(trips % options.unroll for trips in instance.trip_counts):
         raise ValueError(
             f"unroll={options.unroll} does not divide every trip count "
             f"of loop {options.number} at n={options.n}"
-        ) from None
+        )
+    return instance
+
+
+def _build_kernel_source(params: Tuple[str, ...]) -> Trace:
+    return _kernel_instance(params).verify()
 
 
 #: ``synthetic`` presets: named corners of the SyntheticSpec space.

@@ -352,6 +352,27 @@ class TestTraceRoute:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "--n modify --kernel only" in err[0]
 
+    @pytest.mark.parametrize("command", ("disasm", "simulate"))
+    def test_non_dividing_unroll_exits_2_without_a_run(
+        self, capsys, monkeypatch, command
+    ):
+        """The listing rejects the spec ``simulate`` rejects, and
+        neither runs the program to find out."""
+        from repro.trace import generator
+
+        def interpreter_entered(*_args, **_kwargs):
+            raise AssertionError("the interpreter ran")
+
+        monkeypatch.setattr(generator, "run_program", interpreter_entered)
+        code = main([command, "--source", "kernel:1:n=10:unroll=4"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert (
+            "unroll=4 does not divide every trip count of loop 1 at n=10"
+            in err[0]
+        )
+
     @pytest.mark.parametrize("argv", [
         ("--kernel", "5", "--vector"),
         ("--kernel", "12", "--vector", "--unroll", "4"),

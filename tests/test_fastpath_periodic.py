@@ -1,14 +1,18 @@
-"""The steady-state fast-forward of the RUU and out-of-order loops.
+"""The steady-state fast-forward of the RUU, out-of-order, in-order and
+scoreboard loops.
 
 ``compile_trace`` marks the periodic regions of a trace (one loop body
-repeated), and :func:`~repro.core.fastpath.python_backend.ruu_replay`
-and :func:`~repro.core.fastpath.python_backend.ooo_replay` credit every
-whole period after the first repeated state in closed form.  The skip
-path must be invisible on traces that are mostly periodic -- the
-Livermore kernels and fuzzed bodies repeated many times: cycles, rates,
-``detail`` and the per-instruction schedule equal the reference loops',
-and the whole replay (``tlm.*`` telemetry and the RUU peak included)
-equals the same loop's replay of the trace with its regions dropped.
+repeated), and :func:`~repro.core.fastpath.python_backend.ruu_replay`,
+:func:`~repro.core.fastpath.python_backend.ooo_replay`,
+:func:`~repro.core.fastpath.python_backend.simulate_inorder_fast` and
+:func:`~repro.core.fastpath.python_backend.simulate_scoreboard_fast`
+credit every whole period after the first repeated state in closed
+form.  The skip path must be invisible on traces that are mostly
+periodic -- the Livermore kernels and fuzzed bodies repeated many times:
+cycles, rates, ``detail`` and the per-instruction schedule equal the
+reference loops', and the whole replay (``tlm.*`` telemetry and the RUU
+peak included) equals the same loop's replay of the trace with its
+regions dropped.
 """
 
 from __future__ import annotations
@@ -19,11 +23,17 @@ import pytest
 
 from repro.core import M5BR2, M5BR5, M11BR2, M11BR5, fastpath
 from repro.core.fastpath import SweepItem, compile_trace
-from repro.core.fastpath.python_backend import ooo_replay, ruu_replay
+from repro.core.fastpath import python_backend
+from repro.core.fastpath.python_backend import (
+    FAMILY_LOOPS,
+    ooo_replay,
+    ruu_replay,
+)
 from repro.core.ooo_multi import OutOfOrderMultiIssueMachine
 from repro.core.registry import build_simulator
 from repro.core.ruu import RUUMachine
 from repro.kernels import DEFAULT_SIZES, SMALL_SIZES
+from repro.kernels.vectorized import VECTORIZED_LOOPS
 from repro.trace import TraceEntry
 from repro.trace.generator import assemble_trace
 from repro.trace.sources import trace_source
@@ -35,8 +45,10 @@ from test_fastpath_diff import _assert_fast_matches_reference
 CONFIGS = (M11BR5, M11BR2, M5BR5, M5BR2)
 
 #: The skip-path matrix: RUU sizes below, at and above a body's live
-#: window, one- and N-bus, and the out-of-order drains (single-slot,
-#: scan, shared bus, crossbar, no WAR).
+#: window, one- and N-bus, the out-of-order drains (single-slot, scan,
+#: shared bus, crossbar, no WAR), in-order widths and bus wirings, and
+#: the scoreboard machines (result bus, chaining, unpipelined units,
+#: serial memory).
 SPECS = (
     "ruu:1:1",
     "ruu:2:10",
@@ -47,7 +59,19 @@ SPECS = (
     "ooo:4",
     "ooo:4:1bus",
     "ooo:4:xbar",
+    "inorder:1",
+    "inorder:4",
+    "inorder:4:1bus",
+    "inorder:4:xbar",
+    "inorder:8",
+    "cray",
+    "cray-unchained",
+    "serialmemory",
+    "nonsegmented",
 )
+
+#: The scoreboard machines, which also issue vector code.
+SCOREBOARD_SPECS = ("cray", "cray-unchained", "serialmemory", "nonsegmented")
 
 
 def _machines():
@@ -77,16 +101,24 @@ def _assert_matches(simulator, trace, config, context):
     _assert_fast_matches_reference(simulator, trace, config, context)
     compiled = compile_trace(trace)
     flat = replace(compiled, regions=())
-    if fastpath.family_of(simulator) == "ruu":
+    family = fastpath.family_of(simulator)
+    if family == "ruu":
         skipped = ruu_replay(compiled, simulator, config, tracking=True)
         replayed = ruu_replay(flat, simulator, config, tracking=True)
         assert skipped == replayed, context
         return
     schedules = ([], [])
-    skipped, replayed = (
-        ooo_replay(source, [SweepItem(simulator, config, schedule)])[0]
-        for source, schedule in zip((compiled, flat), schedules)
-    )
+    if family == "ooo":
+        skipped, replayed = (
+            ooo_replay(source, [SweepItem(simulator, config, schedule)])[0]
+            for source, schedule in zip((compiled, flat), schedules)
+        )
+    else:
+        loop = FAMILY_LOOPS[family]
+        skipped = loop(simulator, trace, config, schedules[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(python_backend, "compile_trace", lambda _: flat)
+            replayed = loop(simulator, trace, config, schedules[1])
     assert skipped.cycles == replayed.cycles, context
     assert skipped.detail == replayed.detail, context
     assert schedules[0] == schedules[1], context
@@ -196,6 +228,20 @@ def test_kernels_match_reference(name, simulator):
             )
 
 
+@pytest.mark.parametrize("spec", SCOREBOARD_SPECS)
+def test_vector_kernels_match_reference(spec):
+    """Vector bodies: chaining, vector lengths and unit reservations
+    that outlive a body, at a size where each kernel has a region."""
+    simulator = build_simulator(spec)
+    for loop in VECTORIZED_LOOPS:
+        trace = trace_source(f"kernel:{loop}:n=1000:vector=on")
+        assert compile_trace(trace).regions, loop
+        for config in CONFIGS:
+            _assert_matches(
+                simulator, trace, config, (spec, loop, config.name)
+            )
+
+
 @pytest.mark.parametrize("name,simulator", MACHINES, ids=MACHINE_IDS)
 def test_repeated_fuzzed_bodies_match_reference(name, simulator):
     for seed in range(6):
@@ -274,8 +320,13 @@ SKIPPED = {
     ("default", "ooo:4"): 24_531,
     ("default", "ooo:4:xbar"): 24_531,
     ("default", "ooo:4:1bus"): 24_499,
+    ("default", "inorder:4"): 24_539,
+    ("default", "inorder:4:xbar"): 24_539,
+    ("default", "cray"): 23_964,
     ("small", "ruu:4:50"): 234,
     ("small", "ooo:4"): 1_313,
+    ("small", "inorder:4"): 1_321,
+    ("small", "cray"): 992,
 }
 
 

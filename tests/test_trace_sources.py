@@ -23,6 +23,7 @@ from repro.trace.sources import (
     available_sources,
     canonical_trace_spec,
     format_trace_spec,
+    kernel_instance,
     list_sources,
     parse_trace_spec,
     register_source,
@@ -142,6 +143,30 @@ def test_malformed_specs_reject_with_reason(spec, fragment):
     assert exc.reason is not None
     assert fragment in exc.reason, exc.reason
     assert "\n" not in str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ("kernel:1:n=10:unroll=4", "kernel:13:n=11:unroll=2",
+     "kernel:6:n=64:unroll=2", "kernel:14:n=30:unroll=4"),
+)
+def test_non_dividing_unroll_rejected_without_a_run(spec, monkeypatch):
+    """The trip counts the kernel builder derives from n decide an
+    unroll factor: the listing and the capture reject the same spec
+    with the same reason, and neither enters the interpreter."""
+    from repro.trace import generator
+
+    def interpreter_entered(*_args, **_kwargs):
+        raise AssertionError("the interpreter ran")
+
+    monkeypatch.setattr(generator, "run_program", interpreter_entered)
+    reasons = []
+    for resolve in (trace_source, kernel_instance):
+        with pytest.raises(UnknownTraceSourceError) as error:
+            resolve(spec)
+        reasons.append(error.value.reason)
+    assert reasons[0] == reasons[1]
+    assert "does not divide every trip count" in reasons[0]
 
 
 @pytest.mark.parametrize(
