@@ -103,8 +103,8 @@ def stats() -> Dict[str, int]:
     (``python.fast_runs``, ``batch.fast_runs``, ``batch.sweeps``,
     ``batch.fallback_runs``, ``batch.reused_runs``) attribute them to
     the loop that served them.  ``python.skipped_instructions`` counts
-    the instructions the RUU and out-of-order loops credited in closed
-    form instead of replaying (the steady-state fast-forward).
+    the instructions the loops credited in closed form instead of
+    replaying (the steady-state fast-forward).
     """
     merged: Dict[str, int] = dict(ir._STATS)
     merged["fast_runs"] = 0

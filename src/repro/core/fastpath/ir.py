@@ -19,8 +19,8 @@ batch sweep kernels (:mod:`repro.core.fastpath.batch`) replay the
 compiled form; the lowering itself is machine- and config-independent,
 so one compilation serves every machine variant and every replay.  The
 same pass marks where the trace is one loop body repeated
-(``CompiledTrace.regions``), which the RUU, out-of-order, in-order and
-scoreboard loops fast-forward through.
+(``CompiledTrace.regions``), which the RUU, out-of-order, in-order,
+scoreboard and speculative loops fast-forward through.
 
 Everything else derived from a compiled trace alone -- the per-unit op
 profile, the fetch-buffer cut and its counts, the RUU rename plan, the
@@ -129,8 +129,8 @@ class CompiledTrace:
     #: in ``[start + period, end)``, at least :data:`_MIN_BODIES` bodies
     #: long, with ``start`` just after a taken branch when the body has
     #: one (so fetch buffers start on body boundaries).  The RUU,
-    #: out-of-order, in-order and scoreboard loops fast-forward whole
-    #: periods inside them.
+    #: out-of-order, in-order, scoreboard and speculative loops
+    #: fast-forward whole periods inside them.
     regions: Tuple[Tuple[int, int, int], ...]
     #: ``(builder, *params) -> value`` for each :func:`per_trace`
     #: analysis built so far (fresh on every instance, ``replace`` too).
@@ -279,22 +279,26 @@ def drop_derived(trace: Trace) -> None:
 
 
 def per_trace(build: Callable) -> Callable:
-    """Memoise ``build(compiled, *params)`` in ``compiled.derived``.
+    """Memoise ``build(compiled, *params, **inputs)`` in
+    ``compiled.derived``.
 
     The key is the builder and its positional parameters, so one
     compiled trace holds at most one value per (analysis, parameters)
-    and every replay of the trace shares it.  Whoever knows a trace is
-    done with may drop its analyses early with :func:`drop_derived`; the
-    next call rebuilds them.
+    and every replay of the trace shares it.  Keyword *inputs* are what
+    a builder reads beyond the compiled form -- the source trace's own
+    entries -- and take no part in the key: they must be the ones the
+    trace was compiled from.  Whoever knows a trace is done with may
+    drop its analyses early with :func:`drop_derived`; the next call
+    rebuilds them.
     """
 
     @functools.wraps(build)
-    def memoised(compiled: CompiledTrace, *params: Any):
+    def memoised(compiled: CompiledTrace, *params: Any, **inputs: Any):
         key = (build, *params)
         derived = compiled.derived
         value = derived.get(key)
         if value is None:
-            value = derived[key] = build(compiled, *params)
+            value = derived[key] = build(compiled, *params, **inputs)
         return value
 
     return memoised

@@ -26,12 +26,13 @@ the recurrences are data-dependent (issue decisions feed the very next
 comparison), and at sweep widths of 4-20 the per-op ufunc dispatch
 overhead would dominate any arithmetic saved.
 
-Those two loops also skip work, not just idle cycles: the steady-state
+Five loops also skip work, not just idle cycles: the steady-state
 fast-forward.  Inside a periodic region of the compiled trace
 (``CompiledTrace.regions``: one loop body repeated) the loop takes its
 state at each body boundary relative to the cycle and the boundary seq,
 clamped at the current cycle.  The machines are deterministic and their
-timing reads only the ops, so once that state repeats after ``p``
+timing reads only the ops (and, for the speculative machine, predictor
+outcomes that repeat with them), so once that state repeats after ``p``
 bodies and ``dc`` cycles, every later period repeats it too: the loop
 shifts its live state by as many whole periods as stay inside the
 region, adds that many times the period's deltas to its histograms,
@@ -47,11 +48,15 @@ part: :func:`ruu_replay` its live RUU entries as the key
 one body into a region on; :func:`ooo_replay` its register, unit and
 bus ready cycles (:func:`_ooo_key`, :func:`_ooo_jump`), checked at
 buffers that start a body; :func:`simulate_inorder_fast` the same key
-plus its open issue-width run, checked at the same buffers; and
+plus its open issue-width run, checked at the same buffers;
 :func:`simulate_scoreboard_fast` its register, write, unit and bus
 state relative to the issue front, checked at every body start from
-one body in.  The CDC 6600, Tomasulo and speculative loops have no
-fast-forward.
+one body in; and :func:`simulate_spec_fast` its issue cursor, resume
+cycle, register ready cycles and live entries (:func:`_spec_key`),
+checked from one body in, but only in the sub-regions where its
+predictor outcomes (:func:`spec_outcomes`) repeat body for body too --
+the regions each loop hands :class:`_SteadyState`.  The CDC 6600 and
+Tomasulo loops have no fast-forward.
 
 Bit-identity is a hard invariant, enforced three ways:
 
@@ -108,6 +113,7 @@ from .ir import (
     _A0,
     _MAX_CYCLES,
     _MEMORY,
+    _MIN_BODIES,
     _UNKNOWN,
     _unit_tables,
     compile_trace,
@@ -238,7 +244,7 @@ def simulate_scoreboard_fast(
     # checked body start in one stretch.  Region-free traces never
     # check, so they run as one stretch.
     if compiled.regions:
-        steady = _SteadyState(compiled, 1)
+        steady = _SteadyState(compiled.regions, compiled.n, 1)
         next_check = steady.next_check
         # Only scalar results reserve the bus (vector ones never do), so
         # every reservation ends within the longest latency.
@@ -434,7 +440,7 @@ def simulate_inorder_fast(
     # buffer start, so the next issue closes it.  Region-free traces
     # never check.
     if compiled.regions:
-        steady = _SteadyState(compiled, 0, starts)
+        steady = _SteadyState(compiled.regions, compiled.n, 0, starts)
         next_check = steady.next_check
         horizon = max(latencies) + 1  # bus reservations end before this
     else:
@@ -1066,9 +1072,10 @@ def _ruu_key(
 class _SteadyState:
     """The steady-state fast-forward of one replay (see the module
     docstring), shared by :func:`ruu_replay`, :func:`ooo_replay`,
-    :func:`simulate_inorder_fast` and :func:`simulate_scoreboard_fast`:
-    the region cursor, the signature gate, the key history, the counter
-    credit and the skipped-instruction count.
+    :func:`simulate_inorder_fast`, :func:`simulate_scoreboard_fast` and
+    :func:`simulate_spec_fast`: the region cursor, the signature gate,
+    the key history, the counter credit and the skipped-instruction
+    count.
 
     A loop keeps :attr:`next_check` in a local and calls in only once
     its cursor (the next seq to issue) reaches it: :meth:`enter` with
@@ -1079,15 +1086,17 @@ class _SteadyState:
     instructions counted; the loop applies its own shift.  Either way
     the loop then reloads :attr:`next_check`.
 
-    *first* is the number of bodies into a region before its first
-    checked boundary; *stops*, when given, the sorted seqs a jump may
-    land on (the loop's cursor stands on no others).
+    *regions* are the ``(start, period, end)`` regions the loop may jump
+    in (``compiled.regions``, or sub-regions of them) and *n* the trace
+    length; *first* is the number of bodies into a region before its
+    first checked boundary; *stops*, when given, the sorted seqs a jump
+    may land on (the loop's cursor stands on no others).
     """
 
-    def __init__(self, compiled, first: int, stops=None) -> None:
-        self.regions = compiled.regions
+    def __init__(self, regions, n: int, first: int, stops=None) -> None:
+        self.regions = regions
         # Past every seq, and small: CPython compares small ints faster.
-        self.never = compiled.n + 1
+        self.never = n + 1
         self.first = first
         self.stops = stops
         self.region = -1
@@ -1255,7 +1264,7 @@ def ruu_replay(
 
     # Steady-state fast-forward: renaming reads up to one body back, so
     # the first boundary checked is one body into a region.
-    steady = _SteadyState(compiled, 1)
+    steady = _SteadyState(compiled.regions, compiled.n, 1)
     next_check = steady.next_check
 
     while True:
@@ -1789,7 +1798,7 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
         # Steady-state fast-forward at the buffers that start a body.  The
         # buffers from any body start on are the same shifted (no rename
         # plan here), so the first body is already a boundary.
-        steady = _SteadyState(compiled, 0, positions)
+        steady = _SteadyState(compiled.regions, compiled.n, 0, positions)
         next_check = steady.next_check
         horizon = max(latencies) + 1  # bus reservations end before this
         # Scan drains read the resolution of earlier branch slots of the
@@ -2119,6 +2128,118 @@ _VP_UNIT_IDS = frozenset(
 )
 
 
+class SpecOutcomes(NamedTuple):
+    """Every predictor outcome of one trace: see :func:`spec_outcomes`."""
+
+    codes: bytes
+    regions: Tuple[Tuple[int, int, int], ...]
+    accuracy: float
+    mispredicts: int
+    vp_hits: int
+    vp_misses: int
+
+
+@per_trace
+def spec_outcomes(compiled, factory, vp_warmup, *, entries) -> SpecOutcomes:
+    """The timing-free half of a speculative replay, once per trace and
+    (predictor factory, value-prediction warm-up), memoised on the
+    compiled trace.
+
+    No outcome reads a cycle.  Each conditional branch is predicted
+    once, when it first reaches the issue stage, and issue is in program
+    order; a value producer hits once its static instruction has been
+    seen ``vp_warmup`` times, also in program order.  So one pass over
+    the trace with a fresh instance of the machine's real predictor
+    fixes ``codes``: per seq, 1 for a correctly predicted conditional
+    branch or a value-prediction hit, else 0 (a replay reads a code only
+    where its machine predicts).  The predictor's accuracy and the
+    misprediction and value-miss counts come with it.  The static
+    branch attributes the IR does not carry (``static_index``,
+    ``backward``) are read from *entries*, the trace's own entries.
+
+    ``regions`` are the trace's periodic regions cut down to where the
+    codes repeat body for body too: each starts at the first body
+    boundary from which every code equals the code one period back up
+    to the region's end (a 2-bit counter trains over the first bodies,
+    a ``stride`` value predictor warms up over two), and a region left
+    with fewer than :data:`~repro.core.fastpath.ir._MIN_BODIES` bodies
+    is dropped.
+    """
+    if factory is None and vp_warmup is None:
+        return SpecOutcomes(bytes(compiled.n), compiled.regions, 0.0, 0, 0, 0)
+    codes = bytearray(compiled.n)
+    predictor = factory() if factory is not None else None
+    seen: Dict[int, int] = {}
+    mispredicts = vp_hits = vp_misses = 0
+    for seq, op in enumerate(compiled.ops):
+        if op[3]:
+            if predictor is None or not op[8]:
+                continue
+            entry = entries[seq]
+            taken = op[4]
+            correct = predictor.record(
+                predictor.predict_outcome(
+                    entry.static_index, bool(entry.backward), taken
+                ),
+                taken,
+            )
+            predictor.update(entry.static_index, taken)
+            if correct:
+                codes[seq] = 1
+            else:
+                mispredicts += 1
+        elif vp_warmup is not None and op[1] >= 0 and op[0] in _VP_UNIT_IDS:
+            static = entries[seq].static_index
+            count = seen.get(static, 0)
+            seen[static] = count + 1
+            if count >= vp_warmup:
+                codes[seq] = 1
+                vp_hits += 1
+            else:
+                vp_misses += 1
+
+    regions = []
+    for start, period, end in compiled.regions:
+        # The last seq whose code differs from one body back, found a
+        # body at a time from the region's end.
+        last = start + period - 1
+        high = end
+        while high > start + period:
+            low = max(high - period, start + period)
+            if codes[low:high] != codes[low - period:high - period]:
+                last = max(
+                    seq for seq in range(low, high)
+                    if codes[seq] != codes[seq - period]
+                )
+                break
+            high = low
+        start += (last - start) // period * period
+        if end - start >= _MIN_BODIES * period:
+            regions.append((start, period, end))
+    return SpecOutcomes(
+        bytes(codes), tuple(regions),
+        predictor.stats.accuracy if predictor is not None else 0.0,
+        mispredicts, vp_hits, vp_misses,
+    )
+
+
+def _spec_key(
+    base, cycle, pos, issue_resume, reg_avail, ring, head, ent_result
+) -> tuple:
+    """The speculative loop's state at a body boundary *base*, relative
+    to *cycle* and *base*: the issue cursor, the issue resume cycle, the
+    register ready cycles and each live entry's offset and result cycle.
+    Cycles are clamped at the current one (0 for anything due by now):
+    the loop only compares them against cycles from here on."""
+    flat = [pos - base, issue_resume - cycle if issue_resume > cycle else 0]
+    flat += [ready - cycle if ready > cycle else 0 for ready in reg_avail]
+    for index in range(head, len(ring)):
+        seq = ring[index]
+        back = ent_result[seq]
+        flat += (seq - base, back - cycle if back > cycle else 0)
+    return tuple(flat)
+
+
 def simulate_spec_fast(
     machine,
     trace: Trace,
@@ -2130,20 +2251,24 @@ def simulate_spec_fast(
     The speculative machine is contention-free past the issue stage, so
     every entry's result cycle is fixed analytically the moment it
     issues (``max(issue + 1, source avails) + latency``) -- no dispatch
-    phase, no ready heap.  What remains cycle-accurate is the commit /
-    issue walk (window gate, issue width, branch resume, in-order
-    width-limited commit), and the outer loop jumps over idle cycles
-    crediting occupancy and stall statistics in closed form, exactly
-    like :func:`simulate_ruu_fast`.
+    phase, no ready heap -- and, issue being in program order, the
+    operand tags reduce to one ready cycle per architectural register.
+    What remains cycle-accurate is the commit / issue walk (window gate,
+    issue width, branch resume, in-order width-limited commit), and the
+    outer loop jumps over idle cycles crediting occupancy and stall
+    statistics in closed form, exactly like :func:`simulate_ruu_fast`.
 
-    Unlike the RUU loop, predictors *are* modelled here: the loop
-    instantiates the machine's real predictor object and replays it in
-    program order (predictors are deterministic), so prediction accuracy
-    and per-branch outcomes are bit-identical to the reference by
-    sharing the implementation rather than by reimplementing it.  The
-    static branch attributes the compiled IR does not carry
-    (``backward``, ``static_index``) are read from ``trace.entries`` at
-    branch positions only.
+    Unlike the RUU loop, predictors *are* modelled here, by sharing the
+    implementation rather than reimplementing it: the trace's memoised
+    :func:`spec_outcomes` replays the machine's real predictor object in
+    program order, so each branch outcome and value-prediction hit is a
+    code read, and the accuracies and flush counts are closed forms.
+
+    Inside the periodic regions where those codes repeat too
+    (``spec_outcomes(...).regions``) the loop fast-forwards (see the
+    module docstring) from one body in: its key (:func:`_spec_key`) is
+    the issue cursor and resume cycle, the register ready cycles and the
+    live entries' result cycles, and a repeated key skips whole periods.
 
     Schedule records: non-branch entries report ``(issue, commit)``
     matching the reference's ISSUE/COMPLETE events; branches report
@@ -2161,35 +2286,31 @@ def simulate_spec_fast(
     issue_units = machine.issue_units
     window = machine.window
     recovery_window = branch_latency + machine.recovery_penalty
-    predictor = (
-        machine.predictor_factory() if machine.predictor_factory else None
-    )
-    predicted_correct: Dict[int, bool] = {}
+    predicting = machine.predictor_factory is not None
     vp_warmup = machine.vp_warmup
     value_penalty = machine.value_penalty
-    vp_seen: Dict[int, int] = {}
-    vp_hits = 0
-    vp_misses = 0
-    flushes = 0
-    flush_cycles = 0
+    outcomes = spec_outcomes(
+        compiled, machine.predictor_factory, vp_warmup, entries=trace.entries
+    )
+    codes = outcomes.codes
+    # Issue resume delay of an unconditional branch (a decode redirect
+    # under speculation) and of a branch that waits for its A0 operand
+    # (a mispredicted one, or any conditional one without speculation).
+    unconditional_delay = 1 if predicting else branch_latency
+    resolved_delay = recovery_window if predicting else branch_latency
 
     ops = compiled.ops
-    entries = trace.entries
     n_entries = compiled.n
-    n_regs = N_REGISTERS
     n_units = len(UNITS)
 
-    latest_instance = [0] * n_regs
-    tag_avail: Dict[int, int] = {}
-
-    ent_unit = [0] * n_entries
+    # The cycle each register's latest value is readable from.
+    reg_avail = [0] * N_REGISTERS
     ent_result = [0] * n_entries
 
     ring: List[int] = []  # program-ordered live entries (seqs)
     head = 0
     live = 0
 
-    occupancy_sum = 0
     full_stall_cycles = 0
     branch_stall_cycles = 0
 
@@ -2205,9 +2326,59 @@ def simulate_spec_fast(
     t_stride = issue_units + 1
     t_hist = [0] * ((window + 1) * t_stride)
 
+    # Steady-state fast-forward, from one body into each region whose
+    # outcome codes have settled.
+    steady = _SteadyState(outcomes.regions, n_entries, 1)
+    next_check = steady.next_check
+
     while True:
         if cycle > _MAX_CYCLES:  # pragma: no cover - bug trap
             raise RuntimeError("spec simulation failed to make progress")
+
+        if pos >= next_check:
+            base = steady.enter(pos)
+            # Only a live window inside the region repeats.
+            if (live == 0 or ring[head] >= steady.start) and steady.gate(
+                pos, cycle, (pos - base, live)
+            ):
+                counts = [full_stall_cycles, branch_stall_cycles]
+                jump = steady.repeat(
+                    pos, cycle,
+                    _spec_key(base, cycle, pos, issue_resume, reg_avail, ring,
+                              head, ent_result),
+                    (t_busy, t_hist, counts), None,
+                )
+                if jump is not None:
+                    repeats, span, gap, _ = jump
+                    full_stall_cycles, branch_stall_cycles = counts
+                    skip = repeats * span
+                    lag = repeats * gap
+                    live_seqs = ring[head:]
+                    # Youngest first: a jump shorter than the window
+                    # overlaps it, and each source is read before it is
+                    # overwritten.
+                    for seq in reversed(live_seqs):
+                        ent_result[seq + skip] = ent_result[seq] + lag
+                    if tracking:
+                        # The live entries commit in the first skipped
+                        # period, one period after the entries before.
+                        for seq in live_seqs:
+                            complete_at[seq] = complete_at[seq - span] + gap
+                        _shift_schedule(issue_at, complete_at, pos, skip,
+                                        span, gap)
+                    ring = [seq + skip for seq in live_seqs]
+                    head = 0
+                    for r, ready in enumerate(reg_avail):
+                        if ready > cycle:
+                            reg_avail[r] = ready + lag
+                    if issue_resume > cycle:
+                        issue_resume += lag
+                    # The last commit needs no shift: whatever is still
+                    # live, or left to issue, commits or resolves later
+                    # than any skipped commit.
+                    pos += skip
+                    cycle += lag
+            next_check = steady.next_check
 
         # ---- commit: retire in order from the head -------------------
         commits = 0
@@ -2222,7 +2393,7 @@ def simulate_spec_fast(
                 last_commit = cycle
             if tracking:
                 complete_at[seq] = cycle
-            t_busy[ent_unit[seq]] += cycle
+            t_busy[ops[seq][0]] += cycle
         if head > 4096 and head * 2 > len(ring):
             del ring[:head]
             head = 0
@@ -2237,44 +2408,14 @@ def simulate_spec_fast(
         ):
             op = ops[pos]
             if op[3]:  # branch
-                if predictor is not None:
-                    if not op[8]:
-                        # Unconditional: decode redirect, one cycle.
-                        issue_resume = cycle + 1
-                    else:
-                        correct = predicted_correct.get(pos)
-                        if correct is None:
-                            t_entry = entries[pos]
-                            taken = bool(op[4])
-                            prediction = predictor.predict_outcome(
-                                t_entry.static_index,
-                                bool(t_entry.backward),
-                                taken,
-                            )
-                            correct = predictor.record(prediction, taken)
-                            predictor.update(t_entry.static_index, taken)
-                            predicted_correct[pos] = correct
-                        if correct:
-                            issue_resume = cycle + 1
-                        else:
-                            a0_tag = latest_instance[_A0] * n_regs + _A0
-                            a0_ready = (
-                                0 if a0_tag < n_regs else tag_avail[a0_tag]
-                            )
-                            if a0_ready > cycle:
-                                break  # mispredicted branch awaiting A0
-                            issue_resume = cycle + recovery_window
-                            flushes += 1
-                            flush_cycles += recovery_window
+                if not op[8]:
+                    issue_resume = cycle + unconditional_delay
+                elif predicting and codes[pos]:
+                    issue_resume = cycle + 1
                 else:
-                    if op[8]:
-                        a0_tag = latest_instance[_A0] * n_regs + _A0
-                        a0_ready = (
-                            0 if a0_tag < n_regs else tag_avail[a0_tag]
-                        )
-                        if a0_ready > cycle:
-                            break  # branch waits at the issue stage
-                    issue_resume = cycle + branch_latency
+                    if reg_avail[_A0] > cycle:
+                        break  # the branch waits for A0 at the issue stage
+                    issue_resume = cycle + resolved_delay
                 if issue_resume > last_commit:
                     # Branches never commit; their resolution still
                     # bounds the machine's finish time.
@@ -2289,35 +2430,20 @@ def simulate_spec_fast(
             unit, dest, srcs = op[0], op[1], op[2]
             ready = cycle + 1
             for src in srcs:
-                tag = latest_instance[src] * n_regs + src
-                avail = 0 if tag < n_regs else tag_avail[tag]
+                avail = reg_avail[src]
                 if avail > ready:
                     ready = avail
             result = ready + latencies[unit]
             if dest >= 0:
-                instance = latest_instance[dest] + 1
-                latest_instance[dest] = instance
-                dest_tag = instance * n_regs + dest
                 if vp_warmup is not None and unit in _VP_UNIT_IDS:
-                    seen = vp_seen.get(entries[pos].static_index, 0)
-                    vp_seen[entries[pos].static_index] = seen + 1
-                    if seen >= vp_warmup:
-                        vp_hits += 1
-                        # Predicted broadcast: consumers read the
-                        # (correct) predicted value next cycle.
-                        tag_avail[dest_tag] = cycle + 1
-                    else:
-                        # The reference emits this FLUSH at the
-                        # producer's commit; every issued entry commits
-                        # before the loop exits, so counting at issue
-                        # keeps the totals identical.
-                        vp_misses += 1
-                        flushes += 1
-                        flush_cycles += value_penalty
-                        tag_avail[dest_tag] = result + value_penalty
+                    # A hit broadcasts the (correct) predicted value next
+                    # cycle; a miss squashes its consumers, who read the
+                    # value late.
+                    reg_avail[dest] = (
+                        cycle + 1 if codes[pos] else result + value_penalty
+                    )
                 else:
-                    tag_avail[dest_tag] = result
-            ent_unit[pos] = unit
+                    reg_avail[dest] = result
             ent_result[pos] = result
             ring.append(pos)
             live += 1
@@ -2327,7 +2453,6 @@ def simulate_spec_fast(
             pos += 1
             issued += 1
 
-        occupancy_sum += live
         t_hist[live * t_stride + issued] += 1
         if pos < n_entries and issued == 0:
             if cycle < issue_resume:
@@ -2347,12 +2472,8 @@ def simulate_spec_fast(
         if pos < n_entries and live < window:
             cand = issue_resume if issue_resume > cycle + 1 else cycle + 1
             op = ops[pos]
-            if op[3] and op[8] and (
-                predictor is None
-                or predicted_correct.get(pos) is False
-            ):
-                a0_tag = latest_instance[_A0] * n_regs + _A0
-                a0_ready = 0 if a0_tag < n_regs else tag_avail[a0_tag]
+            if op[3] and op[8] and not (predicting and codes[pos]):
+                a0_ready = reg_avail[_A0]
                 if a0_ready > cand:
                     cand = a0_ready
             if nxt < 0 or cand < nxt:
@@ -2364,7 +2485,6 @@ def simulate_spec_fast(
         # the reference's cycle-by-cycle walk would have.
         idle = nxt - cycle - 1
         if idle > 0:
-            occupancy_sum += live * idle
             t_hist[live * t_stride] += idle
             if pos < n_entries:
                 blocked = issue_resume - cycle - 1
@@ -2379,24 +2499,27 @@ def simulate_spec_fast(
 
     if tracking:
         record.extend(zip(issue_at, complete_at))
-    detail = {
-        "window_occupancy_mean": occupancy_sum / max(cycle, 1),
-        "window_full_stall_cycles": float(full_stall_cycles),
-        "branch_stall_cycles": float(branch_stall_cycles),
-    }
-    if predictor is not None:
-        detail["prediction_accuracy"] = predictor.stats.accuracy
-    if vp_warmup is not None:
-        total = vp_hits + vp_misses
-        detail["vp_accuracy"] = vp_hits / total if total else 0.0
+    occupancy_sum = 0
     t_width: Dict[int, int] = {}
     t_occupancy: Dict[int, int] = {}
     for index, count in enumerate(t_hist):
         if count:
             level, issued = divmod(index, t_stride)
+            occupancy_sum += level * count
             t_occupancy[level] = t_occupancy.get(level, 0) + count
             if issued:
                 t_width[issued] = t_width.get(issued, 0) + count
+    detail = {
+        "window_occupancy_mean": occupancy_sum / max(cycle, 1),
+        "window_full_stall_cycles": float(full_stall_cycles),
+        "branch_stall_cycles": float(branch_stall_cycles),
+    }
+    mispredicts, vp_misses = outcomes.mispredicts, outcomes.vp_misses
+    if predicting:
+        detail["prediction_accuracy"] = outcomes.accuracy
+    if vp_warmup is not None:
+        total = outcomes.vp_hits + vp_misses
+        detail["vp_accuracy"] = outcomes.vp_hits / total if total else 0.0
     detail.update(SimTelemetry(
         instructions=n_entries,
         cycles=max(last_commit, 1),
@@ -2411,8 +2534,8 @@ def simulate_spec_fast(
         },
         issue_width=t_width,
         occupancy=t_occupancy,
-        flushes=flushes,
-        flush_cycles=flush_cycles,
+        flushes=mispredicts + vp_misses,
+        flush_cycles=mispredicts * recovery_window + vp_misses * value_penalty,
     ).to_detail())
     return SimulationResult(
         trace_name=compiled.name,

@@ -8,6 +8,8 @@ overlap in execution, no dependence checking is needed at all.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from ..trace import Trace
 from .base import Simulator
 from .config import MachineConfig
@@ -23,23 +25,32 @@ class SimpleMachine(Simulator):
 
     def simulate(self, trace: Trace, config: MachineConfig) -> SimulationResult:
         latencies = config.latencies
+        # Per opcode (keyed by identity: enum members are singletons, and
+        # their hash is a Python-level call): the execute latency and
+        # whether the element count adds to it, resolved once per call.
+        timing: Dict[int, Tuple[int, bool]] = {}
         # Cycle the previous instruction leaves the execute stage.
         prev_complete = 0
         # Cycle the current instruction occupies the issue stage.
         issue = 0
-        last_complete = 0
 
-        for entry in trace:
-            latency = entry.instruction.latency(latencies)
-            if entry.instruction.is_vector:
+        for entry in trace.entries:
+            opcode = entry.instruction.opcode
+            resolved = timing.get(id(opcode))
+            if resolved is None:
+                resolved = timing[id(opcode)] = (
+                    latencies.latency(opcode.unit), opcode.is_vector
+                )
+            latency, is_vector = resolved
+            if is_vector:
                 # A vector operation streams its elements serially.
                 latency += entry.vector_length or 0
             # The instruction sits in decode/issue (1 cycle minimum) and
             # moves to execute once the predecessor is done.
-            exec_start = max(issue + 1, prev_complete)
-            complete = exec_start + latency
-            prev_complete = complete
-            last_complete = complete
+            exec_start = issue + 1
+            if prev_complete > exec_start:
+                exec_start = prev_complete
+            prev_complete = exec_start + latency
             # The issue stage frees when this instruction moves to execute.
             issue = exec_start
 
@@ -48,5 +59,5 @@ class SimpleMachine(Simulator):
             simulator=self.name,
             config=config,
             instructions=len(trace),
-            cycles=last_complete,
+            cycles=prev_complete,
         )

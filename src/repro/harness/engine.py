@@ -311,21 +311,29 @@ def _decode(
 
 
 def _compute_records(
-    trace: Trace, cells: Sequence[Cell]
+    trace: Trace, cells: Sequence[Cell], keys: Sequence[str]
 ) -> Tuple[List[Tuple[str, float, float]], List[Dict[str, Any]]]:
     """Work phases ``(span name, start, end)`` and one record per cell.
 
-    The simulator cells share one :func:`repro.core.fastpath.simulate_sweep`
-    call (the ``replay`` phase); each limits cell is one limits
-    computation (together the ``limits`` phase).  A plan replays each
-    trace in one group, so the replay phase ends by dropping the plans
-    memoised on the compiled trace (``CompiledTrace.derived``): the
-    trace memo keeps the trace and its compilation, not them.  A trace
-    no replay compiled (the fast path off) stays uncompiled.
+    Cells that share a cell key (*keys*, one per cell) are one
+    simulation -- a rate cell and an accuracy cell over the same
+    machine, say -- so each distinct key is computed once and its cells
+    share the record.  The simulator keys share one
+    :func:`repro.core.fastpath.simulate_sweep` call (the ``replay``
+    phase); each limits key is one limits computation (together the
+    ``limits`` phase).  A plan replays each trace in one group, so the
+    replay phase ends by dropping the plans memoised on the compiled
+    trace (``CompiledTrace.derived``): the trace memo keeps the trace
+    and its compilation, not them.  A trace no replay compiled (the
+    fast path off) stays uncompiled.
     """
-    records: List[Dict[str, Any]] = [{} for _ in cells]
+    first: Dict[str, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    distinct = list(first.values())
+    computed: Dict[str, Dict[str, Any]] = {}
     phases: List[Tuple[str, float, float]] = []
-    sims = [i for i, cell in enumerate(cells) if not cell.is_limits]
+    sims = [i for i in distinct if not cells[i].is_limits]
     if sims:
         start = time.monotonic()
         items = [
@@ -333,7 +341,7 @@ def _compute_records(
             for i in sims
         ]
         for i, result in zip(sims, fastpath.simulate_sweep(trace, items)):
-            records[i] = {
+            computed[keys[i]] = {
                 "trace": result.trace_name,
                 "simulator": result.simulator,
                 "instructions": result.instructions,
@@ -342,15 +350,16 @@ def _compute_records(
             }
         fastpath.drop_derived(trace)
         phases.append(("replay", start, time.monotonic()))
-    if len(sims) < len(cells):
+    if len(sims) < len(distinct):
         start = time.monotonic()
-        for i, cell in enumerate(cells):
+        for i in distinct:
+            cell = cells[i]
             if not cell.is_limits:
                 continue
             report = compute_limits(
                 trace, config_by_name(cell.config), serial=cell.serial
             )
-            records[i] = {
+            computed[keys[i]] = {
                 "limits": {
                     "pseudo-dataflow": report.pseudo_dataflow_rate,
                     "resource": report.resource_rate,
@@ -358,7 +367,7 @@ def _compute_records(
                 }
             }
         phases.append(("limits", start, time.monotonic()))
-    return phases, records
+    return phases, [computed[key] for key in keys]
 
 
 def evaluate_group(
@@ -375,8 +384,8 @@ def evaluate_group(
     for the simulator cells -- gating is per sweep member, so a
     fast-path-disabled member still runs its reference loop and the
     table stays bit-identical to per-cell evaluation -- and one limits
-    computation per limits cell.  Their records go back in one segment
-    write.
+    computation per limits cell; misses that share a cell key share one
+    computation.  Their records go back in one segment write.
 
     The group is one ``sweep:<source>`` span with ``cells`` and ``hits``
     attributes (plus ``trace_source`` when it computed).  A group served
@@ -401,14 +410,17 @@ def evaluate_group(
     # Every cell's detail, summed per key; _sim_metrics keeps ``tlm.*``.
     detail_totals: Dict[str, float] = {}
     timings: Dict[str, str] = {}
+    keys: List[str] = []
+    for _, cell in group:
+        timing = timings.get(cell.config)
+        if timing is None:
+            timing = timings[cell.config] = timing_key(cell.config)
+        keys.append(cell_key(cell, timing))
     if cache is not None:
         segment = cache.read_segment(segment_key(source))
         for position, (_, cell) in enumerate(group):
-            timing = timings.get(cell.config)
-            if timing is None:
-                timing = timings[cell.config] = timing_key(cell.config)
             hit = segment.lookup(
-                cell_key(cell, timing), functools.partial(_decode, cell)
+                keys[position], functools.partial(_decode, cell)
             )
             if hit is not None:
                 values[position], detail = hit
@@ -430,7 +442,9 @@ def evaluate_group(
         resolved = time.monotonic()
         children.append(("resolve", looked_up, resolved))
         cells = [group[position][1] for position in pending]
-        phases, records = _compute_records(trace, cells)
+        phases, records = _compute_records(
+            trace, cells, [keys[position] for position in pending]
+        )
         children.extend(phases)
         for position, cell, record in zip(pending, cells, records):
             values[position] = _values_from_record(cell, record)
@@ -439,8 +453,8 @@ def evaluate_group(
         if cache is not None:
             storing = time.monotonic()
             cache.store_segment(segment_key(source), {
-                cell_key(cell, timings[cell.config]): record
-                for cell, record in zip(cells, records)
+                keys[position]: record
+                for position, record in zip(pending, records)
             })
             children.append(("store", storing, time.monotonic()))
         metrics.update(_fastpath_deltas(fastpath_before, fastpath.stats()))

@@ -371,6 +371,36 @@ class TestFastpathCounters:
         assert warm_counters.get("fastpath.fast_runs", 0.0) == 0.0
 
 
+    def test_cells_sharing_a_key_replay_once(self, small_sizes):
+        """Table 9's rate and accuracy columns read one simulation: a
+        cold run replays each distinct (machine, trace, config) once --
+        80 speculative replays, not one per cell (140) -- and the
+        ``sim.*`` counters still sum every cell, as a warm run does."""
+        from repro.core import fastpath
+
+        if not fastpath.enabled():
+            pytest.skip("fast path disabled via REPRO_FASTPATH")
+        plan = build_plan("table9", small_sizes)
+        cold = run_plan(plan, workers=1, cache=DiskCache(), observe=True)
+        counters = cold.stats.metrics["counters"]
+        assert counters["fastpath.python.fast_runs"] == 80
+        assert counters["fastpath.batch.fast_runs"] == 20  # RUU x4 R50
+        clear_process_memo()
+        warm = run_plan(plan, workers=1, cache=DiskCache(), observe=True)
+        assert warm.stats.result_hits == len(plan.cells)
+        assert warm.table.rows == cold.table.rows
+
+        def sim_counters(run):
+            return {
+                key: value
+                for key, value in run.manifest.metrics["counters"].items()
+                if key.startswith("sim.")
+            }
+
+        assert sim_counters(cold)
+        assert sim_counters(warm) == sim_counters(cold)
+
+
 class TestWarmTelemetry:
     def test_cold_and_warm_report_identical_sim_counters(self):
         """A warm run folds ``sim.*`` counters from the cached records,

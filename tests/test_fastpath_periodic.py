@@ -1,16 +1,18 @@
-"""The steady-state fast-forward of the RUU, out-of-order, in-order and
-scoreboard loops.
+"""The steady-state fast-forward of the RUU, out-of-order, in-order,
+scoreboard and speculative loops.
 
 ``compile_trace`` marks the periodic regions of a trace (one loop body
 repeated), and :func:`~repro.core.fastpath.python_backend.ruu_replay`,
 :func:`~repro.core.fastpath.python_backend.ooo_replay`,
-:func:`~repro.core.fastpath.python_backend.simulate_inorder_fast` and
-:func:`~repro.core.fastpath.python_backend.simulate_scoreboard_fast`
-credit every whole period after the first repeated state in closed
-form.  The skip path must be invisible on traces that are mostly
-periodic -- the Livermore kernels and fuzzed bodies repeated many times:
-cycles, rates, ``detail`` and the per-instruction schedule equal the
-reference loops', and the whole replay (``tlm.*`` telemetry and the RUU
+:func:`~repro.core.fastpath.python_backend.simulate_inorder_fast`,
+:func:`~repro.core.fastpath.python_backend.simulate_scoreboard_fast` and
+:func:`~repro.core.fastpath.python_backend.simulate_spec_fast` credit
+every whole period after the first repeated state in closed form (the
+speculative loop only where its predictor outcomes repeat too).  The
+skip path must be invisible on traces that are mostly periodic -- the
+Livermore kernels and fuzzed bodies repeated many times: cycles, rates,
+``detail`` and the per-instruction schedule equal the reference loops',
+and the whole replay (``tlm.*`` telemetry, the accuracies and the RUU
 peak included) equals the same loop's replay of the trace with its
 regions dropped.
 """
@@ -28,10 +30,12 @@ from repro.core.fastpath.python_backend import (
     FAMILY_LOOPS,
     ooo_replay,
     ruu_replay,
+    spec_outcomes,
 )
 from repro.core.ooo_multi import OutOfOrderMultiIssueMachine
 from repro.core.registry import build_simulator
 from repro.core.ruu import RUUMachine
+from repro.isa import A, S, V, Instruction, Opcode
 from repro.kernels import DEFAULT_SIZES, SMALL_SIZES
 from repro.kernels.vectorized import VECTORIZED_LOOPS
 from repro.trace import TraceEntry
@@ -40,15 +44,20 @@ from repro.trace.sources import trace_source
 from repro.verify.fuzz import FuzzSpec, fuzz_trace
 
 from helpers import aadd, fmul, frecip, jan, loads
-from test_fastpath_diff import _assert_fast_matches_reference
+from test_fastpath_diff import (
+    _assert_fast_matches_reference,
+    _assert_spec_matches_reference,
+)
 
 CONFIGS = (M11BR5, M11BR2, M5BR5, M5BR2)
 
 #: The skip-path matrix: RUU sizes below, at and above a body's live
 #: window, one- and N-bus, the out-of-order drains (single-slot, scan,
-#: shared bus, crossbar, no WAR), in-order widths and bus wirings, and
-#: the scoreboard machines (result bus, chaining, unpipelined units,
-#: serial memory).
+#: shared bus, crossbar, no WAR), in-order widths and bus wirings, the
+#: scoreboard machines (result bus, chaining, unpipelined units, serial
+#: memory), and the speculative machines (every predictor kind, a
+#: recovery penalty, both value predictors, one commit bus, a small
+#: single-issue window).
 SPECS = (
     "ruu:1:1",
     "ruu:2:10",
@@ -68,6 +77,16 @@ SPECS = (
     "cray-unchained",
     "serialmemory",
     "nonsegmented",
+    "spec:50:none",
+    "spec:50:btfn",
+    "spec:50:1bit:rp=4",
+    "spec:50:2bit",
+    "spec:50:2bit:vp=last",
+    "spec:50:2bit:vp=stride",
+    "spec:50:2bit:bus=1bus",
+    "spec:50:perfect",
+    "spec:50:wrong",
+    "spec:8:2bit:units=1",
 )
 
 #: The scoreboard machines, which also issue vector code.
@@ -98,10 +117,13 @@ def _fastpath_on():
 
 def _assert_matches(simulator, trace, config, context):
     """The reference contract, plus: skipping changes nothing at all."""
-    _assert_fast_matches_reference(simulator, trace, config, context)
+    family = fastpath.family_of(simulator)
+    if family == "spec":
+        _assert_spec_matches_reference(simulator, trace, config, context)
+    else:
+        _assert_fast_matches_reference(simulator, trace, config, context)
     compiled = compile_trace(trace)
     flat = replace(compiled, regions=())
-    family = fastpath.family_of(simulator)
     if family == "ruu":
         skipped = ruu_replay(compiled, simulator, config, tracking=True)
         replayed = ruu_replay(flat, simulator, config, tracking=True)
@@ -128,12 +150,25 @@ def _kernel(loop: int, sizes=SMALL_SIZES):
     return trace_source(f"kernel:{loop}:n={sizes[loop]}")
 
 
-def _closing_branch(static_index: int) -> TraceEntry:
-    instruction, taken = jan(True)
+def _closing_branch(static_index: int, taken: bool = True) -> TraceEntry:
+    instruction, taken = jan(taken)
     return TraceEntry(
         seq=0, static_index=static_index, instruction=instruction,
         taken=taken,
     )
+
+
+def _entries(*items):
+    """Hand-built entries, static index = position: instructions, or
+    ``(instruction, vector length)`` pairs."""
+    entries = []
+    for index, item in enumerate(items):
+        instruction, length = item if isinstance(item, tuple) else (item, None)
+        entries.append(TraceEntry(
+            seq=0, static_index=index, instruction=instruction,
+            vector_length=length,
+        ))
+    return entries
 
 
 def _repeated(body, times: int, *, prefix=(), suffix=(), name="periodic"):
@@ -309,6 +344,183 @@ def test_trace_ending_with_its_region(name, simulator):
             )
 
 
+# ----------------------------------------------------------------------
+# Key fields a repeated body must not hide
+# ----------------------------------------------------------------------
+
+def test_inorder_key_holds_the_open_issue_run():
+    """The region's first fetch buffer waits for a late address
+    register and ends in a lone store; every later one ends in a store
+    issued with the PASS before it.  Nothing but the open issue-width
+    run tells the boundary after the first buffer from the later ones,
+    so a key without it credits the wrong issue-width histogram."""
+    prefix = _shifted(_entries(
+        Instruction(Opcode.LOADA, A(3), (A(1), 0)),
+        Instruction(Opcode.LOADA, A(2), (A(1), 0)),
+        Instruction(Opcode.STORES, None, (S(4), A(1), 0)),
+        Instruction(Opcode.LOADA, A(3), (A(1), 0)),
+    ), 1000)
+    body = _entries(
+        Instruction(Opcode.PASS, None, ()),
+        Instruction(Opcode.STOREA, None, (A(3), A(1), 0)),
+    )
+    trace = _repeated(body, 24, prefix=prefix)
+    assert compile_trace(trace).regions == ((4, 2, 52),)
+    for spec in ("inorder:4", "inorder:4:1bus"):
+        simulator = build_simulator(spec)
+        for config in CONFIGS:
+            _assert_matches(simulator, trace, config, (spec, config.name))
+
+
+def test_scoreboard_key_holds_the_write_done_cycles():
+    """A chained vector write (VSMUL into V2, read by the next body's
+    VVADD) finishes its tail a cycle earlier relative to the issue front
+    for a few bodies after every other key field has settled: only the
+    write-done cycles tell those boundaries apart."""
+    body = _entries(
+        Instruction(Opcode.PASS, None, ()),
+        (Instruction(Opcode.VVADD, V(4), (V(2), V(1))), 8),
+        (Instruction(Opcode.VSMUL, V(2), (S(1), V(1))), 8),
+        (Instruction(Opcode.VSTORE, None, (V(1), A(2), 1)), 1),
+    )
+    trace = _repeated(body, 14)
+    assert compile_trace(trace).regions
+    simulator = build_simulator("cray")
+    for config in CONFIGS:
+        _assert_matches(simulator, trace, config, config.name)
+
+
+def test_spec_key_holds_the_register_ready_cycles():
+    """A reciprocal that is a new static instruction in every body (as
+    in fully unrolled code) misses value prediction every time: its
+    register can turn ready up to ``value_penalty`` cycles after the
+    producer commits, a state no live entry shows."""
+    entries = []
+    for body in range(20):
+        entries += _entries(
+            frecip(3, 2), frecip(2, 1), frecip(2, 2),
+            Instruction(Opcode.STORES, None, (S(4), A(1), 0)),
+        )
+        # The third reciprocal: a static instruction of its own.
+        entries[-2] = replace(entries[-2], static_index=1000 * (body + 1))
+        entries.append(_closing_branch(4))
+    trace = assemble_trace(entries, name="unrolled")
+    assert compile_trace(trace).regions
+    simulator = build_simulator("spec:4:2bit:vp=last:units=2")
+    for config in CONFIGS:
+        _assert_matches(simulator, trace, config, config.name)
+
+
+def test_spec_key_holds_the_issue_resume_cycle():
+    """Without speculation a single-issue machine waits a branch time
+    behind every closing branch; the cycle issue resumes is no live
+    entry's, so the key carries it."""
+    body = _entries(
+        Instruction(Opcode.FADD, S(2), (S(4), S(3))),
+        Instruction(Opcode.STORES, None, (S(4), A(1), 0)),
+    )
+    body.append(_closing_branch(len(body)))
+    trace = _repeated(body, 29)
+    simulator = build_simulator("spec:3:none:units=1")
+    for config in CONFIGS:
+        _assert_matches(simulator, trace, config, config.name)
+
+
+# ----------------------------------------------------------------------
+# Speculation: outcomes that settle inside a region
+# ----------------------------------------------------------------------
+
+def _skipped(simulator, trace) -> int:
+    fastpath.reset_stats()
+    simulator.simulate(trace, M11BR5)
+    return fastpath.stats()["python.skipped_instructions"]
+
+
+def test_spec_region_whose_first_bodies_mispredict():
+    """A prefix trains the closing branch's 2-bit counter against the
+    body (not taken), so the body's branch mispredicts in the first two
+    bodies: the speculative loop's region starts a body later than the
+    trace's, where the outcomes settle, and still skips exactly."""
+    body = _entries(aadd(1, 1), loads(4, 1), fmul(2, 4, 4), aadd(0, 0, -1))
+    body.append(_closing_branch(len(body)))
+    prefix = []
+    for filler in _shifted(_entries(aadd(3, 3), aadd(5, 5), aadd(6, 6)), 1000):
+        prefix += [filler, _closing_branch(len(body) - 1, taken=False)]
+    trace = _repeated(body, 30, prefix=prefix)
+    compiled = compile_trace(trace)
+    [(start, period, end)] = compiled.regions
+    for spec in ("spec:50:2bit", "spec:8:2bit:units=1"):
+        simulator = build_simulator(spec)
+        outcomes = spec_outcomes(
+            compiled, simulator.predictor_factory, None,
+            entries=trace.entries,
+        )
+        assert outcomes.regions == ((start + period, period, end),)
+        for config in CONFIGS:
+            _assert_matches(simulator, trace, config, (spec, config.name))
+        assert _skipped(simulator, trace) > 0, spec
+
+
+def test_spec_value_warm_up_spanning_two_bodies():
+    """``vp=stride`` misses a producer's first two instances: the
+    region's first body still misses, so the speculative loop's region
+    starts a body later, while ``vp=last`` hits from the region start."""
+    trace = _repeated(_recurrence_body(), 30)
+    compiled = compile_trace(trace)
+    [(start, period, end)] = compiled.regions
+    for spec, first in (("spec:50:2bit:vp=stride", start + period),
+                        ("spec:50:2bit:vp=last", start)):
+        simulator = build_simulator(spec)
+        outcomes = spec_outcomes(
+            compiled, simulator.predictor_factory, simulator.vp_warmup,
+            entries=trace.entries,
+        )
+        assert outcomes.regions == ((first, period, end),), spec
+        for config in CONFIGS:
+            _assert_matches(simulator, trace, config, (spec, config.name))
+        assert _skipped(simulator, trace) > 0, spec
+
+
+def test_spec_outcomes_settling_deep_in_a_region():
+    """Four static copies of a body's first four ops take turns, as an
+    unrolled loop's would, so the period scan sees a one-body period
+    while ``vp=stride`` warms each copy of a producer up over two of its
+    own instances: the outcomes settle eight bodies in.  A jump taken
+    from a repeated state before that point would skip the change from
+    value misses to hits."""
+    ops = (
+        Instruction(Opcode.FMUL, S(4), (S(4), S(5))),
+        Instruction(Opcode.FMUL, S(2), (S(4), S(4))),
+        Instruction(Opcode.FADD, S(2), (S(1), S(5))),
+        Instruction(Opcode.LOADS, S(3), (A(1), 0)),
+        Instruction(Opcode.FMUL, S(2), (S(3), S(1))),
+    )
+    entries = []
+    for body in range(15):
+        copy = 100 * (body % 4 + 1)
+        entries += [
+            TraceEntry(
+                seq=0, static_index=index + (copy if index < 4 else 0),
+                instruction=instruction,
+            )
+            for index, instruction in enumerate(ops)
+        ]
+        entries.append(_closing_branch(50))
+    trace = assemble_trace(entries, name="copies")
+    compiled = compile_trace(trace)
+    [(start, period, end)] = compiled.regions
+    assert (start, period) == (period, len(ops) + 1)
+    for spec in ("spec:2:2bit:vp=stride:units=1", "spec:8:2bit:vp=stride"):
+        simulator = build_simulator(spec)
+        outcomes = spec_outcomes(
+            compiled, simulator.predictor_factory, simulator.vp_warmup,
+            entries=trace.entries,
+        )
+        assert outcomes.regions == ((8 * period, period, end),), spec
+        for config in CONFIGS:
+            _assert_matches(simulator, trace, config, (spec, config.name))
+
+
 #: Instructions the fast-forward skips over loops 1-14 at M11BR5, per
 #: spec: 27,857 instructions at the default sizes, 3,612 at
 #: ``SMALL_SIZES``.  Bit-identity cannot see a replay that stops
@@ -323,10 +535,13 @@ SKIPPED = {
     ("default", "inorder:4"): 24_539,
     ("default", "inorder:4:xbar"): 24_539,
     ("default", "cray"): 23_964,
+    ("default", "spec:50:2bit"): 19_778,
+    ("default", "spec:50:2bit:vp=last"): 19_426,
     ("small", "ruu:4:50"): 234,
     ("small", "ooo:4"): 1_313,
     ("small", "inorder:4"): 1_321,
     ("small", "cray"): 992,
+    ("small", "spec:50:2bit"): 38,
 }
 
 
