@@ -184,6 +184,28 @@ def _compiled(trace: Trace) -> Optional[CompiledTrace]:
     return hit[1] if hit is not None and hit[0]() is trace else None
 
 
+def _static_facts(instr) -> tuple:
+    """``(unit, dest, srcs, is_branch, is_vector, uses_bus, is_cond)`` of
+    *instr*: the part of its :data:`Op` that no trace entry changes."""
+    dest = instr.dest
+    if dest is None:
+        dest_id = -1
+        uses_bus = False
+    else:
+        dest_id = _FILE_OFFSETS[dest.file] + dest.index
+        uses_bus = dest.is_address or dest.is_scalar
+    srcs = tuple(
+        _FILE_OFFSETS[src.file] + src.index for src in instr.source_registers
+    )
+    is_vector = instr.is_vector
+    is_branch = instr.is_branch
+    return (
+        _UNIT_INDEX[instr.unit], dest_id, srcs, is_branch, is_vector,
+        uses_bus and not is_vector,
+        instr.is_conditional_branch if is_branch else False,
+    )
+
+
 def compile_trace(trace: Trace) -> CompiledTrace:
     """Lower *trace* to flat integer tuples (cached per trace object)."""
     compiled = _compiled(trace)
@@ -193,8 +215,6 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     _STATS["cache_misses"] += 1
     key = id(trace)
 
-    file_offsets = _FILE_OFFSETS
-    unit_index = _UNIT_INDEX
     ops: List[Op] = []
     has_vector = False
     # Period scan state: the latest seq of each static instruction, the
@@ -205,30 +225,21 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     period = 0
     run_start = 0
     floor = 0
+    # Static facts per Instruction object: the entries of one static
+    # instruction usually share one object, so each resolves once.
+    resolved: Dict[int, tuple] = {}
     for seq, entry in enumerate(trace.entries):
         instr = entry.instruction
-        unit = unit_index[instr.unit]
-        dest = instr.dest
-        if dest is None:
-            dest_id = -1
-            uses_bus = False
-        else:
-            dest_id = file_offsets[dest.file] + dest.index
-            uses_bus = dest.is_address or dest.is_scalar
-        srcs = tuple(
-            file_offsets[src.file] + src.index
-            for src in instr.source_registers
-        )
-        is_vector = instr.is_vector
+        facts = resolved.get(id(instr))
+        if facts is None:
+            facts = resolved[id(instr)] = _static_facts(instr)
+        unit, dest_id, srcs, is_branch, is_vector, uses_bus, is_cond = facts
         if is_vector:
             has_vector = True
-            uses_bus = False
             vl = entry.vector_length or 0
         else:
             vl = 0
-        is_branch = instr.is_branch
         taken = bool(entry.taken) if is_branch else False
-        is_cond = instr.is_conditional_branch if is_branch else False
         op = (unit, dest_id, srcs, is_branch, taken, is_vector, vl, uses_bus,
               is_cond)
         ops.append(op)

@@ -695,8 +695,10 @@ def simulate_tomasulo_fast(
 ) -> SimulationResult:
     """Fast twin of :meth:`TomasuloMachine.reference_simulate`.
 
-    Stations live in flat per-seq arrays, operand tags are packed
-    integers (``instance * N_REGISTERS + register``), and the per-cycle
+    Stations live in flat per-seq arrays.  An operand tag names the
+    latest earlier write of its register, a function of program order
+    alone, so tags are the producer seqs of :func:`ruu_plan` and a
+    result's broadcast cycle is one list slot per seq.  The per-cycle
     outer loop jumps straight to the next cycle anything can happen:
     the wakeup heap's root, the station release that unblocks issue, a
     known branch-operand availability, or branch resolution.  Inside an
@@ -712,12 +714,11 @@ def simulate_tomasulo_fast(
 
     ops = compiled.ops
     n_entries = compiled.n
-    n_regs = N_REGISTERS
     n_units = len(UNITS)
+    _units, producers, consumers, branch_wait, _ring = ruu_plan(compiled)
 
-    latest_instance = [0] * n_regs
-    tag_avail: Dict[int, int] = {}
-    waiting_on: Dict[int, List[int]] = {}
+    # Broadcast cycle of each seq's result, _UNKNOWN until it dispatches.
+    avail = [_UNKNOWN] * n_entries
 
     st_unit = [0] * n_entries
     st_latency = [0] * n_entries
@@ -772,14 +773,17 @@ def simulate_tomasulo_fast(
                 continue
             fu_next[unit] = cycle + 1
             finish = cycle + st_latency[seq]
-            dest_tag = st_dest[seq]
-            if dest_tag >= 0:
+            if st_dest[seq] >= 0:
                 broadcast = finish
                 while cdb_used.get(broadcast, 0) >= cdb_width:
                     broadcast += 1
                 cdb_used[broadcast] = cdb_used.get(broadcast, 0) + 1
-                tag_avail[dest_tag] = broadcast
-                for dep in waiting_on.pop(dest_tag, ()):
+                avail[seq] = broadcast
+                # The consumers already issued are exactly those still
+                # waiting on this result.
+                for dep in consumers[seq]:
+                    if dep >= pos:
+                        break
                     pending = st_pending[dep] - 1
                     st_pending[dep] = pending
                     if broadcast > st_ready[dep]:
@@ -804,13 +808,8 @@ def simulate_tomasulo_fast(
         if pos < n_entries and cycle >= issue_resume:
             op = ops[pos]
             if op[3]:  # branch
-                a0_ready = 0
-                if op[8]:  # conditional: reads the tested register
-                    src = op[2][0]
-                    tag = latest_instance[src] * n_regs + src
-                    a0_ready = (
-                        0 if tag < n_regs else tag_avail.get(tag, _UNKNOWN)
-                    )
+                producer = branch_wait[pos]
+                a0_ready = 0 if producer < 0 else avail[producer]
                 if a0_ready != _UNKNOWN and a0_ready <= cycle:
                     resolve = cycle + branch_latency
                     # Every no-issue cycle in front of a branch --
@@ -835,27 +834,15 @@ def simulate_tomasulo_fast(
                     count -= 1
                 busy_count[unit] = count
                 if count < capacity:
-                    dest = op[1]
-                    srcs = op[2]
-                    src_tags = [
-                        latest_instance[src] * n_regs + src for src in srcs
-                    ]
-                    if dest >= 0:
-                        instance = latest_instance[dest] + 1
-                        latest_instance[dest] = instance
-                        st_dest[pos] = instance * n_regs + dest
+                    st_dest[pos] = op[1]
                     pending = 0
                     ready = cycle + 1  # earliest start: next cycle
-                    for tag in src_tags:
-                        avail = (
-                            0 if tag < n_regs
-                            else tag_avail.get(tag, _UNKNOWN)
-                        )
-                        if avail == _UNKNOWN:
+                    for producer in producers[pos]:
+                        back = avail[producer]
+                        if back == _UNKNOWN:
                             pending += 1
-                            waiting_on.setdefault(tag, []).append(pos)
-                        elif avail > ready:
-                            ready = avail
+                        elif back > ready:
+                            ready = back
                     st_unit[pos] = unit
                     st_latency[pos] = latencies[unit]
                     st_pending[pos] = pending
@@ -890,16 +877,13 @@ def simulate_tomasulo_fast(
             cand = issue_resume if issue_resume > cycle + 1 else cycle + 1
             op = ops[pos]
             if op[3]:
-                if op[8]:
-                    src = op[2][0]
-                    tag = latest_instance[src] * n_regs + src
-                    avail = (
-                        0 if tag < n_regs else tag_avail.get(tag, _UNKNOWN)
-                    )
-                    if avail == _UNKNOWN:
+                producer = branch_wait[pos]
+                if producer >= 0:
+                    back = avail[producer]
+                    if back == _UNKNOWN:
                         cand = -1  # producer must dispatch first
-                    elif avail > cand:
-                        cand = avail
+                    elif back > cand:
+                        cand = back
             else:
                 unit = op[0]
                 heap_u = release_heaps[unit]
@@ -1588,52 +1572,62 @@ def _ooo_plan(compiled, units: int, enforce_war: bool) -> List[tuple]:
     The buffer cut (after the first taken branch) and the intra-buffer
     hazard structure are config-independent, so the plan is shared by
     every sweep member and memoised on the compiled trace across sweep
-    and per-spec calls.  Records are ``(pos, tag, payload, full_mask)``.
-    A single's payload is its op tuple; any other buffer's is one
-    ``(bit, gate, branches, unit, dest, srcs, is_branch)`` tuple per
+    and per-spec calls.  Records are ``(pos, tag, payload, full_mask)``
+    (see :func:`_ooo_decode`); buffers with equal ops share one decode,
+    so a loop body's buffers decode once.
+    """
+    ops = compiled.ops
+    buffers: List[tuple] = []
+    decoded: Dict[tuple, tuple] = {}
+    for pos, blen in zip(*fetch_buffers(compiled, units)):
+        window = ops[pos:pos + blen]
+        record = decoded.get(window)
+        if record is None:
+            record = decoded[window] = _ooo_decode(window, enforce_war)
+        buffers.append((pos, *record))
+    return buffers
+
+
+def _ooo_decode(window, enforce_war: bool) -> tuple:
+    """``(tag, payload, full_mask)`` of the fetch buffer holding the ops
+    *window*.  A single's payload is its op tuple; any other buffer's is
+    one ``(bit, gate, branches, unit, dest, srcs, is_branch)`` tuple per
     slot, where ``gate`` masks the earlier slots that must issue first
     (RAW/WAW, WAR when enforced, and every earlier branch) and
     ``branches`` lists the earlier branch slots that must also have
     resolved.
     """
-    ops = compiled.ops
-    buffers: List[tuple] = []
-    for pos, blen in zip(*fetch_buffers(compiled, units)):
-        if blen == 1:
-            buffers.append((pos, _SINGLE, ops[pos], 0))
-            continue
+    if len(window) == 1:
+        return (_SINGLE, window[0], 0)
 
-        # Independent: no branch, no shared functional unit and no
-        # register shared in any direction (see :func:`ooo_replay`).
-        slots: List[tuple] = []
-        units_seen = 0
-        indep = True
-        for slot in range(blen):
-            unit, dest, srcs, is_branch = ops[pos + slot][:4]
-            gate = 0
-            branches = []
-            for earlier, (_b, _g, _bs, _u, edest, esrcs, ebranch) in (
-                enumerate(slots)
-            ):
-                if ebranch:
-                    gate |= 1 << earlier
-                    branches.append(earlier)
-                if edest >= 0 and (edest in srcs or edest == dest):
-                    gate |= 1 << earlier
-                    indep = False
-                elif dest >= 0 and dest in esrcs:
-                    indep = False
-                    if enforce_war:
-                        gate |= 1 << earlier
-            if is_branch or units_seen >> unit & 1:
+    # Independent: no branch, no shared functional unit and no register
+    # shared in any direction (see :func:`ooo_replay`).
+    slots: List[tuple] = []
+    units_seen = 0
+    indep = True
+    for slot, op in enumerate(window):
+        unit, dest, srcs, is_branch = op[:4]
+        gate = 0
+        branches = []
+        for earlier, (_b, _g, _bs, _u, edest, esrcs, ebranch) in (
+            enumerate(slots)
+        ):
+            if ebranch:
+                gate |= 1 << earlier
+                branches.append(earlier)
+            if edest >= 0 and (edest in srcs or edest == dest):
+                gate |= 1 << earlier
                 indep = False
-            units_seen |= 1 << unit
-            slots.append((1 << slot, gate, tuple(branches), unit, dest, srcs,
-                          is_branch))
-        buffers.append(
-            (pos, _INDEP if indep else _SCAN, tuple(slots), (1 << blen) - 1)
-        )
-    return buffers
+            elif dest >= 0 and dest in esrcs:
+                indep = False
+                if enforce_war:
+                    gate |= 1 << earlier
+        if is_branch or units_seen >> unit & 1:
+            indep = False
+        units_seen |= 1 << unit
+        slots.append((1 << slot, gate, tuple(branches), unit, dest, srcs,
+                      is_branch))
+    return (_INDEP if indep else _SCAN, tuple(slots), (1 << len(window)) - 1)
 
 
 def _ooo_key(cycle, last_event, regs, fuf, buses, horizon) -> tuple:

@@ -101,20 +101,20 @@ class Instruction:
 
     @property
     def is_conditional_branch(self) -> bool:
-        return self.kind is OpKind.BRANCH_COND
+        return self.opcode.kind is OpKind.BRANCH_COND
 
     @property
     def is_load(self) -> bool:
-        return self.kind is OpKind.LOAD
+        return self.opcode.kind is OpKind.LOAD
 
     @property
     def is_store(self) -> bool:
-        return self.kind is OpKind.STORE
+        return self.opcode.kind is OpKind.STORE
 
     @property
     def accesses_memory(self) -> bool:
         """True for every memory-port instruction, scalar or vector."""
-        return self.unit is FunctionalUnit.MEMORY
+        return self.opcode.unit is FunctionalUnit.MEMORY
 
     @property
     def is_vector(self) -> bool:

@@ -97,55 +97,19 @@ class Opcode(enum.Enum):
     # -- misc ------------------------------------------------------------------
     PASS = "PASS"  # no-operation
 
-    @property
-    def info(self) -> "OpcodeInfo":
-        """Static metadata for this opcode."""
-        return OPCODE_INFO[self]
-
-    @property
-    def unit(self) -> FunctionalUnit:
-        return self.info.unit
-
-    @property
-    def kind(self) -> OpKind:
-        return self.info.kind
-
-    @property
-    def parcels(self) -> int:
-        return self.info.parcels
-
-    @property
-    def is_branch(self) -> bool:
-        return self.kind in (OpKind.BRANCH_COND, OpKind.BRANCH_UNCOND)
-
-    @property
-    def is_memory(self) -> bool:
-        return self.kind in (OpKind.LOAD, OpKind.STORE)
-
-    @property
-    def writes_register(self) -> bool:
-        """True if the opcode produces a register result."""
-        return self.kind not in (
-            OpKind.STORE,
-            OpKind.VECTOR_STORE,
-            OpKind.BRANCH_COND,
-            OpKind.BRANCH_UNCOND,
-            OpKind.PASS,
-        )
-
-    @property
-    def is_vector(self) -> bool:
-        """True for vector-unit opcodes (extension)."""
-        return self.kind in (
-            OpKind.VECTOR_LOAD,
-            OpKind.VECTOR_STORE,
-            OpKind.VECTOR_ALU,
-        )
-
-    @property
-    def reads_vector_length(self) -> bool:
-        """True if the opcode's element count comes from L0."""
-        return self.is_vector
+    # Static facts, set once per member from OPCODE_INFO below.
+    info: "OpcodeInfo"
+    unit: FunctionalUnit
+    kind: OpKind
+    parcels: int
+    is_branch: bool
+    is_memory: bool
+    #: True if the opcode produces a register result.
+    writes_register: bool
+    #: True for vector-unit opcodes (extension).
+    is_vector: bool
+    #: True if the opcode's element count comes from L0.
+    reads_vector_length: bool
 
 
 @dataclass(frozen=True)
@@ -213,3 +177,19 @@ OPCODE_INFO: Mapping[Opcode, OpcodeInfo] = {
     Opcode.VSMUL: OpcodeInfo(_FU.FP_MULTIPLY, _K.VECTOR_ALU, 1, 2),
     Opcode.PASS: OpcodeInfo(_FU.TRANSFER, _K.PASS, 1, 0),
 }
+
+for _op, _info in OPCODE_INFO.items():
+    _op.info = _info
+    _op.unit = _info.unit
+    _op.kind = _info.kind
+    _op.parcels = _info.parcels
+    _op.is_branch = _info.kind in (_K.BRANCH_COND, _K.BRANCH_UNCOND)
+    _op.is_memory = _info.kind in (_K.LOAD, _K.STORE)
+    _op.writes_register = _info.kind not in (
+        _K.STORE, _K.VECTOR_STORE, _K.BRANCH_COND, _K.BRANCH_UNCOND, _K.PASS,
+    )
+    _op.is_vector = _info.kind in (
+        _K.VECTOR_LOAD, _K.VECTOR_STORE, _K.VECTOR_ALU,
+    )
+    _op.reads_vector_length = _op.is_vector
+del _op, _info

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, List, Optional, Union
+from typing import IO, Dict, List, Optional, Union
 
+from ..isa import Instruction
 from .io import (
     FORMAT_VERSION,
     PathOrFile,
@@ -112,6 +113,7 @@ def _import_lines(handle: IO[str], path: str) -> Trace:
     header = None
     header_line = 0
     entries: List[TraceEntry] = []
+    interned: Dict[str, Instruction] = {}
     declared: Optional[int] = None
     trace_name = "imported"
 
@@ -138,7 +140,9 @@ def _import_lines(handle: IO[str], path: str) -> Trace:
             continue
         if record.get("kind") == "header":
             raise _fail(path, line_number, "second header record")
-        entries.append(_check_entry(record, len(entries), path, line_number))
+        entries.append(
+            _check_entry(record, len(entries), path, line_number, interned)
+        )
 
     if header is None:
         raise _fail(path, max(line_number, 1), "empty trace archive")
@@ -192,7 +196,8 @@ def _check_header(record: dict, path: str, line: int) -> dict:
 
 
 def _check_entry(
-    record: dict, seq: int, path: str, line: int
+    record: dict, seq: int, path: str, line: int,
+    interned: Dict[str, Instruction],
 ) -> TraceEntry:
     unknown = set(record) - _RECORD_KEYS
     if unknown:
@@ -203,7 +208,7 @@ def _check_entry(
     if "op" not in record:
         raise _fail(path, line, "record is missing the 'op' field")
     try:
-        return _entry_from_record(seq, record)
+        return _entry_from_record(seq, record, interned)
     except TraceFormatError as exc:
         # io's reader prefixes "record N:"; strip it for the path:line form.
         reason = str(exc)

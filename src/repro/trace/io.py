@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterable, List, Union
+from typing import IO, Dict, Iterable, List, Union
 
 from ..isa import Instruction, Opcode, Operand, Register, parse_register
 from .record import Trace, TraceEntry
@@ -70,20 +70,21 @@ def _entry_record(entry: TraceEntry) -> dict:
     return record
 
 
-def _entry_from_record(seq: int, record: dict) -> TraceEntry:
-    try:
-        opcode = Opcode(record["op"])
-    except (KeyError, ValueError) as exc:
-        raise TraceFormatError(f"record {seq}: bad opcode") from exc
-    dest = parse_register(record["dest"]) if "dest" in record else None
-    srcs = tuple(_decode_operand(v) for v in record.get("srcs", ()))
-    instr = Instruction(
-        opcode,
-        dest,
-        srcs,
-        target=record.get("target"),
-        comment=record.get("comment", ""),
-    )
+#: Record fields that make up an :class:`Instruction`.
+_STATIC_FIELDS = ("op", "dest", "srcs", "target", "comment")
+
+
+def _entry_from_record(
+    seq: int, record: dict, interned: Dict[str, Instruction]
+) -> TraceEntry:
+    """Decode one instruction record.  *interned* maps the static fields
+    of every record read so far to their :class:`Instruction`, so the
+    entries of one static instruction share one object.  The key is the
+    fields' ``repr``, which keeps ``1``, ``1.0`` and ``-0.0`` apart."""
+    key = repr([record.get(name) for name in _STATIC_FIELDS])
+    instr = interned.get(key)
+    if instr is None:
+        instr = interned[key] = _instruction_from_record(seq, record)
     return TraceEntry(
         seq=seq,
         static_index=int(record.get("static", seq)),
@@ -92,6 +93,22 @@ def _entry_from_record(seq: int, record: dict) -> TraceEntry:
         address=record.get("addr"),
         backward=record.get("backward"),
         vector_length=record.get("vl"),
+    )
+
+
+def _instruction_from_record(seq: int, record: dict) -> Instruction:
+    try:
+        opcode = Opcode(record["op"])
+    except (KeyError, ValueError) as exc:
+        raise TraceFormatError(f"record {seq}: bad opcode") from exc
+    dest = parse_register(record["dest"]) if "dest" in record else None
+    srcs = tuple(_decode_operand(v) for v in record.get("srcs", ()))
+    return Instruction(
+        opcode,
+        dest,
+        srcs,
+        target=record.get("target"),
+        comment=record.get("comment", ""),
     )
 
 
@@ -133,12 +150,13 @@ def read_trace(source: PathOrFile) -> Trace:
         )
 
     entries: List[TraceEntry] = []
+    interned: Dict[str, Instruction] = {}
     for seq, line in enumerate(lines[1:]):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"malformed record {seq}") from exc
-        entries.append(_entry_from_record(seq, record))
+        entries.append(_entry_from_record(seq, record, interned))
 
     declared = header.get("entries")
     if declared is not None and declared != len(entries):

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import M5BR2, M5BR5, M11BR2, M11BR5, fastpath
 from repro.core.fastpath import SweepItem, compile_trace
+from repro.core.fastpath.ir import fetch_buffers
 from repro.core.fastpath import python_backend
 from repro.core.fastpath.python_backend import (
     FAMILY_LOOPS,
@@ -38,7 +39,7 @@ from repro.core.ruu import RUUMachine
 from repro.isa import A, S, V, Instruction, Opcode
 from repro.kernels import DEFAULT_SIZES, SMALL_SIZES
 from repro.kernels.vectorized import VECTORIZED_LOOPS
-from repro.trace import TraceEntry
+from repro.trace import Trace, TraceEntry, write_trace
 from repro.trace.generator import assemble_trace
 from repro.trace.sources import trace_source
 from repro.verify.fuzz import FuzzSpec, fuzz_trace
@@ -247,6 +248,63 @@ def test_region_starts_after_the_taken_branch():
     # The first body's branch is the region's first taken one.
     assert compiled.ops[start - 1][3] and compiled.ops[start - 1][4]
     assert end == compiled.n
+
+
+# ----------------------------------------------------------------------
+# Per-compile memos: shared Instruction objects, shared buffer decodes
+# ----------------------------------------------------------------------
+
+def _with_copied_instructions(trace):
+    """*trace* with every entry's Instruction an equal, distinct copy."""
+    return Trace(trace.name, tuple(
+        replace(entry, instruction=replace(entry.instruction))
+        for entry in trace.entries
+    ))
+
+
+def _compile_sources(tmp_path):
+    """Kernels (scalar and vector), a fuzz pool, and a ``file:`` round
+    trip of a kernel, whose read-back entries share Instructions."""
+    for loop in range(1, 15):
+        yield trace_source(f"kernel:{loop}:n={SMALL_SIZES[loop]}")
+    for loop in VECTORIZED_LOOPS:
+        yield trace_source(f"kernel:{loop}:n=64:vector=on")
+    for seed in range(40):
+        yield fuzz_trace(seed, FuzzSpec(length=120))
+    path = tmp_path / "loop5.jsonl"
+    write_trace(_kernel(5), path)
+    yield trace_source(f"file:{path}")
+
+
+def test_compile_resolves_shared_instructions_like_copies(tmp_path):
+    """``compile_trace`` resolves each Instruction object once per call;
+    a trace whose entries share objects compiles exactly like the same
+    trace with every entry's Instruction copied."""
+    shared = 0
+    for trace in _compile_sources(tmp_path):
+        copy = _with_copied_instructions(trace)
+        assert len({id(e.instruction) for e in copy}) == len(copy)
+        shared += len({id(e.instruction) for e in trace}) < len(trace)
+        assert compile_trace(trace) == compile_trace(copy), trace.name
+    assert shared >= 15  # the kernels and the archive take the memo
+
+
+@pytest.mark.parametrize("enforce_war", (True, False))
+def test_ooo_plan_records_equal_fresh_decodes(enforce_war):
+    """Every out-of-order plan record equals a decode of its own buffer,
+    though buffers with equal ops share one decode."""
+    for loop in range(1, 15):
+        compiled = compile_trace(_kernel(loop))
+        for units in range(1, 9):
+            plan = python_backend._ooo_plan(compiled, units, enforce_war)
+            starts, lengths = fetch_buffers(compiled, units)
+            assert [record[0] for record in plan] == list(starts)
+            for (pos, *record), blen in zip(plan, lengths):
+                window = compiled.ops[pos:pos + blen]
+                fresh = python_backend._ooo_decode(window, enforce_war)
+                assert tuple(record) == fresh, (loop, units, pos)
+            payloads = {id(record[2]) for record in plan}
+            assert len(payloads) < len(plan), (loop, units)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,42 @@ class TestMetadataCompleteness:
             assert opcode.parcels == opcode.info.parcels
 
 
+class TestMemberAttributes:
+    """Static facts are plain member attributes, filled from the table."""
+
+    FACTS = (
+        "info", "unit", "kind", "parcels", "is_branch", "is_memory",
+        "writes_register", "is_vector", "reads_vector_length",
+    )
+
+    def test_every_fact_is_stored_on_the_member(self):
+        for opcode in Opcode:
+            assert set(self.FACTS) <= set(vars(opcode)), opcode
+        for name in self.FACTS:
+            assert not isinstance(vars(Opcode).get(name), property), name
+
+    def test_attributes_match_the_table(self):
+        for opcode in Opcode:
+            info = OPCODE_INFO[opcode]
+            assert opcode.info is info
+            assert opcode.unit is info.unit
+            assert opcode.kind is info.kind
+            assert opcode.parcels == info.parcels
+
+    def test_predicates_follow_the_kind(self):
+        branch = {OpKind.BRANCH_COND, OpKind.BRANCH_UNCOND}
+        memory = {OpKind.LOAD, OpKind.STORE}
+        vector = {OpKind.VECTOR_LOAD, OpKind.VECTOR_STORE, OpKind.VECTOR_ALU}
+        no_result = branch | {OpKind.STORE, OpKind.VECTOR_STORE, OpKind.PASS}
+        for opcode in Opcode:
+            kind = OPCODE_INFO[opcode].kind
+            assert opcode.is_branch is (kind in branch), opcode
+            assert opcode.is_memory is (kind in memory), opcode
+            assert opcode.writes_register is (kind not in no_result), opcode
+            assert opcode.is_vector is (kind in vector), opcode
+            assert opcode.reads_vector_length is (kind in vector), opcode
+
+
 class TestUnitAssignments:
     @pytest.mark.parametrize(
         "opcode,unit",

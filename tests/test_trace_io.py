@@ -59,6 +59,50 @@ class TestRoundTrip:
         assert round_trip(trace)[0].instruction.comment == "note"
 
 
+class TestInterning:
+    def test_static_instructions_share_one_object(self):
+        """Records with equal static fields read back as one Instruction,
+        and the trace still equals the one written."""
+        trace = build_kernel(5, 64).verify()
+        loaded = round_trip(trace)
+        assert loaded == trace
+        statics = {}
+        for entry in loaded:
+            statics.setdefault(entry.static_index, set()).add(
+                id(entry.instruction)
+            )
+        assert all(len(ids) == 1 for ids in statics.values())
+        assert len({id(e.instruction) for e in loaded}) == len(statics)
+        assert len(statics) < len(loaded)
+
+    def test_strict_import_interns_too(self, tmp_path):
+        """The ``file:`` source's strict importer shares objects alike."""
+        from repro.trace.importer import import_trace
+
+        trace = build_kernel(5, 64).verify()
+        path = tmp_path / "loop5.jsonl"
+        write_trace(trace, path)
+        imported = import_trace(path)
+        assert imported == trace
+        distinct = {id(e.instruction) for e in imported}
+        assert len(distinct) == len({e.static_index for e in imported})
+
+    def test_operand_types_stay_apart(self):
+        """``1``, ``1.0`` and ``-0.0`` immediates compare equal in Python
+        but are distinct instructions; each keeps its own operand."""
+        from repro.isa import Instruction, Opcode, S
+
+        values = (1, 1.0, -0.0, 0.0, 1.0)
+        trace = make_trace(
+            [Instruction(Opcode.SI, S(1), (value,)) for value in values]
+        )
+        loaded = round_trip(trace)
+        read = [entry.instruction.srcs[0] for entry in loaded]
+        assert [repr(v) for v in read] == [repr(v) for v in values]
+        assert loaded[1].instruction is loaded[4].instruction
+        assert loaded[0].instruction is not loaded[1].instruction
+
+
 class TestFormatErrors:
     def test_empty_archive(self):
         with pytest.raises(TraceFormatError, match="empty"):
