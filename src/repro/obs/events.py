@@ -17,6 +17,14 @@ kind                  meaning
                             flush, branch misprediction recovery)
 ====================  ==================================================
 
+:class:`SimEvent` is a :class:`typing.NamedTuple`: frozen, typed, and
+built in under half the time a frozen dataclass takes, which matters
+because an observed campaign builds one per issue, stall, completion
+and flush.  Any callable that takes one event works as the callback:
+an :class:`EventCollector`, a function, or a bound ``list.append``
+(what :func:`repro.verify.invariants.observe` passes, so that each event
+costs one C-level append).
+
 An unobserved reference replay pays a single ``if emit is not None``
 test per instruction in each model's loop -- benchmarked at well under
 2% overhead (``benchmarks/bench_hooks.py`` gates this in CI) -- and
@@ -34,8 +42,7 @@ add ``"RUU_FULL"``, ``"STATIONS_FULL"``, ``"TAKEN_BRANCH"`` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "EventCallback",
@@ -56,9 +63,8 @@ class EventKind(enum.Enum):
     FLUSH = "flush"
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One observation from a timing model.
+class SimEvent(NamedTuple):
+    """One observation from a timing model (a frozen named tuple).
 
     Attributes:
         kind: the event type.
@@ -104,19 +110,14 @@ class EventCollector:
     def cycles_by_seq(self, kind: EventKind) -> Dict[int, int]:
         """seq -> cycle of the *first* event of *kind* for that seq.
 
-        The per-seq timeline most consumers want (the invariant checker
-        in :mod:`repro.verify` reconstructs issue/completion schedules
-        this way); duplicate events for a seq keep the first cycle.
+        The per-seq timeline most consumers want; duplicate events for a
+        seq keep the first cycle, as in :func:`schedule_from_events`.
         """
         cycles: Dict[int, int] = {}
         for event in self.events:
             if event.kind is kind and event.seq not in cycles:
                 cycles[event.seq] = event.cycle
         return cycles
-
-    def max_cycle(self) -> int:
-        """The latest cycle any event refers to (0 with no events)."""
-        return max((e.cycle for e in self.events), default=0)
 
     def stall_cycles_by_reason(self) -> Dict[str, int]:
         """Total cycles lost per stall reason (Section 6 style)."""
@@ -165,14 +166,16 @@ def schedule_from_events(
     issues: Dict[int, int] = {}
     completes: Dict[int, int] = {}
     windows: Dict[int, int] = {}
-    for event in events:
-        kind = event.kind
-        if kind is EventKind.ISSUE:
-            issues.setdefault(event.seq, event.cycle)
-        elif kind is EventKind.COMPLETE:
-            completes.setdefault(event.seq, event.cycle)
-        elif kind is EventKind.FLUSH and event.reason == "MISPREDICT":
-            windows.setdefault(event.seq, event.cycles)
+    issue_kind, complete_kind = EventKind.ISSUE, EventKind.COMPLETE
+    for kind, seq, cycle, reason, cycles in events:
+        if kind is issue_kind:
+            if seq not in issues:
+                issues[seq] = cycle
+        elif kind is complete_kind:
+            if seq not in completes:
+                completes[seq] = cycle
+        elif kind is EventKind.FLUSH and reason == "MISPREDICT":
+            windows.setdefault(seq, cycles)
     resolve_after = 1 if predicted else branch_latency
     schedule: List[Tuple[Optional[int], Optional[int]]] = []
     for seq in range(length):

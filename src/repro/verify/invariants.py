@@ -29,13 +29,14 @@ vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import Simulator
 from ..core.config import MachineConfig
+from ..core.fastpath.ir import N_REGISTERS, UNITS, Op, compile_trace
 from ..core.result import SimulationResult
 from ..core.registry import build_simulator, parse_spec
-from ..isa import Register
+from ..isa import RegFile, Register
 from ..obs.events import (
     EventCollector,
     EventKind,
@@ -52,6 +53,18 @@ KNOWN_STALL_REASONS = frozenset(
 KNOWN_FLUSH_REASONS = frozenset(
     {"TAKEN_BRANCH", "MISPREDICT", "VALUE_MISPREDICT"}
 )
+
+#: Register names by dense register id, the id space of the compiled
+#: trace's ops (files in enum order, then index); the facts test in
+#: ``tests/test_verify_invariants.py`` pins it against ``compile_trace``.
+REGISTER_NAMES: Tuple[str, ...] = tuple(
+    Register(file, index).name for file in RegFile for index in range(file.size)
+)
+
+_ISSUE = EventKind.ISSUE
+_COMPLETE = EventKind.COMPLETE
+_STALL = EventKind.STALL
+_FLUSH = EventKind.FLUSH
 
 
 @dataclass(frozen=True)
@@ -242,7 +255,7 @@ def observe(
             sim, sim.simulate_observed(trace, config, None), None, None
         )
     collector = EventCollector()
-    result = sim.simulate_observed(trace, config, collector)
+    result = sim.simulate_observed(trace, config, collector.events.append)
     schedule = schedule_from_events(
         collector.events,
         len(trace),
@@ -287,7 +300,14 @@ def check_replay(
     *,
     profile: Optional[MachineProfile] = None,
 ) -> List[InvariantViolation]:
-    """The checks step: every invariant over one observed replay."""
+    """The checks step: every invariant over one observed replay.
+
+    Per-instruction facts (unit, registers, branch and vector flags)
+    come from the trace's compiled form
+    (:func:`~repro.core.fastpath.compile_trace`, cached per trace and
+    shared with the oracle's fast-path replays); opcode and register
+    names are looked up only to word a violation.
+    """
     profile = profile or profile_for_spec(spec)
     result = replay.result
     collector = replay.collector
@@ -306,6 +326,9 @@ def check_replay(
             )
         )
 
+    def opcode(seq: int) -> str:
+        return trace.entries[seq].instruction.opcode.value
+
     # ---- black-box checks (every machine) -----------------------------
     if result.instructions != len(trace):
         report(
@@ -318,90 +341,100 @@ def check_replay(
         return violations
 
     events = collector.events
+    ops = compile_trace(trace).ops
+    n = len(ops)
+    latencies = config.latencies
+    unit_latency = [latencies.latency(unit) for unit in UNITS]
 
-    # ---- event bookkeeping --------------------------------------------
+    # ---- event bookkeeping (the one walk over the stream) -------------
     issue_cycle: Dict[int, int] = {}
     complete_cycle: Dict[int, int] = {}
     issues_per_cycle: Dict[int, int] = {}
-    unit_issues: Dict[Tuple[object, int], int] = {}
+    unit_issues: Dict[Tuple[int, int], int] = {}
     flush_events: List[SimEvent] = []
+    latest = events[0].cycle if events else 0
+    fu_single_issue = profile.fu_single_issue
 
     for event in events:
-        if event.kind is EventKind.ISSUE:
-            if event.seq in issue_cycle:
+        kind, seq, cycle, reason, _cycles = event
+        if cycle > latest:
+            latest = cycle
+        if kind is _ISSUE:
+            if seq in issue_cycle:
                 report(
                     "issue-exactly-once",
-                    event.seq,
-                    f"issued twice (cycles {issue_cycle[event.seq]} and "
-                    f"{event.cycle})",
+                    seq,
+                    f"issued twice (cycles {issue_cycle[seq]} and {cycle})",
                 )
-            issue_cycle[event.seq] = event.cycle
-            issues_per_cycle[event.cycle] = issues_per_cycle.get(event.cycle, 0) + 1
-            if not 0 <= event.seq < len(trace):
+            issue_cycle[seq] = cycle
+            issues_per_cycle[cycle] = issues_per_cycle.get(cycle, 0) + 1
+            if not 0 <= seq < n:
                 report(
                     "issue-seq-range",
-                    event.seq,
-                    f"ISSUE for out-of-range seq {event.seq}",
+                    seq,
+                    f"ISSUE for out-of-range seq {seq}",
                 )
-            elif profile.fu_single_issue:
-                unit = trace.entries[event.seq].instruction.unit
-                key = (unit, event.cycle)
+            elif fu_single_issue:
+                key = (ops[seq][0], cycle)
                 unit_issues[key] = unit_issues.get(key, 0) + 1
-        elif event.kind is EventKind.COMPLETE:
-            if event.seq in complete_cycle:
+        elif kind is _COMPLETE:
+            if seq in complete_cycle:
                 report(
                     "complete-exactly-once",
-                    event.seq,
-                    f"completed twice (cycles {complete_cycle[event.seq]} "
-                    f"and {event.cycle})",
+                    seq,
+                    f"completed twice (cycles {complete_cycle[seq]} "
+                    f"and {cycle})",
                 )
-            complete_cycle[event.seq] = event.cycle
-        elif event.kind is EventKind.STALL:
-            if event.reason not in KNOWN_STALL_REASONS:
+            complete_cycle[seq] = cycle
+        elif kind is _STALL:
+            if reason not in KNOWN_STALL_REASONS:
                 report(
                     "stall-reason-vocabulary",
-                    event.seq,
-                    f"unknown stall reason {event.reason!r}",
+                    seq,
+                    f"unknown stall reason {reason!r}",
                 )
-        elif event.kind is EventKind.FLUSH:
-            if event.reason not in KNOWN_FLUSH_REASONS:
+        elif kind is _FLUSH:
+            if reason not in KNOWN_FLUSH_REASONS:
                 report(
                     "flush-reason-vocabulary",
-                    event.seq,
-                    f"unknown flush reason {event.reason!r}",
+                    seq,
+                    f"unknown flush reason {reason!r}",
                 )
             flush_events.append(event)
 
     # ---- total issued == trace length ---------------------------------
-    missing = [seq for seq in range(len(trace)) if seq not in issue_cycle]
+    missing = [seq for seq in range(n) if seq not in issue_cycle]
     if missing:
         report(
             "issue-covers-trace",
             missing[0],
-            f"{len(missing)} of {len(trace)} instructions never issued "
+            f"{len(missing)} of {n} instructions never issued "
             f"(first missing seq {missing[0]})",
         )
 
     # ---- per-seq completion discipline --------------------------------
-    latencies = config.latencies
-    for seq, entry in enumerate(trace.entries):
-        instr = entry.instruction
+    branch_completes = profile.branch_completes
+    blocking = profile.blocking
+    branch_latency = config.branch_latency
+    for seq, op in enumerate(ops):
+        unit, _dest, _srcs, is_branch, _taken, is_vector, vl = op[:7]
         issued = issue_cycle.get(seq)
         completed = complete_cycle.get(seq)
-        expects_complete = profile.branch_completes or not instr.is_branch
-        if expects_complete and completed is None:
-            report(
-                "complete-covers-trace",
-                seq,
-                f"{instr.opcode.value} never completed",
-            )
-        if not profile.branch_completes and instr.is_branch and completed is not None:
+        if completed is None:
+            if branch_completes or not is_branch:
+                report(
+                    "complete-covers-trace",
+                    seq,
+                    f"{opcode(seq)} never completed",
+                )
+            continue
+        if is_branch and not branch_completes:
             report(
                 "branch-complete-unexpected",
                 seq,
                 "buffered machine emitted COMPLETE for a branch",
             )
-        if issued is None or completed is None:
+        if issued is None:
             continue
         if completed < issued:
             report(
@@ -409,21 +442,19 @@ def check_replay(
                 seq,
                 f"completed at cycle {completed} before issuing at {issued}",
             )
-        if instr.is_branch:
-            expected = issued + config.branch_latency
+        if is_branch:
+            expected = issued + branch_latency
         else:
-            expected = issued + instr.latency(latencies)
-            if instr.is_vector:
-                # A vector operation streams its elements through the
-                # unit: the full result exists only at
-                # issue + latency + vl (see scoreboard.py).
-                expected += entry.vector_length or 0
-        if profile.blocking:
+            # A vector operation streams its elements through the unit:
+            # the full result exists only at issue + latency + vl (see
+            # scoreboard.py); vl is 0 for every scalar op.
+            expected = issued + unit_latency[unit] + vl
+        if blocking:
             if completed != expected:
                 report(
                     "completion-latency-exact",
                     seq,
-                    f"{instr.opcode.value} issued at {issued} completed at "
+                    f"{opcode(seq)} issued at {issued} completed at "
                     f"{completed}; expected exactly {expected} "
                     f"(unit latency {expected - issued})",
                 )
@@ -431,32 +462,32 @@ def check_replay(
             report(
                 "completion-latency-floor",
                 seq,
-                f"{instr.opcode.value} issued at {issued} completed at "
+                f"{opcode(seq)} issued at {issued} completed at "
                 f"{completed}, faster than the unit latency allows "
                 f"(earliest {expected})",
             )
 
     # ---- operand readiness at issue (blocking machines only) ----------
-    if profile.blocking:
-        last_writer: Dict[Register, int] = {}
-        for seq, entry in enumerate(trace.entries):
-            instr = entry.instruction
+    if blocking:
+        last_writer = [-1] * N_REGISTERS
+        for seq, op in enumerate(ops):
             issued = issue_cycle.get(seq)
             if issued is not None:
-                for src in instr.source_registers:
-                    producer = last_writer.get(src)
-                    if producer is None:
+                for src in op[2]:
+                    producer = last_writer[src]
+                    if producer < 0:
                         continue
-                    producer_instr = trace.entries[producer].instruction
-                    if producer_instr.is_vector:
+                    producer_unit, _d, _s, _b, _t, producer_vector = (
+                        ops[producer][:6]
+                    )
+                    if producer_vector:
                         # Chained vector producers forward their first
                         # element at issue + latency; a consumer may
                         # legally start there, before the full-vector
                         # COMPLETE, so only that chain point is a floor.
                         producer_issue = issue_cycle.get(producer)
                         ready = None if producer_issue is None else (
-                            producer_issue
-                            + producer_instr.latency(latencies)
+                            producer_issue + unit_latency[producer_unit]
                         )
                     else:
                         ready = complete_cycle.get(producer)
@@ -464,12 +495,13 @@ def check_replay(
                         report(
                             "operands-complete-at-issue",
                             seq,
-                            f"{instr.opcode.value} issued at cycle {issued} "
-                            f"but {src.name} (produced by seq {producer}) "
-                            f"completes at {ready}",
+                            f"{opcode(seq)} issued at cycle {issued} "
+                            f"but {REGISTER_NAMES[src]} (produced by seq "
+                            f"{producer}) completes at {ready}",
                         )
-            if instr.dest is not None:
-                last_writer[instr.dest] = seq
+            dest = op[1]
+            if dest >= 0:
+                last_writer[dest] = seq
 
     # ---- per-cycle widths ---------------------------------------------
     if profile.issue_width is not None:
@@ -481,20 +513,20 @@ def check_replay(
                     f"{count} instructions issued in cycle {cycle}; the "
                     f"machine has {profile.issue_width} issue unit(s)",
                 )
-    if profile.fu_single_issue:
+    if fu_single_issue:
         for (unit, cycle), count in unit_issues.items():
             if count > 1:
                 report(
                     "fu-single-issue",
                     -1,
-                    f"{count} operations entered {unit} in cycle {cycle}; "
-                    "each pipelined unit accepts one per cycle",
+                    f"{count} operations entered {UNITS[unit]} in cycle "
+                    f"{cycle}; each pipelined unit accepts one per cycle",
                 )
 
     # ---- window / station occupancy (buffered machines) ---------------
     if profile.window_size is not None:
         _check_occupancy(
-            trace,
+            ops,
             issue_cycle,
             complete_cycle,
             capacity=profile.window_size,
@@ -505,7 +537,7 @@ def check_replay(
         )
     if profile.stations_per_unit is not None:
         _check_occupancy(
-            trace,
+            ops,
             issue_cycle,
             complete_cycle,
             capacity=profile.stations_per_unit,
@@ -518,21 +550,22 @@ def check_replay(
     # ---- speculative flush accounting ---------------------------------
     if profile.speculative or profile.value_penalty is not None:
         _check_flush_accounting(
-            trace,
+            ops,
             flush_events,
             issue_cycle,
             complete_cycle,
             config=config,
             profile=profile,
             report=report,
+            opcode=opcode,
         )
 
     # ---- events never exceed the reported run length ------------------
-    if collector.max_cycle() > result.cycles:
+    if latest > result.cycles:
         report(
             "events-within-cycles",
             -1,
-            f"an event at cycle {collector.max_cycle()} exceeds the "
+            f"an event at cycle {latest} exceeds the "
             f"reported cycle count {result.cycles}",
         )
 
@@ -540,7 +573,7 @@ def check_replay(
 
 
 def _check_flush_accounting(
-    trace: Trace,
+    ops: Sequence[Op],
     flush_events: List[SimEvent],
     issue_cycle: Dict[int, int],
     complete_cycle: Dict[int, int],
@@ -548,6 +581,7 @@ def _check_flush_accounting(
     config: MachineConfig,
     profile: MachineProfile,
     report,
+    opcode: Callable[[int], str],
 ) -> None:
     """Flush events balance the speculation they account for.
 
@@ -564,6 +598,7 @@ def _check_flush_accounting(
     """
     from ..core.spec import VP_UNITS
 
+    vp_units = {UNITS.index(unit) for unit in VP_UNITS}
     issue_cycles_sorted = sorted(set(issue_cycle.values()))
     flushed_seqs: Dict[int, int] = {}
     for event in flush_events:
@@ -576,14 +611,16 @@ def _check_flush_accounting(
             )
             continue
         flushed_seqs[event.seq] = event.cycle
-        if not 0 <= event.seq < len(trace):
+        if not 0 <= event.seq < len(ops):
             report(
                 "flush-anchor",
                 event.seq,
                 f"FLUSH for out-of-range seq {event.seq}",
             )
             continue
-        instr = trace.entries[event.seq].instruction
+        unit, dest, _srcs, is_branch, _taken, _vector, _vl, _bus, is_cond = (
+            ops[event.seq]
+        )
 
         if event.reason == "MISPREDICT":
             if not profile.speculative:
@@ -593,11 +630,11 @@ def _check_flush_accounting(
                     "MISPREDICT flush from a machine without a predictor",
                 )
                 continue
-            if not instr.is_conditional_branch:
+            if not is_cond:
                 report(
                     "flush-anchor",
                     event.seq,
-                    f"MISPREDICT flush anchored to {instr.opcode.value}, "
+                    f"MISPREDICT flush anchored to {opcode(event.seq)}, "
                     "not a conditional branch",
                 )
                 continue
@@ -645,16 +682,12 @@ def _check_flush_accounting(
                     "prediction",
                 )
                 continue
-            if (
-                instr.is_branch
-                or instr.dest is None
-                or instr.unit not in VP_UNITS
-            ):
+            if is_branch or dest < 0 or unit not in vp_units:
                 report(
                     "flush-anchor",
                     event.seq,
                     f"VALUE_MISPREDICT flush anchored to "
-                    f"{instr.opcode.value}, not a value-predicted "
+                    f"{opcode(event.seq)}, not a value-predicted "
                     "long-latency producer",
                 )
                 continue
@@ -678,7 +711,7 @@ def _check_flush_accounting(
 
 
 def _check_occupancy(
-    trace: Trace,
+    ops: Sequence[Op],
     issue_cycle: Dict[int, int],
     complete_cycle: Dict[int, int],
     *,
@@ -697,27 +730,28 @@ def _check_occupancy(
     announces the release at dispatch), so the sweep orders by cycle
     with releases applied before same-cycle allocations.
     """
-    changes: List[Tuple[int, int, int, object]] = []  # (cycle, phase, seq, unit)
-    for seq, entry in enumerate(trace.entries):
-        instr = entry.instruction
-        if instr.is_branch:
+    # (cycle, phase, seq, unit id or -1); (cycle, phase, seq) is unique,
+    # so the sort orders same-cycle, same-phase changes by seq.
+    changes: List[Tuple[int, int, int, int]] = []
+    for seq, op in enumerate(ops):
+        if op[3]:
             continue  # branches never get a window slot
         issued = issue_cycle.get(seq)
         completed = complete_cycle.get(seq)
         if issued is None or completed is None:
             continue
-        unit = instr.unit if by_unit else None
+        unit = op[0] if by_unit else -1
         changes.append((completed, 0, seq, unit))  # release first
         changes.append((issued, 1, seq, unit))
-    changes.sort(key=lambda item: (item[0], item[1]))
-    live: Dict[object, int] = {}
+    changes.sort()
+    live: Dict[int, int] = {}
     for cycle, phase, seq, unit in changes:
         if phase == 0:
             live[unit] = live.get(unit, 0) - 1
         else:
             live[unit] = live.get(unit, 0) + 1
             if live[unit] > capacity:
-                where = f" on {unit}" if by_unit else ""
+                where = f" on {UNITS[unit]}" if by_unit else ""
                 report(
                     check,
                     seq,

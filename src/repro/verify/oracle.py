@@ -386,7 +386,7 @@ def _injected_reference(
     telemetry oracle needs its events)."""
     if check_telemetry and fastpath.family_of(sim) is not None:
         collector = EventCollector()
-        result = sim.simulate_observed(trace, config, collector)
+        result = sim.simulate_observed(trace, config, collector.events.append)
         return ObservedReplay(sim, result, collector, None)
     return ObservedReplay(
         sim, sim.reference_simulate(trace, config), None, None
@@ -411,9 +411,10 @@ def _dual_violation(
             f"loop reported {reference.result.cycles}; the compiled fast "
             "path must be bit-identical to the reference loop"
         )
-    if record is not None and reference.schedule is not None:
+    schedule = reference.schedule
+    if record is not None and schedule is not None and record != schedule:
         for seq, (fast, ref) in enumerate(
-            zip_longest(record, reference.schedule)
+            zip_longest(record, schedule)
         ):
             if fast != ref:
                 return "fastpath-dual", (

@@ -15,12 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.config import STANDARD_CONFIGS, MachineConfig
 from ..trace import Trace, write_trace
 from .fuzz import FuzzSpec, fuzz_trace
-from .invariants import check_invariants, observe, profile_for_spec
+from .invariants import (
+    MachineProfile,
+    check_invariants,
+    observe,
+    profile_for_spec,
+)
 from .oracle import (
     DEFAULT_EDGES,
     DEFAULT_ORACLE_MACHINES,
@@ -146,6 +151,7 @@ def _first_violation(
     trace: Trace,
     config: MachineConfig,
     machines: Sequence[str],
+    profiles: Mapping[str, MachineProfile],
     *,
     check_telemetry: bool = False,
 ):
@@ -155,17 +161,21 @@ def _first_violation(
     Each machine replays the trace once, observed
     (:func:`~repro.verify.invariants.observe`); that one replay feeds
     its invariant checks, and the oracle's fastpath dual and telemetry
-    check.  The replays live only as long as this pass.  The oracle's
-    limit calculators and every fast-path machine across all specs share
-    one lowering per seed: the compile cache holds it for as long as the
-    trace lives.
+    check.  The replays live only as long as this pass.  *profiles*
+    holds each machine's event profile, resolved once per campaign.
+    The invariant checks, the oracle's limit calculators and every
+    fast-path machine across all specs share one lowering per seed: the
+    compile cache holds it for as long as the trace lives.
     """
     checks = 0
     observed = {}
     for spec in machines:
         checks += 1
-        replay = observe(trace, spec, config)
-        violations = check_invariants(trace, spec, config, replay=replay)
+        profile = profiles[spec]
+        replay = observe(trace, spec, config, profile=profile)
+        violations = check_invariants(
+            trace, spec, config, profile=profile, replay=replay
+        )
         if violations:
             return violations[0], checks
         # Past the invariant checks only the telemetry oracle reads the
@@ -188,6 +198,7 @@ def _still_fails_same_way(
     signature: Tuple[str, str],
     config: MachineConfig,
     machines: Sequence[str],
+    profiles: Mapping[str, MachineProfile],
     *,
     check_telemetry: bool = False,
 ) -> Callable[[Trace], bool]:
@@ -201,7 +212,9 @@ def _still_fails_same_way(
                     check_telemetry=check_telemetry,
                 ).violations
             else:
-                violations = check_invariants(candidate, machine, config)
+                violations = check_invariants(
+                    candidate, machine, config, profile=profiles[machine]
+                )
         except Exception:
             # A candidate that crashes a model is a different bug; keep
             # the shrink anchored to the original failure.
@@ -264,6 +277,7 @@ def run_verification(
     options = options or VerifyOptions()
     report = VerifyReport(options=options)
     seen_signatures = set()
+    profiles = {spec: profile_for_spec(spec) for spec in options.machines}
 
     say = log or (lambda message: None)
 
@@ -272,7 +286,7 @@ def run_verification(
         config = options.configs[index % len(options.configs)]
         trace = _seed_trace(options, seed)
         violation, checks = _first_violation(
-            trace, config, options.machines,
+            trace, config, options.machines, profiles,
             check_telemetry=options.check_telemetry,
         )
         report.seeds_run += 1
@@ -292,7 +306,7 @@ def run_verification(
         repro = trace
         if options.shrink:
             predicate = _still_fails_same_way(
-                signature, config, options.machines,
+                signature, config, options.machines, profiles,
                 check_telemetry=options.check_telemetry,
             )
             repro = shrink_trace(
@@ -315,7 +329,7 @@ def run_verification(
         # report points at the minimal witness.
         message = violation.message
         small_violation, _ = _first_violation(
-            repro, config, options.machines,
+            repro, config, options.machines, profiles,
             check_telemetry=options.check_telemetry,
         )
         if small_violation is not None and (

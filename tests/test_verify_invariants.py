@@ -5,10 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core import M11BR5, M5BR2, MachineConfig
+from repro.core.fastpath.ir import UNITS, compile_trace
 from repro.core.registry import build_simulator
+from repro.kernels import SMALL_SIZES
+from repro.kernels.vectorized import VECTORIZED_LOOPS
 from repro.obs.events import EventKind, SimEvent
+from repro.trace.sources import trace_source
 from repro.verify import check_invariants, fuzz_trace, profile_for_spec
+from repro.verify.invariants import REGISTER_NAMES
 from repro.verify.oracle import DEFAULT_ORACLE_MACHINES
+
+from helpers import fadd, make_trace
 
 
 class MutatedLatencyMachine:
@@ -30,10 +37,12 @@ class MutatedLatencyMachine:
 
 
 class CompletionShiftMachine:
-    """Tampers with the event stream: every COMPLETE reported a cycle early."""
+    """Tampers with the event stream: every COMPLETE reported *shift*
+    cycles late (a cycle early by default)."""
 
-    def __init__(self, inner) -> None:
+    def __init__(self, inner, shift: int = -1) -> None:
         self.inner = inner
+        self.shift = shift
 
     def simulate(self, trace, config):
         return self.inner.simulate(trace, config)
@@ -44,7 +53,7 @@ class CompletionShiftMachine:
                 event = SimEvent(
                     kind=event.kind,
                     seq=event.seq,
-                    cycle=event.cycle - 1,
+                    cycle=event.cycle + self.shift,
                     reason=event.reason,
                     cycles=event.cycles,
                 )
@@ -148,3 +157,56 @@ class TestBrokenMachinesAreCaught:
         assert "cray" in text
         assert "M11BR5" in text
         assert violation.trace_name in text
+
+    def test_operand_violation_names_the_register(self):
+        # FADD S4 <- S3 + S1 waits for FADD S3 (FP add, latency 6);
+        # with every COMPLETE reported two cycles late, the consumer
+        # issues before its producer's reported completion.
+        trace = make_trace([fadd(3, 1, 2), fadd(4, 3, 1)])
+        broken = CompletionShiftMachine(build_simulator("cray"), shift=2)
+        violations = check_invariants(trace, "cray", M11BR5, simulator=broken)
+        operands = [
+            violation for violation in violations
+            if violation.check == "operands-complete-at-issue"
+        ]
+        assert [violation.message for violation in operands] == [
+            "FADD issued at cycle 6 but S3 (produced by seq 0) completes at 8"
+        ]
+        assert operands[0].seq == 1
+
+
+def _fact_sources():
+    """Scalar and vector kernels, fuzz, branchy and pointer traces."""
+    for loop in range(1, 15):
+        yield f"kernel:{loop}:n={SMALL_SIZES[loop]}"
+    for loop in VECTORIZED_LOOPS:
+        yield f"kernel:{loop}:n=64:vector=on"
+    for family in ("fuzz", "branchy", "pointer"):
+        for seed in range(3):
+            yield f"{family}:seed={seed}"
+
+
+@pytest.mark.parametrize("source", list(_fact_sources()))
+def test_compiled_ops_carry_the_instruction_facts(source):
+    """The checks read unit, registers and flags from the compiled
+    trace; each must equal what the seq's Instruction says, and each
+    register id must map back to the Instruction's register name."""
+    trace = trace_source(source)
+    ops = compile_trace(trace).ops
+    assert len(ops) == len(trace)
+    for seq, entry in enumerate(trace.entries):
+        instr = entry.instruction
+        unit, dest, srcs, is_branch, _taken, is_vector, vl, _bus, is_cond = (
+            ops[seq]
+        )
+        assert UNITS[unit] is instr.unit, (source, seq)
+        assert (REGISTER_NAMES[dest] if dest >= 0 else None) == (
+            instr.dest.name if instr.dest is not None else None
+        ), (source, seq)
+        assert [REGISTER_NAMES[src] for src in srcs] == [
+            register.name for register in instr.source_registers
+        ], (source, seq)
+        assert is_branch == instr.is_branch, (source, seq)
+        assert is_cond == instr.is_conditional_branch, (source, seq)
+        assert is_vector == instr.is_vector, (source, seq)
+        assert vl == ((entry.vector_length or 0) if is_vector else 0)
