@@ -10,7 +10,7 @@ each organisation.
 
 The breakdown reads the aggregate :class:`~repro.obs.telemetry.
 SimTelemetry` record the machine's compiled loop attaches to its result
--- the same loop call :func:`repro.core.fastpath.batch.sweep` makes, so
+-- the same loop call :func:`repro.core.fastpath.simulate_sweep` makes, so
 the answer does not depend on ``REPRO_FASTPATH``.  The compiled loops
 are proved equal to the reference loops by ``tests/test_fastpath_diff.py``
 and the oracle's ``fastpath-dual`` check; per-instruction attribution

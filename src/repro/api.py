@@ -534,7 +534,7 @@ def run_bench(
     """Run the seeded micro-benchmark suite (see :mod:`repro.bench`).
 
     Measures fast-path vs reference replay throughput per machine and
-    batch sweep vs per-spec replay throughput; returns a
+    Table 7's RUU sweep vs per-spec replay throughput; returns a
     :class:`~repro.bench.BenchReport` (``report.write(path)`` persists
     it as ``repro-bench/v1`` JSON).  Table, cache and explorer speed
     are measured end to end by ``benchmarks/e2e``.

@@ -3,7 +3,7 @@
 The package behind ``repro bench``:
 
 * :mod:`repro.bench.micro` -- the suite (fast-path vs reference replay
-  throughput per machine, batch sweep vs per-spec replay);
+  throughput per machine, Table 7's RUU sweep vs per-spec replay);
 * :mod:`repro.bench.report` -- the ``repro-bench/v1`` JSON schema,
   validation, and baseline comparison with a noise threshold;
 * :mod:`repro.bench.env` -- environment metadata stamped into reports.

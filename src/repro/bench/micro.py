@@ -12,11 +12,11 @@ pinned ``SMALL_SIZES``):
   expose ``reference_simulate``; cycle counts are asserted identical
   before any timing, so a fast-path divergence fails the benchmark
   rather than producing a fast wrong number.
-* ``sweep.<label>.{batch,perspec,speedup}`` -- one
+* ``sweep.table7.{batch,perspec,speedup}`` -- one
   :func:`~repro.core.fastpath.simulate_sweep` call per trace against
-  each member's own ``simulate`` (its per-spec loop): ``ooo:4`` under the
-  four configs on the fuzzed traces, and Table 7's 192-member RUU grid
-  on its kernel traces.
+  each member's own ``simulate`` (its per-spec loop) for Table 7's
+  192-member RUU grid on its kernel traces: the speed of the RUU size
+  rule, the one thing a sweep adds to per-member replay.
 
 Table wall time, engine cold/warm cache behaviour and explorer speed are
 end-to-end facts: the e2e ``tables-cold``, ``tables-warm`` and
@@ -154,112 +154,87 @@ def _bench_machines(options: BenchOptions, report: BenchReport, log: Log):
             )
 
 
-#: The out-of-order sweep benchmark's machine: the paper's four-unit
-#: organisation (the Table 5 family), replayed through all four
-#: machine-variant configs as one sweep over the fuzzed traces.
-SWEEP_SPEC = "ooo:4"
-
-#: The RUU sweep benchmark replays this table's plan: every distinct
-#: (RUU spec, config) member -- 192 of them, four issue widths x six RUU
-#: sizes x two bus organisations x four configs -- as one sweep per
-#: kernel trace at ``SMALL_SIZES``, the shape whose never-full replays
-#: the batch RUU kernel reuses.
+#: The sweep benchmark replays this table's plan: every distinct (RUU
+#: spec, config) member -- 192 of them, four issue widths x six RUU sizes
+#: x two bus organisations x four configs -- as one sweep per kernel
+#: trace at ``SMALL_SIZES``, the shape whose never-full replays the RUU
+#: size rule (``python_backend.ruu_sweep``) reuses.
 RUU_SWEEP_TABLE = "table7"
 
 
-def _sweeps(options: BenchOptions):
-    """``(label, items, traces)`` for each sweep benchmark."""
-    from ..core.config import STANDARD_CONFIGS
+def _bench_sweep(options: BenchOptions, report: BenchReport, log: Log):
+    """``sweep.table7.{batch,perspec,speedup}``: one trace, many specs.
 
-    spec_shape = FuzzSpec(length=options.trace_length)
-    fuzzed = [fuzz_trace(seed, spec_shape) for seed in range(options.seeds)]
-    yield (
-        SWEEP_SPEC,
-        [(build_simulator(SWEEP_SPEC), config) for config in STANDARD_CONFIGS],
-        fuzzed,
-    )
+    Replays every kernel trace of :data:`RUU_SWEEP_TABLE` through its
+    sweep members -- once as one
+    :func:`~repro.core.fastpath.simulate_sweep` call per trace
+    (``batch``) and once through each member's own ``simulate`` (one
+    per-spec replay per member, ``perspec``) -- and reports both
+    throughputs plus their ratio.  Cycle counts are asserted identical
+    between the two before any timing.
+
+    Both sides run the one RUU loop, so the ratio is what the sweep's
+    reuse of never-full RUU replays saves.  It has no floor of its own:
+    it moves with host load, so the reuse it stands for is pinned as an
+    exact count of reused runs instead (``tests/test_fastpath_batch.py``).
+    """
     plan = build_plan(RUU_SWEEP_TABLE, dict(SMALL_SIZES))
     members = dict.fromkeys((cell.machine, cell.config) for cell in plan.cells)
-    yield (
-        RUU_SWEEP_TABLE,
-        [
-            (build_simulator(machine), config_by_name(config))
-            for machine, config in members
-        ],
-        [resolve_trace(source)[0]
-         for source in dict.fromkeys(cell.source for cell in plan.cells)],
-    )
+    items = [
+        (build_simulator(machine), config_by_name(config))
+        for machine, config in members
+    ]
+    traces = [
+        resolve_trace(source)[0]
+        for source in dict.fromkeys(cell.source for cell in plan.cells)
+    ]
+    total = sum(len(trace) for trace in traces) * len(items)
 
+    def batch_pass() -> List[List[int]]:
+        return [
+            [result.cycles for result in fastpath.simulate_sweep(trace, items)]
+            for trace in traces
+        ]
 
-def _bench_sweep(options: BenchOptions, report: BenchReport, log: Log):
-    """``sweep.<label>.{batch,perspec,speedup}``: one trace, many specs.
+    def perspec_pass() -> List[List[int]]:
+        return [
+            [simulator.simulate(trace, config).cycles
+             for simulator, config in items]
+            for trace in traces
+        ]
 
-    Replays every trace of each :func:`_sweeps` entry through its sweep
-    members -- once as one :func:`~repro.core.fastpath.simulate_sweep`
-    call per trace and once through each member's own ``simulate`` (one
-    per-spec replay per member) -- and reports both throughputs plus
-    their ratio.  Cycle counts are asserted identical between the two
-    before any timing.
+    # Correctness gate plus warm-up: the sweep must agree with the
+    # per-spec loops on every (trace, member) cell, and both passes
+    # populate the compile and plan caches so timing measures replay,
+    # not lowering.
+    if batch_pass() != perspec_pass():
+        raise ValueError(
+            f"sweep diverged from per-spec loops on {RUU_SWEEP_TABLE} "
+            "-- refusing to benchmark a wrong answer"
+        )
 
-    Both sides run the same kernels: an out-of-order member's own
-    ``simulate`` is a one-member call into the batch sweep's
-    out-of-order kernel, and an RUU member's runs the one RUU loop.  So
-    ``perspec`` measures what a member costs replayed alone -- for
-    ``ooo:4`` the ratio is about 1x by design (the full-size suite's
-    test holds ``perspec >= 0.8 * batch``) -- and the Table 7 ratio is
-    what the sweep's reuse of never-full RUU replays saves.  The ratio
-    has no floor of its own: it moves with host load, so the reuse it
-    stands for is pinned as an exact count of reused runs instead
-    (``tests/test_fastpath_batch.py``).
-    """
-    for label, items, traces in _sweeps(options):
-        total = sum(len(trace) for trace in traces) * len(items)
+    batch_times: List[float] = []
+    perspec_times: List[float] = []
+    for _ in range(options.rounds):
+        start = time.perf_counter()
+        batch_pass()
+        batch_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        perspec_pass()
+        perspec_times.append(time.perf_counter() - start)
 
-        def batch_pass() -> List[List[int]]:
-            return [
-                [result.cycles
-                 for result in fastpath.simulate_sweep(trace, items)]
-                for trace in traces
-            ]
-
-        def perspec_pass() -> List[List[int]]:
-            return [
-                [simulator.simulate(trace, config).cycles
-                 for simulator, config in items]
-                for trace in traces
-            ]
-
-        # Correctness gate plus warm-up: the batch sweep must agree with
-        # the per-spec loops on every (trace, member) cell, and both
-        # passes populate the compile and sweep-plan caches so timing
-        # measures replay, not lowering.
-        if batch_pass() != perspec_pass():
-            raise ValueError(
-                f"batch sweep diverged from per-spec loops on {label} "
-                "-- refusing to benchmark a wrong answer"
-            )
-
-        batch_times: List[float] = []
-        perspec_times: List[float] = []
-        for _ in range(options.rounds):
-            start = time.perf_counter()
-            batch_pass()
-            batch_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            perspec_pass()
-            perspec_times.append(time.perf_counter() - start)
-
-        batch = total / min(batch_times)
-        perspec = total / min(perspec_times)
-        report.add(f"sweep.{label}.batch", batch, "instr/s")
-        report.add(f"sweep.{label}.perspec", perspec, "instr/s")
-        report.add(f"sweep.{label}.speedup", batch / perspec, "x")
-        if log:
-            log(
-                f"  sweep.{label:<16} batch {batch:>12,.0f} instr/s  "
-                f"perspec {perspec:>12,.0f} instr/s  "
-                f"speedup {batch / perspec:.2f}x"
-            )
+    label = RUU_SWEEP_TABLE
+    batch = total / min(batch_times)
+    perspec = total / min(perspec_times)
+    report.add(f"sweep.{label}.batch", batch, "instr/s")
+    report.add(f"sweep.{label}.perspec", perspec, "instr/s")
+    report.add(f"sweep.{label}.speedup", batch / perspec, "x")
+    if log:
+        log(
+            f"  sweep.{label:<16} batch {batch:>12,.0f} instr/s  "
+            f"perspec {perspec:>12,.0f} instr/s  "
+            f"speedup {batch / perspec:.2f}x"
+        )
 
 
 def run_suite(

@@ -26,7 +26,7 @@ parses arguments and prints, the facade does the work:
   through every machine, check per-cycle invariants and cross-machine
   ordering/bound claims, shrink any failure to a minimal reproducer;
 * ``bench``    -- seeded micro-benchmarks (fast-path vs reference replay
-  throughput, batch sweep vs per-spec replay); writes a
+  throughput, Table 7's RUU sweep vs per-spec replay); writes a
   ``repro-bench/v1`` JSON report and, with ``--compare BASELINE``,
   flags regressions beyond a noise threshold.
 
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="replay kernels through many machines in one batched pass",
+        help="replay kernels through many machines, one sweep per kernel",
     )
     sweep.add_argument(
         "--machines",
@@ -636,23 +636,13 @@ def _render_run_detail(manifest, *, top: int = 10) -> str:
         f"({manifest.counter('fastpath.cache_hits'):.0f} trace-cache hits, "
         f"{manifest.counter('fastpath.evictions'):.0f} evictions)"
     )
-    route_parts = []
-    for route, keys in (
-        ("python", ("fast_runs", "skipped_instructions")),
-        ("batch", ("fast_runs", "sweeps", "fallback_runs", "reused_runs")),
-    ):
-        counts = {
-            key: manifest.counter(f"fastpath.{route}.{key}") for key in keys
-        }
-        if any(counts.values()):
-            detail = ", ".join(
-                f"{value:.0f} {key.replace('_', ' ')}"
-                for key, value in counts.items()
-                if value
-            )
-            route_parts.append(f"{route}: {detail}")
-    if route_parts:
-        lines.append("  fast-path routes: " + "; ".join(route_parts))
+    saved = ", ".join(
+        f"{value:.0f} {key.replace('_', ' ')}"
+        for key in ("reused_runs", "skipped_instructions")
+        if (value := manifest.counter(f"fastpath.python.{key}"))
+    )
+    if saved:
+        lines.append(f"  not replayed: {saved}")
     utilization = manifest.worker_utilization
     if utilization:
         shares = ", ".join(
@@ -716,7 +706,7 @@ def run_sources(spec: Optional[str]) -> int:
 
 
 def run_sweep_cmd(args) -> int:
-    """The ``sweep`` subcommand: batched multi-machine replay."""
+    """The ``sweep`` subcommand: one trace, many machines."""
     for spec in args.machines:
         api.parse_spec(spec)  # raises UnknownSpecError -> exit 2
     sources = [f"kernel:{loop}" for loop in args.kernels or ()]
@@ -730,15 +720,12 @@ def run_sweep_cmd(args) -> int:
     def count(key: str) -> int:
         return int(counters.get(f"fastpath.{key}", 0))
 
-    swept = count("batch.sweeps")
-    fallback = count("batch.fallback_runs")
-    reused = count("batch.reused_runs")
-    if swept or fallback:
+    fast = count("fast_runs")
+    reused = count("python.reused_runs")
+    if fast:
         print(
-            f"  [{count('fast_runs')} fast replays via "
-            f"{swept} batched sweeps"
+            f"  [{fast} fast replays in {run.stats.groups} sweeps"
             + (f"; {reused} reused" if reused else "")
-            + (f"; {fallback} per-spec fallbacks" if fallback else "")
             + f"; {run.stats.wall_seconds:.3f}s]"
         )
     return 0

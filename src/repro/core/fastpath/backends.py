@@ -12,13 +12,13 @@ Observed replays never reach the gate: ``simulate_observed`` always
 runs the event-emitting reference loop.
 
 :func:`stats` merges the compile-cache counters from
-:mod:`repro.core.fastpath.ir` with the run counters of the two replay
-routes -- ``python.fast_runs`` (a per-spec loop:
-:mod:`~repro.core.fastpath.python_backend`) and ``batch.fast_runs`` /
-``batch.sweeps`` / ``batch.fallback_runs`` / ``batch.reused_runs`` (the
-sweep kernels: :mod:`~repro.core.fastpath.batch`) -- so manifests and
-``repro stats`` can attribute every fast run; the flat ``fast_runs`` key
-is the total of the ``*.fast_runs`` counters.
+:mod:`repro.core.fastpath.ir` with the run counters of the compiled
+loops (:mod:`~repro.core.fastpath.python_backend`): ``python.fast_runs``
+(every member a compiled loop served), ``python.reused_runs`` (the RUU
+sweep members served from another member's replay) and
+``python.skipped_instructions`` (the steady-state fast-forward), so
+manifests and ``repro stats`` can attribute every fast run; the flat
+``fast_runs`` key repeats ``python.fast_runs``.
 """
 
 from __future__ import annotations
@@ -76,52 +76,46 @@ class SweepItem:
     record: Optional[ir.Schedule] = None
 
 
-#: Run counters per replay route, seeded so ``stats()`` exposes a stable
-#: key set (the engine diffs snapshots).
-_RUN_STATS: Dict[str, Dict[str, int]] = {
-    "python": {"fast_runs": 0, "skipped_instructions": 0},
-    "batch": {
-        "fast_runs": 0, "sweeps": 0, "fallback_runs": 0, "reused_runs": 0,
-    },
+#: Run counters of the compiled loops, published as ``python.<key>`` and
+#: seeded so ``stats()`` exposes a stable key set (the engine diffs
+#: snapshots).
+_RUN_STATS: Dict[str, int] = {
+    "fast_runs": 0, "reused_runs": 0, "skipped_instructions": 0,
 }
 
 
-def count_run(group: str, key: str, n: int = 1) -> None:
-    """Bump the run counter ``<group>.<key>``."""
-    _RUN_STATS[group][key] += n
+def count_run(key: str, n: int = 1) -> None:
+    """Bump the run counter ``python.<key>``."""
+    _RUN_STATS[key] += n
 
 
 def stats() -> Dict[str, int]:
-    """Compile-cache and per-route dispatch counters, flattened.
+    """Compile-cache and run counters, flattened.
 
     ``compiles`` / ``cache_hits`` / ``cache_misses`` / ``evictions``
     describe the per-trace compile cache (every miss compiles, so
     ``cache_misses == compiles`` unless the counters were reset between
     the two events; ``evictions`` counts entries dropped by the weak
     reference when their trace was garbage-collected).  ``fast_runs``
-    totals fast replays across routes; ``<route>.<counter>`` keys
-    (``python.fast_runs``, ``batch.fast_runs``, ``batch.sweeps``,
-    ``batch.fallback_runs``, ``batch.reused_runs``) attribute them to
-    the loop that served them.  ``python.skipped_instructions`` counts
-    the instructions the loops credited in closed form instead of
-    replaying (the steady-state fast-forward).
+    and ``python.fast_runs`` count every member a compiled loop served,
+    sweep members reused from another member's RUU replay included, and
+    ``python.reused_runs`` those reused ones.
+    ``python.skipped_instructions`` counts the instructions the loops
+    credited in closed form instead of replaying (the steady-state
+    fast-forward).
     """
     merged: Dict[str, int] = dict(ir._STATS)
-    merged["fast_runs"] = 0
-    for name in sorted(_RUN_STATS):
-        for key, value in sorted(_RUN_STATS[name].items()):
-            merged[f"{name}.{key}"] = value
-            if key == "fast_runs":
-                merged["fast_runs"] += value
+    merged["fast_runs"] = _RUN_STATS["fast_runs"]
+    for key, value in sorted(_RUN_STATS.items()):
+        merged[f"python.{key}"] = value
     return merged
 
 
 def reset_stats() -> None:
     """Zero every counter (tests and benchmarks use this)."""
     ir.reset_compile_stats()
-    for counters in _RUN_STATS.values():
-        for key in counters:
-            counters[key] = 0
+    for key in _RUN_STATS:
+        _RUN_STATS[key] = 0
 
 
 # ----------------------------------------------------------------------

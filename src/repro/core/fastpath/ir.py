@@ -14,9 +14,8 @@ replay of the same trace.
 once into flat parallel tuples of small integers -- functional-unit
 index, destination/source register ids, branch/vector/bus flags, vector
 length -- resolved a single time up front and cached per trace object.
-The per-spec loops (:mod:`repro.core.fastpath.python_backend`) and the
-batch sweep kernels (:mod:`repro.core.fastpath.batch`) replay the
-compiled form; the lowering itself is machine- and config-independent,
+The compiled loops (:mod:`repro.core.fastpath.python_backend`) replay
+the compiled form; the lowering itself is machine- and config-independent,
 so one compilation serves every machine variant and every replay.  The
 same pass marks where the trace is one loop body repeated
 (``CompiledTrace.regions``), which the RUU, out-of-order, in-order,

@@ -14,13 +14,14 @@ Like the reference loops, the fast loops never scan idle cycles: they
 jump straight from one issue decision to the next, so the only scans
 left are the short result-bus conflict probes.
 
-Two families replay through a kernel that also serves the batch sweep
-(:mod:`~repro.core.fastpath.batch`): :func:`ruu_replay` over the
-trace's rename plan, and :func:`ooo_replay` over an out-of-order buffer
-plan, which a single replay calls as a one-member group.  Both plans
-are memoised on the compiled trace
+Two families replay over a per-trace plan: :func:`ruu_replay` over the
+trace's rename plan, and :func:`simulate_ooo_fast` over an out-of-order
+buffer plan.  Both plans are memoised on the compiled trace
 (:func:`~repro.core.fastpath.ir.per_trace`), so every replay of one
-trace shares them and they die with its compilation.
+trace shares them and they die with its compilation.  The one rule a
+sweep adds to per-member replay lives here too: :func:`ruu_sweep`
+replays an RUU sweep largest RUU first and serves every smaller RUU a
+never-full run still fits from that run.
 The state arrays are plain Python ``int`` lists, not NumPy vectors:
 the recurrences are data-dependent (issue decisions feed the very next
 comparison), and at sweep widths of 4-20 the per-op ufunc dispatch
@@ -45,13 +46,13 @@ the key history, the counter credit and the
 seeded generators) never enter it.  Each loop supplies only its own
 part: :func:`ruu_replay` its live RUU entries as the key
 (:func:`_ruu_key`) and their shift (:func:`_ruu_shift`), checked from
-one body into a region on; :func:`ooo_replay` its register, unit and
-bus ready cycles (:func:`_ooo_key`, :func:`_ooo_jump`), checked at
-buffers that start a body; :func:`simulate_inorder_fast` the same key
-plus its open issue-width run, checked at the same buffers;
-:func:`simulate_scoreboard_fast` its register, write, unit and bus
-state relative to the issue front, checked at every body start from
-one body in; and :func:`simulate_spec_fast` its issue cursor, resume
+one body into a region on; :func:`simulate_ooo_fast` its register,
+unit and bus ready cycles (:func:`_ooo_key`, :func:`_ooo_jump`),
+checked at buffers that start a body; :func:`simulate_inorder_fast`
+the same key plus its open issue-width run, checked at the same
+buffers; :func:`simulate_scoreboard_fast` its register, write, unit
+and bus state relative to the issue front, checked at every body start
+from one body in; and :func:`simulate_spec_fast` its issue cursor, resume
 cycle, register ready cycles and live entries (:func:`_spec_key`),
 checked from one body in, but only in the sub-regions where its
 predictor outcomes (:func:`spec_outcomes`) repeat body for body too --
@@ -75,9 +76,9 @@ Bit-identity is a hard invariant, enforced three ways:
 :data:`FAMILY_LOOPS` maps each compiled family to its loop, with the
 signature ``loop(machine, trace, config, record=None)``; it is how
 :meth:`repro.core.base.CompiledSimulator.simulate` dispatches and how
-:func:`repro.core.fastpath.simulate_sweep` serves sweep members the
-batch kernels do not cover (the package does not re-export the loops).
-Every run through it counts as ``python.fast_runs``.
+:func:`repro.core.fastpath.simulate_sweep` serves every sweep member
+but the RUU ones (the package does not re-export the loops).  Every
+member a compiled loop serves counts as ``python.fast_runs``.
 
 Telemetry: every loop also fills a closed-form
 :class:`~repro.obs.telemetry.SimTelemetry` record -- stall cycles by
@@ -104,7 +105,7 @@ from ...trace import Trace
 from ..buses import BusKind
 from ..config import MachineConfig
 from ..result import SimulationResult
-from .backends import SweepItem, count_run
+from .backends import count_run
 from .ir import (
     CompiledTrace,
     N_REGISTERS,
@@ -125,9 +126,10 @@ from .ir import (
 
 __all__ = [
     "FAMILY_LOOPS",
-    "ooo_replay",
+    "ruu_sweep",
     "simulate_cdc6600_fast",
     "simulate_inorder_fast",
+    "simulate_ooo_fast",
     "simulate_ruu_fast",
     "simulate_scoreboard_fast",
     "simulate_spec_fast",
@@ -203,7 +205,7 @@ def simulate_scoreboard_fast(
     key skips whole periods.
     """
     compiled = compile_trace(trace)
-    count_run("python", "fast_runs")
+    count_run("fast_runs")
     latencies, pipelined = _unit_tables(
         config, machine.fu_pipelined, machine.memory_interleaved
     )
@@ -214,8 +216,8 @@ def simulate_scoreboard_fast(
     reg_ready = [0] * N_REGISTERS
     write_done = [0] * N_REGISTERS
     fu_free = [0] * len(UNITS)
-    # Grow-only result-bus reservations, as in :func:`ooo_replay`: the
-    # issue front (`next_issue`) only ever probes cycles after itself.
+    # Grow-only result-bus reservations, as in :func:`simulate_ooo_fast`:
+    # the issue front (`next_issue`) only ever probes cycles after itself.
     bus_reserved = set()
     next_issue = 0
     last_event = 0
@@ -407,7 +409,7 @@ def simulate_inorder_fast(
     run, and a repeated key skips whole periods of buffers.
     """
     compiled = require_scalar(compile_trace(trace), machine)
-    count_run("python", "fast_runs")
+    count_run("fast_runs")
     latencies, _ = _unit_tables(config, True, True)
     branch_latency = config.branch_latency
     units = machine.issue_units
@@ -417,7 +419,7 @@ def simulate_inorder_fast(
 
     reg_ready = [0] * N_REGISTERS
     fu_free = [0] * len(UNITS)
-    # Grow-only result-bus reservations, as in :func:`ooo_replay`.
+    # Grow-only result-bus reservations, as in :func:`simulate_ooo_fast`.
     buses: List[set] = [set() for _ in range(n_buses)]
 
     ops = compiled.ops
@@ -590,7 +592,7 @@ def simulate_cdc6600_fast(
     reference recurrence (same max chains, same tie-breaks).
     """
     compiled = require_scalar(compile_trace(trace), machine)
-    count_run("python", "fast_runs")
+    count_run("fast_runs")
     table = config.latencies
     latencies = [table.latency(unit) for unit in UNITS]
     branch_latency = config.branch_latency
@@ -705,7 +707,7 @@ def simulate_tomasulo_fast(
     active cycle the start/issue order matches the reference exactly.
     """
     compiled = require_scalar(compile_trace(trace), machine)
-    count_run("python", "fast_runs")
+    count_run("fast_runs")
     table = config.latencies
     latencies = [table.latency(unit) for unit in UNITS]
     branch_latency = config.branch_latency
@@ -943,7 +945,7 @@ class RUURun(NamedTuple):
     ``peak`` is the most RUU entries ever live at once.  A run whose peak
     stays below its RUU size never found the RUU full, so every RUU size
     above the peak replays it cycle for cycle (the size is only ever
-    compared against the live count); the batch sweep reuses such runs.
+    compared against the live count); :func:`ruu_sweep` reuses such runs.
     """
 
     cycles: int
@@ -1055,7 +1057,7 @@ def _ruu_key(
 
 class _SteadyState:
     """The steady-state fast-forward of one replay (see the module
-    docstring), shared by :func:`ruu_replay`, :func:`ooo_replay`,
+    docstring), shared by :func:`ruu_replay`, :func:`simulate_ooo_fast`,
     :func:`simulate_inorder_fast`, :func:`simulate_scoreboard_fast` and
     :func:`simulate_spec_fast`: the region cursor, the signature gate,
     the key history, the counter credit and the skipped-instruction
@@ -1153,7 +1155,7 @@ class _SteadyState:
             for index, count in enumerate(before):
                 if tally[index] != count:
                     tally[index] += repeats * (tally[index] - count)
-        count_run("python", "skipped_instructions", skip)
+        count_run("skipped_instructions", skip)
         self.leave = True
         self.next_check = self._following()
         return repeats, span, cycle - cycle0, extra0
@@ -1179,7 +1181,7 @@ def ruu_replay(
     """The RUU fast loop: one replay of *compiled* on *machine*/*config*.
 
     Every RUU replay runs this one loop -- :func:`simulate_ruu_fast`
-    once per spec, the batch RUU kernel once per distinct replay of a
+    once per spec, :func:`ruu_sweep` once per distinct replay of a
     sweep.  It walks the reference's commit /
     dispatch / issue phase order over the shared :func:`ruu_plan`, so
     renaming costs tuple reads instead of tag dictionaries, and jumps
@@ -1539,18 +1541,63 @@ def simulate_ruu_fast(
 
     """
     compiled = require_scalar(compile_trace(trace), machine)
-    count_run("python", "fast_runs")
+    count_run("fast_runs")
     run = ruu_replay(compiled, machine, config, record is not None)
     if record is not None:
         record.extend(run.schedule)
-    return SimulationResult(
-        trace_name=compiled.name,
-        simulator=machine.name,
-        config=config,
-        instructions=compiled.n,
-        cycles=run.cycles,
-        detail=run.detail,
-    )
+    return _result(compiled, machine, config, run.cycles, run.detail)
+
+
+def ruu_sweep(compiled, items) -> List[SimulationResult]:
+    """Every RUU sweep member (``SweepItem``) over one scalar trace: the
+    one thing a sweep does that per-member replay cannot.
+
+    Members that differ only in RUU size are replayed largest first: a
+    run whose peak occupancy stayed below the next smaller size never
+    found the RUU full, so that size replays it cycle for cycle and takes
+    a copy of its result instead of a replay.  Members that agree on
+    every timing parameter (``ruu:1:R`` over N-Bus and 1-Bus, whose three
+    paths are all one wide) share one replay the same way.  Every member
+    counts as ``python.fast_runs``; those served from another's replay
+    also count as ``python.reused_runs``.  Results come back in item
+    order.
+    """
+    classes: Dict[Tuple, List[int]] = {}
+    for k, item in enumerate(items):
+        machine, config = item.simulator, item.config
+        table = config.latencies
+        key = (
+            tuple(table.latency(unit) for unit in UNITS),
+            config.branch_latency,
+            machine.issue_units,
+            machine.path_width,
+            machine.bypass,
+            machine.ordered_memory,
+            machine.fu_copies,
+        )
+        classes.setdefault(key, []).append(k)
+
+    count_run("fast_runs", len(items))
+    results: List[SimulationResult] = [None] * len(items)  # type: ignore
+    for members in classes.values():
+        members.sort(key=lambda k: -items[k].simulator.ruu_size)
+        tracking = any(items[k].record is not None for k in members)
+        run = None
+        run_size = 0
+        for k in members:
+            item = items[k]
+            size = item.simulator.ruu_size
+            if run is not None and (run.peak < size or size == run_size):
+                count_run("reused_runs")
+            else:
+                run = ruu_replay(compiled, item.simulator, item.config,
+                                 tracking)
+                run_size = size
+            if item.record is not None:
+                item.record.extend(run.schedule)
+            results[k] = _result(compiled, item.simulator, item.config,
+                                 run.cycles, dict(run.detail))
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -1601,7 +1648,7 @@ def _ooo_decode(window, enforce_war: bool) -> tuple:
         return (_SINGLE, window[0], 0)
 
     # Independent: no branch, no shared functional unit and no register
-    # shared in any direction (see :func:`ooo_replay`).
+    # shared in any direction (see :func:`simulate_ooo_fast`).
     slots: List[tuple] = []
     units_seen = 0
     indep = True
@@ -1682,13 +1729,16 @@ def _shift_schedule(issue_at, complete_at, pos, skip, span, gap) -> None:
         complete_at[seq] = complete_at[seq - span] + gap
 
 
-def ooo_replay(compiled, group) -> List[SimulationResult]:
-    """The out-of-order kernel: replay *compiled* once per member of
-    *group* (``SweepItem`` members of one issue width and WAR policy).
+def simulate_ooo_fast(
+    machine,
+    trace: Trace,
+    config: MachineConfig,
+    record: Optional[Schedule] = None,
+) -> SimulationResult:
+    """Fast twin of
+    :meth:`OutOfOrderMultiIssueMachine.reference_simulate`.
 
-    Every out-of-order replay runs this one kernel -- the ``ooo`` entry
-    of :data:`FAMILY_LOOPS` as a one-member group, the batch sweep once
-    per (width, WAR) group.  It runs in two phases.  Phase 1
+    It runs in two phases.  Phase 1
     (:func:`_ooo_plan`, cached per compiled trace) decodes every fetch
     buffer once -- the buffer cut (after the first taken branch) and the
     intra-buffer hazard structure are config-independent -- into
@@ -1717,396 +1767,346 @@ def ooo_replay(compiled, group) -> List[SimulationResult]:
         branch-free buffer is the case with no branch slots to gate or
         wait on.
 
-    Phase 2 replays the prebuilt buffer records once per sweep member
-    with that member's latencies, bus wiring and machine state bound as
-    locals for the whole trace.
+    Phase 2 replays the prebuilt buffer records with this config's
+    latencies, bus wiring and machine state bound as locals for the
+    whole trace.
 
     Bus reservations are grow-only sets (see the module docstring).
 
-    Inside the trace's periodic regions each member's replay
-    fast-forwards (see the module docstring): :func:`_ooo_key` is its
-    state at a buffer that starts a body, and a repeated key skips whole
-    periods of buffers in closed form.
+    Inside the trace's periodic regions the replay fast-forwards (see
+    the module docstring): :func:`_ooo_key` is its state at a buffer
+    that starts a body, and a repeated key skips whole periods of
+    buffers in closed form.
     """
-    units = group[0].simulator.issue_units
-    enforce_war = group[0].simulator.enforce_war
-    K = len(group)
-    p_lat: List[List[int]] = []
-    p_brlat: List[int] = []
-    p_nbus: List[int] = []
-    p_xbar: List[bool] = []
-    for item in group:
-        table = item.config.latencies
-        p_lat.append([table.latency(unit) for unit in UNITS])
-        p_brlat.append(item.config.branch_latency)
-        kind = item.simulator.bus_kind
-        p_nbus.append(1 if kind is BusKind.ONE_BUS else units)
-        p_xbar.append(kind is BusKind.X_BAR)
-
-    buffers = _ooo_plan(compiled, units, enforce_war)
-
-    # Buffer occupancy and taken-branch flushes depend only on the
-    # taken flags (shared per-trace cache); single-slot buffers always
-    # issue alone, so their width-1 contribution is one count, not one
-    # dict update per buffer per spec.
-    t_occ, t_flushes, t_flush_cycles = window_stats(compiled, units)
-    t_singles = sum(1 for _pos, tag, _p, _fm in buffers if tag == _SINGLE)
-    t_details: List[Dict[str, float]] = [{}] * K
-
-    # ------------------------------------------------------------------
-    # Phase 2: replay the records once per sweep member.
-    # ------------------------------------------------------------------
-    n_units = len(UNITS)
+    compiled = require_scalar(compile_trace(trace), machine)
+    count_run("fast_runs")
+    units = machine.issue_units
+    buffers = _ooo_plan(compiled, units, machine.enforce_war)
     positions = fetch_buffers(compiled, units)[0]
-    last_events = [0] * K
-    tracking = [item.record is not None for item in group]
-    issue_at = [
-        [0] * compiled.n if tracking[k] else None for k in range(K)
-    ]
-    complete_at = [
-        [0] * compiled.n if tracking[k] else None for k in range(K)
-    ]
+    # Buffer occupancy and taken-branch flushes depend only on the
+    # taken flags (shared per-trace cache).  A single-slot buffer always
+    # issues alone, so the single-slot buffers' width-1 count is the
+    # occupancy histogram's one-slot count, added once at the end.
+    t_occ, t_flushes, t_flush_cycles = window_stats(compiled, units)
 
-    for k in range(K):
-        latencies = p_lat[k]
-        brlat = p_brlat[k]
-        nb = p_nbus[k]
-        xb = p_xbar[k]
-        regs = [0] * N_REGISTERS
-        fuf = [0] * n_units
-        buses_k = [set() for _ in range(nb)]
-        # slot -> result bus, replacing `slot % nb` in the drains (a
-        # slot index never exceeds the issue-unit count).
-        busmap = buses_k if nb != 1 else buses_k * units
-        track = tracking[k]
-        issue_k = issue_at[k]
-        complete_k = complete_at[k]
-        cycle = 0
-        last_event = 0
-        closed_ok = nb != 1 and not xb
-        # Scan passes issue at most `units` slots, so width counts live
-        # in a flat list; single-slot buffers are added once at the end.
-        t_width = [0] * (units + 1)
-        t_cs: List[int] = []
-        t_cs_append = t_cs.append
-        # Steady-state fast-forward at the buffers that start a body.  The
-        # buffers from any body start on are the same shifted (no rename
-        # plan here), so the first body is already a boundary.
-        steady = _SteadyState(compiled.regions, compiled.n, 0, positions)
-        next_check = steady.next_check
-        horizon = max(latencies) + 1  # bus reservations end before this
-        # Scan drains read the resolution of earlier branch slots of the
-        # same buffer only, each written when that slot issued.
-        branch_resolve = [0] * units
+    table = config.latencies
+    latencies = [table.latency(unit) for unit in UNITS]
+    brlat = config.branch_latency
+    kind = machine.bus_kind
+    nb = 1 if kind is BusKind.ONE_BUS else units
+    xb = kind is BusKind.X_BAR
+    regs = [0] * N_REGISTERS
+    fuf = [0] * len(UNITS)
+    buses = [set() for _ in range(nb)]
+    # slot -> result bus, replacing `slot % nb` in the drains (a slot
+    # index never exceeds the issue-unit count).
+    busmap = buses if nb != 1 else buses * units
+    track = record is not None
+    issue_at = [0] * compiled.n if track else None
+    complete_at = [0] * compiled.n if track else None
+    cycle = 0
+    last_event = 0
+    closed_ok = nb != 1 and not xb
+    # Scan passes issue at most `units` slots, so width counts live in a
+    # flat list; single-slot buffers are added once at the end.
+    t_width = [0] * (units + 1)
+    t_cs: List[int] = []
+    t_cs_append = t_cs.append
+    # Steady-state fast-forward at the buffers that start a body.  The
+    # buffers from any body start on are the same shifted (no rename
+    # plan here), so the first body is already a boundary.
+    steady = _SteadyState(compiled.regions, compiled.n, 0, positions)
+    next_check = steady.next_check
+    horizon = max(latencies) + 1  # bus reservations end before this
+    # Scan drains read the resolution of earlier branch slots of the
+    # same buffer only, each written when that slot issued.
+    branch_resolve = [0] * units
 
-        records = iter(buffers)
-        for pos, tag, payload, full_mask in records:
-            if pos >= next_check:
-                if steady.enter(pos) == pos and steady.gate(
-                    pos, cycle, last_event - cycle if last_event > cycle else 0
-                ):
-                    jump = steady.repeat(
-                        pos, cycle,
-                        _ooo_key(cycle, last_event, regs, fuf, buses_k,
-                                 horizon),
-                        (t_width,), last_event,
-                    )
-                    if jump is not None:
-                        repeats, span, gap, event0 = jump
-                        skip = repeats * span
-                        if track:
-                            _shift_schedule(issue_k, complete_k, pos, skip,
-                                            span, gap)
-                        _ooo_jump(cycle, repeats * gap, regs, fuf, buses_k,
-                                  horizon)
-                        if last_event != event0:
-                            last_event += repeats * gap
-                        cycle += repeats * gap
-                        pos, tag, payload, full_mask = next(islice(
-                            records,
-                            bisect_left(positions, pos + skip)
-                            - bisect_left(positions, pos) - 1,
-                            None,
-                        ))
-                next_check = steady.next_check
+    records = iter(buffers)
+    for pos, tag, payload, full_mask in records:
+        if pos >= next_check:
+            if steady.enter(pos) == pos and steady.gate(
+                pos, cycle, last_event - cycle if last_event > cycle else 0
+            ):
+                jump = steady.repeat(
+                    pos, cycle,
+                    _ooo_key(cycle, last_event, regs, fuf, buses, horizon),
+                    (t_width,), last_event,
+                )
+                if jump is not None:
+                    repeats, span, gap, event0 = jump
+                    skip = repeats * span
+                    if track:
+                        _shift_schedule(issue_at, complete_at, pos, skip,
+                                        span, gap)
+                    _ooo_jump(cycle, repeats * gap, regs, fuf, buses,
+                              horizon)
+                    if last_event != event0:
+                        last_event += repeats * gap
+                    cycle += repeats * gap
+                    pos, tag, payload, full_mask = next(islice(
+                        records,
+                        bisect_left(positions, pos + skip)
+                        - bisect_left(positions, pos) - 1,
+                        None,
+                    ))
+            next_check = steady.next_check
 
-            if tag == _SINGLE:
-                unit, dest, srcs, is_branch = payload[:4]
+        if tag == _SINGLE:
+            unit, dest, srcs, is_branch = payload[:4]
+            c = cycle
+            for src in srcs:
+                ready = regs[src]
+                if ready > c:
+                    c = ready
+            if dest >= 0:
+                ready = regs[dest]
+                if ready > c:
+                    c = ready
+                ready = fuf[unit]
+                if ready > c:
+                    c = ready
+                complete = c + latencies[unit]
+                if xb:
+                    chosen = -1
+                    for bus_index in range(nb):
+                        if complete not in buses[bus_index]:
+                            chosen = bus_index
+                            break
+                    if chosen < 0:
+                        while all(complete in bus for bus in buses):
+                            c += 1
+                            complete += 1
+                        for bus_index in range(nb):
+                            if complete not in buses[bus_index]:
+                                chosen = bus_index
+                                break
+                    reserved = buses[chosen]
+                else:
+                    reserved = buses[0]
+                    while complete in reserved:
+                        c += 1
+                        complete += 1
+                reserved.add(complete)
+                regs[dest] = complete
+            else:
+                ready = fuf[unit]
+                if ready > c:
+                    c = ready
+                complete = c + latencies[unit]
+            fuf[unit] = c + 1
+            if is_branch:
+                resolve = c + brlat
+                if resolve > last_event:
+                    last_event = resolve
+                cycle = c + 1 if c + 1 > resolve else resolve
+                if track:
+                    issue_at[pos] = c
+                    complete_at[pos] = resolve
+            else:
+                if complete > last_event:
+                    last_event = complete
+                cycle = c + 1
+                if track:
+                    issue_at[pos] = c
+                    complete_at[pos] = complete
+            continue
+
+        if tag == _INDEP and closed_ok:
+            maxc = cycle
+            for slot, (_b, _g, _bs, unit, dest, srcs, _br) in enumerate(
+                payload
+            ):
                 c = cycle
                 for src in srcs:
                     ready = regs[src]
                     if ready > c:
                         c = ready
+                ready = fuf[unit]
+                if ready > c:
+                    c = ready
+                complete = c + latencies[unit]
                 if dest >= 0:
                     ready = regs[dest]
                     if ready > c:
                         c = ready
-                    ready = fuf[unit]
-                    if ready > c:
-                        c = ready
-                    complete = c + latencies[unit]
+                        complete = c + latencies[unit]
+                    reserved = buses[slot]
+                    while complete in reserved:
+                        c += 1
+                        complete += 1
+                    reserved.add(complete)
+                    regs[dest] = complete
+                fuf[unit] = c + 1
+                if complete > last_event:
+                    last_event = complete
+                if c > maxc:
+                    maxc = c
+                t_cs_append(c)
+                if track:
+                    issue_at[pos + slot] = c
+                    complete_at[pos + slot] = complete
+            # Slots may share an issue cycle only within this
+            # buffer (the next one starts past ``maxc``), so the
+            # per-buffer multiset gives the per-cycle widths;
+            # pairwise counting over <= `units` entries beats a
+            # per-slot dict by a wide margin.
+            m = len(t_cs)
+            if m == 1:
+                t_width[1] += 1
+            else:
+                counted = 0
+                for i in range(m):
+                    if counted >> i & 1:
+                        continue
+                    ci = t_cs[i]
+                    run = 1
+                    for j in range(i + 1, m):
+                        if t_cs[j] == ci:
+                            run += 1
+                            counted |= 1 << j
+                    t_width[run] += 1
+            t_cs.clear()
+            cycle = maxc + 1
+            continue
+
+        # Scan drain: a slot waits for the earlier slots its gate names
+        # to issue, and for the earlier branches among them to resolve.
+        unissued = full_mask
+        barrier = 0
+        guard = 0
+        while unissued:
+            guard += 1
+            if guard > _MAX_BUFFER_CYCLES:  # pragma: no cover
+                raise RuntimeError(
+                    f"buffer failed to drain at trace pos {pos}"
+                )
+            progressed = False
+            nxt = -1
+            before = unissued
+            for slot, (
+                bit, gate, branches, unit, dest, srcs, is_branch
+            ) in enumerate(payload):
+                if not unissued & bit:
+                    continue
+                # Gated by an earlier *unissued* slot (branch or
+                # hazard): that slot's own candidate bounds this
+                # one, so it contributes nothing to the jump.
+                if gate & unissued:
+                    continue
+                earliest = cycle
+                for b in branches:
+                    resolve = branch_resolve[b]
+                    if resolve > earliest:
+                        earliest = resolve
+                for src in srcs:
+                    ready = regs[src]
+                    if ready > earliest:
+                        earliest = ready
+                if dest >= 0:
+                    ready = regs[dest]
+                    if ready > earliest:
+                        earliest = ready
+                ready = fuf[unit]
+                if ready > earliest:
+                    earliest = ready
+                latency = latencies[unit]
+                if earliest > cycle:
+                    # Not ready: jump candidate (used only when
+                    # nothing issues this scan, i.e. when state did
+                    # not change under us).
+                    cand = earliest
+                    if dest >= 0:
+                        if xb:
+                            while all(
+                                cand + latency in bus for bus in buses
+                            ):
+                                cand += 1
+                        else:
+                            reserved = busmap[slot]
+                            while cand + latency in reserved:
+                                cand += 1
+                    if nxt < 0 or cand < nxt:
+                        nxt = cand
+                    continue
+                complete = cycle + latency
+                if dest >= 0:
                     if xb:
                         chosen = -1
                         for bus_index in range(nb):
-                            if complete not in buses_k[bus_index]:
+                            if complete not in buses[bus_index]:
                                 chosen = bus_index
                                 break
                         if chosen < 0:
-                            while all(complete in bus for bus in buses_k):
-                                c += 1
-                                complete += 1
-                            for bus_index in range(nb):
-                                if complete not in buses_k[bus_index]:
-                                    chosen = bus_index
-                                    break
-                        reserved = buses_k[chosen]
-                    else:
-                        reserved = buses_k[0]
-                        while complete in reserved:
-                            c += 1
-                            complete += 1
-                    reserved.add(complete)
-                    regs[dest] = complete
-                else:
-                    ready = fuf[unit]
-                    if ready > c:
-                        c = ready
-                    complete = c + latencies[unit]
-                fuf[unit] = c + 1
-                if is_branch:
-                    resolve = c + brlat
-                    if resolve > last_event:
-                        last_event = resolve
-                    cycle = c + 1 if c + 1 > resolve else resolve
-                    if track:
-                        issue_k[pos] = c
-                        complete_k[pos] = resolve
-                else:
-                    if complete > last_event:
-                        last_event = complete
-                    cycle = c + 1
-                    if track:
-                        issue_k[pos] = c
-                        complete_k[pos] = complete
-                continue
-
-            if tag == _INDEP and closed_ok:
-                maxc = cycle
-                for slot, (_b, _g, _bs, unit, dest, srcs, _br) in enumerate(
-                    payload
-                ):
-                    c = cycle
-                    for src in srcs:
-                        ready = regs[src]
-                        if ready > c:
-                            c = ready
-                    ready = fuf[unit]
-                    if ready > c:
-                        c = ready
-                    complete = c + latencies[unit]
-                    if dest >= 0:
-                        ready = regs[dest]
-                        if ready > c:
-                            c = ready
-                            complete = c + latencies[unit]
-                        reserved = buses_k[slot]
-                        while complete in reserved:
-                            c += 1
-                            complete += 1
-                        reserved.add(complete)
-                        regs[dest] = complete
-                    fuf[unit] = c + 1
-                    if complete > last_event:
-                        last_event = complete
-                    if c > maxc:
-                        maxc = c
-                    t_cs_append(c)
-                    if track:
-                        issue_k[pos + slot] = c
-                        complete_k[pos + slot] = complete
-                # Slots may share an issue cycle only within this
-                # buffer (the next one starts past ``maxc``), so the
-                # per-buffer multiset gives the per-cycle widths;
-                # pairwise counting over <= `units` entries beats a
-                # per-slot dict by a wide margin.
-                m = len(t_cs)
-                if m == 1:
-                    t_width[1] += 1
-                else:
-                    counted = 0
-                    for i in range(m):
-                        if counted >> i & 1:
+                            cand = cycle + 1
+                            while all(
+                                cand + latency in bus for bus in buses
+                            ):
+                                cand += 1
+                            if nxt < 0 or cand < nxt:
+                                nxt = cand
                             continue
-                        ci = t_cs[i]
-                        run = 1
-                        for j in range(i + 1, m):
-                            if t_cs[j] == ci:
-                                run += 1
-                                counted |= 1 << j
-                        t_width[run] += 1
-                t_cs.clear()
-                cycle = maxc + 1
-                continue
-
-            # Scan drain: a slot waits for the earlier slots its gate names
-            # to issue, and for the earlier branches among them to resolve.
-            unissued = full_mask
-            barrier = 0
-            guard = 0
-            while unissued:
-                guard += 1
-                if guard > _MAX_BUFFER_CYCLES:  # pragma: no cover
-                    raise RuntimeError(
-                        f"buffer failed to drain at trace pos {pos}"
-                    )
-                progressed = False
-                nxt = -1
-                before = unissued
-                for slot, (
-                    bit, gate, branches, unit, dest, srcs, is_branch
-                ) in enumerate(payload):
-                    if not unissued & bit:
-                        continue
-                    # Gated by an earlier *unissued* slot (branch or
-                    # hazard): that slot's own candidate bounds this
-                    # one, so it contributes nothing to the jump.
-                    if gate & unissued:
-                        continue
-                    earliest = cycle
-                    for b in branches:
-                        resolve = branch_resolve[b]
-                        if resolve > earliest:
-                            earliest = resolve
-                    for src in srcs:
-                        ready = regs[src]
-                        if ready > earliest:
-                            earliest = ready
-                    if dest >= 0:
-                        ready = regs[dest]
-                        if ready > earliest:
-                            earliest = ready
-                    ready = fuf[unit]
-                    if ready > earliest:
-                        earliest = ready
-                    latency = latencies[unit]
-                    if earliest > cycle:
-                        # Not ready: jump candidate (used only when
-                        # nothing issues this scan, i.e. when state did
-                        # not change under us).
-                        cand = earliest
-                        if dest >= 0:
-                            if xb:
-                                while all(
-                                    cand + latency in bus for bus in buses_k
-                                ):
-                                    cand += 1
-                            else:
-                                reserved = busmap[slot]
-                                while cand + latency in reserved:
-                                    cand += 1
-                        if nxt < 0 or cand < nxt:
-                            nxt = cand
-                        continue
-                    complete = cycle + latency
-                    if dest >= 0:
-                        if xb:
-                            chosen = -1
-                            for bus_index in range(nb):
-                                if complete not in buses_k[bus_index]:
-                                    chosen = bus_index
-                                    break
-                            if chosen < 0:
-                                cand = cycle + 1
-                                while all(
-                                    cand + latency in bus for bus in buses_k
-                                ):
-                                    cand += 1
-                                if nxt < 0 or cand < nxt:
-                                    nxt = cand
-                                continue
-                            reserved = buses_k[chosen]
-                        else:
-                            reserved = busmap[slot]
-                            if complete in reserved:
-                                cand = cycle + 1
-                                while cand + latency in reserved:
-                                    cand += 1
-                                if nxt < 0 or cand < nxt:
-                                    nxt = cand
-                                continue
-                        regs[dest] = complete
-                        reserved.add(complete)
-                    # Issue slot at `cycle`; a branch completes when it
-                    # resolves.
-                    unissued &= ~bit
-                    progressed = True
-                    fuf[unit] = cycle + 1
-                    if is_branch:
-                        complete = cycle + brlat
-                        branch_resolve[slot] = complete
-                        if complete > barrier:
-                            barrier = complete
-                    if complete > last_event:
-                        last_event = complete
-                    if track:
-                        issue_k[pos + slot] = cycle
-                        complete_k[pos + slot] = complete
-                    if not unissued:
-                        break
-                # Scan passes visit strictly increasing cycles, so the
-                # issues of one pass are one cycle's issue width (issued
-                # bits = before ^ unissued, since unissued only ever
-                # loses bits).
-                issued = (before ^ unissued).bit_count()
-                if issued:
-                    t_width[issued] += 1
-                if unissued:
-                    if progressed:
-                        cycle += 1
+                        reserved = buses[chosen]
                     else:
-                        cycle = nxt if nxt > cycle else cycle + 1
-            # The next buffer is available the cycle after the last
-            # issue, but never before every branch in this buffer has
-            # resolved.
-            cycle = cycle + 1 if cycle + 1 > barrier else barrier
+                        reserved = busmap[slot]
+                        if complete in reserved:
+                            cand = cycle + 1
+                            while cand + latency in reserved:
+                                cand += 1
+                            if nxt < 0 or cand < nxt:
+                                nxt = cand
+                            continue
+                    regs[dest] = complete
+                    reserved.add(complete)
+                # Issue slot at `cycle`; a branch completes when it
+                # resolves.
+                unissued &= ~bit
+                progressed = True
+                fuf[unit] = cycle + 1
+                if is_branch:
+                    complete = cycle + brlat
+                    branch_resolve[slot] = complete
+                    if complete > barrier:
+                        barrier = complete
+                if complete > last_event:
+                    last_event = complete
+                if track:
+                    issue_at[pos + slot] = cycle
+                    complete_at[pos + slot] = complete
+                if not unissued:
+                    break
+            # Scan passes visit strictly increasing cycles, so the
+            # issues of one pass are one cycle's issue width (issued
+            # bits = before ^ unissued, since unissued only ever
+            # loses bits).
+            issued = (before ^ unissued).bit_count()
+            if issued:
+                t_width[issued] += 1
+            if unissued:
+                if progressed:
+                    cycle += 1
+                else:
+                    cycle = nxt if nxt > cycle else cycle + 1
+        # The next buffer is available the cycle after the last
+        # issue, but never before every branch in this buffer has
+        # resolved.
+        cycle = cycle + 1 if cycle + 1 > barrier else barrier
 
-        last_events[k] = last_event
-        t_width[1] += t_singles
-        t_details[k] = SimTelemetry(
-            instructions=compiled.n,
-            cycles=max(last_event, 1),
-            stall_cycles={},
-            fu_busy_cycles=_closed_busy(compiled, latencies, brlat),
-            issue_width={w: c for w, c in enumerate(t_width) if c},
-            occupancy=t_occ,
-            flushes=t_flushes,
-            flush_cycles=t_flush_cycles,
-        ).to_detail()
-
-    results = []
-    for k, item in enumerate(group):
-        if tracking[k]:
-            item.record.extend(zip(issue_at[k], complete_at[k]))
-        results.append(
-            _result(compiled, item.simulator, item.config,
-                    max(last_events[k], 1), t_details[k])
-        )
-    return results
-
-
-def _ooo_member(
-    machine,
-    trace: Trace,
-    config: MachineConfig,
-    record: Optional[Schedule] = None,
-) -> SimulationResult:
-    """The ``ooo`` entry of :data:`FAMILY_LOOPS`: a one-member
-    :func:`ooo_replay`, so a single out-of-order replay runs the sweep
-    kernel (and shares its buffer plan, memoised on the compiled
-    trace)."""
-    compiled = require_scalar(compile_trace(trace), machine)
-    count_run("python", "fast_runs")
-    return ooo_replay(compiled, [SweepItem(machine, config, record)])[0]
+    t_width[1] += t_occ.get(1, 0)
+    if track:
+        record.extend(zip(issue_at, complete_at))
+    cycles = max(last_event, 1)
+    detail = SimTelemetry(
+        instructions=compiled.n,
+        cycles=cycles,
+        stall_cycles={},
+        fu_busy_cycles=_closed_busy(compiled, latencies, brlat),
+        issue_width={w: c for w, c in enumerate(t_width) if c},
+        occupancy=t_occ,
+        flushes=t_flushes,
+        flush_cycles=t_flush_cycles,
+    ).to_detail()
+    return _result(compiled, machine, config, cycles, detail)
 
 
 # ----------------------------------------------------------------------
@@ -2272,7 +2272,7 @@ def simulate_spec_fast(
     latency with prediction off).
     """
     compiled = require_scalar(compile_trace(trace), machine)
-    count_run("python", "fast_runs")
+    count_run("fast_runs")
     table = config.latencies
     latencies = [table.latency(unit) for unit in UNITS]
     branch_latency = config.branch_latency
@@ -2549,7 +2549,7 @@ def simulate_spec_fast(
 FAMILY_LOOPS = {
     "scoreboard": simulate_scoreboard_fast,
     "inorder": simulate_inorder_fast,
-    "ooo": _ooo_member,
+    "ooo": simulate_ooo_fast,
     "ruu": simulate_ruu_fast,
     "spec": simulate_spec_fast,
     "tomasulo": simulate_tomasulo_fast,

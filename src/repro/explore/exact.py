@@ -1,4 +1,4 @@
-"""Exact verification of screened candidates via the batch fast path.
+"""Exact verification of screened candidates via the fast-path sweep.
 
 The screen is a closed-form approximation; this stage replays the few
 candidates that matter -- predicted frontier, verification band, audit

@@ -88,7 +88,7 @@ def _fastpath_deltas(
     """Non-zero ``fastpath.stats()`` deltas as ``fastpath.*`` metrics.
 
     Every counter the stats expose is published -- including the
-    per-route keys (``python.fast_runs``, ``batch.sweeps``, ...), so
+    run keys (``python.fast_runs``, ``python.reused_runs``, ...), so
     manifests attribute fast runs to the loop that served them.
     """
     deltas: Dict[str, float] = {}

@@ -214,7 +214,7 @@ class TestRunSweep:
             )
 
     def test_backends_agree(self):
-        """The batch sweep and the reference loops give the same rates,
+        """The sweep and the reference loops give the same rates,
         and the run's stats attribute the replays to the sweep."""
         from repro.core import fastpath
 
@@ -226,7 +226,7 @@ class TestRunSweep:
             fastpath.set_enabled(previous)
         assert run.rates == reference.rates
         counters = run.stats.metrics["counters"]
-        assert counters.get("fastpath.batch.sweeps", 0) >= 1
+        assert counters.get("fastpath.python.fast_runs", 0) == len(self.SPECS)
         assert counters.get("fastpath.fast_runs", 0) >= 1
         assert run.stats.cells == len(self.SPECS)
         assert run.stats.groups == 1

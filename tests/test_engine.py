@@ -383,8 +383,8 @@ class TestFastpathCounters:
         plan = build_plan("table9", small_sizes)
         cold = run_plan(plan, workers=1, cache=DiskCache(), observe=True)
         counters = cold.stats.metrics["counters"]
-        assert counters["fastpath.python.fast_runs"] == 80
-        assert counters["fastpath.batch.fast_runs"] == 20  # RUU x4 R50
+        # 80 speculative replays and 20 of RUU x4 R50.
+        assert counters["fastpath.python.fast_runs"] == 100
         clear_process_memo()
         warm = run_plan(plan, workers=1, cache=DiskCache(), observe=True)
         assert warm.stats.result_hits == len(plan.cells)
@@ -405,7 +405,7 @@ class TestWarmTelemetry:
     def test_cold_and_warm_report_identical_sim_counters(self):
         """A warm run folds ``sim.*`` counters from the cached records,
         so every record must carry the same telemetry a fresh replay
-        attaches -- across every compiled family, batched or not."""
+        attaches -- across every compiled family."""
         from repro.harness.engine import run_plan
         from repro.harness.plans import Cell, ExperimentPlan
 
@@ -439,8 +439,8 @@ class TestWarmTelemetry:
 
 
 class TestSweepGrouping:
-    """Sweep-shaped plans route through the batch sweep without
-    changing a single table value."""
+    """Sweep-shaped plans route through the sweep without changing a
+    single table value."""
 
     def test_sweep_groups_partition_by_trace(self, small_sizes):
         from repro.harness.engine import _sweep_groups
@@ -473,9 +473,9 @@ class TestSweepGrouping:
         self, small_sizes, monkeypatch, backend
     ):
         """Both replay routes give the fast-path-off tables: "batch" is
-        the engine's sweep (Table 5's ooo batch kernel, Table 1's
-        per-spec loops inside the sweep); "python" serves every member
-        through its own ``simulate``, i.e. its per-spec compiled loop."""
+        the engine's sweep (each member's compiled loop, the RUU members
+        under the size rule); "python" serves every member through its
+        own ``simulate``, i.e. its per-spec compiled loop."""
         from repro.core import fastpath
 
         if backend == "python":
@@ -504,25 +504,24 @@ class TestSweepGrouping:
 
         if not fastpath.enabled():
             pytest.skip("fast path disabled via REPRO_FASTPATH")
-        # Table 5 sweeps out-of-order members, which have a batch
-        # kernel; Table 1's families are served per spec inside the
-        # sweep and counted as fallbacks.
+        # Every cell of Table 5's out-of-order sweep is one compiled-loop
+        # run, and the manifest carries the same count; Table 7's RUU
+        # sweep also reports the runs its size rule reused.
         cold = api.run_table(
             "table5", sizes=small_sizes, workers=1, observe=True,
             stations=(1, 2),
         )
         counters = cold.stats.metrics["counters"]
-        assert counters["fastpath.batch.sweeps"] > 0
-        assert counters["fastpath.batch.fast_runs"] == cold.stats.cells
-        assert cold.manifest.counter("fastpath.batch.sweeps") == (
-            counters["fastpath.batch.sweeps"]
+        assert counters["fastpath.python.fast_runs"] == cold.stats.cells
+        assert cold.manifest.counter("fastpath.python.fast_runs") == (
+            counters["fastpath.python.fast_runs"]
         )
-        table1 = api.run_table(
-            "table1", sizes=small_sizes, workers=1, observe=True
+        assert counters.get("fastpath.python.reused_runs", 0.0) == 0.0
+        table7 = api.run_table(
+            "table7", sizes=small_sizes, workers=1, observe=True
         )
-        counters1 = table1.stats.metrics["counters"]
-        assert counters1["fastpath.batch.fallback_runs"] > 0
-        assert counters1.get("fastpath.batch.fast_runs", 0.0) == 0.0
+        counters7 = table7.stats.metrics["counters"]
+        assert counters7["fastpath.python.reused_runs"] > 0
 
 
 class TestTraceMemo:

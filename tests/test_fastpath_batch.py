@@ -1,16 +1,18 @@
-"""The batch sweep's contract: bit-identical, correctly attributed.
+"""The sweep's contract: bit-identical, correctly attributed.
 
-Three layers of tests for :func:`repro.core.fastpath.simulate_sweep`:
+Three layers of tests for :func:`repro.core.fastpath.simulate_sweep`,
+which dispatches each member to its family's compiled loop and replays
+the RUU members together under the RUU size rule:
 
 * **Differential sweep** -- every fuzzed trace replayed through the full
   oracle machine set as one sweep must agree with each member's own
   per-spec replay *and* the reference loops on cycles, issue rates and
   (for the fast-path machines) the per-instruction issue/completion
   schedule.
-* **Broken-kernel detection** -- a batch sweep replaying under mutated
+* **Broken-sweep detection** -- a sweep replaying under mutated
   latencies must be caught by the oracle's ``fastpath-dual`` check: the
-  differential layers are what make the batch kernels safe to trust,
-  so this pins that they actually fire.
+  differential layers are what make the sweep safe to trust, so this
+  pins that they actually fire.
 * **Gating and stats** -- the run counters have a stable key set,
   ``set_enabled(False)`` forces the reference loops uniformly, and
   every fast run is attributed to the loop that served it.
@@ -77,7 +79,7 @@ def _perspec(trace, items):
 
 def test_batch_matches_perspec_and_reference_over_oracle_set():
     """300 fuzzed traces x the full oracle machine set (the speculative
-    family included): batch == per-spec fast == reference on cycles,
+    family included): sweep == per-spec fast == reference on cycles,
     rates and instruction counts."""
     machines = _oracle_simulators()
     items = [(sim, None) for _, sim in machines]
@@ -98,8 +100,8 @@ def test_batch_matches_perspec_and_reference_over_oracle_set():
 
 
 def test_batch_schedules_match_perspec_over_oracle_set():
-    """Per-instruction (issue, complete) pairs from the batch kernels
-    equal the per-spec fast loops' on every fast-path oracle member."""
+    """Per-instruction (issue, complete) pairs from the sweep equal the
+    per-spec fast loops' on every fast-path oracle member."""
     machines = [
         (spec, sim)
         for spec, sim in _oracle_simulators()
@@ -131,7 +133,7 @@ def test_batch_schedules_match_perspec_over_oracle_set():
 
 @pytest.mark.parametrize("spec", ("cray", "ooo:4", "ruu:2:50", "cdc6600"))
 def test_batch_schedule_matches_reference_events(spec):
-    """Spot-check the batch schedules against the reference loops' event
+    """Spot-check the sweep schedules against the reference loops' event
     streams directly (the per-spec equivalence above plus
     test_fastpath_diff covers the rest of the cross product)."""
     simulator = build_simulator(spec)
@@ -159,7 +161,7 @@ def test_batch_schedule_matches_reference_events(spec):
 
 def test_table5_style_sweep_is_bit_identical_across_configs():
     """The acceptance shape: one ooo:4 machine, all four configs, one
-    trace, one batch pass -- identical to four reference replays."""
+    trace, one sweep -- identical to four reference replays."""
     simulator = build_simulator("ooo:4")
     for trace in TRACES[:50]:
         results = fastpath.simulate_sweep(
@@ -172,12 +174,11 @@ def test_table5_style_sweep_is_bit_identical_across_configs():
 
 
 # ----------------------------------------------------------------------
-# Speculative family through the batch sweep
+# Speculative family through the sweep
 # ----------------------------------------------------------------------
 #
-# There is no spec batch kernel: spec sweep members are served by their
-# per-spec compiled loop inside the same sweep call and counted as
-# fallback_runs.  The contract is still full bit-identity --
+# Spec sweep members are served by their per-spec compiled loop inside
+# the sweep call.  The contract is full bit-identity --
 # cycles, rates, schedules and tlm.* telemetry -- against both the
 # per-spec fast loop and the reference.
 
@@ -200,7 +201,7 @@ SPEC_SWEEP_SPECS = (
 
 
 def test_batch_serves_spec_grid_bit_identically():
-    """Predictor grid: one batch sweep per trace must match the per-spec
+    """Predictor grid: one sweep per trace must match the per-spec
     loops and the reference on cycles, rates, detail (telemetry
     included) and per-instruction schedules."""
     machines = [(spec, build_simulator(spec)) for spec in SPEC_SWEEP_SPECS]
@@ -250,9 +251,9 @@ def test_batch_serves_spec_grid_bit_identically():
     ids=("spec", "cray", "cdc6600", "inorder:2"),
 )
 def test_spec_sweep_members_counted_as_batch_fallbacks(specs):
-    """Members of a family without a batch kernel (spec, scoreboard,
-    cdc6600, in-order) are attributed as fallback_runs (per-spec loop
-    service inside the sweep), never as batch fast_runs."""
+    """Members of every family but the RUU (spec, scoreboard, cdc6600,
+    in-order) are served by their per-spec loop inside the sweep: each
+    counts as one ``python.fast_runs`` and none is ever reused."""
     items = [
         (build_simulator(spec), config)
         for spec in specs
@@ -261,18 +262,17 @@ def test_spec_sweep_members_counted_as_batch_fallbacks(specs):
     fastpath.reset_stats()
     batch = fastpath.simulate_sweep(TRACES[7], items)
     stats = fastpath.stats()
-    assert stats["batch.fallback_runs"] == len(items)
-    assert stats["batch.sweeps"] == 1
-    assert stats["batch.fast_runs"] == 0
+    assert stats["python.fast_runs"] == len(items)
+    assert stats["python.reused_runs"] == 0
     perspec = _perspec(TRACES[7], items)
     assert [r.cycles for r in batch] == [r.cycles for r in perspec]
 
 
 # ----------------------------------------------------------------------
-# RUU grid through the batch sweep: one loop, reused never-full runs
+# RUU grid through the sweep: one loop, reused never-full runs
 # ----------------------------------------------------------------------
 #
-# The batch RUU kernel replays members through the same loop as the
+# The RUU size rule replays members through the same loop as the
 # per-spec path, largest RUU first per timing class, and copies a run
 # to every smaller RUU its peak occupancy still fits.  The contract is
 # unchanged: cycles, detail (telemetry included) and schedules equal the
@@ -356,9 +356,8 @@ def test_ruu_never_full_runs_are_reused_and_full_ones_are_not():
         trace, [(machine, M11BR5) for machine in machines]
     )
     stats = fastpath.stats()
-    assert stats["batch.fast_runs"] == len(machines)
-    assert stats["batch.fallback_runs"] == 0
-    assert stats["batch.reused_runs"] == 1  # only peak + 1
+    assert stats["python.fast_runs"] == len(machines)
+    assert stats["python.reused_runs"] == 1  # only peak + 1
     for machine, result in zip(machines, batch):
         alone = machine.simulate(trace, M11BR5)
         assert (result.cycles, result.detail) == (alone.cycles, alone.detail)
@@ -366,9 +365,9 @@ def test_ruu_never_full_runs_are_reused_and_full_ones_are_not():
 
 def test_table7_reuses_an_exact_count_of_ruu_replays():
     """Table 7 at ``SMALL_SIZES`` is one sweep per kernel trace of its
-    192-member RUU grid, and the batch kernel serves 396 of the 960
+    192-member RUU grid, and the RUU size rule serves 396 of the 960
     runs from another member's never-full replay.  The count repeats
-    exactly on any host, where the batch-over-per-spec speed ratio it
+    exactly on any host, where the sweep-over-per-spec speed ratio it
     buys (``repro bench``'s ``sweep.table7.speedup``) moves with load."""
     from repro.harness.engine import run_plan
     from repro.harness.plans import build_plan
@@ -377,10 +376,8 @@ def test_table7_reuses_an_exact_count_of_ruu_replays():
     fastpath.reset_stats()
     run_plan(build_plan("table7", SMALL_SIZES), workers=1, cache=None)
     stats = fastpath.stats()
-    assert stats["batch.sweeps"] == 5
-    assert stats["batch.fast_runs"] == 960
-    assert stats["batch.fallback_runs"] == 0
-    assert stats["batch.reused_runs"] == 396
+    assert stats["python.fast_runs"] == 960
+    assert stats["python.reused_runs"] == 396
 
 
 def test_ruu_plan_resolves_register_instances():
@@ -471,12 +468,12 @@ def test_alternating_replays_build_each_plan_once():
 
 
 # ----------------------------------------------------------------------
-# Registry-sourced workload families through the batch sweep
+# Registry-sourced workload families through the sweep
 # ----------------------------------------------------------------------
 
 from repro.trace.sources import trace_source
 
-#: Scalar registry families (mixed is vector-only: no batch machines).
+#: Scalar registry families (mixed is vector-only: no scalar machines).
 FAMILY_SPECS = (
     "branchy:n=96",
     "pointer:n=96:chains=2",
@@ -513,7 +510,7 @@ def _batch_agrees_on(trace, config):
 
 @pytest.mark.sources
 def test_batch_matches_reference_on_registry_families():
-    """Fast subset: each family through the full oracle set as a batch."""
+    """Fast subset: each family through the full oracle set as a sweep."""
     for index, trace in enumerate(_family_traces(range(2))):
         _batch_agrees_on(trace, CONFIGS[index % len(CONFIGS)])
 
@@ -521,7 +518,7 @@ def test_batch_matches_reference_on_registry_families():
 @pytest.mark.sources
 @pytest.mark.slow
 def test_batch_matches_reference_on_registry_families_full_matrix():
-    """Nightly: the full family x seed x config batch matrix."""
+    """Nightly: the full family x seed x config sweep matrix."""
     for trace in _family_traces(range(20)):
         for config in CONFIGS:
             _batch_agrees_on(trace, config)
@@ -529,7 +526,7 @@ def test_batch_matches_reference_on_registry_families_full_matrix():
 
 @pytest.mark.sources
 def test_batch_schedules_match_perspec_on_registry_families():
-    """Per-instruction schedules from the batch kernels equal the
+    """Per-instruction schedules from the sweep equal the
     per-spec fast loops' on every family, not just the default fuzz."""
     machines = [
         (spec, sim)
@@ -556,59 +553,53 @@ def test_batch_schedules_match_perspec_on_registry_families():
 
 
 # ----------------------------------------------------------------------
-# A broken batch sweep is caught
+# A broken sweep is caught
 # ----------------------------------------------------------------------
 
 def test_oracle_catches_mutated_latency_batch_backend(monkeypatch):
-    """The fastpath-dual check must flag a batch sweep whose kernels
-    drift from the reference loops -- the safety net behind every
-    sweep."""
-    real = fastpath.batch.sweep
+    """The fastpath-dual check must flag a sweep whose replays drift
+    from the reference loops -- the safety net behind every sweep."""
+    real = fastpath.simulate_sweep
 
     def mutated(trace, items):
-        # Every sweep member replays under a memory latency one cycle
-        # higher than asked.
+        # Every sweep member (the oracle passes tuples) replays under a
+        # memory latency one cycle higher than asked.
         return real(trace, [
-            fastpath.SweepItem(
-                item.simulator,
-                replace(
-                    item.config,
-                    memory_latency=item.config.memory_latency + 1,
-                ),
-                item.record,
+            (
+                simulator,
+                replace(config, memory_latency=config.memory_latency + 1),
+                record,
             )
-            for item in items
+            for simulator, config, record in items
         ])
 
-    monkeypatch.setattr(fastpath.batch, "sweep", mutated)
+    monkeypatch.setattr(fastpath, "simulate_sweep", mutated)
     report = run_oracle(TRACES[0], M11BR5)
     duals = [v for v in report.violations if v.check == "fastpath-dual"]
-    assert duals, "mutated-latency batch sweep went undetected"
+    assert duals, "mutated-latency sweep went undetected"
     # And with the real sweep restored the same replay is clean.
     monkeypatch.undo()
     assert run_oracle(TRACES[0], M11BR5).ok
 
 
-def test_oracle_routes_replays_through_batch_sweeps():
+def test_oracle_routes_replays_through_batch_sweeps(monkeypatch):
+    """One oracle replay is one sweep: every machine with a compiled loop
+    is a member, and the simple machine (no compiled loop) runs its
+    reference outside it."""
+    real = fastpath.simulate_sweep
+    sweeps = []
+
+    def counted(trace, items):
+        sweeps.append(len(items))
+        return real(trace, items)
+
+    monkeypatch.setattr(fastpath, "simulate_sweep", counted)
     fastpath.reset_stats()
     report = run_oracle(TRACES[1], M11BR5)
     assert report.ok
-    stats = fastpath.stats()
-    assert stats["batch.sweeps"] == 1
-    # Only the ooo and RUU members have batch kernels; every other
-    # compiled family is served per spec inside the same sweep, and
-    # the simple machine (no compiled loop) runs its reference.
-    batched = [
-        spec for spec in DEFAULT_ORACLE_MACHINES
-        if spec.startswith(("ooo:", "ruu:"))
-    ]
     eligible = [spec for spec in DEFAULT_ORACLE_MACHINES if spec != "simple"]
-    assert len(batched) == 9
-    assert stats["batch.fast_runs"] == len(batched)
-    assert (
-        stats["batch.fast_runs"] + stats["batch.fallback_runs"]
-        == len(eligible)
-    )
+    assert sweeps == [len(eligible)]
+    assert fastpath.stats()["python.fast_runs"] == len(eligible)
 
 
 # ----------------------------------------------------------------------
@@ -624,11 +615,8 @@ class TestRunCounters:
         for key in (
             "fast_runs",
             "python.fast_runs",
+            "python.reused_runs",
             "python.skipped_instructions",
-            "batch.fast_runs",
-            "batch.sweeps",
-            "batch.fallback_runs",
-            "batch.reused_runs",
         ):
             assert stats[key] == 0, key
 
@@ -651,24 +639,18 @@ class TestGatingAndStats:
         assert disabled.cycles == enabled.cycles
 
     def test_fast_runs_attributed_per_backend(self):
-        """A sweep member counts as ``batch.fast_runs``, the machine's own
-        ``simulate`` as ``python.fast_runs`` -- even though for the
-        out-of-order machine both run the same kernel -- and a direct
-        ``simulate`` moves no ``batch.*`` counter."""
+        """A machine's own ``simulate`` and a sweep member run the same
+        compiled loop, so each counts as one ``python.fast_runs``, and
+        the flat ``fast_runs`` key repeats it."""
         simulator = build_simulator("ooo:2")
         fastpath.reset_stats()
         simulator.simulate(TRACES[4], M11BR5)
-        stats = fastpath.stats()
-        assert stats["python.fast_runs"] == 1
-        for key in ("fast_runs", "sweeps", "fallback_runs", "reused_runs"):
-            assert stats[f"batch.{key}"] == 0, key
+        assert fastpath.stats()["python.fast_runs"] == 1
         fastpath.simulate_sweep(TRACES[4], [(simulator, M11BR5)])
         stats = fastpath.stats()
-        assert stats["batch.fast_runs"] == 1
-        assert stats["python.fast_runs"] == 1
-        assert stats["fast_runs"] == (
-            stats["batch.fast_runs"] + stats["python.fast_runs"]
-        )
+        assert stats["python.fast_runs"] == 2
+        assert stats["python.reused_runs"] == 0
+        assert stats["fast_runs"] == stats["python.fast_runs"]
 
     def test_no_fast_path_machine_falls_back_inside_batch(self):
         """A machine without a compiled loop (the simple machine) runs

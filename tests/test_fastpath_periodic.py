@@ -3,7 +3,7 @@ scoreboard and speculative loops.
 
 ``compile_trace`` marks the periodic regions of a trace (one loop body
 repeated), and :func:`~repro.core.fastpath.python_backend.ruu_replay`,
-:func:`~repro.core.fastpath.python_backend.ooo_replay`,
+:func:`~repro.core.fastpath.python_backend.simulate_ooo_fast`,
 :func:`~repro.core.fastpath.python_backend.simulate_inorder_fast`,
 :func:`~repro.core.fastpath.python_backend.simulate_scoreboard_fast` and
 :func:`~repro.core.fastpath.python_backend.simulate_spec_fast` credit
@@ -24,12 +24,11 @@ from dataclasses import replace
 import pytest
 
 from repro.core import M5BR2, M5BR5, M11BR2, M11BR5, fastpath
-from repro.core.fastpath import SweepItem, compile_trace
+from repro.core.fastpath import compile_trace
 from repro.core.fastpath.ir import fetch_buffers
 from repro.core.fastpath import python_backend
 from repro.core.fastpath.python_backend import (
     FAMILY_LOOPS,
-    ooo_replay,
     ruu_replay,
     spec_outcomes,
 )
@@ -131,17 +130,11 @@ def _assert_matches(simulator, trace, config, context):
         assert skipped == replayed, context
         return
     schedules = ([], [])
-    if family == "ooo":
-        skipped, replayed = (
-            ooo_replay(source, [SweepItem(simulator, config, schedule)])[0]
-            for source, schedule in zip((compiled, flat), schedules)
-        )
-    else:
-        loop = FAMILY_LOOPS[family]
-        skipped = loop(simulator, trace, config, schedules[0])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(python_backend, "compile_trace", lambda _: flat)
-            replayed = loop(simulator, trace, config, schedules[1])
+    loop = FAMILY_LOOPS[family]
+    skipped = loop(simulator, trace, config, schedules[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(python_backend, "compile_trace", lambda _: flat)
+        replayed = loop(simulator, trace, config, schedules[1])
     assert skipped.cycles == replayed.cycles, context
     assert skipped.detail == replayed.detail, context
     assert schedules[0] == schedules[1], context

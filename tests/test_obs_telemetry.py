@@ -1,7 +1,7 @@
 """Differential tests for the zero-slowdown fast-path telemetry.
 
-The contract under test: every compiled fast loop (and the batch
-sweep kernels) attaches an aggregate
+The contract under test: every compiled fast loop (and the RUU size
+rule inside a sweep) attaches an aggregate
 :class:`~repro.obs.telemetry.SimTelemetry` record to its result that is
 *bit-identical* to the record derived from the matching reference
 loop's event stream by :func:`~repro.obs.telemetry.telemetry_from_events`.
@@ -100,9 +100,8 @@ class TestFuzzedEquality:
             assert_telemetry_matches(sim, trace, config, result)
 
     def test_batch_backend_matches_event_reduction(self):
-        # Two parameter points per swept family so the batch kernels'
-        # per-spec (K > 1) telemetry paths, and the per-spec fallback
-        # inside a sweep, are exercised.
+        # Two parameter points per swept family, so every family's loop
+        # inside a sweep and the RUU size rule's copies are exercised.
         specs = (
             "cray", "serialmemory", "cdc6600", "tomasulo",
             "inorder:1", "inorder:4", "ooo:1", "ooo:4", "ooo:4:1bus",

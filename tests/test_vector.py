@@ -12,6 +12,7 @@ from repro.core import (
     ScoreboardMachine,
     SimpleMachine,
     cray_like_machine,
+    fastpath,
 )
 from repro.isa import (
     A,
@@ -208,6 +209,23 @@ class TestVectorTiming:
         trace = self._trace(4)
         with pytest.raises(ValueError, match="scalar"):
             machine.simulate(trace, M11BR5)
+
+    def test_sweep_raises_the_first_scalar_only_member_in_item_order(self):
+        """A sweep fails on the member per-member dispatch would fail on:
+        the first non-scoreboard machine in item order, although the
+        sweep holds its RUU members back to replay them together."""
+        trace = self._trace(4)
+        ruu = RUUMachine(2, 20)
+        members = [cray_like_machine(), ruu, OutOfOrderMultiIssueMachine(4)]
+        previous = fastpath.set_enabled(True)
+        try:
+            with pytest.raises(ValueError, match="scalar") as raised:
+                fastpath.simulate_sweep(
+                    trace, [(machine, M11BR5) for machine in members]
+                )
+        finally:
+            fastpath.set_enabled(previous)
+        assert str(raised.value).startswith(f"{ruu.name} models scalar")
 
     def test_limits_account_for_elements(self):
         trace = self._trace(8)

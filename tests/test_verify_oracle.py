@@ -19,7 +19,7 @@ import pytest
 from repro.core import M11BR5, M5BR2, MachineConfig
 from repro.core.base import CompiledSimulator, Simulator
 from repro.core.cdc6600 import CDC6600Machine
-from repro.core.fastpath import batch, python_backend
+from repro.core.fastpath import python_backend
 from repro.core.inorder_multi import InOrderMultiIssueMachine
 from repro.core.ooo_multi import OutOfOrderMultiIssueMachine
 from repro.core.registry import build_simulator
@@ -394,13 +394,13 @@ class TestObservedReplayCampaign:
 
 class TestScheduleDual:
     def test_schedule_only_sweep_fault_caught_by_runner(self, monkeypatch):
-        # The RUU batch kernel reports correct cycles but shifts one
+        # The RUU size rule reports correct cycles but shifts one
         # recorded issue cycle: only a schedule-level dual sees it.
-        sweep_ruu = batch._sweep_ruu
+        ruu_sweep = python_backend.ruu_sweep
         shifted = []
 
         def planted(compiled, group):
-            results = sweep_ruu(compiled, group)
+            results = ruu_sweep(compiled, group)
             for item in group:
                 if item.record:
                     seq = len(item.record) // 2
@@ -409,7 +409,7 @@ class TestScheduleDual:
                     shifted.append(seq)
             return results
 
-        monkeypatch.setattr(batch, "_sweep_ruu", planted)
+        monkeypatch.setattr(python_backend, "ruu_sweep", planted)
         report = run_verification(VerifyOptions(**_SHORT))
         assert shifted
         assert not report.ok
